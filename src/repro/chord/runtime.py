@@ -54,10 +54,10 @@ class AsyncChordNetwork(AsyncOverlayRuntime):
         yield Hop(None, start)  # the join request reaches its entry node
         node = net.spawn_node()
         try:
-            successor = yield from self._lift(
-                net.successor_steps(start, node.node_id, MsgType.JOIN_FIND)
+            successor = yield from net.successor_steps(
+                start, node.node_id, MsgType.JOIN_FIND
             )
-            yield from self._lift(net.join_update_steps(node, start, successor))
+            yield from net.join_update_steps(node, start, successor)
         except ReproError:
             # The find phase (or the pre-splice successor read) died under
             # churn; unwind the half-born node so the ring stays clean.
@@ -84,7 +84,7 @@ class AsyncChordNetwork(AsyncOverlayRuntime):
                 update_trace=net.new_trace("chord.leave.update"),
             )
         successor = node.successor  # known locally: no search needed
-        yield from self._lift(net.leave_update_steps(node))
+        yield from net.leave_update_steps(node)
         return LeaveResult(
             departed=address,
             replacement=successor,

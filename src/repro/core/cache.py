@@ -38,7 +38,9 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.net.address import Address
 from repro.net.message import MsgType
+from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError
+from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -184,16 +186,19 @@ def record_route(net: "BatonNetwork", entry: Address, owner: "BatonPeer") -> Non
     cache.record(owner.address, owner_range.low, owner_range.high)
 
 
-def consult(
+def consult_steps(
     net: "BatonNetwork", start: Address, key: int, mtype: MsgType
-) -> Address:
-    """Synchronous shortcut attempt; returns where the walk should start.
+) -> MessageSteps:
+    """Try the entry peer's cached shortcut; return where the walk starts.
 
-    On a verified hit the returned address *is* the owner (the caller's
-    walk confirms immediately with zero further messages).  On a stale
-    hint the walk continues from wherever the shortcut landed; on a dead
-    or absent hint it starts at ``start``.  Exactly one of hit/miss is
-    counted per consult.
+    Yields the one direct ``start -> hint`` hop when a hint is tried.  On a
+    verified hit the returned address *is* the owner (the caller's walk
+    confirms immediately with zero further messages).  On a stale hint —
+    or an owner that vanished while the hop was in flight — the walk
+    continues from wherever the shortcut landed (the walk re-reads the
+    peer, so a vanished carrier fails the op like any other mid-flight
+    loss); on a dead or absent hint it starts at ``start``.  Exactly one
+    of hit/miss is counted per consult.
     """
     stats = net.cache_stats
     peer = net.peers.get(start)
@@ -208,13 +213,14 @@ def consult(
         stats.misses += 1
         cache.invalidate(hint)
         return start
-    target = net.peers[hint]
-    if target.range.contains(key):
+    yield Hop(start, hint)
+    target = net.peers.get(hint)
+    if target is not None and target.range.contains(key):
         stats.hits += 1
-        return hint
-    stats.misses += 1
-    cache.invalidate(hint)
-    return hint  # verified-stale: keep walking from where we landed
+    else:
+        stats.misses += 1
+        cache.invalidate(hint)
+    return hint
 
 
 def reconcile_peer(net: "BatonNetwork", peer: "BatonPeer") -> None:

@@ -17,12 +17,13 @@ and everyone else's — fewer than 6·log N messages end to end.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core.ids import ROOT, Position
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.results import JoinResult
+from repro.core.search import may_give_up
 from repro.net.address import Address
 from repro.net.message import MsgType
 from repro.sim.topology import Hop
@@ -53,8 +54,8 @@ def join(net: "BatonNetwork", start: Address) -> JoinResult:
     """Join one new peer, entering the overlay at ``start``.
 
     In a degraded network (unrepaired failures) the placement walk can get
-    boxed in by dead neighbours; the joiner then retries through a different
-    entry point, as a real joining host would.
+    boxed in by dead neighbours; the walk then re-enters through a different
+    contact, as a real joining host would (:func:`find_join_parent_steps`).
 
     With topology-aware probing on (``LocalityConfig.join_probes > 1`` and
     a topology installed — default off) the contact peer first probes
@@ -62,24 +63,9 @@ def join(net: "BatonNetwork", start: Address) -> JoinResult:
     starts at the cheapest neighbourhood; with probing off the walk is
     message-for-message Algorithm 1 (pinned).
     """
-    newcomer: Optional[BatonPeer] = None
     with net.open_trace("join.find") as find_trace:
-        if probing_active(net):
-            # The joiner's address (hence its physical placement) must
-            # exist before the walk so probe replies can be priced against
-            # it; the single allocation per join simply moves earlier.
-            newcomer = BatonPeer(net.alloc.allocate(), ROOT, net.config.domain)
-            start = drive(probe_entry_steps(net, newcomer.address, start))
-        attempts = 3 if net.ghosts else 1
-        parent_address: Optional[Address] = None
-        for attempt in range(attempts):
-            try:
-                parent_address = find_join_parent(net, start)
-                break
-            except ProtocolError:
-                if attempt == attempts - 1:
-                    raise
-                start = net.random_peer_address()
+        newcomer, start = drive(entry_steps(net, start))
+        parent_address = drive(find_join_parent_steps(net, start))
     with net.open_trace("join.update") as update_trace:
         parent = net.peer(parent_address)
         side = LEFT if parent.left_child is None else RIGHT
@@ -95,6 +81,22 @@ def join(net: "BatonNetwork", start: Address) -> JoinResult:
 def probing_active(net: "BatonNetwork") -> bool:
     """Whether topology-aware join probing applies to this network."""
     return net.config.locality.join_probes > 1 and net.topology is not None
+
+
+def entry_steps(net: "BatonNetwork", contact: Address) -> MessageSteps:
+    """Where a join's Algorithm 1 walk starts: ``(newcomer, start)``.
+
+    With probing off that is ``(None, contact)`` and nothing is sent.  With
+    it on, the joiner is allocated *before* the walk — its address (hence
+    its physical placement) must exist so probe replies can be priced
+    against it; the single allocation per join simply moves earlier — and
+    the contact probes candidate entry points on its behalf.
+    """
+    if not probing_active(net):
+        return None, contact
+    newcomer = BatonPeer(net.alloc.allocate(), ROOT, net.config.domain)
+    start = yield from probe_entry_steps(net, newcomer.address, contact)
+    return newcomer, start
 
 
 def neighbourhood_cost(
@@ -169,25 +171,45 @@ def can_accept_join(peer: BatonPeer) -> bool:
     return peer.can_accept_child() and peer.range.can_split
 
 
-def find_join_parent(net: "BatonNetwork", start: Address) -> Address:
+def find_join_parent_steps(
+    net: "BatonNetwork",
+    start: Address,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
     """Algorithm 1: walk the overlay to a node that may accept a child.
 
-    The request carries the set of peers it has already consulted and is
-    never re-forwarded to one of them (the natural implementation: the
-    walk's path history rides in the JOIN message).  Without this, the
-    purely local forwarding rules can trap the request in a cycle once a
-    neighbourhood saturates — a frontier leaf's "tables not full" rule
-    sends it to its parent, whose "descend via an adjacent" rule sends it
-    straight back — which at N≈10k reliably exceeded any hop limit.
-    Skipping visited peers costs nothing on the wire (no message is sent
-    to them) and turns the walk into an outward exploration that reaches
-    an open slot.
+    Yields one :class:`Hop` per forwarding step and returns the accepting
+    peer's address.  The request carries the set of peers it has already
+    consulted and is never re-forwarded to one of them (the natural
+    implementation: the walk's path history rides in the JOIN message).
+    Without this, the purely local forwarding rules can trap the request
+    in a cycle once a neighbourhood saturates — a frontier leaf's "tables
+    not full" rule sends it to its parent, whose "descend via an adjacent"
+    rule sends it straight back — which at N≈10k reliably exceeded any hop
+    limit.  Skipping visited peers costs nothing on the wire (no message
+    is sent to them) and turns the walk into an outward exploration that
+    reaches an open slot.
+
+    A walk boxed in by dead neighbours re-enters through a fresh random
+    contact (a client-ingress hop, visited set kept) when ``degraded()``
+    says stale or dead links are expected (see
+    :func:`~repro.core.search.may_give_up`), and raises otherwise.  A carrier
+    that vanished between hops re-enters the same way (unreachable when
+    driven synchronously).
     """
     limit = 8 * max(net.size.bit_length(), 1) + 2 * net.size + 64
     current = start
     visited = {start}
     for _ in range(limit):
-        peer = net.peer(current)
+        try:
+            peer = net.peer(current)
+        except PeerNotFoundError:
+            # The walk's carrier vanished; re-enter somewhere live, as a
+            # real joining host would retry through another contact.
+            current = net.random_peer_address()
+            visited.add(current)
+            yield Hop(None, current)  # fresh client ingress
+            continue
         if can_accept_join(peer):
             return current
         next_hop = None
@@ -207,11 +229,17 @@ def find_join_parent(net: "BatonNetwork", start: Address) -> Address:
             if try_message(net, current, revisit, MsgType.JOIN_FIND):
                 next_hop = revisit
         if next_hop is None:
-            raise ProtocolError(
-                f"join request stuck at {peer.position}: no forwarding target"
-            )
-        visited.add(next_hop)
-        current = next_hop
+            if not may_give_up(net, degraded):
+                raise ProtocolError(
+                    f"join request stuck at {peer.position}: no forwarding target"
+                )
+            current = net.random_peer_address()
+            visited.add(current)
+            yield Hop(None, current)  # marooned: retry via a new contact
+        else:
+            visited.add(next_hop)
+            yield Hop(current, next_hop)
+            current = next_hop
     raise ProtocolError("join request did not terminate (routing state corrupt?)")
 
 

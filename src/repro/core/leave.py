@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.links import LEFT, RIGHT
+from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.results import LeaveResult
 from repro.net.address import Address
 from repro.net.message import MsgType
+from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError, ProtocolError
+from repro.util.stepper import MessageSteps, drive
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -60,7 +62,13 @@ def leave(net: "BatonNetwork", address: Address) -> LeaveResult:
         )
 
     with net.open_trace("leave.find") as find_trace:
-        replacement_address = find_replacement(net, departing)
+        replacement_address = drive(find_replacement_steps(net, departing))
+    if replacement_address is None:
+        raise ProtocolError(
+            f"replacement walk for {departing.position} hit a dead end "
+            "(a dead or stale link on the way to a safe leaf); "
+            f"address {address} stays in the overlay"
+        )
     with net.open_trace("leave.update") as update_trace:
         replacement = net.peer(replacement_address)
         if not can_depart_simply(replacement):
@@ -77,53 +85,72 @@ def leave(net: "BatonNetwork", address: Address) -> LeaveResult:
     )
 
 
-def find_replacement(net: "BatonNetwork", departing: BatonPeer) -> Address:
-    """Algorithm 2: locate a deepest leaf that can safely move."""
-    start = replacement_entry_point(net, departing)
+def find_replacement_steps(
+    net: "BatonNetwork", departing: BatonPeer
+) -> MessageSteps:
+    """Algorithm 2: locate a deepest leaf that can safely move.
+
+    Yields one :class:`Hop` per ``LEAVE_FIND`` message (the first from the
+    departing peer to :func:`replacement_entry_point`) and returns the
+    leaf's address — or ``None`` on a dead end: no entry point, a hop
+    target that is dead or vanished mid-walk, a neighbour advertising
+    children it no longer has, or the hop limit.  What a dead end means is
+    the caller's call: the synchronous ``leave()`` raises, the event
+    runtime re-walks (the links it raced are refreshed by then).
+    """
+    try:
+        start = replacement_entry_point(net, departing)
+    except (ProtocolError, PeerNotFoundError):
+        return None
+    yield Hop(departing.address, start)
     limit = 4 * max(net.size.bit_length(), 2) + 32
     current = start
     for _ in range(limit):
-        peer = net.peer(current)
+        try:
+            peer = net.peer(current)
+        except PeerNotFoundError:
+            return None  # carrier vanished between hops
         next_hop: Optional[Address] = None
         if peer.left_child is not None:
             next_hop = peer.left_child.address
         elif peer.right_child is not None:
             next_hop = peer.right_child.address
         else:
-            with_children = (
-                peer.left_table.nodes_with_children()
-                + peer.right_table.nodes_with_children()
-            )
-            if with_children:
-                nearest = min(
-                    with_children,
-                    key=lambda info: abs(
-                        info.position.number - peer.position.number
-                    ),
-                )
-                next_hop = nearest.left_child or nearest.right_child
-            else:
+            nearest = _nearest_with_children(peer)
+            if nearest is None:
                 return current
+            next_hop = nearest.left_child or nearest.right_child
         if next_hop is None:
-            raise ProtocolError("replacement walk lost its target")
-        net.count_message(current, next_hop, MsgType.LEAVE_FIND)
+            return None
+        try:
+            net.count_message(current, next_hop, MsgType.LEAVE_FIND)
+        except PeerNotFoundError:
+            return None
+        yield Hop(current, next_hop)
         current = next_hop
-    raise ProtocolError("replacement search did not terminate")
+    return None
+
+
+def _nearest_with_children(peer: BatonPeer) -> Optional[NodeInfo]:
+    """The sideways neighbour with children closest to ``peer``, if any."""
+    with_children = (
+        peer.left_table.nodes_with_children()
+        + peer.right_table.nodes_with_children()
+    )
+    if not with_children:
+        return None
+    return min(
+        with_children,
+        key=lambda info: abs(info.position.number - peer.position.number),
+    )
 
 
 def replacement_entry_point(net: "BatonNetwork", departing: BatonPeer) -> Address:
     """Where the FINDREPLACEMENT request is first sent."""
     if departing.is_leaf:
-        with_children = (
-            departing.left_table.nodes_with_children()
-            + departing.right_table.nodes_with_children()
-        )
-        if not with_children:
+        nearest = _nearest_with_children(departing)
+        if nearest is None:
             raise ProtocolError("leaf with safe departure needs no replacement")
-        nearest = min(
-            with_children,
-            key=lambda info: abs(info.position.number - departing.position.number),
-        )
         target = nearest.left_child or nearest.right_child
         if target is None:
             raise ProtocolError("neighbour advertises children it does not have")

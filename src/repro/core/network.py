@@ -400,7 +400,6 @@ class BatonNetwork:
         from repro.util.errors import ProtocolError
 
         results: List[RepairResult] = []
-        blocked: List[Address] = []
         passes = 0
         while self.ghosts and passes < len(self.ghosts) + 8:
             passes += 1
@@ -410,7 +409,7 @@ class BatonNetwork:
                     results.append(self.repair(address))
                     progress = True
                 except ProtocolError:
-                    blocked.append(address)
+                    pass  # blocked on another ghost; a later pass retries
             if not progress:
                 raise ProtocolError(
                     f"repairs deadlocked on ghosts {sorted(self.ghosts)}"

@@ -23,8 +23,8 @@ convention, :mod:`repro.util.stepper`): it performs one protocol step —
 one counted message exchange — then yields a
 :class:`~repro.sim.topology.Hop` naming the link the message crosses.  The
 synchronous network drives a generator to exhaustion (one atomic
-operation, the historical behaviour); the event-driven runtime lifts the
-same generator onto the simulator, so replication traffic is priced per
+operation, the historical behaviour); the event-driven runtime resumes the
+same generator on the simulator, so replication traffic is priced per
 link like any other message instead of being a free side effect.  Bulk
 transfers — a full-store refresh, the repair-time replica pull — declare
 their payload via ``Hop.size``, so bandwidth-limited topologies charge
@@ -134,16 +134,6 @@ def replicate_delete_steps(
     if mirror is not None and key in mirror:
         mirror.remove(key)
     return True
-
-
-def replicate_insert(net: "BatonNetwork", owner: BatonPeer, key: int) -> None:
-    """Synchronous write-through (drives the step generator atomically)."""
-    drive(replicate_insert_steps(net, owner, key))
-
-
-def replicate_delete(net: "BatonNetwork", owner: BatonPeer, key: int) -> None:
-    """Synchronous write-through (drives the step generator atomically)."""
-    drive(replicate_delete_steps(net, owner, key))
 
 
 def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:

@@ -18,15 +18,16 @@ candidate, which is how queries route around failures while repair runs.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.core import cache as route_cache
-from repro.core.links import LEFT, RIGHT
 from repro.core.peer import BatonPeer
 from repro.core.results import RangeSearchResult, SearchResult
 from repro.net.address import Address
 from repro.net.message import MsgType
+from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError, ProtocolError
+from repro.util.stepper import MessageSteps, drive
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -35,58 +36,111 @@ if TYPE_CHECKING:
 def search_exact(net: "BatonNetwork", start: Address, key: int) -> SearchResult:
     """Route an exact-match query for ``key`` starting at ``start``."""
     with net.open_trace("search.exact") as trace:
-        owner = route_to_owner(net, start, key, MsgType.SEARCH)
-        peer = net.peer(owner)
-        found = peer.range.contains(key) and key in peer.store
+        owner, _ = drive(route_steps(net, start, key, MsgType.SEARCH))
+        found = holds_key(net, owner, key)
     return SearchResult(found=found, owner=owner, trace=trace)
 
 
-def route_to_owner(
-    net: "BatonNetwork", start: Address, key: int, mtype: MsgType
-) -> Address:
-    """Walk the overlay to the peer whose range covers ``key``.
+def holds_key(net: "BatonNetwork", owner: Address, key: int) -> bool:
+    """Whether the peer a walk stopped at actually owns and stores ``key``."""
+    peer = net.peer(owner)
+    return peer.range.contains(key) and key in peer.store
 
-    Returns the extreme (leftmost/rightmost) peer when ``key`` falls outside
-    the covered domain; callers that insert may then expand its range.
 
-    With the hot-range cache enabled (locality extension, default off) the
-    entry peer first tries its cached shortcut: a verified hit resolves in
-    one direct message, a stale hint is invalidated and the walk continues
-    from wherever it landed — never a wrong answer (see
-    :mod:`repro.core.cache`).
+def route_steps(
+    net: "BatonNetwork",
+    start: Address,
+    key: int,
+    mtype: MsgType,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
+    """Step generator routing from ``start`` to the owner of ``key``.
+
+    What every BATON operation that needs an owner runs: the plain
+    :func:`walk_steps` generator, preceded — with the hot-range cache
+    enabled (locality extension, default off) — by the entry peer's cached
+    shortcut and followed by recording the resolved owner there.  A
+    verified hit resolves in one direct message; a stale hint is
+    invalidated and the walk continues from wherever it landed — never a
+    wrong answer (see :mod:`repro.core.cache`).  Returns ``(address,
+    hops)`` like the walk.  Cache-off this *is* the walk generator, so
+    the default path pays no wrapper frame per hop.
     """
-    limit = hop_limit(net)
+    if net.config.locality.cache_size > 0:
+        return _cached_route_steps(net, start, key, mtype, degraded)
+    return walk_steps(net, start, key, mtype, degraded)
+
+
+def _cached_route_steps(net, start, key, mtype, degraded) -> MessageSteps:
+    landed = yield from route_cache.consult_steps(net, start, key, mtype)
+    owner, hops = yield from walk_steps(net, landed, key, mtype, degraded)
+    peer = net.peers.get(owner)
+    if peer is not None and peer.range.contains(key):
+        route_cache.record_route(net, start, peer)
+    return owner, hops + (landed != start)  # the shortcut hop counts too
+
+
+def walk_steps(
+    net: "BatonNetwork",
+    start: Address,
+    key: int,
+    mtype: MsgType,
+    degraded: Optional[Callable[[], bool]] = None,
+    size: float = 1.0,
+) -> MessageSteps:
+    """The §IV-A owner walk: one yielded :class:`Hop` per forwarding step.
+
+    Walks to the peer whose range covers ``key`` and returns ``(address,
+    hops)`` — the extreme (leftmost/rightmost) peer when ``key`` falls
+    outside the covered domain; callers that insert may then expand its
+    range.  A hop to a dead peer costs its message and falls through to
+    the next candidate (§III-D).  When ``degraded`` allows it (see
+    :func:`may_give_up`), a dead end or an exhausted TTL reports the last
+    peer reached instead of raising.  The walk re-reads its carrier after
+    every hop, so a carrier that vanished while the message was in flight
+    raises ``PeerNotFoundError`` — unreachable when driven synchronously.
+    """
     current = start
-    cached = net.config.locality.cache_size > 0
-    if cached:
-        current = route_cache.consult(net, start, key, mtype)
-    for _ in range(limit):
+    hops = 0
+    for _ in range(hop_limit(net)):
         peer = net.peer(current)
         if peer.range.contains(key):
-            if cached:
-                route_cache.record_route(net, start, peer)
-            return current
+            return current, hops
         primary, fallback = hop_candidates(peer, key)
         if not primary:
-            return current  # extreme node; key beyond the covered domain
+            return current, hops  # extreme node; key beyond the covered domain
         next_hop = first_live_hop(net, current, primary + fallback, mtype)
         if next_hop is None:
-            if network_degraded(net):
-                return current  # marooned next to the failure; best effort
+            if may_give_up(net, degraded):
+                return current, hops  # marooned next to the failure; best effort
             raise ProtocolError(
                 f"all routes from {peer.position} toward {key} are dead"
             )
+        yield Hop(current, next_hop, size)
+        hops += 1
         current = next_hop
-    if network_degraded(net):
+    if may_give_up(net, degraded):
         # The owner itself is dead or routing state is still propagating:
-        # the query gives up (TTL) and reports the last peer reached.
-        return current
-    raise ProtocolError(f"search for {key} did not terminate")
+        # the walk gives up (TTL) and reports the last peer reached.
+        return current, hops
+    raise ProtocolError(f"route toward {key} did not terminate")
 
 
 def network_degraded(net: "BatonNetwork") -> bool:
     """Whether unrepaired failures or in-flight updates can strand a query."""
     return bool(net.ghosts) or net.updates.deferred or net.updates.pending_count > 0
+
+
+def may_give_up(
+    net: "BatonNetwork", degraded: Optional[Callable[[], bool]]
+) -> bool:
+    """A stranded walk's one policy question: stop best-effort, or raise?
+
+    ``degraded`` is the caller's notion of "stale or dead links are
+    expected" (the event runtime adds in-flight concurrency); ``None``
+    means the synchronous one, :func:`network_degraded`.
+    """
+    return network_degraded(net) if degraded is None else degraded()
 
 
 def hop_limit(net: "BatonNetwork") -> int:
@@ -165,35 +219,58 @@ def search_range(
     if low >= high:
         raise ValueError(f"empty query range [{low}, {high})")
     with net.open_trace("search.range") as trace:
-        first = route_to_owner(net, start, low, MsgType.RANGE_SEARCH)
-        owners: List[Address] = []
-        keys: List[int] = []
-        # In a degraded network route_to_owner may give up and report a
-        # marooned peer that does not anchor the interval; everything the
-        # walk collects from there is suspect, so the answer can never be
-        # complete.  A legitimate anchor either owns ``low`` or is the
-        # extreme peer on the side of an out-of-domain ``low``.
-        complete = False
-        anchored = anchors_range(net.peer(first), low)
-        current = first
-        limit = hop_limit(net) + net.size
-        for _ in range(limit):
-            peer = net.peer(current)
-            if peer.range.low >= high:
-                complete = anchored
-                break
-            owners.append(current)
-            keys.extend(peer.store.keys_in(low, high))
-            if peer.range.high >= high or peer.right_adjacent is None:
-                complete = anchored
-                break
-            next_hop = peer.right_adjacent.address
-            try:
-                net.count_message(current, next_hop, MsgType.RANGE_SEARCH)
-            except PeerNotFoundError:
-                break  # partial answer (complete=False); repair restores the chain
-            current = next_hop
+        owners, keys, complete = drive(range_steps(net, start, low, high))
     return RangeSearchResult(owners=owners, keys=keys, trace=trace, complete=complete)
+
+
+def range_steps(
+    net: "BatonNetwork",
+    start: Address,
+    low: int,
+    high: int,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
+    """The §IV-B range walk; returns ``(owners, keys, complete)``.
+
+    Routes like a point query to the owner of ``low``, then expands along
+    right-adjacent links, one counted ``RANGE_SEARCH`` hop per covered
+    peer.  A dead adjacent or a carrier that vanished between hops
+    truncates the answer (``complete=False``; repair restores the chain).
+    """
+    first, _ = yield from route_steps(
+        net, start, low, MsgType.RANGE_SEARCH, degraded
+    )
+    owners: List[Address] = []
+    keys: List[int] = []
+    # In a degraded network the route may give up and report a marooned
+    # peer that does not anchor the interval; everything the walk collects
+    # from there is suspect, so the answer can never be complete.  A
+    # legitimate anchor either owns ``low`` or is the extreme peer on the
+    # side of an out-of-domain ``low``.
+    complete = False
+    anchored = anchors_range(net.peer(first), low)
+    current = first
+    for _ in range(hop_limit(net) + net.size):
+        try:
+            peer = net.peer(current)
+        except PeerNotFoundError:
+            break  # carrier vanished between hops: truncated answer
+        if peer.range.low >= high:
+            complete = anchored
+            break
+        owners.append(current)
+        keys.extend(peer.store.keys_in(low, high))
+        if peer.range.high >= high or peer.right_adjacent is None:
+            complete = anchored
+            break
+        next_hop = peer.right_adjacent.address
+        try:
+            net.count_message(current, next_hop, MsgType.RANGE_SEARCH)
+        except PeerNotFoundError:
+            break  # partial answer; repair will restore the chain
+        yield Hop(current, next_hop)
+        current = next_hop
+    return owners, keys, complete
 
 
 def anchors_range(peer: BatonPeer, low: int) -> bool:

@@ -59,7 +59,7 @@ class AsyncMultiwayNetwork(AsyncOverlayRuntime):
         current = start
         for _attempt in range(16):
             try:
-                parent_address = yield from self._lift(net.join_find_steps(current))
+                parent_address = yield from net.join_find_steps(current)
             except PeerNotFoundError:
                 # The walk's carrier vanished; re-enter somewhere live.
                 current = net.random_peer_address()
@@ -106,9 +106,7 @@ class AsyncMultiwayNetwork(AsyncOverlayRuntime):
                 yield Hop(address, absorber, size=float(max(1, handover)))
                 return self._leave_result(future, address, None)
             try:
-                replacement_address = yield from self._lift(
-                    net.replacement_steps(departing)
-                )
+                replacement_address = yield from net.replacement_steps(departing)
             except PeerNotFoundError:
                 yield Hop(address, address)  # a consulted child vanished; re-walk
                 continue

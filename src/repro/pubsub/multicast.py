@@ -40,17 +40,12 @@ from typing import Callable, List, Optional, TYPE_CHECKING, Tuple
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
-from repro.core.search import (
-    first_live_hop,
-    hop_candidates,
-    hop_limit,
-    network_degraded,
-)
+from repro.core.search import walk_steps
 from repro.net.address import Address
 from repro.net.message import MsgType
 from repro.pubsub.state import apply_delivery
 from repro.sim.topology import Hop
-from repro.util.errors import PeerNotFoundError, ProtocolError
+from repro.util.errors import PeerNotFoundError
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -85,51 +80,6 @@ class MulticastResult:
     @property
     def owners_delivered(self) -> int:
         return len(self.delivered)
-
-
-def route_steps(
-    net: "BatonNetwork",
-    start: Address,
-    key: int,
-    mtype: MsgType,
-    *,
-    size: float = 1.0,
-    degraded: Optional[Callable[[], bool]] = None,
-):
-    """Route toward ``key``'s owner, yielding one Hop per forwarding step.
-
-    The same candidate walk as :func:`repro.core.search.route_to_owner`,
-    written as a generator so the event runtime can price each hop.
-    Returns ``(reached address, hops)``; like the search path, a degraded
-    network (``degraded()`` truthy) downgrades dead ends to best-effort
-    stops instead of protocol errors.
-    """
-    if degraded is None:
-        def degraded() -> bool:
-            return network_degraded(net)
-    limit = hop_limit(net)
-    current = start
-    hops = 0
-    for _ in range(limit):
-        peer = net.peer(current)
-        if peer.range.contains(key):
-            return current, hops
-        primary, fallback = hop_candidates(peer, key)
-        if not primary:
-            return current, hops  # extreme peer; key beyond the domain
-        next_hop = first_live_hop(net, current, primary + fallback, mtype)
-        if next_hop is None:
-            if degraded():
-                return current, hops
-            raise ProtocolError(
-                f"all routes from {peer.position} toward {key} are dead"
-            )
-        yield Hop(current, next_hop, size=size)
-        hops += 1
-        current = next_hop
-    if degraded():
-        return current, hops
-    raise ProtocolError(f"dissemination route toward {key} did not terminate")
 
 
 def _side_candidates(peer: BatonPeer, side: str) -> List[NodeInfo]:
@@ -236,8 +186,9 @@ def multicast_steps(
     message_id = state.new_message_id()
     target = Range(low, high)
     anchor_key = low + (high - low) // 2
-    anchor, route_hops = yield from route_steps(
-        net, start, anchor_key, MsgType.MULTICAST, size=size, degraded=degraded
+    # The bare §IV-A walk: dissemination bypasses the route cache.
+    anchor, route_hops = yield from walk_steps(
+        net, start, anchor_key, MsgType.MULTICAST, degraded, size
     )
     delivered: List[Address] = []
     suppressed = 0
@@ -332,8 +283,8 @@ def unicast_steps(
     complete = True
     for owner in range_owners(net, low, high):
         key = max(low, owner.range.low)
-        reached, hops = yield from route_steps(
-            net, start, key, MsgType.MULTICAST, size=size, degraded=degraded
+        reached, hops = yield from walk_steps(
+            net, start, key, MsgType.MULTICAST, degraded, size
         )
         hops_total += hops
         if hops > depth_max:

@@ -28,10 +28,9 @@ from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
-from repro.core.search import anchors_range, hop_limit
+from repro.core.search import anchors_range, hop_limit, walk_steps
 from repro.net.address import Address
 from repro.net.message import MsgType
-from repro.pubsub.multicast import route_steps
 from repro.pubsub.state import apply_delivery
 from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError
@@ -99,8 +98,8 @@ def subscribe_steps(
         raise ValueError(f"empty subscription range [{low}, {high})")
     state = net.pubsub
     sub = Subscription(state.new_subscription_id(), subscriber, Range(low, high))
-    first, route_hops = yield from route_steps(
-        net, subscriber, low, MsgType.SUBSCRIBE, degraded=degraded
+    first, route_hops = yield from walk_steps(
+        net, subscriber, low, MsgType.SUBSCRIBE, degraded
     )
     owners: List[Address] = []
     installs = 0

@@ -8,12 +8,15 @@ and the next message being sent.
 
 :class:`AsyncOverlayRuntime` closes that gap for any overlay implementing
 the :mod:`repro.overlays` protocol.  It wraps a synchronous network and
-re-expresses every public operation — join, leave, exact search, range
-search, insert, delete (plus fail, where supported) — as a *hop generator*:
-a Python generator that performs one protocol step (one message exchange,
-using exactly the same helpers and message accounting as the synchronous
-code) and then yields a :class:`~repro.sim.topology.Hop` declaring which
-pair of peers the next message travels between.  The runtime prices each
+runs every public operation — join, leave, exact search, range search,
+insert, delete (plus fail, where supported) — as a *hop generator*: a
+Python generator that performs one protocol step (one message exchange)
+and then yields a :class:`~repro.sim.topology.Hop` declaring which pair of
+peers the next message travels between.  The protocol walks inside are the
+overlay's own step generators (:mod:`repro.util.stepper`) — the very ones
+the synchronous facade drives — so no decision is written twice; an op
+generator adds only what concurrency needs (client ingress, inbox flushes,
+race re-walks, sized handover hops).  The runtime prices each
 hop per link through the run's :class:`~repro.sim.topology.Topology`
 (``sample(src, dst, size=...)``) and schedules the resumption on the shared
 :class:`~repro.sim.engine.Simulator`, so any number of operations
@@ -34,14 +37,20 @@ Fidelity notes:
 * With operations run one at a time (submit, then drain), every runtime
   sends byte-for-byte the same message sequence as its synchronous network
   and reaches the same final structure under *any* topology — delays only
-  stretch the clock between serialized steps — the equivalence the test
-  suites pin down (for constant and clustered topologies alike).
+  stretch the clock between serialized steps.  This holds by construction
+  (same generators) and the test suites pin it (constant and clustered
+  topologies, join probing and the route cache on or off).
 * Under interleaving, an operation's carrier peer can vanish between hops
-  (its host left or crashed).  The operation then *fails*: its future
-  reports the error instead of a result, which is how a real client
-  experiences a lost request.  Queries that merely get boxed in by stale
-  links give up and report the last peer reached, mirroring the synchronous
-  degraded-routing behaviour.
+  (its host left or crashed).  The walks' carrier-loss branches — dead code
+  under the synchronous driver — then decide: a query *fails* (its future
+  reports the error, which is how a real client experiences a lost
+  request), a range walk truncates, a join re-enters through a fresh
+  contact, a replacement walk reports a dead end and is re-walked.
+  Queries that merely get boxed in by stale links give up and report the
+  last peer reached: the walks ask ``_routing_degraded`` (the synchronous
+  notion plus "other operations are in flight") whether that is allowed.
+* One ``_advance`` loop serves both delivery contracts; the installed
+  transport picks the transmit step (DESIGN.md, "Delivery contract").
 * An async BATON insert's trace also accumulates any load-balancing traffic
   the insert triggers (the synchronous API reports that separately in
   ``balance_trace``).
@@ -52,7 +61,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, ClassVar, Generator, List, Optional, Set
 
-from repro.core import balance as balance_protocol
 from repro.core import cache as route_cache_protocol
 from repro.core import data as data_protocol
 from repro.core import failure as failure_protocol
@@ -80,7 +88,6 @@ from repro.sim.topology import Hop, Topology
 from repro.util.errors import (
     CapabilityError,
     DeliveryError,
-    PeerNotFoundError,
     ProtocolError,
     ReproError,
 )
@@ -587,7 +594,7 @@ class AsyncOverlayRuntime:
         self, future: OpFuture, start: Address, key: int
     ) -> OpSteps:
         yield Hop(None, start)  # the request reaches its entry peer
-        owner = yield from self._lift(self._owner_steps(start, key, MsgType.SEARCH))
+        owner = yield from self._owner_steps(start, key, MsgType.SEARCH)
         found = key in self.net.node(owner).store
         return SearchResult(found=found, owner=owner, trace=future.trace)
 
@@ -595,9 +602,7 @@ class AsyncOverlayRuntime:
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
         yield Hop(None, start)
-        owners, keys, complete = yield from self._lift(
-            self.net.range_steps(start, low, high)
-        )
+        owners, keys, complete = yield from self.net.range_steps(start, low, high)
         return RangeSearchResult(
             owners=owners, keys=keys, trace=future.trace, complete=complete
         )
@@ -606,7 +611,7 @@ class AsyncOverlayRuntime:
         self, future: OpFuture, start: Address, key: int, mtype: MsgType
     ) -> OpSteps:
         yield Hop(None, start)
-        owner = yield from self._lift(self._owner_steps(start, key, mtype))
+        owner = yield from self._owner_steps(start, key, mtype)
         store = self.net.node(owner).store
         if mtype is MsgType.INSERT:
             store.insert(key)
@@ -665,18 +670,10 @@ class AsyncOverlayRuntime:
         # N=10k profiles.
         label = f"{future.kind}#{future.op_id}"
 
-        if self.faults is None:
-
-            def advance() -> None:
-                self._advance(future, steps, advance, label)
-
+        def advance() -> None:
             self._advance(future, steps, advance, label)
-        else:
 
-            def advance() -> None:
-                self._advance_chaos(future, steps, advance, label)
-
-            self._advance_chaos(future, steps, advance, label)
+        advance()
 
     def _advance(
         self,
@@ -684,75 +681,24 @@ class AsyncOverlayRuntime:
         steps: OpSteps,
         advance: Callable[[], None],
         label: str,
+        throw: Optional[ReproError] = None,
     ) -> None:
         """Execute one atomic protocol step; reschedule or complete.
 
         ``advance`` is the operation's single reusable resumption callback
         (created in :meth:`_launch`); scheduling it avoids a fresh closure
-        and label string per hop.
-        """
-        finished = False
-        failed: Optional[ReproError] = None
-        value: object = None
-        hop: Optional[Hop] = None
-        bus = self.net.bus
-        bus.push_trace(future.trace)
-        try:
-            try:
-                hop = next(steps)
-            except StopIteration as stop:
-                finished, value = True, stop.value
-            except ReproError as error:
-                failed = error
-        finally:
-            bus.pop_trace()
-        if failed is not None:
-            future.error = failed
-            self._in_flight -= 1
-            if self.record_events:
-                self._log(future, "failed")
-            future._complete(FAILED, self.sim.now)
-            return
-        if finished:
-            future.result = value
-            self._in_flight -= 1
-            if self.record_events:
-                self._log(future, "done")
-            future._complete(SUCCEEDED, self.sim.now)
-            return
-        if not isinstance(hop, Hop):
-            raise TypeError(
-                f"hop generators must yield Hop(src, dst), got {hop!r} "
-                f"(transport costs are per-link now; see repro.sim.topology)"
-            )
-        delay = self.topology.sample(hop.src, hop.dst, size=hop.size)
-        future.hops += 1
-        future.transit += delay
-        if hop.src is None:
-            future.ingress += delay
-        if self.record_events:
-            self._log(future, "hop")
-        self.sim.schedule(delay, advance, label)
-
-    def _advance_chaos(
-        self,
-        future: OpFuture,
-        steps: OpSteps,
-        advance: Callable[[], None],
-        label: str,
-        throw: Optional[ReproError] = None,
-    ) -> None:
-        """Chaos-path twin of :meth:`_advance` (a FaultPlan is installed).
-
-        Identical protocol semantics — one atomic step, then reschedule or
-        complete — with two seams: hops are handed to :meth:`_transmit`
-        (judge, timeout, retry with backoff), and a hop that exhausted its
-        retry budget is *thrown into* the generator as ``throw``
-        (:class:`~repro.util.errors.DeliveryError`) so protocol code can
-        clean up partial state before the future fails.  With an inert
-        plan every attempt delivers first try at the inner topology's
-        sampled delay, making the run event-for-event identical to the
-        fast path (pinned in tests/test_chaos.py).
+        and label string per hop.  The one loop serves both delivery
+        contracts, the installed transport choosing the transmit step: on
+        the exactly-once path the yielded hop is priced by one
+        ``topology.sample`` and scheduled; with a :class:`FaultPlan`
+        installed it is handed to :meth:`_transmit` (judge, timeout, retry
+        with backoff), and a hop that exhausted its retry budget comes
+        back as ``throw`` — a :class:`~repro.util.errors.DeliveryError`
+        thrown *into* the generator so protocol code can clean up partial
+        state before the future fails.  With an inert plan every attempt
+        delivers first try at the inner topology's sampled delay, making
+        the run event-for-event identical to the plan-free one (pinned in
+        tests/test_chaos.py).
         """
         finished = False
         failed: Optional[ReproError] = None
@@ -788,7 +734,17 @@ class AsyncOverlayRuntime:
                 f"hop generators must yield Hop(src, dst), got {hop!r} "
                 f"(transport costs are per-link now; see repro.sim.topology)"
             )
-        self._transmit(future, hop, steps, advance, label, 0)
+        if self.faults is not None:
+            self._transmit(future, hop, steps, advance, label, 0)
+            return
+        delay = self.topology.sample(hop.src, hop.dst, size=hop.size)
+        future.hops += 1
+        future.transit += delay
+        if hop.src is None:
+            future.ingress += delay
+        if self.record_events:
+            self._log(future, "hop")
+        self.sim.schedule(delay, advance, label)
 
     def _transmit(
         self,
@@ -833,7 +789,7 @@ class AsyncOverlayRuntime:
         policy = faults.retry
         if attempt >= policy.budget:
             stats.gave_up += 1
-            self._advance_chaos(
+            self._advance(
                 future,
                 steps,
                 advance,
@@ -869,16 +825,11 @@ class AsyncOverlayRuntime:
             (self.sim.now, future.op_id, future.kind, phase, future.trace.total)
         )
 
-    def _lift(self, steps: MessageSteps) -> OpSteps:
-        """Adopt a message-step generator's hops into this operation.
 
-        The synchronous facades drive these generators to exhaustion in one
-        call, ignoring the yielded hops; lifting instead forwards each
-        :class:`Hop` to the scheduler, which prices it per link and resumes
-        the generator one simulator event later — same code, same messages,
-        different clock.
-        """
-        return (yield from steps)
+def _handover_size(peer) -> float:
+    """Payload of a departing peer's bulk transfer: its keys plus any
+    subscription entries the absorber inherits (never free)."""
+    return float(max(1, len(peer.store) + len(peer.subscriptions or ())))
 
 
 class AsyncBatonNetwork(AsyncOverlayRuntime):
@@ -1101,117 +1052,29 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
     # -- hop generators -------------------------------------------------------
 
-    def _route_steps(
-        self, future: OpFuture, start: Address, key: int, mtype: MsgType
-    ) -> OpSteps:
-        """Per-hop :func:`~repro.core.search.route_to_owner`.
-
-        Pays exactly the same messages as the synchronous walk; between
-        hops, the simulator may run other operations' events.  With the
-        hot-range cache on (locality extension, default off) the entry
-        peer first tries its cached shortcut — one priced direct hop,
-        verified at the landed peer, invalidated and resumed as a normal
-        walk when stale (:mod:`repro.core.cache`).
-        """
-        net = self.net
-        yield Hop(None, start)  # the request reaches its entry peer
-        current = start
-        cached = net.config.locality.cache_size > 0
-        if cached:
-            stats = net.cache_stats
-            entry_peer = net.peers.get(start)
-            cache = entry_peer.route_cache if entry_peer is not None else None
-            hint = cache.lookup(key) if cache is not None else None
-            if hint is None or hint == start:
-                stats.misses += 1
-            else:
-                try:
-                    net.count_message(start, hint, mtype)
-                except PeerNotFoundError:
-                    stats.misses += 1
-                    cache.invalidate(hint)
-                else:
-                    yield Hop(start, hint)
-                    target = net.peers.get(hint)
-                    if target is not None and target.range.contains(key):
-                        stats.hits += 1
-                    else:
-                        # Verified-stale (or the owner vanished mid-hop):
-                        # drop the entry and walk on from where we landed —
-                        # the regular loop below re-reads the peer, so a
-                        # vanished carrier fails the op exactly like any
-                        # other mid-flight loss.
-                        stats.misses += 1
-                        cache.invalidate(hint)
-                    current = hint
-        limit = search_protocol.hop_limit(net)
-        for _ in range(limit):
-            peer = net.peer(current)  # raises if the carrier vanished mid-op
-            if peer.range.contains(key):
-                if cached:
-                    route_cache_protocol.record_route(net, start, peer)
-                return current
-            primary, fallback = search_protocol.hop_candidates(peer, key)
-            if not primary:
-                return current  # extreme node; key beyond the covered domain
-            next_hop = search_protocol.first_live_hop(
-                net, current, primary + fallback, mtype
-            )
-            if next_hop is None:
-                if self._routing_degraded():
-                    return current  # marooned; report best effort
-                raise ProtocolError(
-                    f"all routes from {peer.position} toward {key} are dead"
-                )
-            yield Hop(current, next_hop)
-            current = next_hop
-        if self._routing_degraded():
-            return current
-        raise ProtocolError(f"search for {key} did not terminate")
+    # Every decision loop below lives in ``repro.core`` (search, cache,
+    # data, join, leave) as a step generator the synchronous facade drives
+    # too; these op generators add only what has no synchronous twin — the
+    # client-ingress hop, ``_routing_degraded`` as the walks' give-up
+    # predicate, inbox flushes, race re-walks and sized handover hops.
 
     def _search_exact_steps(
         self, future: OpFuture, start: Address, key: int
     ) -> OpSteps:
-        owner = yield from self._route_steps(future, start, key, MsgType.SEARCH)
-        peer = self.net.peer(owner)
-        found = peer.range.contains(key) and key in peer.store
+        yield Hop(None, start)  # the request reaches its entry peer
+        owner, _ = yield from search_protocol.route_steps(
+            self.net, start, key, MsgType.SEARCH, self._routing_degraded
+        )
+        found = search_protocol.holds_key(self.net, owner, key)
         return SearchResult(found=found, owner=owner, trace=future.trace)
 
     def _search_range_steps(
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
-        net = self.net
-        first = yield from self._route_steps(
-            future, start, low, MsgType.RANGE_SEARCH
+        yield Hop(None, start)
+        owners, keys, complete = yield from search_protocol.range_steps(
+            self.net, start, low, high, self._routing_degraded
         )
-        owners: List[Address] = []
-        keys: List[int] = []
-        # As in the synchronous walk: an answer anchored at a marooned peer
-        # (degraded routing gave up short of low's owner) is never complete.
-        complete = False
-        anchored = search_protocol.anchors_range(net.peer(first), low)
-        current = first
-        limit = search_protocol.hop_limit(net) + net.size
-        for _ in range(limit):
-            try:
-                peer = net.peer(current)
-            except PeerNotFoundError:
-                break  # carrier vanished between hops: truncated answer
-            if peer.range.low >= high:
-                complete = anchored
-                break
-            owners.append(current)
-            keys.extend(peer.store.keys_in(low, high))
-            if peer.range.high >= high or peer.right_adjacent is None:
-                complete = anchored
-                break
-            next_hop = peer.right_adjacent.address
-            try:
-                net.count_message(current, next_hop, MsgType.RANGE_SEARCH)
-            except PeerNotFoundError:
-                break  # partial answer; repair will restore the chain
-            yield Hop(current, next_hop)
-            current = next_hop
         return RangeSearchResult(
             owners=owners, keys=keys, trace=future.trace, complete=complete
         )
@@ -1220,64 +1083,27 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         self, future: OpFuture, start: Address, key: int, mtype: MsgType
     ) -> OpSteps:
         net = self.net
-        owner_address = yield from self._route_steps(future, start, key, mtype)
-        owner = net.peer(owner_address)
+        yield Hop(None, start)
+        owner, _ = yield from search_protocol.route_steps(
+            net, start, key, mtype, self._routing_degraded
+        )
+        # Replica write-through and subscriber notifications are priced
+        # hops of their own: the future completes once they have landed.
+        applied = yield from data_protocol.apply_steps(net, owner, key, mtype)
+        result = DataOpResult(applied=applied, owner=owner, trace=future.trace)
         if mtype is MsgType.INSERT:
-            if not owner.range.contains(key):
-                data_protocol.expand_extreme_range(net, owner, key)
-            owner.store.insert(key)
-            applied = True
-            if net.config.replication:
-                from repro.core import replication
-
-                # The write-through is a priced hop of its own: the insert
-                # future completes only once the mirror is confirmed.
-                yield from self._lift(
-                    replication.replicate_insert_steps(net, owner, key)
-                )
-            if owner.subscriptions:
-                from repro.pubsub.subscribe import notify_steps
-
-                # Notification pushes are priced hops of their own: the
-                # insert completes once every subscriber has been told.
-                yield from self._lift(notify_steps(net, owner, key))
-        else:
-            applied = owner.store.delete(key)
-            if applied and net.config.replication:
-                from repro.core import replication
-
-                yield from self._lift(
-                    replication.replicate_delete_steps(net, owner, key)
-                )
-        result = DataOpResult(applied=applied, owner=owner_address, trace=future.trace)
-        if mtype is MsgType.INSERT and owner_address in net.peers:
-            # (The owner can vanish during the replicate hop; a dead peer
-            # has no load left to balance.)
-            outcome = balance_protocol.maybe_balance(net, owner_address)
-            if outcome is not None:
-                result.balance_trace = outcome.trace
-                result.balance_moves = outcome.shift_size
+            data_protocol.balance_after_insert(net, result)
         return result
 
     def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
         net = self.net
         yield Hop(None, start)  # the join request reaches its entry peer
-        newcomer = None
-        if join_protocol.probing_active(net):
-            # Same protocol as the sync facade: allocate the joiner early so
-            # probe replies can be priced against its placement, then let
-            # the contact probe candidate entry points (each probe/response
-            # leg is a priced simulator event like any other message).
-            from repro.core.ids import ROOT
-            from repro.core.peer import BatonPeer
-
-            newcomer = BatonPeer(net.alloc.allocate(), ROOT, net.config.domain)
-            start = yield from self._lift(
-                join_protocol.probe_entry_steps(net, newcomer.address, start)
-            )
+        newcomer, start = yield from join_protocol.entry_steps(net, start)
         current = start
         for _attempt in range(16):
-            parent_address = yield from self._find_join_parent_steps(future, current)
+            parent_address = yield from join_protocol.find_join_parent_steps(
+                net, current, self._routing_degraded
+            )
             # The accepting parent drains its inbox before committing: the
             # walk's acceptance test may have read table entries whose
             # corrections (a neighbour's new child, a LEAVE notice) were
@@ -1301,62 +1127,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             )
         raise ProtocolError("join kept losing acceptance races")
 
-    def _find_join_parent_steps(self, future: OpFuture, start: Address) -> OpSteps:
-        """Per-hop Algorithm 1 with mid-flight carrier-loss recovery.
-
-        Mirrors :func:`repro.core.join.find_join_parent` decision for
-        decision — including the visited set the request carries so it is
-        never re-forwarded into a cycle — with hops yielded to the
-        simulator in between.
-        """
-        net = self.net
-        limit = 8 * max(net.size.bit_length(), 1) + 2 * net.size + 64
-        current = start
-        visited = {start}
-        for _ in range(limit):
-            try:
-                peer = net.peer(current)
-            except PeerNotFoundError:
-                # The walk's carrier vanished; re-enter somewhere live, as a
-                # real joining host would retry through another contact.
-                current = net.random_peer_address()
-                visited.add(current)
-                yield Hop(None, current)  # fresh client ingress
-                continue
-            if join_protocol.can_accept_join(peer):
-                return current
-            next_hop = None
-            revisit: Optional[Address] = None
-            for candidate in join_protocol.forward_targets(net, peer):
-                if candidate in visited:
-                    if revisit is None:
-                        revisit = candidate
-                    continue
-                if join_protocol.try_message(
-                    net, current, candidate, MsgType.JOIN_FIND
-                ):
-                    next_hop = candidate
-                    break
-            if next_hop is None and revisit is not None:
-                if join_protocol.try_message(
-                    net, current, revisit, MsgType.JOIN_FIND
-                ):
-                    next_hop = revisit
-            if next_hop is None:
-                if not self._routing_degraded():
-                    raise ProtocolError(
-                        f"join request stuck at {peer.position}: "
-                        "no forwarding target"
-                    )
-                current = net.random_peer_address()
-                visited.add(current)
-                yield Hop(None, current)  # marooned: retry via a new contact
-            else:
-                visited.add(next_hop)
-                yield Hop(current, next_hop)
-                current = next_hop
-        raise ProtocolError("join request did not terminate (routing state corrupt?)")
-
     def _leave_steps(self, future: OpFuture, address: Address) -> OpSteps:
         net = self.net
         yield Hop(None, address)  # the departure intent is announced
@@ -1369,9 +1139,7 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             self._flush_updates_to(address)
             if leave_protocol.can_depart_simply(departing):
                 absorber = departing.parent
-                # The handover transfer carries the keys plus any
-                # subscription entries the absorber inherits.
-                handover = len(departing.store) + len(departing.subscriptions or ())
+                handover = _handover_size(departing)
                 leave_protocol.depart_leaf(net, departing, content_target="parent")
                 net.stats.leaves += 1
                 if absorber is not None:
@@ -1379,14 +1147,10 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
                     # only complete once the keys land at the parent, and a
                     # bandwidth-limited link charges for every one of them
                     # (the structural splice above stays atomic).
-                    yield Hop(
-                        address,
-                        absorber.address,
-                        size=float(max(1, handover)),
-                    )
+                    yield Hop(address, absorber.address, size=handover)
                 return self._leave_result(future, address, None)
-            replacement_address = yield from self._find_replacement_steps(
-                future, departing
+            replacement_address = yield from leave_protocol.find_replacement_steps(
+                net, departing
             )
             if net.peers.get(address) is not departing:
                 # Another operation removed or transplanted us mid-walk; the
@@ -1407,10 +1171,8 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
                 yield Hop(address, address)  # lost the race; walk again
                 continue
             repl_parent = replacement.parent
-            repl_handover = len(replacement.store) + len(
-                replacement.subscriptions or ()
-            )
-            handover = len(departing.store) + len(departing.subscriptions or ())
+            repl_handover = _handover_size(replacement)
+            handover = _handover_size(departing)
             leave_protocol.depart_leaf(net, replacement, content_target="parent")
             # Refreshes emitted by the departure itself can target the
             # departing peer; they must land before its state is handed over.
@@ -1421,12 +1183,8 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             # replacement leaf's own keys to its parent, and the departing
             # peer's store to the replacement that now owns its slot.
             if repl_parent is not None:
-                yield Hop(
-                    replacement_address,
-                    repl_parent.address,
-                    size=float(max(1, repl_handover)),
-                )
-            yield Hop(address, replacement_address, size=float(max(1, handover)))
+                yield Hop(replacement_address, repl_parent.address, size=repl_handover)
+            yield Hop(address, replacement_address, size=handover)
             return self._leave_result(future, address, replacement_address)
         raise ProtocolError(f"leave of address {address} kept losing races")
 
@@ -1440,53 +1198,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             update_trace=self.net.new_trace("leave.update"),
         )
 
-    def _find_replacement_steps(
-        self, future: OpFuture, departing
-    ) -> Generator[Hop, None, Optional[Address]]:
-        """Per-hop Algorithm 2; None (instead of an error) on dead ends."""
-        net = self.net
-        try:
-            start = leave_protocol.replacement_entry_point(net, departing)
-        except (ProtocolError, PeerNotFoundError):
-            return None
-        yield Hop(departing.address, start)
-        limit = 4 * max(net.size.bit_length(), 2) + 32
-        current = start
-        for _ in range(limit):
-            try:
-                peer = net.peer(current)
-            except PeerNotFoundError:
-                return None  # carrier vanished; the caller re-walks
-            next_hop: Optional[Address] = None
-            if peer.left_child is not None:
-                next_hop = peer.left_child.address
-            elif peer.right_child is not None:
-                next_hop = peer.right_child.address
-            else:
-                with_children = (
-                    peer.left_table.nodes_with_children()
-                    + peer.right_table.nodes_with_children()
-                )
-                if with_children:
-                    nearest = min(
-                        with_children,
-                        key=lambda info: abs(
-                            info.position.number - peer.position.number
-                        ),
-                    )
-                    next_hop = nearest.left_child or nearest.right_child
-                else:
-                    return current
-            if next_hop is None:
-                return None
-            try:
-                net.count_message(current, next_hop, MsgType.LEAVE_FIND)
-            except PeerNotFoundError:
-                return None
-            yield Hop(current, next_hop)
-            current = next_hop
-        return None
-
     def _multicast_steps(
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
@@ -1494,10 +1205,8 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
         yield Hop(None, start)  # the publish reaches its entry peer
         return (
-            yield from self._lift(
-                multicast_steps(
-                    self.net, start, low, high, degraded=self._routing_degraded
-                )
+            yield from multicast_steps(
+                self.net, start, low, high, degraded=self._routing_degraded
             )
         )
 
@@ -1508,10 +1217,8 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
         yield Hop(None, start)  # the subscriber contacts the overlay
         return (
-            yield from self._lift(
-                subscribe_steps(
-                    self.net, start, low, high, degraded=self._routing_degraded
-                )
+            yield from subscribe_steps(
+                self.net, start, low, high, degraded=self._routing_degraded
             )
         )
 
@@ -1527,9 +1234,7 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         yield Hop(None, address)  # the failure report reaches the coordinator
         if address not in net.ghosts:
             return None  # already repaired (or never actually crashed)
-        result = yield from self._lift(
-            failure_protocol.repair_steps(net, address, future.trace)
-        )
+        result = yield from failure_protocol.repair_steps(net, address, future.trace)
         net.stats.repairs += 1
         return result
 
@@ -1542,4 +1247,4 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         peer = net.peers.get(address)
         if peer is None:
             return 0  # vanished between submission rounds
-        return (yield from self._lift(replication.refresh_peer_steps(net, peer)))
+        return (yield from replication.refresh_peer_steps(net, peer))

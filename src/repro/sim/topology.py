@@ -40,15 +40,13 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.address import Address
 from repro.util.rng import SeededRng, derive_seed
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     """One message transit between two peers.
 
     Step generators yield one ``Hop`` per network hop; the runtime turns it

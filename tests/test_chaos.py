@@ -226,6 +226,51 @@ class TestRuntimeChaosPath:
         assert anet.fault_stats.gave_up == len(futures)
         assert anet.fault_stats.retries == 3 * len(futures)
 
+    def test_delivery_error_thrown_into_the_shared_core_walks(self):
+        """Budget 0, drop everything: the first wire hop of the core owner
+        walk / Algorithm 1 walk gets a DeliveryError thrown into it.  The
+        future fails with the error attached, nothing hangs, nothing is
+        left half-built."""
+        from repro.core.invariants import collect_violations
+        from repro.core.join import can_accept_join
+
+        plan = FaultPlan(
+            ConstantLatency(1.0),
+            seed=0,
+            drop_rate=1.0,
+            retry=RetryPolicy(timeout=2.0, budget=0),
+        )
+        anet = build_anet(n_peers=30, topology=plan)
+        net = anet.net
+        via = net.addresses()[0]
+        far_key = next(
+            peer.range.low
+            for peer in net.peers.values()
+            if peer.address != via and not net.peer(via).range.contains(peer.range.low)
+        )
+        full = next(
+            address
+            for address, peer in sorted(net.peers.items())
+            if not can_accept_join(peer)
+        )
+        size = net.size
+        futures = [
+            anet.submit_search_exact(far_key, via=via),
+            anet.submit_search_range(far_key, far_key + 10, via=via),
+            anet.submit_insert(far_key, via=via),
+            anet.submit_join(via=full),
+        ]
+        anet.drain()
+        assert anet.in_flight == 0
+        for future in futures:
+            assert future.done and not future.succeeded
+            assert isinstance(future.error, DeliveryError)
+            assert future.error.attempts == 1
+            assert future.hops == 1  # only the (never-faulted) ingress landed
+        assert anet.fault_stats.gave_up == len(futures)
+        assert net.size == size
+        assert collect_violations(net) == []
+
     def test_retries_recover_from_moderate_loss(self):
         plan = FaultPlan(exponential(), seed=0, drop_rate=0.2)
         anet = build_anet(n_peers=30, topology=plan)

@@ -5,8 +5,11 @@ import math
 import pytest
 
 from repro.core import BatonNetwork, check_invariants, tree_height
+from repro.core import join as join_protocol
 from repro.core.ids import Position
+from repro.core.invariants import collect_violations
 from repro.net.message import MsgType
+from repro.util.errors import ProtocolError
 
 from tests.conftest import make_network
 
@@ -194,3 +197,64 @@ class TestNarrowRanges:
             leaf.store.insert(leaf.range.low)
         assert maybe_balance(net, leaf.address) is None
         check_invariants(net)
+
+
+class TestBoxedInWalk:
+    """Algorithm 1 boxed in by unrepaired ghosts (the branch the sync
+    facade reaches now that it drives the shared walk generator)."""
+
+    @staticmethod
+    def _boxed_in(seed=3):
+        """A network whose peer ``start`` cannot accept a child and has
+        every one of its links dead."""
+        net = BatonNetwork.build(40, seed=seed)
+        stuck = min(
+            (p for p in net.peers.values() if not join_protocol.can_accept_join(p)),
+            key=lambda p: (len(set(p.link_addresses())), p.address),
+        )
+        for address in sorted(set(stuck.link_addresses())):
+            net.fail(address)
+        return net, stuck.address
+
+    def test_walk_reenters_through_a_fresh_contact(self):
+        net, start = self._boxed_in()
+        hops = []
+        steps = join_protocol.find_join_parent_steps(net, start)
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                hops.append(next(steps))
+        reentries = [hop for hop in hops if hop.src is None]
+        assert len(reentries) == 1  # one fresh client-ingress hop
+        contact = reentries[0].dst
+        assert contact != start and contact in net.peers
+        # Same walk, visited set kept: it continues from the new contact
+        # and never forwards back to the peer it was marooned at.
+        after = hops[hops.index(reentries[0]) + 1:]
+        assert after and all(hop.dst != start for hop in after)
+        assert join_protocol.can_accept_join(net.peer(stop.value.value))
+
+    def test_sync_join_survives_and_repairs_clean(self):
+        net, start = self._boxed_in()
+        draws = []
+        draw = net.random_peer_address
+
+        def spy():
+            draws.append(draw())
+            return draws[-1]
+
+        net.random_peer_address = spy
+        size = net.size
+        result = net.join(via=start)
+        assert len(draws) == 1  # re-entered inside the walk, not by re-walking
+        assert start not in result.find_trace.path
+        assert net.size == size + 1
+        net.repair_all()
+        assert collect_violations(net) == []
+
+    def test_healthy_network_still_raises_when_boxed_in(self):
+        net, start = self._boxed_in()
+        with pytest.raises(ProtocolError, match="no forwarding target"):
+            for _ in join_protocol.find_join_parent_steps(
+                net, start, degraded=lambda: False
+            ):
+                pass

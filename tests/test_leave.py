@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import BatonNetwork, check_invariants
 from repro.core.leave import can_depart_simply
-from repro.util.errors import PeerNotFoundError
+from repro.util.errors import PeerNotFoundError, ProtocolError
 
 from tests.conftest import make_network
 
@@ -134,3 +134,32 @@ class TestSafetyPredicates:
         for peer in net.peers.values():
             if not peer.is_leaf:
                 assert not can_depart_simply(peer)
+
+
+class TestReplacementDeadEnd:
+    def test_dead_hop_raises_protocol_error_and_changes_nothing(self):
+        """Algorithm 2 dead-ending on a crashed peer is a ProtocolError
+        naming the dead end (never a bare PeerNotFoundError), and the
+        departing peer stays registered with the structure untouched."""
+        net = make_network(30, seed=4)
+        departing = next(
+            peer
+            for peer in sorted(net.peers.values(), key=lambda p: p.address)
+            if peer.left_child is not None and peer.left_adjacent is not None
+        )
+        net.fail(departing.left_adjacent.address)  # the walk's first hop
+
+        def structure():
+            return {
+                (a, str(p.position), p.range.low, p.range.high, tuple(p.store))
+                for a, p in net.peers.items()
+            }
+
+        before = structure()
+        leaves = net.stats.leaves
+        with pytest.raises(ProtocolError, match="dead end") as raised:
+            net.leave(departing.address)
+        assert not isinstance(raised.value, PeerNotFoundError)
+        assert net.peers[departing.address] is departing
+        assert structure() == before
+        assert net.stats.leaves == leaves

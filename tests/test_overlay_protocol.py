@@ -364,6 +364,90 @@ class TestLocalityConformance:
         assert async_net.bus.stats.by_type == sync.bus.stats.by_type
         assert snapshot("baton", async_net) == snapshot("baton", sync)
 
+    def test_cache_on_serialized_async_matches_sync(self):
+        """Hot-range cache on: hit, verified-stale and dead-hint consults
+        agree between the sync facade and the drained async runtime —
+        owner, message count and the hit/miss/invalidation counters after
+        every single operation."""
+        from repro.core.leave import can_depart_simply
+        from repro.core.network import BatonConfig, BatonNetwork, LocalityConfig
+
+        config = BatonConfig(locality=LocalityConfig(cache_size=8))
+        sync = BatonNetwork.build(30, seed=3, config=config)
+        anet = overlays.get("baton").wrap(
+            BatonNetwork.build(30, seed=3, config=config),
+            latency=ConstantLatency(1.0),
+        )
+        keys = uniform_keys(120, seed=9)
+        sync.bulk_load(keys)
+        anet.net.bulk_load(keys)
+
+        # An internal peer whose Algorithm 2 replacement is a deeper leaf:
+        # that leaf keeps its address but takes over a disjoint range, so
+        # a hint naming it goes verified-stale.  The querying gateway is a
+        # bystander linked to neither (no TABLE_UPDATE corrects its cache).
+        leaver, mover = next(
+            (peer, leaf)
+            for peer in sorted(sync.peers.values(), key=lambda p: p.address)
+            if peer.left_child is not None and peer.left_adjacent is not None
+            for leaf in [sync.peers[peer.left_adjacent.address]]
+            if leaf.is_leaf
+            and leaf.parent.address != peer.address
+            and can_depart_simply(leaf)
+        )
+        involved = (
+            {leaver.address, mover.address, mover.parent.address}
+            | set(leaver.link_addresses())
+            | set(mover.link_addresses())
+        )
+        via = next(a for a in sorted(sync.peers) if a not in involved)
+        doomed = next(
+            peer
+            for peer in sorted(sync.peers.values(), key=lambda p: p.address)
+            if peer.address not in involved | {via}
+        )
+        stale_key = mover.range.low
+        dead_key = doomed.range.low
+        hot = [stale_key, dead_key] + keys[:4]
+
+        def both(key):
+            expected = sync.search_exact(key, via=via)
+            future = anet.submit_search_exact(key, via=via)
+            anet.drain()
+            assert future.succeeded
+            assert future.result.owner == expected.owner
+            assert future.result.found is expected.found
+            assert future.trace.total == expected.trace.total
+            assert anet.net.cache_stats.snapshot() == sync.cache_stats.snapshot()
+            return expected
+
+        for _round in range(3):  # cold misses, then hits
+            for key in hot:
+                both(key)
+        hits, _misses, invalidations = sync.cache_stats.snapshot()
+        assert hits > 0 and invalidations == 0
+
+        expected = sync.leave(leaver.address)
+        future = anet.submit_leave(leaver.address)
+        anet.drain()
+        assert future.succeeded
+        assert future.result.replacement == expected.replacement == mover.address
+        assert mover.address in sync.peers[via].route_cache.owners()
+        assert not sync.peers[mover.address].range.contains(stale_key)
+        stale = both(stale_key)  # one wasted hop, then the walk: never wrong
+        assert sync.peers[stale.owner].range.contains(stale_key)
+        assert sync.cache_stats.invalidations == invalidations + 1
+
+        sync.fail(doomed.address)
+        anet.submit_fail(doomed.address)
+        anet.drain()
+        assert doomed.address in sync.peers[via].route_cache.owners()
+        both(dead_key)  # dead hint: paid for, dropped, full walk from entry
+        assert doomed.address not in sync.peers[via].route_cache.owners()
+        assert sync.cache_stats.invalidations == invalidations + 2
+        for key in hot:
+            both(key)
+
     @pytest.mark.parametrize("n_peers", (2, 9, 24, 33))
     def test_bulk_build_pins_hold_with_probing_config(self, n_peers):
         from repro.core.bulk_build import bulk_build, incremental_reference
