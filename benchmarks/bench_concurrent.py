@@ -17,7 +17,7 @@ from repro.experiments import concurrent_dynamics, durability, hetero_links
 def test_concurrent_dynamics(benchmark, scale):
     """Success near 1 at zero churn; bounded degradation under heavy churn."""
     result = benchmark.pedantic(
-        lambda: concurrent_dynamics.run(scale, churn_rates=(0.0, 1.0, 4.0)),
+        lambda: concurrent_dynamics.GRID.run(scale, churn_rate=(0.0, 1.0, 4.0)),
         iterations=1,
         rounds=1,
     )
@@ -40,8 +40,8 @@ def test_concurrent_dynamics(benchmark, scale):
 def test_concurrent_dynamics_baselines(benchmark, scale, overlay):
     """The baselines survive the same workloads, with their own cost shapes."""
     result = benchmark.pedantic(
-        lambda: concurrent_dynamics.run(
-            scale, churn_rates=(0.0, 1.0), overlay=overlay
+        lambda: concurrent_dynamics.GRID.run(
+            scale, churn_rate=(0.0, 1.0), overlay=overlay
         ),
         iterations=1,
         rounds=1,
@@ -57,7 +57,7 @@ def test_concurrent_dynamics_baselines(benchmark, scale, overlay):
 def test_concurrent_comparison(benchmark, scale):
     """Three overlays, identical workloads: BATON's p50 stays the flattest."""
     result = benchmark.pedantic(
-        lambda: concurrent_dynamics.run_comparison(scale, churn_rates=(0.0,)),
+        lambda: concurrent_dynamics.COMPARISON.run(scale, churn_rate=(0.0,)),
         iterations=1,
         rounds=1,
     )
@@ -72,8 +72,8 @@ def test_concurrent_comparison(benchmark, scale):
 def test_durability(benchmark, scale):
     """Replication pays for itself: fewer lost keys than the bare network."""
     result = benchmark.pedantic(
-        lambda: durability.run(
-            scale, churn_rates=(2.0,), maintenance_intervals=(0.0, 6.0)
+        lambda: durability.GRID.run(
+            scale, churn_rate=(2.0,), maintenance_interval=(0.0, 6.0)
         ),
         iterations=1,
         rounds=1,
@@ -97,7 +97,7 @@ def test_durability(benchmark, scale):
 def test_hetero_links(benchmark, scale):
     """Per-link WAN costs: every overlay slows as inter-region delay grows."""
     result = benchmark.pedantic(
-        lambda: hetero_links.run(scale, inter_delays=(1.0, 10.0)),
+        lambda: hetero_links.GRID.run(scale, inter_delay=(1.0, 10.0)),
         iterations=1,
         rounds=1,
     )

@@ -1,7 +1,7 @@
 """Benchmark configuration.
 
-Each ``bench_fig8*.py`` regenerates one panel of Figure 8: the benchmark
-body *is* the experiment driver, so ``pytest benchmarks/ --benchmark-only``
+``bench_figures.py`` regenerates Figure 8 one panel per benchmark: the
+benchmark body *is* the experiment driver, so ``pytest benchmarks/ --benchmark-only``
 both times the reproduction and prints the measured series the paper plots
 (via the ``extra_info`` attached to every benchmark).
 

@@ -80,81 +80,25 @@ def cmd_peer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_setup(args: argparse.Namespace) -> int:
-    """Apply the shared --jobs/--snapshot-cache flags; returns the jobs."""
-    from repro.experiments import snapshot
-    from repro.experiments.parallel import default_jobs
+def cmd_grid(args: argparse.Namespace) -> int:
+    """Run one experiment grid (durability, chaos, multicast, locality).
 
-    snapshot.configure(enabled=getattr(args, "snapshot_cache", True))
-    jobs = getattr(args, "jobs", None)
-    return jobs if jobs is not None else default_jobs()
+    The subcommand is named after its driver module; ``args.axes`` maps
+    its flags to the grid's axes ("all" or an unset flag keeps the axis
+    default).
+    """
+    import importlib
 
+    from repro.experiments.parallel import apply_experiment_flags
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import runall
-
-    argv = ["--quick"] if args.quick else []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if not args.snapshot_cache:
-        argv += ["--no-snapshot-cache"]
-    return runall.main(argv)
-
-
-def cmd_durability(args: argparse.Namespace) -> int:
-    """Run the durability experiment (crash churn, replication on vs. off)."""
-    from repro.experiments import durability, harness
-
-    jobs = _experiment_setup(args)
-    scale = harness.quick_scale() if args.quick else harness.default_scale()
-    result = durability.run(scale, n_peers=args.peers, jobs=jobs)
-    print(result.to_text())
-    return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos suite (correlated disaster across overlays)."""
-    from repro.experiments import chaos, harness
-
-    jobs = _experiment_setup(args)
-    scale = harness.quick_scale() if args.quick else harness.default_scale()
-    scenarios = (
-        chaos.SCENARIO_NAMES if args.scenario == "all" else (args.scenario,)
-    )
-    overlay_names = None if args.overlay == "all" else [args.overlay]
-    result = chaos.run(
-        scale,
-        scenarios=scenarios,
-        overlay_names=overlay_names,
-        n_peers=args.peers,
-        jobs=jobs,
-    )
-    print(result.to_text())
-    return 0
-
-
-def cmd_multicast(args: argparse.Namespace) -> int:
-    """Run the dissemination showdown (multicast vs unicast vs flood)."""
-    from repro.experiments import harness, multicast
-
-    jobs = _experiment_setup(args)
-    scale = harness.quick_scale() if args.quick else harness.default_scale()
-    result = multicast.run(scale, jobs=jobs)
-    print(result.to_text())
-    return 0
-
-
-def cmd_locality(args: argparse.Namespace) -> int:
-    """Run the locality grid (route cache x join mode on a clustered WAN)."""
-    from repro.experiments import harness, locality
-
-    jobs = _experiment_setup(args)
-    scale = harness.quick_scale() if args.quick else harness.default_scale()
-    sizes = (args.peers,) if args.peers else None
-    result = locality.run(scale, sizes=sizes, jobs=jobs)
-    print(result.to_text())
+    grid = importlib.import_module(f"repro.experiments.{args.command}").GRID
+    scale, jobs = apply_experiment_flags(args)
+    overrides = {
+        axis: value
+        for flag, axis in args.axes.items()
+        if (value := getattr(args, flag)) and value != "all"
+    }
+    print(grid.run(scale, jobs=jobs, **overrides).to_text())
     return 0
 
 
@@ -360,32 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--keys", type=int, default=0)
 
-    def parallel_flags(p: argparse.ArgumentParser) -> None:
-        """--jobs and the snapshot-cache toggle, shared by experiment
-        subcommands; output is identical at every --jobs value."""
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker processes for the cell fan-out "
-            "(default: REPRO_JOBS or 1)",
-        )
-        cache = p.add_mutually_exclusive_group()
-        cache.add_argument(
-            "--snapshot-cache",
-            dest="snapshot_cache",
-            action="store_true",
-            default=True,
-            help="reuse built-network snapshots keyed by build config "
-            "(default; protocol-grown builds only)",
-        )
-        cache.add_argument(
-            "--no-snapshot-cache",
-            dest="snapshot_cache",
-            action="store_false",
-            help="always build networks from scratch",
-        )
-
     demo = sub.add_parser("demo", help="build a network and run sample queries")
     common(demo)
     demo.set_defaults(func=cmd_demo)
@@ -404,23 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     peer.add_argument("--address", type=int, default=None)
     peer.set_defaults(func=cmd_peer)
 
+    from repro.experiments import runall
+    from repro.experiments.parallel import add_experiment_flags
+
     experiments = sub.add_parser("experiments", help="run the Figure-8 suite")
-    experiments.add_argument("--quick", action="store_true")
-    experiments.add_argument("--out", default=None)
-    parallel_flags(experiments)
-    experiments.set_defaults(func=cmd_experiments)
+    runall.add_arguments(experiments)
+    experiments.set_defaults(func=runall.run)
 
     durability = sub.add_parser(
         "durability",
         help="keys lost vs. maintenance traffic under crash churn "
         "(replication on vs. off)",
     )
-    durability.add_argument("--quick", action="store_true")
     durability.add_argument(
         "--peers", type=int, default=None, help="override the population"
     )
-    parallel_flags(durability)
-    durability.set_defaults(func=cmd_durability)
+    add_experiment_flags(durability)
+    durability.set_defaults(func=cmd_grid, axes={"peers": "n_peers"})
 
     from repro import overlays
     from repro.workloads.chaos import SCENARIO_NAMES
@@ -430,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="correlated-disaster scenarios (region outage, partition, "
         "flash crowd, lossy links) with availability/recovery metrics",
     )
-    chaos.add_argument("--quick", action="store_true")
     chaos.add_argument(
         "--scenario",
         default="all",
@@ -447,29 +364,30 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--peers", type=int, default=None, help="override the population"
     )
-    parallel_flags(chaos)
-    chaos.set_defaults(func=cmd_chaos)
+    add_experiment_flags(chaos)
+    chaos.set_defaults(
+        func=cmd_grid,
+        axes={"scenario": "scenario_name", "overlay": "overlay", "peers": "n_peers"},
+    )
 
     multicast = sub.add_parser(
         "multicast",
         help="range-dissemination showdown: tree multicast vs per-owner "
         "unicast vs flood, WAN-priced, plus the lossy pub/sub cell",
     )
-    multicast.add_argument("--quick", action="store_true")
-    parallel_flags(multicast)
-    multicast.set_defaults(func=cmd_multicast)
+    add_experiment_flags(multicast)
+    multicast.set_defaults(func=cmd_grid, axes={})
 
     locality = sub.add_parser(
         "locality",
         help="locality grid: hot-range route cache x topology-aware join "
         "on a clustered WAN (stretch, hit rate, probing surcharge)",
     )
-    locality.add_argument("--quick", action="store_true")
     locality.add_argument(
         "--peers", type=int, default=None, help="override the grid's N"
     )
-    parallel_flags(locality)
-    locality.set_defaults(func=cmd_locality)
+    add_experiment_flags(locality)
+    locality.set_defaults(func=cmd_grid, axes={"peers": "n_peers"})
 
     profile = sub.add_parser(
         "profile",

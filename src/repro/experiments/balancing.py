@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.experiments.harness import ExperimentScale, build_baton
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, first_size
+from repro.experiments.harness import build_baton
 from repro.workloads.generators import UniformKeys, ZipfianKeys
 
 
@@ -64,36 +64,16 @@ def balancing_cell(
     return run
 
 
-def cells(
-    scale: ExperimentScale,
-    distributions: tuple[str, ...] = ("uniform", "zipf"),
-    inserts_per_node: int = 40,
-) -> List[Cell]:
-    """The balancing grid as schedulable cells."""
-    return [
-        cell(
-            balancing_cell,
-            group="balancing",
-            distribution=distribution,
-            n_peers=scale.sizes[0],
-            seed=seed,
-            inserts_per_node=inserts_per_node,
-        )
-        for distribution in distributions
-        for seed in scale.seeds
-    ]
-
-
-def run_balancing(
-    scale: ExperimentScale,
-    distributions: tuple[str, ...] = ("uniform", "zipf"),
-    inserts_per_node: int = 40,
-    jobs: int = 1,
-) -> List[BalancingRun]:
-    """Route a full insert stream through BATON with balancing on."""
-    return run_cells(
-        cells(scale, distributions, inserts_per_node), jobs=jobs
-    )
+#: The insert stream shared by Figures 8(g) and 8(h) (views over it).
+CELLS = Grid(
+    name="balancing",
+    cell=balancing_cell,
+    axes=(
+        Axis("distribution", ("uniform", "zipf")),
+        Axis("n_peers", first_size, column=None),
+        Axis("inserts_per_node", 40, column=None),
+    ),
+)
 
 
 def shift_histogram(runs: List[BalancingRun]) -> Dict[int, int]:

@@ -36,17 +36,19 @@ spike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro import overlays
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scale,
-    loaded_keys,
-    mean,
+from repro.experiments.grid import (
+    Axis,
+    Grid,
+    all_overlays,
+    first_size,
+    mean_of,
+    total,
+    where,
 )
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.harness import ExperimentScale, loaded_keys
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import derive_seed
 from repro.workloads.chaos import SCENARIO_NAMES, build_scenario
@@ -65,150 +67,6 @@ QUERY_RATE = 4.0
 CHURN_RATE = 0.2
 INSERT_RATE = 0.2
 REGIONS = 4
-
-
-def _grid(
-    scale: ExperimentScale,
-    scenarios: Sequence[str],
-    overlay_names: Optional[Sequence[str]],
-    n_peers: Optional[int],
-):
-    """The (scenario, overlay) walk shared by cells() and assemble().
-
-    Yields ``(scenario_name, overlay_name, runnable)`` in row order;
-    capability-filtered pairs appear with ``runnable=False`` so assemble
-    can note the skip without consuming outputs.
-    """
-    names = list(overlay_names) if overlay_names else overlays.available()
-    duration = max(24.0, scale.n_queries / QUERY_RATE)
-    for scenario_name in scenarios:
-        probe = build_scenario(scenario_name, duration=duration, n_peers=n_peers)
-        for name in names:
-            entry = overlays.get(name)
-            yield scenario_name, name, probe.requires <= entry.capabilities
-
-
-def cells(
-    scale: ExperimentScale,
-    scenarios: Sequence[str] = SCENARIO_NAMES,
-    overlay_names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-) -> List[Cell]:
-    if n_peers is None:
-        n_peers = scale.sizes[0]
-    duration = max(24.0, scale.n_queries / QUERY_RATE)
-    return [
-        cell(
-            chaos_cell,
-            group="chaos",
-            overlay=name,
-            scenario_name=scenario_name,
-            n_peers=n_peers,
-            seed=seed,
-            duration=duration,
-            data_per_node=scale.data_per_node,
-        )
-        for scenario_name, name, runnable in _grid(
-            scale, scenarios, overlay_names, n_peers
-        )
-        if runnable
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[Dict[str, float]],
-    scenarios: Sequence[str] = SCENARIO_NAMES,
-    overlay_names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-) -> ExperimentResult:
-    """One row per (scenario, overlay), averaged over the scale's seeds."""
-    if n_peers is None:
-        n_peers = scale.sizes[0]
-    duration = max(24.0, scale.n_queries / QUERY_RATE)
-    result = ExperimentResult(
-        figure="Chaos",
-        title=(
-            f"Availability and recovery under correlated disaster "
-            f"(N={n_peers}, clustered topology, {REGIONS} regions, "
-            f"window {duration:.0f} units)"
-        ),
-        columns=[
-            "scenario",
-            "overlay",
-            "avail_during",
-            "recover_t",
-            "amplification",
-            "drops",
-            "dups",
-            "refusals",
-            "retries",
-            "timeouts",
-            "gave_up",
-            "unresolved",
-            "repairs",
-            "success",
-        ],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for scenario_name, name, runnable in _grid(
-        scale, scenarios, overlay_names, n_peers
-    ):
-        if not runnable:
-            probe = build_scenario(
-                scenario_name, duration=duration, n_peers=n_peers
-            )
-            result.notes.append(
-                f"{scenario_name} skipped on {name} (needs "
-                f"{'+'.join(sorted(probe.requires))})"
-            )
-            continue
-        group = outputs[index : index + per_point]
-        index += per_point
-        recoveries = [
-            c["recover_t"]
-            for c in group
-            if c["recover_t"] is not None and c["recover_t"] >= 0
-        ]
-        availabilities = [
-            c["avail_during"]
-            for c in group
-            if c["avail_during"] is not None
-        ]
-        result.add_row(
-            scenario=scenario_name,
-            overlay=name,
-            avail_during=mean(availabilities),
-            recover_t=mean(recoveries) if recoveries else -1.0,
-            amplification=mean([c["amplification"] for c in group]),
-            drops=sum(c["drops"] for c in group),
-            dups=sum(c["dups"] for c in group),
-            refusals=sum(c["refusals"] for c in group),
-            retries=sum(c["retries"] for c in group),
-            timeouts=sum(c["timeouts"] for c in group),
-            gave_up=sum(c["gave_up"] for c in group),
-            unresolved=sum(c["unresolved"] for c in group),
-            repairs=sum(c["repairs"] for c in group),
-            success=mean([c["success"] for c in group]),
-        )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    scenarios: Sequence[str] = SCENARIO_NAMES,
-    overlay_names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(
-        cells(scale, scenarios, overlay_names, n_peers), jobs=jobs
-    )
-    return assemble(scale, outputs, scenarios, overlay_names, n_peers)
 
 
 def chaos_cell(
@@ -272,11 +130,67 @@ def chaos_cell(
     }
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
+def _duration(scale: ExperimentScale) -> float:
+    return max(24.0, scale.n_queries / QUERY_RATE)
 
+
+def _capability_filter(scale: ExperimentScale, env, point) -> Optional[str]:
+    """Skip (with a note) the overlays a scenario's requirements exclude."""
+    probe = build_scenario(
+        point["scenario_name"],
+        duration=_duration(scale),
+        n_peers=env["n_peers"][0],
+    )
+    if probe.requires <= overlays.get(point["overlay"]).capabilities:
+        return None
+    return (
+        f"{point['scenario_name']} skipped on {point['overlay']} (needs "
+        f"{'+'.join(sorted(probe.requires))})"
+    )
+
+
+#: One row per (scenario, overlay), averaged over the scale's seeds.
+GRID = Grid(
+    name="chaos",
+    figure="Chaos",
+    title=lambda scale, env: (
+        f"Availability and recovery under correlated disaster "
+        f"(N={env['n_peers'][0]}, clustered topology, {REGIONS} regions, "
+        f"window {_duration(scale):.0f} units)"
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        # Quick mode keeps one cheap channel scenario and one correlated one.
+        Axis(
+            "scenario_name",
+            SCENARIO_NAMES,
+            quick=("lossy_links", "partition_heal"),
+            column="scenario",
+        ),
+        Axis("overlay", all_overlays),
+        Axis("n_peers", first_size, column=None),
+    ),
+    cell=chaos_cell,
+    scale_kwargs=("data_per_node",),
+    derive=lambda scale, env: {"duration": _duration(scale)},
+    skip=_capability_filter,
+    reduce={
+        "avail_during": where("avail_during", lambda a: a is not None),
+        "recover_t": where(
+            "recover_t", lambda t: t is not None and t >= 0, empty=-1.0
+        ),
+        "amplification": mean_of("amplification"),
+        "drops": total("drops"),
+        "dups": total("dups"),
+        "refusals": total("refusals"),
+        "retries": total("retries"),
+        "timeouts": total("timeouts"),
+        "gave_up": total("gave_up"),
+        "unresolved": total("unresolved"),
+        "repairs": total("repairs"),
+        "success": mean_of("success"),
+    },
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

@@ -9,7 +9,7 @@ submit-to-answer latency percentiles in units of mean hop latency.
 
 Since the runtime is overlay-agnostic (:mod:`repro.overlays`), the same
 sweep runs against any registered overlay (``overlay="chord"`` /
-``"multiway"``), and :func:`run_comparison` drives all three through
+``"multiway"``), and :data:`COMPARISON` drives all three through
 identical workloads for the paper's head-to-head claims under churn.
 
 Expected shape: success stays near 1 and latency flat at low churn; as
@@ -20,19 +20,12 @@ carrier peers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro import overlays
 from repro.core.invariants import collect_violations
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_loaded,
-    default_scale,
-    loaded_keys,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, all_overlays, mean_of, peak, total
+from repro.experiments.harness import ExperimentScale, build_loaded, loaded_keys
 from repro.sim.latency import ExponentialLatency
 from repro.util.rng import SeededRng, derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -64,188 +57,6 @@ def target_peers(scale: ExperimentScale) -> int:
     return (
         TARGET_PEERS if max(scale.sizes) >= TARGET_PEERS else scale.sizes[0]
     )
-
-
-def cells(
-    scale: ExperimentScale,
-    churn_rates: tuple[float, ...] = CHURN_RATES,
-    n_peers: Optional[int] = None,
-    overlay: str = "baton",
-) -> List[Cell]:
-    if n_peers is None:
-        n_peers = target_peers(scale)
-    duration = scale.n_queries / QUERY_RATE
-    return [
-        cell(
-            dynamics_cell,
-            group="concurrent",
-            overlay=overlay,
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            churn_rate=churn_rate,
-            duration=duration,
-        )
-        for churn_rate in churn_rates
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[Dict[str, float]],
-    churn_rates: tuple[float, ...] = CHURN_RATES,
-    n_peers: Optional[int] = None,
-    overlay: str = "baton",
-) -> ExperimentResult:
-    if n_peers is None:
-        n_peers = target_peers(scale)
-    result = ExperimentResult(
-        figure="Concurrent dynamics",
-        title=(
-            f"Churn racing queries on the event runtime "
-            f"({overlay}, N={n_peers}, query rate {QUERY_RATE}/unit)"
-        ),
-        columns=[
-            "churn_rate",
-            "queries",
-            "success",
-            "p50",
-            "p90",
-            "p99",
-            "msgs_per_query",
-            "max_in_flight",
-            "violations",
-        ],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for churn_rate in churn_rates:
-        group = outputs[index : index + per_point]
-        index += per_point
-        result.add_row(
-            churn_rate=churn_rate,
-            queries=sum(int(out["queries"]) for out in group),
-            success=mean([out["success"] for out in group]),
-            p50=mean([out["p50"] for out in group]),
-            p90=mean([out["p90"] for out in group]),
-            p99=mean([out["p99"] for out in group]),
-            msgs_per_query=mean([out["msgs_per_query"] for out in group]),
-            max_in_flight=max(int(out["max_in_flight"]) for out in group),
-            violations=sum(int(out["violations"]) for out in group),
-        )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    churn_rates: tuple[float, ...] = CHURN_RATES,
-    n_peers: Optional[int] = None,
-    overlay: str = "baton",
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(
-        cells(scale, churn_rates, n_peers, overlay), jobs=jobs
-    )
-    return assemble(scale, outputs, churn_rates, n_peers, overlay)
-
-
-def comparison_cells(
-    scale: ExperimentScale,
-    churn_rates: tuple[float, ...] = COMPARISON_CHURN_RATES,
-    names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-) -> List[Cell]:
-    names = list(names) if names is not None else overlays.available()
-    if n_peers is None:
-        # Same population as the BATON-only dynamics experiment above, so
-        # the baton rows of the two tables are directly comparable.
-        n_peers = target_peers(scale)
-    duration = scale.n_queries / QUERY_RATE
-    return [
-        cell(
-            dynamics_cell,
-            group="comparison",
-            overlay=name,
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            churn_rate=churn_rate,
-            duration=duration,
-        )
-        for name in names
-        for churn_rate in churn_rates
-        for seed in scale.seeds
-    ]
-
-
-def assemble_comparison(
-    scale: ExperimentScale,
-    outputs: List[Dict[str, float]],
-    churn_rates: tuple[float, ...] = COMPARISON_CHURN_RATES,
-    names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-) -> ExperimentResult:
-    """Three-way concurrent comparison: every overlay, identical workloads.
-
-    One row per (overlay, churn rate); the churn/query/insert arrival
-    processes, seeds and latency model are shared, so the rows differ only
-    in how each overlay's protocol copes.
-    """
-    names = list(names) if names is not None else overlays.available()
-    if n_peers is None:
-        n_peers = target_peers(scale)
-    result = ExperimentResult(
-        figure="Concurrent comparison",
-        title=(
-            f"BATON vs. baselines under concurrent churn "
-            f"(N={n_peers}, query rate {QUERY_RATE}/unit)"
-        ),
-        columns=[
-            "overlay",
-            "churn_rate",
-            "queries",
-            "success",
-            "p50",
-            "p90",
-            "p99",
-            "msgs_per_query",
-        ],
-        expectation=COMPARISON_EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for name in names:
-        for churn_rate in churn_rates:
-            group = outputs[index : index + per_point]
-            index += per_point
-            result.add_row(
-                overlay=name,
-                churn_rate=churn_rate,
-                queries=sum(int(out["queries"]) for out in group),
-                success=mean([out["success"] for out in group]),
-                p50=mean([out["p50"] for out in group]),
-                p90=mean([out["p90"] for out in group]),
-                p99=mean([out["p99"] for out in group]),
-                msgs_per_query=mean([out["msgs_per_query"] for out in group]),
-            )
-    return result
-
-
-def run_comparison(
-    scale: Optional[ExperimentScale] = None,
-    churn_rates: tuple[float, ...] = COMPARISON_CHURN_RATES,
-    names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(
-        comparison_cells(scale, churn_rates, names, n_peers), jobs=jobs
-    )
-    return assemble_comparison(scale, outputs, churn_rates, names, n_peers)
 
 
 def dynamics_cell(
@@ -289,14 +100,68 @@ def dynamics_cell(
     }
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    comparison = run_comparison()
-    print()
-    print(comparison.to_text())
-    return result
+def _duration(scale: ExperimentScale, env) -> Dict[str, float]:
+    return {"duration": scale.n_queries / QUERY_RATE}
 
+
+_LATENCY = {
+    "queries": total("queries"),
+    "success": mean_of("success"),
+    "p50": mean_of("p50"),
+    "p90": mean_of("p90"),
+    "p99": mean_of("p99"),
+    "msgs_per_query": mean_of("msgs_per_query"),
+}
+
+GRID = Grid(
+    name="concurrent",
+    figure="Concurrent dynamics",
+    title=lambda scale, env: (
+        f"Churn racing queries on the event runtime "
+        f"({env['overlay'][0]}, N={env['n_peers'][0]}, "
+        f"query rate {QUERY_RATE}/unit)"
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        Axis("overlay", "baton", column=None),
+        Axis("churn_rate", CHURN_RATES, quick=(0.0, 2.0)),
+        Axis("n_peers", target_peers, column=None),
+    ),
+    cell=dynamics_cell,
+    scale_kwargs=("data_per_node",),
+    derive=_duration,
+    reduce={
+        **_LATENCY,
+        "max_in_flight": peak("max_in_flight"),
+        "violations": total("violations"),
+    },
+)
+
+#: Three-way concurrent comparison: every overlay, identical workloads.
+#: One row per (overlay, churn rate); the churn/query/insert arrival
+#: processes, seeds and latency model are shared, so the rows differ only
+#: in how each overlay's protocol copes.  Same population as ``GRID``, so
+#: the baton rows of the two tables are directly comparable.
+COMPARISON = Grid(
+    name="comparison",
+    figure="Concurrent comparison",
+    title=lambda scale, env: (
+        f"BATON vs. baselines under concurrent churn "
+        f"(N={env['n_peers'][0]}, query rate {QUERY_RATE}/unit)"
+    ),
+    expectation=COMPARISON_EXPECTATION,
+    axes=(
+        Axis("overlay", all_overlays),
+        Axis("churn_rate", COMPARISON_CHURN_RATES, quick=(0.0,)),
+        Axis("n_peers", target_peers, column=None),
+    ),
+    cell=dynamics_cell,
+    scale_kwargs=("data_per_node",),
+    derive=_duration,
+    reduce=_LATENCY,
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()
+    print()
+    COMPARISON.main()

@@ -43,19 +43,22 @@ included) rather than per-crash repair latency.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import Optional
 
 from repro import overlays
 from repro.core.network import LocalityConfig
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_baton,
-    default_scale,
-    loaded_keys,
-    mean,
+from repro.experiments.grid import (
+    Axis,
+    Grid,
+    const,
+    first_size,
+    mean_of,
+    only,
+    peak,
+    total,
+    where,
 )
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.harness import ExperimentScale, build_baton, loaded_keys
 from repro.sim.latency import ExponentialLatency
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import SeededRng, derive_seed
@@ -81,177 +84,6 @@ INSERT_RATE = 0.5
 REPAIR_DELAY = 2.0
 FAIL_FRACTION = 1.0
 OUTAGE_REGIONS = 4
-
-
-def cells(
-    scale: ExperimentScale,
-    churn_rates: tuple[float, ...] = CHURN_RATES,
-    maintenance_intervals: tuple[float, ...] = MAINTENANCE_INTERVALS,
-    n_peers: Optional[int] = None,
-    include_baseline: bool = True,
-    include_correlated: bool = True,
-) -> List[Cell]:
-    if n_peers is None:
-        n_peers = scale.sizes[0]
-    duration = scale.n_queries / QUERY_RATE
-    plan: List[Cell] = []
-    modes = [True, False] if include_baseline else [True]
-    for replication in modes:
-        intervals = maintenance_intervals if replication else (0.0,)
-        for churn_rate in churn_rates:
-            for interval in intervals:
-                for seed in scale.seeds:
-                    plan.append(
-                        cell(
-                            _one_run,
-                            group="durability",
-                            n_peers=n_peers,
-                            seed=seed,
-                            data_per_node=scale.data_per_node,
-                            churn_rate=churn_rate,
-                            maintenance_interval=interval,
-                            duration=duration,
-                            replication=replication,
-                        )
-                    )
-    if include_correlated:
-        interval = next(
-            (i for i in maintenance_intervals if i > 0),
-            MAINTENANCE_INTERVALS[1],
-        )
-        for diverse in (False, True):
-            for seed in scale.seeds:
-                plan.append(
-                    cell(
-                        _correlated_run,
-                        group="durability",
-                        n_peers=n_peers,
-                        seed=seed,
-                        data_per_node=scale.data_per_node,
-                        maintenance_interval=interval,
-                        replica_diversity=diverse,
-                    )
-                )
-    return plan
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[dict],
-    churn_rates: tuple[float, ...] = CHURN_RATES,
-    maintenance_intervals: tuple[float, ...] = MAINTENANCE_INTERVALS,
-    n_peers: Optional[int] = None,
-    include_baseline: bool = True,
-    include_correlated: bool = True,
-) -> ExperimentResult:
-    """One row per (replication, churn rate, maintenance interval)."""
-    if n_peers is None:
-        n_peers = scale.sizes[0]
-    result = ExperimentResult(
-        figure="Durability",
-        title=(
-            f"Keys lost vs. maintenance traffic under crash churn "
-            f"(N={n_peers}, fail fraction {FAIL_FRACTION}, "
-            f"repair delay {REPAIR_DELAY})"
-        ),
-        columns=[
-            "mode",
-            "replication",
-            "churn_rate",
-            "interval",
-            "crashes",
-            "repairs",
-            "keys_lost",
-            "keys_recovered",
-            "recovery_p50",
-            "recovery_max",
-            "reconcile_msgs",
-            "replica_msgs",
-            "success",
-        ],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    modes = [True, False] if include_baseline else [True]
-    for replication in modes:
-        intervals = maintenance_intervals if replication else (0.0,)
-        for churn_rate in churn_rates:
-            for interval in intervals:
-                group = outputs[index : index + per_point]
-                index += per_point
-                result.add_row(
-                    mode="independent",
-                    replication=int(replication),
-                    churn_rate=churn_rate,
-                    interval=interval,
-                    crashes=sum(c["crashes"] for c in group),
-                    repairs=sum(c["repairs"] for c in group),
-                    keys_lost=sum(c["keys_lost"] for c in group),
-                    keys_recovered=sum(c["keys_recovered"] for c in group),
-                    recovery_p50=mean([c["recovery_p50"] for c in group]),
-                    recovery_max=max(c["recovery_max"] for c in group),
-                    reconcile_msgs=sum(c["reconcile_msgs"] for c in group),
-                    replica_msgs=sum(c["replica_msgs"] for c in group),
-                    success=mean([c["success"] for c in group]),
-                )
-    if include_correlated:
-        interval = next(
-            (i for i in maintenance_intervals if i > 0),
-            MAINTENANCE_INTERVALS[1],
-        )
-        for diverse in (False, True):
-            group = outputs[index : index + per_point]
-            index += per_point
-            recoveries = [c["recover"] for c in group if c["recover"] >= 0]
-            result.add_row(
-                mode="region_outage+diverse" if diverse else "region_outage",
-                replication=1,
-                churn_rate=0.0,
-                interval=interval,
-                crashes=sum(c["crashes"] for c in group),
-                repairs=sum(c["repairs"] for c in group),
-                keys_lost=sum(c["keys_lost"] for c in group),
-                keys_recovered=sum(c["keys_recovered"] for c in group),
-                recovery_p50=mean(recoveries) if recoveries else -1.0,
-                recovery_max=max(recoveries) if recoveries else -1.0,
-                reconcile_msgs=sum(c["reconcile_msgs"] for c in group),
-                replica_msgs=sum(c["replica_msgs"] for c in group),
-                success=mean([c["success"] for c in group]),
-            )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    churn_rates: tuple[float, ...] = CHURN_RATES,
-    maintenance_intervals: tuple[float, ...] = MAINTENANCE_INTERVALS,
-    n_peers: Optional[int] = None,
-    include_baseline: bool = True,
-    include_correlated: bool = True,
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(
-        cells(
-            scale,
-            churn_rates,
-            maintenance_intervals,
-            n_peers,
-            include_baseline,
-            include_correlated,
-        ),
-        jobs=jobs,
-    )
-    return assemble(
-        scale,
-        outputs,
-        churn_rates,
-        maintenance_intervals,
-        n_peers,
-        include_baseline,
-        include_correlated,
-    )
 
 
 def _stored_multiset(net) -> Counter:
@@ -368,6 +200,7 @@ def _correlated_run(
     expected = before + Counter(report.insert_keys_applied)
     keys_lost = sum((expected - _stored_multiset(net)).values())
     return {
+        "interval": maintenance_interval,
         "crashes": report.fails_applied,
         "repairs": report.repairs_applied,
         "keys_lost": keys_lost,
@@ -381,11 +214,115 @@ def _correlated_run(
     }
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
+_COUNTS = {
+    "crashes": total("crashes"),
+    "repairs": total("repairs"),
+    "keys_lost": total("keys_lost"),
+    "keys_recovered": total("keys_recovered"),
+    "reconcile_msgs": total("reconcile_msgs"),
+    "replica_msgs": total("replica_msgs"),
+    "success": mean_of("success"),
+}
 
+
+def _recovered(recover_time: float) -> bool:
+    return recover_time >= 0
+
+
+def _correlated_kwargs(scale: ExperimentScale, env) -> dict:
+    """The outage rows reuse the main grid's N and its first live interval."""
+    return {
+        "n_peers": env["n_peers"][0],
+        "data_per_node": scale.data_per_node,
+        "maintenance_interval": next(
+            (i for i in env["maintenance_interval"] if i > 0),
+            MAINTENANCE_INTERVALS[1],
+        ),
+    }
+
+
+_CORRELATED = Grid(
+    name="durability",
+    cell=_correlated_run,
+    axes=(
+        Axis(
+            "replica_diversity",
+            (False, True),
+            column="mode",
+            label=lambda d: "region_outage+diverse" if d else "region_outage",
+        ),
+    ),
+    derive=_correlated_kwargs,
+    reduce={
+        "replication": const(1),
+        "churn_rate": const(0.0),
+        "interval": only("interval"),
+        # Over the seeds whose outage recovered within the run; -1 if none.
+        "recovery_p50": where("recover", _recovered, empty=-1.0),
+        "recovery_max": where("recover", _recovered, max, empty=-1.0),
+        **_COUNTS,
+    },
+)
+
+def _bare_baseline_once(scale: ExperimentScale, env, point) -> Optional[str]:
+    """The replication-off baseline has no mirrors to refresh, so it runs
+    at the grid's first interval only (0.0, no sweeps, in every shipped
+    grid); its other points are dropped silently."""
+    first_interval = env["maintenance_interval"][0]
+    if point["replication"] or point["maintenance_interval"] == first_interval:
+        return None
+    return ""
+
+
+#: One row per (replication, churn rate, maintenance interval), then the
+#: two correlated-outage rows.
+GRID = Grid(
+    name="durability",
+    figure="Durability",
+    title=lambda scale, env: (
+        f"Keys lost vs. maintenance traffic under crash churn "
+        f"(N={env['n_peers'][0]}, fail fraction {FAIL_FRACTION}, "
+        f"repair delay {REPAIR_DELAY})"
+    ),
+    columns=(
+        "mode",
+        "replication",
+        "churn_rate",
+        "interval",
+        "crashes",
+        "repairs",
+        "keys_lost",
+        "keys_recovered",
+        "recovery_p50",
+        "recovery_max",
+        "reconcile_msgs",
+        "replica_msgs",
+        "success",
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        Axis("replication", (True, False), label=int),
+        Axis("churn_rate", CHURN_RATES, quick=(1.0,)),
+        Axis(
+            "maintenance_interval",
+            MAINTENANCE_INTERVALS,
+            quick=(0.0, 6.0),
+            column="interval",
+        ),
+        Axis("n_peers", first_size, column=None),
+    ),
+    cell=_one_run,
+    scale_kwargs=("data_per_node",),
+    derive=lambda scale, env: {"duration": scale.n_queries / QUERY_RATE},
+    skip=_bare_baseline_once,
+    reduce={
+        "mode": const("independent"),
+        "recovery_p50": mean_of("recovery_p50"),
+        "recovery_max": peak("recovery_max"),
+        **_COUNTS,
+    },
+    tail=_CORRELATED,
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

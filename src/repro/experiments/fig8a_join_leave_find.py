@@ -9,54 +9,30 @@ consult all its children.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scale,
-)
-from repro.experiments.membership import MembershipCosts, aggregate, measure_membership
+from repro.experiments.grid import mean_of
+from repro.experiments.membership import CELLS
 
 EXPECTATION = (
     "BATON join/leave find ≈ flat and low; Chord above BATON and growing "
     "with N; multiway leave ≫ multiway join"
 )
 
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    cells: Optional[List[MembershipCosts]] = None,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    cells = cells if cells is not None else measure_membership(scale)
-    result = ExperimentResult(
-        figure="Fig 8a",
-        title="Finding join node and replacement node (avg messages)",
-        columns=["system", "N", "join_find", "leave_find"],
-        expectation=EXPECTATION,
-    )
-    for system in ("baton", "chord", "multiway"):
-        for n_peers in scale.sizes:
-            cell = aggregate(cells, system, n_peers)
-            result.add_row(
-                system=system,
-                N=n_peers,
-                join_find=cell.join_find,
-                leave_find=cell.leave_find,
-            )
-    result.notes.append(
+GRID = replace(
+    CELLS,
+    figure="Fig 8a",
+    title="Finding join node and replacement node (avg messages)",
+    expectation=EXPECTATION,
+    reduce={
+        "join_find": mean_of("join_find"),
+        "leave_find": mean_of("leave_find"),
+    },
+    notes=(
         "Chord leave_find is ~0 by design: the successor is known locally, "
-        "no search happens (the paper plots Chord's join side)."
-    )
-    return result
-
-
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+        "no search happens (the paper plots Chord's join side).",
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

@@ -8,50 +8,26 @@ any routing state, which is exactly why its searches cost so much (8d).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scale,
-)
-from repro.experiments.membership import MembershipCosts, aggregate, measure_membership
+from repro.experiments.grid import mean_of
+from repro.experiments.membership import CELLS
 
 EXPECTATION = (
     "BATON update ≈ O(log N), well below Chord's Θ(log² N); multiway lowest "
     "(few links to fix) at the price of expensive searches"
 )
 
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    cells: Optional[List[MembershipCosts]] = None,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    cells = cells if cells is not None else measure_membership(scale)
-    result = ExperimentResult(
-        figure="Fig 8b",
-        title="Updating routing tables on join/leave (avg messages)",
-        columns=["system", "N", "join_update", "leave_update"],
-        expectation=EXPECTATION,
-    )
-    for system in ("baton", "chord", "multiway"):
-        for n_peers in scale.sizes:
-            cell = aggregate(cells, system, n_peers)
-            result.add_row(
-                system=system,
-                N=n_peers,
-                join_update=cell.join_update,
-                leave_update=cell.leave_update,
-            )
-    return result
-
-
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = replace(
+    CELLS,
+    figure="Fig 8b",
+    title="Updating routing tables on join/leave (avg messages)",
+    expectation=EXPECTATION,
+    reduce={
+        "join_update": mean_of("join_update"),
+        "leave_update": mean_of("leave_update"),
+    },
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

@@ -7,18 +7,10 @@ and far below the multiway tree's hop-by-hop walks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_baton,
-    build_chord,
-    build_multiway,
-    default_scale,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, all_sizes, pooled
+from repro.experiments.harness import build_loaded
 from repro.workloads.generators import uniform_keys
 
 EXPECTATION = (
@@ -33,72 +25,23 @@ def grid_cell(
     system: str, n_peers: int, seed: int, data_per_node: int, n_queries: int
 ) -> Dict[str, List[int]]:
     """One (system, size, seed) point: fresh inserts, then their deletes."""
-    builders = {
-        "baton": build_baton,
-        "chord": build_chord,
-        "multiway": build_multiway,
-    }
-    net = builders[system](n_peers, seed, data_per_node)
+    net = build_loaded(system, n_peers, seed, data_per_node)
     fresh = uniform_keys(n_queries, seed=seed + 101)
     insert_costs = [net.insert(key).trace.total for key in fresh]
     delete_costs = [net.delete(key).trace.total for key in fresh]
     return {"insert": insert_costs, "delete": delete_costs}
 
 
-def cells(scale: ExperimentScale) -> List[Cell]:
-    return [
-        cell(
-            grid_cell,
-            group="fig8c",
-            system=system,
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            n_queries=scale.n_queries,
-        )
-        for system in SYSTEMS
-        for n_peers in scale.sizes
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale, outputs: List[Dict[str, List[int]]]
-) -> ExperimentResult:
-    """Average per-seed cost lists into one row per (system, N)."""
-    result = ExperimentResult(
-        figure="Fig 8c",
-        title="Insert and delete operations (avg messages)",
-        columns=["system", "N", "insert", "delete"],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for system in SYSTEMS:
-        for n_peers in scale.sizes:
-            group = outputs[index : index + per_point]
-            index += per_point
-            result.add_row(
-                system=system,
-                N=n_peers,
-                insert=mean([c for out in group for c in out["insert"]]),
-                delete=mean([c for out in group for c in out["delete"]]),
-            )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None, jobs: int = 1
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    return assemble(scale, run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = Grid(
+    name="fig8c",
+    figure="Fig 8c",
+    title="Insert and delete operations (avg messages)",
+    expectation=EXPECTATION,
+    axes=(Axis("system", SYSTEMS), Axis("n_peers", all_sizes, column="N")),
+    cell=grid_cell,
+    scale_kwargs=("data_per_node", "n_queries"),
+    reduce={"insert": pooled("insert"), "delete": pooled("delete")},
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

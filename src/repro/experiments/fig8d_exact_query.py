@@ -7,19 +7,10 @@ tree — which pays long horizontal walks for its minimal routing state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_baton,
-    build_chord,
-    build_multiway,
-    default_scale,
-    loaded_keys,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, all_sizes, pooled
+from repro.experiments.harness import build_loaded, loaded_keys
 from repro.workloads.generators import exact_queries
 
 EXPECTATION = (
@@ -34,13 +25,8 @@ def grid_cell(
     system: str, n_peers: int, seed: int, data_per_node: int, n_queries: int
 ) -> Dict[str, object]:
     """One (system, size, seed) point: exact queries over loaded keys."""
-    builders = {
-        "baton": build_baton,
-        "chord": build_chord,
-        "multiway": build_multiway,
-    }
     loaded = loaded_keys(n_peers, data_per_node, seed)
-    net = builders[system](n_peers, seed, data_per_node)
+    net = build_loaded(system, n_peers, seed, data_per_node)
     costs: List[int] = []
     hits = 0
     total = 0
@@ -52,61 +38,22 @@ def grid_cell(
     return {"costs": costs, "hits": hits, "total": total}
 
 
-def cells(scale: ExperimentScale) -> List[Cell]:
-    return [
-        cell(
-            grid_cell,
-            group="fig8d",
-            system=system,
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            n_queries=scale.n_queries,
-        )
-        for system in SYSTEMS
-        for n_peers in scale.sizes
-        for seed in scale.seeds
-    ]
+def _hit_rate(group: List[Dict[str, object]]) -> float:
+    hits = sum(out["hits"] for out in group)
+    total = sum(out["total"] for out in group)
+    return hits / total if total else 0.0
 
 
-def assemble(
-    scale: ExperimentScale, outputs: List[Dict[str, object]]
-) -> ExperimentResult:
-    result = ExperimentResult(
-        figure="Fig 8d",
-        title="Exact match query (avg messages)",
-        columns=["system", "N", "messages", "hit_rate"],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for system in SYSTEMS:
-        for n_peers in scale.sizes:
-            group = outputs[index : index + per_point]
-            index += per_point
-            hits = sum(out["hits"] for out in group)
-            total = sum(out["total"] for out in group)
-            result.add_row(
-                system=system,
-                N=n_peers,
-                messages=mean([c for out in group for c in out["costs"]]),
-                hit_rate=hits / total if total else 0.0,
-            )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None, jobs: int = 1
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    return assemble(scale, run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = Grid(
+    name="fig8d",
+    figure="Fig 8d",
+    title="Exact match query (avg messages)",
+    expectation=EXPECTATION,
+    axes=(Axis("system", SYSTEMS), Axis("n_peers", all_sizes, column="N")),
+    cell=grid_cell,
+    scale_kwargs=("data_per_node", "n_queries"),
+    reduce={"messages": pooled("costs"), "hit_rate": _hit_rate},
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

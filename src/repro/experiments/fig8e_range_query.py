@@ -10,18 +10,10 @@ motivates the whole line of work.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_baton,
-    build_chord,
-    build_multiway,
-    default_scale,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, all_sizes, pooled
+from repro.experiments.harness import build_loaded
 from repro.workloads.generators import range_queries
 
 EXPECTATION = (
@@ -36,12 +28,8 @@ def grid_cell(
     system: str, n_peers: int, seed: int, data_per_node: int, n_queries: int
 ) -> Dict[str, List[float]]:
     """One (system, size, seed) point: range queries over the loaded net."""
-    builders = {
-        "baton": build_baton,
-        "multiway": build_multiway,
-        "chord_ring_walk": build_chord,
-    }
-    net = builders[system](n_peers, seed, data_per_node)
+    overlay = "chord" if system == "chord_ring_walk" else system
+    net = build_loaded(overlay, n_peers, seed, data_per_node)
     costs: List[int] = []
     answer_nodes: List[int] = []
     queries = range_queries(n_queries, selectivity=0.002, seed=seed + 53)
@@ -56,61 +44,16 @@ def grid_cell(
     return {"costs": costs, "answer_nodes": answer_nodes}
 
 
-def cells(scale: ExperimentScale) -> List[Cell]:
-    return [
-        cell(
-            grid_cell,
-            group="fig8e",
-            system=system,
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            n_queries=scale.n_queries,
-        )
-        for system in SYSTEMS
-        for n_peers in scale.sizes
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale, outputs: List[Dict[str, List[float]]]
-) -> ExperimentResult:
-    result = ExperimentResult(
-        figure="Fig 8e",
-        title="Range query (avg messages)",
-        columns=["system", "N", "messages", "answer_nodes"],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for system in SYSTEMS:
-        for n_peers in scale.sizes:
-            group = outputs[index : index + per_point]
-            index += per_point
-            result.add_row(
-                system=system,
-                N=n_peers,
-                messages=mean([c for out in group for c in out["costs"]]),
-                answer_nodes=mean(
-                    [c for out in group for c in out["answer_nodes"]]
-                ),
-            )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None, jobs: int = 1
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    return assemble(scale, run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = Grid(
+    name="fig8e",
+    figure="Fig 8e",
+    title="Range query (avg messages)",
+    expectation=EXPECTATION,
+    axes=(Axis("system", SYSTEMS), Axis("n_peers", all_sizes, column="N")),
+    cell=grid_cell,
+    scale_kwargs=("data_per_node", "n_queries"),
+    reduce={"messages": pooled("costs"), "answer_nodes": pooled("answer_nodes")},
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

@@ -10,16 +10,15 @@ lives there.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict
 
+from repro.experiments.grid import Axis, Grid
 from repro.experiments.harness import (
     ExperimentResult,
     ExperimentScale,
     build_baton_equalized,
-    default_scale,
     loaded_keys,
 )
-from repro.experiments.parallel import Cell, cell, run_cells
 from repro.net.message import MsgType
 from repro.workloads.generators import exact_queries, uniform_keys
 
@@ -61,30 +60,8 @@ def grid_cell(
     }
 
 
-def cells(scale: ExperimentScale) -> List[Cell]:
-    return [
-        cell(
-            grid_cell,
-            group="fig8f",
-            n_peers=mid_size(scale),
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            n_queries=scale.n_queries,
-        )
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale, outputs: List[Dict[str, Counter]]
-) -> ExperimentResult:
-    n_peers = mid_size(scale)
-    result = ExperimentResult(
-        figure="Fig 8f",
-        title=f"Access load by tree level (N={n_peers})",
-        columns=["level", "nodes", "insert_per_node", "search_per_node"],
-        expectation=EXPECTATION,
-    )
+def _table(result: ExperimentResult, scale: ExperimentScale, groups) -> None:
+    ((_, outputs),) = groups
     insert_load: Counter = Counter()
     search_load: Counter = Counter()
     level_nodes: Counter = Counter()
@@ -104,21 +81,19 @@ def assemble(
         "loads are messages handled per node at that level, averaged over "
         f"{len(scale.seeds)} membership sequences"
     )
-    return result
 
 
-def run(
-    scale: Optional[ExperimentScale] = None, jobs: int = 1
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    return assemble(scale, run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = Grid(
+    name="fig8f",
+    figure="Fig 8f",
+    title=lambda scale, env: f"Access load by tree level (N={env['n_peers'][0]})",
+    columns=("level", "nodes", "insert_per_node", "search_per_node"),
+    expectation=EXPECTATION,
+    axes=(Axis("n_peers", mid_size, column=None),),
+    cell=grid_cell,
+    scale_kwargs=("data_per_node", "n_queries"),
+    table=_table,
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

@@ -8,15 +8,10 @@ one balancing message per ~1500 insertions at its scale).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
 
-from repro.experiments.balancing import BalancingRun, run_balancing
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scale,
-    mean,
-)
+from repro.experiments.balancing import CELLS
+from repro.experiments.harness import ExperimentResult, ExperimentScale, mean
 
 EXPECTATION = (
     "zipf balancing messages grow ~linearly with #inserts and dominate "
@@ -24,42 +19,21 @@ EXPECTATION = (
 )
 
 
-def run(
-    scale: Optional[ExperimentScale] = None,
-    runs: Optional[List[BalancingRun]] = None,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    runs = runs if runs is not None else run_balancing(scale)
-    result = ExperimentResult(
-        figure="Fig 8g",
-        title="Load balancing messages, uniform vs Zipf(1.0)",
-        columns=[
-            "distribution",
-            "N",
-            "inserts",
-            "balance_events",
-            "balance_msgs",
-            "msgs_per_insert",
-        ],
-        expectation=EXPECTATION,
-    )
-    for distribution in ("uniform", "zipf"):
-        group = [r for r in runs if r.distribution == distribution]
-        if not group:
-            continue
-        inserts = group[0].inserts
+def _table(result: ExperimentResult, scale: ExperimentScale, groups) -> None:
+    for point, group in groups:
         result.add_row(
-            distribution=distribution,
+            distribution=point["distribution"],
             N=group[0].n_peers,
-            inserts=inserts,
+            inserts=group[0].inserts,
             balance_events=mean([r.balance_events for r in group]),
             balance_msgs=mean([r.balance_messages for r in group]),
             msgs_per_insert=mean([r.balance_messages / r.inserts for r in group]),
         )
     # Timeline rows demonstrate the linear growth the paper plots.
-    for run_ in runs:
-        if run_.distribution != "zipf" or run_.seed != scale.seeds[0]:
+    for point, group in groups:
+        if point["distribution"] != "zipf":
             continue
+        run_ = group[0]  # the first seed's stream
         for inserted, cumulative in run_.timeline:
             result.add_row(
                 distribution="zipf_timeline",
@@ -69,14 +43,23 @@ def run(
                 balance_msgs=cumulative,
                 msgs_per_insert=cumulative / inserted,
             )
-    return result
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = replace(
+    CELLS,
+    figure="Fig 8g",
+    title="Load balancing messages, uniform vs Zipf(1.0)",
+    columns=(
+        "distribution",
+        "N",
+        "inserts",
+        "balance_events",
+        "balance_msgs",
+        "msgs_per_insert",
+    ),
+    expectation=EXPECTATION,
+    table=_table,
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

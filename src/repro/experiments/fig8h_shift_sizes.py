@@ -7,14 +7,10 @@ episodes move only a handful of nodes, long shifts are rare.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
 
-from repro.experiments.balancing import BalancingRun, run_balancing, shift_histogram
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scale,
-)
+from repro.experiments.balancing import CELLS, shift_histogram
+from repro.experiments.harness import ExperimentResult, ExperimentScale
 
 EXPECTATION = (
     "shift-size histogram decays with size (strongly exponential in the "
@@ -25,20 +21,16 @@ EXPECTATION = (
 BUCKETS = [(1, 2), (3, 4), (5, 8), (9, 16), (17, 32), (33, 64), (65, 10**9)]
 
 
-def run(
-    scale: Optional[ExperimentScale] = None,
-    runs: Optional[List[BalancingRun]] = None,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    runs = runs if runs is not None else run_balancing(scale, distributions=("zipf",))
-    histogram = shift_histogram(runs)
-    total = sum(histogram.values())
-    result = ExperimentResult(
-        figure="Fig 8h",
-        title="Size of the load-balancing (restructuring) process",
-        columns=["shift_size", "count", "fraction"],
-        expectation=EXPECTATION,
+def _table(result: ExperimentResult, scale: ExperimentScale, groups) -> None:
+    histogram = shift_histogram(
+        [
+            run_
+            for point, group in groups
+            if point["distribution"] == "zipf"
+            for run_ in group
+        ]
     )
+    total = sum(histogram.values())
     for low, high in BUCKETS:
         count = sum(c for size, c in histogram.items() if low <= size <= high)
         label = f"{low}-{high}" if high < 10**9 else f"{low}+"
@@ -48,14 +40,17 @@ def run(
             fraction=count / total if total else 0.0,
         )
     result.notes.append(f"{total} forced restructurings observed")
-    return result
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = replace(
+    CELLS,
+    figure="Fig 8h",
+    title="Size of the load-balancing (restructuring) process",
+    columns=("shift_size", "count", "fraction"),
+    expectation=EXPECTATION,
+    table=_table,
+)
 
 if __name__ == "__main__":
-    main()
+    # Standalone, only the skewed stream is needed.
+    GRID.main(distribution="zipf")

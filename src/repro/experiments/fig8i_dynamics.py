@@ -15,18 +15,11 @@ reproducible shuffle of joins, departures and queries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.invariants import collect_violations
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_baton,
-    default_scale,
-    loaded_keys,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, first_size, mean_of, total
+from repro.experiments.harness import build_baton, loaded_keys, mean
 from repro.sim.engine import Simulator
 from repro.sim.latency import ExponentialLatency
 from repro.util.rng import SeededRng
@@ -57,63 +50,8 @@ def grid_cell(
     }
 
 
-def cells(
-    scale: ExperimentScale,
-    levels: tuple[int, ...] = CONCURRENCY_LEVELS,
-) -> List[Cell]:
-    return [
-        cell(
-            grid_cell,
-            group="fig8i",
-            k=k,
-            n_peers=scale.sizes[0],
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            n_queries=scale.n_queries,
-        )
-        for k in levels
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[Dict[str, float]],
-    levels: tuple[int, ...] = CONCURRENCY_LEVELS,
-) -> ExperimentResult:
-    n_peers = scale.sizes[0]
-    result = ExperimentResult(
-        figure="Fig 8i",
-        title=f"Network dynamics: concurrent joins/leaves (N={n_peers})",
-        columns=["concurrent", "baseline", "during", "extra", "violations"],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for k in levels:
-        group = outputs[index : index + per_point]
-        index += per_point
-        baselines = [out["baseline"] for out in group]
-        durings = [out["during"] for out in group]
-        result.add_row(
-            concurrent=k,
-            baseline=mean(baselines),
-            during=mean(durings),
-            extra=mean(durings) - mean(baselines),
-            violations=sum(int(out["violations"]) for out in group),
-        )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    levels: tuple[int, ...] = CONCURRENCY_LEVELS,
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    return assemble(
-        scale, run_cells(cells(scale, levels), jobs=jobs), levels
-    )
+def _extra(group: List[Dict[str, float]]) -> float:
+    return mean_of("during")(group) - mean_of("baseline")(group)
 
 
 def _churn_window(net, k: int, queries, seed: int) -> float:
@@ -153,11 +91,26 @@ def _churn_window(net, k: int, queries, seed: int) -> float:
     return mean(costs)
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+GRID = Grid(
+    name="fig8i",
+    figure="Fig 8i",
+    title=lambda scale, env: (
+        f"Network dynamics: concurrent joins/leaves (N={env['n_peers'][0]})"
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        Axis("k", CONCURRENCY_LEVELS, quick=(2, 4), column="concurrent"),
+        Axis("n_peers", first_size, column=None),
+    ),
+    cell=grid_cell,
+    scale_kwargs=("data_per_node", "n_queries"),
+    reduce={
+        "baseline": mean_of("baseline"),
+        "during": mean_of("during"),
+        "extra": _extra,
+        "violations": total("violations"),
+    },
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

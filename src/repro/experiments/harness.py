@@ -6,7 +6,7 @@ import hashlib
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.chord.network import ChordNetwork
 from repro.core.network import (
@@ -123,7 +123,7 @@ class ExperimentResult:
 
     def to_text(self) -> str:
         """Render as an aligned text table with header and expectation."""
-        lines = [f"=== {self.figure}: {self.title} ===", f"scale: see harness"]
+        lines = [f"=== {self.figure}: {self.title} ==="]
         if self.expectation:
             lines.append(f"expected shape: {self.expectation}")
         widths = {
@@ -170,6 +170,29 @@ def loaded_keys(n_peers: int, data_per_node: int, seed: int) -> List[int]:
     return uniform_keys(n_peers * data_per_node, seed=seed + 7)
 
 
+def cached_build(
+    builder: str,
+    n_peers: int,
+    seed: int,
+    data_per_node: int,
+    build: Callable[[], object],
+    **extra: object,
+):
+    """``build()`` through the snapshot cache, keyed on the build inputs.
+
+    ``extra`` carries whatever else shapes the built state beyond the
+    four common inputs (a config tree, a topology description).
+    """
+    parts = {
+        "builder": builder,
+        "n_peers": n_peers,
+        "seed": seed,
+        "data_per_node": data_per_node,
+        **extra,
+    }
+    return snapshot.cached(parts, build)
+
+
 def build_baton(
     n_peers: int,
     seed: int,
@@ -210,16 +233,13 @@ def build_baton(
     )
     if bulk:
         return _build_baton(n_peers, seed, data_per_node, config, bulk=True)
-    parts = {
-        "builder": "baton",
-        "n_peers": n_peers,
-        "seed": seed,
-        "data_per_node": data_per_node,
-        "config": snapshot.describe(config),
-    }
-    return snapshot.cached(
-        parts,
+    return cached_build(
+        "baton",
+        n_peers,
+        seed,
+        data_per_node,
         lambda: _build_baton(n_peers, seed, data_per_node, config, bulk=False),
+        config=snapshot.describe(config),
     )
 
 
@@ -258,14 +278,12 @@ def build_baton_equalized(
     reproduces that regime: capacity 2× the fair share, every insert routed.
     The access-load experiment (Figure 8(f)) depends on it.
     """
-    parts = {
-        "builder": "baton-equalized",
-        "n_peers": n_peers,
-        "seed": seed,
-        "data_per_node": data_per_node,
-    }
-    return snapshot.cached(
-        parts, lambda: _build_baton_equalized(n_peers, seed, data_per_node)
+    return cached_build(
+        "baton-equalized",
+        n_peers,
+        seed,
+        data_per_node,
+        lambda: _build_baton_equalized(n_peers, seed, data_per_node),
     )
 
 
@@ -283,14 +301,12 @@ def _build_baton_equalized(
 
 def build_chord(n_peers: int, seed: int, data_per_node: int) -> ChordNetwork:
     """A Chord ring preloaded with the same uniform data."""
-    parts = {
-        "builder": "chord",
-        "n_peers": n_peers,
-        "seed": seed,
-        "data_per_node": data_per_node,
-    }
-    return snapshot.cached(
-        parts, lambda: _build_chord(n_peers, seed, data_per_node)
+    return cached_build(
+        "chord",
+        n_peers,
+        seed,
+        data_per_node,
+        lambda: _build_chord(n_peers, seed, data_per_node),
     )
 
 
@@ -303,14 +319,12 @@ def _build_chord(n_peers: int, seed: int, data_per_node: int) -> ChordNetwork:
 
 def build_multiway(n_peers: int, seed: int, data_per_node: int) -> MultiwayNetwork:
     """A multiway tree grown around its data (same rationale as BATON)."""
-    parts = {
-        "builder": "multiway",
-        "n_peers": n_peers,
-        "seed": seed,
-        "data_per_node": data_per_node,
-    }
-    return snapshot.cached(
-        parts, lambda: _build_multiway(n_peers, seed, data_per_node)
+    return cached_build(
+        "multiway",
+        n_peers,
+        seed,
+        data_per_node,
+        lambda: _build_multiway(n_peers, seed, data_per_node),
     )
 
 
@@ -356,12 +370,6 @@ def build_loaded(
     builder = builders.get(overlay)
     if builder is not None:
         return builder(n_peers, seed, data_per_node)
-    parts = {
-        "builder": overlay,
-        "n_peers": n_peers,
-        "seed": seed,
-        "data_per_node": data_per_node,
-    }
 
     def _build_generic():
         from repro import overlays
@@ -371,4 +379,4 @@ def build_loaded(
             net.bulk_load(loaded_keys(n_peers, data_per_node, seed))
         return net
 
-    return snapshot.cached(parts, _build_generic)
+    return cached_build(overlay, n_peers, seed, data_per_node, _build_generic)

@@ -18,18 +18,18 @@ curves climb fastest and its tail detaches first.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro import overlays
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_loaded,
-    default_scale,
-    loaded_keys,
-    mean,
+from repro.experiments.grid import (
+    Axis,
+    Grid,
+    all_overlays,
+    first_size,
+    mean_of,
+    total,
 )
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.harness import ExperimentScale, build_loaded, loaded_keys
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -49,126 +49,8 @@ INTER_DELAYS = (1.0, 2.0, 5.0, 10.0, 20.0)
 QUERY_RATE = 8.0
 REGIONS = 4
 INTRA_DELAY = 1.0
-#: Session gateways for the ``cached=True`` grid (see below).
+#: Session gateways for the cached grid (see ``GRID``).
 GATEWAYS = 8
-
-
-def cells(
-    scale: ExperimentScale,
-    inter_delays: tuple[float, ...] = INTER_DELAYS,
-    names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-    cached: bool = False,
-) -> List[Cell]:
-    names = list(names) if names is not None else overlays.available()
-    if cached:
-        names = names + ["baton+cache"]
-    if n_peers is None:
-        n_peers = scale.sizes[0]
-    duration = scale.n_queries / QUERY_RATE
-    return [
-        cell(
-            grid_cell,
-            group="hetero",
-            overlay=name,
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            inter_delay=inter_delay,
-            duration=duration,
-            gateways=GATEWAYS if cached else 0,
-        )
-        for name in names
-        for inter_delay in inter_delays
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[Dict[str, float]],
-    inter_delays: tuple[float, ...] = INTER_DELAYS,
-    names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-    cached: bool = False,
-) -> ExperimentResult:
-    """One row per (overlay, inter-region delay), identical workloads.
-
-    ``cached=True`` adds a ``baton+cache`` variant (hot-range route cache,
-    locality extension) and pins every variant's query entry points to
-    the same ``GATEWAYS`` fixed session peers — the regime where a
-    per-peer cache can warm up — so the added rows stay comparable to
-    their neighbours.  The default grid keeps the historical uniform
-    entry draw.
-    """
-    names = list(names) if names is not None else overlays.available()
-    if cached:
-        names = names + ["baton+cache"]
-    if n_peers is None:
-        n_peers = scale.sizes[0]
-    result = ExperimentResult(
-        figure="Hetero links",
-        title=(
-            f"Query latency vs inter-region link cost "
-            f"(clustered WAN, {REGIONS} regions, N={n_peers}, "
-            f"intra delay {INTRA_DELAY})"
-        ),
-        columns=[
-            "overlay",
-            "inter_delay",
-            "queries",
-            "success",
-            "p50",
-            "p99",
-            "transit_p99",
-            "stretch_p50",
-            "stretch_p99",
-            "hit_rate",
-            "msgs_per_query",
-        ],
-        expectation=EXPECTATION,
-    )
-    if cached:
-        result.notes.append(
-            f"cached grid: every variant's queries enter through the same "
-            f"{GATEWAYS} fixed gateway peers (the cache's session regime); "
-            "baton+cache adds the hot-range route cache on top"
-        )
-    per_point = len(scale.seeds)
-    index = 0
-    for name in names:
-        for inter_delay in inter_delays:
-            group = outputs[index : index + per_point]
-            index += per_point
-            result.add_row(
-                overlay=name,
-                inter_delay=inter_delay,
-                queries=sum(int(out["queries"]) for out in group),
-                success=mean([out["success"] for out in group]),
-                p50=mean([out["p50"] for out in group]),
-                p99=mean([out["p99"] for out in group]),
-                transit_p99=mean([out["transit_p99"] for out in group]),
-                stretch_p50=mean([out["stretch_p50"] for out in group]),
-                stretch_p99=mean([out["stretch_p99"] for out in group]),
-                hit_rate=mean([out["hit_rate"] for out in group]),
-                msgs_per_query=mean([out["msgs_per_query"] for out in group]),
-            )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    inter_delays: tuple[float, ...] = INTER_DELAYS,
-    names: Optional[Sequence[str]] = None,
-    n_peers: Optional[int] = None,
-    cached: bool = False,
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(
-        cells(scale, inter_delays, names, n_peers, cached), jobs=jobs
-    )
-    return assemble(scale, outputs, inter_delays, names, n_peers, cached)
 
 
 def grid_cell(
@@ -229,11 +111,56 @@ def grid_cell(
     }
 
 
-def main() -> ExperimentResult:
-    result = run(cached=True)
-    print(result.to_text())
-    return result
+def _cached_note(scale: ExperimentScale, env) -> List[str]:
+    if not env["gateways"][0]:
+        return []
+    return [
+        f"cached grid: every variant's queries enter through the same "
+        f"{env['gateways'][0]} fixed gateway peers (the cache's session "
+        "regime); baton+cache adds the hot-range route cache on top"
+    ]
 
+
+#: One row per (overlay, inter-region delay), identical workloads.
+#:
+#: The cached grid (``overlay=[..., "baton+cache"], gateways=GATEWAYS``;
+#: what ``python -m repro.experiments.hetero_links`` prints) adds a
+#: ``baton+cache`` variant (hot-range route cache, locality extension) and
+#: pins every variant's query entry points to the same ``GATEWAYS`` fixed
+#: session peers — the regime where a per-peer cache can warm up — so the
+#: added rows stay comparable to their neighbours.  The default grid keeps
+#: the historical uniform entry draw.
+GRID = Grid(
+    name="hetero",
+    figure="Hetero links",
+    title=lambda scale, env: (
+        f"Query latency vs inter-region link cost "
+        f"(clustered WAN, {REGIONS} regions, N={env['n_peers'][0]}, "
+        f"intra delay {INTRA_DELAY})"
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        Axis("overlay", all_overlays),
+        Axis("inter_delay", INTER_DELAYS, quick=(1.0, 10.0)),
+        Axis("n_peers", first_size, column=None),
+        Axis("gateways", 0, column=None),
+    ),
+    cell=grid_cell,
+    scale_kwargs=("data_per_node",),
+    derive=lambda scale, env: {"duration": scale.n_queries / QUERY_RATE},
+    reduce={
+        "queries": total("queries"),
+        "success": mean_of("success"),
+        "p50": mean_of("p50"),
+        "p99": mean_of("p99"),
+        "transit_p99": mean_of("transit_p99"),
+        "stretch_p50": mean_of("stretch_p50"),
+        "stretch_p99": mean_of("stretch_p99"),
+        "hit_rate": mean_of("hit_rate"),
+        "msgs_per_query": mean_of("msgs_per_query"),
+    },
+    notes=_cached_note,
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main(overlay=overlays.available() + ["baton+cache"], gateways=GATEWAYS)

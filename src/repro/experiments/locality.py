@@ -33,20 +33,11 @@ misses, not wrong results.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro import overlays
 from repro.core.cache import DEFAULT_CACHE_SIZE
 from repro.core.network import BatonConfig, BatonNetwork, LocalityConfig
-from repro.experiments import snapshot
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    default_scale,
-    loaded_keys,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, first_size, mean_of, total
+from repro.experiments.harness import cached_build, loaded_keys
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -94,101 +85,6 @@ def hot_keys(keys: list[int], data_per_node: int) -> list[int]:
     return ordered[offset : offset + width]
 
 
-def cells(
-    scale: ExperimentScale,
-    sizes: Optional[tuple[int, ...]] = None,
-    with_churn: bool = True,
-) -> List[Cell]:
-    if sizes is None:
-        sizes = (scale.sizes[0],)
-    duration = max(scale.n_queries, MIN_QUERIES) / QUERY_RATE
-    return [
-        cell(
-            locality_cell,
-            group="locality",
-            n_peers=n_peers,
-            seed=seed,
-            data_per_node=scale.data_per_node,
-            duration=duration,
-            aware_join=join_mode == "aware",
-            cache=cache,
-            with_churn=with_churn,
-        )
-        for n_peers in sizes
-        for join_mode in ("uniform", "aware")
-        for cache in (False, True)
-        for seed in scale.seeds
-    ]
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[dict],
-    sizes: Optional[tuple[int, ...]] = None,
-) -> ExperimentResult:
-    """One row per (N, join mode, cache), identical workloads per N."""
-    if sizes is None:
-        sizes = (scale.sizes[0],)
-    result = ExperimentResult(
-        figure="Locality",
-        title=(
-            f"Latency stretch vs locality features (clustered WAN, "
-            f"{REGIONS} regions, inter delay {INTER_DELAY}, "
-            f"{GATEWAYS} gateways, hot-range queries)"
-        ),
-        columns=[
-            "n_peers",
-            "join",
-            "cache",
-            "queries",
-            "success",
-            "hit_rate",
-            "invalidations",
-            "p50",
-            "stretch_p50",
-            "stretch_p99",
-            "msgs_per_query",
-            "build_msgs_per_join",
-        ],
-        expectation=EXPECTATION,
-    )
-    per_point = len(scale.seeds)
-    index = 0
-    for n_peers in sizes:
-        for join_mode in ("uniform", "aware"):
-            for cache in (False, True):
-                group = outputs[index : index + per_point]
-                index += per_point
-                result.add_row(
-                    n_peers=n_peers,
-                    join=join_mode,
-                    cache=int(cache),
-                    queries=sum(c["queries"] for c in group),
-                    success=mean([c["success"] for c in group]),
-                    hit_rate=mean([c["hit_rate"] for c in group]),
-                    invalidations=sum(c["invalidations"] for c in group),
-                    p50=mean([c["p50"] for c in group]),
-                    stretch_p50=mean([c["stretch_p50"] for c in group]),
-                    stretch_p99=mean([c["stretch_p99"] for c in group]),
-                    msgs_per_query=mean([c["msgs_per_query"] for c in group]),
-                    build_msgs_per_join=mean(
-                        [c["build_msgs_per_join"] for c in group]
-                    ),
-                )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    sizes: Optional[tuple[int, ...]] = None,
-    with_churn: bool = True,
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(cells(scale, sizes, with_churn), jobs=jobs)
-    return assemble(scale, outputs, sizes)
-
-
 def build_locality_net(
     n_peers: int, seed: int, data_per_node: int, aware_join: bool, cache: bool
 ):
@@ -202,14 +98,17 @@ def build_locality_net(
     probing reads only its deterministic ``direct_delay`` during growth,
     so a restored (net, topology) pair drives exactly like a fresh one.
     """
-    parts = {
-        "builder": "locality",
-        "n_peers": n_peers,
-        "seed": seed,
-        "data_per_node": data_per_node,
-        "aware_join": aware_join,
-        "cache": cache,
-        "topology": (
+    return cached_build(
+        "locality",
+        n_peers,
+        seed,
+        data_per_node,
+        lambda: _grow_locality_net(
+            n_peers, seed, data_per_node, aware_join, cache
+        ),
+        aware_join=aware_join,
+        cache=cache,
+        topology=(
             "clustered",
             REGIONS,
             INTRA_DELAY,
@@ -217,12 +116,6 @@ def build_locality_net(
             0.2,  # jitter
             0.1,  # asymmetry
             JOIN_PROBES if aware_join else 0,
-        ),
-    }
-    return snapshot.cached(
-        parts,
-        lambda: _grow_locality_net(
-            n_peers, seed, data_per_node, aware_join, cache
         ),
     )
 
@@ -302,11 +195,44 @@ def locality_cell(
     }
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
+#: One row per (N, join mode, cache), identical workloads per N.
+GRID = Grid(
+    name="locality",
+    figure="Locality",
+    title=(
+        f"Latency stretch vs locality features (clustered WAN, "
+        f"{REGIONS} regions, inter delay {INTER_DELAY}, "
+        f"{GATEWAYS} gateways, hot-range queries)"
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        Axis("n_peers", first_size),
+        Axis(
+            "aware_join",
+            (False, True),
+            column="join",
+            label=lambda aware: "aware" if aware else "uniform",
+        ),
+        Axis("cache", (False, True), label=int),
+        Axis("with_churn", True, column=None),
+    ),
+    cell=locality_cell,
+    scale_kwargs=("data_per_node",),
+    derive=lambda scale, env: {
+        "duration": max(scale.n_queries, MIN_QUERIES) / QUERY_RATE
+    },
+    reduce={
+        "queries": total("queries"),
+        "success": mean_of("success"),
+        "hit_rate": mean_of("hit_rate"),
+        "invalidations": total("invalidations"),
+        "p50": mean_of("p50"),
+        "stretch_p50": mean_of("stretch_p50"),
+        "stretch_p99": mean_of("stretch_p99"),
+        "msgs_per_query": mean_of("msgs_per_query"),
+        "build_msgs_per_join": mean_of("build_msgs_per_join"),
+    },
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

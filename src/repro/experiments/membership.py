@@ -3,51 +3,25 @@
 Figures 8(a) and 8(b) read different halves of the same trials: (a) the
 messages spent *finding* the join position or the replacement node, (b) the
 messages spent *updating routing state* afterwards.  Run the trials once,
-report both.
-
-Each (system, size, seed) point is one pure cell
-(:func:`membership_cell`), so the suite scheduler can fan the grid out
-over a process pool (see ``experiments/parallel.py``).
+report both: the two figure modules are views (same ``name``, so the same
+cells) over :data:`CELLS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Dict, List
 
-from repro.experiments.harness import (
-    ExperimentScale,
-    build_baton,
-    build_chord,
-    build_multiway,
-    mean,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, all_sizes
+from repro.experiments.harness import build_loaded, mean
 
-
-@dataclass
-class MembershipCosts:
-    """Average message counts for one (system, size, seed) cell."""
-
-    system: str
-    n_peers: int
-    seed: int
-    join_find: float
-    join_update: float
-    leave_find: float
-    leave_update: float
+SYSTEMS = ("baton", "chord", "multiway")
 
 
 def membership_cell(
     system: str, n_peers: int, seed: int, n_trials: int
-) -> MembershipCosts:
+) -> Dict[str, float]:
     """One (system, size, seed) grid point: n_trials joins, then leaves."""
-    builders: dict[str, Callable] = {
-        "baton": build_baton,
-        "chord": build_chord,
-        "multiway": build_multiway,
-    }
-    net = builders[system](n_peers, seed, data_per_node=0)
+    net = build_loaded(system, n_peers, seed, data_per_node=0)
     join_find: List[int] = []
     join_update: List[int] = []
     leave_find: List[int] = []
@@ -64,57 +38,20 @@ def membership_cell(
         result = net.leave(victim)
         leave_find.append(result.find_trace.total)
         leave_update.append(result.update_trace.total)
-    return MembershipCosts(
-        system=system,
-        n_peers=n_peers,
-        seed=seed,
-        join_find=mean(join_find),
-        join_update=mean(join_update),
-        leave_find=mean(leave_find),
-        leave_update=mean(leave_update),
-    )
+    return {
+        "join_find": mean(join_find),
+        "join_update": mean(join_update),
+        "leave_find": mean(leave_find),
+        "leave_update": mean(leave_update),
+    }
 
 
-def cells(
-    scale: ExperimentScale,
-    systems: tuple[str, ...] = ("baton", "chord", "multiway"),
-) -> List[Cell]:
-    """The membership grid as schedulable cells."""
-    return [
-        cell(
-            membership_cell,
-            group="membership",
-            system=system,
-            n_peers=n_peers,
-            seed=seed,
-            n_trials=scale.n_trials,
-        )
-        for system in systems
-        for n_peers in scale.sizes
-        for seed in scale.seeds
-    ]
-
-
-def measure_membership(
-    scale: ExperimentScale,
-    systems: tuple[str, ...] = ("baton", "chord", "multiway"),
-    jobs: int = 1,
-) -> List[MembershipCosts]:
-    """Run join/leave trials for every (system, size, seed) cell."""
-    return run_cells(cells(scale, systems), jobs=jobs)
-
-
-def aggregate(
-    cells: List[MembershipCosts], system: str, n_peers: int
-) -> MembershipCosts:
-    """Average the per-seed cells of one (system, size) point."""
-    group = [c for c in cells if c.system == system and c.n_peers == n_peers]
-    return MembershipCosts(
-        system=system,
-        n_peers=n_peers,
-        seed=-1,
-        join_find=mean([c.join_find for c in group]),
-        join_update=mean([c.join_update for c in group]),
-        leave_find=mean([c.leave_find for c in group]),
-        leave_update=mean([c.leave_update for c in group]),
-    )
+CELLS = Grid(
+    name="membership",
+    cell=membership_cell,
+    axes=(
+        Axis("system", SYSTEMS),
+        Axis("n_peers", all_sizes, column="N"),
+    ),
+    scale_kwargs=("n_trials",),
+)

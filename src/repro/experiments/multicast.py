@@ -28,18 +28,19 @@ sideways tables to delegate through; neither advertises ``multicast`` /
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro import overlays
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_baton,
-    default_scale,
-    loaded_keys,
-    mean,
+from repro.experiments.grid import (
+    Axis,
+    Grid,
+    const,
+    first_size,
+    mean_of,
+    only,
+    peak,
 )
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.harness import ExperimentScale, build_baton, loaded_keys
 from repro.pubsub import flood_steps, multicast_steps, range_owners, unicast_steps
 from repro.sim.faults import FaultPlan
 from repro.sim.topology import ClusteredTopology
@@ -73,115 +74,6 @@ def showdown_sizes(scale: ExperimentScale) -> tuple[int, ...]:
     if scale.sizes[-1] <= 200:
         return (scale.sizes[-1],)
     return (1000, 10_000)
-
-
-def cells(scale: ExperimentScale) -> List[Cell]:
-    """The showdown grid plus the lossy-channel cell, in row order."""
-    sizes = showdown_sizes(scale)
-    plan = [
-        cell(
-            _showdown_cell,
-            group="multicast",
-            n_peers=n_peers,
-            span_fraction=span_fraction,
-            seed=seed,
-        )
-        for n_peers in sizes
-        for span_fraction in SPANS
-        for seed in scale.seeds
-    ]
-    plan.append(
-        cell(
-            _lossy_cell,
-            group="multicast",
-            n_peers=scale.sizes[0],
-            seed=scale.seeds[0],
-            data_per_node=scale.data_per_node,
-            n_queries=scale.n_queries,
-        )
-    )
-    return plan
-
-
-def assemble(
-    scale: ExperimentScale, outputs: List[dict]
-) -> ExperimentResult:
-    """The showdown grid plus the lossy-channel cell."""
-    sizes = showdown_sizes(scale)
-    result = ExperimentResult(
-        figure="Multicast",
-        title=(
-            "Range dissemination: tree multicast vs per-owner unicast vs "
-            f"flood (WAN pricing: clustered topology, {REGIONS} regions)"
-        ),
-        columns=[
-            "cell",
-            "overlay",
-            "n_peers",
-            "span_pct",
-            "owners",
-            "tree_msgs",
-            "uni_msgs",
-            "flood_msgs",
-            "optimality",
-            "depth",
-            "wan_tree",
-            "wan_uni",
-            "wan_flood",
-            "notifs",
-            "dup_suppressed",
-            "wire_dups",
-            "amplification",
-        ],
-        expectation=EXPECTATION,
-    )
-    for name in overlays.available():
-        capabilities = overlays.get(name).capabilities
-        if "multicast" not in capabilities or "subscribe" not in capabilities:
-            result.notes.append(
-                f"{name} skipped (does not advertise multicast+subscribe; "
-                "hash partitioning / missing sideways tables cannot route "
-                "a range fan-out)"
-            )
-    per_point = len(scale.seeds)
-    index = 0
-    for n_peers in sizes:
-        for span_fraction in SPANS:
-            group = outputs[index : index + per_point]
-            index += per_point
-            result.add_row(
-                cell="showdown",
-                overlay="baton",
-                n_peers=n_peers,
-                span_pct=f"{span_fraction:.0%}",
-                owners=mean([c["owners"] for c in group]),
-                tree_msgs=mean([c["tree_msgs"] for c in group]),
-                uni_msgs=mean([c["uni_msgs"] for c in group]),
-                flood_msgs=mean([c["flood_msgs"] for c in group]),
-                optimality=mean([c["optimality"] for c in group]),
-                depth=max(c["depth"] for c in group),
-                wan_tree=mean([c["wan_tree"] for c in group]),
-                wan_uni=mean([c["wan_uni"] for c in group]),
-                wan_flood=mean([c["wan_flood"] for c in group]),
-                notifs="",
-                dup_suppressed="",
-                wire_dups="",
-                amplification="",
-            )
-    result.add_row(**outputs[index])
-    result.notes.append(
-        "lossy cell: FaultPlan drops/duplicates 5% of hops; every "
-        "duplicate arrival was suppressed by the dissemination ids — "
-        "zero notifications or multicasts applied twice"
-    )
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None, jobs: int = 1
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    return assemble(scale, run_cells(cells(scale), jobs=jobs))
 
 
 def _showdown_cell(n_peers: int, span_fraction: float, seed: int) -> dict:
@@ -278,19 +170,8 @@ def _lossy_cell(
             f"{report.unresolved_ops} op(s) left hanging in the lossy cell"
         )
     return {
-        "cell": "lossy",
-        "overlay": "baton",
-        "n_peers": n_peers,
         "span_pct": f"{ConcurrentConfig().pubsub_span / anet.domain.width:.0%}",
-        "owners": "",
-        "tree_msgs": "",
-        "uni_msgs": "",
-        "flood_msgs": "",
-        "optimality": "",
         "depth": report.multicast_depth_max,
-        "wan_tree": "",
-        "wan_uni": "",
-        "wan_flood": "",
         "notifs": report.notifications,
         "dup_suppressed": report.pubsub_duplicates_suppressed,
         "wire_dups": report.duplicates,
@@ -298,11 +179,103 @@ def _lossy_cell(
     }
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
+COLUMNS = (
+    "cell",
+    "overlay",
+    "n_peers",
+    "span_pct",
+    "owners",
+    "tree_msgs",
+    "uni_msgs",
+    "flood_msgs",
+    "optimality",
+    "depth",
+    "wan_tree",
+    "wan_uni",
+    "wan_flood",
+    "notifs",
+    "dup_suppressed",
+    "wire_dups",
+    "amplification",
+)
+#: What the lossy cell measures; its row leaves the showdown's message
+#: and WAN-cost columns blank, and the showdown rows these (bar ``depth``).
+LOSSY_COLUMNS = ("notifs", "dup_suppressed", "wire_dups", "amplification")
+SHOWDOWN_COLUMNS = (
+    "owners",
+    "tree_msgs",
+    "uni_msgs",
+    "flood_msgs",
+    "optimality",
+    "wan_tree",
+    "wan_uni",
+    "wan_flood",
+)
 
+
+def _capability_notes(scale: ExperimentScale, env) -> List[str]:
+    return [
+        f"{name} skipped (does not advertise multicast+subscribe; "
+        "hash partitioning / missing sideways tables cannot route "
+        "a range fan-out)"
+        for name in overlays.available()
+        if not {"multicast", "subscribe"} <= overlays.get(name).capabilities
+    ]
+
+
+#: The lossy-channel cell: one run (first seed), one row, after the grid.
+_LOSSY = Grid(
+    name="multicast",
+    cell=_lossy_cell,
+    axes=(Axis("n_peers", first_size),),
+    scale_kwargs=("data_per_node", "n_queries"),
+    seeds=lambda scale: scale.seeds[:1],
+    reduce={
+        "cell": const("lossy"),
+        "overlay": const("baton"),
+        **dict.fromkeys(SHOWDOWN_COLUMNS, const("")),
+        **{
+            column: only(column)
+            for column in ("span_pct", "depth", *LOSSY_COLUMNS)
+        },
+    },
+    notes=(
+        "lossy cell: FaultPlan drops/duplicates 5% of hops; every "
+        "duplicate arrival was suppressed by the dissemination ids — "
+        "zero notifications or multicasts applied twice",
+    ),
+)
+
+#: The showdown grid plus the lossy-channel cell, in row order.
+GRID = Grid(
+    name="multicast",
+    figure="Multicast",
+    title=(
+        "Range dissemination: tree multicast vs per-owner unicast vs "
+        f"flood (WAN pricing: clustered topology, {REGIONS} regions)"
+    ),
+    columns=COLUMNS,
+    expectation=EXPECTATION,
+    axes=(
+        Axis("n_peers", showdown_sizes),
+        Axis(
+            "span_fraction",
+            SPANS,
+            column="span_pct",
+            label=lambda fraction: f"{fraction:.0%}",
+        ),
+    ),
+    cell=_showdown_cell,
+    reduce={
+        "cell": const("showdown"),
+        "overlay": const("baton"),
+        **{column: mean_of(column) for column in SHOWDOWN_COLUMNS},
+        "depth": peak("depth"),
+        **dict.fromkeys(LOSSY_COLUMNS, const("")),
+    },
+    notes=_capability_notes,
+    tail=_LOSSY,
+)
 
 if __name__ == "__main__":
-    main()
+    GRID.main()

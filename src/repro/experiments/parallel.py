@@ -28,13 +28,14 @@ cell's cached build behaves identically in-process and pooled.
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.experiments import snapshot
+from repro.experiments import harness, snapshot
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,42 @@ def default_jobs() -> int:
         return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
         return 1
+
+
+def add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """``--quick``, ``--jobs`` and the snapshot-cache toggle: the flags
+    every experiment entry point (``runall`` and the CLI subcommands)
+    shares.  Output is identical at every ``--jobs`` value."""
+    parser.add_argument("--quick", action="store_true", help="smoke-test scale")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for the cell fan-out "
+        "(default: REPRO_JOBS or 1; output is identical at any value)",
+    )
+    cache = parser.add_mutually_exclusive_group()
+    cache.add_argument(
+        "--snapshot-cache",
+        dest="snapshot_cache",
+        action="store_true",
+        default=True,
+        help="reuse built-network snapshots keyed by build config "
+        "(default; protocol-grown builds only)",
+    )
+    cache.add_argument(
+        "--no-snapshot-cache",
+        dest="snapshot_cache",
+        action="store_false",
+        help="always build networks from scratch",
+    )
+
+
+def apply_experiment_flags(args: argparse.Namespace):
+    """Act on :func:`add_experiment_flags`: returns ``(scale, jobs)``."""
+    snapshot.configure(enabled=args.snapshot_cache)
+    scale = harness.quick_scale() if args.quick else harness.default_scale()
+    return scale, args.jobs if args.jobs is not None else default_jobs()
 
 
 def available_cpus() -> int:

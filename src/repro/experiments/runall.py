@@ -7,15 +7,14 @@ Usage::
     python -m repro.experiments.runall --quick    # smoke scale
     python -m repro.experiments.runall --jobs 4   # process-pool fan-out
 
-Every driver exposes its grid as pure ``(fn, params)`` cells
-(:mod:`repro.experiments.parallel`); ``run_all`` concatenates all of them
-into one flat plan, hands it to the scheduler once — so a single pool
-serves the whole suite and late, expensive cells backfill idle workers —
-and then reassembles each figure from its group's outputs.  Output is
-byte-identical at every ``--jobs`` value: results are collected by
-submission index, never by completion order, and the wall-clock profile's
-cells are marked serial so they run alone in the parent after the pool
-drains.
+Every driver is a :class:`~repro.experiments.grid.Grid` spec; ``run_all``
+concatenates the cells of every grid in :data:`REGISTRY` into one flat
+plan, hands it to the scheduler once — so a single pool serves the whole
+suite and late, expensive cells backfill idle workers — and then
+assembles each table from its group's outputs.  Output is byte-identical
+at every ``--jobs`` value: results are collected by submission index,
+never by completion order, and the wall-clock profile's cells are marked
+serial so they run alone in the parent after the pool drains.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List
+from typing import List, Optional, Tuple
 
-from repro.experiments import harness
 from repro.experiments import (
-    balancing,
     chaos,
     concurrent_dynamics,
     durability,
@@ -40,112 +37,74 @@ from repro.experiments import (
     fig8g_load_balancing,
     fig8h_shift_sizes,
     fig8i_dynamics,
+    harness,
     hetero_links,
     locality,
-    membership,
     multicast,
     scale_profile,
-    snapshot,
 )
-from repro.experiments.harness import ExperimentResult
-from repro.experiments.parallel import Cell, default_jobs, run_grouped
+from repro.experiments.grid import Grid
+from repro.experiments.harness import ExperimentResult, ExperimentScale
+from repro.experiments.parallel import (
+    Cell,
+    add_experiment_flags,
+    apply_experiment_flags,
+    run_grouped,
+)
+
+#: The suite, in report order.  Grids that share a ``name`` (8a/8b over
+#: the membership trials, 8g/8h over the balancing streams) share cells.
+REGISTRY: Tuple[Grid, ...] = (
+    fig8a_join_leave_find.GRID,
+    fig8b_table_updates.GRID,
+    fig8c_insert_delete.GRID,
+    fig8d_exact_query.GRID,
+    fig8e_range_query.GRID,
+    fig8f_access_load.GRID,
+    fig8g_load_balancing.GRID,
+    fig8h_shift_sizes.GRID,
+    fig8i_dynamics.GRID,
+    concurrent_dynamics.GRID,
+    concurrent_dynamics.COMPARISON,
+    hetero_links.GRID,
+    # What the hot-range cache and topology-aware joins win back on the
+    # same clustered WAN.
+    locality.GRID,
+    durability.GRID,
+    # Correlated disaster (region outage, partition, flash crowd, lossy
+    # links) across every capable overlay.
+    chaos.GRID,
+    # Range multicast vs unicast vs flood, WAN-priced, plus the lossy
+    # pub/sub cell (exactly-once application).
+    multicast.GRID,
+    # Wall-clock profile of the runtime itself (serial cells: they close
+    # the suite in the parent process); the full grid reaches the paper's
+    # N=10k under REPRO_FULL_SCALE=1 (sizes come from the scale).
+    scale_profile.GRID,
+)
 
 
 def run_all(
-    scale=None, quick: bool = False, jobs: int = 1
+    scale: Optional[ExperimentScale] = None, quick: bool = False, jobs: int = 1
 ) -> List[ExperimentResult]:
-    """Execute every driver, sharing trial data where figures overlap."""
+    """Execute every registered grid through one shared pool.
+
+    ``quick`` also narrows each grid to its axes' quick values; an
+    explicit ``scale`` alone keeps the full axes.
+    """
     if scale is None:
         scale = harness.quick_scale() if quick else harness.default_scale()
-    levels = (2, 4) if quick else fig8i_dynamics.CONCURRENCY_LEVELS
-    churn_rates = (0.0, 2.0) if quick else concurrent_dynamics.CHURN_RATES
-    comparison_rates = (
-        (0.0,) if quick else concurrent_dynamics.COMPARISON_CHURN_RATES
-    )
-    inter_delays = (1.0, 10.0) if quick else hetero_links.INTER_DELAYS
-    durability_churn = (1.0,) if quick else durability.CHURN_RATES
-    durability_intervals = (
-        (0.0, 6.0) if quick else durability.MAINTENANCE_INTERVALS
-    )
-    # Quick mode keeps one cheap channel scenario and one correlated one.
-    chaos_scenarios = (
-        ("lossy_links", "partition_heal") if quick else chaos.SCENARIO_NAMES
-    )
-
-    # One flat plan: each driver contributes its grid under its own group
-    # tag, the scheduler runs everything through one shared pool, and the
-    # serial profile cells close the suite in the parent process.
     plan: List[Cell] = []
-    plan += membership.cells(scale)
-    plan += balancing.cells(scale)
-    plan += fig8c_insert_delete.cells(scale)
-    plan += fig8d_exact_query.cells(scale)
-    plan += fig8e_range_query.cells(scale)
-    plan += fig8f_access_load.cells(scale)
-    plan += fig8i_dynamics.cells(scale, levels)
-    plan += concurrent_dynamics.cells(scale, churn_rates)
-    plan += concurrent_dynamics.comparison_cells(scale, comparison_rates)
-    plan += hetero_links.cells(scale, inter_delays)
-    # The locality grid: what the hot-range cache and topology-aware
-    # joins win back on the same clustered WAN.
-    plan += locality.cells(scale)
-    plan += durability.cells(
-        scale,
-        churn_rates=durability_churn,
-        maintenance_intervals=durability_intervals,
-    )
-    # The chaos suite: correlated disaster (region outage, partition,
-    # flash crowd, lossy links) across every capable overlay.
-    plan += chaos.cells(scale, chaos_scenarios)
-    # The dissemination showdown: range multicast vs unicast vs flood,
-    # WAN-priced, plus the lossy pub/sub cell (exactly-once application).
-    plan += multicast.cells(scale)
-    # Wall-clock profile of the runtime itself; the full grid reaches the
-    # paper's N=10k under REPRO_FULL_SCALE=1 (sizes come from the scale).
-    plan += scale_profile.cells(scale)
-
+    planned = set()
+    for grid in REGISTRY:
+        if grid.name not in planned:
+            planned.add(grid.name)
+            plan += grid.cells(scale, **(grid.quick if quick else {}))
     outputs = run_grouped(plan, jobs=jobs)
-
-    results: List[ExperimentResult] = []
-    membership_costs = outputs["membership"]
-    results.append(fig8a_join_leave_find.run(scale, cells=membership_costs))
-    results.append(fig8b_table_updates.run(scale, cells=membership_costs))
-    results.append(fig8c_insert_delete.assemble(scale, outputs["fig8c"]))
-    results.append(fig8d_exact_query.assemble(scale, outputs["fig8d"]))
-    results.append(fig8e_range_query.assemble(scale, outputs["fig8e"]))
-    results.append(fig8f_access_load.assemble(scale, outputs["fig8f"]))
-    balancing_runs = outputs["balancing"]
-    results.append(fig8g_load_balancing.run(scale, runs=balancing_runs))
-    results.append(
-        fig8h_shift_sizes.run(
-            scale, runs=[r for r in balancing_runs if r.distribution == "zipf"]
-        )
-    )
-    results.append(fig8i_dynamics.assemble(scale, outputs["fig8i"], levels))
-    results.append(
-        concurrent_dynamics.assemble(scale, outputs["concurrent"], churn_rates)
-    )
-    results.append(
-        concurrent_dynamics.assemble_comparison(
-            scale, outputs["comparison"], comparison_rates
-        )
-    )
-    results.append(
-        hetero_links.assemble(scale, outputs["hetero"], inter_delays)
-    )
-    results.append(locality.assemble(scale, outputs["locality"]))
-    results.append(
-        durability.assemble(
-            scale,
-            outputs["durability"],
-            churn_rates=durability_churn,
-            maintenance_intervals=durability_intervals,
-        )
-    )
-    results.append(chaos.assemble(scale, outputs["chaos"], chaos_scenarios))
-    results.append(multicast.assemble(scale, outputs["multicast"]))
-    results.append(scale_profile.assemble(scale, outputs["profile"]))
-    return results
+    return [
+        grid.assemble(scale, outputs[grid.name], **(grid.quick if quick else {}))
+        for grid in REGISTRY
+    ]
 
 
 def canonical_report(results: List[ExperimentResult]) -> str:
@@ -157,43 +116,23 @@ def canonical_report(results: List[ExperimentResult]) -> str:
     return "\n".join(result.canonical_text() for result in results)
 
 
-def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="smoke-test scale")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The suite's flags — shared with ``python -m repro experiments``."""
+    add_experiment_flags(parser)
     parser.add_argument("--out", default=None, help="also write results to a file")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the cell fan-out "
-        "(default: REPRO_JOBS or 1; output is identical at any value)",
-    )
     parser.add_argument(
         "--canonical-out",
         default=None,
         help="write the canonical (volatile-masked) report to this path "
         "for byte-for-byte comparison across --jobs values",
     )
-    cache_group = parser.add_mutually_exclusive_group()
-    cache_group.add_argument(
-        "--snapshot-cache",
-        dest="snapshot_cache",
-        action="store_true",
-        default=True,
-        help="reuse built-network snapshots keyed by build config (default)",
-    )
-    cache_group.add_argument(
-        "--no-snapshot-cache",
-        dest="snapshot_cache",
-        action="store_false",
-        help="always build networks from scratch",
-    )
-    args = parser.parse_args(argv)
 
-    snapshot.configure(enabled=args.snapshot_cache)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+
+def run(args: argparse.Namespace) -> int:
+    """Run the suite as ``args`` (from :func:`add_arguments`) describes."""
+    scale, jobs = apply_experiment_flags(args)
     started = time.time()
-    results = run_all(quick=args.quick, jobs=jobs)
+    results = run_all(scale, quick=args.quick, jobs=jobs)
     body = "\n\n".join(result.to_text() for result in results)
     elapsed = time.time() - started
     footer = f"\n\nall experiments completed in {elapsed:.1f}s"
@@ -205,6 +144,12 @@ def main(argv: List[str] | None = None) -> int:
         with open(args.canonical_out, "w") as handle:
             handle.write(canonical_report(results))
     return 0
+
+
+def main(argv: List[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

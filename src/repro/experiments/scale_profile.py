@@ -20,7 +20,7 @@ plus the engine's own counters: events executed, events per wall-second,
 and the heap's high-water mark (which the cancellation tombstones keep
 near the live pending count).
 
-``run()`` sweeps the experiment scale's populations (the full
+``GRID`` sweeps the experiment scale's populations (the full
 1000/2500/5000/10000 grid under ``REPRO_FULL_SCALE=1``);
 :func:`collect_benchmark` produces the machine-readable ``BENCH_scale.json``
 payload behind ``python -m repro profile`` and ``benchmarks/bench_scale.py``
@@ -39,14 +39,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import overlays
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentScale,
-    build_loaded,
-    default_scale,
-    loaded_keys,
-)
-from repro.experiments.parallel import Cell, cell, run_cells
+from repro.experiments.grid import Axis, Grid, all_sizes, only
+from repro.experiments.harness import build_loaded, default_scale, loaded_keys
 from repro.sim.faults import FaultPlan
 from repro.sim.latency import ExponentialLatency
 from repro.util.rng import SeededRng, derive_seed
@@ -215,53 +209,32 @@ def profile_run(
 #: not simulated behaviour.  They vary run to run and between execution
 #: modes, so :meth:`ExperimentResult.canonical_text` masks them — the
 #: parallel-equals-sequential identity is over behaviour, not timing.
-VOLATILE_COLUMNS = ["build_s", "drive_s", "events_per_s", "peak_rss_mb"]
+VOLATILE_COLUMNS = ("build_s", "drive_s", "events_per_s", "peak_rss_mb")
 
 
-def cells(
-    scale: ExperimentScale,
-    sizes: Optional[tuple[int, ...]] = None,
-    overlay: str = "baton",
-) -> List[Cell]:
-    """One serial cell per N: wall-clock rows must run alone in the parent.
-
-    ``serial=True`` keeps these out of the process pool — a timing sample
-    taken while sibling cells saturate the machine's cores measures
-    scheduler contention, not the runtime.  The scheduler runs them after
-    the pooled cells drain.
-    """
-    if sizes is None:
-        sizes = tuple(scale.sizes)
-    return [
-        cell(
-            profile_run,
-            group="profile",
-            serial=True,
-            n_peers=n_peers,
-            seed=0,
-            overlay=overlay,
-        )
-        for n_peers in sizes
-    ]
-
-
-def assemble(
-    scale: ExperimentScale,
-    outputs: List[Dict[str, object]],
-    sizes: Optional[tuple[int, ...]] = None,
-    overlay: str = "baton",
-) -> ExperimentResult:
-    """Sweep populations; one row per N (seed 0 — wall-clock, not stats)."""
-    if sizes is None:
-        sizes = tuple(scale.sizes)
-    result = ExperimentResult(
-        figure="Scale profile",
-        title=(
-            f"Runtime wall-clock vs population ({overlay}, "
-            f"window {DURATION} units, query rate {QUERY_RATE}/unit)"
-        ),
-        columns=[
-            "n_peers",
+#: One serial cell per N (seed 0 — wall-clock, not statistics).
+#: ``serial=True`` keeps these out of the process pool — a timing sample
+#: taken while sibling cells saturate the machine's cores measures
+#: scheduler contention, not the runtime.  The scheduler runs them in the
+#: parent after the pooled cells drain.
+GRID = Grid(
+    name="profile",
+    figure="Scale profile",
+    title=lambda scale, env: (
+        f"Runtime wall-clock vs population ({env['overlay'][0]}, "
+        f"window {DURATION} units, query rate {QUERY_RATE}/unit)"
+    ),
+    expectation=EXPECTATION,
+    axes=(
+        Axis("n_peers", all_sizes),
+        Axis("overlay", "baton", column=None),
+    ),
+    cell=profile_run,
+    seeds=lambda scale: (0,),
+    serial=True,
+    reduce={
+        column: only(column)
+        for column in (
             "build_s",
             "drive_s",
             "events",
@@ -272,24 +245,10 @@ def assemble(
             "p50",
             "stretch_p50",
             "peak_rss_mb",
-        ],
-        expectation=EXPECTATION,
-        volatile=list(VOLATILE_COLUMNS),
-    )
-    for row in outputs:
-        result.add_row(**{col: row[col] for col in result.columns})
-    return result
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-    sizes: Optional[tuple[int, ...]] = None,
-    overlay: str = "baton",
-    jobs: int = 1,
-) -> ExperimentResult:
-    scale = scale or default_scale()
-    outputs = run_cells(cells(scale, sizes, overlay), jobs=jobs)
-    return assemble(scale, outputs, sizes, overlay)
+        )
+    },
+    volatile=VOLATILE_COLUMNS,
+)
 
 
 #: Format marker for BENCH_scale.json; bump on incompatible layout changes.
@@ -525,11 +484,5 @@ def write_benchmark(
     return payload
 
 
-def main() -> ExperimentResult:
-    result = run()
-    print(result.to_text())
-    return result
-
-
 if __name__ == "__main__":
-    main()
+    GRID.main()

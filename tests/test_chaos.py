@@ -412,8 +412,8 @@ class TestScenarios:
 
 class TestChaosExperiment:
     def test_quick_cell_reports_the_four_metrics(self):
-        result = chaos_experiment.run(
-            quick_scale(), scenarios=("lossy_links",), overlay_names=("baton",)
+        result = chaos_experiment.GRID.run(
+            quick_scale(), scenario_name="lossy_links", overlay="baton"
         )
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -424,10 +424,8 @@ class TestChaosExperiment:
         assert row["unresolved"] == 0
 
     def test_capability_filter_skips_with_a_note(self):
-        result = chaos_experiment.run(
-            quick_scale(),
-            scenarios=("region_outage",),
-            overlay_names=("chord",),
+        result = chaos_experiment.GRID.run(
+            quick_scale(), scenario_name="region_outage", overlay="chord"
         )
         assert result.rows == []
         assert any("skipped on chord" in note for note in result.notes)

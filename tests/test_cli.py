@@ -40,8 +40,13 @@ class TestCommands:
 
     def test_experiments_quick(self, capsys, tmp_path):
         out_file = tmp_path / "results.txt"
-        assert main(["experiments", "--quick", "--out", str(out_file)]) == 0
+        canonical = tmp_path / "canonical.txt"
+        argv = ["experiments", "--quick", "--out", str(out_file)]
+        # runall's own flags are the subcommand's: one shared declaration.
+        argv += ["--canonical-out", str(canonical)]
+        assert main(argv) == 0
         assert "Fig 8a" in out_file.read_text()
+        assert canonical.read_text().startswith("### Fig 8a")
 
     def test_concurrent_clustered_topology_runs(self, capsys):
         assert (

@@ -20,8 +20,8 @@ from repro.experiments import (
     fig8i_dynamics,
     hetero_links,
 )
-from repro.experiments.balancing import run_balancing, shift_histogram
-from repro.experiments.membership import aggregate, measure_membership
+from repro.experiments.balancing import shift_histogram
+from repro.experiments.parallel import run_cells
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +31,19 @@ def scale():
 
 @pytest.fixture(scope="module")
 def membership_cells(scale):
-    return measure_membership(scale)
+    """One set of join/leave trials; Figures 8a and 8b are views over it."""
+    return run_cells(fig8a_join_leave_find.GRID.cells(scale))
 
 
 @pytest.fixture(scope="module")
 def balancing_runs(scale):
-    return run_balancing(scale)
+    """One set of insert streams; Figures 8g and 8h are views over it."""
+    return run_cells(fig8g_load_balancing.GRID.cells(scale))
 
 
 class TestFig8a:
     def test_rows_and_shape(self, scale, membership_cells):
-        result = fig8a_join_leave_find.run(scale, cells=membership_cells)
+        result = fig8a_join_leave_find.GRID.assemble(scale, membership_cells)
         assert len(result.rows) == 3 * len(scale.sizes)
         baton = result.column("join_find", where={"system": "baton"})
         chord = result.column("join_find", where={"system": "chord"})
@@ -49,7 +51,7 @@ class TestFig8a:
         assert max(baton) < max(chord)
 
     def test_multiway_leave_exceeds_join(self, scale, membership_cells):
-        result = fig8a_join_leave_find.run(scale, cells=membership_cells)
+        result = fig8a_join_leave_find.GRID.assemble(scale, membership_cells)
         join = result.column("join_find", where={"system": "multiway"})
         leave = result.column("leave_find", where={"system": "multiway"})
         assert sum(leave) > sum(join)
@@ -57,7 +59,7 @@ class TestFig8a:
 
 class TestFig8b:
     def test_baton_updates_below_chord(self, scale, membership_cells):
-        result = fig8b_table_updates.run(scale, cells=membership_cells)
+        result = fig8b_table_updates.GRID.assemble(scale, membership_cells)
         baton = result.column("join_update", where={"system": "baton"})
         chord = result.column("join_update", where={"system": "chord"})
         assert all(b < c for b, c in zip(baton, chord))
@@ -65,7 +67,7 @@ class TestFig8b:
 
 class TestFig8c:
     def test_insert_delete_costs(self, scale):
-        result = fig8c_insert_delete.run(scale)
+        result = fig8c_insert_delete.GRID.run(scale)
         baton = result.column("insert", where={"system": "baton"})
         multiway = result.column("insert", where={"system": "multiway"})
         assert all(b < m for b, m in zip(baton, multiway))
@@ -73,7 +75,7 @@ class TestFig8c:
 
 class TestFig8d:
     def test_exact_query_shape(self, scale):
-        result = fig8d_exact_query.run(scale)
+        result = fig8d_exact_query.GRID.run(scale)
         assert all(rate == 1.0 for rate in result.column("hit_rate"))
         baton = result.column("messages", where={"system": "baton"})
         multiway = result.column("messages", where={"system": "multiway"})
@@ -82,7 +84,7 @@ class TestFig8d:
 
 class TestFig8e:
     def test_range_query_shape(self, scale):
-        result = fig8e_range_query.run(scale)
+        result = fig8e_range_query.GRID.run(scale)
         baton = result.column("messages", where={"system": "baton"})
         chord = result.column("messages", where={"system": "chord_ring_walk"})
         # the O(N) cliff: the ring walk visits every node
@@ -92,7 +94,7 @@ class TestFig8e:
 
 class TestFig8f:
     def test_no_root_hotspot(self, scale):
-        result = fig8f_access_load.run(scale)
+        result = fig8f_access_load.GRID.run(scale)
         loads = {row["level"]: row["insert_per_node"] for row in result.rows}
         root_load = loads[0]
         deep_levels = [v for level, v in loads.items() if level >= 2]
@@ -103,12 +105,12 @@ class TestFig8f:
 
 class TestFig8g:
     def test_skew_dominates_uniform(self, scale, balancing_runs):
-        result = fig8g_load_balancing.run(scale, runs=balancing_runs)
+        result = fig8g_load_balancing.GRID.assemble(scale, balancing_runs)
         rows = {row["distribution"]: row for row in result.rows}
         assert rows["zipf"]["balance_msgs"] >= rows["uniform"]["balance_msgs"]
 
     def test_timeline_monotonic(self, scale, balancing_runs):
-        result = fig8g_load_balancing.run(scale, runs=balancing_runs)
+        result = fig8g_load_balancing.GRID.assemble(scale, balancing_runs)
         timeline = [
             row["balance_msgs"]
             for row in result.rows
@@ -120,18 +122,18 @@ class TestFig8g:
 class TestFig8h:
     def test_histogram_sums_and_leans_small(self, scale, balancing_runs):
         zipf_runs = [r for r in balancing_runs if r.distribution == "zipf"]
-        result = fig8h_shift_sizes.run(scale, runs=zipf_runs)
+        result = fig8h_shift_sizes.GRID.assemble(scale, balancing_runs)
         total = sum(row["count"] for row in result.rows)
         assert total == sum(shift_histogram(zipf_runs).values())
 
     def test_runs_standalone(self, scale):
-        result = fig8h_shift_sizes.run(scale)
+        result = fig8h_shift_sizes.GRID.run(scale)
         assert result.rows
 
 
 class TestFig8i:
     def test_extra_messages_grow_with_churn(self, scale):
-        result = fig8i_dynamics.run(scale, levels=(2, 6))
+        result = fig8i_dynamics.GRID.run(scale, k=(2, 6))
         extras = result.column("extra")
         assert extras[0] >= 0
         assert extras[-1] > 0
@@ -140,7 +142,7 @@ class TestFig8i:
 
 class TestConcurrentDynamics:
     def test_success_and_latency_reported_per_churn_rate(self, scale):
-        result = concurrent_dynamics.run(scale, churn_rates=(0.0, 2.0))
+        result = concurrent_dynamics.GRID.run(scale, churn_rate=(0.0, 2.0))
         assert [row["churn_rate"] for row in result.rows] == [0.0, 2.0]
         success = result.column("success")
         assert success[0] == 1.0  # quiet network answers everything
@@ -154,7 +156,7 @@ class TestConcurrentDynamics:
 
 class TestHeteroLinks:
     def test_latency_grows_with_inter_region_cost(self, scale):
-        result = hetero_links.run(scale, inter_delays=(1.0, 10.0))
+        result = hetero_links.GRID.run(scale, inter_delay=(1.0, 10.0))
         assert len(result.rows) == 2 * 3  # (overlay, inter_delay) grid
         for name in ("baton", "chord", "multiway"):
             p50 = result.column("p50", where={"overlay": name})
@@ -170,15 +172,10 @@ class TestHeteroLinks:
 
 class TestHarness:
     def test_result_table_renders(self, scale, membership_cells):
-        result = fig8a_join_leave_find.run(scale, cells=membership_cells)
+        result = fig8a_join_leave_find.GRID.assemble(scale, membership_cells)
         text = result.to_text()
         assert "Fig 8a" in text
         assert "baton" in text
-
-    def test_aggregate_averages_seeds(self, membership_cells, scale):
-        cell = aggregate(membership_cells, "baton", scale.sizes[0])
-        assert cell.seed == -1
-        assert cell.join_find >= 0
 
     def test_scales(self):
         quick = harness.quick_scale()
@@ -191,8 +188,8 @@ class TestDurability:
     def test_replication_cuts_key_loss(self, scale):
         from repro.experiments import durability
 
-        result = durability.run(
-            scale, churn_rates=(2.0,), maintenance_intervals=(0.0, 6.0)
+        result = durability.GRID.run(
+            scale, churn_rate=(2.0,), maintenance_interval=(0.0, 6.0)
         )
         independent = [
             row for row in result.rows if row["mode"] == "independent"

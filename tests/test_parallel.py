@@ -120,17 +120,39 @@ def test_canonical_text_masks_volatile_columns():
 
 def test_grid_experiment_parallel_equals_sequential():
     """One real driver, pooled vs inline: identical canonical output."""
-    sequential = hetero_links.run(SMALL, inter_delays=(1.0, 10.0), jobs=1)
-    pooled = hetero_links.run(SMALL, inter_delays=(1.0, 10.0), jobs=3)
+    sequential = hetero_links.GRID.run(SMALL, inter_delay=(1.0, 10.0), jobs=1)
+    pooled = hetero_links.GRID.run(SMALL, inter_delay=(1.0, 10.0), jobs=3)
     assert pooled.canonical_text() == sequential.canonical_text()
     assert pooled.fingerprint() == sequential.fingerprint()
 
 
-def test_runall_quick_parallel_equals_sequential():
-    """The acceptance pin: the whole quick suite, --jobs 2 vs sequential,
+@pytest.fixture(scope="module")
+def sequential_suite():
+    """The whole suite, inline, at a *two-seed* scale — ``quick_scale()``
+    has one seed, so it would never exercise the seed grouping."""
+    return runall.run_all(scale=SMALL, jobs=1)
+
+
+def test_runall_quick_parallel_equals_sequential(sequential_suite):
+    """The acceptance pin: the whole suite, --jobs 2 vs sequential,
     byte-identical canonical report."""
-    sequential = runall.run_all(quick=True, jobs=1)
-    pooled = runall.run_all(quick=True, jobs=2)
+    pooled = runall.run_all(scale=SMALL, jobs=2)
     assert runall.canonical_report(pooled) == runall.canonical_report(
-        sequential
+        sequential_suite
     )
+
+
+def test_suite_rows_carry_their_points_axis_values(sequential_suite):
+    """One enumeration: a table's rows are its grid's runnable points, in
+    order, each labelled with its own axis values (then the tail's)."""
+    for grid, result in zip(runall.REGISTRY, sequential_suite):
+        if grid.table is not None:
+            continue  # rows are levels/buckets/timelines, not points
+        expected = []
+        env = grid.resolve(SMALL, {})
+        for part in filter(None, (grid, grid.tail)):
+            points = part.points(SMALL, part.resolve(SMALL, {}, env))
+            expected += [part.labels(p) for p, skipped in points if skipped is None]
+        assert len(result.rows) == len(expected), grid.name
+        for row, labels in zip(result.rows, expected):
+            assert {column: row[column] for column in labels} == labels, grid.name

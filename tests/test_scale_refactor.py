@@ -306,7 +306,7 @@ class TestScaleProfile:
         scale = ExperimentScale(
             sizes=(20, 40), seeds=(0,), data_per_node=5, n_queries=20, n_trials=5
         )
-        result = scale_profile.run(scale)
+        result = scale_profile.GRID.run(scale)
         assert [row["n_peers"] for row in result.rows] == [20, 40]
         assert all(row["drive_s"] > 0 for row in result.rows)
 
