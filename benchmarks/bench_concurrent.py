@@ -84,7 +84,12 @@ def test_durability(benchmark, scale):
     assert replicated and bare
     # Replication recovers what the bare network forfeits; maintenance
     # traffic is the price and must be visible (priced, counted messages).
-    assert sum(r["keys_lost"] for r in replicated) <= min(
+    # Like against like: the grid's tail rows are correlated region
+    # outages (more crashes, no bare twin), so only the independent-crash
+    # rows stand beside the bare network's.
+    independent = [r for r in replicated if r["mode"] == "independent"]
+    assert independent and all(r["mode"] == "independent" for r in bare)
+    assert sum(r["keys_lost"] for r in independent) <= min(
         r["keys_lost"] for r in bare
     )
     if any(r["crashes"] for r in replicated):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro import overlays
 from repro.core.invariants import collect_violations
 from repro.sim.latency import ExponentialLatency
-from repro.sim.runtime import AsyncBatonNetwork
 from repro.util.rng import SeededRng
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
 from repro.workloads.generators import uniform_keys
@@ -25,10 +24,10 @@ from repro.workloads.generators import uniform_keys
 
 def main() -> None:
     rng = SeededRng(2024)
-    anet = AsyncBatonNetwork.build(
+    anet = overlays.get("baton").build_async(
         300,
         seed=17,
-        latency=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
+        topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
     )
     keys = uniform_keys(3_000, seed=5)
     anet.net.bulk_load(keys)
@@ -97,7 +96,7 @@ def main() -> None:
         rival = overlays.get(name).build_async(
             150,
             seed=17,
-            latency=ExponentialLatency(mean=1.0, rng=SeededRng(99).child(name)),
+            topology=ExponentialLatency(mean=1.0, rng=SeededRng(99).child(name)),
         )
         rival.net.bulk_load(keys)
         report = run_concurrent_workload(

@@ -17,9 +17,9 @@ Quickstart::
 
 Concurrent traffic runs on the event-driven runtime::
 
-    from repro import AsyncBatonNetwork
+    from repro import overlays
 
-    anet = AsyncBatonNetwork.build(1000, seed=7)
+    anet = overlays.get("baton").build_async(1000, seed=7)
     future = anet.submit_search_exact(123_456)
     anet.drain()
     assert future.succeeded

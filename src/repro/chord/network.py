@@ -55,12 +55,6 @@ class ChordConfig:
     m_bits: int = DEFAULT_M_BITS
 
 
-#: Backwards-compatible alias: Chord range scans now return the unified
-#: :class:`~repro.core.results.RangeSearchResult` (owners + keys + trace +
-#: ``complete`` truncation flag) instead of a private dataclass.
-ChordRangeResult = RangeSearchResult
-
-
 class ChordNetwork:
     """A simulated Chord ring with per-operation message traces."""
 
@@ -97,9 +91,6 @@ class ChordNetwork:
         if not self.nodes:
             raise NetworkEmptyError("ring has no nodes")
         return self.nodes.random_address(self.rng)
-
-    # Historical spelling, kept for callers written against the old API.
-    random_node_address = random_peer_address
 
     def new_trace(self, label: str) -> Trace:
         """An empty trace (for operations that turn out to be no-ops)."""

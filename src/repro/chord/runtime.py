@@ -24,7 +24,6 @@ guarantees):
 from __future__ import annotations
 
 from repro.chord.hashing import hash_key
-from repro.chord.network import ChordNetwork
 from repro.core.results import JoinResult, LeaveResult
 from repro.net.address import Address
 from repro.net.message import MsgType
@@ -37,7 +36,6 @@ class AsyncChordNetwork(AsyncOverlayRuntime):
     """Concurrent-operation facade over a :class:`ChordNetwork`."""
 
     overlay_name = "chord"
-    network_cls = ChordNetwork
     capabilities = frozenset()
 
     # -- hop generators -------------------------------------------------------

@@ -27,7 +27,7 @@ synchronous :func:`repair` drives the same generator to exhaustion.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.core.links import LEFT, RIGHT
 from repro.core.peer import BatonPeer
@@ -62,6 +62,36 @@ def repair(net: "BatonNetwork", failed: Address) -> RepairResult:
     """Run the parent-coordinated repair for a failed peer (atomically)."""
     with net.open_trace("repair") as trace:
         return drive(repair_steps(net, failed, trace))
+
+
+def repair_in_passes(
+    net: "BatonNetwork",
+    attempt: Callable[[Address], Optional[RepairResult]],
+) -> List[RepairResult]:
+    """The retry-in-passes loop behind both ``repair_all`` facades.
+
+    ``attempt(address)`` runs one ghost's repair — atomically for the
+    synchronous network, as a priced operation for the runtime — and
+    returns None when it is blocked on another ghost (a later pass
+    retries in the new order); a pass that repairs nothing is a deadlock.
+    """
+    results: List[RepairResult] = []
+    passes = 0
+    while net.ghosts and passes < len(net.ghosts) + 8:
+        passes += 1
+        progress = False
+        for address in sorted(net.ghosts):
+            if address not in net.ghosts:
+                continue
+            result = attempt(address)
+            if result is not None:
+                results.append(result)
+                progress = True
+        if not progress:
+            raise ProtocolError(
+                f"repairs deadlocked on ghosts {sorted(net.ghosts)}"
+            )
+    return results
 
 
 def repair_steps(

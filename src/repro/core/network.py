@@ -397,24 +397,16 @@ class BatonNetwork:
         failed too); repairing in a different order resolves them, mirroring
         how independent repairs interleave in a real deployment.
         """
+        from repro.core import failure as failure_protocol
         from repro.util.errors import ProtocolError
 
-        results: List[RepairResult] = []
-        passes = 0
-        while self.ghosts and passes < len(self.ghosts) + 8:
-            passes += 1
-            progress = False
-            for address in sorted(self.ghosts):
-                try:
-                    results.append(self.repair(address))
-                    progress = True
-                except ProtocolError:
-                    pass  # blocked on another ghost; a later pass retries
-            if not progress:
-                raise ProtocolError(
-                    f"repairs deadlocked on ghosts {sorted(self.ghosts)}"
-                )
-        return results
+        def attempt(address: Address) -> Optional[RepairResult]:
+            try:
+                return self.repair(address)
+            except ProtocolError:
+                return None  # blocked on another ghost; a later pass retries
+
+        return failure_protocol.repair_in_passes(self, attempt)
 
     def search_exact(
         self, key: int, via: Optional[Address] = None

@@ -243,13 +243,6 @@ def restore_from_replica_steps(
     return len(recovered)
 
 
-def restore_from_replica(
-    net: "BatonNetwork", ghost: BatonPeer, absorber: BatonPeer
-) -> int:
-    """Synchronous replica pull (drives the step generator atomically)."""
-    return drive(restore_from_replica_steps(net, ghost, absorber))
-
-
 def _find_replica_holder(
     net: "BatonNetwork", ghost: BatonPeer
 ) -> Optional[BatonPeer]:

@@ -72,7 +72,7 @@ def dynamics_cell(
     rng = SeededRng(derive_seed(seed, "concurrent-dynamics"))
     anet = overlays.get(overlay).wrap(
         net,
-        latency=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
+        topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
         record_events=False,
         retain_ops=False,
     )

@@ -108,7 +108,7 @@ def _one_run(
     rng = SeededRng(derive_seed(seed, "durability"))
     anet = overlays.get("baton").wrap(
         net,
-        latency=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
+        topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
         record_events=False,
         retain_ops=False,
     )

@@ -34,7 +34,7 @@ def membership_cell(
         if system == "baton":
             victim = net.random_peer_address()
         else:
-            victim = net.random_node_address()
+            victim = net.random_peer_address()
         result = net.leave(victim)
         leave_find.append(result.find_trace.total)
         leave_update.append(result.update_trace.total)

@@ -62,11 +62,6 @@ class MultiwayConfig:
             raise ValueError("fanout must be at least 2")
 
 
-#: Backwards-compatible alias: multiway range scans now return the unified
-#: :class:`~repro.core.results.RangeSearchResult`.
-MultiwayRangeResult = RangeSearchResult
-
-
 class MultiwayNetwork:
     """A simulated multiway-tree overlay."""
 
@@ -99,9 +94,6 @@ class MultiwayNetwork:
         if not self.nodes:
             raise NetworkEmptyError("tree has no nodes")
         return self.nodes.random_address(self.rng)
-
-    # Historical spelling, kept for callers written against the old API.
-    random_node_address = random_peer_address
 
     def new_trace(self, label: str) -> Trace:
         """An empty trace (for operations that turn out to be no-ops)."""
@@ -204,9 +196,6 @@ class MultiwayNetwork:
         parent.children.sort(key=lambda item: item.coverage.low)
         self._wire_neighbors(parent, child)
         return child
-
-    # Historical private spelling.
-    _accept_child = accept_child
 
     def _wire_neighbors(self, parent: MultiwayNode, child: MultiwayNode) -> None:
         """Splice the new child into its level's neighbour chain.
@@ -317,10 +306,6 @@ class MultiwayNetwork:
             current = best
         raise ProtocolError("multiway replacement walk did not terminate")
 
-    # Historical private spelling (returns the replacement address).
-    def _find_replacement_leaf(self, node: MultiwayNode) -> Optional[Address]:
-        return drive(self.replacement_steps(node))
-
     def detach_leaf(self, leaf: MultiwayNode) -> Address:
         """Unhook a leaf; its interval flows to its in-order predecessor.
         Returns the absorber's address, so callers can price the bulk
@@ -391,9 +376,6 @@ class MultiwayNetwork:
         self.bus.unregister(leaf.address)
         return absorber.address
 
-    # Historical private spelling.
-    _detach_leaf = detach_leaf
-
     def transplant(self, departing: MultiwayNode, replacement: MultiwayNode) -> None:
         """The replacement assumes the departing node's place and content."""
         self.nodes[replacement.address] = replacement
@@ -444,9 +426,6 @@ class MultiwayNetwork:
             self.root = replacement.address
         del self.nodes[departing.address]
         self.bus.unregister(departing.address)
-
-    # Historical private spelling.
-    _transplant = transplant
 
     # -- search -------------------------------------------------------------------
 

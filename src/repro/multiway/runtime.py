@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from repro.core.ranges import Range
 from repro.core.results import JoinResult, LeaveResult
-from repro.multiway.network import MultiwayNetwork
 from repro.net.address import Address
 from repro.net.message import MsgType
 from repro.sim.runtime import AsyncOverlayRuntime, OpFuture, OpSteps
@@ -37,7 +36,6 @@ class AsyncMultiwayNetwork(AsyncOverlayRuntime):
     """Concurrent-operation facade over a :class:`MultiwayNetwork`."""
 
     overlay_name = "multiway"
-    network_cls = MultiwayNetwork
     capabilities = frozenset()
 
     @property

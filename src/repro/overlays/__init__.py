@@ -22,7 +22,10 @@ machinery, so all three execute joins, leaves, searches and inserts as
 interleaved simulator events under identical workloads.
 """
 
+from repro.chord.network import ChordNetwork
 from repro.chord.runtime import AsyncChordNetwork
+from repro.core.network import BatonConfig, BatonNetwork
+from repro.multiway.network import MultiwayNetwork
 from repro.multiway.runtime import AsyncMultiwayNetwork
 from repro.overlays.protocol import (
     ALL_CAPABILITIES,
@@ -38,9 +41,8 @@ from repro.overlays.protocol import (
 from repro.overlays.registry import OverlayEntry, available, get, register
 from repro.sim.runtime import AsyncBatonNetwork, AsyncOverlayRuntime
 
-def _replicated_baton_config():
-    from repro.core.network import BatonConfig
 
+def _replicated_baton_config():
     return BatonConfig(replication=True)
 
 
@@ -52,7 +54,7 @@ register(
             "order-preserving ranges, fail/repair, load balancing and "
             "range multicast/pub-sub"
         ),
-        network_cls=AsyncBatonNetwork.network_cls,
+        network_cls=BatonNetwork,
         runtime_cls=AsyncBatonNetwork,
         replicated_config=_replicated_baton_config,
     )
@@ -64,7 +66,7 @@ register(
             "Chord hashed ring: O(log N) exact lookups via fingers, "
             "Θ(log² N) membership updates, O(N) range scans"
         ),
-        network_cls=AsyncChordNetwork.network_cls,
+        network_cls=ChordNetwork,
         runtime_cls=AsyncChordNetwork,
     )
 )
@@ -75,7 +77,7 @@ register(
             "Multiway tree (reference [10]): cheap joins, expensive "
             "multi-child leaves, link-by-link searches without sideways tables"
         ),
-        network_cls=AsyncMultiwayNetwork.network_cls,
+        network_cls=MultiwayNetwork,
         runtime_cls=AsyncMultiwayNetwork,
     )
 )

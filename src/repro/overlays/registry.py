@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.sim.latency import LatencyModel
 from repro.sim.runtime import AsyncOverlayRuntime
 from repro.sim.topology import Topology
 from repro.util.errors import CapabilityError
@@ -58,15 +57,14 @@ class OverlayEntry:
         n_peers: int,
         seed: int = 0,
         *,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         replication: bool = False,
         **kwargs,
     ) -> AsyncOverlayRuntime:
         """Grow a synchronous network and wrap it for concurrent traffic.
 
-        ``topology`` selects the per-link transport model; ``latency`` is
-        the historical spelling for the scalar (single-region) case.
+        ``topology`` selects the per-link transport model (a scalar
+        latency model is the degenerate single-region case).
         ``replication=True`` turns on the data-durability extension and is
         refused (:class:`CapabilityError`) by overlays that do not
         advertise the capability.
@@ -84,7 +82,8 @@ class OverlayEntry:
                 or self.replicated_config is None
             ):
                 raise CapabilityError(
-                    f"the {self.name} overlay does not support replication"
+                    f"the {self.name} overlay does not support "
+                    "the 'replication' capability"
                 )
             if kwargs.get("config") is not None:
                 raise ValueError(
@@ -92,10 +91,6 @@ class OverlayEntry:
                     "(set replication on your config instead)"
                 )
             kwargs["config"] = self.replicated_config()
-        if self.runtime_cls.network_cls is None:
-            raise TypeError(
-                f"{self.runtime_cls.__name__} has no network_cls to build"
-            )
         net = self._build_base(
             n_peers,
             seed,
@@ -103,9 +98,7 @@ class OverlayEntry:
             bulk=kwargs.pop("bulk", False),
             keys=kwargs.pop("keys", None),
         )
-        return self.runtime_cls(
-            net, latency=latency, topology=topology, **kwargs
-        )
+        return self.runtime_cls(net, topology=topology, **kwargs)
 
     def _build_base(self, n_peers: int, seed: int, *, config, bulk, keys):
         """The synchronous network under :meth:`build_async`, snapshot-
@@ -113,7 +106,7 @@ class OverlayEntry:
         build_kwargs = {"bulk": True, "keys": keys} if bulk else {}
 
         def builder():
-            return self.runtime_cls.network_cls.build(
+            return self.network_cls.build(
                 n_peers, seed=seed, config=config, **build_kwargs
             )
 
@@ -140,14 +133,11 @@ class OverlayEntry:
         net,
         *,
         sim=None,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         **kwargs,
     ) -> AsyncOverlayRuntime:
         """Wrap an existing synchronous network in the async runtime."""
-        return self.runtime_cls(
-            net, sim=sim, latency=latency, topology=topology, **kwargs
-        )
+        return self.runtime_cls(net, sim=sim, topology=topology, **kwargs)
 
 
 _REGISTRY: Dict[str, OverlayEntry] = {}

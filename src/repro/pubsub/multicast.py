@@ -77,10 +77,6 @@ class MulticastResult:
     duplicates_suppressed: int
     trace: Optional["Trace"] = None
 
-    @property
-    def owners_delivered(self) -> int:
-        return len(self.delivered)
-
 
 def _side_candidates(peer: BatonPeer, side: str) -> List[NodeInfo]:
     """The ``side`` links a carrier can delegate to, deduplicated."""

@@ -49,8 +49,10 @@ Fidelity notes:
   Queries that merely get boxed in by stale links give up and report the
   last peer reached: the walks ask ``_routing_degraded`` (the synchronous
   notion plus "other operations are in flight") whether that is allowed.
-* One ``_advance`` loop serves both delivery contracts; the installed
-  transport picks the transmit step (DESIGN.md, "Delivery contract").
+* Every operation is admitted by ``_submit`` and stepped by one
+  ``_resume`` / ``_deliver`` pair; ``_submit`` also picks the channel its
+  hops ride — judged at-least-once or reliable (DESIGN.md, "Delivery
+  contract").
 * An async BATON insert's trace also accumulates any load-balancing traffic
   the insert triggers (the synchronous API reports that separately in
   ``balance_trace``).
@@ -68,7 +70,7 @@ from repro.core import join as join_protocol
 from repro.core import leave as leave_protocol
 from repro.core import search as search_protocol
 from repro.core.links import LEFT, RIGHT
-from repro.core.network import BatonConfig, BatonNetwork
+from repro.core.network import BatonNetwork
 from repro.core.ranges import Range
 from repro.core.results import (
     DataOpResult,
@@ -83,7 +85,7 @@ from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan, FaultStats
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.latency import ConstantLatency
 from repro.sim.topology import Hop, Topology
 from repro.util.errors import (
     CapabilityError,
@@ -100,6 +102,10 @@ OpSteps = Generator[Hop, None, object]
 PENDING = "pending"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
+
+#: ``_submit(entry=...)`` default: the operation enters at no peer
+#: (membership and maintenance), as opposed to ``entry=None`` — "draw one".
+_NO_ENTRY = object()
 
 
 class OpFuture:
@@ -196,17 +202,18 @@ class AsyncOverlayRuntime:
     submission sequence) replays the exact same event order — the
     ``event_log`` records it for comparison.
 
-    Subclasses set :attr:`overlay_name`, :attr:`network_cls` and
-    :attr:`capabilities`, and implement the per-operation hop generators
-    (``_search_exact_steps`` and friends).  Optional capabilities —
-    ``"fail"``, ``"repair"``, ``"reconcile"`` — gate :meth:`submit_fail`,
-    :meth:`repair_all` and :meth:`reconcile`.
+    Subclasses set :attr:`overlay_name` and :attr:`capabilities` and
+    implement the hop generators of the operations they support
+    (``_owner_steps``/``_join_steps``/``_leave_steps`` at least).
+    :meth:`_submit` refuses — :class:`CapabilityError` — any operation
+    whose capability the overlay does not declare, and ``"repair"`` /
+    ``"reconcile"`` gate :meth:`repair_all` and :meth:`reconcile`.
+    Construction goes through the registry
+    (``overlays.get(name).build_async(...)`` / ``.wrap(net, ...)``).
     """
 
     #: Registry name of the overlay this runtime drives.
     overlay_name: ClassVar[str] = "?"
-    #: The synchronous network class :meth:`build` instantiates.
-    network_cls: ClassVar[Optional[type]] = None
     #: Optional operations this overlay supports.
     capabilities: ClassVar[frozenset] = frozenset()
 
@@ -215,18 +222,14 @@ class AsyncOverlayRuntime:
         net,
         *,
         sim: Optional[Simulator] = None,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         record_events: bool = True,
         retain_ops: bool = True,
     ):
-        if latency is not None and topology is not None:
-            raise ValueError("pass either topology or latency (its alias), not both")
         self.net = net
         self.sim = sim if sim is not None else Simulator()
-        transport = topology if topology is not None else latency
         self.topology: Topology = (
-            transport if transport is not None else ConstantLatency(1.0)
+            topology if topology is not None else ConstantLatency(1.0)
         )
         #: Installed chaos layer, if the transport is a FaultPlan.  With
         #: None (every pre-chaos call site), operations take the
@@ -253,39 +256,6 @@ class AsyncOverlayRuntime:
         self._in_flight = 0
         self._op_ids = itertools.count(1)
         self._pending_leaves: Set[Address] = set()
-
-    @classmethod
-    def build(
-        cls,
-        n_peers: int,
-        seed: int = 0,
-        *,
-        config=None,
-        latency=None,
-        topology=None,
-        bulk=False,
-        keys=None,
-        **kwargs,
-    ):
-        """Grow a synchronous network, then wrap it for concurrent traffic.
-
-        ``bulk=True`` (overlays with a direct construction path, i.e.
-        BATON) computes the final tree instead of simulating joins;
-        ``keys`` optionally loads a dataset during that construction.
-        """
-        if cls.network_cls is None:
-            raise TypeError(f"{cls.__name__} has no network_cls to build")
-        build_kwargs = {"bulk": True, "keys": keys} if bulk else {}
-        net = cls.network_cls.build(
-            n_peers, seed=seed, config=config, **build_kwargs
-        )
-        return cls(net, latency=latency, topology=topology, **kwargs)
-
-    @property
-    def latency(self) -> Topology:
-        """Historical alias for :attr:`topology` (scalar models are
-        degenerate topologies, so old call sites keep reading)."""
-        return self.topology
 
     # -- clock ----------------------------------------------------------------
 
@@ -347,56 +317,47 @@ class AsyncOverlayRuntime:
         return []
 
     # -- submission API -------------------------------------------------------
+    #
+    # Each ``submit_*`` is its argument check plus one ``_submit`` call.
 
     def submit_search_exact(
         self, key: int, via: Optional[Address] = None
     ) -> OpFuture:
-        start = via if via is not None else self.net.random_peer_address()
-        future = self._new_future("search.exact")
-        future.entry = start
-        self._launch(future, self._search_exact_steps(future, start, key))
-        return future
+        return self._submit("search.exact", self._search_exact_steps, key, entry=via)
 
     def submit_search_range(
         self, low: int, high: int, via: Optional[Address] = None
     ) -> OpFuture:
         if low >= high:
             raise ValueError(f"empty query range [{low}, {high})")
-        start = via if via is not None else self.net.random_peer_address()
-        future = self._new_future("search.range")
-        future.entry = start
-        self._launch(future, self._search_range_steps(future, start, low, high))
-        return future
+        return self._submit(
+            "search.range", self._search_range_steps, low, high, entry=via
+        )
 
     def submit_insert(self, key: int, via: Optional[Address] = None) -> OpFuture:
-        start = via if via is not None else self.net.random_peer_address()
-        future = self._new_future("insert")
-        future.entry = start
-        self._launch(future, self._data_op_steps(future, start, key, MsgType.INSERT))
-        return future
+        return self._submit(
+            "insert", self._data_op_steps, key, MsgType.INSERT, entry=via
+        )
 
     def submit_delete(self, key: int, via: Optional[Address] = None) -> OpFuture:
-        start = via if via is not None else self.net.random_peer_address()
-        future = self._new_future("delete")
-        future.entry = start
-        self._launch(future, self._data_op_steps(future, start, key, MsgType.DELETE))
-        return future
+        return self._submit(
+            "delete", self._data_op_steps, key, MsgType.DELETE, entry=via
+        )
 
     def submit_join(self, via: Optional[Address] = None) -> OpFuture:
+        # The contact peer is an argument of the walk, not the future's
+        # ``entry``: membership operations have no entry->owner stretch.
         start = via if via is not None else self.net.random_peer_address()
-        future = self._new_future("join")
-        self._launch(future, self._join_steps(future, start))
-        return future
+        return self._submit("join", self._join_steps, start)
 
     def submit_leave(self, address: Address) -> OpFuture:
         if address in self._pending_leaves:
             raise ValueError(f"a leave of address {address} is already in flight")
         self._pending_leaves.add(address)
-        future = self._new_future("leave")
+        future = self._submit("leave", self._leave_steps, address)
         future.add_done_callback(
             lambda _fut: self._pending_leaves.discard(address)
         )
-        self._launch(future, self._leave_steps(future, address))
         return future
 
     def submit_multicast(
@@ -409,17 +370,11 @@ class AsyncOverlayRuntime:
         unrelated peers and refuse rather than simulate a fan-out they
         cannot route.
         """
-        if not self.supports("multicast"):
-            raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support range multicast"
-            )
         if low >= high:
             raise ValueError(f"empty multicast range [{low}, {high})")
-        start = via if via is not None else self.net.random_peer_address()
-        future = self._new_future("multicast")
-        future.entry = start
-        self._launch(future, self._multicast_steps(future, start, low, high))
-        return future
+        return self._submit(
+            "multicast", self._multicast_steps, low, high, entry=via, needs="multicast"
+        )
 
     def submit_subscribe(
         self,
@@ -432,28 +387,20 @@ class AsyncOverlayRuntime:
         Requires the ``subscribe`` capability; ``subscriber`` defaults to a
         random live peer (the interested party the owners will notify).
         """
-        if not self.supports("subscribe"):
-            raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support "
-                "range subscriptions"
-            )
         if low >= high:
             raise ValueError(f"empty subscription range [{low}, {high})")
-        start = subscriber if subscriber is not None else self.net.random_peer_address()
-        future = self._new_future("subscribe")
-        future.entry = start
-        self._launch(future, self._subscribe_steps(future, start, low, high))
-        return future
+        return self._submit(
+            "subscribe",
+            self._subscribe_steps,
+            low,
+            high,
+            entry=subscriber,
+            needs="subscribe",
+        )
 
     def submit_fail(self, address: Address) -> OpFuture:
         """Schedule an abrupt crash of ``address`` one latency from now."""
-        if not self.supports("fail"):
-            raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support abrupt failure"
-            )
-        future = self._new_future("fail")
-        self._launch(future, self._fail_steps(future, address))
-        return future
+        return self._submit("fail", self._fail_steps, address, needs="fail")
 
     def submit_repair(self, address: Address) -> OpFuture:
         """Submit the repair of a crashed peer as a priced operation.
@@ -463,107 +410,77 @@ class AsyncOverlayRuntime:
         restores the dead peer's keys follows as sized hops, so the
         future's latency is the crash's *data recovery* time.
         """
-        if not self.supports("repair"):
-            raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support repair"
-            )
-        future = self._new_future("repair")
-        self._launch(future, self._repair_steps(future, address))
-        return future
+        return self._submit("repair", self._repair_steps, address, needs="repair")
 
     def submit_replica_refresh(self) -> List[OpFuture]:
         """Submit one replica-refresh operation per live peer.
 
         All refreshes are in flight at once (each is an independent
         one-hop bulk transfer from a peer to its current adjacent), so a
-        sweep costs one round of sized messages, not a serial walk.
+        sweep costs one round of sized messages, not a serial walk.  Like
+        the batched sweep below, the transfers ride the reliable channel
+        (DESIGN.md, "Delivery contract").
         """
-        if not self.supports("replication"):
-            raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support replication"
+        return [
+            self._submit(
+                "replica.refresh",
+                self._replica_refresh_steps,
+                address,
+                needs="replication",
+                reliable=True,
             )
-        futures: List[OpFuture] = []
-        for address in self.net.addresses():
-            future = self._new_future("replica.refresh")
-            self._launch(future, self._replica_refresh_steps(future, address))
-            futures.append(future)
-        return futures
+            for address in self.net.addresses()
+        ]
 
     def submit_replica_refresh_sweep(self) -> OpFuture:
         """Submit one refresh round as a *single* batched operation.
 
         Semantically the same fan-out as :meth:`submit_replica_refresh` —
         every live peer's sized transfer to its current adjacent is in
-        flight at once, each priced on its own link — but the whole round
-        shares one :class:`OpFuture`, one trace and one event-log entry
+        flight at once, each priced on its own link of the reliable
+        channel — but the whole round shares one :class:`OpFuture`, one
+        trace and one submit/done pair of event-log rows
         instead of allocating one of each per peer, which is the
         difference between "a maintenance sweep" and "10k bookkeeping
         objects per sweep" at full scale.  The future completes when the
         last transfer lands; its result is the number of refresh messages
         spent.
         """
-        if not self.supports("replication"):
-            raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support replication"
-            )
-        future = self._new_future("replica.refresh.sweep")
-        self._in_flight += 1
-        if self._in_flight > self.max_in_flight:
-            self.max_in_flight = self._in_flight
-        if self.record_events:
-            self._log(future, "submit")
-        bus = self.net.bus
-        state = {"pending": 0, "messages": 0}
+        future = self._submit("replica.refresh.sweep", None, needs="replication")
+        pending = 1
+        messages = 0
 
-        def finish() -> None:
-            future.result = state["messages"]
-            self._in_flight -= 1
-            if self.record_events:
-                self._log(future, "done")
-            future._complete(SUCCEEDED, self.sim.now)
+        def join(spent: int) -> None:
+            nonlocal pending, messages
+            messages += spent
+            pending -= 1
+            if pending == 0:
+                future.result = messages
+                self._finish(future)
 
-        def advance(steps) -> None:
-            bus.push_trace(future.trace)
-            try:
-                try:
-                    hop = next(steps)
-                except StopIteration as stop:
-                    state["messages"] += stop.value or 0
-                    state["pending"] -= 1
-                    if state["pending"] == 0:
-                        finish()
-                    return
-                except ReproError:
-                    # Refresh is best-effort maintenance: one peer's
-                    # failure (its holder vanished mid-transfer, say)
-                    # drops that refresh — the next sweep heals it — and
-                    # must not abort the round, mirroring how the
-                    # per-peer API fails just that peer's future.
-                    state["pending"] -= 1
-                    if state["pending"] == 0:
-                        finish()
-                    return
-            finally:
-                bus.pop_trace()
-            delay = self.topology.sample(hop.src, hop.dst, size=hop.size)
-            future.hops += 1
-            future.transit += delay
-            if hop.src is None:
-                future.ingress += delay
-            self.sim.schedule(
-                delay, lambda: advance(steps), label="replica.refresh.sweep"
-            )
+        def resume(steps: OpSteps) -> None:
+            hop = self._resume(future, steps)
+            if hop is not None:
+                self._deliver(future, hop, lambda: resume(steps), future.kind)
+            elif future.error is None:
+                join(future.result or 0)
+            else:
+                # Refresh is best-effort maintenance: one peer's
+                # failure (its holder vanished mid-transfer, say)
+                # drops that refresh — the next sweep heals it — and
+                # must not abort the round, mirroring how the
+                # per-peer API fails just that peer's future.
+                future.error = None
+                join(0)
 
-        # The +1 sentinel keeps an all-synchronous round (or one whose
-        # early transfers land while later ones are still being submitted —
-        # impossible today, but cheap to guard) from finishing twice.
-        state["pending"] = 1
+        # ``pending`` starts at 1: that sentinel keeps an all-synchronous
+        # round (or one whose early transfers land while later ones are
+        # still being submitted — impossible today, but cheap to guard)
+        # from finishing twice; the last ``join`` releases it.
         for address in self.net.addresses():
-            state["pending"] += 1
-            advance(self._replica_refresh_steps(future, address))
-        state["pending"] -= 1
-        if state["pending"] == 0:
-            finish()
+            pending += 1
+            resume(self._replica_refresh_steps(future, address))
+        join(0)
         return future
 
     def leave_candidates(self) -> List[Address]:
@@ -645,99 +562,134 @@ class AsyncOverlayRuntime:
     def _replica_refresh_steps(self, future: OpFuture, address: Address) -> OpSteps:
         raise NotImplementedError
 
-    # -- bookkeeping ----------------------------------------------------------
+    # -- admission and stepping ----------------------------------------------
 
-    def _new_future(self, kind: str) -> OpFuture:
+    def _submit(
+        self,
+        kind: str,
+        steps_fn: Optional[Callable[..., OpSteps]],
+        *args,
+        entry: object = _NO_ENTRY,
+        needs: Optional[str] = None,
+        reliable: bool = False,
+    ) -> OpFuture:
+        """The one admission path: every ``submit_*`` ends here.
+
+        An operation that ``needs`` a capability the overlay does not
+        declare is refused before anything observable exists (no future,
+        no rng draw, no log row).  Query, data and pub/sub operations pass
+        ``entry=via`` and enter at a random live peer when it is None;
+        membership and maintenance operations enter nowhere.
+        ``steps_fn(future, [entry,] *args)`` builds the hop generator,
+        whose first protocol step runs before this returns; with None the
+        caller fans its own step streams out over the admitted future
+        (the batched refresh sweep).
+        """
+        if needs is not None and needs not in self.capabilities:
+            raise CapabilityError(
+                f"the {self.overlay_name} overlay does not support "
+                f"the {needs!r} capability ({kind} refused)"
+            )
         future = OpFuture(
             op_id=next(self._op_ids),
             kind=kind,
             trace=Trace(label=kind),
             submitted_at=self.sim.now,
         )
+        if entry is not _NO_ENTRY:
+            if entry is None:
+                entry = self.net.random_peer_address()
+            future.entry = entry
+            args = (entry, *args)
         if self.retain_ops:
             self.ops.append(future)
-        return future
-
-    def _launch(self, future: OpFuture, steps: OpSteps) -> None:
         self._in_flight += 1
         if self._in_flight > self.max_in_flight:
             self.max_in_flight = self._in_flight
         if self.record_events:
             self._log(future, "submit")
-
+        if steps_fn is None:
+            return future
+        steps = steps_fn(future, *args)
+        # The channel is chosen here, once per operation: with a FaultPlan
+        # installed every hop is handed to ``_transmit`` (judge, timeout,
+        # retry with backoff) — except the ``reliable`` connection-oriented
+        # transfers, which like the plan-free fast path are priced by one
+        # ``topology.sample`` (DESIGN.md, "Delivery contract").  With an
+        # inert plan every attempt delivers first try at the inner
+        # topology's sampled delay, making the run event-for-event
+        # identical to the plan-free one (pinned in tests/test_chaos.py).
+        judged = self.faults is not None and not reliable
         # One resumption closure and one label for the whole operation —
         # allocating them per hop dominated the scheduler's own cost in
         # N=10k profiles.
-        label = f"{future.kind}#{future.op_id}"
+        label = f"{kind}#{future.op_id}"
 
-        def advance() -> None:
-            self._advance(future, steps, advance, label)
+        def advance(throw: Optional[ReproError] = None) -> None:
+            # One atomic protocol step; reschedule or complete.  ``throw``
+            # is a hop that exhausted its retry budget coming back as a
+            # DeliveryError thrown *into* the generator, so protocol code
+            # can clean up partial state before the future fails.
+            hop = self._resume(future, steps, throw)
+            if hop is None:
+                self._finish(future)
+            elif judged:
+                self._transmit(future, hop, advance, label, 0)
+            else:
+                self._deliver(future, hop, advance, label)
 
         advance()
+        return future
 
-    def _advance(
+    def _resume(
         self,
         future: OpFuture,
         steps: OpSteps,
-        advance: Callable[[], None],
-        label: str,
         throw: Optional[ReproError] = None,
-    ) -> None:
-        """Execute one atomic protocol step; reschedule or complete.
+    ) -> Optional[Hop]:
+        """Resume ``steps`` for one protocol step under the future's trace.
 
-        ``advance`` is the operation's single reusable resumption callback
-        (created in :meth:`_launch`); scheduling it avoids a fresh closure
-        and label string per hop.  The one loop serves both delivery
-        contracts, the installed transport choosing the transmit step: on
-        the exactly-once path the yielded hop is priced by one
-        ``topology.sample`` and scheduled; with a :class:`FaultPlan`
-        installed it is handed to :meth:`_transmit` (judge, timeout, retry
-        with backoff), and a hop that exhausted its retry budget comes
-        back as ``throw`` — a :class:`~repro.util.errors.DeliveryError`
-        thrown *into* the generator so protocol code can clean up partial
-        state before the future fails.  With an inert plan every attempt
-        delivers first try at the inner topology's sampled delay, making
-        the run event-for-event identical to the plan-free one (pinned in
-        tests/test_chaos.py).
+        The only place a step generator is resumed.  Returns the
+        :class:`Hop` it yielded, or None once the stream has ended — its
+        return value then sits in ``future.result``, or the
+        :class:`ReproError` that ended it in ``future.error``.
         """
-        finished = False
-        failed: Optional[ReproError] = None
-        value: object = None
-        hop: Optional[Hop] = None
         bus = self.net.bus
         bus.push_trace(future.trace)
         try:
-            try:
-                hop = steps.throw(throw) if throw is not None else next(steps)
-            except StopIteration as stop:
-                finished, value = True, stop.value
-            except ReproError as error:
-                failed = error
+            hop = steps.throw(throw) if throw is not None else next(steps)
+        except StopIteration as stop:
+            future.result = stop.value
+            return None
+        except ReproError as error:
+            future.error = error
+            return None
         finally:
             bus.pop_trace()
-        if failed is not None:
-            future.error = failed
-            self._in_flight -= 1
-            if self.record_events:
-                self._log(future, "failed")
-            future._complete(FAILED, self.sim.now)
-            return
-        if finished:
-            future.result = value
-            self._in_flight -= 1
-            if self.record_events:
-                self._log(future, "done")
-            future._complete(SUCCEEDED, self.sim.now)
-            return
         if not isinstance(hop, Hop):
             raise TypeError(
                 f"hop generators must yield Hop(src, dst), got {hop!r} "
                 f"(transport costs are per-link now; see repro.sim.topology)"
             )
-        if self.faults is not None:
-            self._transmit(future, hop, steps, advance, label, 0)
-            return
-        delay = self.topology.sample(hop.src, hop.dst, size=hop.size)
+        return hop
+
+    def _deliver(
+        self,
+        future: OpFuture,
+        hop: Hop,
+        advance: Callable[[], None],
+        label: str,
+        delay: Optional[float] = None,
+    ) -> None:
+        """Account for one delivered hop and schedule the resumption.
+
+        The only place a hop is charged to a future and put on the clock.
+        ``delay`` is the judged channel's verdict; without one the hop is
+        priced on the reliable channel (``topology.sample``, which a
+        :class:`FaultPlan` passes to its inner topology untouched).
+        """
+        if delay is None:
+            delay = self.topology.sample(hop.src, hop.dst, size=hop.size)
         future.hops += 1
         future.transit += delay
         if hop.src is None:
@@ -746,12 +698,19 @@ class AsyncOverlayRuntime:
             self._log(future, "hop")
         self.sim.schedule(delay, advance, label)
 
+    def _finish(self, future: OpFuture) -> None:
+        """Complete an admitted operation: FAILED iff it carries an error."""
+        failed = future.error is not None
+        self._in_flight -= 1
+        if self.record_events:
+            self._log(future, "failed" if failed else "done")
+        future._complete(FAILED if failed else SUCCEEDED, self.sim.now)
+
     def _transmit(
         self,
         future: OpFuture,
         hop: Hop,
-        steps: OpSteps,
-        advance: Callable[[], None],
+        advance: Callable[..., None],
         label: str,
         attempt: int,
     ) -> None:
@@ -776,32 +735,20 @@ class AsyncOverlayRuntime:
             # A duplicate arrival re-executes an idempotent receiver step
             # as a no-op; it is counted (FaultStats.duplicates) but not
             # re-scheduled — the op advanced on the first arrival.
-            future.hops += 1
-            future.transit += delay
-            if hop.src is None:
-                future.ingress += delay
-            if self.record_events:
-                self._log(future, "hop")
-            self.sim.schedule(delay, advance, label)
+            self._deliver(future, hop, advance, label, delay)
             return
         stats = faults.stats
         stats.timeouts += 1
         policy = faults.retry
         if attempt >= policy.budget:
             stats.gave_up += 1
-            self._advance(
-                future,
-                steps,
-                advance,
-                label,
-                throw=DeliveryError(hop.src, hop.dst, attempt + 1),
-            )
+            advance(DeliveryError(hop.src, hop.dst, attempt + 1))
             return
         stats.retries += 1
         future.retries += 1
         self.sim.schedule(
             policy.wait(attempt + 1),
-            lambda: self._transmit(future, hop, steps, advance, label, attempt + 1),
+            lambda: self._transmit(future, hop, advance, label, attempt + 1),
             label,
         )
 
@@ -846,7 +793,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
     """
 
     overlay_name = "baton"
-    network_cls = BatonNetwork
     capabilities = frozenset(
         {
             "fail",
@@ -862,31 +808,23 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
     def __init__(
         self,
-        net: Optional[BatonNetwork] = None,
+        net: BatonNetwork,
         *,
         sim: Optional[Simulator] = None,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
-        seed: int = 0,
-        config: Optional[BatonConfig] = None,
-        defer_updates: bool = True,
         record_events: bool = True,
         retain_ops: bool = True,
     ):
-        if net is None:
-            net = BatonNetwork(config=config, seed=seed)
         super().__init__(
             net,
             sim=sim,
-            latency=latency,
             topology=topology,
             record_events=record_events,
             retain_ops=retain_ops,
         )
         self._inflight_updates: dict[Address, List[tuple]] = {}
         self._last_update_arrival: dict[Address, float] = {}
-        if defer_updates:
-            self.net.updates.set_sink(self._deliver_update)
+        self.net.updates.set_sink(self._deliver_update)
         # The locality extension's protocol decisions (join probing,
         # replica diversity) read the run's topology through the network;
         # only its deterministic direct_delay/region_of surface is ever
@@ -969,30 +907,19 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
     def repair_all(self) -> List[RepairResult]:
         """Run the §III-C repair for every outstanding crash, priced.
 
-        Mirrors the synchronous retry-in-passes logic
-        (:meth:`~repro.core.network.BatonNetwork.repair_all`), but each
+        The synchronous retry-in-passes loop
+        (:func:`repro.core.failure.repair_in_passes`), but each
         repair goes through :meth:`submit_repair` and the simulator, so
         replica pulls cross priced links as sized hops.  Drains the
         simulator between repairs; callers invoke this at quiescence.
         """
-        results: List[RepairResult] = []
-        passes = 0
-        while self.net.ghosts and passes < len(self.net.ghosts) + 8:
-            passes += 1
-            progress = False
-            for address in sorted(self.net.ghosts):
-                if address not in self.net.ghosts:
-                    continue
-                future = self.submit_repair(address)
-                self.drain()
-                if future.succeeded and future.result is not None:
-                    results.append(future.result)
-                    progress = True
-            if not progress:
-                raise ProtocolError(
-                    f"repairs deadlocked on ghosts {sorted(self.net.ghosts)}"
-                )
-        return results
+
+        def attempt(address: Address) -> Optional[RepairResult]:
+            future = self.submit_repair(address)
+            self.drain()
+            return future.result if future.succeeded else None
+
+        return failure_protocol.repair_in_passes(self.net, attempt)
 
     # -- update-sink plumbing -------------------------------------------------
 

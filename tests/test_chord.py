@@ -85,7 +85,7 @@ class TestRingMaintenance:
     def test_leave_preserves_ring(self):
         net = ChordNetwork.build(30, seed=4)
         for _ in range(15):
-            net.leave(net.random_node_address())
+            net.leave(net.random_peer_address())
             check_ring(net)
 
     def test_fingers_point_at_true_successors(self):
@@ -123,7 +123,7 @@ class TestDataOps:
         net.bulk_load(keys)
         for _ in range(10):
             net.join()
-            net.leave(net.random_node_address())
+            net.leave(net.random_peer_address())
         for key in keys[:50]:
             assert net.search_exact(key).found
 
@@ -162,7 +162,7 @@ class TestEdges:
     def test_leave_to_singleton_then_grow(self):
         net = ChordNetwork.build(5, seed=11)
         while net.size > 1:
-            net.leave(net.random_node_address())
+            net.leave(net.random_peer_address())
         for _ in range(5):
             net.join()
         check_ring(net)

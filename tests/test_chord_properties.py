@@ -52,7 +52,7 @@ class TestRingProperties:
             if is_join or net.size <= 1:
                 net.join()
             else:
-                net.leave(net.random_node_address())
+                net.leave(net.random_peer_address())
         # successors form one cycle covering every node
         start = sorted(net.nodes)[0]
         seen = {start}

@@ -18,7 +18,7 @@ from repro.workloads.generators import uniform_keys
 def run_workload(seed: int = 7, **config_kwargs):
     anet = AsyncBatonNetwork(
         BatonNetwork.build(80, seed=1),
-        latency=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
+        topology=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
     )
     keys = uniform_keys(800, seed=2)
     anet.net.bulk_load(keys)
@@ -127,7 +127,7 @@ class TestDurabilityReporting:
             BatonNetwork.build(
                 60, seed=1, config=BatonConfig(replication=True)
             ),
-            latency=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
+            topology=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
         )
         keys = uniform_keys(600, seed=2)
         anet.net.bulk_load(keys)

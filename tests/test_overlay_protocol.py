@@ -168,6 +168,94 @@ class TestProtocolConformance:
             net.search_range(5, 5)
 
 
+#: Every public ``submit_*``: (arguments given the first live address, the
+#: capability it needs, whether it enters the overlay at a peer).
+SUBMIT_OPS = {
+    "submit_search_exact": (lambda a: (42,), None, True),
+    "submit_search_range": (lambda a: (10**8, 3 * 10**8), None, True),
+    "submit_insert": (lambda a: (424242,), None, True),
+    "submit_delete": (lambda a: (424242,), None, True),
+    "submit_join": (lambda a: (), None, False),
+    "submit_leave": (lambda a: (a,), None, False),
+    "submit_multicast": (lambda a: (10**8, 3 * 10**8), "multicast", True),
+    "submit_subscribe": (lambda a: (10**8, 3 * 10**8), "subscribe", True),
+    "submit_fail": (lambda a: (a,), "fail", False),
+    "submit_repair": (lambda a: (a,), "repair", False),
+    "submit_replica_refresh": (lambda a: (), "replication", False),
+    "submit_replica_refresh_sweep": (lambda a: (), "replication", False),
+}
+
+
+def _declares(name: str, op: str) -> bool:
+    needs = SUBMIT_OPS[op][1]
+    return needs is None or needs in overlays.get(name).capabilities
+
+
+_PAIRS = [(name, op) for name in ALL for op in sorted(SUBMIT_OPS)]
+ADMITTED = [pair for pair in _PAIRS if _declares(*pair)]
+REFUSED = [pair for pair in _PAIRS if not _declares(*pair)]
+
+
+class TestSingleAdmissionPath:
+    """Every ``submit_*`` is admitted by the one ``_submit``: same refusal,
+    same bookkeeping, same log rows, whatever the overlay and the op."""
+
+    def runtime(self, name):
+        entry = overlays.get(name)
+        anet = entry.build_async(
+            12, seed=3, replication="replication" in entry.capabilities
+        )
+        anet.net.bulk_load(uniform_keys(40, seed=4))
+        return anet
+
+    def test_table_covers_the_public_surface(self):
+        public = {n for n in dir(AsyncOverlayRuntime) if n.startswith("submit_")}
+        assert public == set(SUBMIT_OPS)
+
+    @pytest.mark.parametrize("name,op", REFUSED)
+    def test_unsupported_op_is_refused_before_anything_exists(self, name, op):
+        make_args, needs, _enters = SUBMIT_OPS[op]
+        anet = self.runtime(name)
+        rng_state = anet.net.rng._random.getstate()
+        with pytest.raises(CapabilityError) as refusal:
+            getattr(anet, op)(*make_args(anet.net.addresses()[0]))
+        assert name in str(refusal.value) and repr(needs) in str(refusal.value)
+        assert anet.ops == [] and anet.event_log == []
+        assert anet.in_flight == 0 and anet.max_in_flight == 0
+        assert anet.net.rng._random.getstate() == rng_state
+
+    @pytest.mark.parametrize("name,op", ADMITTED)
+    def test_supported_op_is_admitted_once_and_resolves(self, name, op):
+        make_args, _needs, enters = SUBMIT_OPS[op]
+        anet = self.runtime(name)
+        live = set(anet.net.addresses())
+        submitted = getattr(anet, op)(*make_args(anet.net.addresses()[0]))
+        futures = submitted if isinstance(submitted, list) else [submitted]
+        assert anet.in_flight == len([f for f in futures if not f.done])
+        anet.drain()
+        assert anet.in_flight == 0
+        assert anet.ops == futures
+        for future in futures:
+            assert future.done
+            phases = [row[3] for row in anet.event_log if row[1] == future.op_id]
+            assert phases[0] == "submit" and phases.count("submit") == 1
+            assert phases[-1] == ("done" if future.succeeded else "failed")
+            assert set(phases[1:-1]) <= {"hop"}
+            if enters:
+                assert future.entry in live
+            else:
+                assert future.entry is None
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_explicit_entry_is_recorded(self, name):
+        anet = self.runtime(name)
+        via = anet.net.addresses()[-1]
+        assert anet.submit_search_exact(42, via=via).entry == via
+        assert anet.submit_insert(424242, via=via).entry == via
+        assert anet.submit_join(via=via).entry is None
+        anet.drain()
+
+
 class TestAsyncConformance:
     @pytest.mark.parametrize("name", ALL)
     def test_build_async_and_submit(self, name):
@@ -205,7 +293,7 @@ class TestAsyncConformance:
     def test_serialized_queries_match_sync(self, name):
         entry = overlays.get(name)
         sync = entry.build(30, seed=3)
-        anet = entry.wrap(entry.build(30, seed=3), latency=ConstantLatency(1.0))
+        anet = entry.wrap(entry.build(30, seed=3), topology=ConstantLatency(1.0))
         keys = uniform_keys(80, seed=9)
         sync.bulk_load(keys)
         anet.net.bulk_load(keys)
@@ -231,7 +319,7 @@ class TestAsyncConformance:
     def test_serialized_membership_and_data_match_sync(self, name):
         entry = overlays.get(name)
         sync = entry.build(30, seed=3)
-        anet = entry.wrap(entry.build(30, seed=3), latency=ConstantLatency(1.0))
+        anet = entry.wrap(entry.build(30, seed=3), topology=ConstantLatency(1.0))
         for _ in range(10):
             expected = sync.join()
             future = anet.submit_join()
@@ -268,7 +356,7 @@ class TestAsyncConformance:
             entry = overlays.get(name)
             anet = entry.wrap(
                 entry.build(40, seed=2),
-                latency=ExponentialLatency(1.0, rng.child("latency")),
+                topology=ExponentialLatency(1.0, rng.child("latency")),
             )
             anet.net.bulk_load(uniform_keys(200, seed=5))
             futures = []
@@ -376,7 +464,7 @@ class TestLocalityConformance:
         sync = BatonNetwork.build(30, seed=3, config=config)
         anet = overlays.get("baton").wrap(
             BatonNetwork.build(30, seed=3, config=config),
-            latency=ConstantLatency(1.0),
+            topology=ConstantLatency(1.0),
         )
         keys = uniform_keys(120, seed=9)
         sync.bulk_load(keys)

@@ -113,7 +113,7 @@ class TestMulticastDelivery:
         expected = multicast(sync_net, low, high, via=start)
 
         anet = AsyncBatonNetwork(
-            built(150, seed=9), latency=ConstantLatency(1.0)
+            built(150, seed=9), topology=ConstantLatency(1.0)
         )
         future = anet.submit_multicast(low, high, via=start)
         anet.drain()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import BatonConfig, BatonNetwork, check_invariants
 from repro.core import replication
+from repro.sim.faults import FaultPlan
 from repro.sim.latency import ConstantLatency
 from repro.sim.runtime import AsyncBatonNetwork
 from repro.sim.topology import ClusteredTopology
@@ -351,6 +352,34 @@ class TestClusteredRefresh:
         assert first_mirrors == second_mirrors
 
 
+class TestRefreshRidesTheReliableChannel:
+    """DESIGN.md, "Delivery contract": refresh transfers are ordered,
+    connection-oriented flows — a FaultPlan never judges them, whichever
+    API admitted them."""
+
+    def refreshed(self, submit):
+        anet = replicated_async(
+            topology=FaultPlan(ConstantLatency(1.0), drop_rate=1.0)
+        )
+        anet.net.bulk_load(uniform_keys(300, seed=9))
+        before = anet.bus.stats.total
+        futures = submit(anet)
+        anet.drain()
+        assert all(f.succeeded for f in futures), [f.error for f in futures]
+        assert anet.in_flight == 0
+        assert mirrored_multiset(anet.net) == stored_multiset(anet.net)
+        assert anet.fault_stats.timeouts == 0
+        assert anet.fault_stats.drops == 0
+        return anet.bus.stats.total - before
+
+    def test_both_apis_survive_a_drop_everything_plan(self):
+        per_peer = self.refreshed(lambda anet: anet.submit_replica_refresh())
+        sweep = self.refreshed(
+            lambda anet: [anet.submit_replica_refresh_sweep()]
+        )
+        assert per_peer == sweep == 30
+
+
 class TestReconcileAccounting:
     def test_reconcile_returns_message_count(self):
         from repro.net.message import MsgType
@@ -364,7 +393,7 @@ class TestReconcileAccounting:
     def test_single_peer_reconciles_for_free(self):
         net = BatonNetwork(config=BatonConfig(replication=True), seed=0)
         net.bootstrap()
-        anet = AsyncBatonNetwork(net, latency=ConstantLatency(1.0))
+        anet = AsyncBatonNetwork(net, topology=ConstantLatency(1.0))
         assert anet.reconcile() == 0
 
 

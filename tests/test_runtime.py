@@ -36,7 +36,7 @@ def serialized_pair(n_peers: int = 40, seed: int = 3):
     """Identical sync and async networks; async uses constant latency."""
     sync = BatonNetwork.build(n_peers, seed=seed)
     anet = AsyncBatonNetwork(
-        BatonNetwork.build(n_peers, seed=seed), latency=ConstantLatency(1.0)
+        BatonNetwork.build(n_peers, seed=seed), topology=ConstantLatency(1.0)
     )
     return sync, anet
 
@@ -131,7 +131,7 @@ def interleaved_run(seed: int = 42, n_ops: int = 520):
     rng = SeededRng(seed)
     anet = AsyncBatonNetwork(
         BatonNetwork.build(60, seed=1),
-        latency=ExponentialLatency(1.0, rng.child("latency")),
+        topology=ExponentialLatency(1.0, rng.child("latency")),
     )
     anet.net.bulk_load(uniform_keys(600, seed=2))
     futures = []
@@ -183,7 +183,7 @@ class TestInterleaving:
 class TestOpFuture:
     def test_done_callback_fires_at_completion(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(10, seed=2), latency=ConstantLatency(1.0)
+            BatonNetwork.build(10, seed=2), topology=ConstantLatency(1.0)
         )
         seen = []
         future = anet.submit_search_exact(123)
@@ -197,7 +197,7 @@ class TestOpFuture:
 
     def test_latency_measures_submit_to_completion(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(10, seed=2), latency=ConstantLatency(2.0)
+            BatonNetwork.build(10, seed=2), topology=ConstantLatency(2.0)
         )
         future = anet.submit_search_exact(123)
         assert future.latency is None
@@ -209,7 +209,7 @@ class TestOpFuture:
 
     def test_query_to_failed_carrier_fails_cleanly(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(20, seed=6), latency=ConstantLatency(1.0)
+            BatonNetwork.build(20, seed=6), topology=ConstantLatency(1.0)
         )
         start = anet.net.addresses()[5]
         future = anet.submit_search_exact(10**8, via=start)
@@ -220,7 +220,7 @@ class TestOpFuture:
 
     def test_duplicate_leave_rejected(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(20, seed=6), latency=ConstantLatency(1.0)
+            BatonNetwork.build(20, seed=6), topology=ConstantLatency(1.0)
         )
         victim = anet.net.addresses()[3]
         anet.submit_leave(victim)
@@ -231,7 +231,7 @@ class TestOpFuture:
 
     def test_leave_of_vanished_peer_fails(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(20, seed=6), latency=ConstantLatency(1.0)
+            BatonNetwork.build(20, seed=6), topology=ConstantLatency(1.0)
         )
         victim = anet.net.addresses()[4]
         anet.net.fail(victim)
@@ -244,7 +244,7 @@ class TestOpFuture:
 class TestUpdatePropagation:
     def test_updates_apply_after_latency_not_immediately(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(30, seed=8), latency=ConstantLatency(1.0)
+            BatonNetwork.build(30, seed=8), topology=ConstantLatency(1.0)
         )
         assert anet.net.updates.in_flight == 0
         anet.submit_join()
@@ -255,7 +255,7 @@ class TestUpdatePropagation:
 
     def test_sink_counts_in_flight(self):
         anet = AsyncBatonNetwork(
-            BatonNetwork.build(30, seed=8), latency=ConstantLatency(1.0)
+            BatonNetwork.build(30, seed=8), topology=ConstantLatency(1.0)
         )
         anet.submit_join()
         # run just past the accept: refreshes are in the air

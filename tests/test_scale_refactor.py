@@ -4,6 +4,7 @@ and the scale-profile/benchmark plumbing."""
 
 import pytest
 
+from repro import overlays
 from repro.core.network import BatonConfig, BatonNetwork
 from repro.experiments import scale_profile
 from repro.multiway.network import MultiwayNetwork
@@ -136,10 +137,9 @@ class TestBatchedReplicaRefresh:
         assert future.transit == pytest.approx(expected, rel=0.05)
 
     def test_sweep_capability_gated(self):
-        from repro.chord.runtime import AsyncChordNetwork
         from repro.util.errors import CapabilityError
 
-        anet = AsyncChordNetwork.build(8, seed=1)
+        anet = overlays.get("chord").build_async(8, seed=1)
         with pytest.raises(CapabilityError):
             anet.submit_replica_refresh_sweep()
 
@@ -245,7 +245,7 @@ class TestOptInEventLog:
         def run(record: bool):
             anet = AsyncBatonNetwork(
                 BatonNetwork.build(40, seed=8),
-                latency=ExponentialLatency(1.0, SeededRng(2).child("lat")),
+                topology=ExponentialLatency(1.0, SeededRng(2).child("lat")),
                 record_events=record,
                 retain_ops=record,
             )

@@ -173,12 +173,11 @@ class TestHop:
     def test_runtime_rejects_non_hop_yields(self):
         anet = overlays.get("baton").build_async(8, seed=1)
 
-        def bad_steps():
+        def bad_steps(future):
             yield 1.5  # a pre-redesign float delay
 
-        future = anet._new_future("bad")
         with pytest.raises(TypeError, match="per-link"):
-            anet._launch(future, bad_steps())
+            anet._submit("bad", bad_steps)
 
 
 class TestSerializedEquivalenceUnderClusteredTopology:
