@@ -39,10 +39,12 @@ invariant, and every key lands in its owner with no per-key routing.
 
 Memory: every peer's :class:`NodeInfo` snapshot is built once and
 **shared** by all of its linkers (parent slot, child slots, adjacents,
-every routing-table row that points at it).  Protocol code never mutates
-a ``NodeInfo`` in place — updates replace entries with fresh copies — so
-sharing is safe, and it replaces the ~N·log N independent snapshots the
-incremental path accumulates with exactly N.
+every routing-table row that points at it).  ``NodeInfo`` is immutable —
+an update can only replace the entry a linker holds — so sharing is safe,
+and it replaces the ~N·log N independent snapshots the incremental path
+accumulates with exactly N.  The ground-truth rebuild
+(:class:`repro.core.restructure.MapView`) shares the same way, so sweeps
+and repairs keep it at one per slot.
 """
 
 from __future__ import annotations

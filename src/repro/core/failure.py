@@ -118,7 +118,7 @@ def repair_steps(
     if coordinator is None:
         if net.size == 0:
             # The sole peer died: nothing to reconnect.
-            _release_slot(net, ghost)
+            net.release_slot(ghost)
             del net.ghosts[failed]
             return RepairResult(failed=failed, replacement=None, trace=trace)
         # Every neighbour is dead too: block until another repair
@@ -147,11 +147,6 @@ def repair_steps(
         trace=trace,
         keys_recovered=recovered,
     )
-
-
-def _release_slot(net: "BatonNetwork", ghost: BatonPeer) -> None:
-    if net._positions.get(ghost.position) == ghost.address:
-        del net._positions[ghost.position]
 
 
 def _find_coordinator(net: "BatonNetwork", ghost: BatonPeer) -> Optional[BatonPeer]:
@@ -222,12 +217,12 @@ def _regenerate_tables(
                 continue
             net.count_message(coordinator.address, info.address, MsgType.REPAIR)
             net.count_message(info.address, coordinator.address, MsgType.RESPONSE)
-    from repro.core.restructure import refresh_links_from_map
+    from repro.core.restructure import MapView, refresh_links_from_map
 
     # Ghost-held slots stay visible: a dead child still owns its slot and
     # its slice of the key space, so the dead parent must not be mistaken
     # for a leaf (its repair would skip the child's range).
-    refresh_links_from_map(net, ghost, include_ghosts=True)
+    refresh_links_from_map(MapView(net, include_ghosts=True), ghost)
 
 
 def _safe_leaf_removal(ghost: BatonPeer) -> bool:
@@ -263,7 +258,7 @@ def _remove_dead_leaf(
         if ghost_parent is None:
             raise ProtocolError(f"dead leaf {ghost.position} has no parent at all")
         ghost_parent.range = ghost_parent.range.merge(ghost.range)
-        _release_slot(net, ghost)
+        net.release_slot(ghost)
 
         from repro.core.restructure import rebuild_after_moves
 
@@ -274,7 +269,7 @@ def _remove_dead_leaf(
     for address in sorted(linkers):
         if address != coordinator.address:
             net.count_message(coordinator.address, address, MsgType.REPAIR)
-    _release_slot(net, ghost)
+    net.release_slot(ghost)
 
     from repro.core.restructure import rebuild_after_moves
 
@@ -324,7 +319,7 @@ def _replace_dead_internal(
 
     replacement.move_to(ghost.position)
     replacement.range = merged_range
-    _release_slot(net, ghost)
+    net.release_slot(ghost)
     net.register_peer(replacement)
 
     for address in sorted(pre_links):

@@ -55,6 +55,27 @@ class Position:
         object.__setattr__(self, "level", state[0])
         object.__setattr__(self, "number", state[1])
 
+    # -- heap code ----------------------------------------------------------
+
+    @property
+    def code(self) -> int:
+        """The slot's index in heap (level) order: ``2^level + number - 1``.
+
+        One int per slot, root = 1, on which the whole geometry is shifts:
+        parent ``c >> 1``, children ``2c`` / ``2c + 1``, sibling ``c ^ 1``,
+        the table slot at distance ``2^i`` is ``c ± 2^i`` while that stays
+        inside the level's ``[2^level, 2^(level+1))``.  The position map
+        and the ground-truth link rebuild key on it (an int hashes in C; a
+        ``Position`` hashes through a Python-level ``__hash__``).
+        """
+        return (1 << self.level) + self.number - 1
+
+    @staticmethod
+    def from_code(code: int) -> "Position":
+        """Inverse of :attr:`code` (interned)."""
+        level = code.bit_length() - 1
+        return _interned(level, code - (1 << level) + 1)
+
     # -- tree geometry ------------------------------------------------------
 
     @property

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.core.ids import Position
+from repro.core.ids import ROOT, Position
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.util.errors import InvariantViolation
@@ -94,7 +94,7 @@ def collect_violations_sampled(
         errors.append(f"unrepaired ghosts present: {sorted(net.ghosts)}")
     if not net.peers:
         return errors
-    if Position(0, 1) not in net._positions:
+    if net.occupant(ROOT) is None:
         errors.append("root slot unoccupied")
     addresses = list(net.peers)
     if sample_size >= len(addresses):
@@ -117,10 +117,10 @@ def _check_peer_locally(net: "BatonNetwork", peer: BatonPeer) -> List[str]:
     position = peer.position
 
     # Map consistency and tree closure.
-    if net._positions.get(position) != peer.address:
+    if net.occupant(position) != peer.address:
         errors.append(f"peer {peer.address} at {position} missing from map")
     parent_position = position.parent()
-    if parent_position is not None and parent_position not in net._positions:
+    if parent_position is not None and net.occupant(parent_position) is None:
         errors.append(
             f"occupied slot {position} has unoccupied parent {parent_position}"
         )
@@ -138,7 +138,7 @@ def _check_peer_locally(net: "BatonNetwork", peer: BatonPeer) -> List[str]:
         table = peer.table_on(side)
         for index in table.valid_indices():
             slot = table.position_at(index)
-            occupant = net._positions.get(slot)
+            occupant = net.occupant(slot)
             entry = table.get(index)
             if occupant is not None and entry is None:
                 errors.append(
@@ -235,7 +235,7 @@ def _check_peer_locally(net: "BatonNetwork", peer: BatonPeer) -> List[str]:
 
 def _check_map_consistency(net: "BatonNetwork") -> List[str]:
     errors = []
-    for position, address in net._positions.items():
+    for position, address in net.occupied_positions():
         peer = net.peers.get(address)
         if peer is None:
             errors.append(f"map slot {position} points at missing peer {address}")
@@ -244,26 +244,25 @@ def _check_map_consistency(net: "BatonNetwork") -> List[str]:
                 f"map slot {position} holds peer at {peer.position} (addr {address})"
             )
     for address, peer in net.peers.items():
-        if net._positions.get(peer.position) != address:
+        if net.occupant(peer.position) != address:
             errors.append(f"peer {address} at {peer.position} missing from map")
     return errors
 
 
 def _check_tree_closure(net: "BatonNetwork") -> List[str]:
     errors = []
-    for position in net._positions:
+    for position, _ in net.occupied_positions():
         parent = position.parent()
-        if parent is not None and parent not in net._positions:
+        if parent is not None and net.occupant(parent) is None:
             errors.append(f"occupied slot {position} has unoccupied parent {parent}")
-    root = Position(0, 1)
-    if root not in net._positions:
+    if net.occupant(ROOT) is None:
         errors.append("root slot unoccupied")
     return errors
 
 
 def _subtree_height(net: "BatonNetwork", position: Position) -> int:
     """Height of the occupied subtree under ``position`` (0 if empty)."""
-    if position not in net._positions:
+    if net.occupant(position) is None:
         return 0
     return 1 + max(
         _subtree_height(net, position.left_child()),
@@ -273,7 +272,7 @@ def _subtree_height(net: "BatonNetwork", position: Position) -> int:
 
 def _check_balance(net: "BatonNetwork") -> List[str]:
     errors = []
-    for position in net._positions:
+    for position, _ in net.occupied_positions():
         left = _subtree_height(net, position.left_child())
         right = _subtree_height(net, position.right_child())
         if abs(left - right) > 1:
@@ -326,7 +325,7 @@ def _check_theorem2(net: "BatonNetwork") -> List[str]:
 def _inorder_positions(net: "BatonNetwork") -> List[Position]:
     # Slots held by ghosts are excluded: the map-consistency check already
     # reports them, and the remaining checks need live peers.
-    positions = [p for p, a in net._positions.items() if a in net.peers]
+    positions = [p for p, a in net.occupied_positions() if a in net.peers]
     positions.sort(key=lambda p: p.inorder_num_den()[0] / p.inorder_num_den()[1])
     # Exact ordering (floats are fine at simulation depths, but be safe):
     import functools
@@ -344,8 +343,8 @@ def _check_adjacency(net: "BatonNetwork") -> List[str]:
     ordered = _inorder_positions(net)
     previous: Optional[Position] = None
     for position in ordered:
-        peer = net.peers[net._positions[position]]
-        expected_left = net._positions.get(previous) if previous else None
+        peer = net.peers[net.occupant(position)]
+        expected_left = net.occupant(previous) if previous else None
         actual_left = peer.left_adjacent.address if peer.left_adjacent else None
         if actual_left != expected_left:
             errors.append(
@@ -355,8 +354,8 @@ def _check_adjacency(net: "BatonNetwork") -> List[str]:
         previous = position
     following: Optional[Position] = None
     for position in reversed(ordered):
-        peer = net.peers[net._positions[position]]
-        expected_right = net._positions.get(following) if following else None
+        peer = net.peers[net.occupant(position)]
+        expected_right = net.occupant(following) if following else None
         actual_right = peer.right_adjacent.address if peer.right_adjacent else None
         if actual_right != expected_right:
             errors.append(
@@ -370,7 +369,7 @@ def _check_adjacency(net: "BatonNetwork") -> List[str]:
 def _check_range_partition(net: "BatonNetwork") -> List[str]:
     errors = []
     ordered = _inorder_positions(net)
-    ranges = [net.peers[net._positions[p]].range for p in ordered]
+    ranges = [net.peers[net.occupant(p)].range for p in ordered]
     for earlier, later, pos in zip(ranges, ranges[1:], ordered[1:]):
         if earlier.high != later.low:
             errors.append(
@@ -417,7 +416,7 @@ def _check_table_completeness(net: "BatonNetwork") -> List[str]:
             table = peer.table_on(side)
             for index in table.valid_indices():
                 slot = table.position_at(index)
-                occupant = net._positions.get(slot)
+                occupant = net.occupant(slot)
                 entry = table.get(index)
                 if occupant is not None and entry is None:
                     errors.append(
@@ -484,4 +483,4 @@ def _check_store_containment(net: "BatonNetwork") -> List[str]:
 
 def tree_height(net: "BatonNetwork") -> int:
     """Height of the occupied tree (1 for a singleton root)."""
-    return _subtree_height(net, Position(0, 1))
+    return _subtree_height(net, ROOT)

@@ -362,11 +362,11 @@ def add_child(
     # --- adjacent links ------------------------------------------------------
     far_adjacent = parent.adjacent_on(side)
     if side == LEFT:
-        peer.left_adjacent = far_adjacent.copy() if far_adjacent else None
+        peer.left_adjacent = far_adjacent
         peer.right_adjacent = parent.snapshot()
         parent.left_adjacent = peer.snapshot()
     else:
-        peer.right_adjacent = far_adjacent.copy() if far_adjacent else None
+        peer.right_adjacent = far_adjacent
         peer.left_adjacent = parent.snapshot()
         parent.right_adjacent = peer.snapshot()
     if far_adjacent is not None:

@@ -195,7 +195,7 @@ def depart_leaf(
     if content_target != "parent":
         # The parent still needs to hear about the departure (child link).
         net.count_message(leaf.address, parent.address, MsgType.LEAVE_TRANSFER)
-    parent.set_adjacent(side, far.copy() if far is not None else None)
+    parent.set_adjacent(side, far)
     if far is not None:
         try:
             net.count_message(leaf.address, far.address, MsgType.LEAVE_TRANSFER)
@@ -261,8 +261,11 @@ def _hand_over_content(
         from repro.pubsub.subscribe import transfer_subscriptions
 
         transfer_subscriptions(net, leaf, absorber)
-    if absorber_info is not leaf.parent:
-        # Range change at a non-parent absorber: its linkers must hear.
+    if content_target != "parent":
+        # Range change at an absorber named as an adjacent: its linkers
+        # must hear.  Decided by the role asked for, never by comparing
+        # snapshots: a left child's right adjacent *is* its parent, and
+        # whether the two links are one object depends on who built them.
         net.broadcast_update(absorber, exclude={leaf.address})
 
 

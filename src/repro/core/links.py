@@ -16,9 +16,8 @@ Theorem 1's balance guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.ids import Position, _interned
 from repro.core.ranges import Range
@@ -34,9 +33,10 @@ def _table_slots(level: int, number: int, side: str) -> Tuple[Position, ...]:
 
     Slot geometry depends only on the owner's (level, number) and the
     side, and :class:`Position` is immutable — so the tuple is computed
-    once per distinct owner slot and shared by every table built there
-    (tables are rebuilt wholesale on refresh sweeps; at N=10k peers this
-    is one of the hottest constructors in the reconcile path).
+    once per distinct owner slot and shared by every table that is asked
+    for its geometry (``position_at``: joins, link updates, the invariant
+    checker).  Refresh sweeps rebuild tables wholesale but never come
+    here — they fill rows by heap-code arithmetic.
     """
     slots = []
     distance = 1
@@ -54,15 +54,18 @@ def _table_slots(level: int, number: int, side: str) -> Tuple[Position, ...]:
     return tuple(slots)
 
 
-@dataclass(slots=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     """One peer's view of a remote peer.
 
-    Mutable on purpose: link owners update these snapshots when the remote
-    peer notifies them of a change (range move, new child, replacement).
-    Slotted: a 100k-peer network holds on the order of N·log N of these
-    (every routing-table row is one), so the per-instance dict is the
-    single largest memory line item the scale profile sees.
+    An immutable value: a link owner that hears of a change (range move,
+    new child, replacement) *replaces* the snapshot it holds, never edits
+    it, so one object is safely shared by every linker of a slot — the
+    bulk build and the ground-truth rebuild both hand out exactly one per
+    occupied slot (DESIGN.md, "Memory is part of the contract").  A tuple
+    rather than a frozen dataclass: a 100k-peer network holds on the order
+    of N·log N link slots (every routing-table row is one) and builds a
+    snapshot per announced change, and a frozen dataclass's ``__init__``
+    costs about twice a tuple's.
     """
 
     address: Address
@@ -71,27 +74,6 @@ class NodeInfo:
     left_child: Optional[Address] = None
     right_child: Optional[Address] = None
 
-    def __getstate__(self) -> tuple:
-        # Explicit pickle path: the generic slotted-dataclass reduce walks
-        # dataclasses.fields() per instance, which dominates snapshot
-        # restore time at N=10k (one NodeInfo per routing-table row).
-        return (
-            self.address,
-            self.position,
-            self.range,
-            self.left_child,
-            self.right_child,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.address,
-            self.position,
-            self.range,
-            self.left_child,
-            self.right_child,
-        ) = state
-
     @property
     def has_both_children(self) -> bool:
         return self.left_child is not None and self.right_child is not None
@@ -99,20 +81,6 @@ class NodeInfo:
     @property
     def has_any_child(self) -> bool:
         return self.left_child is not None or self.right_child is not None
-
-    def copy(self) -> "NodeInfo":
-        """An independent snapshot (links must not be aliased across peers).
-
-        Built by direct construction — ``dataclasses.replace`` re-runs the
-        field machinery and dominated reconcile profiles at N=10k.
-        """
-        return NodeInfo(
-            self.address,
-            self.position,
-            self.range,
-            self.left_child,
-            self.right_child,
-        )
 
     def __str__(self) -> str:
         return f"peer@{self.address}{self.position}{self.range}"

@@ -15,7 +15,8 @@ assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.core.ids import ROOT, Position
 from repro.core.links import LEFT, RIGHT, NodeInfo
@@ -218,7 +219,10 @@ class BatonNetwork:
         #: coordinator's reconstruction and for test assertions.
         self.ghosts: Dict[Address, BatonPeer] = {}
         self.stats = NetworkStats()
-        self._positions: Dict[Position, Address] = {}
+        #: The position map, keyed by ``Position.code``; read and written
+        #: only in this class (``occupant`` / ``occupied_positions`` /
+        #: ``occupancy`` out, the four bookkeeping methods below in).
+        self._positions: Dict[int, Address] = {}
         #: Back-off bookkeeping for §IV-D (see balance.maybe_balance).
         self._balance_backoff: Dict[Address, int] = {}
         #: Dissemination ids and pub/sub counters (see repro.pubsub).
@@ -261,7 +265,18 @@ class BatonNetwork:
 
     def occupant(self, position: Position) -> Optional[Address]:
         """Address occupying a tree position (sanctioned uses only)."""
-        return self._positions.get(position)
+        return self._positions.get(position.code)
+
+    def occupied_positions(self) -> Iterator[tuple[Position, Address]]:
+        """Every occupied slot with its occupant, ghost-held slots included
+        (sanctioned uses only: the invariant checker and tests)."""
+        for code, address in self._positions.items():
+            yield Position.from_code(code), address
+
+    def occupancy(self) -> Mapping[int, Address]:
+        """Read-only live view of the position map, keyed by heap code
+        (``Position.code``) — what the ground-truth link rebuild walks."""
+        return MappingProxyType(self._positions)
 
     def addresses(self) -> List[Address]:
         return list(self.peers)
@@ -275,7 +290,7 @@ class BatonNetwork:
 
     def register_peer(self, peer: BatonPeer) -> None:
         self.peers[peer.address] = peer
-        self._positions[peer.position] = peer.address
+        self._positions[peer.position.code] = peer.address
         if peer.address not in self._pool_index:
             self._pool_index[peer.address] = len(self._address_pool)
             self._address_pool.append(peer.address)
@@ -283,8 +298,7 @@ class BatonNetwork:
 
     def unregister_peer(self, address: Address) -> BatonPeer:
         peer = self.peers.pop(address)
-        if self._positions.get(peer.position) == address:
-            del self._positions[peer.position]
+        self.release_slot(peer)
         self.pool_discard(address)
         self.bus.unregister(address)
         return peer
@@ -304,11 +318,22 @@ class BatonNetwork:
             self._address_pool[index] = last
             self._pool_index[last] = index
 
+    def release_slot(self, peer: BatonPeer) -> None:
+        """Vacate ``peer``'s slot in the position map if it still holds it.
+
+        Called on its own by repair: a failed peer keeps its slot until the
+        repair has decided what fills it.
+        """
+        code = peer.position.code
+        if self._positions.get(code) == peer.address:
+            del self._positions[code]
+
     def record_move(self, peer: BatonPeer, old_position: Position) -> None:
         """Update the position map after a restructuring move."""
-        if self._positions.get(old_position) == peer.address:
-            del self._positions[old_position]
-        self._positions[peer.position] = peer.address
+        old_code = old_position.code
+        if self._positions.get(old_code) == peer.address:
+            del self._positions[old_code]
+        self._positions[peer.position.code] = peer.address
 
     # -- construction ----------------------------------------------------------
 

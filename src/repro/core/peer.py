@@ -216,7 +216,7 @@ class BatonPeer:
             )
         updated = 0
         if self.parent is not None and self.parent.address == info.address:
-            self.parent = info.copy()
+            self.parent = info
             updated += 1
         # Fast path for the tables: when the announcing peer sits exactly
         # where my geometry expects it (the overwhelmingly common case),
@@ -227,25 +227,25 @@ class BatonPeer:
         for side in (LEFT, RIGHT):
             child = self.child_on(side)
             if child is not None and child.address == info.address:
-                self.set_child(side, info.copy())
+                self.set_child(side, info)
                 updated += 1
             adjacent = self.adjacent_on(side)
             if adjacent is not None and adjacent.address == info.address:
-                self.set_adjacent(side, info.copy())
+                self.set_adjacent(side, info)
                 updated += 1
             table = self.table_on(side)
             if expected_slot is not None and expected_slot[0] == side:
                 index = expected_slot[1]
                 current = table.get(index)
                 if current is not None and current.address == info.address:
-                    table.set(index, info.copy())
+                    table.set(index, info)
                     updated += 1
                     continue
             found = table.entry_for_address(info.address)
             if found is not None:
                 index, _ = found
                 if table.position_at(index) == info.position:
-                    table.set(index, info.copy())
+                    table.set(index, info)
                 else:
                     table.set(index, None)
                 updated += 1
@@ -263,23 +263,23 @@ class BatonPeer:
             self.route_cache.invalidate(old)
         updated = 0
         if self.parent is not None and self.parent.address == old:
-            self.parent = info.copy()
+            self.parent = info
             updated += 1
         for side in (LEFT, RIGHT):
             child = self.child_on(side)
             if child is not None and child.address == old:
-                self.set_child(side, info.copy())
+                self.set_child(side, info)
                 updated += 1
             adjacent = self.adjacent_on(side)
             if adjacent is not None and adjacent.address == old:
-                self.set_adjacent(side, info.copy())
+                self.set_adjacent(side, info)
                 updated += 1
             table = self.table_on(side)
             found = table.entry_for_address(old)
             if found is not None:
                 index, _ = found
                 if table.position_at(index) == info.position:
-                    table.set(index, info.copy())
+                    table.set(index, info)
                 else:
                     table.set(index, None)
                 updated += 1

@@ -27,7 +27,7 @@ paper's O(log N)-per-moved-node claim.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Container, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.ids import Position
 from repro.core.links import LEFT, RIGHT, NodeInfo, RoutingTable
@@ -41,108 +41,107 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Map-based geometry helpers (sanctioned global-map uses)
+# Ground-truth rebuild from the position map (sanctioned global-map use)
 # ---------------------------------------------------------------------------
+#
+# Everything here works on heap codes (``Position.code``): one int per slot,
+# parent ``c >> 1``, children ``2c`` / ``2c + 1``, the table slot at distance
+# ``2^i`` is ``c ± 2^i`` inside the level's ``[2^level, 2^(level+1))``.
 
 
-def inorder_neighbor_position(
-    net: "BatonNetwork", position: Position, side: str
-) -> Optional[Position]:
-    """In-order predecessor/successor slot among occupied positions."""
-    if side == RIGHT:
-        down, other = Position.right_child, Position.left_child
-        take_parent_when = "is_left_child"
-    else:
-        down, other = Position.left_child, Position.right_child
-        take_parent_when = "is_right_child"
-    subtree_root = down(position)
-    if net.occupant(subtree_root) is not None:
-        current = subtree_root
-        while net.occupant(other(current)) is not None:
-            current = other(current)
+def inorder_neighbor_code(
+    occupied: Container[int], code: int, side: str
+) -> Optional[int]:
+    """In-order predecessor/successor slot among the ``occupied`` codes.
+
+    Descend-then-climb: the near edge of the ``side`` subtree when there is
+    one, else the first ancestor reached from its other side.
+    """
+    toward = 1 if side == RIGHT else 0  # low bit of a ``side`` child's code
+    current = 2 * code + toward
+    if current in occupied:
+        away = 1 - toward
+        while 2 * current + away in occupied:
+            current = 2 * current + away
         return current
-    current = position
-    while True:
-        parent = current.parent()
-        if parent is None:
-            return None
-        if getattr(current, take_parent_when):
-            return parent
-        current = parent
+    current = code
+    while current > 1:
+        if current & 1 != toward:
+            return current >> 1
+        current >>= 1
+    return None
 
 
-def map_snapshot(
-    net: "BatonNetwork",
-    position: Optional[Position],
-    cache: Optional[dict] = None,
-    include_ghosts: bool = False,
-) -> Optional[NodeInfo]:
-    """Ground-truth :class:`NodeInfo` for a slot, straight from the map.
+class MapView(dict):
+    """Ground truth for one rebuild batch: ``view[code]`` is the slot's
+    :class:`NodeInfo`, straight from the map.
 
-    ``cache`` (scoped to one rebuild batch, during which occupancy and
-    ranges are stable) avoids recomputing hot slots; cached entries are
-    copied out because links must never be aliased between peers.
+    Each occupied slot's snapshot is built on first use and that *same*
+    object is handed to every linker — ``NodeInfo`` is immutable, and one
+    per slot instead of one per link row is what keeps a swept network at
+    N snapshots (DESIGN.md, "Memory is part of the contract").  Empty
+    slots read ``None``.  Always index (``view[code]``): being a dict is
+    what makes a repeat lookup a C-level hit, but ``get`` / ``in`` see only
+    the slots already built.
+
+    A view is valid only while occupancy and ranges are stable, so callers
+    create one per batch — one ``reconcile()`` sweep, one
+    ``rebuild_after_moves`` — and never keep it.
 
     ``include_ghosts`` makes slots held by failed peers visible (with their
     crash-time range): the repair coordinator needs them — a dead node's
-    dead child still owns its slot and its slice of the key space.
+    dead child still owns its slot and its slice of the key space.  That
+    flag governs only whether a ghost's *own* snapshot exists; adjacency
+    walks and a snapshot's child fields read raw occupancy either way, so a
+    ghost-held slot always counts as occupied.
     """
-    if position is None:
-        return None
-    if cache is not None and position in cache:
-        hit = cache[position]
-        return hit.copy() if hit is not None else None
-    address = net.occupant(position)
-    peer = net.peers.get(address) if address is not None else None
-    if peer is None and include_ghosts and address is not None:
-        peer = net.ghosts.get(address)
-    if peer is None:
-        snapshot = None  # empty slot (or invisible ghost)
-    else:
-        snapshot = NodeInfo(
-            address=address,
-            position=position,
-            range=peer.range,
-            left_child=net.occupant(position.left_child()),
-            right_child=net.occupant(position.right_child()),
-        )
-    if cache is not None:
-        cache[position] = snapshot
-        return snapshot.copy() if snapshot is not None else None
-    return snapshot
+
+    __slots__ = ("occupancy", "_peers", "_ghosts")
+
+    def __init__(self, net: "BatonNetwork", include_ghosts: bool = False):
+        super().__init__()
+        self.occupancy = net.occupancy()
+        self._peers = net.peers
+        self._ghosts = net.ghosts if include_ghosts else {}
+
+    def __missing__(self, code: int) -> Optional[NodeInfo]:
+        occupancy = self.occupancy
+        address = occupancy.get(code)
+        peer = self._peers.get(address)
+        if peer is None:
+            peer = self._ghosts.get(address)
+        if peer is None:
+            snapshot = None  # empty slot (or invisible ghost)
+        else:
+            snapshot = NodeInfo(
+                address,
+                Position.from_code(code),
+                peer.range,
+                occupancy.get(2 * code),
+                occupancy.get(2 * code + 1),
+            )
+        self[code] = snapshot
+        return snapshot
 
 
-def refresh_links_from_map(
-    net: "BatonNetwork",
-    peer: BatonPeer,
-    cache: Optional[dict] = None,
-    include_ghosts: bool = False,
-) -> None:
+def refresh_links_from_map(view: MapView, peer: BatonPeer) -> None:
     """Recompute every link of ``peer`` from the position map."""
     position = peer.position
-    peer.parent = map_snapshot(net, position.parent(), cache, include_ghosts)
-    peer.left_child = map_snapshot(net, position.left_child(), cache, include_ghosts)
-    peer.right_child = map_snapshot(
-        net, position.right_child(), cache, include_ghosts
-    )
-    peer.left_adjacent = map_snapshot(
-        net, inorder_neighbor_position(net, position, LEFT), cache, include_ghosts
-    )
-    peer.right_adjacent = map_snapshot(
-        net, inorder_neighbor_position(net, position, RIGHT), cache, include_ghosts
-    )
-    peer.left_table = RoutingTable(owner=position, side=LEFT)
-    peer.right_table = RoutingTable(owner=position, side=RIGHT)
-    for side in (LEFT, RIGHT):
-        table = peer.table_on(side)
-        entries = table.entries
-        for index in table.valid_indices():
-            # Direct assignment: the snapshot is built *at* the slot's
-            # position, so RoutingTable.set's position check can never
-            # fire here, and this loop runs N·log N times per sweep.
-            entries[index] = map_snapshot(
-                net, table.position_at(index), cache, include_ghosts
-            )
+    code = position.code
+    peer.parent = view[code >> 1] if code > 1 else None
+    peer.left_child = view[2 * code]
+    peer.right_child = view[2 * code + 1]
+    left = inorder_neighbor_code(view.occupancy, code, LEFT)
+    peer.left_adjacent = view[left] if left is not None else None
+    right = inorder_neighbor_code(view.occupancy, code, RIGHT)
+    peer.right_adjacent = view[right] if right is not None else None
+    # Fresh tables, rows written directly: row ``i`` is the slot ``2^i``
+    # along the level, so RoutingTable.set's position check can never
+    # fire here, and this runs N·log N times per sweep.
+    peer.left_table = table = RoutingTable(owner=position, side=LEFT)
+    table.entries[:] = [view[code - (1 << i)] for i in table.valid_indices()]
+    peer.right_table = table = RoutingTable(owner=position, side=RIGHT)
+    table.entries[:] = [view[code + (1 << i)] for i in table.valid_indices()]
 
 
 def rebuild_after_moves(
@@ -164,11 +163,10 @@ def rebuild_after_moves(
     # Ghost-held slots stay linked: until repaired, a dead peer still owns
     # its slot, and erasing links to it would let another repair move its
     # parent away and orphan the slot.
-    include_ghosts = bool(net.ghosts)
-    cache: dict = {}
+    view = MapView(net, include_ghosts=bool(net.ghosts))
     mover_addresses = {peer.address for peer in movers}
     for peer in movers:
-        refresh_links_from_map(net, peer, cache, include_ghosts)
+        refresh_links_from_map(view, peer)
 
     first_ring: set[Address] = set(pre_link_addresses)
     for peer in movers:
@@ -177,7 +175,7 @@ def rebuild_after_moves(
     for address in sorted(first_ring):
         neighbor = net.peers.get(address)
         if neighbor is not None:
-            refresh_links_from_map(net, neighbor, cache, include_ghosts)
+            refresh_links_from_map(view, neighbor)
 
     # Entries *about* a peer go stale only when that peer's own attributes
     # change; for non-movers that means "one of its child slots changed
@@ -206,7 +204,7 @@ def rebuild_after_moves(
     for address in sorted(second_ring):
         neighbor = net.peers.get(address)
         if neighbor is not None:
-            refresh_links_from_map(net, neighbor, cache, include_ghosts)
+            refresh_links_from_map(view, neighbor)
 
     for peer in movers:
         for target in peer.link_addresses():

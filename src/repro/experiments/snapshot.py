@@ -48,8 +48,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 #: Format marker embedded in every snapshot payload; bump whenever the
 #: built-network object layout changes incompatibly (old snapshots then
-#: read as stale and rebuild cleanly).
-SNAPSHOT_SCHEMA = 1
+#: read as stale and rebuild cleanly).  It is part of the key, so a bump
+#: also stops old files being opened at all — which matters because a
+#: payload whose classes merely changed shape unpickles fine and fails on
+#: *use*, where "corrupt ⇒ rebuild" cannot catch it.
+#: 2: ``BatonNetwork._positions`` keyed by heap code, ``NodeInfo`` a tuple.
+SNAPSHOT_SCHEMA = 2
 
 #: Cap on the number of blobs kept in process memory (each N=10k network
 #: pickles to a few MB; the in-memory tier exists so a sequential sweep

@@ -872,8 +872,9 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         """
         from repro.core import restructure as restructure_protocol
 
-        cache: dict = {}
-        include_ghosts = bool(self.net.ghosts)
+        view = restructure_protocol.MapView(
+            self.net, include_ghosts=bool(self.net.ghosts)
+        )
         validate_routes = route_cache_protocol.cache_enabled(self.net)
         messages = 0
         for peer in list(self.net.peers.values()):
@@ -881,9 +882,7 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             if partner is not None:
                 self.net.count_message(peer.address, partner, MsgType.RECONCILE)
                 messages += 1
-            restructure_protocol.refresh_links_from_map(
-                self.net, peer, cache, include_ghosts=include_ghosts
-            )
+            restructure_protocol.refresh_links_from_map(view, peer)
             if validate_routes:
                 # The same sweep bounds hot-range cache staleness: dead
                 # owners dropped, moved ranges corrected (counted as

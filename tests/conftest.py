@@ -22,6 +22,23 @@ def balanced_config(capacity: int = 30) -> BatonConfig:
     return BatonConfig(balance=LoadBalanceConfig(capacity=capacity, enabled=True))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_snapshot_cache(tmp_path_factory):
+    """Keep the suite off ``~/.cache/repro/snapshots``.
+
+    The experiment CLIs switch the snapshot cache on at its default root,
+    so an unguarded run reads whatever an earlier checkout stored there
+    (and leaves its own behind): a warm machine and CI then test different
+    things.  ``tests/test_snapshot.py``'s ``cache`` fixture still picks its
+    own root per test.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_SNAPSHOT_DIR", str(tmp_path_factory.mktemp("snapshots"))
+        )
+        yield
+
+
 @pytest.fixture
 def net20() -> BatonNetwork:
     """A 20-peer network (fresh per test)."""

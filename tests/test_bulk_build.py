@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.core.bulk_build import bulk_build, incremental_reference, tree_shape
+from repro.core.ids import Position
 from repro.core.invariants import (
     collect_violations,
     collect_violations_sampled,
@@ -65,6 +66,29 @@ class TestEquivalence:
         bulk = bulk_build(n_peers)
         grown = incremental_reference(n_peers)
         assert_networks_identical(bulk, grown)
+
+    @pytest.mark.parametrize(
+        "content_target", ["right_adjacent", "left_adjacent", "parent"]
+    )
+    def test_same_departure_costs_the_same_messages(self, content_target):
+        """Equal links must mean equal behaviour: what a departure spends
+        may not depend on whether two equal snapshots are one object (bulk:
+        a left child's right adjacent *is* its parent link) or two (joins)."""
+        from repro.core.leave import can_depart_simply, depart_leaf
+
+        leaves = {
+            address: peer.position
+            for address, peer in bulk_build(40).peers.items()
+            if can_depart_simply(peer)
+        }
+        assert Position(5, 9) in leaves.values()  # a left child: the 9-vs-17 case
+        for address in leaves:
+            spent = []
+            for net in (bulk_build(40), incremental_reference(40)):
+                with net.open_trace("depart") as trace:
+                    depart_leaf(net, net.peer(address), content_target=content_target)
+                spent.append(dict(trace.by_type))
+            assert spent[0] == spent[1], f"leaf {address}: bulk vs join-grown"
 
     def test_bulk_sends_zero_messages(self):
         net = bulk_build(63)

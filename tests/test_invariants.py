@@ -49,7 +49,7 @@ class TestDetection:
     def test_detects_stale_link_info(self):
         net = make_network(20, seed=1)
         peer = next(p for p in net.peers.values() if p.parent is not None)
-        peer.parent.range = Range(0, 1)
+        peer.parent = peer.parent._replace(range=Range(0, 1))
         assert any("stale range" in v for v in collect_violations(net))
 
     def test_detects_missing_table_entry(self):
@@ -84,7 +84,7 @@ class TestDetection:
         net = make_network(20, seed=1)
         peer = net.peer(net.random_peer_address())
         bogus = Position(12, 1)
-        net._positions[bogus] = peer.address
+        net._positions[bogus.code] = peer.address
         violations = collect_violations(net)
         assert violations
 

@@ -28,10 +28,17 @@ class TestNodeInfo:
         both = info_at(2, 1, left_child=Address(5), right_child=Address(6))
         assert both.has_both_children
 
-    def test_copy_is_independent(self):
+    def test_is_immutable(self):
+        # Was test_copy_is_independent: a holder could never see another
+        # holder's edit because each had a copy; now because nobody can edit.
         original = info_at(2, 1)
-        clone = original.copy()
-        clone.left_child = Address(77)
+        for field in NodeInfo._fields:
+            with pytest.raises(AttributeError):
+                setattr(original, field, None)
+        with pytest.raises(AttributeError):
+            original.load = 3  # no instance dict either
+        changed = original._replace(left_child=Address(77))
+        assert changed.left_child == Address(77)
         assert original.left_child is None
 
 

@@ -1,8 +1,35 @@
 """Unit tests for tree-position arithmetic (repro.core.ids)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.ids import Position, ROOT
+from repro.core.links import LEFT, RIGHT
+from repro.core.restructure import inorder_neighbor_code
+
+positions = st.integers(min_value=0, max_value=40).flatmap(
+    lambda level: st.integers(min_value=1, max_value=2**level).map(
+        lambda number: Position(level, number)
+    )
+)
+
+
+def _grow(growth) -> list[Position]:
+    """A *closed* occupancy (every occupied slot's parent is occupied, the
+    tree-closure invariant the in-order walk relies on): grown from the
+    root by hanging one child at a time under an already occupied slot."""
+    occupied = [ROOT]
+    for pick, right in growth:
+        parent = occupied[pick % len(occupied)]
+        child = parent.right_child() if right else parent.left_child()
+        if child not in occupied:
+            occupied.append(child)
+    return occupied
+
+
+occupancies = st.lists(
+    st.tuples(st.integers(min_value=0), st.booleans()), max_size=60
+).map(_grow)
 
 
 class TestConstruction:
@@ -144,3 +171,56 @@ class TestInorderOrder:
                     assert not b.inorder_lt(a)
                 else:
                     assert a.inorder_lt(b) != b.inorder_lt(a)
+
+
+class TestHeapCode:
+    """``Position.code`` is the geometry the position map and the link
+    rebuild run on; every shift must agree with the (level, number) form."""
+
+    def test_root_and_first_levels(self):
+        assert ROOT.code == 1
+        assert [Position(2, n).code for n in (1, 2, 3, 4)] == [4, 5, 6, 7]
+
+    @given(positions)
+    def test_round_trips(self, position):
+        assert Position.from_code(position.code) == position
+        assert position.code.bit_length() - 1 == position.level
+
+    @given(positions)
+    def test_family_is_shifts(self, position):
+        code = position.code
+        assert position.left_child().code == 2 * code
+        assert position.right_child().code == 2 * code + 1
+        if position.is_root:
+            assert position.parent() is None and position.sibling() is None
+        else:
+            assert position.parent().code == code >> 1
+            assert position.sibling().code == code ^ 1
+            assert position.is_right_child == bool(code & 1)
+
+    @given(positions, st.integers(min_value=0, max_value=41))
+    def test_table_slots_are_offsets_within_the_level(self, position, index):
+        code, level_start = position.code, 1 << position.level
+        for side, target in ((LEFT, code - (1 << index)), (RIGHT, code + (1 << index))):
+            slot = position.table_position(side, index)
+            if level_start <= target < 2 * level_start:
+                assert slot.code == target
+            else:
+                assert slot is None
+
+    @given(occupancies)
+    def test_int_inorder_walk_agrees_with_inorder_lt(self, occupied):
+        import functools
+
+        ordered = sorted(
+            occupied,
+            key=functools.cmp_to_key(
+                lambda a, b: -1 if a.inorder_lt(b) else (1 if b.inorder_lt(a) else 0)
+            ),
+        )
+        codes = {position.code for position in occupied}
+        for index, position in enumerate(ordered):
+            before = ordered[index - 1].code if index else None
+            after = ordered[index + 1].code if index + 1 < len(ordered) else None
+            assert inorder_neighbor_code(codes, position.code, LEFT) == before
+            assert inorder_neighbor_code(codes, position.code, RIGHT) == after

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import BatonNetwork, check_invariants
+from repro.core import BatonNetwork, check_invariants, collect_violations
 from repro.core.ids import Position
-from repro.core.links import LEFT, RIGHT
+from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core import restructure
@@ -19,21 +19,24 @@ class TestMapHelpers:
         import functools
 
         positions = sorted(
-            net._positions,
+            (position for position, _ in net.occupied_positions()),
             key=functools.cmp_to_key(
                 lambda a, b: -1 if a.inorder_lt(b) else (1 if b.inorder_lt(a) else 0)
             ),
         )
+        occupied = net.occupancy()
+        neighbor = restructure.inorder_neighbor_code
         for before, after in zip(positions, positions[1:]):
-            assert restructure.inorder_neighbor_position(net, before, RIGHT) == after
-            assert restructure.inorder_neighbor_position(net, after, LEFT) == before
-        assert restructure.inorder_neighbor_position(net, positions[0], LEFT) is None
-        assert restructure.inorder_neighbor_position(net, positions[-1], RIGHT) is None
+            assert neighbor(occupied, before.code, RIGHT) == after.code
+            assert neighbor(occupied, after.code, LEFT) == before.code
+        assert neighbor(occupied, positions[0].code, LEFT) is None
+        assert neighbor(occupied, positions[-1].code, RIGHT) is None
 
     def test_map_snapshot_matches_peer(self):
         net = make_network(20, seed=3)
-        for position, address in net._positions.items():
-            snap = restructure.map_snapshot(net, position)
+        view = restructure.MapView(net)
+        for position, address in net.occupied_positions():
+            snap = view[position.code]
             peer = net.peer(address)
             assert snap.address == address
             assert snap.range == peer.range
@@ -41,7 +44,7 @@ class TestMapHelpers:
 
     def test_map_snapshot_of_empty_slot_is_none(self):
         net = make_network(5, seed=3)
-        assert restructure.map_snapshot(net, Position(9, 1)) is None
+        assert restructure.MapView(net)[Position(9, 1).code] is None
 
     def test_refresh_links_reproduces_state(self):
         net = make_network(30, seed=4)
@@ -51,7 +54,7 @@ class TestMapHelpers:
             "left": victim.left_adjacent.address if victim.left_adjacent else None,
             "right": victim.right_adjacent.address if victim.right_adjacent else None,
         }
-        restructure.refresh_links_from_map(net, victim)
+        restructure.refresh_links_from_map(restructure.MapView(net), victim)
         after = {
             "parent": victim.parent.address if victim.parent else None,
             "left": victim.left_adjacent.address if victim.left_adjacent else None,
@@ -59,6 +62,184 @@ class TestMapHelpers:
         }
         assert before == after
         check_invariants(net)
+
+
+# -- the naive reference the heap-coded rebuild is pinned against -------------
+#
+# The Position-walking rebuild as it stood before the map view: one slot at a
+# time through ``net.occupant``, nothing shared, nothing cached.
+
+
+def oracle_inorder_neighbor(net: BatonNetwork, position: Position, side: str):
+    if side == RIGHT:
+        down, other = Position.right_child, Position.left_child
+    else:
+        down, other = Position.left_child, Position.right_child
+    current = down(position)
+    if net.occupant(current) is not None:
+        while net.occupant(other(current)) is not None:
+            current = other(current)
+        return current
+    current = position
+    while current.parent() is not None:
+        came_from_left = current.is_left_child
+        current = current.parent()
+        if came_from_left == (side == RIGHT):
+            return current
+    return None
+
+
+def oracle_snapshot(net: BatonNetwork, position, include_ghosts: bool):
+    address = net.occupant(position) if position is not None else None
+    if address is None:
+        return None
+    holder = net.peers.get(address)
+    if holder is None and include_ghosts:
+        holder = net.ghosts.get(address)
+    if holder is None:
+        return None  # an invisible ghost; its slot still counts as occupied
+    return NodeInfo(
+        address=address,
+        position=position,
+        range=holder.range,
+        left_child=net.occupant(position.left_child()),
+        right_child=net.occupant(position.right_child()),
+    )
+
+
+def oracle_links(net: BatonNetwork, peer: BatonPeer, include_ghosts: bool) -> dict:
+    position = peer.position
+
+    def snap(slot):
+        return oracle_snapshot(net, slot, include_ghosts)
+
+    return {
+        "parent": snap(position.parent()),
+        "left_child": snap(position.left_child()),
+        "right_child": snap(position.right_child()),
+        "left_adjacent": snap(oracle_inorder_neighbor(net, position, LEFT)),
+        "right_adjacent": snap(oracle_inorder_neighbor(net, position, RIGHT)),
+        "left_table": [snap(slot) for slot in position.left_table_positions()],
+        "right_table": [snap(slot) for slot in position.right_table_positions()],
+    }
+
+
+def written_links(peer: BatonPeer) -> dict:
+    for side in (LEFT, RIGHT):
+        table = peer.table_on(side)
+        assert (table.owner, table.side) == (peer.position, side)
+    return {
+        "parent": peer.parent,
+        "left_child": peer.left_child,
+        "right_child": peer.right_child,
+        "left_adjacent": peer.left_adjacent,
+        "right_adjacent": peer.right_adjacent,
+        "left_table": peer.left_table.entries,
+        "right_table": peer.right_table.entries,
+    }
+
+
+def assert_rebuild_matches_oracle(net: BatonNetwork) -> None:
+    """Every peer (and every ghost, as repair refreshes those too), both
+    ghost visibilities, one view per pass like a real batch."""
+    for include_ghosts in (False, True):
+        view = restructure.MapView(net, include_ghosts=include_ghosts)
+        for peer in list(net.peers.values()) + list(net.ghosts.values()):
+            restructure.refresh_links_from_map(view, peer)
+            assert written_links(peer) == oracle_links(net, peer, include_ghosts)
+
+
+def churned_network_with_ghosts() -> BatonNetwork:
+    """Joins and leaves, then four crashes left unrepaired — two of them a
+    leaf and its parent, the double failure whose dead child must stay
+    visible under ``include_ghosts`` and occupied without it."""
+    net = make_network(60, seed=5)
+    for _ in range(12):
+        net.leave(net.random_peer_address())
+        net.join()
+    child = next(
+        p
+        for p in net.peers.values()
+        if p.is_leaf and p.position.level >= 3 and p.position.is_left_child
+    )
+    parent = net.peer(child.parent.address)
+    doomed = [child.address, parent.address]
+    doomed += [a for a in sorted(net.peers) if a not in doomed][5:35:15]
+    for address in doomed:
+        net.fail(address)
+    assert len(net.ghosts) >= 3
+    assert net.occupant(child.position.parent()) in net.ghosts
+    return net
+
+
+def distinct_snapshots(net: BatonNetwork) -> int:
+    return len(
+        {id(info) for peer in net.peers.values() for _, info in peer.iter_links()}
+    )
+
+
+class TestRebuildAgainstOracle:
+    @pytest.mark.parametrize("n_peers", range(2, 65))
+    def test_join_grown(self, n_peers):
+        assert_rebuild_matches_oracle(make_network(n_peers, seed=n_peers))
+
+    def test_bulk_built(self):
+        assert_rebuild_matches_oracle(BatonNetwork.build(1000, bulk=True))
+
+    def test_unrepaired_ghosts_including_dead_child_under_dead_parent(self):
+        net = churned_network_with_ghosts()
+        assert_rebuild_matches_oracle(net)
+        # The two ghost semantics, spelled out on the double failure.
+        dead_child = next(
+            ghost
+            for ghost in net.ghosts.values()
+            if net.occupant(ghost.position.parent()) in net.ghosts
+        )
+        dead_parent = net.ghosts[net.occupant(dead_child.position.parent())]
+        code = dead_child.position.code
+        hidden = restructure.MapView(net, include_ghosts=False)
+        shown = restructure.MapView(net, include_ghosts=True)
+        assert hidden[code] is None and shown[code].address == dead_child.address
+        assert shown[dead_parent.position.code].left_child == dead_child.address
+        # The dead parent is invisible too, yet its slot is still a child
+        # of its live parent and still a step of the adjacency walk.
+        grandparent = dead_parent.position.parent()
+        assert net.occupant(grandparent) in net.peers
+        snap = hidden[grandparent.code]
+        assert dead_parent.address in (snap.left_child, snap.right_child)
+        assert hidden[dead_parent.position.code] is None
+        assert (
+            restructure.inorder_neighbor_code(hidden.occupancy, code, RIGHT)
+            == dead_parent.position.code
+        )
+
+
+class TestOneSnapshotPerSlot:
+    """DESIGN.md, "Memory is part of the contract": a swept network holds
+    one NodeInfo per occupied slot, shared by all its linkers."""
+
+    def test_reconcile_keeps_and_restores_the_sharing(self):
+        from repro.sim.runtime import AsyncBatonNetwork
+
+        anet = AsyncBatonNetwork(BatonNetwork.build(1024, bulk=True))
+        net = anet.net
+        assert distinct_snapshots(net) == 1024  # the bulk build's own sharing
+
+        anet.reconcile()
+        assert distinct_snapshots(net) <= len(net.occupancy())
+        assert collect_violations(net) == []
+
+        for address in sorted(net.peers)[100:900:200]:
+            anet.submit_fail(address)
+        anet.drain()
+        assert len(net.ghosts) == 4
+        anet.repair_all()
+        # Each repair batch had its own view, so sharing is a post-sweep
+        # property: the sweep is what brings it back to one per slot.
+        anet.reconcile()
+        assert len(net.peers) == 1020
+        assert distinct_snapshots(net) <= len(net.occupancy())
+        assert collect_violations(net) == []
 
 
 def find_forced_parent(net: BatonNetwork) -> BatonPeer:
