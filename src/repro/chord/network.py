@@ -219,7 +219,7 @@ class ChordNetwork:
             next_hop = self._closest_preceding_finger(node, target_id)
             if next_hop == current:
                 next_hop = successor
-            self.bus.send_typed(current, next_hop, mtype)
+            self.bus.send(current, next_hop, mtype)
             yield Hop(current, next_hop)
             current = next_hop
         raise ProtocolError(f"chord lookup for {target_id} did not terminate")
@@ -231,7 +231,7 @@ class ChordNetwork:
         predecessor = yield from self.predecessor_steps(start, target_id, mtype)
         successor = self.node(predecessor).successor
         if successor != predecessor:
-            self.bus.send_typed(predecessor, successor, mtype)
+            self.bus.send(predecessor, successor, mtype)
             yield Hop(predecessor, successor)
         return successor
 
@@ -252,10 +252,10 @@ class ChordNetwork:
         self.bus.register(node.address)
         node.successor = successor
         node.predecessor = succ.predecessor
-        self.bus.send_typed(node.address, successor, MsgType.TABLE_UPDATE)
+        self.bus.send(node.address, successor, MsgType.TABLE_UPDATE)
         succ.predecessor = node.address
         if node.predecessor is not None:
-            self.bus.send_typed(node.address, node.predecessor, MsgType.TABLE_UPDATE)
+            self.bus.send(node.address, node.predecessor, MsgType.TABLE_UPDATE)
             self.node(node.predecessor).successor = node.address
         yield Hop(node.address, successor)
         yield from self._init_fingers_steps(node, entry)
@@ -315,7 +315,7 @@ class ChordNetwork:
             if finger_id is None or in_open_interval(
                 node.node_id, holder.node_id, finger_id, self.m_bits
             ):
-                self.bus.send_typed(node.address, current, MsgType.TABLE_UPDATE)
+                self.bus.send(node.address, current, MsgType.TABLE_UPDATE)
                 holder.finger[index] = node.address
                 if holder.predecessor is None or holder.predecessor == current:
                     return
@@ -329,7 +329,7 @@ class ChordNetwork:
         succ = self.node(node.successor)
         if succ.address == node.address:
             return
-        self.bus.send_typed(node.address, succ.address, MsgType.JOIN_TRANSFER)
+        self.bus.send(node.address, succ.address, MsgType.JOIN_TRANSFER)
         moved = [
             key
             for key in list(succ.store)
@@ -353,13 +353,11 @@ class ChordNetwork:
         successor = node.successor
         succ = self.node(successor)
         moved = len(node.store)
-        self.bus.send_typed(
-            node.address, successor, MsgType.LEAVE_TRANSFER, keys=moved
-        )
+        self.bus.send(node.address, successor, MsgType.LEAVE_TRANSFER)
         succ.store.extend(node.store.clear())
         succ.predecessor = node.predecessor
         if node.predecessor is not None and node.predecessor in self.nodes:
-            self.bus.send_typed(node.address, node.predecessor, MsgType.LEAVE_TRANSFER)
+            self.bus.send(node.address, node.predecessor, MsgType.LEAVE_TRANSFER)
             self.nodes[node.predecessor].successor = successor
         # The handover hop carries the departing node's whole store, so
         # bandwidth-limited topologies charge it by payload.
@@ -386,7 +384,7 @@ class ChordNetwork:
                 holder = self.nodes.get(current)
                 if holder is None or holder.finger[i] != node.address:
                     break
-                self.bus.send_typed(node.address, current, MsgType.TABLE_UPDATE)
+                self.bus.send(node.address, current, MsgType.TABLE_UPDATE)
                 holder.finger[i] = successor
                 if holder.predecessor is None or holder.predecessor == current:
                     break
@@ -465,7 +463,7 @@ class ChordNetwork:
             if successor is None:
                 break
             try:
-                self.bus.send_typed(current, successor, MsgType.RANGE_SEARCH)
+                self.bus.send(current, successor, MsgType.RANGE_SEARCH)
             except PeerNotFoundError:
                 break  # dead successor: partial answer
             yield Hop(current, successor)

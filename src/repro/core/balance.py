@@ -160,17 +160,12 @@ def _shift_keys(
         receiver.store.extend(moved)
         handed, donor.range = donor.range.split_at(boundary)
         receiver.range = receiver.range.merge(handed)
-    shift: dict[str, int] = {"keys": len(moved)}
     if donor.subscriptions:
         # The boundary moved: subscriptions covering the handed slice follow.
         from repro.pubsub.subscribe import transfer_subscriptions
 
-        moved_subs = transfer_subscriptions(net, donor, receiver)
-        if moved_subs:
-            shift["subs"] = moved_subs
-    net.count_message(
-        donor.address, receiver.address, MsgType.BALANCE, **shift
-    )
+        transfer_subscriptions(net, donor, receiver)
+    net.count_message(donor.address, receiver.address, MsgType.BALANCE)
     # Both ranges changed: linkers of both peers must refresh.
     net.broadcast_update(donor, mtype=MsgType.TABLE_UPDATE)
     net.broadcast_update(receiver, mtype=MsgType.TABLE_UPDATE)

@@ -109,7 +109,7 @@ def repair_steps(
 
     ``trace`` is recorded on the result; callers attribute the messages
     (the synchronous wrapper drives inside an open trace, the runtime
-    activates the operation's own trace per segment).
+    pushes the operation's own trace per segment).
     """
     ghost = net.ghosts.get(failed)
     if ghost is None:

@@ -343,17 +343,12 @@ def add_child(
     peer.store.extend(moved_keys)
 
     net.register_peer(peer)
-    transfer: dict[str, int] = {"keys": len(moved_keys)}
     if parent.subscriptions:
         # Subscription entries covering the handed-off half travel with it.
         from repro.pubsub.subscribe import transfer_subscriptions
 
-        moved_subs = transfer_subscriptions(net, parent, peer)
-        if moved_subs:
-            transfer["subs"] = moved_subs
-    net.count_message(
-        parent.address, peer.address, MsgType.JOIN_TRANSFER, **transfer
-    )
+        transfer_subscriptions(net, parent, peer)
+    net.count_message(parent.address, peer.address, MsgType.JOIN_TRANSFER)
 
     # --- parent/child links ------------------------------------------------
     parent.set_child(side, peer.snapshot())

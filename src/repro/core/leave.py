@@ -248,16 +248,11 @@ def _hand_over_content(
     if absorber_info is None:
         raise ProtocolError(f"{leaf.position} has nobody to absorb its range")
     absorber = net.peer(absorber_info.address)
-    handover: dict[str, int] = {"keys": len(leaf.store)}
-    if leaf.subscriptions:
-        # Subscription entries ride the same handover as the keys.
-        handover["subs"] = len(leaf.subscriptions)
-    net.count_message(
-        leaf.address, absorber.address, MsgType.LEAVE_TRANSFER, **handover
-    )
+    net.count_message(leaf.address, absorber.address, MsgType.LEAVE_TRANSFER)
     absorber.range = absorber.range.merge(leaf.range)
     absorber.store.extend(leaf.store.clear())
     if leaf.subscriptions:
+        # Subscription entries ride the same handover as the keys.
         from repro.pubsub.subscribe import transfer_subscriptions
 
         transfer_subscriptions(net, leaf, absorber)

@@ -168,7 +168,7 @@ class UpdateChannel:
     ) -> bool:
         """Send one notification; returns False if the target is dead."""
         try:
-            self._bus.send_typed(src, dst, mtype)
+            self._bus.send(src, dst, mtype)
         except PeerNotFoundError:
             return False
         if self._sink is not None:
@@ -512,11 +512,9 @@ class BatonNetwork:
 
     # -- shared protocol plumbing ------------------------------------------------
 
-    def count_message(
-        self, src: Address, dst: Address, mtype: MsgType, **payload: object
-    ) -> None:
+    def count_message(self, src: Address, dst: Address, mtype: MsgType) -> None:
         """Count one protocol message on the bus (raises if dst is dead)."""
-        self.bus.send_typed(src, dst, mtype, **payload)
+        self.bus.send(src, dst, mtype)
 
     def broadcast_update(
         self,

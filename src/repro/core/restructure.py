@@ -438,9 +438,7 @@ def forced_add_child(
     plans.sort(key=lambda plan: (not plan[2], len(plan[0])))
     displaced, parking, _safe = plans[0]
     apply_insert_chain(net, peer, displaced, parking)
-    net.count_message(
-        parent.address, peer.address, MsgType.JOIN_TRANSFER, keys=len(moved_keys)
-    )
+    net.count_message(parent.address, peer.address, MsgType.JOIN_TRANSFER)
     # The anchor's range shrank in the split; when it was not itself moved
     # by the chain its linkers still hold the old range.
     net.broadcast_update(parent)

@@ -155,7 +155,7 @@ class MultiwayNetwork:
                 next_hop = node.parent  # range too narrow to split: back up
             else:
                 raise ProtocolError("multiway join found no splittable node")
-            self.bus.send_typed(current, next_hop, MsgType.JOIN_FIND)
+            self.bus.send(current, next_hop, MsgType.JOIN_FIND)
             yield Hop(current, next_hop)
             current = next_hop
         raise ProtocolError("multiway join did not find a parent")
@@ -185,9 +185,7 @@ class MultiwayNetwork:
         child.parent = parent.address
         self.nodes[child.address] = child
         self.bus.register(child.address)
-        self.bus.send_typed(
-            parent.address, child.address, MsgType.JOIN_TRANSFER, keys=len(moved)
-        )
+        self.bus.send(parent.address, child.address, MsgType.JOIN_TRANSFER)
 
         # Children stay ordered by coverage; the newcomer's coverage is the
         # range it was just handed.
@@ -213,7 +211,7 @@ class MultiwayNetwork:
         elif parent.left_neighbor is not None:
             uncle = self.nodes.get(parent.left_neighbor)
             if uncle is not None and uncle.children:
-                self.bus.send_typed(parent.address, uncle.address, MsgType.TABLE_UPDATE)
+                self.bus.send(parent.address, uncle.address, MsgType.TABLE_UPDATE)
                 left = uncle.children[-1].address
         if left is not None and left in self.nodes:
             # Splice into the doubly-linked level chain right after `left`.
@@ -221,10 +219,10 @@ class MultiwayNetwork:
             right = left_node.right_neighbor
             child.left_neighbor = left
             child.right_neighbor = right
-            self.bus.send_typed(child.address, left, MsgType.TABLE_UPDATE)
+            self.bus.send(child.address, left, MsgType.TABLE_UPDATE)
             left_node.right_neighbor = child.address
             if right is not None and right in self.nodes:
-                self.bus.send_typed(child.address, right, MsgType.TABLE_UPDATE)
+                self.bus.send(child.address, right, MsgType.TABLE_UPDATE)
                 self.nodes[right].left_neighbor = child.address
             return
         right: Optional[Address] = None
@@ -233,7 +231,7 @@ class MultiwayNetwork:
         elif parent.right_neighbor is not None:
             uncle = self.nodes.get(parent.right_neighbor)
             if uncle is not None and uncle.children:
-                self.bus.send_typed(parent.address, uncle.address, MsgType.TABLE_UPDATE)
+                self.bus.send(parent.address, uncle.address, MsgType.TABLE_UPDATE)
                 right = uncle.children[0].address
         if right is not None and right in self.nodes:
             # Splice right before `right`.
@@ -241,10 +239,10 @@ class MultiwayNetwork:
             far_left = right_node.left_neighbor
             child.right_neighbor = right
             child.left_neighbor = far_left
-            self.bus.send_typed(child.address, right, MsgType.TABLE_UPDATE)
+            self.bus.send(child.address, right, MsgType.TABLE_UPDATE)
             right_node.left_neighbor = child.address
             if far_left is not None and far_left in self.nodes:
-                self.bus.send_typed(child.address, far_left, MsgType.TABLE_UPDATE)
+                self.bus.send(child.address, far_left, MsgType.TABLE_UPDATE)
                 self.nodes[far_left].right_neighbor = child.address
 
     # -- departure ---------------------------------------------------------------
@@ -294,7 +292,7 @@ class MultiwayNetwork:
         for _ in range(limit):
             best: Optional[MultiwayNode] = None
             for link in current.children:
-                self.bus.send_typed(current.address, link.address, MsgType.LEAVE_FIND)
+                self.bus.send(current.address, link.address, MsgType.LEAVE_FIND)
                 candidate = self.node(link.address)
                 if best is None or len(candidate.children) < len(best.children):
                     best = candidate
@@ -336,9 +334,7 @@ class MultiwayNetwork:
                     )
                 )
             ]
-        self.bus.send_typed(
-            leaf.address, absorber.address, MsgType.LEAVE_TRANSFER, keys=len(leaf.store)
-        )
+        self.bus.send(leaf.address, absorber.address, MsgType.LEAVE_TRANSFER)
         absorber.store.extend(leaf.store.clear())
         absorber.range = absorber.range.merge(leaf.coverage)
 
@@ -354,9 +350,7 @@ class MultiwayNetwork:
             holder = self.nodes[current.parent]
             holder_link = holder.child_link_to(current.address)
             if holder_link is not None:
-                self.bus.send_typed(
-                    current.address, holder.address, MsgType.TABLE_UPDATE
-                )
+                self.bus.send(current.address, holder.address, MsgType.TABLE_UPDATE)
                 holder_link.coverage = current.coverage
             current = holder
 
@@ -366,7 +360,7 @@ class MultiwayNetwork:
         ):
             if side_address is None or side_address not in self.nodes:
                 continue
-            self.bus.send_typed(leaf.address, side_address, MsgType.LEAVE_TRANSFER)
+            self.bus.send(leaf.address, side_address, MsgType.LEAVE_TRANSFER)
             neighbor = self.nodes[side_address]
             if point_right:
                 neighbor.right_neighbor = leaf.right_neighbor
@@ -380,12 +374,7 @@ class MultiwayNetwork:
         """The replacement assumes the departing node's place and content."""
         self.nodes[replacement.address] = replacement
         self.bus.register(replacement.address)
-        self.bus.send_typed(
-            departing.address,
-            replacement.address,
-            MsgType.LEAVE_TRANSFER,
-            keys=len(departing.store),
-        )
+        self.bus.send(departing.address, replacement.address, MsgType.LEAVE_TRANSFER)
         replacement.level = departing.level
         replacement.range = departing.range
         replacement.coverage = departing.coverage
@@ -400,15 +389,11 @@ class MultiwayNetwork:
             parent = self.nodes[replacement.parent]
             link = parent.child_link_to(departing.address)
             if link is not None:
-                self.bus.send_typed(
-                    replacement.address, parent.address, MsgType.TABLE_UPDATE
-                )
+                self.bus.send(replacement.address, parent.address, MsgType.TABLE_UPDATE)
                 link.address = replacement.address
         for link in snapshot_children:
             if link.address in self.nodes:
-                self.bus.send_typed(
-                    replacement.address, link.address, MsgType.TABLE_UPDATE
-                )
+                self.bus.send(replacement.address, link.address, MsgType.TABLE_UPDATE)
                 self.nodes[link.address].parent = replacement.address
         for side_address, point_right in (
             (replacement.left_neighbor, True),
@@ -416,7 +401,7 @@ class MultiwayNetwork:
         ):
             if side_address is None or side_address not in self.nodes:
                 continue
-            self.bus.send_typed(replacement.address, side_address, MsgType.TABLE_UPDATE)
+            self.bus.send(replacement.address, side_address, MsgType.TABLE_UPDATE)
             neighbor = self.nodes[side_address]
             if point_right:
                 neighbor.right_neighbor = replacement.address
@@ -456,7 +441,7 @@ class MultiwayNetwork:
                 next_hop = node.parent
             if next_hop is None:
                 raise ProtocolError(f"multiway routing stuck at {node!r} for {key}")
-            self.bus.send_typed(current, next_hop, mtype)
+            self.bus.send(current, next_hop, mtype)
             yield Hop(current, next_hop)
             previous, current = current, next_hop
         raise ProtocolError(f"multiway search for {key} did not terminate")
@@ -500,9 +485,7 @@ class MultiwayNetwork:
         while current.parent is not None and current.coverage.high < high:
             parent_address = current.parent
             try:
-                self.bus.send_typed(
-                    current.address, parent_address, MsgType.RANGE_SEARCH
-                )
+                self.bus.send(current.address, parent_address, MsgType.RANGE_SEARCH)
                 parent = self.node(parent_address)
             except PeerNotFoundError:
                 return owners, sorted(keys), False
@@ -523,7 +506,7 @@ class MultiwayNetwork:
             for link in node.children:
                 if link.coverage.overlaps(query):
                     try:
-                        self.bus.send_typed(address, link.address, MsgType.RANGE_SEARCH)
+                        self.bus.send(address, link.address, MsgType.RANGE_SEARCH)
                     except PeerNotFoundError:
                         complete = False
                         continue

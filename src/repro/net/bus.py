@@ -1,7 +1,8 @@
 """The message bus: delivery bookkeeping and traffic accounting.
 
-The bus is the single funnel through which every inter-peer hop passes.  It
-does three jobs:
+The bus is the single funnel through which every inter-peer hop passes —
+:meth:`MessageBus.send` ``(src, dst, mtype)``, one call and one frame per
+message, no message object.  It does three jobs:
 
 * **Liveness** — peers register on join and unregister on departure; failure
   experiments mark peers dead.  Sending to a dead or unknown address raises
@@ -15,6 +16,9 @@ does three jobs:
   :meth:`MessageBus.trace`; all messages sent while a trace is open are
   attributed to it, so "average messages per exact-match query" is just the
   mean of trace totals.
+
+``send`` is the only code that writes a :class:`TrafficStats` or a
+:class:`Trace` counter (DESIGN.md, "Performance contract": per-hop path).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from repro.net.address import Address
-from repro.net.message import Message, MsgType
+from repro.net.message import MsgType
 from repro.util.errors import PeerNotFoundError
 
 
@@ -37,12 +41,6 @@ class Trace:
     total: int = 0
     by_type: Counter = field(default_factory=Counter)
     path: list[Address] = field(default_factory=list)
-
-    def record(self, message: Message) -> None:
-        """Attribute one message to this operation."""
-        self.total += 1
-        self.by_type[message.mtype] += 1
-        self.path.append(message.dst)
 
     def count(self, *mtypes: MsgType) -> int:
         """Total messages of the given categories (all if none given)."""
@@ -59,13 +57,6 @@ class TrafficStats:
     by_type: Counter = field(default_factory=Counter)
     per_peer: Counter = field(default_factory=Counter)
     per_level_by_type: Counter = field(default_factory=Counter)
-
-    def record(self, message: Message, level: Optional[int]) -> None:
-        self.total += 1
-        self.by_type[message.mtype] += 1
-        self.per_peer[message.dst] += 1
-        if level is not None:
-            self.per_level_by_type[(level, message.mtype)] += 1
 
     def level_load(self, mtype: MsgType) -> dict[int, int]:
         """Messages of one category received, grouped by tree level."""
@@ -118,29 +109,28 @@ class MessageBus:
 
     # -- sending ----------------------------------------------------------
 
-    def send(self, message: Message) -> None:
+    def send(self, src: Address, dst: Address, mtype: MsgType) -> None:
         """Account for one message and validate that the target is live.
 
         Raises :class:`PeerNotFoundError` if the destination is dead or
-        unknown.  The message is counted either way: an attempt to contact a
-        failed peer still crossed the network.
+        unknown — *after* every counter and every open trace has the
+        message: an attempt to contact a failed peer still crossed the
+        network.
         """
-        level = self._level_resolver(message.dst) if self._level_resolver else None
-        self.stats.record(message, level)
+        stats = self.stats
+        stats.total += 1
+        stats.by_type[mtype] += 1
+        stats.per_peer[dst] += 1
+        resolver = self._level_resolver
+        level = resolver(dst) if resolver is not None else None
+        if level is not None:
+            stats.per_level_by_type[(level, mtype)] += 1
         for trace in self._trace_stack:
-            trace.record(message)
-        if message.dst not in self._alive:
-            raise PeerNotFoundError(message.dst)
-
-    def send_typed(
-        self, src: Address, dst: Address, mtype: MsgType, **payload: object
-    ) -> Message:
-        """Convenience wrapper building and sending a :class:`Message`."""
-        # ``payload`` is already a fresh dict built from the keywords; no
-        # defensive copy needed.
-        message = Message(src=src, dst=dst, mtype=mtype, payload=payload)
-        self.send(message)
-        return message
+            trace.total += 1
+            trace.by_type[mtype] += 1
+            trace.path.append(dst)
+        if dst not in self._alive:
+            raise PeerNotFoundError(dst)
 
     # -- traces -----------------------------------------------------------
 
@@ -154,28 +144,16 @@ class MessageBus:
         finally:
             self._trace_stack.pop()
 
-    @contextmanager
-    def activate(self, trace: Trace) -> Iterator[Trace]:
-        """Attribute traffic to an *existing* trace for the duration.
+    def push_trace(self, trace: Trace) -> None:
+        """Attribute traffic to an *existing* trace until :meth:`pop_trace`.
 
         The event-driven runtime executes one operation as many separate
         simulator events; :meth:`trace`'s with-block scoping cannot span
-        them, so each event step re-activates the operation's own trace.
-        The trace accumulates across activations.
-        """
-        self._trace_stack.append(trace)
-        try:
-            yield trace
-        finally:
-            self._trace_stack.pop()
-
-    def push_trace(self, trace: Trace) -> None:
-        """Plain (non-contextmanager) spelling of :meth:`activate` entry.
-
-        The runtime's per-hop scheduler calls this once per simulator
-        event; the generator machinery of a ``with`` block is measurable
-        overhead at that frequency, so the hot path pushes and pops
-        directly (always in a try/finally).
+        them, so each event step re-opens the operation's own trace, which
+        accumulates across steps.  Plain calls rather than a context
+        manager: at one push per simulator event the generator machinery
+        of a ``with`` block is measurable overhead (the caller pops in a
+        try/finally).
         """
         self._trace_stack.append(trace)
 

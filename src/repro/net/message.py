@@ -1,9 +1,11 @@
-"""Typed messages exchanged between peers.
+"""Message categories for traffic accounting.
 
 The paper's evaluation metric is the *number of passing messages*, broken
 down by operation (join, leave, search, …).  Every hop in every protocol is
-therefore represented as a :class:`Message` with a :class:`MsgType` category,
-and is registered with the bus before the receiving peer acts on it.
+therefore counted at the bus under a :class:`MsgType` category —
+``bus.send(src, dst, mtype)`` — before the receiving peer acts on it.  No
+message object exists: the simulation executes the receiver's step
+directly, so the three values the accounting reads are all a hop carries.
 
 The categories are deliberately semantic rather than system-specific so the
 same accounting works for BATON, Chord and the multiway tree: a Chord lookup
@@ -13,11 +15,6 @@ hop and a BATON exact-match hop both count as :attr:`MsgType.SEARCH`.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
-
-from repro.net.address import Address
 
 
 class MsgType(enum.Enum):
@@ -83,24 +80,3 @@ class MsgType(enum.Enum):
     #: Insert notification pushed from a range owner to a subscriber,
     #: stamped with a dissemination id for exactly-once application.
     NOTIFY = "notify"
-
-
-_message_ids = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class Message:
-    """One inter-peer message.
-
-    ``payload`` carries protocol-specific fields; it is free-form because the
-    bus never interprets it — only the receiving peer's handler does.
-    """
-
-    src: Address
-    dst: Address
-    mtype: MsgType
-    payload: dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-
-    def __str__(self) -> str:
-        return f"{self.mtype.value}#{self.msg_id} {self.src}->{self.dst}"

@@ -158,9 +158,7 @@ def notify_steps(net: "BatonNetwork", owner: BatonPeer, key: int):
             continue
         message_id = state.new_message_id()
         try:
-            net.count_message(
-                owner.address, sub.subscriber, MsgType.NOTIFY, key=key
-            )
+            net.count_message(owner.address, sub.subscriber, MsgType.NOTIFY)
         except PeerNotFoundError:
             del table[sub.sub_id]
             continue

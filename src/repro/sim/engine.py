@@ -159,49 +159,59 @@ class Simulator:
         heapq.heapify(self._queue)
         self._dead = 0
 
-    def _next_live_event(self) -> Optional[Event]:
-        """Drop cancelled heap heads; return the next real event unpopped."""
-        queue = self._queue
-        while queue and queue[0][2].action is None:
-            heapq.heappop(queue)
-            self._dead -= 1
-        return queue[0][2] if queue else None
-
     def step(self) -> Optional[Event]:
-        """Execute the next event; return it, or None if the queue is empty."""
-        if self._next_live_event() is None:
-            return None
-        event = heapq.heappop(self._queue)[2]
-        self._now = event.time
-        self.executed_count += 1
-        action = event.action
-        event.action = None  # executed: release the closure, refuse cancel
-        action()
-        return event
+        """Execute the next event; return it, or None if the queue is empty.
+
+        One pop per event: cancelled entries are dropped in the same loop
+        that finds the live one.  ``queue`` is not read again once the
+        action has run — the action may cancel enough to trigger
+        :meth:`_compact`, which rebinds ``self._queue``.
+        """
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
+            action = event.action
+            if action is None:
+                self._dead -= 1
+                continue
+            self._now = event.time
+            self.executed_count += 1
+            event.action = None  # executed: release the closure, refuse cancel
+            action()
+            return event
+        return None
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``max_events``); return #executed."""
+        """Run until the queue drains (or ``max_events``); return #executed.
+
+        Every event is dispatched through :meth:`step`, so a subclass that
+        overrides it (the benchmark's tracer) sees each one.
+        """
         executed = 0
-        while self._next_live_event() is not None:
-            if max_events is not None and executed >= max_events:
+        while max_events is None or executed < max_events:
+            if self.step() is None:
                 break
-            self.step()
             executed += 1
         return executed
 
     def run_until(self, time: float) -> int:
         """Run every event with timestamp <= ``time``; return #executed.
 
-        Afterwards the clock reads exactly ``time``: executing the last
-        in-window event sets it to that event's (earlier or equal)
-        timestamp, and the final assignment advances it the rest of the
-        way so follow-up ``schedule`` calls measure delays from the
-        requested stopping point.
+        Dispatches through :meth:`step` like :meth:`run`; the horizon test
+        needs the head's timestamp first, so cancelled heads are dropped
+        here before it is read.  Afterwards the clock reads exactly
+        ``time``: executing the last in-window event sets it to that
+        event's (earlier or equal) timestamp, and the final assignment
+        advances it the rest of the way so follow-up ``schedule`` calls
+        measure delays from the requested stopping point.
         """
         executed = 0
         while True:
-            head = self._next_live_event()
-            if head is None or head.time > time:
+            queue = self._queue  # re-read: an action may have compacted it
+            while queue and queue[0][2].action is None:
+                heapq.heappop(queue)
+                self._dead -= 1
+            if not queue or queue[0][0] > time:
                 break
             self.step()
             executed += 1

@@ -1,16 +1,18 @@
 """Tests for trace analysis helpers (repro.experiments.analysis)."""
 
 from repro.experiments import analysis
-from repro.net.bus import Trace
-from repro.net.message import Message, MsgType
+from repro.net.bus import MessageBus, Trace
+from repro.net.message import MsgType
 from repro.net.address import Address
 
 
 def make_trace(counts: dict[MsgType, int]) -> Trace:
-    trace = Trace(label="t")
-    for mtype, n in counts.items():
-        for _ in range(n):
-            trace.record(Message(Address(1), Address(2), mtype))
+    bus = MessageBus()
+    bus.register(Address(2))
+    with bus.trace("t") as trace:
+        for mtype, n in counts.items():
+            for _ in range(n):
+                bus.send(Address(1), Address(2), mtype)
     return trace
 
 

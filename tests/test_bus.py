@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.address import Address, AddressAllocator
 from repro.net.bus import MessageBus
-from repro.net.message import Message, MsgType
+from repro.net.message import MsgType
 from repro.util.errors import PeerNotFoundError
 
 
@@ -33,7 +33,7 @@ class TestLiveness:
         bus = MessageBus()
         bus.register(Address(1))
         with pytest.raises(PeerNotFoundError):
-            bus.send_typed(Address(1), Address(2), MsgType.SEARCH)
+            bus.send(Address(1), Address(2), MsgType.SEARCH)
         # the wasted message was still paid for
         assert bus.stats.total == 1
 
@@ -43,9 +43,9 @@ class TestAccounting:
         bus = MessageBus()
         for addr in (1, 2):
             bus.register(Address(addr))
-        bus.send_typed(Address(1), Address(2), MsgType.SEARCH)
-        bus.send_typed(Address(2), Address(1), MsgType.SEARCH)
-        bus.send_typed(Address(1), Address(2), MsgType.INSERT)
+        bus.send(Address(1), Address(2), MsgType.SEARCH)
+        bus.send(Address(2), Address(1), MsgType.SEARCH)
+        bus.send(Address(1), Address(2), MsgType.INSERT)
         assert bus.stats.total == 3
         assert bus.stats.by_type[MsgType.SEARCH] == 2
         assert bus.stats.per_peer[Address(2)] == 2
@@ -55,8 +55,8 @@ class TestAccounting:
         for addr in (1, 2):
             bus.register(Address(addr))
         bus.set_level_resolver(lambda addr: {1: 0, 2: 3}.get(addr))
-        bus.send_typed(Address(1), Address(2), MsgType.INSERT)
-        bus.send_typed(Address(2), Address(1), MsgType.INSERT)
+        bus.send(Address(1), Address(2), MsgType.INSERT)
+        bus.send(Address(2), Address(1), MsgType.INSERT)
         loads = bus.stats.level_load(MsgType.INSERT)
         assert loads == {3: 1, 0: 1}
 
@@ -64,7 +64,7 @@ class TestAccounting:
         bus = MessageBus()
         bus.register(Address(1))
         bus.set_level_resolver(lambda addr: 1)
-        bus.send_typed(Address(1), Address(1), MsgType.SEARCH)
+        bus.send(Address(1), Address(1), MsgType.SEARCH)
         assert bus.stats.level_load(MsgType.INSERT) == {}
 
 
@@ -73,10 +73,10 @@ class TestTraces:
         bus = MessageBus()
         for addr in (1, 2):
             bus.register(Address(addr))
-        bus.send_typed(Address(1), Address(2), MsgType.SEARCH)
+        bus.send(Address(1), Address(2), MsgType.SEARCH)
         with bus.trace("op") as trace:
-            bus.send_typed(Address(1), Address(2), MsgType.SEARCH)
-            bus.send_typed(Address(2), Address(1), MsgType.RESPONSE)
+            bus.send(Address(1), Address(2), MsgType.SEARCH)
+            bus.send(Address(2), Address(1), MsgType.RESPONSE)
         assert trace.total == 2
         assert trace.count(MsgType.SEARCH) == 1
         assert trace.count() == 2
@@ -87,7 +87,7 @@ class TestTraces:
         bus.register(Address(1))
         with bus.trace("outer") as outer:
             with bus.trace("inner") as inner:
-                bus.send_typed(Address(1), Address(1), MsgType.SEARCH)
+                bus.send(Address(1), Address(1), MsgType.SEARCH)
         assert outer.total == 1
         assert inner.total == 1
 
@@ -96,18 +96,30 @@ class TestTraces:
         for addr in (1, 2, 3):
             bus.register(Address(addr))
         with bus.trace("walk") as trace:
-            bus.send_typed(Address(1), Address(2), MsgType.SEARCH)
-            bus.send_typed(Address(2), Address(3), MsgType.SEARCH)
+            bus.send(Address(1), Address(2), MsgType.SEARCH)
+            bus.send(Address(2), Address(3), MsgType.SEARCH)
         assert trace.path == [Address(2), Address(3)]
 
 
-class TestMessage:
-    def test_message_ids_unique(self):
-        a = Message(Address(1), Address(2), MsgType.SEARCH)
-        b = Message(Address(1), Address(2), MsgType.SEARCH)
-        assert a.msg_id != b.msg_id
+class TestFunnel:
+    def test_dead_destination_is_fully_counted_before_the_raise(self):
+        bus = MessageBus()
+        bus.register(Address(1))
+        bus.set_level_resolver(lambda addr: 2)
+        with bus.trace("op") as trace:
+            with pytest.raises(PeerNotFoundError):
+                bus.send(Address(1), Address(9), MsgType.SEARCH)
+        assert bus.stats.total == 1
+        assert bus.stats.by_type[MsgType.SEARCH] == 1
+        assert bus.stats.per_peer[Address(9)] == 1
+        assert bus.stats.level_load(MsgType.SEARCH) == {2: 1}
+        assert trace.total == 1
+        assert trace.by_type[MsgType.SEARCH] == 1
+        assert trace.path == [Address(9)]
 
-    def test_str_is_informative(self):
-        m = Message(Address(1), Address(2), MsgType.SEARCH)
-        assert "search" in str(m)
-        assert "1->2" in str(m)
+    def test_send_takes_no_payload(self):
+        bus = MessageBus()
+        bus.register(Address(1))
+        with pytest.raises(TypeError):
+            bus.send(Address(1), Address(1), MsgType.SEARCH, key=7)
+        assert bus.stats.total == 0

@@ -9,15 +9,23 @@ Two properties anchor everything else:
   same event log, same per-operation outcomes, across two fresh runs.
 """
 
+import gc
+import random
+
 import pytest
 
+from repro import overlays
 from repro.core import check_invariants
-from repro.core.network import BatonNetwork
+from repro.core.network import BatonConfig, BatonNetwork
+from repro.net.message import MsgType
+from repro.sim.faults import FaultPlan
 from repro.sim.latency import ConstantLatency, ExponentialLatency
 from repro.sim.runtime import AsyncBatonNetwork
 from repro.util.errors import PeerNotFoundError, ReproError
 from repro.util.rng import SeededRng
 from repro.workloads.generators import uniform_keys
+
+from tests.test_sim import RecordingSimulator
 
 
 def structure_snapshot(net: BatonNetwork) -> set:
@@ -266,3 +274,144 @@ class TestUpdatePropagation:
                 saw_in_flight = True
         assert saw_in_flight
         assert anet.net.updates.in_flight == 0
+
+
+def streaming_runtime(topology, replication: bool = False) -> AsyncBatonNetwork:
+    """Bulk N=1024, 20 keys per peer, configured the way the workload
+    drivers configure it (no event log, futures not retained)."""
+    net = BatonNetwork.build(
+        1024,
+        seed=3,
+        config=BatonConfig(replication=replication),
+        bulk=True,
+        keys=uniform_keys(1024 * 20, seed=5),
+    )
+    return AsyncBatonNetwork(
+        net, topology=topology, record_events=False, retain_ops=False
+    )
+
+
+def exponential() -> ExponentialLatency:
+    return ExponentialLatency(1.0, SeededRng(17))
+
+
+class TestNoCyclicGarbage:
+    """A completed operation is freed by reference counting: nothing the
+    runtime allocates per op may sit in a reference cycle (DESIGN.md,
+    "Performance contract")."""
+
+    @pytest.mark.parametrize(
+        "make_topology",
+        [
+            exponential,
+            lambda: FaultPlan(exponential(), seed=1),
+            lambda: FaultPlan(exponential(), seed=1, drop_rate=0.05),
+        ],
+        ids=["plain", "inert-plan", "lossy-plan"],
+    )
+    def test_drained_queries_leave_nothing_to_collect(self, make_topology):
+        anet = streaming_runtime(make_topology())
+        rng = random.Random(23)
+        domain = anet.domain
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2000):
+                anet.submit_search_exact(rng.randint(domain.low, domain.high - 1))
+            for _ in range(500):
+                low = rng.randint(domain.low, domain.high - 2_000_001)
+                anet.submit_search_range(low, low + 2_000_000)
+            anet.drain()
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert anet.in_flight == 0
+        if anet.faults is not None and anet.faults.drop_rate:
+            assert anet.fault_stats.retries > 0  # the retry path ran
+        assert garbage < 100
+
+    def test_refresh_sweep_garbage_is_per_sweep_not_per_peer(self):
+        anet = streaming_runtime(exponential(), replication=True)
+        gc.collect()
+        gc.disable()
+        try:
+            future = anet.submit_replica_refresh_sweep()
+            anet.drain()
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert future.succeeded and future.result == anet.size == 1024
+        assert garbage < 100
+
+
+def shadow_send(bus) -> list:
+    """Shadow ``bus.send`` on the instance, as ``tracing.trace_method``
+    does; returns the list every call is appended to."""
+    inner = bus.send
+    calls = []
+
+    def counted(src, dst, mtype):
+        calls.append(mtype)
+        return inner(src, dst, mtype)
+
+    bus.send = counted
+    return calls
+
+
+class TestTracerSeams:
+    """``benchmarks/e2e/tracing.py`` stands on two seams no in-program test
+    otherwise holds open: the simulator is measured by subclassing it, the
+    bus by shadowing ``send`` on the instance after the runtime is built.
+    A fast path that bypasses either makes the layer split silently wrong."""
+
+    def test_drain_dispatches_through_the_simulator_subclass(self):
+        sim = RecordingSimulator()
+        anet = AsyncBatonNetwork(
+            BatonNetwork.build(40, seed=3), sim=sim, topology=exponential()
+        )
+        for key in uniform_keys(30, seed=9):
+            anet.submit_search_exact(key)
+        anet.submit_join()  # table updates ride schedule_at
+        anet.submit_leave(anet.net.addresses()[5])
+        executed = anet.drain()
+        assert executed == sim.executed_count == len(sim.stepped) > 0
+        assert sim.pending_count == 0
+        assert len(sim.scheduled) == sim.executed_count + sim.cancelled_count
+
+    def test_every_baton_message_goes_through_the_instance_send(self):
+        net = BatonNetwork.build(64, seed=2, config=BatonConfig(replication=True))
+        net.bulk_load(uniform_keys(640, seed=4))
+        anet = overlays.get("baton").wrap(net, topology=exponential())
+        calls = shadow_send(net.bus)
+        before = net.bus.stats.total
+        for key in uniform_keys(20, seed=6):
+            anet.submit_search_exact(key)
+        anet.submit_search_range(10**8, 3 * 10**8)
+        anet.submit_insert(123_456_789)
+        anet.submit_join()
+        anet.submit_leave(net.addresses()[7])
+        anet.drain()
+        anet.reconcile()
+        assert len(calls) == net.bus.stats.total - before
+        assert {
+            MsgType.SEARCH,
+            MsgType.RANGE_SEARCH,
+            MsgType.INSERT,
+            MsgType.REPLICATE,
+            MsgType.JOIN_FIND,
+            MsgType.JOIN_TRANSFER,
+            MsgType.TABLE_UPDATE,
+            MsgType.LEAVE_TRANSFER,
+            MsgType.RECONCILE,
+        } <= set(calls)
+
+    @pytest.mark.parametrize("overlay", ["chord", "multiway"])
+    def test_every_baseline_message_goes_through_the_instance_send(self, overlay):
+        anet = overlays.get(overlay).build_async(48, seed=2, topology=exponential())
+        calls = shadow_send(anet.bus)
+        before = anet.bus.stats.total
+        for key in uniform_keys(20, seed=6):
+            anet.submit_search_exact(key)
+        anet.submit_search_range(10**8, 3 * 10**8)
+        anet.drain()
+        assert len(calls) == anet.bus.stats.total - before > 0

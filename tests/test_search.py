@@ -1,12 +1,15 @@
 """Protocol tests: exact-match search (§IV-A)."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import BatonNetwork
+from repro.core import BatonNetwork, search
 from repro.core.ranges import Range
 from repro.net.message import MsgType
+from repro.util.errors import PeerNotFoundError
 
 from tests.conftest import make_network
 
@@ -91,3 +94,164 @@ class TestAgainstOracle:
             lows = [p.range.low for p in by_low]
             expected = by_low[bisect.bisect_right(lows, key) - 1]
             assert owner == expected.address
+
+
+# -- the routing decision against the eager list it replaced ------------------
+
+
+def oracle_hop_candidates(peer, key):
+    """The eager (primary, fallback) builder ``next_hops`` replaced, kept
+    verbatim as the order oracle; reads only the peer's own links."""
+    primary = []
+    if key >= peer.range.high:
+        table, child, adjacent = (
+            peer.right_table,
+            peer.right_child,
+            peer.right_adjacent,
+        )
+        entries = table.entries
+        for index in reversed(table.valid_indices()):
+            info = entries[index]
+            if info is not None and info.range.low <= key:
+                primary.append(info.address)
+    else:
+        table, child, adjacent = (
+            peer.left_table,
+            peer.left_child,
+            peer.left_adjacent,
+        )
+        entries = table.entries
+        for index in reversed(table.valid_indices()):
+            info = entries[index]
+            if info is not None and info.range.high > key:
+                primary.append(info.address)
+    if child is not None:
+        primary.append(child.address)
+    if adjacent is not None:
+        primary.append(adjacent.address)
+    fallback = []
+    if peer.parent is not None:
+        fallback.append(peer.parent.address)
+    seen = {peer.address}
+    deduped_primary = []
+    for address in primary:
+        if address not in seen:
+            seen.add(address)
+            deduped_primary.append(address)
+    deduped_fallback = [a for a in fallback if a not in seen]
+    return deduped_primary, deduped_fallback
+
+
+def oracle_walk(net, start, key, mtype):
+    """The walk as it ran on the eager list: every candidate in order, a
+    dead one paid for and skipped; returns the peer it stopped at."""
+    current = start
+    for _ in range(search.hop_limit(net)):
+        peer = net.peer(current)
+        if peer.range.contains(key):
+            break
+        primary, fallback = oracle_hop_candidates(peer, key)
+        if not primary:
+            break
+        for candidate in primary + fallback:
+            try:
+                net.bus.send(current, candidate, mtype)
+            except PeerNotFoundError:
+                continue
+            current = candidate
+            break
+        else:
+            break  # marooned; the ghosted network is degraded, so give up
+    return current
+
+
+def probe_keys(peer):
+    """Keys left of, inside and right of ``peer``'s range: both domain
+    overshoots, its own bounds and both bounds of every table entry."""
+    keys = {0, 10**10, peer.range.low - 1, peer.range.low, peer.range.high}
+    for table in (peer.left_table, peer.right_table):
+        for _, info in table.occupied():
+            keys.update((info.range.low, info.range.high - 1, info.range.high))
+    return sorted(keys)
+
+
+def assert_stream_matches_oracle(net, extra_keys=()):
+    for peer in net.peers.values():
+        for key in [*probe_keys(peer), *extra_keys]:
+            primary, fallback = oracle_hop_candidates(peer, key)
+            expected = primary + fallback if primary else []
+            assert list(search.next_hops(peer, key)) == expected, (peer, key)
+
+
+@pytest.fixture(scope="module")
+def bulk_thousand() -> BatonNetwork:
+    return BatonNetwork.build(1000, bulk=True)
+
+
+@pytest.fixture(scope="module")
+def ghosted() -> BatonNetwork:
+    """Churned N=64 with four unrepaired crashes, plus hand-planted stale
+    table entries: four rows naming the table's owner, four repeating a
+    nearer row.  Shared by the module: searching only moves counters."""
+    net = make_network(64, seed=5)
+    rng = random.Random(9)
+    for _ in range(12):
+        net.leave(rng.choice(net.addresses()))
+        net.join()
+    for victim in rng.sample(net.addresses(), 4):
+        net.fail(victim)
+    planted = 0
+    for peer in net.peers.values():
+        for table in (peer.left_table, peer.right_table):
+            rows = [index for index, _ in table.occupied()]
+            if len(rows) >= 3 and planted < 4:
+                near, mid, far = rows[0], rows[1], rows[-1]
+                entries = table.entries
+                entries[far] = entries[far]._replace(address=peer.address)
+                entries[mid] = entries[mid]._replace(address=entries[near].address)
+                planted += 1
+    assert planted == 4 and len(net.ghosts) >= 3
+    return net
+
+
+any_key = st.integers(min_value=0, max_value=2 * 10**9)
+
+
+class TestRoutingDecision:
+    """``next_hops`` yields exactly the list the eager builder built."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 10**6), st.lists(any_key, max_size=4))
+    def test_join_grown_networks(self, n_peers, seed, keys):
+        assert_stream_matches_oracle(BatonNetwork.build(n_peers, seed=seed), keys)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(any_key, min_size=1, max_size=4))
+    def test_bulk_thousand(self, bulk_thousand, keys):
+        assert_stream_matches_oracle(bulk_thousand, keys)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(any_key, min_size=1, max_size=8))
+    def test_ghosts_and_stale_entries(self, ghosted, keys):
+        assert_stream_matches_oracle(ghosted, keys)
+
+    def test_extreme_node_has_no_candidates_not_even_its_parent(self, net20):
+        rightmost = net20.rightmost_peer()
+        assert rightmost.parent is not None
+        assert list(search.next_hops(rightmost, 10**10)) == []
+
+    def test_walks_spend_the_same_messages_as_the_eager_list(self, ghosted):
+        net = ghosted
+        rng = random.Random(4)
+        keys = [rng.randint(1, 10**9 - 1) for _ in range(200)]
+        dead_hops = 0
+        for start in net.addresses():
+            for key in keys:
+                result = net.search_exact(key, via=start)
+                with net.open_trace("oracle") as expected:
+                    owner = oracle_walk(net, start, key, MsgType.SEARCH)
+                assert result.owner == owner
+                assert result.trace.by_type == expected.by_type
+                assert result.trace.path == expected.path
+                dead_hops += sum(a in net.ghosts for a in expected.path)
+        assert dead_hops > 0  # the fallbacks were exercised

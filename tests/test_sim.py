@@ -363,3 +363,103 @@ class TestCancelHeavyScale:
         sim.run(max_events=30)
         sim.schedule(1.0, lambda: None)
         assert sim.peak_queue_len == 50  # highwater, not current length
+
+
+class RecordingSimulator(Simulator):
+    """Overrides the three methods the benchmark's tracer overrides."""
+
+    def __init__(self):
+        super().__init__()
+        self.stepped = []
+        self.scheduled = []
+
+    def schedule(self, delay, action, label=""):
+        self.scheduled.append(label)
+        return super().schedule(delay, action, label)
+
+    def schedule_at(self, time, action, label=""):
+        self.scheduled.append(label)
+        return super().schedule_at(time, action, label)
+
+    def step(self):
+        event = super().step()
+        if event is not None:
+            self.stepped.append(event)
+        return event
+
+
+class TestOverridableSeams:
+    """``benchmarks/e2e/tracing.py`` measures the engine by subclassing it:
+    every event must be dispatched through ``self.step()`` and every
+    scheduling through ``self.schedule``/``self.schedule_at``."""
+
+    @staticmethod
+    def loaded():
+        sim = RecordingSimulator()
+
+        def chain(depth):
+            if depth:
+                sim.schedule(0.5, lambda: chain(depth - 1), "chain")
+
+        for t in range(1, 21):
+            sim.schedule(float(t), lambda: chain(2), "root")
+        sim.schedule_at(7.25, lambda: None, "absolute")
+        for event in [sim.schedule(float(t) + 0.1, lambda: None, "x") for t in range(5)]:
+            sim.cancel(event)
+        return sim
+
+    @staticmethod
+    def assert_all_seen(sim, executed):
+        assert executed == sim.executed_count == len(sim.stepped)
+        assert len(sim.scheduled) == (
+            sim.executed_count + sim.cancelled_count + sim.pending_count
+        )
+        order = [(event.time, event.seq) for event in sim.stepped]
+        assert order == sorted(order)
+
+    def test_run_dispatches_through_step(self):
+        sim = self.loaded()
+        self.assert_all_seen(sim, sim.run())
+        assert sim.executed_count == 21 + 20 * 2 and sim.pending_count == 0
+
+    def test_run_max_events_dispatches_through_step(self):
+        sim = self.loaded()
+        assert sim.run(max_events=17) == 17
+        self.assert_all_seen(sim, 17)
+        assert sim.pending_count > 0
+
+    def test_run_until_dispatches_through_step(self):
+        sim = self.loaded()
+        self.assert_all_seen(sim, sim.run_until(9.5))
+        assert sim.stepped[-1].time <= 9.5 and sim.now == 9.5
+        assert sim.pending_count > 0
+
+    def test_run_until_stops_at_the_horizon_behind_a_cancelled_head(self):
+        sim = RecordingSimulator()
+        head = sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None)
+        sim.cancel(head)
+        assert sim.run_until(2.0) == 0
+        assert sim.stepped == [] and sim.pending_count == 1
+
+    def test_compaction_mid_run_keeps_order_and_runs_survivors_once(self):
+        sim = RecordingSimulator()
+        ran = []
+        events = {
+            t: sim.schedule(float(t), lambda t=t: ran.append(t)) for t in range(2, 62)
+        }
+
+        def purge():
+            # More than half the heap goes at once: cancel() compacts, which
+            # rebinds the queue under the running loop.
+            queue_before = sim._queue
+            for t in range(2, 62):
+                if t % 3:
+                    sim.cancel(events[t])
+            assert sim._queue is not queue_before
+            sim.schedule(0.5, lambda: ran.append("late"))
+
+        sim.schedule(1.0, purge)
+        self.assert_all_seen(sim, sim.run())
+        assert ran == ["late", *range(3, 62, 3)]
+        assert sim.pending_count == 0 and not sim._queue
