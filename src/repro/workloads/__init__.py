@@ -14,12 +14,12 @@ from repro.workloads.generators import (
     uniform_keys,
     zipfian_keys,
 )
-from repro.workloads.churn import ChurnEvent, churn_schedule
 from repro.workloads.concurrent import (
     ConcurrentConfig,
     ConcurrentReport,
-    ScenarioContext,
+    WorkloadRun,
     percentile,
+    poisson,
     run_concurrent_workload,
 )
 from repro.workloads.chaos import (
@@ -39,12 +39,11 @@ __all__ = [
     "zipfian_keys",
     "exact_queries",
     "range_queries",
-    "ChurnEvent",
-    "churn_schedule",
     "ConcurrentConfig",
     "ConcurrentReport",
-    "ScenarioContext",
+    "WorkloadRun",
     "percentile",
+    "poisson",
     "run_concurrent_workload",
     "SCENARIO_NAMES",
     "ChaosScenario",

@@ -17,12 +17,18 @@ under sustained adversity; ROADMAP item 5 names these four scenarios:
   the default rates for the whole run (the at-least-once runtime's
   bread-and-butter regime).
 
-A scenario is a small script over one
-:func:`~repro.workloads.concurrent.run_concurrent_workload` run: it may
-wrap the run's topology in a :class:`~repro.sim.faults.FaultPlan`
-(``fault_plan``), schedule extra events before the drain (``install``),
-and compute recovery after it (``finalize``).  Each reports four metrics
-into the shared :class:`~repro.workloads.concurrent.ConcurrentReport`:
+A scenario is one more producer over a
+:class:`~repro.workloads.concurrent.WorkloadRun` (DESIGN.md, "Workload
+driver contract").  It may wrap the run's topology in a
+:class:`~repro.sim.faults.FaultPlan` (``fault_plan``); ``install(run)``
+schedules its events before the drain — whatever it submits goes through
+``run.note`` / ``run.reconcile`` / ``poisson``, so it is counted and
+settled like the run's own arrivals; ``finalize(run)`` runs after the
+fold and writes the five report fields a scenario still owns:
+``recover_time`` (the probe streak, measured from ``heal_at``) and the
+monitor's ``heartbeats``, ``failed_heartbeats``, ``suspicions``,
+``monitor_repairs``.  Each run reports four metrics into the shared
+:class:`~repro.workloads.concurrent.ConcurrentReport`:
 
 * **availability-during** — fraction of queries submitted inside the
   fault window that were fully answered;
@@ -49,10 +55,9 @@ from repro.sim.faults import (
     RetryPolicy,
 )
 from repro.sim.liveness import LivenessMonitor
-from repro.sim.runtime import OpFuture
 from repro.sim.topology import Topology
-from repro.util.rng import derive_seed
-from repro.workloads.concurrent import ScenarioContext
+from repro.util.rng import SeededRng, derive_seed
+from repro.workloads.concurrent import WorkloadRun, poisson
 
 SCENARIO_NAMES = (
     "region_outage",
@@ -67,8 +72,9 @@ class ChaosScenario:
 
     Subclasses set :attr:`name`, :attr:`requires` (overlay capabilities
     the scenario needs — the experiment skips overlays that lack them),
-    assign :attr:`window` in ``__init__``, and override ``fault_plan`` /
-    ``install`` / ``finalize`` as needed.
+    assign :attr:`window` (and :attr:`heal_at`, when there is a recovery
+    phase) in ``__init__``, and override ``fault_plan`` / ``install`` as
+    needed.
     """
 
     name: str = "?"
@@ -84,6 +90,9 @@ class ChaosScenario:
         #: (start, end) of the fault window, relative to the run start;
         #: queries submitted inside it feed availability-during.
         self.window: Optional[Tuple[float, float]] = None
+        #: The heal (or strike) point recovery is measured from, relative
+        #: to the run start (None: the scenario has no recovery phase).
+        self.heal_at: Optional[float] = None
         self._probes: List[Tuple[float, bool]] = []
         self._monitor: Optional[LivenessMonitor] = None
 
@@ -91,82 +100,25 @@ class ChaosScenario:
         """The transport wrapper this scenario needs (None: run unwrapped)."""
         return None
 
-    def install(self, ctx: ScenarioContext) -> None:
+    def install(self, run: WorkloadRun) -> None:
         """Schedule the scenario's events (called before the drain)."""
 
-    def finalize(self, ctx: ScenarioContext) -> None:
-        """Fold scenario metrics into the report (called after the drain)."""
-        self._fold_monitor(ctx)
-
-    # -- shared machinery -----------------------------------------------------
-
-    def _install_monitor(
-        self,
-        ctx: ScenarioContext,
-        interval: float = 2.0,
-        suspicion_threshold: int = 2,
-    ) -> None:
-        """Start a liveness monitor whose repairs count like the driver's."""
-
-        def on_repair(future: OpFuture) -> None:
-            ctx.note("repair", future)
-
-            def settle_repair(done: OpFuture) -> None:
-                if done.succeeded and done.result is not None:
-                    ctx.report.repairs_applied += 1
-                    ctx.report.keys_recovered += done.result.keys_recovered
-
-            future.add_done_callback(settle_repair)
-
-        monitor = LivenessMonitor(
-            ctx.anet,
-            interval=interval,
-            suspicion_threshold=suspicion_threshold,
-            horizon=ctx.horizon,
-            on_repair=on_repair,
-        )
-        monitor.start()
-        self._monitor = monitor
-
-    def _fold_monitor(self, ctx: ScenarioContext) -> None:
+    def finalize(self, run: WorkloadRun) -> None:
+        """Write what the scenario observed into the folded report: the
+        monitor's activity and, from ``heal_at``, the recovery time —
+        the first ``probe_run``-long streak of answered probes (-1.0 when
+        no such streak happened in the run)."""
+        report = run.report
         monitor = self._monitor
-        if monitor is None:
+        if monitor is not None:
+            report.heartbeats += monitor.heartbeats
+            report.failed_heartbeats += monitor.failed_heartbeats
+            report.suspicions += monitor.suspicions
+            report.monitor_repairs += monitor.repairs_submitted
+        if self.heal_at is None:
             return
-        report = ctx.report
-        report.heartbeats += monitor.heartbeats
-        report.failed_heartbeats += monitor.failed_heartbeats
-        report.suspicions += monitor.suspicions
-        report.monitor_repairs += monitor.repairs_submitted
-
-    def _schedule_probes(self, ctx: ScenarioContext, start_rel: float) -> None:
-        """Periodic exact-match probe queries from ``start_rel`` to the
-        horizon; their (time, answered) records feed the recovery metric."""
-        keys = list(ctx.keys)
-        if not keys:
-            return
-        rng = ctx.rng.child("probes")
-        anet = ctx.anet
-        records = self._probes
-        at = ctx.start_time + start_rel
-        while at <= ctx.horizon:
-
-            def fire(when: float = at) -> None:
-                future = anet.submit_search_exact(rng.choice(keys))
-                ctx.note("probe", future)
-                future.add_done_callback(
-                    lambda done: records.append(
-                        (when, done.succeeded and done.result.found)
-                    )
-                )
-
-            anet.sim.schedule_at(at, fire, label="chaos.probe")
-            at += self.probe_interval
-
-    def _finalize_recovery(self, ctx: ScenarioContext, heal_rel: float) -> None:
-        """Recovery = heal point to the first ``probe_run``-long streak of
-        answered probes (-1.0 when no such streak happened in the run)."""
-        heal_at = ctx.start_time + heal_rel
-        recovered = -1.0
+        heal_at = run.start_time + self.heal_at
+        report.recover_time = -1.0
         streak = 0
         streak_start = 0.0
         for when, answered in sorted(self._probes):
@@ -175,11 +127,50 @@ class ChaosScenario:
                     streak_start = when
                 streak += 1
                 if streak >= self.probe_run:
-                    recovered = max(0.0, streak_start - heal_at)
+                    report.recover_time = max(0.0, streak_start - heal_at)
                     break
             else:
                 streak = 0
-        ctx.report.recover_time = recovered
+
+    # -- shared machinery -----------------------------------------------------
+
+    def _stream(self, run: WorkloadRun, *labels: object) -> SeededRng:
+        """The scenario's labelled sub-stream of the run's rng."""
+        return run.rng.child("scenario", self.name).child(*labels)
+
+    def _install_monitor(self, run: WorkloadRun) -> None:
+        """Start a liveness monitor whose repairs count like the driver's."""
+        monitor = LivenessMonitor(
+            run.anet,
+            horizon=run.horizon,
+            on_repair=lambda future: run.note("repair", future),
+        )
+        monitor.start()
+        self._monitor = monitor
+
+    def _schedule_probes(self, run: WorkloadRun, start_rel: float) -> None:
+        """Periodic exact-match probe queries from ``start_rel`` to the
+        horizon; their (time, answered) records feed the recovery metric."""
+        keys = list(run.keys)
+        if not keys:
+            return
+        rng = self._stream(run, "probes")
+        anet = run.anet
+        records = self._probes
+        at = run.start_time + start_rel
+        while at <= run.horizon:
+
+            def fire(when: float = at) -> None:
+                future = anet.submit_search_exact(rng.choice(keys))
+                run.note("probe", future)
+                future.add_done_callback(
+                    lambda done: records.append(
+                        (when, done.succeeded and done.result.found)
+                    )
+                )
+
+            anet.sim.schedule_at(at, fire, label="chaos.probe")
+            at += self.probe_interval
 
 
 class RegionOutage(ChaosScenario):
@@ -195,54 +186,40 @@ class RegionOutage(ChaosScenario):
 
     name = "region_outage"
     requires = frozenset({"fail", "repair"})
+    #: The region that goes dark.
+    region = 0
 
-    def __init__(
-        self,
-        *,
-        strike_at: float = 10.0,
-        window_len: float = 15.0,
-        region: int = 0,
-        monitor_interval: float = 2.0,
-        suspicion_threshold: int = 2,
-    ):
+    def __init__(self, *, strike_at: float = 10.0, window_len: float = 15.0):
         super().__init__()
         self.window = (strike_at, strike_at + window_len)
-        self.region = region
-        self.monitor_interval = monitor_interval
-        self.suspicion_threshold = suspicion_threshold
+        self.heal_at = strike_at
         #: Peers the strike actually took down (set when it fires).
         self.struck = 0
 
-    def install(self, ctx: ScenarioContext) -> None:
-        self._install_monitor(
-            ctx, self.monitor_interval, self.suspicion_threshold
-        )
-        strike_abs = ctx.start_time + self.window[0]
+    def install(self, run: WorkloadRun) -> None:
+        self._install_monitor(run)
 
         def strike() -> None:
-            victims = self._victims(ctx)
+            victims = self._victims(run)
             self.struck = len(victims)
             for address in victims:
-                ctx.note("fail", ctx.anet.submit_fail(address))
+                run.note("fail", run.anet.submit_fail(address))
 
-        ctx.anet.sim.schedule_at(strike_abs, strike, label="chaos.region-outage")
-        self._schedule_probes(ctx, self.window[0] + self.probe_interval)
+        run.anet.sim.schedule_at(
+            run.start_time + self.window[0], strike, label="chaos.region-outage"
+        )
+        self._schedule_probes(run, self.window[0] + self.probe_interval)
 
-    def finalize(self, ctx: ScenarioContext) -> None:
-        self._fold_monitor(ctx)
-        self._finalize_recovery(ctx, self.window[0])
-
-    def _victims(self, ctx: ScenarioContext) -> List:
-        addresses = list(ctx.anet.net.addresses())
-        region_of = getattr(ctx.anet.topology, "region_of", None)
+    def _victims(self, run: WorkloadRun) -> List:
+        addresses = list(run.anet.net.addresses())
+        region_of = getattr(run.anet.topology, "region_of", None)
         if region_of is not None:
             try:
                 return [a for a in addresses if region_of(a) == self.region]
             except AttributeError:
                 pass  # a FaultPlan over a region-less inner topology
-        rng = ctx.rng.child("victims")
         count = max(1, len(addresses) // 4)
-        return rng.sample(addresses, count)
+        return self._stream(run, "victims").sample(addresses, count)
 
 
 class PartitionHeal(ChaosScenario):
@@ -258,19 +235,15 @@ class PartitionHeal(ChaosScenario):
 
     name = "partition_heal"
     requires = frozenset()
+    #: The cut: these regions against the rest, where the topology has a
+    #: region map; otherwise a seeded ``fraction`` of the peers.
+    regions = frozenset({0})
+    fraction = 0.5
 
-    def __init__(
-        self,
-        *,
-        start: float = 8.0,
-        end: float = 20.0,
-        regions: frozenset = frozenset({0}),
-        fraction: float = 0.5,
-    ):
+    def __init__(self, *, start: float = 8.0, end: float = 20.0):
         super().__init__()
         self.window = (start, end)
-        self.regions = regions
-        self.fraction = fraction
+        self.heal_at = end
 
     def fault_plan(self, inner: Topology, seed: int) -> FaultPlan:
         regions = self.regions if hasattr(inner, "region_of") else None
@@ -287,21 +260,15 @@ class PartitionHeal(ChaosScenario):
             ),
         )
 
-    def install(self, ctx: ScenarioContext) -> None:
-        anet = ctx.anet
-        heal_abs = ctx.start_time + self.window[1]
-
+    def install(self, run: WorkloadRun) -> None:
         def heal_storm() -> None:
-            if anet.supports("reconcile"):
-                ctx.report.reconcile_messages += anet.reconcile()
-                ctx.report.reconcile_sweeps += 1
+            if run.anet.supports("reconcile"):
+                run.reconcile()
 
-        anet.sim.schedule_at(heal_abs, heal_storm, label="chaos.heal")
-        self._schedule_probes(ctx, self.window[1])
-
-    def finalize(self, ctx: ScenarioContext) -> None:
-        self._fold_monitor(ctx)
-        self._finalize_recovery(ctx, self.window[1])
+        run.anet.sim.schedule_at(
+            run.start_time + self.heal_at, heal_storm, label="chaos.heal"
+        )
+        self._schedule_probes(run, self.heal_at)
 
 
 class FlashCrowd(ChaosScenario):
@@ -316,6 +283,10 @@ class FlashCrowd(ChaosScenario):
 
     name = "flash_crowd"
     requires = frozenset()
+    #: Share of the loaded keys that goes viral, and the share of spike
+    #: queries that scan the whole hot range instead of one key in it.
+    hot_fraction = 1.0 / 64.0
+    range_share = 0.2
 
     def __init__(
         self,
@@ -324,74 +295,56 @@ class FlashCrowd(ChaosScenario):
         spike_len: float = 6.0,
         joins: int = 1000,
         query_multiplier: float = 100.0,
-        hot_fraction: float = 1.0 / 64.0,
-        range_share: float = 0.2,
     ):
         super().__init__()
         if spike_len <= 0:
             raise ValueError("spike_len must be positive")
         self.window = (start, start + spike_len)
+        self.heal_at = start + spike_len
         self.joins = joins
         self.query_multiplier = query_multiplier
-        self.hot_fraction = hot_fraction
-        self.range_share = range_share
         #: The struck key interval (set at install).
         self.hot_range: Tuple[int, int] = (0, 0)
 
-    def install(self, ctx: ScenarioContext) -> None:
-        anet = ctx.anet
-        rng = ctx.rng
-        keys = sorted(ctx.keys)
+    def install(self, run: WorkloadRun) -> None:
+        anet = run.anet
+        keys = sorted(run.keys)
         if keys:
             count = max(2, int(len(keys) * self.hot_fraction))
             count = min(count, len(keys))
-            first = rng.child("hot").randint(0, max(0, len(keys) - count))
+            first = self._stream(run, "hot").randint(0, max(0, len(keys) - count))
             hot_keys = keys[first : first + count]
         else:
-            domain = anet.domain
-            hot_keys = [domain.low]
+            hot_keys = [anet.domain.low]
         self.hot_range = (hot_keys[0], hot_keys[-1] + 1)
-        start_abs = ctx.start_time + self.window[0]
-        end_abs = ctx.start_time + self.window[1]
-        spike_len = self.window[1] - self.window[0]
 
-        def burst(label: str, rate: float, submit_one) -> None:
-            """A Poisson stream confined to the spike window."""
-            if rate <= 0:
-                return
-            stream = rng.child("burst", label)
+        def submit_join(stream: SeededRng) -> None:
+            run.note("join", anet.submit_join())
 
-            def fire() -> None:
-                submit_one(stream)
-                gap = stream.expovariate(rate)
-                if anet.sim.now + gap <= end_abs:
-                    anet.sim.schedule(gap, fire, label=label)
-
-            first_gap = stream.expovariate(rate)
-            if start_abs + first_gap <= end_abs:
-                anet.sim.schedule_at(start_abs + first_gap, fire, label=label)
-
-        def submit_join(stream) -> None:
-            ctx.note("join", anet.submit_join())
-
-        def submit_hot(stream) -> None:
+        def submit_hot(stream: SeededRng) -> None:
             low, high = self.hot_range
             if self.range_share and stream.random() < self.range_share:
-                ctx.note("search.range", anet.submit_search_range(low, high))
+                run.note("search.range", anet.submit_search_range(low, high))
             else:
-                ctx.note("search.exact", anet.submit_search_exact(stream.choice(hot_keys)))
+                run.note("search.exact", anet.submit_search_exact(stream.choice(hot_keys)))
 
-        burst("chaos.join-burst", self.joins / spike_len, submit_join)
-        burst(
-            "chaos.query-spike",
-            ctx.config.query_rate * self.query_multiplier,
-            submit_hot,
-        )
-        self._schedule_probes(ctx, self.window[1])
-
-    def finalize(self, ctx: ScenarioContext) -> None:
-        self._fold_monitor(ctx)
-        self._finalize_recovery(ctx, self.window[1])
+        # Two Poisson streams confined to the spike window.
+        start, end = self.window
+        spike_rate = run.config.query_rate * self.query_multiplier
+        for label, rate, submit in (
+            ("chaos.join-burst", self.joins / (end - start), submit_join),
+            ("chaos.query-spike", spike_rate, submit_hot),
+        ):
+            poisson(
+                anet.sim,
+                self._stream(run, "burst", label),
+                rate,
+                run.start_time + start,
+                run.start_time + end,
+                submit,
+                label,
+            )
+        self._schedule_probes(run, self.heal_at)
 
 
 class LossyLinks(ChaosScenario):
@@ -406,24 +359,17 @@ class LossyLinks(ChaosScenario):
 
     name = "lossy_links"
     requires = frozenset()
+    #: The channel: per-attempt verdict rates, how much a spike stretches
+    #: a hop, and the at-least-once retry budget.
+    drop_rate = DEFAULT_LOSS_RATE
+    duplicate_rate = 0.02
+    delay_spike_rate = 0.02
+    delay_spike_factor = 8.0
+    retry = RetryPolicy()
 
-    def __init__(
-        self,
-        *,
-        duration: float = 50.0,
-        drop_rate: float = DEFAULT_LOSS_RATE,
-        duplicate_rate: float = 0.02,
-        delay_spike_rate: float = 0.02,
-        delay_spike_factor: float = 8.0,
-        retry: RetryPolicy = RetryPolicy(),
-    ):
+    def __init__(self, *, duration: float = 50.0):
         super().__init__()
         self.window = (0.0, duration)
-        self.drop_rate = drop_rate
-        self.duplicate_rate = duplicate_rate
-        self.delay_spike_rate = delay_spike_rate
-        self.delay_spike_factor = delay_spike_factor
-        self.retry = retry
 
     def fault_plan(self, inner: Topology, seed: int) -> FaultPlan:
         return FaultPlan(
@@ -436,48 +382,30 @@ class LossyLinks(ChaosScenario):
             retry=self.retry,
         )
 
-    def finalize(self, ctx: ScenarioContext) -> None:
-        self._fold_monitor(ctx)
-        ctx.report.recover_time = 0.0
+    def finalize(self, run: WorkloadRun) -> None:
+        super().finalize(run)
+        run.report.recover_time = 0.0
 
 
-def build_scenario(
-    name: str,
-    *,
-    duration: float,
-    n_peers: int = 0,
-    **overrides,
-) -> ChaosScenario:
+def build_scenario(name: str, *, duration: float, n_peers: int = 0) -> ChaosScenario:
     """A scenario scaled to one run's window.
 
     Timings are fractions of ``duration`` so the same scenario shape runs
     at smoke scale and at the paper's scale; ``n_peers`` sizes the flash
-    crowd's join burst (capped at the headline 1000 joins).  ``overrides``
-    pass through to the scenario's constructor.
+    crowd's join burst (capped at the headline 1000 joins).
     """
     if name == "region_outage":
-        params = {
-            "strike_at": duration * 0.2,
-            "window_len": duration * 0.35,
-        }
-        params.update(overrides)
-        return RegionOutage(**params)
+        return RegionOutage(strike_at=duration * 0.2, window_len=duration * 0.35)
     if name == "partition_heal":
-        params = {"start": duration * 0.15, "end": duration * 0.45}
-        params.update(overrides)
-        return PartitionHeal(**params)
+        return PartitionHeal(start=duration * 0.15, end=duration * 0.45)
     if name == "flash_crowd":
-        params = {
-            "start": duration * 0.15,
-            "spike_len": duration * 0.3,
-            "joins": min(1000, max(10, n_peers)),
-        }
-        params.update(overrides)
-        return FlashCrowd(**params)
+        return FlashCrowd(
+            start=duration * 0.15,
+            spike_len=duration * 0.3,
+            joins=min(1000, max(10, n_peers)),
+        )
     if name == "lossy_links":
-        params = {"duration": duration}
-        params.update(overrides)
-        return LossyLinks(**params)
+        return LossyLinks(duration=duration)
     raise ValueError(
         f"unknown chaos scenario {name!r} (choose from {SCENARIO_NAMES})"
     )

@@ -4,10 +4,16 @@ The paper's §V-E sweeps "number of concurrent joins/leaves"; D3-Tree and
 ART evaluate their overlays under sustained concurrent load.  This driver
 reproduces that regime on any
 :class:`~repro.sim.runtime.AsyncOverlayRuntime` — BATON, Chord or the
-multiway tree, selected through the :mod:`repro.overlays` registry —
-independent Poisson arrival processes submit membership changes, queries
-and inserts onto the shared simulator, so at any instant many operations
-are in flight and queries race half-applied structural changes.
+multiway tree, selected through the :mod:`repro.overlays` registry — so
+at any instant many operations are in flight and queries race
+half-applied structural changes.  Three flat pieces (DESIGN.md,
+"Workload driver contract"): :func:`poisson`, the one arrival source;
+:class:`WorkloadRun`, the one executor — it resolves each arrival's
+target against live state at fire time, submits, and folds every
+completion into the report, for Poisson and scripted producers alike;
+and :meth:`WorkloadRun.fold`, the one report fold, which turns every
+network-lifetime counter into this run's own delta.
+:func:`run_concurrent_workload` wires them into the standard mix.
 
 Overlay capabilities are respected rather than stubbed: churn events that
 would be abrupt crashes fall back to graceful leaves on overlays without
@@ -30,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (chaos imports us)
 
 from repro.core.ranges import Range
 from repro.net.message import MsgType
+from repro.sim.engine import Simulator
 from repro.sim.runtime import AsyncOverlayRuntime, OpFuture
 from repro.util.rng import SeededRng
 from repro.util.stats import StreamingQuantiles
@@ -147,13 +154,16 @@ class ConcurrentReport:
     latency_stretch_p99: float = 0.0
     messages_total: int = 0
     messages_per_query: float = 0.0
+    #: The runtime's lifetime high-water mark, not this run's: the one
+    #: report counter that is not a per-run delta.
     max_in_flight: int = 0
     joins_applied: int = 0
     leaves_applied: int = 0
     fails_applied: int = 0
     final_size: int = 0
     skipped_departures: int = 0
-    #: In-window anti-entropy sweeps run (``maintenance_interval`` knob).
+    #: In-window anti-entropy sweeps run: the ``maintenance_interval``
+    #: cadence plus a partition scenario's heal-time storm.
     reconcile_sweeps: int = 0
     #: Maintenance traffic: messages spent by every ``reconcile()`` call
     #: (in-window sweeps plus the end-of-run pass) and by replication
@@ -352,25 +362,424 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass
-class ScenarioContext:
-    """What a chaos scenario sees and drives during one concurrent run.
+#: Retries of one in-window repair after its first attempt: a repair
+#: blocked on a neighbouring ghost backs off one detection delay each time,
+#: so a crash gets three more tries over three ``repair_delay``s, then the
+#: end-of-run ``repair_all`` sweeps up whatever is still broken.
+REPAIR_RETRIES = 3
 
-    Handed to :meth:`ChaosScenario.install` before the simulator starts
-    and to :meth:`ChaosScenario.finalize` after the drain.  ``note`` is
-    the driver's submission hook: operations a scenario submits through it
-    (crashes, probes, flash-crowd traffic) are folded into the report
-    exactly like the driver's own arrivals.
+
+def poisson(
+    sim: Simulator,
+    stream: SeededRng,
+    rate: float,
+    start: float,
+    end: float,
+    fire: Callable[[SeededRng], None],
+    label: str,
+) -> None:
+    """Schedule a Poisson stream of ``fire(stream)`` calls in ``(start, end]``.
+
+    The one arrival source.  ``rate <= 0`` schedules nothing and draws
+    nothing.  Each firing calls ``fire(stream)`` *then* draws the next gap
+    from the same stream — submission draws, then the gap: the order
+    replay identity rests on — and reschedules while the next firing still
+    lands by ``end``: lazy, so nothing grows with the run.
+    """
+    if rate <= 0:
+        return
+
+    def arrive() -> None:
+        fire(stream)
+        gap = stream.expovariate(rate)
+        if sim.now + gap <= end:
+            sim.schedule(gap, arrive, label=label)
+
+    first = stream.expovariate(rate)
+    if start + first <= end:
+        sim.schedule_at(start + first, arrive, label=label)
+
+
+def _cumulative(anet: AsyncOverlayRuntime) -> Dict[str, int]:
+    """Every network-lifetime counter a report carries, by report field.
+
+    They belong to the runtime and its network and only ever grow; a run
+    reads them when it starts and again after its drain, and reports the
+    differences (:meth:`WorkloadRun.fold`).
+    """
+    bus = anet.bus.stats
+    faults = anet.fault_stats
+    values = {
+        "messages_total": bus.total,
+        "replica_messages": bus.by_type[MsgType.REPLICATE],
+        "drops": faults.drops,
+        "duplicates": faults.duplicates,
+        "delay_spikes": faults.delay_spikes,
+        "partition_refusals": faults.refusals,
+        "retries": faults.retries,
+        "timeouts": faults.timeouts,
+        "ops_gave_up": faults.gave_up,
+    }
+    cache = getattr(anet.net, "cache_stats", None)
+    if cache is not None:
+        values["cache_hits"] = cache.hits
+        values["cache_misses"] = cache.misses
+        values["cache_invalidations"] = cache.invalidations
+    pubsub = getattr(anet.net, "pubsub", None)
+    if pubsub is not None:
+        values["notifications"] = pubsub.notifications
+        values["pubsub_duplicates_suppressed"] = pubsub.duplicates_suppressed
+        values["subscriptions_installed"] = pubsub.subscriptions_installed
+        values["subscription_moves"] = pubsub.subscription_moves
+    return values
+
+
+class WorkloadRun:
+    """The executor of one concurrent run: submit, observe, report.
+
+    Producers decide *when and what kind* — a :func:`poisson` stream, a
+    :class:`~repro.workloads.chaos.ChaosScenario`'s ``install(run)``, a
+    test's ``sim.schedule_at`` script; the run resolves the target against
+    live state at fire time on the producer's stream, submits, and
+    ``note`` counts the operation and folds its completion into
+    :attr:`report`.  :meth:`fold` closes the report after the drain.
     """
 
-    anet: AsyncOverlayRuntime
-    config: ConcurrentConfig
-    report: ConcurrentReport
-    keys: Sequence[int]
-    rng: SeededRng
-    start_time: float
-    horizon: float
-    note: Callable[[str, Optional[OpFuture]], None]
+    def __init__(
+        self,
+        anet: AsyncOverlayRuntime,
+        keys: Sequence[int],
+        config: ConcurrentConfig,
+        seed: int = 0,
+    ):
+        self.anet = anet
+        self.keys = keys
+        self.config = config
+        self.rng = SeededRng(seed)
+        self.report = ConcurrentReport(duration=config.duration)
+        self.start_time = anet.sim.now
+        #: Absolute: the clock may not start at zero.
+        self.horizon = self.start_time + config.duration
+        #: The scenario's fault window in absolute simulator time (set
+        #: before any event runs; ``settle`` reads it at call time).
+        self.window: Optional[Tuple[float, float]] = None
+        self.repair_in_window = config.repair_delay > 0 and anet.supports("repair")
+        self.domain: Range = anet.domain
+        self._before = _cumulative(anet)
+        # Streaming accumulation: every metric is folded in by the operation's
+        # completion callback, so no list of futures (or samples) grows with
+        # the run — the memory contract that makes N=10k x long windows
+        # routine (DESIGN.md, "Performance contract").  Percentiles come from
+        # bounded log-binned accumulators; counts, sums, min/max stay exact.
+        self.latency_q = StreamingQuantiles()
+        self.transit_q = StreamingQuantiles()
+        self.stretch_q = StreamingQuantiles()
+        self.query_messages = 0
+        self.recovery_latencies: List[float] = []
+        #: Live-membership map (peers for BATON, nodes elsewhere) — read-only
+        #: here, for O(1) gateway liveness checks.
+        self.live_peers = getattr(anet.net, "peers", None)
+        if self.live_peers is None:
+            self.live_peers = getattr(anet.net, "nodes", {})
+        self.gateways: List[int] = []
+        if config.client_gateways > 0:
+            # Fixed session entry points, drawn once from the starting
+            # population via a labelled child rng (the parent stream is
+            # untouched, so gateway-off runs are unchanged draw-for-draw).
+            pool = list(self.live_peers)
+            gateway_rng = self.rng.child("gateways")
+            count = min(config.client_gateways, len(pool))
+            self.gateways = [
+                pool.pop(gateway_rng.randint(0, len(pool) - 1)) for _ in range(count)
+            ]
+
+    def note(self, kind: str, future: Optional[OpFuture]) -> None:
+        """Count one submitted operation; settle it when it completes."""
+        if future is None:
+            return
+        submitted = self.report.submitted
+        submitted[kind] = submitted.get(kind, 0) + 1
+        future.add_done_callback(self.settle)
+
+    def settle(self, future: OpFuture) -> None:
+        """Fold one completed operation into the report (any kind)."""
+        report = self.report
+        report.transit_time_total += future.transit
+        kind = future.kind
+        succeeded = future.succeeded
+        if succeeded:
+            report.completed += 1
+        else:
+            report.failed += 1
+        if kind == "search.exact":
+            report.exact_total += 1
+            answered = succeeded and future.result.found
+            if answered:
+                report.exact_hits += 1
+        elif kind == "search.range":
+            report.range_total += 1
+            answered = succeeded and future.result.complete
+            if answered:
+                report.range_complete += 1
+        elif kind == "multicast":
+            if succeeded and future.result is not None:
+                report.multicasts_delivered += len(future.result.delivered)
+                if future.result.depth > report.multicast_depth_max:
+                    report.multicast_depth_max = future.result.depth
+            return
+        elif kind == "subscribe":
+            return  # installs are read off the pubsub counters at the end
+        elif succeeded:
+            if kind == "join":
+                report.joins_applied += 1
+            elif kind == "leave":
+                report.leaves_applied += 1
+            elif kind == "fail" and future.result is not None:
+                report.fails_applied += 1
+            elif kind == "repair" and future.result is not None:
+                report.repairs_applied += 1
+                report.keys_recovered += future.result.keys_recovered
+            return
+        else:
+            return
+        self.query_messages += future.trace.total
+        window = self.window
+        if window is not None and window[0] <= future.submitted_at < window[1]:
+            report.window_queries += 1
+            report.window_ok += answered
+        if not succeeded or future.latency is None:
+            return
+        self.latency_q.add(future.latency)
+        self.transit_q.add(future.transit)
+        owner = None
+        if kind == "search.exact":
+            owner = future.result.owner
+        elif future.result.owners:
+            owner = future.result.owners[0]
+        if owner is not None and future.entry is not None:
+            direct = self.anet.topology.direct_delay(future.entry, owner)
+            overlay_transit = future.transit - future.ingress
+            if direct > 0 and overlay_transit > 0:
+                # Routing stretch is an overlay metric: the client's
+                # ingress leg is not part of the entry->owner path the
+                # denominator prices, so it must not inflate the numerator
+                # (with it, stretch_p50 degenerated into a copy of p50).
+                # Degenerate zero-cost resolutions — the entry peer *is*
+                # the owner, so no overlay hop was ever priced — carry no
+                # routing information and would otherwise poison the
+                # quantiles with 0s (a cache-hit run at a warm gateway
+                # resolves there often).
+                self.stretch_q.add(overlay_transit / direct)
+
+    def submit_churn(self, stream: SeededRng) -> None:
+        config = self.config
+        anet = self.anet
+        if stream.random() < config.join_fraction:
+            self.note("join", anet.submit_join())
+            return
+        candidates = anet.leave_candidates()
+        if len(candidates) <= config.min_peers:
+            self.report.skipped_departures += 1
+            return
+        victim = stream.choice(candidates)
+        if (
+            config.fail_fraction
+            and anet.supports("fail")
+            and stream.random() < config.fail_fraction
+        ):
+            self.crash(victim)
+        else:
+            self.note("leave", anet.submit_leave(victim))
+
+    def query_entry(self, stream: SeededRng):
+        """The entry peer for one query: a live gateway, else the default.
+
+        A gateway that departed mid-run falls back to the historical
+        uniform draw for that query (clients re-enter anywhere).
+        """
+        if not self.gateways:
+            return None
+        via = stream.choice(self.gateways)
+        return via if via in self.live_peers else None
+
+    def interval(self, stream: SeededRng, width: int) -> Tuple[int, int]:
+        """A uniformly placed interval ``width`` wide (clipped to the domain)."""
+        domain = self.domain
+        span = min(width, domain.width - 1)
+        low = stream.randint(domain.low, domain.high - span - 1)
+        return low, low + span
+
+    def submit_query(self, stream: SeededRng) -> None:
+        anet = self.anet
+        config = self.config
+        if config.range_fraction and stream.random() < config.range_fraction:
+            low, high = self.interval(stream, config.range_span)
+            self.note(
+                "search.range",
+                anet.submit_search_range(low, high, via=self.query_entry(stream)),
+            )
+        else:
+            key = (
+                stream.choice(self.keys)
+                if self.keys
+                else stream.randint(self.domain.low, self.domain.high - 1)
+            )
+            self.note(
+                "search.exact",
+                anet.submit_search_exact(key, via=self.query_entry(stream)),
+            )
+
+    def submit_insert(self, stream: SeededRng) -> None:
+        key = stream.randint(self.domain.low, self.domain.high - 1)
+        future = self.anet.submit_insert(key)
+        self.note("insert", future)
+        applied = self.report.insert_keys_applied
+
+        def record(done: OpFuture) -> None:
+            if done.succeeded and done.result.applied:
+                applied.append(key)
+
+        future.add_done_callback(record)
+        # (The kept keys are the durability experiments' ground truth; the
+        # list is bounded by applied inserts, not by samples.)
+
+    def submit_publish(self, stream: SeededRng) -> None:
+        low, high = self.interval(stream, self.config.pubsub_span)
+        self.note("multicast", self.anet.submit_multicast(low, high))
+
+    def submit_subscription(self, stream: SeededRng) -> None:
+        low, high = self.interval(stream, self.config.pubsub_span)
+        self.note("subscribe", self.anet.submit_subscribe(low, high))
+
+    def crash(self, victim) -> None:
+        """Crash ``victim``; with ``repair_delay`` set, the oracle detects
+        it that long after the crash lands and repairs it in the window."""
+        future = self.anet.submit_fail(victim)
+        self.note("fail", future)
+        if self.repair_in_window:
+            future.add_done_callback(self._detect)
+
+    def _detect(self, fail_future: OpFuture) -> None:
+        """After a crash lands, detect and repair it ``repair_delay`` later."""
+        if not fail_future.succeeded or fail_future.result is None:
+            return
+        crashed = fail_future.result
+        crashed_at = self.anet.sim.now
+        self.anet.sim.schedule(
+            self.config.repair_delay,
+            lambda: self._repair(crashed, crashed_at, REPAIR_RETRIES),
+            label="repair-detect",
+        )
+
+    def _repair(self, crashed, crashed_at: float, tries_left: int) -> None:
+        anet = self.anet
+        if crashed not in anet.pending_repairs():
+            return  # another repair already absorbed it
+        future = anet.submit_repair(crashed)
+        self.note("repair", future)
+
+        def landed(done: OpFuture) -> None:
+            if done.succeeded and done.result is not None:
+                self.recovery_latencies.append(done.completed_at - crashed_at)
+            elif tries_left > 0:
+                # Blocked (for example on another unrepaired ghost):
+                # back off one detection delay and retry; anything
+                # still broken is swept up by the end-of-run repair.
+                anet.sim.schedule(
+                    self.config.repair_delay,
+                    lambda: self._repair(crashed, crashed_at, tries_left - 1),
+                    label="repair-retry",
+                )
+
+        future.add_done_callback(landed)
+
+    def arrivals(
+        self, label: str, rate: float, submit: Callable[[SeededRng], None]
+    ) -> None:
+        """A Poisson process of ``submit(stream)`` calls until the horizon."""
+        poisson(
+            self.anet.sim,
+            self.rng.child("arrivals", label),
+            rate,
+            self.start_time,
+            self.horizon,
+            submit,
+            f"arrival.{label}",
+        )
+
+    def reconcile(self) -> None:
+        """One counted in-window anti-entropy sweep."""
+        self.report.reconcile_messages += self.anet.reconcile()
+        self.report.reconcile_sweeps += 1
+
+    def maintenance(self) -> None:
+        """Sweep every ``maintenance_interval`` until the horizon (where set
+        and supported)."""
+        anet = self.anet
+        interval = self.config.maintenance_interval
+        if interval <= 0 or not anet.supports("reconcile"):
+            return
+
+        # Periodic in-window anti-entropy: staleness is bounded by the
+        # sweep interval instead of accumulating until the drain.  On
+        # replicated runtimes each sweep also re-anchors every peer's
+        # mirror (a round of sized, priced refresh messages).
+        def sweep() -> None:
+            self.reconcile()
+            if anet.replication_enabled:
+                # The batched sweep: one future for the whole per-peer
+                # fan-out instead of one per peer (same transfers, same
+                # per-link sized pricing).
+                anet.submit_replica_refresh_sweep()
+                self.report.replica_refresh_sweeps += 1
+            if anet.sim.now + interval <= self.horizon:
+                anet.sim.schedule(interval, sweep, label="maintenance")
+
+        if self.start_time + interval <= self.horizon:
+            anet.sim.schedule(interval, sweep, label="maintenance")
+
+    def fold(self) -> ConcurrentReport:
+        """Close the report after the drain: every cumulative counter
+        becomes this run's own delta, the streaming accumulators become
+        percentiles, and the ratios come from the report's own fields."""
+        anet = self.anet
+        report = self.report
+        report.duration = anet.sim.now - self.start_time
+        report.max_in_flight = anet.max_in_flight
+        report.final_size = anet.size
+        report.unresolved_ops = anet.in_flight
+        for name, value in _cumulative(anet).items():
+            setattr(report, name, value - self._before[name])
+        lookups = report.cache_hits + report.cache_misses
+        if lookups:
+            report.cache_hit_rate = report.cache_hits / lookups
+        if report.messages_total:
+            # Retransmissions and duplicate deliveries are wire copies of
+            # already-counted protocol messages (FaultStats, not the bus), so
+            # amplification is the wire-over-protocol traffic ratio.
+            report.message_amplification = (
+                report.messages_total + report.retries + report.duplicates
+            ) / report.messages_total
+        if self.recovery_latencies:
+            report.recovery_latency_p50 = percentile(self.recovery_latencies, 0.50)
+            report.recovery_latency_max = max(self.recovery_latencies)
+        if self.latency_q.count:
+            report.query_latency_p50 = self.latency_q.quantile(0.50)
+            report.query_latency_p90 = self.latency_q.quantile(0.90)
+            report.query_latency_p99 = self.latency_q.quantile(0.99)
+            report.query_latency_mean = self.latency_q.mean
+        if self.transit_q.count:
+            report.query_transit_p50 = self.transit_q.quantile(0.50)
+            report.query_transit_p99 = self.transit_q.quantile(0.99)
+            report.query_transit_mean = self.transit_q.mean
+        if self.stretch_q.count:
+            report.latency_stretch_p50 = self.stretch_q.quantile(0.50)
+            report.latency_stretch_p99 = self.stretch_q.quantile(0.99)
+        if report.query_total:
+            report.messages_per_query = self.query_messages / report.query_total
+        if report.window_queries:
+            report.availability_during = report.window_ok / report.window_queries
+        return report
 
 
 def run_concurrent_workload(
@@ -407,365 +816,26 @@ def run_concurrent_workload(
                 f"{capability}; drop the pub/sub rates or pick an overlay "
                 "that advertises the capability"
             )
-    rng = SeededRng(seed)
-    domain: Range = anet.domain
-    report = ConcurrentReport(duration=config.duration)
-    #: Pub/sub counter baseline (the state is cumulative per network).
-    pubsub_state = getattr(anet.net, "pubsub", None)
-    pubsub_before = pubsub_state.as_dict() if pubsub_state is not None else None
-    recovery_latencies: List[float] = []
-    start_messages = anet.bus.stats.total
-    start_replica_messages = anet.bus.stats.by_type[MsgType.REPLICATE]
-    #: Route-cache counter baseline (cumulative per network, like pubsub).
-    cache_stats = getattr(anet.net, "cache_stats", None)
-    cache_before = cache_stats.snapshot() if cache_stats is not None else None
-    start_time = anet.sim.now
-    horizon = start_time + config.duration  # the clock may not start at zero
-    repair_in_window = config.repair_delay > 0 and anet.supports("repair")
-
-    # Streaming accumulation: every metric is folded in by the operation's
-    # completion callback, so no list of futures (or samples) grows with
-    # the run — the memory contract that makes N=10k x long windows
-    # routine (DESIGN.md, "Performance contract").  Percentiles come from
-    # bounded log-binned accumulators; counts, sums, min/max stay exact.
-    latency_q = StreamingQuantiles()
-    transit_q = StreamingQuantiles()
-    stretch_q = StreamingQuantiles()
-    totals = {"transit": 0.0, "query_msgs": 0}
-    topology = anet.topology
-    #: The scenario's fault window in absolute simulator time (set below,
-    #: before any event runs; ``settle`` closures read it at call time).
-    window: Optional[Tuple[float, float]] = None
-
-    def settle(future: OpFuture) -> None:
-        """Fold one completed operation into the report (any kind)."""
-        totals["transit"] += future.transit
-        kind = future.kind
-        succeeded = future.succeeded
-        if succeeded:
-            report.completed += 1
-        else:
-            report.failed += 1
-        if kind == "search.exact":
-            report.exact_total += 1
-            totals["query_msgs"] += future.trace.total
-            answered = succeeded and future.result.found
-            if answered:
-                report.exact_hits += 1
-            if window is not None and window[0] <= future.submitted_at < window[1]:
-                report.window_queries += 1
-                report.window_ok += answered
-        elif kind == "search.range":
-            report.range_total += 1
-            totals["query_msgs"] += future.trace.total
-            answered = succeeded and future.result.complete
-            if answered:
-                report.range_complete += 1
-            if window is not None and window[0] <= future.submitted_at < window[1]:
-                report.window_queries += 1
-                report.window_ok += answered
-        elif kind == "multicast":
-            if succeeded and future.result is not None:
-                report.multicasts_delivered += len(future.result.delivered)
-                if future.result.depth > report.multicast_depth_max:
-                    report.multicast_depth_max = future.result.depth
-            return
-        elif kind == "subscribe":
-            return  # installs are read off the pubsub counters at the end
-        elif succeeded:
-            if kind == "join":
-                report.joins_applied += 1
-            elif kind == "leave":
-                report.leaves_applied += 1
-            elif kind == "fail" and future.result is not None:
-                report.fails_applied += 1
-            return
-        else:
-            return
-        if not succeeded or future.latency is None:
-            return
-        latency_q.add(future.latency)
-        transit_q.add(future.transit)
-        owner = None
-        if kind == "search.exact":
-            owner = future.result.owner
-        elif future.result.owners:
-            owner = future.result.owners[0]
-        if owner is not None and future.entry is not None:
-            direct = topology.direct_delay(future.entry, owner)
-            overlay_transit = future.transit - future.ingress
-            if direct > 0 and overlay_transit > 0:
-                # Routing stretch is an overlay metric: the client's
-                # ingress leg is not part of the entry->owner path the
-                # denominator prices, so it must not inflate the numerator
-                # (with it, stretch_p50 degenerated into a copy of p50).
-                # Degenerate zero-cost resolutions — the entry peer *is*
-                # the owner, so no overlay hop was ever priced — carry no
-                # routing information and would otherwise poison the
-                # quantiles with 0s (a cache-hit run at a warm gateway
-                # resolves there often).
-                stretch_q.add(overlay_transit / direct)
-
-    def note(kind: str, future: Optional[OpFuture]) -> None:
-        if future is None:
-            return
-        report.submitted[kind] = report.submitted.get(kind, 0) + 1
-        future.add_done_callback(settle)
-
-    def schedule_repair(fail_future: OpFuture) -> None:
-        """After a crash lands, detect and repair it ``repair_delay`` later."""
-        if not fail_future.succeeded or fail_future.result is None:
-            return
-        crashed = fail_future.result
-        crashed_at = anet.sim.now
-
-        def attempt(tries_left: int) -> None:
-            if crashed not in anet.pending_repairs():
-                return  # another repair already absorbed it
-            repair_future = anet.submit_repair(crashed)
-            note("repair", repair_future)
-
-            def settle_repair(done: OpFuture) -> None:
-                if done.succeeded and done.result is not None:
-                    report.repairs_applied += 1
-                    report.keys_recovered += done.result.keys_recovered
-                    recovery_latencies.append(done.completed_at - crashed_at)
-                elif tries_left > 0:
-                    # Blocked (for example on another unrepaired ghost):
-                    # back off one detection delay and retry; anything
-                    # still broken is swept up by the end-of-run repair.
-                    anet.sim.schedule(
-                        config.repair_delay,
-                        lambda: attempt(tries_left - 1),
-                        label="repair-retry",
-                    )
-
-            repair_future.add_done_callback(settle_repair)
-
-        anet.sim.schedule(
-            config.repair_delay, lambda: attempt(3), label="repair-detect"
-        )
-
-    def submit_churn(stream: SeededRng) -> None:
-        if stream.random() < config.join_fraction:
-            note("join", anet.submit_join())
-            return
-        candidates = anet.leave_candidates()
-        if len(candidates) <= config.min_peers:
-            report.skipped_departures += 1
-            return
-        victim = stream.choice(candidates)
-        if (
-            config.fail_fraction
-            and anet.supports("fail")
-            and stream.random() < config.fail_fraction
-        ):
-            fail_future = anet.submit_fail(victim)
-            note("fail", fail_future)
-            if repair_in_window:
-                fail_future.add_done_callback(schedule_repair)
-        else:
-            note("leave", anet.submit_leave(victim))
-
-    #: Live-membership map (peers for BATON, nodes elsewhere) — read-only
-    #: here, for O(1) gateway liveness checks.
-    live_peers = getattr(anet.net, "peers", None)
-    if live_peers is None:
-        live_peers = getattr(anet.net, "nodes", {})
-
-    gateways: List[int] = []
-    if config.client_gateways > 0:
-        # Fixed session entry points, drawn once from the starting
-        # population via a labelled child rng (the parent stream is
-        # untouched, so gateway-off runs are unchanged draw-for-draw).
-        pool = list(live_peers)
-        gateway_rng = rng.child("gateways")
-        count = min(config.client_gateways, len(pool))
-        gateways = [pool.pop(gateway_rng.randint(0, len(pool) - 1)) for _ in range(count)]
-
-    def query_entry(stream: SeededRng):
-        """The entry peer for one query: a live gateway, else the default.
-
-        A gateway that departed mid-run falls back to the historical
-        uniform draw for that query (clients re-enter anywhere).
-        """
-        if not gateways:
-            return None
-        via = stream.choice(gateways)
-        return via if via in live_peers else None
-
-    def submit_query(stream: SeededRng) -> None:
-        if config.range_fraction and stream.random() < config.range_fraction:
-            span = min(config.range_span, domain.width - 1)
-            low = stream.randint(domain.low, domain.high - span - 1)
-            note(
-                "search.range",
-                anet.submit_search_range(low, low + span, via=query_entry(stream)),
-            )
-        else:
-            key = (
-                stream.choice(keys)
-                if keys
-                else stream.randint(domain.low, domain.high - 1)
-            )
-            note("search.exact", anet.submit_search_exact(key, via=query_entry(stream)))
-
-    def submit_insert(stream: SeededRng) -> None:
-        key = stream.randint(domain.low, domain.high - 1)
-        future = anet.submit_insert(key)
-        note("insert", future)
-
-        def record(done: OpFuture) -> None:
-            if done.succeeded and done.result.applied:
-                report.insert_keys_applied.append(key)
-
-        future.add_done_callback(record)
-        # (The kept keys are the durability experiments' ground truth; the
-        # list is bounded by applied inserts, not by samples.)
-
-    def submit_publish(stream: SeededRng) -> None:
-        span = min(config.pubsub_span, domain.width - 1)
-        low = stream.randint(domain.low, domain.high - span - 1)
-        note("multicast", anet.submit_multicast(low, low + span))
-
-    def submit_subscription(stream: SeededRng) -> None:
-        span = min(config.pubsub_span, domain.width - 1)
-        low = stream.randint(domain.low, domain.high - span - 1)
-        note("subscribe", anet.submit_subscribe(low, low + span))
-
-    def arrivals(label: str, rate: float, submit_one) -> None:
-        """Schedule a Poisson stream of submissions until the horizon."""
-        if rate <= 0:
-            return
-        stream = rng.child("arrivals", label)
-
-        def fire() -> None:
-            submit_one(stream)
-            gap = stream.expovariate(rate)
-            if anet.sim.now + gap <= horizon:
-                anet.sim.schedule(gap, fire, label=f"arrival.{label}")
-
-        first = stream.expovariate(rate)
-        if anet.sim.now + first <= horizon:
-            anet.sim.schedule(first, fire, label=f"arrival.{label}")
-
-    arrivals("churn", config.churn_rate, submit_churn)
-    arrivals("query", config.query_rate, submit_query)
-    arrivals("insert", config.insert_rate, submit_insert)
-    arrivals("publish", config.publish_rate, submit_publish)
-    arrivals("subscribe", config.subscribe_rate, submit_subscription)
-
-    if config.maintenance_interval > 0 and anet.supports("reconcile"):
-        # Periodic in-window anti-entropy: staleness is bounded by the
-        # sweep interval instead of accumulating until the drain.  On
-        # replicated runtimes each sweep also re-anchors every peer's
-        # mirror (a round of sized, priced refresh messages).
-        def sweep() -> None:
-            report.reconcile_messages += anet.reconcile()
-            report.reconcile_sweeps += 1
-            if anet.replication_enabled:
-                # The batched sweep: one future for the whole per-peer
-                # fan-out instead of one per peer (same transfers, same
-                # per-link sized pricing).
-                anet.submit_replica_refresh_sweep()
-                report.replica_refresh_sweeps += 1
-            if anet.sim.now + config.maintenance_interval <= horizon:
-                anet.sim.schedule(
-                    config.maintenance_interval, sweep, label="maintenance"
-                )
-
-        if start_time + config.maintenance_interval <= horizon:
-            anet.sim.schedule(config.maintenance_interval, sweep, label="maintenance")
-
-    context: Optional[ScenarioContext] = None
+    run = WorkloadRun(anet, keys, config, seed)
+    run.arrivals("churn", config.churn_rate, run.submit_churn)
+    run.arrivals("query", config.query_rate, run.submit_query)
+    run.arrivals("insert", config.insert_rate, run.submit_insert)
+    run.arrivals("publish", config.publish_rate, run.submit_publish)
+    run.arrivals("subscribe", config.subscribe_rate, run.submit_subscription)
+    run.maintenance()
     if scenario is not None:
-        context = ScenarioContext(
-            anet=anet,
-            config=config,
-            report=report,
-            keys=keys,
-            rng=rng.child("scenario", scenario.name),
-            start_time=start_time,
-            horizon=horizon,
-            note=note,
-        )
-        scenario.install(context)
-        relative = scenario.window
-        if relative is not None:
-            window = (start_time + relative[0], start_time + relative[1])
+        scenario.install(run)
+        if scenario.window is not None:
+            opens, closes = scenario.window
+            run.window = (run.start_time + opens, run.start_time + closes)
 
     anet.drain()
     if repair_at_end:
         for result in anet.repair_all():
-            report.keys_recovered += result.keys_recovered
+            run.report.keys_recovered += result.keys_recovered
     if reconcile_at_end:
-        report.reconcile_messages += anet.reconcile()
-
-    report.duration = anet.sim.now - start_time
-    report.max_in_flight = anet.max_in_flight
-    report.final_size = anet.size
-    report.messages_total = anet.bus.stats.total - start_messages
-    report.transit_time_total = totals["transit"]
-    report.replica_messages = (
-        anet.bus.stats.by_type[MsgType.REPLICATE] - start_replica_messages
-    )
-    if cache_stats is not None and cache_before is not None:
-        hits_before, misses_before, invalidations_before = cache_before
-        report.cache_hits = cache_stats.hits - hits_before
-        report.cache_misses = cache_stats.misses - misses_before
-        report.cache_invalidations = (
-            cache_stats.invalidations - invalidations_before
-        )
-        lookups = report.cache_hits + report.cache_misses
-        if lookups:
-            report.cache_hit_rate = report.cache_hits / lookups
-    if recovery_latencies:
-        report.recovery_latency_p50 = percentile(recovery_latencies, 0.50)
-        report.recovery_latency_max = max(recovery_latencies)
-    if latency_q.count:
-        report.query_latency_p50 = latency_q.quantile(0.50)
-        report.query_latency_p90 = latency_q.quantile(0.90)
-        report.query_latency_p99 = latency_q.quantile(0.99)
-        report.query_latency_mean = latency_q.mean
-    if transit_q.count:
-        report.query_transit_p50 = transit_q.quantile(0.50)
-        report.query_transit_p99 = transit_q.quantile(0.99)
-        report.query_transit_mean = transit_q.mean
-    if stretch_q.count:
-        report.latency_stretch_p50 = stretch_q.quantile(0.50)
-        report.latency_stretch_p99 = stretch_q.quantile(0.99)
-    if report.query_total:
-        report.messages_per_query = totals["query_msgs"] / report.query_total
-    report.unresolved_ops = anet.in_flight
-    fault_stats = anet.fault_stats
-    report.drops = fault_stats.drops
-    report.duplicates = fault_stats.duplicates
-    report.delay_spikes = fault_stats.delay_spikes
-    report.partition_refusals = fault_stats.refusals
-    report.retries = fault_stats.retries
-    report.timeouts = fault_stats.timeouts
-    report.ops_gave_up = fault_stats.gave_up
-    if report.messages_total:
-        # Retransmissions and duplicate deliveries are wire copies of
-        # already-counted protocol messages (FaultStats, not the bus), so
-        # amplification is the wire-over-protocol traffic ratio.
-        report.message_amplification = (
-            report.messages_total + fault_stats.retries + fault_stats.duplicates
-        ) / report.messages_total
-    if pubsub_state is not None and pubsub_before is not None:
-        after = pubsub_state.as_dict()
-        report.notifications = after["notifications"] - pubsub_before["notifications"]
-        report.pubsub_duplicates_suppressed = (
-            after["duplicates_suppressed"] - pubsub_before["duplicates_suppressed"]
-        )
-        report.subscriptions_installed = (
-            after["subscriptions_installed"] - pubsub_before["subscriptions_installed"]
-        )
-        report.subscription_moves = (
-            after["subscription_moves"] - pubsub_before["subscription_moves"]
-        )
-    if report.window_queries:
-        report.availability_during = report.window_ok / report.window_queries
+        run.report.reconcile_messages += anet.reconcile()
+    report = run.fold()
     if scenario is not None:
-        scenario.finalize(context)
+        scenario.finalize(run)
     return report

@@ -27,6 +27,7 @@ from repro.workloads.chaos import (
     FlashCrowd,
     LossyLinks,
     PartitionHeal,
+    RegionOutage,
     build_scenario,
 )
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -408,6 +409,60 @@ class TestScenarios:
         assert crowd.joins == 100  # capped by the population
         with pytest.raises(ValueError):
             build_scenario("earthquake", duration=48.0)
+
+
+class TestReportFold:
+    def test_fault_counters_are_per_run(self):
+        """Two runs on one lossy runtime: each report carries its own
+        drops/retries/duplicates/timeouts (they sum to the runtime's
+        lifetime counters) and amplification comes from its own fields."""
+        plan = FaultPlan(exponential(), seed=4, drop_rate=0.05, duplicate_rate=0.02)
+        anet = build_anet(
+            n_peers=200, topology=plan, record_events=False, retain_ops=False
+        )
+        keys = uniform_keys(2000, seed=2)
+        anet.net.bulk_load(keys)
+        config = ConcurrentConfig(duration=30.0, churn_rate=0.0, query_rate=6.0)
+        first = run_concurrent_workload(anet, keys, config, seed=1)
+        second = run_concurrent_workload(anet, keys, config, seed=2)
+        assert first.drops > 0 and second.drops > 0
+        lifetime = anet.fault_stats
+        for name in ("drops", "retries", "duplicates", "timeouts"):
+            assert getattr(first, name) + getattr(second, name) == getattr(
+                lifetime, name
+            ), name
+        assert second.message_amplification == (
+            second.messages_total + second.retries + second.duplicates
+        ) / second.messages_total
+
+    def test_monitor_repairs_fold_through_settle(self):
+        """Every in-window repair of a region outage is the monitor's; the
+        report counts exactly the ones that succeeded with a result."""
+        scenario = RegionOutage(strike_at=8.0, window_len=14.0)
+        inner = ClusteredTopology(seed=1, regions=4)
+        anet = build_anet(
+            n_peers=60, topology=inner, record_events=False, retain_ops=False
+        )
+        keys = uniform_keys(600, seed=2)
+        anet.net.bulk_load(keys)
+        repairs = []
+        submit_repair = anet.submit_repair
+
+        def recording(address):
+            future = submit_repair(address)
+            repairs.append(future)
+            return future
+
+        anet.submit_repair = recording
+        config = ConcurrentConfig(duration=40.0, churn_rate=0.0, query_rate=4.0)
+        report = run_concurrent_workload(
+            anet, keys, config, seed=1, scenario=scenario, repair_at_end=False
+        )
+        landed = [f for f in repairs if f.succeeded and f.result is not None]
+        assert landed  # the outage was noticed and repaired in the window
+        assert report.repairs_applied == len(landed)
+        assert report.submitted["repair"] == len(repairs)
+        assert report.monitor_repairs >= report.repairs_applied
 
 
 class TestChaosExperiment:

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.core import check_invariants
-from repro.core.network import BatonNetwork
+from repro.core.invariants import collect_violations
+from repro.core.network import BatonConfig, BatonNetwork
+from repro.sim.engine import Simulator
 from repro.sim.latency import ExponentialLatency
 from repro.sim.runtime import AsyncBatonNetwork
 from repro.util.rng import SeededRng
 from repro.workloads.concurrent import (
     ConcurrentConfig,
+    WorkloadRun,
     percentile,
+    poisson,
     run_concurrent_workload,
 )
 from repro.workloads.generators import uniform_keys
@@ -119,19 +123,21 @@ class TestDriver:
         assert "p50/p90/p99" in text
 
 
+def replicated_anet(seed: int):
+    """A loaded, replica-anchored N=60 BATON runtime and its keys."""
+    anet = AsyncBatonNetwork(
+        BatonNetwork.build(60, seed=1, config=BatonConfig(replication=True)),
+        topology=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
+    )
+    keys = uniform_keys(600, seed=2)
+    anet.net.bulk_load(keys)
+    anet.net.refresh_replicas()
+    return anet, keys
+
+
 class TestDurabilityReporting:
     def replicated_run(self, seed: int = 7, **config_kwargs):
-        from repro.core.network import BatonConfig
-
-        anet = AsyncBatonNetwork(
-            BatonNetwork.build(
-                60, seed=1, config=BatonConfig(replication=True)
-            ),
-            topology=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
-        )
-        keys = uniform_keys(600, seed=2)
-        anet.net.bulk_load(keys)
-        anet.net.refresh_replicas()
+        anet, keys = replicated_anet(seed)
         defaults = dict(
             duration=30.0,
             churn_rate=0.8,
@@ -181,3 +187,97 @@ class TestDurabilityReporting:
         assert first_anet.event_log == second_anet.event_log
         assert first.keys_recovered == second.keys_recovered
         assert first.reconcile_messages == second.reconcile_messages
+
+
+class TestPoissonSource:
+    """The one arrival source, alone on a bare simulator."""
+
+    def fire_times(self, seed=5, rate=2.0, start=3.0, end=30.0):
+        sim = Simulator()
+        times = []
+        stream = SeededRng(seed)
+        poisson(sim, stream, rate, start, end, lambda _s: times.append(sim.now), "t")
+        sim.run()
+        return times
+
+    def test_every_firing_lies_in_the_window(self):
+        times = self.fire_times()
+        assert len(times) > 20
+        assert times == sorted(times)
+        assert all(3.0 < t <= 30.0 for t in times)
+
+    def test_equal_seeds_fire_at_equal_times(self):
+        assert self.fire_times(seed=9) == self.fire_times(seed=9)
+        assert self.fire_times(seed=9) != self.fire_times(seed=10)
+
+    def test_zero_rate_schedules_nothing_and_draws_nothing(self):
+        sim = Simulator()
+        stream = SeededRng(4)
+        poisson(sim, stream, 0.0, 0.0, 10.0, lambda _s: None, "t")
+        assert sim.pending_count == 0
+        assert stream.random() == SeededRng(4).random()
+
+    def test_submission_draw_then_gap_draw(self):
+        """The stream sees one firing's draws, then the gap to the next —
+        exactly the hand-rolled loop over the same seed."""
+        rate, start, end = 1.5, 2.0, 25.0
+        sim = Simulator()
+        drawn = []
+
+        def record(stream):
+            drawn.append((sim.now, stream.random()))
+
+        poisson(sim, SeededRng(11), rate, start, end, record, "t")
+        sim.run()
+
+        reference = SeededRng(11)
+        expected = []
+        at = start + reference.expovariate(rate)
+        while at <= end:
+            expected.append((at, reference.random()))
+            at += reference.expovariate(rate)
+        assert drawn == expected
+
+    def test_label_reaches_the_scheduled_events(self):
+        sim = Simulator()
+        poisson(sim, SeededRng(1), 1.0, 0.0, 50.0, lambda _s: None, "arrival.test")
+        first = sim.step()
+        assert first.label == "arrival.test"
+        assert sim.step().label == "arrival.test"  # the rescheduled firing too
+
+
+class TestScriptedProducer:
+    """A producer that is not Poisson drives the same executor: every rate
+    0, a hand-written script of simulator events, ``note`` and ``fold``."""
+
+    def test_script_is_counted_settled_and_repaired(self):
+        anet, keys = replicated_anet(seed=3)
+        config = ConcurrentConfig(
+            duration=40.0, churn_rate=0.0, query_rate=0.0, repair_delay=2.0
+        )
+        run = WorkloadRun(anet, keys, config, seed=3)
+        sim = anet.sim
+        stream = SeededRng(17)  # the test's own producer stream
+        for at in (1.0, 2.0, 3.0):
+            sim.schedule_at(at, lambda: run.note("join", anet.submit_join()))
+        sim.schedule_at(5.0, lambda: run.crash(anet.leave_candidates()[0]))
+        for i in range(20):
+            sim.schedule_at(4.0 + i, lambda: run.submit_query(stream))
+        anet.drain()
+        report = run.fold()
+
+        assert report.submitted == {
+            "join": 3,
+            "fail": 1,
+            "repair": 1,
+            "search.exact": 20,
+        }
+        assert report.completed + report.failed == sum(report.submitted.values())
+        assert report.unresolved_ops == 0
+        assert report.joins_applied == 3
+        assert report.fails_applied == 1
+        assert report.repairs_applied == 1
+        assert report.recovery_latency_p50 >= 2.0  # the detection delay
+        assert report.exact_total == 20
+        anet.reconcile()
+        assert collect_violations(anet.net) == []

@@ -6,10 +6,8 @@ import pytest
 
 from repro.core.ranges import Range
 from repro.workloads import (
-    ChurnEvent,
     UniformKeys,
     ZipfianKeys,
-    churn_schedule,
     exact_queries,
     range_queries,
     uniform_keys,
@@ -93,26 +91,3 @@ class TestQueries:
         with pytest.raises(ValueError):
             range_queries(10, selectivity=0.0)
 
-
-class TestChurn:
-    def test_schedule_ordered_in_time(self):
-        events = churn_schedule(100, seed=4)
-        times = [event.at for event in events]
-        assert times == sorted(times)
-        assert all(isinstance(e, ChurnEvent) for e in events)
-
-    def test_join_fraction(self):
-        events = churn_schedule(2000, join_fraction=0.8, seed=5)
-        joins = sum(1 for e in events if e.kind == "join")
-        assert 1450 <= joins <= 1750
-
-    def test_rate_controls_density(self):
-        slow = churn_schedule(200, rate=0.5, seed=6)
-        fast = churn_schedule(200, rate=5.0, seed=6)
-        assert fast[-1].at < slow[-1].at
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            churn_schedule(10, join_fraction=1.5)
-        with pytest.raises(ValueError):
-            churn_schedule(10, rate=0)
