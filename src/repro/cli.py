@@ -15,8 +15,7 @@ Usage::
     python -m repro chaos --quick                  # all four scenarios
     python -m repro chaos --scenario lossy_links --overlay baton
     python -m repro multicast --quick              # dissemination showdown
-    python -m repro profile                        # N=1000/10k/100k cells
-    python -m repro profile --out BENCH_scale.json # dump the trajectory point
+    python -m repro profile --peers 1000           # wall-clock build + drive
 """
 
 from __future__ import annotations
@@ -81,17 +80,18 @@ def cmd_peer(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    """Run one experiment grid (durability, chaos, multicast, locality).
+    """Run one experiment grid (durability, chaos, multicast, locality,
+    profile).
 
-    The subcommand is named after its driver module; ``args.axes`` maps
-    its flags to the grid's axes ("all" or an unset flag keeps the axis
-    default).
+    ``args.module`` names the driver module whose ``GRID`` runs;
+    ``args.axes`` maps the subcommand's flags to the grid's axes ("all" or
+    an unset flag keeps the axis default).
     """
     import importlib
 
     from repro.experiments.parallel import apply_experiment_flags
 
-    grid = importlib.import_module(f"repro.experiments.{args.command}").GRID
+    grid = importlib.import_module(f"repro.experiments.{args.module}").GRID
     scale, jobs = apply_experiment_flags(args)
     overrides = {
         axis: value
@@ -99,51 +99,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         if (value := getattr(args, flag)) and value != "all"
     }
     print(grid.run(scale, jobs=jobs, **overrides).to_text())
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Time build/churn/query phases; optionally dump BENCH_scale.json."""
-    from repro.experiments import scale_profile
-
-    if args.peers:
-        sizes = tuple(args.peers)
-    elif args.full:
-        sizes = (1000, 2500, 5000, 10000)
-    else:
-        sizes = scale_profile.BENCH_SIZES
-    bulk = not args.no_bulk_build
-    if args.out:
-        payload = scale_profile.write_benchmark(
-            args.out, sizes, seed=args.seed, bulk=bulk, suite=args.suite
-        )
-        rows = payload["rows"]
-        print(f"wrote {args.out} ({len(rows)} population(s))")
-    else:
-        # Same measurement as the --out/benchmark path (including the
-        # shortened window for the big populations), just not persisted.
-        rows = scale_profile.collect_benchmark(
-            sizes, seed=args.seed, bulk=bulk, suite=args.suite
-        )["rows"]
-    for row in rows:
-        if row.get("workload") == "suite":
-            print(
-                f"suite: sequential {row['sequential_s']:.1f}s, "
-                f"--jobs {row['jobs']} cold {row['cold_s']:.1f}s, "
-                f"warm {row['warm_s']:.1f}s "
-                f"(speedup {row['speedup']:.2f}x, {row['results']} results, "
-                f"identical canonical output)"
-            )
-            continue
-        print(
-            f"N={row['n_peers']}: build {row['build_s']:.2f}s "
-            f"({row['build']}), drive {row['drive_s']:.2f}s "
-            f"({row['events']} events, {row['events_per_s']:.0f}/s, "
-            f"peak heap {row['peak_heap']}), "
-            f"success {row['success']:.3f}, p50 {row['p50']:.2f}, "
-            f"stretch p50 {row['stretch_p50']:.2f}, "
-            f"rss {row['peak_rss_mb']:.0f}MB"
-        )
     return 0
 
 
@@ -338,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--peers", type=int, default=None, help="override the population"
     )
     add_experiment_flags(durability)
-    durability.set_defaults(func=cmd_grid, axes={"peers": "n_peers"})
+    durability.set_defaults(
+        func=cmd_grid, module="durability", axes={"peers": "n_peers"}
+    )
 
     from repro import overlays
     from repro.workloads.chaos import SCENARIO_NAMES
@@ -367,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_experiment_flags(chaos)
     chaos.set_defaults(
         func=cmd_grid,
+        module="chaos",
         axes={"scenario": "scenario_name", "overlay": "overlay", "peers": "n_peers"},
     )
 
@@ -376,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "unicast vs flood, WAN-priced, plus the lossy pub/sub cell",
     )
     add_experiment_flags(multicast)
-    multicast.set_defaults(func=cmd_grid, axes={})
+    multicast.set_defaults(func=cmd_grid, module="multicast", axes={})
 
     locality = sub.add_parser(
         "locality",
@@ -387,45 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--peers", type=int, default=None, help="override the grid's N"
     )
     add_experiment_flags(locality)
-    locality.set_defaults(func=cmd_grid, axes={"peers": "n_peers"})
+    locality.set_defaults(
+        func=cmd_grid, module="locality", axes={"peers": "n_peers"}
+    )
 
     profile = sub.add_parser(
         "profile",
-        help="wall-clock build/churn/query phase timings "
-        "(the benchmark trajectory; see BENCH_scale.json)",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--peers",
-        type=int,
-        nargs="*",
-        default=None,
-        help="population(s) to profile (default: 1000, a shortened 10000, "
-        "and the heavy-window 100000 cell)",
+        help="wall-clock cost of a bulk build plus a churn+query drive "
+        "per population (benchmarks/e2e/run.py is the regression judge)",
     )
     profile.add_argument(
-        "--no-bulk-build",
-        action="store_true",
-        help="grow BATON join by join instead of the direct bulk "
-        "construction (the pre-refactor behaviour; very slow beyond 10k)",
+        "--peers", type=int, default=None, help="override the population"
     )
-    profile.add_argument(
-        "--full",
-        action="store_true",
-        help="profile the paper's full 1000/2500/5000/10000 grid",
+    add_experiment_flags(profile)
+    profile.set_defaults(
+        func=cmd_grid, module="scale_profile", axes={"peers": "n_peers"}
     )
-    profile.add_argument(
-        "--out",
-        default=None,
-        help="also write the machine-readable BENCH_scale.json payload here",
-    )
-    profile.add_argument(
-        "--suite",
-        action="store_true",
-        help="also time the full experiment suite sequentially and under "
-        "--jobs 4 (the suite wall-clock trajectory row; several minutes)",
-    )
-    profile.set_defaults(func=cmd_profile)
 
     from repro import overlays
 

@@ -4,8 +4,8 @@ BATON's §III invariants pin the balanced shape for a population of N
 peers up to the order joins arrive in: levels ``0..L-1`` are complete and
 the remaining ``M = N - (2^L - 1)`` peers sit in the leftmost slots of
 level ``L``.  Growing that shape join-by-join costs N walks and N table
-update rounds — 89% of total wall-clock at N=10k in the committed
-benchmark trajectory — yet every message it sends is reconstructible
+update rounds — 89% of total wall-clock at N=10k before this path
+existed — yet every message it sends is reconstructible
 arithmetic.  D²-Tree and D³-Tree (PAPERS.md) get their deterministic
 bounds by the same observation: *structural construction* is separable
 from *dynamic maintenance*.

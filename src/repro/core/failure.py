@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, TYPE_CHECKING
 
+from repro.core import leave as leave_protocol
 from repro.core.links import LEFT, RIGHT
 from repro.core.peer import BatonPeer
 from repro.core.results import RepairResult
@@ -127,7 +128,9 @@ def repair_steps(
             f"repair of {ghost.position} blocked: no live coordinator"
         )
     _regenerate_tables(net, coordinator, ghost)
-    if _safe_leaf_removal(ghost):
+    # Dropping the dead slot is safe on the same test as a graceful leave,
+    # evaluated on the regenerated link state.
+    if leave_protocol.can_depart_simply(ghost):
         absorber = _remove_dead_leaf(net, coordinator, ghost)
         replacement: Optional[BatonPeer] = None
     else:
@@ -225,19 +228,6 @@ def _regenerate_tables(
     refresh_links_from_map(MapView(net, include_ghosts=True), ghost)
 
 
-def _safe_leaf_removal(ghost: BatonPeer) -> bool:
-    """Whether simply dropping the dead node's slot keeps the tree balanced.
-
-    Same test as graceful leave: a leaf none of whose sideways neighbours
-    has children (evaluated on the regenerated link state).
-    """
-    if not ghost.is_leaf:
-        return False
-    return not ghost.left_table.nodes_with_children() and not (
-        ghost.right_table.nodes_with_children()
-    )
-
-
 def _remove_dead_leaf(
     net: "BatonNetwork", coordinator: BatonPeer, ghost: BatonPeer
 ) -> Optional[BatonPeer]:
@@ -281,7 +271,6 @@ def _replace_dead_internal(
     net: "BatonNetwork", coordinator: BatonPeer, ghost: BatonPeer
 ) -> BatonPeer:
     """Move a replacement leaf into a dead internal node's slot."""
-    from repro.core import leave as leave_protocol
     from repro.core.restructure import rebuild_after_moves
 
     start = _live_descent_entry(net, ghost)

@@ -361,9 +361,10 @@ class BatonNetwork:
         simulating N joins (see :mod:`repro.core.bulk_build` and DESIGN.md's
         "Construction contract") — same shape, same links, zero messages;
         entry-point placement differs only in that joins are random-entry.
-        ``keys`` (bulk only) is the dataset to load while building.  Scale
-        surfaces (``scale_profile``, the ``profile`` CLI) default to the
-        bulk path; protocol tests that pin message traces keep joins.
+        ``keys`` (bulk only) is the dataset to load while building.  The
+        scale profile (``python -m repro profile``) and the end-to-end
+        benchmark build BATON this way; protocol tests that pin message
+        traces keep joins.
         """
         if n_peers < 1:
             raise ValueError("need at least one peer")

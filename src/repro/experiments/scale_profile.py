@@ -6,12 +6,14 @@ and memory the event engine, hop pricing and workload driver burn to push
 a BATON churn-and-query run through, as the population grows to the
 paper's N=10k (§V evaluates up to 10,000 nodes; D²-Tree and ART argue
 their bounds at 10⁴–10⁵).  A reproduction that cannot execute the paper's
-own N cheaply leaves the headline scale claim unverified — this driver is
-the regression guard that keeps it cheap.
+own N cheaply leaves the headline scale claim unverified — this table
+shows what each population costs; ``benchmarks/e2e/run.py`` is the
+regression judge.
 
 Phases timed per population:
 
-* **build** — growing the loaded network join by join;
+* **build** — constructing the loaded network (BATON through the direct
+  bulk construction, DESIGN.md's "Construction contract");
 * **drive** — the concurrent churn+query window on the event runtime
   (event-log recording off, futures released as they complete: the
   workload configuration of DESIGN.md's "Performance contract");
@@ -21,27 +23,19 @@ and the heap's high-water mark (which the cancellation tombstones keep
 near the live pending count).
 
 ``GRID`` sweeps the experiment scale's populations (the full
-1000/2500/5000/10000 grid under ``REPRO_FULL_SCALE=1``);
-:func:`collect_benchmark` produces the machine-readable ``BENCH_scale.json``
-payload behind ``python -m repro profile`` and ``benchmarks/bench_scale.py``
-— the repo's benchmark trajectory (compare trajectory points across
-commits to see the runtime getting faster or slower).
+1000/2500/5000/10000 grid under ``REPRO_FULL_SCALE=1``); it is the
+``profile`` table of ``runall`` and of ``python -m repro profile``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import resource
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro import overlays
 from repro.experiments.grid import Axis, Grid, all_sizes, only
-from repro.experiments.harness import build_loaded, default_scale, loaded_keys
-from repro.sim.faults import FaultPlan
+from repro.experiments.harness import build_loaded, loaded_keys
 from repro.sim.latency import ExponentialLatency
 from repro.util.rng import SeededRng, derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -62,19 +56,6 @@ CHURN_RATE = 1.0
 QUERY_RATE = 16.0
 DATA_PER_NODE = 20
 
-#: Rates for the pub/sub benchmark cell: the same window with publishes
-#: and subscription installs layered on top (multicast fan-outs dominate
-#: the extra events, so ``events_per_s`` covers the dissemination path).
-PUBSUB_PUBLISH_RATE = 2.0
-PUBSUB_SUBSCRIBE_RATE = 1.0
-
-#: Window for the locality (route cache) benchmark cell.  Cache entries
-#: are recorded when walks *complete*, so the window must be several
-#: multiples of the walk latency for the steady-state hit rate to show
-#: (see ``experiments/locality.py`` on warm-up); the standard shortened
-#: 10k window is too tight for that.
-CACHE_DURATION = 30.0
-
 
 def peak_rss_mb() -> float:
     """The run's resident high-water mark, in MiB.
@@ -92,117 +73,53 @@ def peak_rss_mb() -> float:
     return max(own, children) / 1024
 
 
-def profile_run(
-    n_peers: int,
-    seed: int = 0,
-    *,
-    overlay: str = "baton",
-    duration: float = DURATION,
-    churn_rate: float = CHURN_RATE,
-    query_rate: float = QUERY_RATE,
-    data_per_node: int = DATA_PER_NODE,
-    publish_rate: float = 0.0,
-    subscribe_rate: float = 0.0,
-    bulk: bool = True,
-    wrap_faults: bool = False,
-    cache: bool = False,
-) -> Dict[str, object]:
+def profile_run(n_peers: int, seed: int, *, overlay: str) -> Dict[str, object]:
     """One profiled build + drive; returns the phase timings and counters.
 
-    ``bulk`` (default on — this is a scale surface) builds BATON through
-    the direct construction path; pass ``bulk=False`` to time the
-    join-by-join protocol build instead.  ``wrap_faults`` wraps the
-    transport in an *inert* :class:`~repro.sim.faults.FaultPlan` (no
-    rates, no windows) — the same workload then runs through the chaos
-    transmit path, which is how the zero-overhead guard in
-    ``benchmarks/bench_scale.py`` measures the price of the wrapper.
-    ``cache`` (BATON only) turns the hot-range route cache on and drives
-    the cache's session regime (fixed gateways, hot-slice queries) — the
-    cache-path throughput cell of the trajectory.
+    BATON is built through the direct bulk construction (this is a scale
+    surface); the drive is the fixed window above.
     """
-    locality = None
-    if cache:
-        from repro.core.cache import DEFAULT_CACHE_SIZE
-        from repro.core.network import LocalityConfig
-
-        locality = LocalityConfig(cache_size=DEFAULT_CACHE_SIZE)
     started = time.perf_counter()
-    net = build_loaded(
-        overlay, n_peers, seed, data_per_node, bulk=bulk, locality=locality
-    )
+    net = build_loaded(overlay, n_peers, seed, DATA_PER_NODE, bulk=True)
     build_s = time.perf_counter() - started
 
     rng = SeededRng(derive_seed(seed, "scale-profile"))
-    transport = ExponentialLatency(mean=1.0, rng=rng.child("latency"))
-    if wrap_faults:
-        transport = FaultPlan(transport, seed=derive_seed(seed, "inert"))
     anet = overlays.get(overlay).wrap(
         net,
-        topology=transport,
+        topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
         record_events=False,
         retain_ops=False,
     )
-    keys = loaded_keys(n_peers, data_per_node, seed)
-    workload_keys = keys
-    gateways = 0
-    if cache:
-        from repro.experiments import locality as locality_experiment
-
-        workload_keys = locality_experiment.hot_keys(keys, data_per_node)
-        gateways = locality_experiment.GATEWAYS
     config = ConcurrentConfig(
-        duration=duration,
-        churn_rate=churn_rate,
-        query_rate=query_rate,
-        publish_rate=publish_rate,
-        subscribe_rate=subscribe_rate,
+        duration=DURATION,
+        churn_rate=CHURN_RATE,
+        query_rate=QUERY_RATE,
         range_fraction=0.2,
         min_peers=max(8, n_peers // 2),
-        client_gateways=gateways,
     )
     started = time.perf_counter()
     report = run_concurrent_workload(
-        anet, workload_keys, config, seed=derive_seed(seed, "driver")
+        anet,
+        loaded_keys(n_peers, DATA_PER_NODE, seed),
+        config,
+        seed=derive_seed(seed, "driver"),
     )
     drive_s = time.perf_counter() - started
 
     events = anet.sim.executed_count
-    row: Dict[str, object] = {
-        "overlay": overlay,
+    return {
         "n_peers": n_peers,
-        "seed": seed,
-        "duration": duration,
-        "build": "bulk" if bulk and overlay == "baton" else "join",
         "build_s": round(build_s, 4),
         "drive_s": round(drive_s, 4),
-        "total_s": round(build_s + drive_s, 4),
         "events": events,
         "events_per_s": round(events / drive_s, 1) if drive_s > 0 else 0.0,
         "peak_heap": anet.sim.peak_queue_len,
-        "pending_end": anet.sim.pending_count,
         "queries": report.query_total,
         "success": round(report.query_success_rate, 4),
         "p50": round(report.query_latency_p50, 3),
         "stretch_p50": round(report.latency_stretch_p50, 3),
-        "messages": report.messages_total,
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
-    if cache:
-        # Cache-path cell: tagged so the standard gate (first untagged
-        # match by n_peers) never reads it; carries the cache counters.
-        row["workload"] = "locality"
-        row["hit_rate"] = round(report.cache_hit_rate, 4)
-        row["cache_invalidations"] = report.cache_invalidations
-    if publish_rate > 0 or subscribe_rate > 0:
-        # Dissemination cell: tag it so the baseline gate (first match by
-        # n_peers) keeps reading the standard row, and carry the pub/sub
-        # counters the trajectory tracks.
-        row["workload"] = "pubsub"
-        row["multicast_deliveries"] = report.multicasts_delivered
-        row["subscriptions"] = report.subscriptions_installed
-        row["notifications"] = report.notifications
-        row["dup_suppressed"] = report.pubsub_duplicates_suppressed
-    return row
 
 
 #: Columns whose values are wall-clock (or RSS) measurements: real time,
@@ -249,239 +166,6 @@ GRID = Grid(
     },
     volatile=VOLATILE_COLUMNS,
 )
-
-
-#: Format marker for BENCH_scale.json; bump on incompatible layout changes.
-#: Schema 2: builds are bulk by default (``build`` marks the path), rows
-#: carry ``peak_rss_mb``, and the trajectory includes the N=100k cell.
-#: Schema 3: the N=10k cell runs the full window at ``BENCH_10K_QUERY_RATE``
-#: (its events/s is not comparable to schema-2 points), and the payload
-#: carries a ``workload="suite"`` row — the experiment suite's wall clock,
-#: sequential vs ``--jobs``.
-BENCH_SCHEMA = 3
-
-#: The populations a benchmark point covers by default (the N=1000 cell is
-#: the acceptance driver; 10k is the paper's headline N, run shortened;
-#: 100k is the bulk-build scale cell driven through a ~10⁶-event window).
-BENCH_SIZES = (1000, 10000, 100000)
-
-
-#: Query rate for the N=10k benchmark cell.  The old shortened window
-#: (half duration, standard rate) pushed ~3k events through in well under
-#: a second, so the cell's events/s was dominated by fixed per-run costs
-#: (build teardown, report assembly) and read 7x *slower* than N=1000 —
-#: pure measurement noise.  10x the rate over the full window sustains
-#: tens of thousands of events, putting the cell in the
-#: throughput-dominated regime where a real engine regression shows.
-BENCH_10K_QUERY_RATE = 160.0
-
-
-def bench_window(n_peers: int) -> Dict[str, float]:
-    """The workload window for one benchmark cell.
-
-    The N=100k cell runs a deliberately heavy window — about a million
-    executed events — because that is the scale claim the trajectory
-    guards; the 10k cell raises the query rate so the drive is
-    throughput-dominated rather than fixed-cost-dominated; everything
-    else uses the runall experiment window for comparability.
-    """
-    if n_peers >= 100_000:
-        return {"duration": 50.0, "query_rate": 1000.0}
-    if n_peers >= 10_000:
-        return {"query_rate": BENCH_10K_QUERY_RATE}
-    return {}
-
-
-#: Worker count for the suite wall-clock row (the acceptance criterion's
-#: ``--jobs 4`` configuration).
-SUITE_JOBS = 4
-
-
-def suite_benchmark_row(jobs: int = SUITE_JOBS) -> Dict[str, object]:
-    """Time the full experiment suite: bare sequential vs the engine.
-
-    Three passes over the default-scale ``runall``:
-
-    1. **baseline** — the pre-engine configuration: ``jobs=1``, snapshot
-       cache off, every cell building its own network;
-    2. **cold** — the engine's shipped defaults (``--jobs`` fan-out plus
-       the snapshot cache) started in an empty directory: cells sharing
-       a base network within the run dedup onto one build;
-    3. **warm** — the same engine pass again over the now-populated
-       cache: the steady state every rerun after the first sees, since
-       the shipped cache directory persists across runs.
-
-    The gated ``speedup`` is baseline over **warm** — the honest number
-    for the suite's recurring cost (rerun after a driver tweak, adding
-    an overlay, CI on a cached runner); ``cold_s`` records the
-    first-run cost next to it so nothing hides.  All three passes must
-    produce byte-identical canonical output — that identity is the
-    engine's core contract and is asserted here, making this row a
-    full-scale end-to-end check as well as a timing.
-
-    Each pass is a **fresh subprocess** running the real
-    ``python -m repro.experiments.runall`` command: that is what the row
-    claims to price, and in-process passes are not independent — a pool
-    forked from a parent fattened by an earlier pass (or by the N=100k
-    bench cell) taxes every worker with copy-on-write faults and
-    understates the engine by tens of seconds.
-    """
-    import shutil
-    import tempfile
-
-    scale = default_scale()
-    root = Path(tempfile.mkdtemp(prefix="repro-suite-bench-"))
-    try:
-        sequential_s, seq_text = _suite_pass(1, cache_root=None, out=root)
-        cold_s, cold_text = _suite_pass(jobs, cache_root=root, out=root)
-        warm_s, warm_text = _suite_pass(jobs, cache_root=root, out=root)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    if seq_text != cold_text or seq_text != warm_text:
-        raise AssertionError(
-            "engine suite output diverged from the bare sequential run — "
-            "the deterministic-reassembly/snapshot-equivalence contract "
-            "is broken"
-        )
-    results = sum(
-        1 for line in seq_text.splitlines() if line.startswith("### ")
-    )
-    return {
-        "workload": "suite",
-        "n_peers": max(scale.sizes),
-        "jobs": jobs,
-        "sequential_s": round(sequential_s, 1),
-        "cold_s": round(cold_s, 1),
-        "warm_s": round(warm_s, 1),
-        "speedup": round(sequential_s / warm_s, 2) if warm_s else 0.0,
-        "results": results,
-        "peak_rss_mb": round(peak_rss_mb(), 1),
-    }
-
-
-def _suite_pass(
-    jobs: int, cache_root: Optional[Path], out: Path
-) -> tuple[float, str]:
-    """One timed ``runall`` subprocess; returns (seconds, canonical text).
-
-    ``cache_root=None`` disables the snapshot cache (the pre-engine
-    baseline); otherwise the subprocess's cache is pinned to that
-    directory.  Scale/jobs/cache environment overrides are stripped so
-    the row always prices the default-scale suite under controlled
-    settings, whatever the caller's environment (the live CI gate runs
-    under ``REPRO_FULL_SCALE=1``, which must not leak into the
-    subprocess and turn it into the paper-scale sweep).
-    """
-    import subprocess
-    import sys
-
-    import repro
-
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    for name in (
-        "REPRO_FULL_SCALE",
-        "REPRO_SCALE_SMOKE",
-        "REPRO_JOBS",
-        "REPRO_SNAPSHOT_CACHE",
-        "REPRO_SNAPSHOT_DIR",
-    ):
-        env.pop(name, None)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir + os.pathsep + existing if existing else src_dir
-    )
-    canonical = out / f"canonical-{jobs}-{os.urandom(4).hex()}.txt"
-    command = [
-        sys.executable,
-        "-m",
-        "repro.experiments.runall",
-        "--jobs",
-        str(jobs),
-        "--canonical-out",
-        str(canonical),
-    ]
-    if cache_root is None:
-        command.append("--no-snapshot-cache")
-    else:
-        env["REPRO_SNAPSHOT_DIR"] = str(cache_root)
-    started = time.perf_counter()
-    subprocess.run(
-        command, check=True, env=env, stdout=subprocess.DEVNULL
-    )
-    elapsed = time.perf_counter() - started
-    text = canonical.read_text()
-    canonical.unlink()
-    return elapsed, text
-
-
-def collect_benchmark(
-    sizes: tuple[int, ...] = BENCH_SIZES,
-    seed: int = 0,
-    bulk: bool = True,
-    suite: bool = False,
-) -> Dict[str, object]:
-    """Measure one benchmark trajectory point (machine-readable)."""
-    rows: List[Dict[str, object]] = []
-    # The suite row is measured FIRST, while this process is still
-    # small: its engine passes fork worker pools, and forking after the
-    # N=100k cell (a ~1 GB parent) taxes every worker with copy-on-write
-    # faults, understating the speedup.  It is still *appended* last so
-    # the per-N regression gates keep matching the first row per
-    # population.
-    suite_row = suite_benchmark_row() if suite else None
-    for n_peers in sizes:
-        rows.append(
-            profile_run(n_peers, seed=seed, bulk=bulk, **bench_window(n_peers))
-        )
-    # The pub/sub cell rides the smallest population: same window with
-    # publish/subscribe traffic on top, appended AFTER the standard rows
-    # (the regression gate matches the first row per n_peers).
-    pubsub_n = min(sizes) if sizes else 1000
-    rows.append(
-        profile_run(
-            pubsub_n,
-            seed=seed,
-            bulk=bulk,
-            publish_rate=PUBSUB_PUBLISH_RATE,
-            subscribe_rate=PUBSUB_SUBSCRIBE_RATE,
-            **bench_window(pubsub_n),
-        )
-    )
-    # The locality cell rides the paper's headline N when the sweep
-    # covers it: route cache on, gateway/hot-slice regime, its own
-    # longer window (CACHE_DURATION — hit rate needs warm-up room).
-    if 10_000 in sizes:
-        rows.append(
-            profile_run(
-                10_000, seed=seed, bulk=bulk, cache=True,
-                duration=CACHE_DURATION,
-            )
-        )
-    if suite_row is not None:
-        rows.append(suite_row)
-    return {
-        "schema": BENCH_SCHEMA,
-        "benchmark": "bench_scale",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "rows": rows,
-    }
-
-
-def write_benchmark(
-    path: str,
-    sizes: tuple[int, ...] = BENCH_SIZES,
-    seed: int = 0,
-    bulk: bool = True,
-    suite: bool = False,
-) -> Dict[str, object]:
-    """Measure and dump one trajectory point to ``path`` (JSON)."""
-    payload = collect_benchmark(sizes, seed=seed, bulk=bulk, suite=suite)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ derived per address (by the inner topology's region map when the window
 names regions, by a seeded hash split otherwise).  A plan with all rates
 zero and no windows judges nothing and draws nothing, which is what keeps
 fault-free runs event-for-event identical to the unwrapped fast path
-(pinned in ``tests/test_chaos.py`` and guarded in ``bench_scale``).
+(pinned in ``tests/test_chaos.py``).
 
 The plan is pure transport: it never touches overlay state.  Reacting to
 the losses — timeout, exponential backoff, retry budget — is the

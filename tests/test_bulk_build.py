@@ -189,10 +189,10 @@ class TestSampledChecker:
 @pytest.mark.skipif(
     os.environ.get("REPRO_SCALE_SMOKE") != "1"
     and os.environ.get("REPRO_FULL_SCALE") != "1",
-    reason="30k bulk-build smoke runs in the CI benchmark job",
+    reason="30k bulk-build smoke runs in CI's scale-smoke job",
 )
 def test_30k_bulk_build_smoke():
-    """Scale stand-in for the N=100k cell: build, sample-check, query."""
+    """The bulk build at N=30k: build, sample-check, query."""
     keys = uniform_keys(300_000, seed=0)
     net = bulk_build(30_000, keys=keys)
     assert net.size == 30_000

@@ -98,6 +98,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "replication" in err
 
+    def test_grid_subcommands_share_one_lookup(self):
+        # Every grid subcommand names its driver module; cmd_grid imports
+        # repro.experiments.<module> with no per-command special case.
+        import importlib
+
+        from repro.cli import cmd_grid
+
+        for command in ("durability", "chaos", "multicast", "locality", "profile"):
+            args = build_parser().parse_args([command])
+            assert args.func is cmd_grid
+            grid = importlib.import_module(f"repro.experiments.{args.module}").GRID
+            assert grid.name == command
+            assert set(args.axes.values()) <= {axis.name for axis in grid.axes}
+
     def test_durability_subcommand_runs(self, capsys):
         assert main(["durability", "--quick", "--peers", "24"]) == 0
         out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import BatonNetwork, check_invariants
 from repro.core import collect_violations
+from repro.core.leave import can_depart_simply
 from repro.util.errors import PeerNotFoundError
 
 from tests.conftest import make_network
@@ -76,6 +77,37 @@ class TestRepair:
         net.fail(internal)
         result = net.repair(internal)
         assert result.replacement is not None
+        check_invariants(net)
+
+    def test_repair_drops_simply_departable_leaf(self):
+        # A leaf that could leave gracefully without restructuring has its
+        # slot dropped on repair: nobody moves in, the tree shrinks by one.
+        net = make_network(50, seed=0)
+        leaf = next(
+            a for a, p in net.peers.items() if p.is_leaf and can_depart_simply(p)
+        )
+        position = net.peer(leaf).position
+        net.fail(leaf)
+        result = net.repair(leaf)
+        assert result.replacement is None
+        assert net.size == 49
+        assert all(p.position != position for p in net.peers.values())
+        check_invariants(net)
+
+    def test_repair_replaces_leaf_that_cannot_depart_simply(self):
+        # Dropping a leaf whose sideways neighbours have children would
+        # unbalance the tree, so repair moves a replacement into its slot.
+        net = make_network(50, seed=0)
+        leaf = next(
+            a
+            for a, p in net.peers.items()
+            if p.is_leaf and not can_depart_simply(p)
+        )
+        position = net.peer(leaf).position
+        net.fail(leaf)
+        result = net.repair(leaf)
+        assert result.replacement is not None
+        assert net.peer(result.replacement).position == position
         check_invariants(net)
 
     def test_repair_root_failure(self):

@@ -1,6 +1,6 @@
 """Tests for the scale refactor: sized bulk transfers, the batched
 replica-refresh sweep, the latency-stretch metric, opt-in event logging,
-and the scale-profile/benchmark plumbing."""
+and the scale-profile grid."""
 
 import pytest
 
@@ -270,13 +270,12 @@ class TestOptInEventLog:
 
 class TestScaleProfile:
     def test_profile_run_reports_phases(self):
-        row = scale_profile.profile_run(
-            40, seed=0, duration=10.0, query_rate=4.0, data_per_node=5
-        )
+        row = scale_profile.profile_run(40, 0, overlay="baton")
         assert row["n_peers"] == 40
         assert row["build_s"] > 0 and row["drive_s"] > 0
         assert row["events"] > 0 and row["events_per_s"] > 0
-        assert row["peak_heap"] > 0
+        assert row["peak_heap"] > 0 and row["peak_rss_mb"] > 0
+        assert row["queries"] > 0
         assert 0.0 <= row["success"] <= 1.0
 
     def test_stretch_distinct_from_latency(self):
@@ -284,21 +283,9 @@ class TestScaleProfile:
         # numerator, and with a unit-mean direct link that made stretch_p50
         # a byte-for-byte copy of p50 in every committed benchmark row.
         # Net of the ingress leg, stretch is strictly the shorter quantity.
-        row = scale_profile.profile_run(
-            40, seed=0, duration=10.0, query_rate=4.0, data_per_node=5
-        )
+        row = scale_profile.profile_run(40, 0, overlay="baton")
         assert row["stretch_p50"] > 0
         assert row["stretch_p50"] < row["p50"]
-
-    def test_profile_run_build_modes(self):
-        kwargs = dict(seed=0, duration=5.0, query_rate=4.0, data_per_node=5)
-        bulk_row = scale_profile.profile_run(40, **kwargs)
-        join_row = scale_profile.profile_run(40, bulk=False, **kwargs)
-        assert bulk_row["build"] == "bulk"
-        assert join_row["build"] == "join"
-        assert bulk_row["peak_rss_mb"] > 0
-        # Identical workload volume either way; only construction differs.
-        assert bulk_row["queries"] > 0
 
     def test_run_sweeps_scale_sizes(self):
         from repro.experiments.harness import ExperimentScale
@@ -310,23 +297,12 @@ class TestScaleProfile:
         assert [row["n_peers"] for row in result.rows] == [20, 40]
         assert all(row["drive_s"] > 0 for row in result.rows)
 
-    def test_write_benchmark_schema(self, tmp_path):
-        import json
+    def test_cli_profile_command(self, capsys):
+        from repro.cli import build_parser, cmd_grid, main
 
-        path = tmp_path / "BENCH_scale.json"
-        payload = scale_profile.write_benchmark(str(path), sizes=(30,))
-        on_disk = json.loads(path.read_text())
-        assert on_disk["schema"] == scale_profile.BENCH_SCHEMA
-        assert on_disk["rows"][0]["n_peers"] == 30
-        assert payload["rows"][0]["total_s"] == pytest.approx(
-            on_disk["rows"][0]["build_s"] + on_disk["rows"][0]["drive_s"], abs=1e-3
-        )
-
-    def test_cli_profile_command(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        assert main(["profile", "--peers", "30", "--out", str(out)]) == 0
+        assert build_parser().parse_args(["profile"]).func is cmd_grid
+        assert main(["profile", "--quick", "--peers", "30"]) == 0
         printed = capsys.readouterr().out
-        assert "N=30" in printed
-        assert out.exists()
+        assert "Scale profile" in printed
+        assert "Runtime wall-clock vs population (baton," in printed
+        assert "n_peers" in printed and "events_per_s" in printed
