@@ -41,6 +41,7 @@ from typing import Dict, Optional
 from repro import overlays
 from repro.experiments.grid import (
     Axis,
+    Band,
     Grid,
     all_overlays,
     first_size,
@@ -190,6 +191,8 @@ GRID = Grid(
         "repairs": total("repairs"),
         "success": mean_of("success"),
     },
+    # DESIGN.md, "Delivery contract": an op fails, it never hangs.
+    bands=(Band("sum unresolved", lambda r: sum(r.column("unresolved")), "==", 0),),
 )
 
 if __name__ == "__main__":

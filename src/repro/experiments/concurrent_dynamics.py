@@ -24,8 +24,22 @@ from typing import Dict
 
 from repro import overlays
 from repro.core.invariants import collect_violations
-from repro.experiments.grid import Axis, Grid, all_overlays, mean_of, peak, total
-from repro.experiments.harness import ExperimentScale, build_loaded, loaded_keys
+from repro.experiments.grid import (
+    Axis,
+    Band,
+    Grid,
+    all_overlays,
+    gap,
+    mean_of,
+    peak,
+    total,
+)
+from repro.experiments.harness import (
+    ExperimentResult,
+    ExperimentScale,
+    build_loaded,
+    loaded_keys,
+)
 from repro.sim.latency import ExponentialLatency
 from repro.util.rng import SeededRng, derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -135,7 +149,31 @@ GRID = Grid(
         "max_in_flight": peak("max_in_flight"),
         "violations": total("violations"),
     },
+    bands=(
+        Band("success without churn", lambda r: r.column("success")[0], "==", 1),
+        Band("min success", lambda r: min(r.column("success")), ">", 0.8),
+        Band("violations without churn", lambda r: r.column("violations")[0], "==", 0),
+        # A rare residual Theorem-1 imbalance under heavy churn (see
+        # EXPECTATION); anything more is a real bug.
+        Band("sum violations", lambda r: sum(r.column("violations")), "<=", 2),
+        Band(
+            "max of p50 - p90 and p90 - p99",
+            lambda r: max(
+                max(row["p50"] - row["p90"], row["p90"] - row["p99"])
+                for row in r.rows
+            ),
+            "<=",
+            0,
+        ),
+        # Genuine overlap: operations really were in flight together.
+        Band("min max_in_flight", lambda r: min(r.column("max_in_flight")), ">", 1),
+    ),
 )
+
+
+def _baselines(result: ExperimentResult) -> list:
+    return [row for row in result.rows if row["overlay"] != "baton"]
+
 
 #: Three-way concurrent comparison: every overlay, identical workloads.
 #: One row per (overlay, churn rate); the churn/query/insert arrival
@@ -159,6 +197,33 @@ COMPARISON = Grid(
     scale_kwargs=("data_per_node",),
     derive=_duration,
     reduce=_LATENCY,
+    bands=(
+        # No sideways tables means longer walks: the paper's §V-B claim.
+        Band(
+            "BATON p50 - multiway p50, worst churn rate",
+            gap("p50", {"overlay": "baton"}, {"overlay": "multiway"}),
+            "<",
+            0,
+        ),
+        Band(
+            "min baseline success without churn",
+            lambda r: min(
+                row["success"]
+                for row in _baselines(r)
+                if row["churn_rate"] == 0.0
+            ),
+            ">",
+            0.95,
+        ),
+        # Under churn the baselines degrade by their structure (multiway
+        # walks are the most fragile) but must not collapse.
+        Band(
+            "min baseline success",
+            lambda r: min(row["success"] for row in _baselines(r)),
+            ">",
+            0.5,
+        ),
+    ),
 )
 
 if __name__ == "__main__":

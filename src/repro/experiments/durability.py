@@ -49,6 +49,7 @@ from repro import overlays
 from repro.core.network import LocalityConfig
 from repro.experiments.grid import (
     Axis,
+    Band,
     Grid,
     const,
     first_size,
@@ -274,6 +275,24 @@ def _bare_baseline_once(scale: ExperimentScale, env, point) -> Optional[str]:
     return ""
 
 
+def _independent(result, replication: int) -> list:
+    return [
+        row
+        for row in result.rows
+        if row["mode"] == "independent" and row["replication"] == replication
+    ]
+
+
+def _replication_excess(result) -> float:
+    """Keys lost by every replicated interval together, over what the bare
+    network lost, at the worst churn rate (like against like: the outage
+    rows have no bare twin)."""
+    excess = {row["churn_rate"]: -row["keys_lost"] for row in _independent(result, 0)}
+    for row in _independent(result, 1):
+        excess[row["churn_rate"]] += row["keys_lost"]
+    return max(excess.values())
+
+
 #: One row per (replication, churn rate, maintenance interval), then the
 #: two correlated-outage rows.
 GRID = Grid(
@@ -322,6 +341,47 @@ GRID = Grid(
         **_COUNTS,
     },
     tail=_CORRELATED,
+    bands=(
+        Band(
+            "sum replicated keys_lost - bare keys_lost, worst churn rate",
+            _replication_excess,
+            "<=",
+            0,
+        ),
+        Band(
+            "min bare keys_lost",
+            lambda r: min(row["keys_lost"] for row in _independent(r, 0)),
+            ">",
+            0,
+        ),
+        Band(
+            "sum replicated keys_recovered",
+            lambda r: sum(row["keys_recovered"] for row in _independent(r, 1)),
+            ">",
+            0,
+        ),
+        # Maintenance traffic is priced and counted, never free.
+        Band(
+            "min replica_msgs with replication on",
+            lambda r: min(r.column("replica_msgs", {"replication": 1})),
+            ">",
+            0,
+        ),
+        Band(
+            "max replica_msgs with replication off",
+            lambda r: max(r.column("replica_msgs", {"replication": 0})),
+            "==",
+            0,
+        ),
+        Band("min reconcile_msgs", lambda r: min(r.column("reconcile_msgs")), ">", 0),
+        # Only the heartbeat monitor can find the dead region.
+        Band(
+            "region_outage repairs",
+            lambda r: r.column("repairs", {"mode": "region_outage"})[0],
+            ">",
+            0,
+        ),
+    ),
 )
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.grid import mean_of
+from repro.experiments.grid import Band, mean_of
 from repro.experiments.membership import CELLS
 
 EXPECTATION = (
@@ -31,6 +31,22 @@ GRID = replace(
     notes=(
         "Chord leave_find is ~0 by design: the successor is known locally, "
         "no search happens (the paper plots Chord's join side).",
+    ),
+    bands=(
+        Band(
+            "max BATON join_find - max Chord join_find",
+            lambda r: max(r.column("join_find", {"system": "baton"}))
+            - max(r.column("join_find", {"system": "chord"})),
+            "<",
+            0,
+        ),
+        Band(
+            "multiway sum leave_find - sum join_find",
+            lambda r: sum(r.column("leave_find", {"system": "multiway"}))
+            - sum(r.column("join_find", {"system": "multiway"})),
+            ">",
+            0,
+        ),
     ),
 )
 

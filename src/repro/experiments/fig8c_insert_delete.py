@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.grid import Axis, Grid, all_sizes, pooled
+from repro.experiments.grid import Axis, Band, Grid, all_sizes, gap, pooled
 from repro.experiments.harness import build_loaded
 from repro.workloads.generators import uniform_keys
 
@@ -41,6 +41,14 @@ GRID = Grid(
     cell=grid_cell,
     scale_kwargs=("data_per_node", "n_queries"),
     reduce={"insert": pooled("insert"), "delete": pooled("delete")},
+    bands=(
+        Band(
+            "BATON insert - multiway insert, worst N",
+            gap("insert", {"system": "baton"}, {"system": "multiway"}),
+            "<",
+            0,
+        ),
+    ),
 )
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.grid import Axis, Grid, all_sizes, pooled
+from repro.experiments.grid import Axis, Band, Grid, all_sizes, gap, pooled
 from repro.experiments.harness import build_loaded, loaded_keys
 from repro.workloads.generators import exact_queries
 
@@ -53,6 +53,15 @@ GRID = Grid(
     cell=grid_cell,
     scale_kwargs=("data_per_node", "n_queries"),
     reduce={"messages": pooled("costs"), "hit_rate": _hit_rate},
+    bands=(
+        Band(
+            "BATON messages - multiway messages, worst N",
+            gap("messages", {"system": "baton"}, {"system": "multiway"}),
+            "<",
+            0,
+        ),
+        Band("min hit_rate", lambda r: min(r.column("hit_rate")), "==", 1),
+    ),
 )
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.grid import Axis, Grid, all_sizes, pooled
+from repro.experiments.grid import Axis, Band, Grid, all_sizes, gap, pooled
 from repro.experiments.harness import build_loaded
 from repro.workloads.generators import range_queries
 
@@ -53,6 +53,25 @@ GRID = Grid(
     cell=grid_cell,
     scale_kwargs=("data_per_node", "n_queries"),
     reduce={"messages": pooled("costs"), "answer_nodes": pooled("answer_nodes")},
+    bands=(
+        Band(
+            "BATON messages - ring walk messages, worst N",
+            gap("messages", {"system": "baton"}, {"system": "chord_ring_walk"}),
+            "<",
+            0,
+        ),
+        # The O(N) cliff: the ring walk visits every node.
+        Band(
+            "ring walk messages - (N - 1), min over N",
+            lambda r: min(
+                row["messages"] - (row["N"] - 1)
+                for row in r.rows
+                if row["system"] == "chord_ring_walk"
+            ),
+            ">=",
+            0,
+        ),
+    ),
 )
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict
 
-from repro.experiments.grid import Axis, Grid
+from repro.experiments.grid import Axis, Band, Grid
 from repro.experiments.harness import (
     ExperimentResult,
     ExperimentScale,
@@ -83,6 +83,14 @@ def _table(result: ExperimentResult, scale: ExperimentScale, groups) -> None:
     )
 
 
+def _root_excess(result: ExperimentResult) -> float:
+    """Root insert load over the no-hot-spot bound: 4x the mean load of
+    levels >= 2, plus 4."""
+    loads = {row["level"]: row["insert_per_node"] for row in result.rows}
+    deep = [load for level, load in loads.items() if level >= 2]
+    return loads[0] - (4 * (sum(deep) / len(deep)) + 4)
+
+
 GRID = Grid(
     name="fig8f",
     figure="Fig 8f",
@@ -93,6 +101,7 @@ GRID = Grid(
     cell=grid_cell,
     scale_kwargs=("data_per_node", "n_queries"),
     table=_table,
+    bands=(Band("root insert load - (4 x deep mean + 4)", _root_excess, "<=", 0),),
 )
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ one balancing message per ~1500 insertions at its scale).
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import pairwise
 
 from repro.experiments.balancing import CELLS
+from repro.experiments.grid import Band
 from repro.experiments.harness import ExperimentResult, ExperimentScale, mean
 
 EXPECTATION = (
@@ -45,6 +47,15 @@ def _table(result: ExperimentResult, scale: ExperimentScale, groups) -> None:
             )
 
 
+def _balance_msgs(result: ExperimentResult, distribution: str) -> list:
+    return result.column("balance_msgs", {"distribution": distribution})
+
+
+def _smallest_step(result: ExperimentResult) -> float:
+    timeline = _balance_msgs(result, "zipf_timeline")
+    return min((b - a for a, b in pairwise(timeline)), default=0)
+
+
 GRID = replace(
     CELLS,
     figure="Fig 8g",
@@ -59,6 +70,16 @@ GRID = replace(
     ),
     expectation=EXPECTATION,
     table=_table,
+    bands=(
+        Band(
+            "zipf balance_msgs - uniform balance_msgs",
+            lambda r: _balance_msgs(r, "zipf")[0] - _balance_msgs(r, "uniform")[0],
+            ">=",
+            0,
+        ),
+        Band("zipf balance_msgs", lambda r: _balance_msgs(r, "zipf")[0], ">", 0),
+        Band("smallest step of the zipf timeline", _smallest_step, ">=", 0),
+    ),
 )
 
 if __name__ == "__main__":

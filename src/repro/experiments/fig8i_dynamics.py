@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.invariants import collect_violations
-from repro.experiments.grid import Axis, Grid, first_size, mean_of, total
+from repro.experiments.grid import Axis, Band, Grid, first_size, mean_of, total
 from repro.experiments.harness import build_baton, loaded_keys, mean
 from repro.sim.engine import Simulator
 from repro.sim.latency import ExponentialLatency
@@ -110,6 +110,11 @@ GRID = Grid(
         "extra": _extra,
         "violations": total("violations"),
     },
+    bands=(
+        Band("extra at the lowest k", lambda r: r.column("extra")[0], ">=", 0),
+        Band("extra at the highest k", lambda r: r.column("extra")[-1], ">", 0),
+        Band("sum violations", lambda r: sum(r.column("violations")), "==", 0),
+    ),
 )
 
 if __name__ == "__main__":

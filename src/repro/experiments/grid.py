@@ -12,12 +12,15 @@ plan and the table cannot disagree (DESIGN.md, "Parallelism contract");
 mislabelling rows.
 
 Adding an experiment is one ``GRID = Grid(...)`` in a driver module plus
-one line in :data:`repro.experiments.runall.REGISTRY`.
+one line in :data:`repro.experiments.runall.REGISTRY`; the shape the
+paper (or a DESIGN.md contract) promises for its table is declared as
+the grid's ``bands``, which the suite judges on every pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -92,6 +95,55 @@ def first_size(scale: ExperimentScale) -> tuple:
     return scale.sizes[:1]
 
 
+#: The comparisons a band may state.
+OPS: Dict[str, Callable[[float, float], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+
+@dataclass(frozen=True)
+class Band:
+    """One shape claim about a grid's table: ``value(result) <op> bound``.
+
+    ``value`` reduces the assembled table to the one number the claim is
+    about (a worst-case gap, a fitted constant, a count), so the report
+    shows the observed figure beside the bound, not just a verdict.
+    """
+
+    claim: str
+    value: Callable[[ExperimentResult], float]
+    op: str
+    bound: float
+
+    def check(self, result: ExperimentResult) -> Tuple[str, bool]:
+        """The rendered ``band ...`` line and whether the claim holds."""
+        observed = self.value(result)
+        holds = OPS[self.op](observed, self.bound)
+        verdict = "ok" if holds else "FAIL"
+        return (
+            f"band {self.claim}: {observed:.6g} {self.op} {self.bound:.6g} {verdict}",
+            holds,
+        )
+
+
+def gap(
+    column: str, left: Mapping[str, Any], right: Mapping[str, Any]
+) -> Callable[[ExperimentResult], float]:
+    """A band value: the largest ``left - right`` difference in ``column``
+    over the two row selections, paired in table order (e.g. BATON's and
+    Chord's rows at each N)."""
+
+    def value(result: ExperimentResult) -> float:
+        pairs = zip(result.column(column, left), result.column(column, right))
+        return max(a - b for a, b in pairs)
+
+    return value
+
+
 @dataclass(frozen=True)
 class Axis:
     """One named sweep dimension.
@@ -136,6 +188,9 @@ class Grid:
     grid's resolved axes.  ``seeds`` replaces the scale's seed list,
     ``serial``/``volatile`` mark wall-clock cells and columns.  Two
     grids with the same ``name`` are views over one set of cells.
+    ``bands`` are the table's shape claims; ``runall.run_all`` judges
+    them on the full suite only, because an axis override (a grid
+    subcommand's ``--peers``) can drop the rows a comparison needs.
     """
 
     name: str
@@ -155,6 +210,7 @@ class Grid:
     seeds: Optional[Callable[[ExperimentScale], Sequence[int]]] = None
     serial: bool = False
     volatile: Tuple[str, ...] = ()
+    bands: Tuple[Band, ...] = ()
 
     @property
     def quick(self) -> Dict[str, Sequence]:

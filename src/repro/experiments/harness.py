@@ -6,7 +6,7 @@ import hashlib
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chord.network import ChordNetwork
 from repro.core.network import (
@@ -77,6 +77,8 @@ class ExperimentResult:
     rows: List[Dict[str, object]] = field(default_factory=list)
     expectation: str = ""
     notes: List[str] = field(default_factory=list)
+    #: ``(rendered line, holds)`` per judged band (``Band.check``).
+    bands: List[Tuple[str, bool]] = field(default_factory=list)
 
     def add_row(self, **values: object) -> None:
         self.rows.append(values)
@@ -115,6 +117,7 @@ class ExperimentResult:
             lines.append(" | ".join(rendered))
         for note in self.notes:
             lines.append(f"note: {note}")
+        lines.extend(line for line, _ in self.bands)
         return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> str:
@@ -143,6 +146,7 @@ class ExperimentResult:
             )
         for note in self.notes:
             lines.append(f"note: {note}")
+        lines.extend(line for line, _ in self.bands)
         return "\n".join(lines)
 
 

@@ -23,13 +23,19 @@ from typing import Dict, List
 from repro import overlays
 from repro.experiments.grid import (
     Axis,
+    Band,
     Grid,
     all_overlays,
     first_size,
     mean_of,
     total,
 )
-from repro.experiments.harness import ExperimentScale, build_loaded, loaded_keys
+from repro.experiments.harness import (
+    ExperimentResult,
+    ExperimentScale,
+    build_loaded,
+    loaded_keys,
+)
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -121,6 +127,14 @@ def _cached_note(scale: ExperimentScale, env) -> List[str]:
     ]
 
 
+def _least_p50_growth(result: ExperimentResult) -> float:
+    growth = []
+    for name in dict.fromkeys(result.column("overlay")):
+        p50 = result.column("p50", {"overlay": name})
+        growth.append(p50[-1] - p50[0])
+    return min(growth)
+
+
 #: One row per (overlay, inter-region delay), identical workloads.
 #:
 #: The cached grid (``overlay=[..., "baton+cache"], gateways=GATEWAYS``;
@@ -160,6 +174,34 @@ GRID = Grid(
         "msgs_per_query": mean_of("msgs_per_query"),
     },
     notes=_cached_note,
+    bands=(
+        # Costlier inter-region links must surface in end-to-end latency —
+        # the signal the scalar latency model could not express.
+        Band(
+            "p50 at the highest inter_delay - at the lowest, worst overlay",
+            _least_p50_growth,
+            ">",
+            0,
+        ),
+        # Query-only: no churn loss.
+        Band("min success", lambda r: min(r.column("success")), ">", 0.9),
+        # The multiway tree crosses the most links, so it pays the most for
+        # expensive ones (§V-B's walk-length claim, re-measured on a WAN).
+        Band(
+            "multiway p50 - BATON p50 at the highest inter_delay",
+            lambda r: r.column("p50", {"overlay": "multiway"})[-1]
+            - r.column("p50", {"overlay": "baton"})[-1],
+            ">",
+            0,
+        ),
+        Band(
+            "max p50 - p99",
+            lambda r: max(row["p50"] - row["p99"] for row in r.rows),
+            "<=",
+            0,
+        ),
+        Band("min transit_p99", lambda r: min(r.column("transit_p99")), ">", 0),
+    ),
 )
 
 if __name__ == "__main__":

@@ -28,11 +28,13 @@ sideways tables to delegate through; neither advertises ``multicast`` /
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro import overlays
 from repro.experiments.grid import (
     Axis,
+    Band,
     Grid,
     const,
     first_size,
@@ -40,7 +42,12 @@ from repro.experiments.grid import (
     only,
     peak,
 )
-from repro.experiments.harness import ExperimentScale, build_baton, loaded_keys
+from repro.experiments.harness import (
+    ExperimentResult,
+    ExperimentScale,
+    build_baton,
+    loaded_keys,
+)
 from repro.pubsub import flood_steps, multicast_steps, range_owners, unicast_steps
 from repro.sim.faults import FaultPlan
 from repro.sim.topology import ClusteredTopology
@@ -223,6 +230,17 @@ def _capability_notes(scale: ExperimentScale, env) -> List[str]:
     ]
 
 
+def _route_slack(result: ExperimentResult) -> float:
+    """The worst showdown row's ``tree_msgs`` over |owners| + 2⌈log2 N⌉ + 2:
+    the fan-out is |owners| - 1 and the route prefix O(log N)."""
+    return max(
+        row["tree_msgs"]
+        - (row["owners"] + 2 * math.ceil(math.log2(row["n_peers"])) + 2)
+        for row in result.rows
+        if row["cell"] == "showdown"
+    )
+
+
 #: The lossy-channel cell: one run (first seed), one row, after the grid.
 _LOSSY = Grid(
     name="multicast",
@@ -275,6 +293,15 @@ GRID = Grid(
     },
     notes=_capability_notes,
     tail=_LOSSY,
+    # DESIGN.md, "Dissemination contract": |owners| + O(log N) messages.
+    bands=(
+        Band(
+            "tree_msgs - (owners + 2 ceil(log2 N) + 2), worst row",
+            _route_slack,
+            "<=",
+            0,
+        ),
+    ),
 )
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ Every driver is a :class:`~repro.experiments.grid.Grid` spec; ``run_all``
 concatenates the cells of every grid in :data:`REGISTRY` into one flat
 plan, hands it to the scheduler once — so a single pool serves the whole
 suite and late, expensive cells backfill idle workers — and then
-assembles each table from its group's outputs.  Output is byte-identical
+assembles each table from its group's outputs and judges the grid's
+bands on it (the run exits 1 if any fails).  Output is byte-identical
 at every ``--jobs`` value: results are collected by submission index,
 never by completion order, and the wall-clock profile's cells are marked
 serial so they run alone in the parent after the pool drains.
@@ -101,10 +102,14 @@ def run_all(
             planned.add(grid.name)
             plan += grid.cells(scale, **(grid.quick if quick else {}))
     outputs = run_grouped(plan, jobs=jobs)
-    return [
-        grid.assemble(scale, outputs[grid.name], **(grid.quick if quick else {}))
-        for grid in REGISTRY
-    ]
+    results = []
+    for grid in REGISTRY:
+        result = grid.assemble(
+            scale, outputs[grid.name], **(grid.quick if quick else {})
+        )
+        result.bands = [band.check(result) for band in grid.bands]
+        results.append(result)
+    return results
 
 
 def canonical_report(results: List[ExperimentResult]) -> str:
@@ -143,6 +148,15 @@ def run(args: argparse.Namespace) -> int:
     if args.canonical_out:
         with open(args.canonical_out, "w") as handle:
             handle.write(canonical_report(results))
+    failed = [
+        f"{result.figure}: {line}"
+        for result in results
+        for line, holds in result.bands
+        if not holds
+    ]
+    if failed:
+        print(f"\n{len(failed)} band(s) FAILED:", *failed, sep="\n", file=sys.stderr)
+        return 1
     return 0
 
 

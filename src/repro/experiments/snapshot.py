@@ -16,10 +16,13 @@ Keying and safety:
   Anything that changes the built state must be in the fingerprint;
   anything that only affects *drives* (``record_events``, workload rates,
   wrap-time transports) must not be, so unrelated cells share snapshots.
-* Every payload embeds :data:`SNAPSHOT_SCHEMA` and its own key header.
-  A stale schema, a mismatched header (hash collision, hand-edited
-  file), or a corrupt/truncated blob is counted and treated as a miss —
-  the cell falls back to a clean build, never an error.
+* Every payload embeds :data:`SNAPSHOT_SCHEMA` and its own key header,
+  and is stored behind a SHA-256 of its pickled bytes.  The digest is
+  checked before anything is unpickled, so a corrupt, truncated or
+  foreign blob is never handed to ``pickle.loads``.  A digest mismatch,
+  a stale schema or a mismatched header (hash collision, hand-edited
+  file) is counted and treated as a miss — the cell falls back to a
+  clean build, never an error.
 * A hit always re-deserializes from the stored bytes, so every caller
   gets a *fresh* network object — two cells never share mutable state.
 
@@ -53,7 +56,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: payload whose classes merely changed shape unpickles fine and fails on
 #: *use*, where "corrupt ⇒ rebuild" cannot catch it.
 #: 2: ``BatonNetwork._positions`` keyed by heap code, ``NodeInfo`` a tuple.
-SNAPSHOT_SCHEMA = 2
+#: 3: a SHA-256 of the pickled bytes precedes them.
+SNAPSHOT_SCHEMA = 3
+
+#: Length of the digest that precedes every stored pickle.
+DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Cap on the number of blobs kept in process memory (each N=10k network
 #: pickles to a few MB; the in-memory tier exists so a sequential sweep
@@ -293,12 +300,22 @@ def _unlock(handle) -> None:
     handle.close()
 
 
+def _seal(body: bytes) -> bytes:
+    """``body`` behind its SHA-256, the form every tier stores."""
+    return hashlib.sha256(body).digest() + body
+
+
 def _decode(blob: bytes, head: str) -> Any:
+    body = blob[DIGEST_BYTES:]
+    if hashlib.sha256(body).digest() != blob[:DIGEST_BYTES]:
+        # Truncated write or disk rot: never unpickle it; fall back to a
+        # clean build (the store below overwrites the bad file).
+        stats.corrupt += 1
+        return _MISS
     try:
-        payload = pickle.loads(blob)
+        payload = pickle.loads(body)
     except Exception:
-        # Truncated write, disk rot, or a class that moved: fall back to
-        # a clean build (the store below overwrites the bad file).
+        # A class that moved: same fallback.
         stats.corrupt += 1
         return _MISS
     if (
@@ -313,9 +330,11 @@ def _decode(blob: bytes, head: str) -> Any:
 
 def _store(key: str, head: str, value: Any) -> None:
     try:
-        blob = pickle.dumps(
-            {"schema": SNAPSHOT_SCHEMA, "header": head, "value": value},
-            protocol=pickle.HIGHEST_PROTOCOL,
+        blob = _seal(
+            pickle.dumps(
+                {"schema": SNAPSHOT_SCHEMA, "header": head, "value": value},
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
         )
     except Exception:
         return  # not snapshotable; the build result is still valid

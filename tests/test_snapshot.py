@@ -137,14 +137,34 @@ def test_corrupt_snapshot_falls_back_to_clean_build(cache):
     assert snapshot.stats.hits == 1
 
 
+def test_digest_mismatch_is_never_unpickled(cache, monkeypatch):
+    """One flipped body byte fails the stored SHA-256, so the blob is
+    counted corrupt and rebuilt without ever reaching ``pickle.loads``."""
+    n, seed, dpn = 40, 7, 5
+    build_baton(n, seed, dpn)
+    path = snapshot.snapshot_path(_baton_parts(n, seed, dpn))
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    snapshot.configure(enabled=True, root=cache)  # drop the memory tier
+
+    unpickled = []
+    monkeypatch.setattr(snapshot.pickle, "loads", unpickled.append)
+    net = build_baton(n, seed, dpn)
+    assert not unpickled
+    assert snapshot.stats.corrupt == 1
+    assert snapshot.stats.misses == 1
+    check_invariants(net)
+
+
 def test_stale_schema_falls_back_to_clean_build(cache):
     n, seed, dpn = 40, 6, 5
     parts = _baton_parts(n, seed, dpn)
     build_baton(n, seed, dpn)
     path = snapshot.snapshot_path(parts)
-    payload = pickle.loads(path.read_bytes())
+    payload = pickle.loads(path.read_bytes()[snapshot.DIGEST_BYTES :])
     payload["schema"] = snapshot.SNAPSHOT_SCHEMA - 1
-    path.write_bytes(pickle.dumps(payload))
+    path.write_bytes(snapshot._seal(pickle.dumps(payload)))
     snapshot.configure(enabled=True, root=cache)
     net = build_baton(n, seed, dpn)
     assert snapshot.stats.stale == 1

@@ -1,6 +1,10 @@
 """Tests for workload generators (repro.workloads)."""
 
+import random
+import timeit
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -68,6 +72,28 @@ class TestZipfian:
             ZipfianKeys(theta=0)
         with pytest.raises(ValueError):
             ZipfianKeys(n_ranks=0)
+
+    def test_bisect_beats_per_draw_rebuild_5x(self):
+        """The precomputed CDF is O(log n_ranks) per draw; rebuilding the
+        weights on every draw is O(n_ranks).  A wide, flake-proof margin,
+        so a regression back to per-draw rebuilds fails loudly."""
+        n_ranks, draws = 5_000, 2_000
+        sampler = ZipfianKeys(theta=1.0, n_ranks=n_ranks, seed=3)
+
+        def naive() -> None:
+            rng = random.Random(3)
+            for _ in range(draws):
+                weights = [1.0 / rank for rank in range(1, n_ranks + 1)]
+                cumulative = list(accumulate(weights))
+                bisect_left(cumulative, rng.random() * cumulative[-1])
+
+        def fast() -> None:
+            for _ in range(draws):
+                sampler.draw_rank()
+
+        fast_s = min(timeit.repeat(fast, number=1, repeat=3))
+        naive_s = timeit.timeit(naive, number=1)
+        assert fast_s * 5 < naive_s, (fast_s, naive_s)
 
 
 class TestQueries:
