@@ -28,7 +28,7 @@ leans on stabilization rather than atomicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.chord.hashing import DEFAULT_M_BITS, hash_key, in_interval, in_open_interval
 from repro.chord.node import ChordNode
@@ -43,7 +43,12 @@ from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.sim.topology import Hop
-from repro.util.errors import NetworkEmptyError, PeerNotFoundError, ProtocolError
+from repro.util.errors import (
+    NetworkEmptyError,
+    PeerNotFoundError,
+    ProtocolError,
+    ReproError,
+)
 from repro.util.rng import SeededRng
 from repro.util.stepper import MessageSteps, drive
 
@@ -91,10 +96,6 @@ class ChordNetwork:
         if not self.nodes:
             raise NetworkEmptyError("ring has no nodes")
         return self.nodes.random_address(self.rng)
-
-    def new_trace(self, label: str) -> Trace:
-        """An empty trace (for operations that turn out to be no-ops)."""
-        return Trace(label=label)
 
     def _new_id(self) -> int:
         space = 1 << self.m_bits
@@ -154,42 +155,65 @@ class ChordNetwork:
     def join(self, via: Optional[Address] = None) -> JoinResult:
         """Classic Chord join: lookup, init_finger_table, update_others."""
         entry = via if via is not None else self.random_peer_address()
+        with self.bus.trace("chord.join") as trace:
+            return drive(self.join_steps(entry, trace))
+
+    def join_steps(
+        self,
+        entry: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The join both facades run; ``trace`` is cut at the splice into
+        the result's find and update halves (``degraded`` is unused: the
+        ring has no give-up branch).  A join that raises — its lookup died
+        under churn, or the successor vanished before the splice — unwinds
+        the spawned node, so the ring, the bus and the id set stay as they
+        were."""
         node = self.spawn_node()
-        with self.bus.trace("chord.join.find") as find_trace:
-            successor = drive(
-                self.successor_steps(entry, node.node_id, MsgType.JOIN_FIND)
+        try:
+            successor = yield from self.successor_steps(
+                entry, node.node_id, MsgType.JOIN_FIND
             )
-        with self.bus.trace("chord.join.update") as update_trace:
-            drive(self.join_update_steps(node, entry, successor))
+            find_trace = trace.frozen("chord.join.find")
+            yield from self.join_update_steps(node, entry, successor)
+        except ReproError:
+            self.abort_join(node)
+            raise
         return JoinResult(
             address=node.address,
             parent=successor,
             find_trace=find_trace,
-            update_trace=update_trace,
+            update_trace=trace.since(find_trace, "chord.join.update"),
         )
 
     def leave(self, address: Address) -> LeaveResult:
         """Graceful departure: hand keys to the successor, repair fingers."""
-        node = self.node(address)
+        with self.bus.trace("chord.leave") as trace:
+            return drive(self.leave_steps(address, trace))
+
+    def leave_steps(
+        self,
+        address: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The leave both facades run; the successor is known locally, so
+        the find half is empty and ``trace`` is all update."""
+        node = self.node(address)  # raises if the node already vanished
+        find_trace = trace.frozen("chord.leave.find")
+        successor: Optional[Address] = None
         if self.size == 1:
-            with self.bus.trace("chord.leave.update") as update_trace:
-                del self.nodes[address]
-                self.bus.unregister(address)
-            return LeaveResult(
-                departed=address,
-                replacement=None,
-                find_trace=Trace(label="chord.leave.find"),
-                update_trace=update_trace,
-            )
-        with self.bus.trace("chord.leave.find") as find_trace:
-            successor = node.successor  # known locally: no search needed
-        with self.bus.trace("chord.leave.update") as update_trace:
-            drive(self.leave_update_steps(node))
+            del self.nodes[address]
+            self.bus.unregister(address)
+        else:
+            successor = node.successor
+            yield from self.leave_update_steps(node)
         return LeaveResult(
             departed=address,
             replacement=successor,
             find_trace=find_trace,
-            update_trace=update_trace,
+            update_trace=trace.since(find_trace, "chord.leave.update"),
         )
 
     # -- routing (step generators) ---------------------------------------------

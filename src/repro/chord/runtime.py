@@ -24,12 +24,9 @@ guarantees):
 from __future__ import annotations
 
 from repro.chord.hashing import hash_key
-from repro.core.results import JoinResult, LeaveResult
 from repro.net.address import Address
 from repro.net.message import MsgType
-from repro.sim.runtime import AsyncOverlayRuntime, OpFuture, OpSteps
-from repro.sim.topology import Hop
-from repro.util.errors import ReproError
+from repro.sim.runtime import AsyncOverlayRuntime
 
 
 class AsyncChordNetwork(AsyncOverlayRuntime):
@@ -39,53 +36,10 @@ class AsyncChordNetwork(AsyncOverlayRuntime):
     capabilities = frozenset()
 
     # -- hop generators -------------------------------------------------------
-    # Queries and data ops come from the base class; the owner walk is a
-    # hashed find_successor.
+    # Queries, data ops and membership come from the base class; the owner
+    # walk is a hashed find_successor.
 
     def _owner_steps(self, start: Address, key: int, mtype: MsgType):
         return self.net.successor_steps(
             start, hash_key(key, self.net.m_bits), mtype
-        )
-
-    def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
-        net = self.net
-        yield Hop(None, start)  # the join request reaches its entry node
-        node = net.spawn_node()
-        try:
-            successor = yield from net.successor_steps(
-                start, node.node_id, MsgType.JOIN_FIND
-            )
-            yield from net.join_update_steps(node, start, successor)
-        except ReproError:
-            # The find phase (or the pre-splice successor read) died under
-            # churn; unwind the half-born node so the ring stays clean.
-            net.abort_join(node)
-            raise
-        return JoinResult(
-            address=node.address,
-            parent=successor,
-            find_trace=future.trace,
-            update_trace=net.new_trace("chord.join.update"),
-        )
-
-    def _leave_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        net = self.net
-        yield Hop(None, address)  # the departure intent is announced
-        node = net.node(address)  # raises if the node already vanished
-        if net.size == 1:
-            del net.nodes[address]
-            net.bus.unregister(address)
-            return LeaveResult(
-                departed=address,
-                replacement=None,
-                find_trace=future.trace,
-                update_trace=net.new_trace("chord.leave.update"),
-            )
-        successor = node.successor  # known locally: no search needed
-        yield from net.leave_update_steps(node)
-        return LeaveResult(
-            departed=address,
-            replacement=successor,
-            find_trace=future.trace,
-            update_trace=net.new_trace("chord.leave.update"),
         )

@@ -121,6 +121,7 @@ def repair_steps(
             # The sole peer died: nothing to reconnect.
             net.release_slot(ghost)
             del net.ghosts[failed]
+            net.stats.repairs += 1
             return RepairResult(failed=failed, replacement=None, trace=trace)
         # Every neighbour is dead too: block until another repair
         # revives one (repair_all retries in passes).
@@ -144,6 +145,7 @@ def repair_steps(
         recovered = yield from replication.restore_from_replica_steps(
             net, ghost, absorber
         )
+    net.stats.repairs += 1
     return RepairResult(
         failed=failed,
         replacement=replacement.address if replacement else None,
@@ -278,7 +280,12 @@ def _replace_dead_internal(
         raise ProtocolError(
             f"cannot repair {ghost.position}: no live entry into its subtree"
         )
-    replacement = net.peer(_walk_replacement(net, start))
+    # Algorithm 2's descent, paying for and skipping dead hops: the repair
+    # exists because part of this subtree is dead.
+    found = drive(leave_protocol.descend_steps(net, start, tolerate_dead=True))
+    if found is None:
+        raise ProtocolError("repair replacement walk did not terminate")
+    replacement = net.peer(found)
     if not leave_protocol.can_depart_simply(replacement):
         # Cornered by other unrepaired failures (for example the candidate
         # still has a dead child whose slot would be orphaned): moving it
@@ -348,42 +355,3 @@ def _live_descent_entry(net: "BatonNetwork", ghost: BatonPeer) -> Optional[Addre
         if address is not None and address in net.peers:
             return address
     return None
-
-
-def _walk_replacement(net: "BatonNetwork", start: Address) -> Address:
-    """Algorithm 2, tolerating dead hops along the way."""
-    limit = 4 * max(net.size.bit_length(), 2) + 32
-    current = start
-    for _ in range(limit):
-        peer = net.peer(current)
-        hops: list[Address] = []
-        if peer.left_child is not None:
-            hops.append(peer.left_child.address)
-        if peer.right_child is not None:
-            hops.append(peer.right_child.address)
-        if not hops:
-            with_children = (
-                peer.left_table.nodes_with_children()
-                + peer.right_table.nodes_with_children()
-            )
-            for info in sorted(
-                with_children,
-                key=lambda i: abs(i.position.number - peer.position.number),
-            ):
-                child = info.left_child or info.right_child
-                if child is not None:
-                    hops.append(child)
-        if not hops:
-            return current
-        next_hop: Optional[Address] = None
-        for candidate in hops:
-            try:
-                net.count_message(current, candidate, MsgType.LEAVE_FIND)
-            except PeerNotFoundError:
-                continue
-            next_hop = candidate
-            break
-        if next_hop is None:
-            return current  # everything deeper is dead; stop here
-        current = next_hop
-    raise ProtocolError("repair replacement walk did not terminate")

@@ -25,10 +25,11 @@ from repro.core.peer import BatonPeer
 from repro.core.results import JoinResult
 from repro.core.search import may_give_up
 from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
 from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError, ProtocolError
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -50,8 +51,17 @@ def try_message(
     return True
 
 
-def join(net: "BatonNetwork", start: Address) -> JoinResult:
+def join_steps(
+    net: "BatonNetwork",
+    start: Address,
+    trace: Trace,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
     """Join one new peer, entering the overlay at ``start``.
+
+    The one join both facades run (``BatonNetwork.join`` drives it, the
+    event runtime resumes it), cutting the op's ``trace`` at the
+    acceptance into the result's find and update halves.
 
     In a degraded network (unrepaired failures) the placement walk can get
     boxed in by dead neighbours; the walk then re-enters through a different
@@ -62,20 +72,36 @@ def join(net: "BatonNetwork", start: Address) -> JoinResult:
     candidate entry points on the joiner's behalf and the Algorithm 1 walk
     starts at the cheapest neighbourhood; with probing off the walk is
     message-for-message Algorithm 1 (pinned).
+
+    The accepting parent drains its inbox before committing: the walk's
+    acceptance test may have read table entries whose corrections (a
+    neighbour's new child, a LEAVE notice) were still in flight, and
+    accepting on stale state would violate Theorem 1.  Check and accept
+    run in one segment; a parent whose fresh state disagrees sends the
+    walk on.  Both are inert when driven synchronously: nothing is in
+    flight, and the walk only returns a parent that passed the same test.
     """
-    with net.open_trace("join.find") as find_trace:
-        newcomer, start = drive(entry_steps(net, start))
-        parent_address = drive(find_join_parent_steps(net, start))
-    with net.open_trace("join.update") as update_trace:
+    newcomer, start = yield from entry_steps(net, start)
+    current = start
+    for _attempt in range(16):
+        parent_address = yield from find_join_parent_steps(net, current, degraded)
+        net.updates.drain(parent_address)
         parent = net.peer(parent_address)
+        if not can_accept_join(parent):
+            current = parent_address
+            yield Hop(current, current)  # local beat: re-examine, move on
+            continue
+        find_trace = trace.frozen("join.find")
         side = LEFT if parent.left_child is None else RIGHT
         new_peer = add_child(net, parent, side, peer=newcomer)
-    return JoinResult(
-        address=new_peer.address,
-        parent=parent_address,
-        find_trace=find_trace,
-        update_trace=update_trace,
-    )
+        net.stats.joins += 1
+        return JoinResult(
+            address=new_peer.address,
+            parent=parent_address,
+            find_trace=find_trace,
+            update_trace=trace.since(find_trace, "join.update"),
+        )
+    raise ProtocolError("join kept losing acceptance races")
 
 
 def probing_active(net: "BatonNetwork") -> bool:

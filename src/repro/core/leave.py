@@ -14,16 +14,18 @@ linked to it (≤ 8·log N messages).
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.core.join import try_message
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.results import LeaveResult
 from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
 from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError, ProtocolError
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -38,51 +40,94 @@ def can_depart_simply(peer: BatonPeer) -> bool:
     )
 
 
-def leave(net: "BatonNetwork", address: Address) -> LeaveResult:
-    """Gracefully remove the peer at ``address`` from the overlay."""
-    departing = net.peer(address)
-    if net.size == 1:
-        with net.open_trace("leave.update") as update_trace:
+def leave_steps(
+    net: "BatonNetwork",
+    address: Address,
+    trace: Trace,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
+    """Gracefully remove the peer at ``address`` from the overlay.
+
+    The one leave both facades run (``BatonNetwork.leave`` drives it, the
+    event runtime resumes it), cutting ``trace`` at the commit into the
+    result's find and update halves.  What concurrency needs rides along,
+    each piece inert when driven synchronously:
+
+    * the departing peer and its replacement drain their inboxes before
+      the handover (``net.updates.drain``), so no refresh lands on a
+      detached object;
+    * a replacement lost to another operation is re-walked;
+    * a dead end re-walks under the runtime, whose links are refreshed by
+      then, but raises at once when driven synchronously (``degraded is
+      None``): the same links would dead-end again, and the peer stays in
+      the overlay untouched;
+    * the key handovers are sized hops after the atomic surgery, so a
+      bandwidth-limited link charges for every key.
+    """
+    for _attempt in range(8):
+        departing = net.peer(address)  # raises if the peer already vanished
+        find_trace = trace.frozen("leave.find")
+        replacement_address: Optional[Address] = None
+        handovers: list[Hop] = []
+        if net.size == 1:
             net.unregister_peer(address)
-        return LeaveResult(
-            departed=address,
-            replacement=None,
-            find_trace=net.new_trace("leave.find"),
-            update_trace=update_trace,
-        )
-
-    if can_depart_simply(departing):
-        with net.open_trace("leave.update") as update_trace:
+            break
+        net.updates.drain(address)
+        if can_depart_simply(departing):
+            handovers = [_handover_hop(departing, departing.parent.address)]
             depart_leaf(net, departing, content_target="parent")
-        return LeaveResult(
-            departed=address,
-            replacement=None,
-            find_trace=net.new_trace("leave.find"),
-            update_trace=update_trace,
-        )
-
-    with net.open_trace("leave.find") as find_trace:
-        replacement_address = drive(find_replacement_steps(net, departing))
-    if replacement_address is None:
-        raise ProtocolError(
-            f"replacement walk for {departing.position} hit a dead end "
-            "(a dead or stale link on the way to a safe leaf); "
-            f"address {address} stays in the overlay"
-        )
-    with net.open_trace("leave.update") as update_trace:
-        replacement = net.peer(replacement_address)
-        if not can_depart_simply(replacement):
+            break
+        replacement_address = yield from find_replacement_steps(net, departing)
+        if replacement_address is None and degraded is None:
             raise ProtocolError(
-                f"replacement {replacement.position} cannot depart safely"
+                f"replacement walk for {departing.position} hit a dead end "
+                "(a dead or stale link on the way to a safe leaf); "
+                f"address {address} stays in the overlay"
             )
+        if net.peers.get(address) is not departing:
+            # Another operation removed or transplanted us mid-walk; the
+            # next attempt re-reads the peer (and fails if it is gone).
+            yield Hop(address, address)
+            continue
+        replacement = net.peers.get(replacement_address)
+        if replacement is None or replacement_address == address:
+            yield Hop(address, address)  # dead end or lost race; walk again
+            continue
+        net.updates.drain(replacement_address)
+        if not can_depart_simply(replacement):
+            yield Hop(address, address)  # lost the race; walk again
+            continue
+        find_trace = trace.frozen("leave.find")
+        # Two bulk transfers: the replacement leaf's own keys to its
+        # parent, and the departing peer's store to its new owner.
+        handovers = [
+            _handover_hop(replacement, replacement.parent.address),
+            _handover_hop(departing, replacement_address),
+        ]
         depart_leaf(net, replacement, content_target="parent")
+        # Refreshes emitted by the departure itself can target the
+        # departing peer; they must land before its state is handed over.
+        net.updates.drain(address)
         transplant(net, departing, replacement)
-    return LeaveResult(
+        break
+    else:
+        raise ProtocolError(f"leave of address {address} kept losing races")
+    net.stats.leaves += 1
+    result = LeaveResult(
         departed=address,
         replacement=replacement_address,
         find_trace=find_trace,
-        update_trace=update_trace,
+        update_trace=trace.since(find_trace, "leave.update"),
     )
+    yield from handovers
+    return result
+
+
+def _handover_hop(peer: BatonPeer, receiver: Address) -> Hop:
+    """A departing peer's bulk transfer, sized by its keys plus any
+    subscription entries the receiver inherits (never free)."""
+    size = float(max(1, len(peer.store) + len(peer.subscriptions or ())))
+    return Hop(peer.address, receiver, size=size)
 
 
 def find_replacement_steps(
@@ -92,17 +137,36 @@ def find_replacement_steps(
 
     Yields one :class:`Hop` per ``LEAVE_FIND`` message (the first from the
     departing peer to :func:`replacement_entry_point`) and returns the
-    leaf's address — or ``None`` on a dead end: no entry point, a hop
-    target that is dead or vanished mid-walk, a neighbour advertising
-    children it no longer has, or the hop limit.  What a dead end means is
-    the caller's call: the synchronous ``leave()`` raises, the event
-    runtime re-walks (the links it raced are refreshed by then).
+    leaf's address — or ``None`` on a dead end: no entry point, or one of
+    :func:`descend_steps`' dead ends.  What a dead end means is the
+    caller's call (see :func:`leave_steps`).
     """
     try:
         start = replacement_entry_point(net, departing)
     except (ProtocolError, PeerNotFoundError):
         return None
     yield Hop(departing.address, start)
+    return (yield from descend_steps(net, start))
+
+
+def descend_steps(
+    net: "BatonNetwork", start: Address, tolerate_dead: bool = False
+) -> MessageSteps:
+    """Algorithm 2's descent from ``start`` to a leaf that can safely move.
+
+    Each step goes to a child (left first), else to the child of the
+    nearest sideways neighbour with children; one ``LEAVE_FIND`` and one
+    :class:`Hop` per step.  Returns the leaf's address, or ``None`` on a
+    dead end: a dead next hop, a neighbour advertising children it no
+    longer has, a carrier that vanished between hops, or the hop limit.
+
+    With ``tolerate_dead`` (repair, whose tree has holes by definition) a
+    dead or missing candidate is paid for and skipped in favour of the
+    next — the other child, the next-nearest neighbour's child — and a
+    peer whose every candidate is dead is where the walk stops.  The first
+    candidate is graceful leave's only one (``min`` by distance is the
+    head of the stable sort by distance).
+    """
     limit = 4 * max(net.size.bit_length(), 2) + 32
     current = start
     for _ in range(limit):
@@ -110,22 +174,31 @@ def find_replacement_steps(
             peer = net.peer(current)
         except PeerNotFoundError:
             return None  # carrier vanished between hops
+        candidates = [
+            info.address
+            for info in (peer.left_child, peer.right_child)
+            if info is not None
+        ] or [
+            info.left_child or info.right_child
+            for info in sorted(
+                peer.left_table.nodes_with_children()
+                + peer.right_table.nodes_with_children(),
+                key=lambda info: abs(info.position.number - peer.position.number),
+            )
+        ]
+        if not candidates:
+            return current
         next_hop: Optional[Address] = None
-        if peer.left_child is not None:
-            next_hop = peer.left_child.address
-        elif peer.right_child is not None:
-            next_hop = peer.right_child.address
-        else:
-            nearest = _nearest_with_children(peer)
-            if nearest is None:
-                return current
-            next_hop = nearest.left_child or nearest.right_child
+        for candidate in candidates:
+            if candidate is not None and try_message(
+                net, current, candidate, MsgType.LEAVE_FIND
+            ):
+                next_hop = candidate
+                break
+            if not tolerate_dead:
+                return None
         if next_hop is None:
-            return None
-        try:
-            net.count_message(current, next_hop, MsgType.LEAVE_FIND)
-        except PeerNotFoundError:
-            return None
+            return current  # everything deeper is dead; stop here
         yield Hop(current, next_hop)
         current = next_hop
     return None

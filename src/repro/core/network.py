@@ -36,6 +36,7 @@ from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.util.errors import NetworkEmptyError, PeerNotFoundError
 from repro.util.rng import SeededRng
+from repro.util.stepper import MessageSteps, drive
 
 
 @dataclass
@@ -144,20 +145,35 @@ class UpdateChannel:
         self._sink: Optional[
             Callable[[Address, Address, Callable[[], None]], None]
         ] = None
+        self._drain: Optional[Callable[[Address], None]] = None
         self.in_flight = 0
 
     def set_sink(
         self,
         sink: Optional[Callable[[Address, Address, Callable[[], None]], None]],
+        drain: Optional[Callable[[Address], None]] = None,
     ) -> None:
         """Route receiver-side applications through ``sink`` (None restores
         immediate application).  The sink takes the source and destination
         addresses and a zero-argument deliver callback, and decides when to
         invoke it — the link identity lets the runtime price the delivery
-        per (src, dst) link, and the destination lets it drain a peer's
-        in-flight updates before that peer hands its state to a
-        replacement."""
+        per (src, dst) link.  ``drain(address)`` delivers whatever the sink
+        still holds for one receiver (see :meth:`drain`)."""
         self._sink = sink
+        self._drain = drain
+
+    def drain(self, address: Address) -> None:
+        """Deliver every in-flight notification addressed to ``address`` now.
+
+        A peer about to commit a structural handshake (accept a child, hand
+        its state to a replacement) drains its inbox first, so the decision
+        reads current links and no refresh lands on a detached object.  A
+        no-op unless the installed sink holds deliveries for ``address``:
+        immediate mode has already applied them, and deferred mode's queue
+        is Fig 8i's deliberate staleness, released only by :meth:`flush`.
+        """
+        if self._drain is not None:
+            self._drain(address)
 
     def notify(
         self,
@@ -386,20 +402,36 @@ class BatonNetwork:
 
     def join(self, via: Optional[Address] = None) -> JoinResult:
         """Add one peer, contacting ``via`` (default: a random peer)."""
+        start = via if via is not None else self.random_peer_address()
+        with self.bus.trace("join") as trace:
+            return drive(self.join_steps(start, trace))
+
+    def join_steps(
+        self,
+        start: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The join both facades run (:func:`repro.core.join.join_steps`)."""
         from repro.core import join as join_protocol
 
-        start = via if via is not None else self.random_peer_address()
-        result = join_protocol.join(self, start)
-        self.stats.joins += 1
-        return result
+        return join_protocol.join_steps(self, start, trace, degraded)
 
     def leave(self, address: Address) -> LeaveResult:
         """Gracefully remove the peer at ``address``."""
+        with self.bus.trace("leave") as trace:
+            return drive(self.leave_steps(address, trace))
+
+    def leave_steps(
+        self,
+        address: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The leave both facades run (:func:`repro.core.leave.leave_steps`)."""
         from repro.core import leave as leave_protocol
 
-        result = leave_protocol.leave(self, address)
-        self.stats.leaves += 1
-        return result
+        return leave_protocol.leave_steps(self, address, trace, degraded)
 
     def fail(self, address: Address) -> None:
         """Abrupt departure: the peer vanishes without any protocol."""
@@ -412,9 +444,7 @@ class BatonNetwork:
         """Run the §III-C repair for a failed peer."""
         from repro.core import failure as failure_protocol
 
-        result = failure_protocol.repair(self, failed)
-        self.stats.repairs += 1
-        return result
+        return failure_protocol.repair(self, failed)
 
     def repair_all(self) -> List[RepairResult]:
         """Repair every outstanding failure, retrying order-sensitive cases.
@@ -549,10 +579,6 @@ class BatonNetwork:
     def open_trace(self, label: str):
         """Context manager alias for :meth:`MessageBus.trace`."""
         return self.bus.trace(label)
-
-    def new_trace(self, label: str) -> Trace:
-        """An empty trace (for operations that turn out to be no-ops)."""
-        return Trace(label=label)
 
     # -- snapshots for experiments ------------------------------------------------
 

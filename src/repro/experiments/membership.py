@@ -31,11 +31,7 @@ def membership_cell(
         join_find.append(result.find_trace.total)
         join_update.append(result.update_trace.total)
     for _ in range(n_trials):
-        if system == "baton":
-            victim = net.random_peer_address()
-        else:
-            victim = net.random_peer_address()
-        result = net.leave(victim)
+        result = net.leave(net.random_peer_address())
         leave_find.append(result.find_trace.total)
         leave_update.append(result.update_trace.total)
     return {

@@ -20,7 +20,7 @@ the tree is consistent at every event boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.ranges import Range
 from repro.core.results import (
@@ -62,6 +62,11 @@ class MultiwayConfig:
             raise ValueError("fanout must be at least 2")
 
 
+def _handover_size(node: MultiwayNode) -> float:
+    """Payload of a departing node's bulk store transfer (never free)."""
+    return float(max(1, len(node.store)))
+
+
 class MultiwayNetwork:
     """A simulated multiway-tree overlay."""
 
@@ -95,10 +100,6 @@ class MultiwayNetwork:
             raise NetworkEmptyError("tree has no nodes")
         return self.nodes.random_address(self.rng)
 
-    def new_trace(self, label: str) -> Trace:
-        """An empty trace (for operations that turn out to be no-ops)."""
-        return Trace(label=label)
-
     @classmethod
     def build(
         cls, n_nodes: int, seed: int = 0, config: Optional[MultiwayConfig] = None
@@ -125,16 +126,41 @@ class MultiwayNetwork:
     def join(self, via: Optional[Address] = None) -> JoinResult:
         """Descend from the contact node to a parent with spare fan-out."""
         entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multiway.join.find") as find_trace:
-            parent_address = drive(self.join_find_steps(entry))
-        with self.bus.trace("multiway.join.update") as update_trace:
+        with self.bus.trace("multiway.join") as trace:
+            return drive(self.join_steps(entry, trace))
+
+    def join_steps(
+        self,
+        entry: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The join both facades run; ``trace`` is cut at the acceptance
+        into the result's find and update halves (``degraded`` is unused).
+
+        The walk returns in the segment that verified its parent can
+        accept, and the accept runs in that same segment, so no other
+        operation can snatch the slot.  A walk whose carrier vanished (its
+        node was transplanted away) re-enters through a fresh contact —
+        unreachable when driven synchronously.
+        """
+        current = entry
+        for _attempt in range(16):
+            try:
+                parent_address = yield from self.join_find_steps(current)
+            except PeerNotFoundError:
+                current = self.random_peer_address()
+                yield Hop(None, current)  # fresh client ingress
+                continue
+            find_trace = trace.frozen("multiway.join.find")
             child = self.accept_child(self.nodes[parent_address])
-        return JoinResult(
-            address=child.address,
-            parent=parent_address,
-            find_trace=find_trace,
-            update_trace=update_trace,
-        )
+            return JoinResult(
+                address=child.address,
+                parent=parent_address,
+                find_trace=find_trace,
+                update_trace=trace.since(find_trace, "multiway.join.update"),
+            )
+        raise ProtocolError("multiway join kept losing its walk carrier")
 
     def join_find_steps(self, entry: Address) -> MessageSteps:
         """Walk to a node with spare fan-out and a splittable range.
@@ -159,10 +185,6 @@ class MultiwayNetwork:
             yield Hop(current, next_hop)
             current = next_hop
         raise ProtocolError("multiway join did not find a parent")
-
-    def can_accept_join(self, node: MultiwayNode) -> bool:
-        """Whether ``node`` can take a child right now (fresh-state check)."""
-        return len(node.children) < self.config.fanout and node.range.can_split
 
     def _split_pivot(self, node: MultiwayNode) -> int:
         if node.range.width < 2:
@@ -249,34 +271,72 @@ class MultiwayNetwork:
 
     def leave(self, address: Address) -> LeaveResult:
         """Graceful departure; §V-A's expensive multi-child consultation."""
-        node = self.node(address)
-        if self.size == 1:
-            with self.bus.trace("multiway.leave.update") as update_trace:
+        with self.bus.trace("multiway.leave") as trace:
+            return drive(self.leave_steps(address, trace))
+
+    def leave_steps(
+        self,
+        address: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The leave both facades run; ``trace`` is cut at the commit into
+        the result's find and update halves (``degraded`` is unused).
+
+        Detaching a leaf and transplanting a replacement each run in one
+        segment with the check that authorised them; a walk that lost a
+        race (a consulted child vanished, we were transplanted away, the
+        replacement is gone or no longer a leaf) is re-walked — unreachable
+        when driven synchronously.  The store handovers are sized hops
+        after the atomic surgery.
+        """
+        for _attempt in range(8):
+            departing = self.node(address)  # raises if the node already vanished
+            find_trace = trace.frozen("multiway.leave.find")
+            replacement_address: Optional[Address] = None
+            handovers: List[Hop] = []
+            if self.size == 1:
                 del self.nodes[address]
                 self.bus.unregister(address)
                 self.root = None
-            return LeaveResult(
-                departed=address,
-                replacement=None,
-                find_trace=Trace(label="multiway.leave.find"),
-                update_trace=update_trace,
-            )
-        with self.bus.trace("multiway.leave.find") as find_trace:
-            replacement_address = drive(self.replacement_steps(node))
-        with self.bus.trace("multiway.leave.update") as update_trace:
-            if replacement_address is None:
-                self.detach_leaf(node)
-                replacement = None
-            else:
-                replacement = self.nodes[replacement_address]
-                self.detach_leaf(replacement)
-                self.transplant(node, replacement)
-        return LeaveResult(
+                break
+            if departing.is_leaf:
+                size = _handover_size(departing)
+                handovers = [Hop(address, self.detach_leaf(departing), size=size)]
+                break
+            try:
+                replacement_address = yield from self.replacement_steps(departing)
+            except PeerNotFoundError:
+                yield Hop(address, address)  # a consulted child vanished; re-walk
+                continue
+            replacement = self.nodes.get(replacement_address)
+            if (
+                self.nodes.get(address) is not departing  # transplanted away
+                or replacement is None
+                or not replacement.is_leaf
+            ):
+                yield Hop(address, address)  # lost the race; walk again
+                continue
+            find_trace = trace.frozen("multiway.leave.find")
+            # Sized before the merge, which may grow the departing store.
+            repl_size, size = _handover_size(replacement), _handover_size(departing)
+            absorber = self.detach_leaf(replacement)
+            self.transplant(departing, replacement)
+            handovers = [
+                Hop(replacement_address, absorber, size=repl_size),
+                Hop(address, replacement_address, size=size),
+            ]
+            break
+        else:
+            raise ProtocolError(f"multiway leave of address {address} kept losing races")
+        result = LeaveResult(
             departed=address,
             replacement=replacement_address,
             find_trace=find_trace,
-            update_trace=update_trace,
+            update_trace=trace.since(find_trace, "multiway.leave.update"),
         )
+        yield from handovers
+        return result
 
     def replacement_steps(self, node: MultiwayNode) -> MessageSteps:
         """Descend to a leaf, querying *all* children at every level.

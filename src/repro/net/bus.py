@@ -48,6 +48,20 @@ class Trace:
             return self.total
         return sum(self.by_type[mtype] for mtype in mtypes)
 
+    def frozen(self, label: str) -> "Trace":
+        """A copy of the trace as it stands now; later traffic misses it."""
+        return Trace(label, self.total, Counter(self.by_type), list(self.path))
+
+    def since(self, mark: "Trace", label: str) -> "Trace":
+        """The traffic recorded after ``mark``, a :meth:`frozen` copy of
+        this trace (how one op's trace splits into find and update)."""
+        return Trace(
+            label,
+            self.total - mark.total,
+            self.by_type - mark.by_type,
+            self.path[len(mark.path):],
+        )
+
 
 @dataclass
 class TrafficStats:

@@ -11,8 +11,17 @@ Required surface (structural, checked by the conformance suite):
 
 * ``build(n, seed=0, config=None)`` — classmethod constructor;
 * ``size`` / ``addresses()`` / ``random_peer_address()`` — population;
-* ``join(via=None)`` / ``leave(address)`` — membership, returning
-  :class:`~repro.core.results.JoinResult` / ``LeaveResult``;
+* ``join_steps(start, trace, degraded=None)`` /
+  ``leave_steps(address, trace, degraded=None)`` — membership, written
+  once as step generators (:mod:`repro.util.stepper`) returning
+  :class:`~repro.core.results.JoinResult` / ``LeaveResult``, each cutting
+  the op's ``trace`` into ``find_trace`` and ``update_trace`` at its
+  commit.  ``degraded`` is None when driven synchronously; the async
+  runtime passes its give-up predicate and delegates to them (``yield
+  from``) behind the client-ingress hop, so a new overlay writes no
+  runtime membership code;
+* ``join(via=None)`` / ``leave(address)`` — the sync facade, each
+  ``with bus.trace(...) as trace: return drive(<op>_steps(..., trace))``;
 * ``search_exact`` / ``search_range`` / ``insert`` / ``delete`` — data
   operations returning the unified result types (range answers carry the
   ``complete`` truncation flag);
@@ -29,7 +38,7 @@ feature.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.results import (
     DataOpResult,
@@ -39,7 +48,8 @@ from repro.core.results import (
     SearchResult,
 )
 from repro.net.address import Address
-from repro.net.bus import MessageBus
+from repro.net.bus import MessageBus, Trace
+from repro.util.stepper import MessageSteps
 
 #: Names an overlay may advertise in its ``capabilities`` set.
 FAIL = "fail"
@@ -77,6 +87,20 @@ class Overlay(Protocol):
     def join(self, via: Optional[Address] = None) -> JoinResult: ...
 
     def leave(self, address: Address) -> LeaveResult: ...
+
+    def join_steps(
+        self,
+        start: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps: ...
+
+    def leave_steps(
+        self,
+        address: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps: ...
 
     def search_exact(
         self, key: int, via: Optional[Address] = None

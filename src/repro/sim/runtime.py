@@ -15,9 +15,10 @@ and then yields a :class:`~repro.sim.topology.Hop` declaring which pair of
 peers the next message travels between.  The protocol walks inside are the
 overlay's own step generators (:mod:`repro.util.stepper`) — the very ones
 the synchronous facade drives — so no decision is written twice; an op
-generator adds only what concurrency needs (client ingress, inbox flushes,
-race re-walks, sized handover hops).  The runtime prices each
-hop per link through the run's :class:`~repro.sim.topology.Topology`
+generator adds only the client-ingress hop and the walks' give-up
+predicate (inbox drains, race re-walks and sized handover hops live in
+the shared join/leave generators, inert under ``drive``).  The runtime
+prices each hop per link through the run's :class:`~repro.sim.topology.Topology`
 (``sample(src, dst, size=...)``) and schedules the resumption on the shared
 :class:`~repro.sim.engine.Simulator`, so any number of operations
 interleave at hop granularity while each individual step stays atomic.
@@ -66,16 +67,11 @@ from typing import Callable, ClassVar, Generator, List, Optional, Set
 from repro.core import cache as route_cache_protocol
 from repro.core import data as data_protocol
 from repro.core import failure as failure_protocol
-from repro.core import join as join_protocol
-from repro.core import leave as leave_protocol
 from repro.core import search as search_protocol
-from repro.core.links import LEFT, RIGHT
 from repro.core.network import BatonNetwork
 from repro.core.ranges import Range
 from repro.core.results import (
     DataOpResult,
-    JoinResult,
-    LeaveResult,
     RangeSearchResult,
     RepairResult,
     SearchResult,
@@ -87,12 +83,7 @@ from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan, FaultStats
 from repro.sim.latency import ConstantLatency
 from repro.sim.topology import Hop, Topology
-from repro.util.errors import (
-    CapabilityError,
-    DeliveryError,
-    ProtocolError,
-    ReproError,
-)
+from repro.util.errors import CapabilityError, DeliveryError, ReproError
 from repro.util.stepper import MessageSteps
 
 #: A hop generator yields one Hop per protocol step (which link the next
@@ -249,7 +240,8 @@ class AsyncOverlayRuntime:
 
     Subclasses set :attr:`overlay_name` and :attr:`capabilities` and
     implement the hop generators of the operations they support
-    (``_owner_steps``/``_join_steps``/``_leave_steps`` at least).
+    (``_owner_steps`` at least; join and leave run the network's
+    ``join_steps`` / ``leave_steps``).
     :meth:`_submit` refuses — :class:`CapabilityError` — any operation
     whose capability the overlay does not declare, and ``"repair"`` /
     ``"reconcile"`` gate :meth:`repair_all` and :meth:`reconcile`.
@@ -542,8 +534,10 @@ class AsyncOverlayRuntime:
     # ``node(address).store`` plus an owner-routing generator surfaced via
     # ``_owner_steps`` and a ``range_steps(entry, low, high)`` generator
     # returning ``(owners, keys, complete)`` — inherit the query and data
-    # operations below and implement only ``_owner_steps``, ``_join_steps``
-    # and ``_leave_steps``.  BATON overrides the full set (its data path
+    # operations below and implement only ``_owner_steps``.  Membership is
+    # the network's own ``join_steps`` / ``leave_steps`` (the generators its
+    # sync ``join`` / ``leave`` drive) behind the client-ingress hop, for
+    # every overlay.  BATON overrides the query and data set (its data path
     # carries balancing/replication side effects).
 
     def _owner_steps(
@@ -583,10 +577,26 @@ class AsyncOverlayRuntime:
         return DataOpResult(applied=applied, owner=owner, trace=future.trace)
 
     def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
-        raise NotImplementedError
+        yield Hop(None, start)  # the join request reaches its entry peer
+        return (
+            yield from self.net.join_steps(
+                start, future.trace, self._routing_degraded
+            )
+        )
 
     def _leave_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        raise NotImplementedError
+        yield Hop(None, address)  # the departure intent is announced
+        return (
+            yield from self.net.leave_steps(
+                address, future.trace, self._routing_degraded
+            )
+        )
+
+    def _routing_degraded(self) -> bool:
+        """Whether stale links can legitimately strand an operation:
+        other operations are in flight, so links observed at one hop may
+        be stale by the next."""
+        return self._in_flight > 1
 
     def _multicast_steps(
         self, future: OpFuture, start: Address, low: int, high: int
@@ -800,12 +810,6 @@ class AsyncOverlayRuntime:
         )
 
 
-def _handover_size(peer) -> float:
-    """Payload of a departing peer's bulk transfer: its keys plus any
-    subscription entries the absorber inherits (never free)."""
-    return float(max(1, len(peer.store) + len(peer.subscriptions or ())))
-
-
 class AsyncBatonNetwork(AsyncOverlayRuntime):
     """Concurrent-operation facade over a :class:`BatonNetwork`.
 
@@ -851,7 +855,7 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         )
         self._inflight_updates: dict[Address, List[tuple]] = {}
         self._last_update_arrival: dict[Address, float] = {}
-        self.net.updates.set_sink(self._deliver_update)
+        self.net.updates.set_sink(self._deliver_update, self._flush_updates_to)
         # The locality extension's protocol decisions (join probing,
         # replica diversity) read the run's topology through the network;
         # only its deterministic direct_delay/region_of surface is ever
@@ -982,14 +986,9 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         pending.append(entry)
 
     def _flush_updates_to(self, address: Address) -> None:
-        """Deliver every in-flight table refresh addressed to ``address``.
-
-        A peer about to hand its state to a replacement first drains its
-        inbox; without this, refreshes still in the air would be applied to
-        the detached object and the replacement would inherit stale links
-        forever (the synchronous protocols apply them instantly, so this
-        also keeps the serialized runs equivalent).
-        """
+        """UpdateChannel drain hook: deliver every in-flight table refresh
+        addressed to ``address`` now (see ``UpdateChannel.drain``, which the
+        shared join and leave generators call before a handshake)."""
         for event, deliver in self._inflight_updates.pop(address, []):
             if self.sim.cancel(event):
                 deliver()
@@ -1007,9 +1006,9 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
     # Every decision loop below lives in ``repro.core`` (search, cache,
     # data, join, leave) as a step generator the synchronous facade drives
-    # too; these op generators add only what has no synchronous twin — the
-    # client-ingress hop, ``_routing_degraded`` as the walks' give-up
-    # predicate, inbox flushes, race re-walks and sized handover hops.
+    # too; these op generators add only the client-ingress hop and
+    # ``_routing_degraded`` as the walks' give-up predicate.  Join and
+    # leave come from the base class.
 
     def _search_exact_steps(
         self, future: OpFuture, start: Address, key: int
@@ -1048,109 +1047,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             data_protocol.balance_after_insert(net, result)
         return result
 
-    def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
-        net = self.net
-        yield Hop(None, start)  # the join request reaches its entry peer
-        newcomer, start = yield from join_protocol.entry_steps(net, start)
-        current = start
-        for _attempt in range(16):
-            parent_address = yield from join_protocol.find_join_parent_steps(
-                net, current, self._routing_degraded
-            )
-            # The accepting parent drains its inbox before committing: the
-            # walk's acceptance test may have read table entries whose
-            # corrections (a neighbour's new child, a LEAVE notice) were
-            # still in flight, and accepting on stale state would violate
-            # Theorem 1.  Check and accept then run in the same simulator
-            # event, so no other operation can snatch the slot in between.
-            self._flush_updates_to(parent_address)
-            parent = net.peer(parent_address)
-            if not join_protocol.can_accept_join(parent):
-                current = parent_address  # fresh state disagrees; keep walking
-                yield Hop(current, current)  # local beat: re-examine, move on
-                continue
-            side = LEFT if parent.left_child is None else RIGHT
-            new_peer = join_protocol.add_child(net, parent, side, peer=newcomer)
-            net.stats.joins += 1
-            return JoinResult(
-                address=new_peer.address,
-                parent=parent_address,
-                find_trace=future.trace,
-                update_trace=net.new_trace("join.update"),
-            )
-        raise ProtocolError("join kept losing acceptance races")
-
-    def _leave_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        net = self.net
-        yield Hop(None, address)  # the departure intent is announced
-        for _attempt in range(8):
-            departing = net.peer(address)  # raises if the peer already vanished
-            if net.size == 1:
-                net.unregister_peer(address)
-                net.stats.leaves += 1
-                return self._leave_result(future, address, None)
-            self._flush_updates_to(address)
-            if leave_protocol.can_depart_simply(departing):
-                absorber = departing.parent
-                handover = _handover_size(departing)
-                leave_protocol.depart_leaf(net, departing, content_target="parent")
-                net.stats.leaves += 1
-                if absorber is not None:
-                    # The key handover is a bulk transfer: the departure is
-                    # only complete once the keys land at the parent, and a
-                    # bandwidth-limited link charges for every one of them
-                    # (the structural splice above stays atomic).
-                    yield Hop(address, absorber.address, size=handover)
-                return self._leave_result(future, address, None)
-            replacement_address = yield from leave_protocol.find_replacement_steps(
-                net, departing
-            )
-            if net.peers.get(address) is not departing:
-                # Another operation removed or transplanted us mid-walk; the
-                # next attempt re-reads the peer (and fails if it is gone).
-                yield Hop(address, address)
-                continue
-            if replacement_address is None or replacement_address == address:
-                yield Hop(address, address)
-                continue
-            replacement = net.peers.get(replacement_address)
-            if replacement is None:
-                yield Hop(address, address)  # lost the race; walk again
-                continue
-            # Drain the replacement's inbox first: its safe-departure test
-            # reads its tables, which must not be mid-refresh.
-            self._flush_updates_to(replacement_address)
-            if not leave_protocol.can_depart_simply(replacement):
-                yield Hop(address, address)  # lost the race; walk again
-                continue
-            repl_parent = replacement.parent
-            repl_handover = _handover_size(replacement)
-            handover = _handover_size(departing)
-            leave_protocol.depart_leaf(net, replacement, content_target="parent")
-            # Refreshes emitted by the departure itself can target the
-            # departing peer; they must land before its state is handed over.
-            self._flush_updates_to(address)
-            leave_protocol.transplant(net, departing, replacement)
-            net.stats.leaves += 1
-            # Two bulk transfers priced after the (atomic) surgeries: the
-            # replacement leaf's own keys to its parent, and the departing
-            # peer's store to the replacement that now owns its slot.
-            if repl_parent is not None:
-                yield Hop(replacement_address, repl_parent.address, size=repl_handover)
-            yield Hop(address, replacement_address, size=handover)
-            return self._leave_result(future, address, replacement_address)
-        raise ProtocolError(f"leave of address {address} kept losing races")
-
-    def _leave_result(
-        self, future: OpFuture, address: Address, replacement: Optional[Address]
-    ) -> LeaveResult:
-        return LeaveResult(
-            departed=address,
-            replacement=replacement,
-            find_trace=future.trace,
-            update_trace=self.net.new_trace("leave.update"),
-        )
-
     def _multicast_steps(
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
@@ -1187,9 +1083,7 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         yield Hop(None, address)  # the failure report reaches the coordinator
         if address not in net.ghosts:
             return None  # already repaired (or never actually crashed)
-        result = yield from failure_protocol.repair_steps(net, address, future.trace)
-        net.stats.repairs += 1
-        return result
+        return (yield from failure_protocol.repair_steps(net, address, future.trace))
 
     def _replica_refresh_steps(self, future: OpFuture, address: Address) -> OpSteps:
         from repro.core import replication

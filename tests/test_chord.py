@@ -6,6 +6,7 @@ import pytest
 
 from repro.chord import ChordNetwork, hash_key, id_distance, in_interval
 from repro.chord.hashing import in_open_interval
+from repro.util.errors import ProtocolError
 from repro.workloads.generators import uniform_keys
 
 
@@ -87,6 +88,23 @@ class TestRingMaintenance:
         for _ in range(15):
             net.leave(net.random_peer_address())
             check_ring(net)
+
+    def test_failed_sync_join_unwinds_its_node(self, monkeypatch):
+        """A join whose lookup raises leaves the ring as it found it —
+        no half-born node, no stray liveness, no leaked identifier."""
+        net = ChordNetwork.build(12, seed=3)
+        nodes, live, ids = dict(net.nodes), net.bus.live_count, set(net._used_ids)
+
+        def broken_lookup(start, target_id, mtype):
+            raise ProtocolError("lookup died")
+            yield  # a step generator that never yields
+
+        monkeypatch.setattr(net, "successor_steps", broken_lookup)
+        with pytest.raises(ProtocolError, match="lookup died"):
+            net.join()
+        assert dict(net.nodes) == nodes
+        assert net.bus.live_count == live
+        assert net._used_ids == ids
 
     def test_fingers_point_at_true_successors(self):
         net = ChordNetwork.build(40, seed=5)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import BatonNetwork, check_invariants
-from repro.core.leave import can_depart_simply
+from repro.core.leave import can_depart_simply, descend_steps
 from repro.util.errors import PeerNotFoundError, ProtocolError
 
 from tests.conftest import make_network
@@ -134,6 +134,32 @@ class TestSafetyPredicates:
         for peer in net.peers.values():
             if not peer.is_leaf:
                 assert not can_depart_simply(peer)
+
+
+class TestDescent:
+    @pytest.mark.parametrize("tolerate_dead", [False, True])
+    def test_dead_first_child(self, tolerate_dead):
+        """Algorithm 2's one descent, both callers: graceful leave dead-ends
+        on a dead first child; repair pays for it and takes the sibling."""
+        net = make_network(30, seed=1)
+        start = next(
+            peer
+            for peer in sorted(net.peers.values(), key=lambda p: p.address)
+            if peer.left_child is not None and peer.right_child is not None
+        )
+        net.fail(start.left_child.address)
+        sibling = start.right_child.address
+        hops = []
+        steps = descend_steps(net, start.address, tolerate_dead=tolerate_dead)
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                hops.append(next(steps))
+        found = stop.value.value
+        if not tolerate_dead:
+            assert found is None and hops == []
+            return
+        assert hops[0].src == start.address and hops[0].dst == sibling
+        assert can_depart_simply(net.peer(found))
 
 
 class TestReplacementDeadEnd:

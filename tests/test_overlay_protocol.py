@@ -328,6 +328,8 @@ class TestAsyncConformance:
             assert future.result.address == expected.address
             assert future.result.parent == expected.parent
             assert future.result.total_messages == expected.total_messages
+            assert future.result.find_trace.total == expected.find_trace.total
+            assert future.result.update_trace.total == expected.update_trace.total
         for key in uniform_keys(15, seed=12):
             expected = sync.insert(key)
             future = anet.submit_insert(key)
@@ -343,6 +345,8 @@ class TestAsyncConformance:
             assert future.succeeded
             assert future.result.replacement == expected.replacement
             assert future.result.total_messages == expected.total_messages
+            assert future.result.find_trace.total == expected.find_trace.total
+            assert future.result.update_trace.total == expected.update_trace.total
         assert sync.size == anet.size
         assert snapshot(name, sync) == snapshot(name, anet.net)
 

@@ -104,6 +104,8 @@ class TestSerializedEquivalence:
             assert future.result.address == expected.address
             assert future.result.parent == expected.parent
             assert future.result.total_messages == expected.total_messages
+            assert future.result.find_trace.total == expected.find_trace.total
+            assert future.result.update_trace.total == expected.update_trace.total
         for index in (7, 3, 11, 0, 5):
             victim = sync.addresses()[index]
             expected = sync.leave(victim)
@@ -112,6 +114,8 @@ class TestSerializedEquivalence:
             assert future.succeeded
             assert future.result.replacement == expected.replacement
             assert future.result.total_messages == expected.total_messages
+            assert future.result.find_trace.total == expected.find_trace.total
+            assert future.result.update_trace.total == expected.update_trace.total
 
     def test_final_structures_identical(self):
         sync, anet = serialized_pair()
