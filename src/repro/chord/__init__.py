@@ -17,13 +17,11 @@ Chord entirely.
 from repro.chord.hashing import hash_key, id_distance, in_interval
 from repro.chord.network import ChordConfig, ChordNetwork
 from repro.chord.node import ChordNode
-from repro.chord.runtime import AsyncChordNetwork
 
 __all__ = [
     "ChordNetwork",
     "ChordConfig",
     "ChordNode",
-    "AsyncChordNetwork",
     "hash_key",
     "in_interval",
     "id_distance",

@@ -6,23 +6,31 @@ public operations return the unified result types from
 :mod:`repro.core.results`, so the Figure 8 experiments read both systems
 with the same code.
 
-The routing internals are written as *step generators* (see
-:mod:`repro.util.stepper`): they yield one
-:class:`~repro.sim.topology.Hop` per inter-node hop, declaring which pair
-of nodes the message travels between so the event-driven runtime can price
-it per link.  The
-synchronous facade methods drive them to completion atomically; the
-event-driven runtime (:class:`repro.chord.runtime.AsyncChordNetwork`)
-resumes them one simulator event at a time, so concurrent operations
-interleave at finger-hop granularity while sending byte-for-byte the same
-message sequence as the synchronous path.
+Every operation is written once as a *step generator* (see
+:mod:`repro.util.stepper`) that yields one :class:`~repro.sim.topology.Hop`
+per inter-node hop, declaring which pair of nodes the message travels
+between so the event-driven runtime can price it per link.  The
+synchronous facade (:class:`~repro.net.overlay.OverlayNetwork`) drives
+them to completion atomically; the event-driven runtime
+(:class:`~repro.sim.runtime.AsyncOverlayRuntime`, which needs no
+Chord-specific code) resumes them one simulator event at a time, so
+concurrent operations interleave at finger-hop granularity while sending
+byte-for-byte the same message sequence as the synchronous path.
 
-Churn tolerance: segments that splice the ring (a join's or leave's
-successor/predecessor rewiring) run atomically between yields, so the
-successor ring is consistent at every event boundary.  Finger maintenance
-is best-effort — a sub-lookup that hits a vanished node is skipped and the
-successor pointers keep routing correct — mirroring how the real protocol
-leans on stabilization rather than atomicity.
+Concurrency semantics:
+
+* Ring splices (a join's or leave's successor/predecessor rewiring) run
+  atomically between yields, so the successor ring is consistent at every
+  event boundary.  Finger maintenance is best-effort — a sub-lookup that
+  hits a vanished node is skipped and the successor pointers keep routing
+  correct — mirroring how the real protocol leans on stabilization rather
+  than atomicity.
+* An operation whose carrier node departs mid-flight fails with
+  :class:`~repro.util.errors.PeerNotFoundError` — the client's view of a
+  lost request.  A join whose find phase dies is aborted and unwound.
+* Ring scans truncate (``complete=False``) when a successor vanishes
+  mid-walk instead of failing the whole query, mirroring BATON's broken
+  adjacent-chain behaviour.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from typing import Callable, List, Optional
 
 from repro.chord.hashing import DEFAULT_M_BITS, hash_key, in_interval, in_open_interval
 from repro.chord.node import ChordNode
+from repro.core.ranges import Range
 from repro.core.results import (
     DataOpResult,
     JoinResult,
@@ -42,6 +51,7 @@ from repro.core.results import (
 from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
+from repro.net.overlay import OverlayNetwork
 from repro.sim.topology import Hop
 from repro.util.errors import (
     NetworkEmptyError,
@@ -50,7 +60,7 @@ from repro.util.errors import (
     ReproError,
 )
 from repro.util.rng import SeededRng
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 
 @dataclass
@@ -60,8 +70,10 @@ class ChordConfig:
     m_bits: int = DEFAULT_M_BITS
 
 
-class ChordNetwork:
+class ChordNetwork(OverlayNetwork):
     """A simulated Chord ring with per-operation message traces."""
+
+    overlay_name = "chord"
 
     def __init__(self, config: Optional[ChordConfig] = None, seed: int = 0):
         self.config = config or ChordConfig()
@@ -80,6 +92,11 @@ class ChordNetwork:
     @property
     def m_bits(self) -> int:
         return self.config.m_bits
+
+    @property
+    def domain(self) -> Range:
+        """Keys are hashed onto the ring, so any key is fair game."""
+        return Range.full_domain()
 
     def node(self, address: Address) -> ChordNode:
         """The live node at ``address`` (raises if departed/unknown)."""
@@ -152,19 +169,15 @@ class ChordNetwork:
         self.bus.unregister(node.address)
         self._used_ids.discard(node.node_id)
 
-    def join(self, via: Optional[Address] = None) -> JoinResult:
-        """Classic Chord join: lookup, init_finger_table, update_others."""
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("chord.join") as trace:
-            return drive(self.join_steps(entry, trace))
-
     def join_steps(
         self,
         entry: Address,
         trace: Trace,
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """The join both facades run; ``trace`` is cut at the splice into
+        """Classic Chord join: lookup, init_finger_table, update_others.
+
+        The join both facades run; ``trace`` is cut at the splice into
         the result's find and update halves (``degraded`` is unused: the
         ring has no give-up branch).  A join that raises — its lookup died
         under churn, or the successor vanished before the splice — unwinds
@@ -187,18 +200,15 @@ class ChordNetwork:
             update_trace=trace.since(find_trace, "chord.join.update"),
         )
 
-    def leave(self, address: Address) -> LeaveResult:
-        """Graceful departure: hand keys to the successor, repair fingers."""
-        with self.bus.trace("chord.leave") as trace:
-            return drive(self.leave_steps(address, trace))
-
     def leave_steps(
         self,
         address: Address,
         trace: Trace,
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """The leave both facades run; the successor is known locally, so
+        """Graceful departure: hand keys to the successor, repair fingers.
+
+        The leave both facades run; the successor is known locally, so
         the find half is empty and ``trace`` is all update."""
         node = self.node(address)  # raises if the node already vanished
         find_trace = trace.frozen("chord.leave.find")
@@ -417,63 +427,41 @@ class ChordNetwork:
 
     # -- data operations -----------------------------------------------------------
 
-    def insert(self, key: int, via: Optional[Address] = None) -> DataOpResult:
-        """Hash the key and store it at its successor node."""
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("chord.insert") as trace:
-            owner = drive(
-                self.successor_steps(entry, hash_key(key, self.m_bits), MsgType.INSERT)
-            )
-            self.node(owner).store.insert(key)
-        return DataOpResult(applied=True, owner=owner, trace=trace)
-
-    def delete(self, key: int, via: Optional[Address] = None) -> DataOpResult:
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("chord.delete") as trace:
-            owner = drive(
-                self.successor_steps(entry, hash_key(key, self.m_bits), MsgType.DELETE)
-            )
-            applied = self.node(owner).store.delete(key)
-        return DataOpResult(applied=applied, owner=owner, trace=trace)
-
-    def search_exact(self, key: int, via: Optional[Address] = None) -> SearchResult:
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("chord.search") as trace:
-            owner = drive(
-                self.successor_steps(entry, hash_key(key, self.m_bits), MsgType.SEARCH)
-            )
-            found = key in self.node(owner).store
+    def search_exact_steps(
+        self,
+        start: Address,
+        key: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """Hash the key and look up its successor (``degraded`` is unused:
+        the ring has no give-up branch)."""
+        owner = yield from self.successor_steps(
+            start, hash_key(key, self.m_bits), MsgType.SEARCH
+        )
+        found = key in self.node(owner).store
         return SearchResult(found=found, owner=owner, trace=trace)
 
-    def search_range(
-        self, low: int, high: int, via: Optional[Address] = None
-    ) -> RangeSearchResult:
+    def search_range_steps(
+        self,
+        start: Address,
+        low: int,
+        high: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
         """Range scan on a hash-partitioned ring: visit *every* node.
 
         Hashing scatters [low, high) uniformly over the ring, so the only
         complete answer walks all successors — the O(N) cliff that motivates
-        order-preserving overlays like BATON.
-        """
-        if low >= high:
-            raise ValueError(f"empty query range [{low}, {high})")
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("chord.range") as trace:
-            owners, keys, complete = drive(self.range_steps(entry, low, high))
-        return RangeSearchResult(
-            owners=owners, keys=keys, trace=trace, complete=complete
-        )
-
-    def range_steps(self, entry: Address, low: int, high: int) -> MessageSteps:
-        """Walk the successor ring collecting [low, high); one yield per hop.
-
-        Returns ``(owners, keys, complete)`` — ``complete`` is True only when
-        the walk closed the full ring; a vanished successor truncates the
-        answer, exactly like a broken adjacent chain does in BATON.
+        order-preserving overlays like BATON.  ``complete`` is True only
+        when the walk closed the full ring; a vanished successor truncates
+        the answer, exactly like a broken adjacent chain does in BATON.
         """
         owners: List[Address] = []
         keys: List[int] = []
         complete = False
-        current = entry
+        current = start
         for _ in range(max(self.size, 1)):
             node = self.nodes.get(current)
             if node is None:
@@ -481,7 +469,7 @@ class ChordNetwork:
             owners.append(current)
             keys.extend(k for k in node.store if low <= k < high)
             successor = node.successor
-            if successor == entry:
+            if successor == start:
                 complete = True
                 break
             if successor is None:
@@ -492,7 +480,29 @@ class ChordNetwork:
                 break  # dead successor: partial answer
             yield Hop(current, successor)
             current = successor
-        return owners, sorted(keys), complete
+        return RangeSearchResult(
+            owners=owners, keys=sorted(keys), trace=trace, complete=complete
+        )
+
+    def data_op_steps(
+        self,
+        start: Address,
+        key: int,
+        mtype: MsgType,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """Insert or delete ``key`` at its hashed successor node."""
+        owner = yield from self.successor_steps(
+            start, hash_key(key, self.m_bits), mtype
+        )
+        store = self.node(owner).store
+        if mtype is MsgType.INSERT:
+            store.insert(key)
+            applied = True
+        else:
+            applied = store.delete(key)
+        return DataOpResult(applied=applied, owner=owner, trace=trace)
 
     def bulk_load(self, keys: List[int]) -> int:
         """Place keys at their owners without routed messages (untimed load)."""

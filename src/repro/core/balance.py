@@ -60,7 +60,7 @@ def maybe_balance(net: "BatonNetwork", address: Address) -> Optional[BalanceOutc
     stuck_at = net._balance_backoff.get(address)
     if stuck_at is not None and len(peer.store) < 1.1 * stuck_at:
         return None
-    with net.open_trace("balance") as trace:
+    with net.bus.trace("balance") as trace:
         if not peer.is_leaf:
             kind, shift = _balance_with_adjacent(net, peer, config), 0
         else:

@@ -9,36 +9,54 @@ load balancing (§IV-D) at the receiving peer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core import balance as balance_protocol
 from repro.core import replication
 from repro.core import search as search_protocol
 from repro.core.results import DataOpResult
 from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
 from repro.util.errors import ProtocolError
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
 
 
-def insert(net: "BatonNetwork", start: Address, key: int) -> DataOpResult:
-    """Route ``key`` to its owner and store it there."""
-    with net.open_trace("insert") as trace:
-        owner, _ = drive(search_protocol.route_steps(net, start, key, MsgType.INSERT))
-        drive(apply_steps(net, owner, key, MsgType.INSERT))
-    result = DataOpResult(applied=True, owner=owner, trace=trace)
-    return balance_after_insert(net, result)
+def data_op_steps(
+    net: "BatonNetwork",
+    start: Address,
+    key: int,
+    mtype: MsgType,
+    trace: Trace,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
+    """The insert or delete both facades run; returns a :class:`DataOpResult`.
 
-
-def delete(net: "BatonNetwork", start: Address, key: int) -> DataOpResult:
-    """Route to the owner of ``key`` and remove one occurrence of it."""
-    with net.open_trace("delete") as trace:
-        owner, _ = drive(search_protocol.route_steps(net, start, key, MsgType.DELETE))
-        applied = drive(apply_steps(net, owner, key, MsgType.DELETE))
-    return DataOpResult(applied=applied, owner=owner, trace=trace)
+    Routes to ``key``'s owner and applies the write there
+    (:func:`apply_steps`).  An insert then runs §IV-D balancing at the
+    owner; its result's ``trace`` is cut before that (``Trace.frozen``),
+    so the balancing cost is reported once, in ``balance_trace``, although
+    the op's own trace saw it too.  (The owner can vanish during an async
+    replicate hop; ``maybe_balance`` skips a dead peer — it has no load
+    left to balance.)
+    """
+    owner, _ = yield from search_protocol.route_steps(
+        net, start, key, mtype, degraded
+    )
+    applied = yield from apply_steps(net, owner, key, mtype)
+    if mtype is not MsgType.INSERT:
+        return DataOpResult(applied=applied, owner=owner, trace=trace)
+    result = DataOpResult(
+        applied=applied, owner=owner, trace=trace.frozen("insert")
+    )
+    outcome = balance_protocol.maybe_balance(net, owner)
+    if outcome is not None:
+        result.balance_trace = outcome.trace
+        result.balance_moves = outcome.shift_size
+    return result
 
 
 def apply_steps(
@@ -69,19 +87,6 @@ def apply_steps(
     if applied and net.config.replication:
         yield from replication.replicate_delete_steps(net, owner, key)
     return applied
-
-
-def balance_after_insert(net: "BatonNetwork", result: DataOpResult) -> DataOpResult:
-    """Run §IV-D balancing at the insert's owner; fold the cost into ``result``.
-
-    (The owner can vanish during an async replicate hop; ``maybe_balance``
-    skips a dead peer — it has no load left to balance.)
-    """
-    outcome = balance_protocol.maybe_balance(net, result.owner)
-    if outcome is not None:
-        result.balance_trace = outcome.trace
-        result.balance_moves = outcome.shift_size
-    return result
 
 
 def expand_extreme_range(net: "BatonNetwork", owner, key: int) -> None:

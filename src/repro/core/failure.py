@@ -61,7 +61,7 @@ def fail(net: "BatonNetwork", address: Address) -> None:
 
 def repair(net: "BatonNetwork", failed: Address) -> RepairResult:
     """Run the parent-coordinated repair for a failed peer (atomically)."""
-    with net.open_trace("repair") as trace:
+    with net.bus.trace("repair") as trace:
         return drive(repair_steps(net, failed, trace))
 
 

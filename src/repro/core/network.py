@@ -3,7 +3,10 @@
 :class:`BatonNetwork` owns the peers, the message bus and the position map,
 and exposes the paper's operations — join, leave, fail/repair, insert,
 delete, exact-match and range search — by delegating to the protocol modules
-(:mod:`repro.core.join`, :mod:`repro.core.leave`, …).
+(:mod:`repro.core.join`, :mod:`repro.core.leave`, …).  Join, leave, the
+two searches and the two writes are step generators there; the
+synchronous facade that drives them is inherited
+(:class:`repro.net.overlay.OverlayNetwork`).
 
 Honesty rules (see DESIGN.md at the repository root): protocol decisions use
 only the acting peer's local links.  The global position map kept here serves
@@ -22,21 +25,14 @@ from repro.core.ids import ROOT, Position
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
-from repro.core.results import (
-    DataOpResult,
-    JoinResult,
-    LeaveResult,
-    NetworkStats,
-    RangeSearchResult,
-    RepairResult,
-    SearchResult,
-)
+from repro.core.results import NetworkStats, RepairResult
 from repro.net.address import Address, AddressAllocator
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
+from repro.net.overlay import OverlayNetwork
 from repro.util.errors import NetworkEmptyError, PeerNotFoundError
 from repro.util.rng import SeededRng
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 
 @dataclass
@@ -215,8 +211,22 @@ class UpdateChannel:
         return applied
 
 
-class BatonNetwork:
+class BatonNetwork(OverlayNetwork):
     """A simulated BATON overlay."""
+
+    overlay_name = "baton"
+    capabilities = frozenset(
+        {
+            "fail",
+            "repair",
+            "balance",
+            "reconcile",
+            "replication",
+            "multicast",
+            "subscribe",
+            "locality",
+        }
+    )
 
     def __init__(self, config: Optional[BatonConfig] = None, seed: int = 0):
         self.config = config or BatonConfig()
@@ -271,6 +281,11 @@ class BatonNetwork:
     def size(self) -> int:
         """Number of live peers."""
         return len(self.peers)
+
+    @property
+    def domain(self) -> Range:
+        """The key interval workload generators should draw from."""
+        return self.config.domain
 
     def peer(self, address: Address) -> BatonPeer:
         """The live peer at ``address`` (raises if dead/unknown)."""
@@ -398,13 +413,7 @@ class BatonNetwork:
             net.join()
         return net
 
-    # -- operations (delegate to protocol modules) ------------------------------
-
-    def join(self, via: Optional[Address] = None) -> JoinResult:
-        """Add one peer, contacting ``via`` (default: a random peer)."""
-        start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("join") as trace:
-            return drive(self.join_steps(start, trace))
+    # -- operations (step generators in the protocol modules) -----------------
 
     def join_steps(
         self,
@@ -416,11 +425,6 @@ class BatonNetwork:
         from repro.core import join as join_protocol
 
         return join_protocol.join_steps(self, start, trace, degraded)
-
-    def leave(self, address: Address) -> LeaveResult:
-        """Gracefully remove the peer at ``address``."""
-        with self.bus.trace("leave") as trace:
-            return drive(self.leave_steps(address, trace))
 
     def leave_steps(
         self,
@@ -464,37 +468,52 @@ class BatonNetwork:
 
         return failure_protocol.repair_in_passes(self, attempt)
 
-    def search_exact(
-        self, key: int, via: Optional[Address] = None
-    ) -> SearchResult:
-        """Route an exact-match query from ``via`` (default random peer)."""
+    def search_exact_steps(
+        self,
+        start: Address,
+        key: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The exact-match query both facades run
+        (:func:`repro.core.search.search_exact_steps`)."""
         from repro.core import search as search_protocol
 
-        start = via if via is not None else self.random_peer_address()
-        return search_protocol.search_exact(self, start, key)
+        return search_protocol.search_exact_steps(
+            self, start, key, trace, degraded
+        )
 
-    def search_range(
-        self, low: int, high: int, via: Optional[Address] = None
-    ) -> RangeSearchResult:
-        """Route a range query for [low, high) from ``via``."""
+    def search_range_steps(
+        self,
+        start: Address,
+        low: int,
+        high: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The range query both facades run
+        (:func:`repro.core.search.search_range_steps`)."""
         from repro.core import search as search_protocol
 
-        start = via if via is not None else self.random_peer_address()
-        return search_protocol.search_range(self, start, low, high)
+        return search_protocol.search_range_steps(
+            self, start, low, high, trace, degraded
+        )
 
-    def insert(self, key: int, via: Optional[Address] = None) -> DataOpResult:
-        """Route an insert; may trigger load balancing (§IV-D)."""
+    def data_op_steps(
+        self,
+        start: Address,
+        key: int,
+        mtype: MsgType,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The insert or delete both facades run; an insert may trigger
+        load balancing (:func:`repro.core.data.data_op_steps`)."""
         from repro.core import data as data_protocol
 
-        start = via if via is not None else self.random_peer_address()
-        return data_protocol.insert(self, start, key)
-
-    def delete(self, key: int, via: Optional[Address] = None) -> DataOpResult:
-        """Route a delete of one occurrence of ``key``."""
-        from repro.core import data as data_protocol
-
-        start = via if via is not None else self.random_peer_address()
-        return data_protocol.delete(self, start, key)
+        return data_protocol.data_op_steps(
+            self, start, key, mtype, trace, degraded
+        )
 
     def multicast(self, low: int, high: int, via: Optional[Address] = None):
         """Deliver one message to every owner of [low, high) (pub/sub)."""
@@ -575,10 +594,6 @@ class BatonNetwork:
             if self.updates.notify(peer.address, target, mtype, apply):
                 sent += 1
         return sent
-
-    def open_trace(self, label: str):
-        """Context manager alias for :meth:`MessageBus.trace`."""
-        return self.bus.trace(label)
 
     # -- snapshots for experiments ------------------------------------------------
 

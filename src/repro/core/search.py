@@ -26,27 +26,32 @@ from repro.core import cache as route_cache
 from repro.core.peer import BatonPeer
 from repro.core.results import RangeSearchResult, SearchResult
 from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
 from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError, ProtocolError
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
 
 
-def search_exact(net: "BatonNetwork", start: Address, key: int) -> SearchResult:
-    """Route an exact-match query for ``key`` starting at ``start``."""
-    with net.open_trace("search.exact") as trace:
-        owner, _ = drive(route_steps(net, start, key, MsgType.SEARCH))
-        found = holds_key(net, owner, key)
-    return SearchResult(found=found, owner=owner, trace=trace)
+def search_exact_steps(
+    net: "BatonNetwork",
+    start: Address,
+    key: int,
+    trace: Trace,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
+    """The exact-match query both facades run; returns a :class:`SearchResult`.
 
-
-def holds_key(net: "BatonNetwork", owner: Address, key: int) -> bool:
-    """Whether the peer a walk stopped at actually owns and stores ``key``."""
+    ``found`` means the peer the walk stopped at owns and stores ``key``
+    (a walk that gave up stops short of the owner).
+    """
+    owner, _ = yield from route_steps(net, start, key, MsgType.SEARCH, degraded)
     peer = net.peer(owner)
-    return peer.range.contains(key) and key in peer.store
+    found = peer.range.contains(key) and key in peer.store
+    return SearchResult(found=found, owner=owner, trace=trace)
 
 
 def route_steps(
@@ -206,25 +211,16 @@ def next_hops(peer: BatonPeer, key: int) -> Iterator[Address]:
             yield address
 
 
-def search_range(
-    net: "BatonNetwork", start: Address, low: int, high: int
-) -> RangeSearchResult:
-    """Route a range query for [low, high) and expand over its owners."""
-    if low >= high:
-        raise ValueError(f"empty query range [{low}, {high})")
-    with net.open_trace("search.range") as trace:
-        owners, keys, complete = drive(range_steps(net, start, low, high))
-    return RangeSearchResult(owners=owners, keys=keys, trace=trace, complete=complete)
-
-
-def range_steps(
+def search_range_steps(
     net: "BatonNetwork",
     start: Address,
     low: int,
     high: int,
+    trace: Trace,
     degraded: Optional[Callable[[], bool]] = None,
 ) -> MessageSteps:
-    """The §IV-B range walk; returns ``(owners, keys, complete)``.
+    """The §IV-B range query both facades run; returns a
+    :class:`RangeSearchResult`.
 
     Routes like a point query to the owner of ``low``, then expands along
     right-adjacent links, one counted ``RANGE_SEARCH`` hop per covered
@@ -265,7 +261,9 @@ def range_steps(
             break  # partial answer; repair will restore the chain
         yield Hop(current, next_hop)
         current = next_hop
-    return owners, keys, complete
+    return RangeSearchResult(
+        owners=owners, keys=keys, trace=trace, complete=complete
+    )
 
 
 def anchors_range(peer: BatonPeer, low: int) -> bool:

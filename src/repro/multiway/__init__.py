@@ -16,11 +16,9 @@ long-range sideways tables.  Consequences the evaluation exercises:
 
 from repro.multiway.network import MultiwayConfig, MultiwayNetwork
 from repro.multiway.node import MultiwayNode
-from repro.multiway.runtime import AsyncMultiwayNetwork
 
 __all__ = [
     "MultiwayNetwork",
     "MultiwayConfig",
     "MultiwayNode",
-    "AsyncMultiwayNetwork",
 ]

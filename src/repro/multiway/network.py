@@ -4,17 +4,30 @@ Message accounting matches the other two systems so the experiments can
 read all three with the same harness, and the public operations return the
 unified result types from :mod:`repro.core.results`.
 
-As on the Chord side, the routing walks are written as *step generators*
-(see :mod:`repro.util.stepper`): one :class:`~repro.sim.topology.Hop`
-yielded per inter-node hop, naming the pair of nodes the message travels
-between so the event-driven runtime can price it per link.  The
-synchronous facade drives them atomically; the event-driven runtime
-(:class:`repro.multiway.runtime.AsyncMultiwayNetwork`) schedules each
-resumption on the simulator, so searches, joins and departures interleave
-at hop granularity while sending the same message sequence as the
-synchronous path.  Structural mutations (accepting a child, detaching a
-leaf, transplanting a replacement) each run inside a single segment, so
-the tree is consistent at every event boundary.
+As on the Chord side, every operation is written once as a *step
+generator* (see :mod:`repro.util.stepper`): one
+:class:`~repro.sim.topology.Hop` yielded per inter-node hop — parent,
+child or neighbour, exactly the walks §V-B charges the baseline for —
+naming the pair of nodes the message travels between so the event-driven
+runtime can price it per link.  The synchronous facade
+(:class:`~repro.net.overlay.OverlayNetwork`) drives them atomically; the
+event-driven runtime (:class:`~repro.sim.runtime.AsyncOverlayRuntime`,
+which needs no multiway-specific code) schedules each resumption on the
+simulator, so searches, joins and departures interleave at hop
+granularity while sending the same message sequence as the synchronous
+path.
+
+Concurrency semantics:
+
+* Structural mutations — accepting a child, detaching a leaf,
+  transplanting a replacement — run in a single segment each, together
+  with the check that authorised them, so the tree is consistent at every
+  event boundary.
+* A walk whose carrier vanishes (its node was transplanted away) retries
+  through a fresh contact for joins and re-walks for leaves; queries fail
+  over to the client.
+* Range scans truncate (``complete=False``) when an intersecting subtree
+  vanishes mid-fan-out instead of failing the whole query.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from repro.multiway.node import ChildLink, MultiwayNode
 from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
+from repro.net.overlay import OverlayNetwork
 from repro.sim.topology import Hop
 from repro.util.errors import NetworkEmptyError, PeerNotFoundError, ProtocolError
 from repro.util.rng import SeededRng
@@ -67,8 +81,10 @@ def _handover_size(node: MultiwayNode) -> float:
     return float(max(1, len(node.store)))
 
 
-class MultiwayNetwork:
+class MultiwayNetwork(OverlayNetwork):
     """A simulated multiway-tree overlay."""
+
+    overlay_name = "multiway"
 
     def __init__(self, config: Optional[MultiwayConfig] = None, seed: int = 0):
         self.config = config or MultiwayConfig()
@@ -83,6 +99,11 @@ class MultiwayNetwork:
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @property
+    def domain(self) -> Range:
+        """The key interval workload generators should draw from."""
+        return self.config.domain
 
     def node(self, address: Address) -> MultiwayNode:
         """The live node at ``address`` (raises if departed/unknown)."""
@@ -123,19 +144,15 @@ class MultiwayNetwork:
         self.root = node.address
         return node.address
 
-    def join(self, via: Optional[Address] = None) -> JoinResult:
-        """Descend from the contact node to a parent with spare fan-out."""
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multiway.join") as trace:
-            return drive(self.join_steps(entry, trace))
-
     def join_steps(
         self,
         entry: Address,
         trace: Trace,
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """The join both facades run; ``trace`` is cut at the acceptance
+        """Descend from the contact node to a parent with spare fan-out.
+
+        The join both facades run; ``trace`` is cut at the acceptance
         into the result's find and update halves (``degraded`` is unused).
 
         The walk returns in the segment that verified its parent can
@@ -269,18 +286,15 @@ class MultiwayNetwork:
 
     # -- departure ---------------------------------------------------------------
 
-    def leave(self, address: Address) -> LeaveResult:
-        """Graceful departure; §V-A's expensive multi-child consultation."""
-        with self.bus.trace("multiway.leave") as trace:
-            return drive(self.leave_steps(address, trace))
-
     def leave_steps(
         self,
         address: Address,
         trace: Trace,
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """The leave both facades run; ``trace`` is cut at the commit into
+        """Graceful departure; §V-A's expensive multi-child consultation.
+
+        The leave both facades run; ``trace`` is cut at the commit into
         the result's find and update halves (``degraded`` is unused).
 
         Detaching a leaf and transplanting a replacement each run in one
@@ -506,37 +520,34 @@ class MultiwayNetwork:
             previous, current = current, next_hop
         raise ProtocolError(f"multiway search for {key} did not terminate")
 
-    def search_exact(self, key: int, via: Optional[Address] = None) -> SearchResult:
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multiway.search") as trace:
-            owner = drive(self.route_steps(entry, key, MsgType.SEARCH))
-            found = key in self.node(owner).store
+    def search_exact_steps(
+        self,
+        start: Address,
+        key: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """Route link by link to ``key``'s owner (``degraded`` is unused)."""
+        owner = yield from self.route_steps(start, key, MsgType.SEARCH)
+        found = key in self.node(owner).store
         return SearchResult(found=found, owner=owner, trace=trace)
 
-    def search_range(
-        self, low: int, high: int, via: Optional[Address] = None
-    ) -> RangeSearchResult:
-        """Collect [low, high) by climbing to a covering node, then fanning
-        out over every intersecting child subtree (one message per visit)."""
-        if low >= high:
-            raise ValueError(f"empty query range [{low}, {high})")
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multiway.range") as trace:
-            owners, keys, complete = drive(self.range_steps(entry, low, high))
-        return RangeSearchResult(
-            owners=owners, keys=keys, trace=trace, complete=complete
-        )
-
-    def range_steps(
-        self, entry: Address, low: int, high: int
+    def search_range_steps(
+        self,
+        start: Address,
+        low: int,
+        high: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """Route to low's owner, climb to a covering ancestor, fan out.
+        """Collect [low, high) by routing to low's owner, climbing to a
+        covering ancestor, then fanning out over every intersecting child
+        subtree (one message per visit).
 
-        Returns ``(owners, keys, complete)``; a subtree that vanished under
-        concurrent churn truncates the answer (``complete=False``) instead
-        of failing the whole query.
+        A subtree that vanished under concurrent churn truncates the answer
+        (``complete=False``) instead of failing the whole query.
         """
-        first = yield from self.route_steps(entry, low, MsgType.RANGE_SEARCH)
+        first = yield from self.route_steps(start, low, MsgType.RANGE_SEARCH)
         owners: List[Address] = []
         keys: List[int] = []
         complete = True
@@ -548,7 +559,9 @@ class MultiwayNetwork:
                 self.bus.send(current.address, parent_address, MsgType.RANGE_SEARCH)
                 parent = self.node(parent_address)
             except PeerNotFoundError:
-                return owners, sorted(keys), False
+                return RangeSearchResult(
+                    owners=owners, keys=sorted(keys), trace=trace, complete=False
+                )
             yield Hop(current.address, parent_address)
             current = parent
         # Each stack entry remembers which node sent the fan-out message, so
@@ -573,35 +586,39 @@ class MultiwayNetwork:
                     stack.append((address, link.address))
             if stack:
                 yield Hop(stack[-1][0], stack[-1][1])
-        return owners, sorted(keys), complete
+        return RangeSearchResult(
+            owners=owners, keys=sorted(keys), trace=trace, complete=complete
+        )
 
     # -- data ------------------------------------------------------------------------
 
-    def insert(self, key: int, via: Optional[Address] = None) -> DataOpResult:
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multiway.insert") as trace:
-            owner = drive(self.route_for_update_steps(entry, key, MsgType.INSERT))
-            self.node(owner).store.insert(key)
-        return DataOpResult(applied=True, owner=owner, trace=trace)
-
-    def delete(self, key: int, via: Optional[Address] = None) -> DataOpResult:
-        entry = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multiway.delete") as trace:
-            owner = drive(self.route_for_update_steps(entry, key, MsgType.DELETE))
-            applied = self.node(owner).store.delete(key)
-        return DataOpResult(applied=applied, owner=owner, trace=trace)
-
-    def route_for_update_steps(
-        self, start: Address, key: int, mtype: MsgType
+    def data_op_steps(
+        self,
+        start: Address,
+        key: int,
+        mtype: MsgType,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """Route an update; out-of-domain keys expand the root's coverage."""
+        """Route an insert or delete to ``key``'s owner and apply it there;
+        a key beyond the root's coverage expands it instead of routing.
+        """
+        owner: Optional[Address] = None
         if not self.config.domain.contains(key):
             root = self.node(self.root)
             if key < root.coverage.low or key >= root.coverage.high:
                 root.coverage = root.coverage.extend_to_include(key)
                 root.range = root.range.extend_to_include(key)
-                return self.root
-        return (yield from self.route_steps(start, key, mtype))
+                owner = self.root
+        if owner is None:
+            owner = yield from self.route_steps(start, key, mtype)
+        store = self.node(owner).store
+        if mtype is MsgType.INSERT:
+            store.insert(key)
+            applied = True
+        else:
+            applied = store.delete(key)
+        return DataOpResult(applied=applied, owner=owner, trace=trace)
 
     def bulk_load(self, keys: List[int]) -> int:
         """Place keys at their owners without routed messages (untimed load)."""

@@ -16,17 +16,20 @@ that makes the comparison mechanical::
 Every registered network satisfies the :class:`Overlay` protocol (same
 method names — ``random_peer_address`` everywhere, no more per-overlay
 spellings — and the same unified result dataclasses, including the
-``complete`` truncation flag on every range answer), and every runtime
-shares :class:`~repro.sim.runtime.AsyncOverlayRuntime`'s hop-generator
-machinery, so all three execute joins, leaves, searches and inserts as
-interleaved simulator events under identical workloads.
+``complete`` truncation flag on every range answer).  Each operation is
+written once per overlay as a step generator that the inherited sync
+facade drives and :class:`~repro.sim.runtime.AsyncOverlayRuntime` resumes
+hop by hop, so all three execute joins, leaves, searches and writes as
+interleaved simulator events under identical workloads.  Chord and the
+multiway tree are wrapped by that runtime itself; only BATON, with
+runtime-only extension ops, names a subclass (:class:`AsyncBatonNetwork`).
+Adding an overlay is a network class (``overlay_name``, ``capabilities``,
+``domain``, the five step generators) plus one :func:`register` call.
 """
 
 from repro.chord.network import ChordNetwork
-from repro.chord.runtime import AsyncChordNetwork
 from repro.core.network import BatonConfig, BatonNetwork
 from repro.multiway.network import MultiwayNetwork
-from repro.multiway.runtime import AsyncMultiwayNetwork
 from repro.overlays.protocol import (
     ALL_CAPABILITIES,
     BALANCE,
@@ -48,7 +51,6 @@ def _replicated_baton_config():
 
 register(
     OverlayEntry(
-        name="baton",
         description=(
             "BATON balanced binary tree: O(log N) joins/leaves/searches, "
             "order-preserving ranges, fail/repair, load balancing and "
@@ -61,24 +63,20 @@ register(
 )
 register(
     OverlayEntry(
-        name="chord",
         description=(
             "Chord hashed ring: O(log N) exact lookups via fingers, "
             "Θ(log² N) membership updates, O(N) range scans"
         ),
         network_cls=ChordNetwork,
-        runtime_cls=AsyncChordNetwork,
     )
 )
 register(
     OverlayEntry(
-        name="multiway",
         description=(
             "Multiway tree (reference [10]): cheap joins, expensive "
             "multi-child leaves, link-by-link searches without sideways tables"
         ),
         network_cls=MultiwayNetwork,
-        runtime_cls=AsyncMultiwayNetwork,
     )
 )
 
@@ -87,8 +85,6 @@ __all__ = [
     "OverlayEntry",
     "AsyncOverlayRuntime",
     "AsyncBatonNetwork",
-    "AsyncChordNetwork",
-    "AsyncMultiwayNetwork",
     "available",
     "get",
     "register",

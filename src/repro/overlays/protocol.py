@@ -9,27 +9,28 @@ the message-accounting honesty rules implementations must follow).
 
 Required surface (structural, checked by the conformance suite):
 
+* ``overlay_name`` / ``capabilities`` / ``domain`` — registry name,
+  optional capabilities (below) and the key interval workloads draw from;
 * ``build(n, seed=0, config=None)`` — classmethod constructor;
 * ``size`` / ``addresses()`` / ``random_peer_address()`` — population;
-* ``join_steps(start, trace, degraded=None)`` /
-  ``leave_steps(address, trace, degraded=None)`` — membership, written
-  once as step generators (:mod:`repro.util.stepper`) returning
-  :class:`~repro.core.results.JoinResult` / ``LeaveResult``, each cutting
-  the op's ``trace`` into ``find_trace`` and ``update_trace`` at its
-  commit.  ``degraded`` is None when driven synchronously; the async
-  runtime passes its give-up predicate and delegates to them (``yield
-  from``) behind the client-ingress hop, so a new overlay writes no
-  runtime membership code;
-* ``join(via=None)`` / ``leave(address)`` — the sync facade, each
+* five step generators (:mod:`repro.util.stepper`) — ``join_steps``,
+  ``leave_steps``, ``search_exact_steps``, ``search_range_steps`` and
+  ``data_op_steps`` (insert or delete by ``mtype``) — each operation
+  written once, handed the op's ``trace`` (which it only reads; join and
+  leave cut it into ``find_trace`` / ``update_trace``) and returning the
+  unified result.  ``degraded`` is None when driven synchronously; the
+  async runtime passes its give-up predicate and delegates to them behind
+  the client-ingress hop, so a new overlay writes no runtime code;
+* ``join`` / ``leave`` / ``search_exact`` / ``search_range`` / ``insert``
+  / ``delete`` — the sync facade inherited from
+  :class:`~repro.net.overlay.OverlayNetwork`, each
   ``with bus.trace(...) as trace: return drive(<op>_steps(..., trace))``;
-* ``search_exact`` / ``search_range`` / ``insert`` / ``delete`` — data
-  operations returning the unified result types (range answers carry the
-  ``complete`` truncation flag);
 * ``bulk_load(keys)`` — untimed initial placement.
 
 Optional capabilities — abrupt ``fail``/``repair``, load ``balance``,
 ``reconcile`` anti-entropy, ``replication``, and the dissemination pair
-``multicast``/``subscribe`` — are advertised on the registry entry
+``multicast``/``subscribe`` — are declared on the network class and
+advertised on the registry entry
 (:class:`~repro.overlays.registry.OverlayEntry`) and on the async runtime
 (:meth:`~repro.sim.runtime.AsyncOverlayRuntime.supports`) rather than
 stubbed with no-ops, so comparisons never silently measure a missing
@@ -47,8 +48,10 @@ from repro.core.results import (
     RangeSearchResult,
     SearchResult,
 )
+from repro.core.ranges import Range
 from repro.net.address import Address
 from repro.net.bus import MessageBus, Trace
+from repro.net.message import MsgType
 from repro.util.stepper import MessageSteps
 
 #: Names an overlay may advertise in its ``capabilities`` set.
@@ -76,6 +79,11 @@ class Overlay(Protocol):
     """
 
     bus: MessageBus
+    overlay_name: str
+    capabilities: frozenset
+
+    @property
+    def domain(self) -> Range: ...
 
     @property
     def size(self) -> int: ...
@@ -98,6 +106,32 @@ class Overlay(Protocol):
     def leave_steps(
         self,
         address: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps: ...
+
+    def search_exact_steps(
+        self,
+        start: Address,
+        key: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps: ...
+
+    def search_range_steps(
+        self,
+        start: Address,
+        low: int,
+        high: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps: ...
+
+    def data_op_steps(
+        self,
+        start: Address,
+        key: int,
+        mtype: MsgType,
         trace: Trace,
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps: ...

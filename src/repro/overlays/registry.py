@@ -1,4 +1,4 @@
-"""The overlay registry: names to (network, runtime) pairs.
+"""The overlay registry: names to network classes (and their runtimes).
 
 Experiments, the CLI, benchmarks and the concurrent workload driver all
 select overlays by name — ``overlays.get("baton")`` — so adding a fourth
@@ -7,8 +7,8 @@ overlay is one :func:`register` call, not a sweep through every harness.
 Each entry **advertises** what its overlay can do (DESIGN.md, "The
 ``Overlay`` protocol"): the ``capabilities`` set — ``fail`` / ``repair`` /
 ``balance`` / ``reconcile`` / ``replication`` / ``multicast`` /
-``subscribe`` — comes straight from the runtime class and is never
-stubbed with no-ops.  Harnesses that need an
+``subscribe`` — comes straight from the network class, next to its
+``overlay_name``, and is never stubbed with no-ops.  Harnesses that need an
 optional feature check the entry (or ``runtime.supports(...)``) and asking
 an overlay for a feature it does not advertise raises
 :class:`~repro.util.errors.CapabilityError` — so a comparison can never
@@ -32,21 +32,28 @@ from repro.util.errors import CapabilityError
 
 @dataclass(frozen=True)
 class OverlayEntry:
-    """One registered overlay: its sync network and async runtime classes."""
+    """One registered overlay: its sync network class and the async runtime
+    that wraps it."""
 
-    name: str
     description: str
     network_cls: type
-    runtime_cls: type
+    #: The generic runtime drives every overlay's shared operations; only
+    #: an overlay with runtime-only operations of its own names a subclass.
+    runtime_cls: type = AsyncOverlayRuntime
     #: Builds a network config with data replication turned on, for
     #: overlays that advertise the ``replication`` capability (None
     #: everywhere else — the capability check refuses first).
     replicated_config: Optional[Callable[[], object]] = None
 
     @property
+    def name(self) -> str:
+        """The overlay's registry name (declared by its network class)."""
+        return self.network_cls.overlay_name
+
+    @property
     def capabilities(self) -> frozenset:
-        """Optional operations this overlay supports (from its runtime)."""
-        return self.runtime_cls.capabilities
+        """Optional operations this overlay supports (from its network)."""
+        return self.network_cls.capabilities
 
     def build(self, n_peers: int, seed: int = 0, **kwargs):
         """Grow a synchronous network of ``n_peers``."""

@@ -52,7 +52,7 @@ def multicast(
 ) -> MulticastResult:
     """Synchronous facade: deliver to every owner of ``[low, high)``."""
     start = via if via is not None else net.random_peer_address()
-    with net.open_trace("multicast") as trace:
+    with net.bus.trace("multicast") as trace:
         result = drive(multicast_steps(net, start, low, high))
     result.trace = trace
     return result
@@ -62,7 +62,7 @@ def subscribe(
     net: "BatonNetwork", subscriber: Address, low: int, high: int
 ) -> SubscribeResult:
     """Synchronous facade: install a subscription at every range owner."""
-    with net.open_trace("subscribe") as trace:
+    with net.bus.trace("subscribe") as trace:
         result = drive(subscribe_steps(net, subscriber, low, high))
     result.trace = trace
     return result

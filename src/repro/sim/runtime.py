@@ -12,12 +12,14 @@ runs every public operation — join, leave, exact search, range search,
 insert, delete (plus fail, where supported) — as a *hop generator*: a
 Python generator that performs one protocol step (one message exchange)
 and then yields a :class:`~repro.sim.topology.Hop` declaring which pair of
-peers the next message travels between.  The protocol walks inside are the
-overlay's own step generators (:mod:`repro.util.stepper`) — the very ones
-the synchronous facade drives — so no decision is written twice; an op
-generator adds only the client-ingress hop and the walks' give-up
-predicate (inbox drains, race re-walks and sized handover hops live in
-the shared join/leave generators, inert under ``drive``).  The runtime
+peers the next message travels between.  Each op generator is the
+client-ingress hop plus a ``yield from`` of the network's own step
+generator for that op (:mod:`repro.util.stepper`; ``join_steps``,
+``leave_steps``, ``search_exact_steps``, ``search_range_steps``,
+``data_op_steps``) — the very one the synchronous facade drives — handed
+the future's trace and the walks' give-up predicate, so no decision is
+written twice (inbox drains, race re-walks and sized handover hops live in
+those shared generators, inert under ``drive``).  The runtime
 prices each hop per link through the run's :class:`~repro.sim.topology.Topology`
 (``sample(src, dst, size=...)``) and schedules the resumption on the shared
 :class:`~repro.sim.engine.Simulator`, so any number of operations
@@ -25,13 +27,11 @@ interleave at hop granularity while each individual step stays atomic.
 Completion is exposed through :class:`OpFuture` (result, error, latency,
 accumulated transit time, done-callbacks).
 
-Three concrete runtimes exist, one per registered overlay:
-
-* :class:`AsyncBatonNetwork` (here) — BATON, including deferred
-  routing-table update delivery and the ``reconcile()`` anti-entropy sweep;
-* :class:`repro.chord.runtime.AsyncChordNetwork` — finger-hop routing;
-* :class:`repro.multiway.runtime.AsyncMultiwayNetwork` — link-by-link tree
-  routing.
+:class:`AsyncOverlayRuntime` itself wraps every overlay that adds no
+runtime-only operations (Chord and the multiway tree: their concurrency
+semantics are documented on their networks).  :class:`AsyncBatonNetwork`
+adds BATON's: deferred routing-table update delivery, the ``reconcile()``
+anti-entropy sweep, fail/repair, replica refresh and multicast/subscribe.
 
 Fidelity notes:
 
@@ -54,28 +54,22 @@ Fidelity notes:
   ``_resume`` / ``_deliver`` pair; ``_submit`` also picks the channel its
   hops ride — judged at-least-once or reliable (DESIGN.md, "Delivery
   contract").
-* An async BATON insert's trace also accumulates any load-balancing traffic
-  the insert triggers (the synchronous API reports that separately in
-  ``balance_trace``).
+* An async BATON insert's *future* trace also accumulates any
+  load-balancing traffic the insert triggers; its result reports it once,
+  in ``balance_trace``, exactly as the synchronous API does.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, ClassVar, Generator, List, Optional, Set
+from typing import Callable, Generator, List, Optional, Set
 
 from repro.core import cache as route_cache_protocol
-from repro.core import data as data_protocol
 from repro.core import failure as failure_protocol
 from repro.core import search as search_protocol
 from repro.core.network import BatonNetwork
 from repro.core.ranges import Range
-from repro.core.results import (
-    DataOpResult,
-    RangeSearchResult,
-    RepairResult,
-    SearchResult,
-)
+from repro.core.results import RepairResult
 from repro.net.address import Address
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
@@ -84,7 +78,6 @@ from repro.sim.faults import FaultPlan, FaultStats
 from repro.sim.latency import ConstantLatency
 from repro.sim.topology import Hop, Topology
 from repro.util.errors import CapabilityError, DeliveryError, ReproError
-from repro.util.stepper import MessageSteps
 
 #: A hop generator yields one Hop per protocol step (which link the next
 #: message crosses) and returns the operation's result.
@@ -238,21 +231,16 @@ class AsyncOverlayRuntime:
     submission sequence) replays the exact same event order — the
     ``event_log`` records it for comparison.
 
-    Subclasses set :attr:`overlay_name` and :attr:`capabilities` and
-    implement the hop generators of the operations they support
-    (``_owner_steps`` at least; join and leave run the network's
-    ``join_steps`` / ``leave_steps``).
-    :meth:`_submit` refuses — :class:`CapabilityError` — any operation
-    whose capability the overlay does not declare, and ``"repair"`` /
-    ``"reconcile"`` gate :meth:`repair_all` and :meth:`reconcile`.
-    Construction goes through the registry
+    Join, leave, both searches, insert and delete run the wrapped
+    network's step generators, so any overlay satisfying the
+    :class:`~repro.overlays.Overlay` protocol is driven with no code of
+    its own here; a subclass exists only to add runtime-only operations
+    (:class:`AsyncBatonNetwork`).  The network declares the overlay's name
+    and ``capabilities``; :meth:`_submit` refuses —
+    :class:`CapabilityError` — any operation whose capability it does not
+    declare.  Construction goes through the registry
     (``overlays.get(name).build_async(...)`` / ``.wrap(net, ...)``).
     """
-
-    #: Registry name of the overlay this runtime drives.
-    overlay_name: ClassVar[str] = "?"
-    #: Optional operations this overlay supports.
-    capabilities: ClassVar[frozenset] = frozenset()
 
     def __init__(
         self,
@@ -316,11 +304,11 @@ class AsyncOverlayRuntime:
     @property
     def domain(self) -> Range:
         """The key interval workload generators should draw from."""
-        return Range.full_domain()
+        return self.net.domain
 
     def supports(self, capability: str) -> bool:
         """Whether this overlay implements an optional capability."""
-        return capability in self.capabilities
+        return capability in self.net.capabilities
 
     @property
     def replication_enabled(self) -> bool:
@@ -528,53 +516,42 @@ class AsyncOverlayRuntime:
             if address not in self._pending_leaves
         ]
 
-    # -- hop generators subclasses implement ----------------------------------
+    # -- hop generators -------------------------------------------------------
     #
-    # Overlays whose network exposes the step-generator convention —
-    # ``node(address).store`` plus an owner-routing generator surfaced via
-    # ``_owner_steps`` and a ``range_steps(entry, low, high)`` generator
-    # returning ``(owners, keys, complete)`` — inherit the query and data
-    # operations below and implement only ``_owner_steps``.  Membership is
-    # the network's own ``join_steps`` / ``leave_steps`` (the generators its
-    # sync ``join`` / ``leave`` drive) behind the client-ingress hop, for
-    # every overlay.  BATON overrides the query and data set (its data path
-    # carries balancing/replication side effects).
-
-    def _owner_steps(
-        self, start: Address, key: int, mtype: MsgType
-    ) -> MessageSteps:
-        """Message-step generator routing from ``start`` to ``key``'s owner."""
-        raise NotImplementedError
+    # Each op is the client-ingress hop plus the network's own step
+    # generator for it (the one its sync facade drives), handed the op's
+    # trace and ``_routing_degraded``.  Subclasses implement the generators
+    # of the optional operations they declare.
 
     def _search_exact_steps(
         self, future: OpFuture, start: Address, key: int
     ) -> OpSteps:
         yield Hop(None, start)  # the request reaches its entry peer
-        owner = yield from self._owner_steps(start, key, MsgType.SEARCH)
-        found = key in self.net.node(owner).store
-        return SearchResult(found=found, owner=owner, trace=future.trace)
+        return (
+            yield from self.net.search_exact_steps(
+                start, key, future.trace, self._routing_degraded
+            )
+        )
 
     def _search_range_steps(
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
         yield Hop(None, start)
-        owners, keys, complete = yield from self.net.range_steps(start, low, high)
-        return RangeSearchResult(
-            owners=owners, keys=keys, trace=future.trace, complete=complete
+        return (
+            yield from self.net.search_range_steps(
+                start, low, high, future.trace, self._routing_degraded
+            )
         )
 
     def _data_op_steps(
         self, future: OpFuture, start: Address, key: int, mtype: MsgType
     ) -> OpSteps:
         yield Hop(None, start)
-        owner = yield from self._owner_steps(start, key, mtype)
-        store = self.net.node(owner).store
-        if mtype is MsgType.INSERT:
-            store.insert(key)
-            applied = True
-        else:
-            applied = store.delete(key)
-        return DataOpResult(applied=applied, owner=owner, trace=future.trace)
+        return (
+            yield from self.net.data_op_steps(
+                start, key, mtype, future.trace, self._routing_degraded
+            )
+        )
 
     def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
         yield Hop(None, start)  # the join request reaches its entry peer
@@ -640,9 +617,9 @@ class AsyncOverlayRuntime:
         caller fans its own step streams out over the admitted future
         (the batched refresh sweep).
         """
-        if needs is not None and needs not in self.capabilities:
+        if needs is not None and needs not in self.net.capabilities:
             raise CapabilityError(
-                f"the {self.overlay_name} overlay does not support "
+                f"the {self.net.overlay_name} overlay does not support "
                 f"the {needs!r} capability ({kind} refused)"
             )
         future = OpFuture(
@@ -813,8 +790,10 @@ class AsyncOverlayRuntime:
 class AsyncBatonNetwork(AsyncOverlayRuntime):
     """Concurrent-operation facade over a :class:`BatonNetwork`.
 
-    Beyond the shared runtime machinery this adds the BATON-specific
-    concurrency surface: routing-table refreshes ride the same clock (the
+    Beyond the shared runtime machinery — which runs BATON's join, leave,
+    searches and writes like any overlay's — this adds the BATON-specific
+    concurrency surface and extension ops (fail, repair, replica refresh,
+    multicast, subscribe): routing-table refreshes ride the same clock (the
     wrapped network's :class:`~repro.core.network.UpdateChannel` is given a
     delivery sink that schedules each receiver-side application one sampled
     latency later, so queries issued inside an update window genuinely race
@@ -822,20 +801,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
     :meth:`reconcile` is the periodic anti-entropy sweep that restores exact
     invariants at quiescence.
     """
-
-    overlay_name = "baton"
-    capabilities = frozenset(
-        {
-            "fail",
-            "repair",
-            "balance",
-            "reconcile",
-            "replication",
-            "multicast",
-            "subscribe",
-            "locality",
-        }
-    )
 
     def __init__(
         self,
@@ -862,10 +827,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         # consulted, so installing it perturbs nothing when the locality
         # knobs are off.
         self.net.topology = self.topology
-
-    @property
-    def domain(self) -> Range:
-        return self.net.config.domain
 
     @property
     def replication_enabled(self) -> bool:
@@ -1003,49 +964,10 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         return search_protocol.network_degraded(self.net) or self._in_flight > 1
 
     # -- hop generators -------------------------------------------------------
-
-    # Every decision loop below lives in ``repro.core`` (search, cache,
-    # data, join, leave) as a step generator the synchronous facade drives
-    # too; these op generators add only the client-ingress hop and
-    # ``_routing_degraded`` as the walks' give-up predicate.  Join and
-    # leave come from the base class.
-
-    def _search_exact_steps(
-        self, future: OpFuture, start: Address, key: int
-    ) -> OpSteps:
-        yield Hop(None, start)  # the request reaches its entry peer
-        owner, _ = yield from search_protocol.route_steps(
-            self.net, start, key, MsgType.SEARCH, self._routing_degraded
-        )
-        found = search_protocol.holds_key(self.net, owner, key)
-        return SearchResult(found=found, owner=owner, trace=future.trace)
-
-    def _search_range_steps(
-        self, future: OpFuture, start: Address, low: int, high: int
-    ) -> OpSteps:
-        yield Hop(None, start)
-        owners, keys, complete = yield from search_protocol.range_steps(
-            self.net, start, low, high, self._routing_degraded
-        )
-        return RangeSearchResult(
-            owners=owners, keys=keys, trace=future.trace, complete=complete
-        )
-
-    def _data_op_steps(
-        self, future: OpFuture, start: Address, key: int, mtype: MsgType
-    ) -> OpSteps:
-        net = self.net
-        yield Hop(None, start)
-        owner, _ = yield from search_protocol.route_steps(
-            net, start, key, mtype, self._routing_degraded
-        )
-        # Replica write-through and subscriber notifications are priced
-        # hops of their own: the future completes once they have landed.
-        applied = yield from data_protocol.apply_steps(net, owner, key, mtype)
-        result = DataOpResult(applied=applied, owner=owner, trace=future.trace)
-        if mtype is MsgType.INSERT:
-            data_protocol.balance_after_insert(net, result)
-        return result
+    #
+    # BATON's extension ops, each a step generator from ``repro.core`` or
+    # ``repro.pubsub`` behind the op's first hop.  The shared ops come from
+    # the base class.
 
     def _multicast_steps(
         self, future: OpFuture, start: Address, low: int, high: int

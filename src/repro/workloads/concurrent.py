@@ -812,7 +812,7 @@ def run_concurrent_workload(
             from repro.util.errors import CapabilityError
 
             raise CapabilityError(
-                f"the {anet.overlay_name} overlay does not support "
+                f"the {anet.net.overlay_name} overlay does not support "
                 f"{capability}; drop the pub/sub rates or pick an overlay "
                 "that advertises the capability"
             )

@@ -85,7 +85,7 @@ class TestEquivalence:
         for address in leaves:
             spent = []
             for net in (bulk_build(40), incremental_reference(40)):
-                with net.open_trace("depart") as trace:
+                with net.bus.trace("depart") as trace:
                     depart_leaf(net, net.peer(address), content_target=content_target)
                 spent.append(dict(trace.by_type))
             assert spent[0] == spent[1], f"leaf {address}: bulk vs join-grown"

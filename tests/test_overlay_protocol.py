@@ -72,6 +72,16 @@ def snapshot(name: str, net) -> set:
     }
 
 
+def assert_same_write(future, expected: DataOpResult) -> None:
+    """A drained async insert/delete reports what the sync facade did."""
+    assert future.succeeded, future.error
+    result = future.result
+    assert result.owner == expected.owner
+    assert result.applied is expected.applied
+    assert result.trace.total == expected.trace.total
+    assert result.total_messages == expected.total_messages
+
+
 class TestRegistry:
     def test_three_overlays_registered(self):
         assert ALL == ["baton", "chord", "multiway"]
@@ -89,7 +99,7 @@ class TestRegistry:
         entry = overlays.get(name)
         assert entry.name == name
         assert entry.description
-        assert entry.capabilities == entry.runtime_cls.capabilities
+        assert entry.capabilities == entry.network_cls.capabilities
         assert issubclass(entry.runtime_cls, AsyncOverlayRuntime)
 
     def test_capabilities_differ_by_overlay(self):
@@ -330,13 +340,22 @@ class TestAsyncConformance:
             assert future.result.total_messages == expected.total_messages
             assert future.result.find_trace.total == expected.find_trace.total
             assert future.result.update_trace.total == expected.update_trace.total
-        for key in uniform_keys(15, seed=12):
+        keys = uniform_keys(15, seed=12)
+        for key in keys:
             expected = sync.insert(key)
             future = anet.submit_insert(key)
             anet.drain()
             assert future.succeeded
             assert future.result.owner == expected.owner
             assert future.trace.total == expected.trace.total
+            assert_same_write(future, expected)
+        # Every other key, then the first again: a delete that misses.
+        for key in keys[::2] + keys[:1]:
+            expected = sync.delete(key)
+            future = anet.submit_delete(key)
+            anet.drain()
+            assert_same_write(future, expected)
+        assert not expected.applied
         for index in (7, 3, 11, 0, 5):
             victim = sync.addresses()[index]
             expected = sync.leave(victim)
@@ -349,6 +368,36 @@ class TestAsyncConformance:
             assert future.result.update_trace.total == expected.update_trace.total
         assert sync.size == anet.size
         assert snapshot(name, sync) == snapshot(name, anet.net)
+
+    def test_serialized_balanced_inserts_match_sync(self):
+        """§IV-D balancing on: an insert that triggers it reports the
+        balancing traffic once, in ``balance_trace``, on both facades."""
+        from repro.core.network import BatonConfig, LoadBalanceConfig
+
+        config = BatonConfig(balance=LoadBalanceConfig(capacity=4, enabled=True))
+        entry = overlays.get("baton")
+        sync = entry.build(32, seed=3, config=config)
+        anet = entry.wrap(
+            entry.build(32, seed=3, config=config), topology=ConstantLatency(1.0)
+        )
+        balanced = 0
+        # 16 adjacent shifts and one rejoin with a forced restructuring
+        # shift.  Further on, a rejoin's restructuring reads table updates
+        # the runtime has not delivered yet (balancing runs inside the
+        # insert's last event) and the two facades part ways.
+        for key in uniform_keys(120, seed=12):
+            expected = sync.insert(key)
+            future = anet.submit_insert(key)
+            anet.drain()
+            assert_same_write(future, expected)
+            assert future.result.balance_moves == expected.balance_moves
+            if expected.balance_trace is None:
+                assert future.result.balance_trace is None
+                continue
+            balanced += 1
+            assert future.result.balance_trace.total == expected.balance_trace.total
+        assert balanced > 0
+        assert snapshot("baton", sync) == snapshot("baton", anet.net)
 
     @pytest.mark.parametrize("name", ALL)
     def test_interleaved_runs_deterministic(self, name):

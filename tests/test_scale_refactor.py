@@ -8,7 +8,6 @@ from repro import overlays
 from repro.core.network import BatonConfig, BatonNetwork
 from repro.experiments import scale_profile
 from repro.multiway.network import MultiwayNetwork
-from repro.multiway.runtime import AsyncMultiwayNetwork
 from repro.sim.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.sim.runtime import AsyncBatonNetwork
 from repro.sim.topology import ClusteredTopology, CoordinateTopology
@@ -58,7 +57,7 @@ class TestSizedLeaveHandover:
             net.bootstrap()
             for _ in range(11):
                 net.join()
-            anet = AsyncMultiwayNetwork(
+            anet = overlays.get("multiway").wrap(
                 net, topology=one_region_bandwidth_topology()
             )
             victim_address = next(

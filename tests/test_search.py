@@ -248,7 +248,7 @@ class TestRoutingDecision:
         for start in net.addresses():
             for key in keys:
                 result = net.search_exact(key, via=start)
-                with net.open_trace("oracle") as expected:
+                with net.bus.trace("oracle") as expected:
                     owner = oracle_walk(net, start, key, MsgType.SEARCH)
                 assert result.owner == owner
                 assert result.trace.by_type == expected.by_type
