@@ -44,7 +44,7 @@ from repro.core import (
     check_invariants,
     tree_height,
 )
-from repro.sim import AsyncBatonNetwork, AsyncOverlayRuntime, OpFuture
+from repro.sim import AsyncOverlayRuntime, OpFuture
 from repro import overlays
 
 __version__ = "1.0.0"
@@ -53,7 +53,6 @@ __all__ = [
     "BatonNetwork",
     "BatonConfig",
     "LoadBalanceConfig",
-    "AsyncBatonNetwork",
     "AsyncOverlayRuntime",
     "OpFuture",
     "overlays",

@@ -21,8 +21,9 @@ event-driven runtime can price it: the structural surgery runs as one
 atomic segment (no other operation can observe a half-repaired tree), and
 — when the replication extension is enabled — the replica pull that
 restores the dead peer's keys follows as sized, per-link hops
-(:func:`repro.core.replication.restore_from_replica_steps`).  The
-synchronous :func:`repair` drives the same generator to exhaustion.
+(:func:`repro.core.replication.restore_from_replica_steps`).  Both
+facades run it through ``BatonNetwork.repair_steps``: the synchronous
+``BatonNetwork.repair`` drives it to exhaustion.
 """
 
 from __future__ import annotations
@@ -57,12 +58,6 @@ def fail(net: "BatonNetwork", address: Address) -> None:
     net.pool_discard(address)
     net.bus.unregister(address)
     net.ghosts[address] = peer
-
-
-def repair(net: "BatonNetwork", failed: Address) -> RepairResult:
-    """Run the parent-coordinated repair for a failed peer (atomically)."""
-    with net.bus.trace("repair") as trace:
-        return drive(repair_steps(net, failed, trace))
 
 
 def repair_in_passes(

@@ -6,7 +6,10 @@ delete, exact-match and range search — by delegating to the protocol modules
 (:mod:`repro.core.join`, :mod:`repro.core.leave`, …).  Join, leave, the
 two searches and the two writes are step generators there; the
 synchronous facade that drives them is inherited
-(:class:`repro.net.overlay.OverlayNetwork`).
+(:class:`repro.net.overlay.OverlayNetwork`).  The extension ops — fail,
+repair, replica refresh, multicast, subscribe — are step generators on
+this class too, so the event runtime runs every BATON op with no code of
+its own.
 
 Honesty rules (see DESIGN.md at the repository root): protocol decisions use
 only the acting peer's local links.  The global position map kept here serves
@@ -32,7 +35,7 @@ from repro.net.message import MsgType
 from repro.net.overlay import OverlayNetwork
 from repro.util.errors import NetworkEmptyError, PeerNotFoundError
 from repro.util.rng import SeededRng
-from repro.util.stepper import MessageSteps
+from repro.util.stepper import MessageSteps, drive
 
 
 @dataclass
@@ -122,12 +125,13 @@ class UpdateChannel:
     in between see stale link state and pay recovery messages, which is
     exactly the effect §V-E measures.
 
-    A third mode serves the event-driven runtime (:mod:`repro.sim.runtime`):
-    when a *delivery sink* is installed, each notification's receiver-side
-    application is handed to the sink, which schedules it on the simulator
-    at a per-message sampled latency.  The channel tracks how many such
-    applications are still in flight so degraded-routing heuristics can
-    tell that link state is transiently stale.
+    A third, *scheduled* mode serves the event-driven runtime
+    (:mod:`repro.sim.runtime`): once :meth:`attach`-ed to a simulator and a
+    topology, each notification's receiver-side application lands one
+    sampled link delay later, in send order per receiver.  The channel
+    tracks how many such applications are still in flight so
+    degraded-routing heuristics can tell that link state is transiently
+    stale.
 
     Only fire-and-forget refreshes go through this channel.  Request/response
     handshakes inside join/leave (which the initiator blocks on) are always
@@ -138,25 +142,21 @@ class UpdateChannel:
         self._bus = bus
         self.deferred = False
         self._queue: List[Callable[[], None]] = []
-        self._sink: Optional[
-            Callable[[Address, Address, Callable[[], None]], None]
-        ] = None
-        self._drain: Optional[Callable[[Address], None]] = None
         self.in_flight = 0
+        #: Scheduled mode: the runtime's clock and transport (None until
+        #: :meth:`attach`), each receiver's in-flight ``[event, apply]``
+        #: pairs in send order, and its latest scheduled arrival (the FIFO
+        #: floor).
+        self._sim = None
+        self._topology = None
+        self._inbox: Dict[Address, List[list]] = {}
+        self._last_arrival: Dict[Address, float] = {}
 
-    def set_sink(
-        self,
-        sink: Optional[Callable[[Address, Address, Callable[[], None]], None]],
-        drain: Optional[Callable[[Address], None]] = None,
-    ) -> None:
-        """Route receiver-side applications through ``sink`` (None restores
-        immediate application).  The sink takes the source and destination
-        addresses and a zero-argument deliver callback, and decides when to
-        invoke it — the link identity lets the runtime price the delivery
-        per (src, dst) link.  ``drain(address)`` delivers whatever the sink
-        still holds for one receiver (see :meth:`drain`)."""
-        self._sink = sink
-        self._drain = drain
+    def attach(self, sim, topology) -> None:
+        """Enter scheduled mode: apply each notification on ``sim`` one
+        ``topology``-sampled (src, dst) link delay after it was sent."""
+        self._sim = sim
+        self._topology = topology
 
     def drain(self, address: Address) -> None:
         """Deliver every in-flight notification addressed to ``address`` now.
@@ -164,12 +164,18 @@ class UpdateChannel:
         A peer about to commit a structural handshake (accept a child, hand
         its state to a replacement) drains its inbox first, so the decision
         reads current links and no refresh lands on a detached object.  A
-        no-op unless the installed sink holds deliveries for ``address``:
-        immediate mode has already applied them, and deferred mode's queue
-        is Fig 8i's deliberate staleness, released only by :meth:`flush`.
+        no-op outside scheduled mode: immediate mode has already applied
+        everything, and deferred mode's queue is Fig 8i's deliberate
+        staleness, released only by :meth:`flush`.  The receiver's FIFO
+        floor keeps the cancelled arrival times, so a later refresh still
+        lands no earlier than they would have.
         """
-        if self._drain is not None:
-            self._drain(address)
+        if self._sim is None:
+            return
+        for event, apply in self._inbox.pop(address, []):
+            if self._sim.cancel(event):
+                self.in_flight -= 1
+                apply()
 
     def notify(
         self,
@@ -183,19 +189,48 @@ class UpdateChannel:
             self._bus.send(src, dst, mtype)
         except PeerNotFoundError:
             return False
-        if self._sink is not None:
-            self.in_flight += 1
-
-            def deliver() -> None:
-                self.in_flight -= 1
-                apply()
-
-            self._sink(src, dst, deliver)
+        if self._sim is not None:
+            self._schedule(src, dst, apply)
         elif self.deferred:
             self._queue.append(apply)
         else:
             apply()
         return True
+
+    def _schedule(
+        self, src: Address, dst: Address, apply: Callable[[], None]
+    ) -> None:
+        """Scheduled mode: apply a refresh one (src, dst) link delay later.
+
+        The delay is drawn for the actual link, so a refresh crossing
+        regions takes longer to land than one next door — queries near a
+        remote peer race a wider staleness window.  Deliveries to the same
+        receiver keep their send order (an ordered transport, as TCP gives
+        a real deployment); without this, two refreshes about the same
+        peer could apply newest-first and leave the receiver permanently
+        stale.
+        """
+        self.in_flight += 1
+        pending = self._inbox.setdefault(dst, [])
+        entry: list = [None, apply]
+
+        def fire() -> None:
+            try:
+                pending.remove(entry)
+            except ValueError:
+                pass
+            self.in_flight -= 1
+            apply()
+
+        # Priced like any other single message (size 1.0, matching Hop's
+        # default), so bandwidth-limited links delay refreshes and routed
+        # traffic alike — the staleness window they race is consistent.
+        sim = self._sim
+        arrival = sim.now + self._topology.sample(src, dst, size=1.0)
+        arrival = max(arrival, self._last_arrival.get(dst, 0.0))
+        self._last_arrival[dst] = arrival
+        entry[0] = sim.schedule_at(arrival, fire, label="table-update")
+        pending.append(entry)
 
     @property
     def pending_count(self) -> int:
@@ -258,11 +293,12 @@ class BatonNetwork(OverlayNetwork):
 
         self.pubsub = PubSubState()
         #: The run's physical topology, when one exists (locality
-        #: extension).  The async runtime installs its own; synchronous
-        #: callers that want topology-aware joins or region-diverse
-        #: replicas set it explicitly.  Protocol decisions only ever read
-        #: the deterministic ``direct_delay``/``region_of`` surface — never
-        #: the jittered ``sample`` stream — so setting it perturbs nothing.
+        #: extension).  The event runtime installs its own
+        #: (:meth:`attach`); synchronous callers that want topology-aware
+        #: joins or region-diverse replicas set it explicitly.  Protocol
+        #: decisions only ever read the deterministic
+        #: ``direct_delay``/``region_of`` surface — never the jittered
+        #: ``sample`` stream — so setting it perturbs nothing.
         self.topology = None
         #: Hot-range cache counters, shared by every peer's cache (locality
         #: extension; all-zero unless ``config.locality.cache_size > 0``).
@@ -437,37 +473,6 @@ class BatonNetwork(OverlayNetwork):
 
         return leave_protocol.leave_steps(self, address, trace, degraded)
 
-    def fail(self, address: Address) -> None:
-        """Abrupt departure: the peer vanishes without any protocol."""
-        from repro.core import failure as failure_protocol
-
-        failure_protocol.fail(self, address)
-        self.stats.failures += 1
-
-    def repair(self, failed: Address) -> RepairResult:
-        """Run the §III-C repair for a failed peer."""
-        from repro.core import failure as failure_protocol
-
-        return failure_protocol.repair(self, failed)
-
-    def repair_all(self) -> List[RepairResult]:
-        """Repair every outstanding failure, retrying order-sensitive cases.
-
-        Concurrent failures can depend on each other (a replacement's parent
-        failed too); repairing in a different order resolves them, mirroring
-        how independent repairs interleave in a real deployment.
-        """
-        from repro.core import failure as failure_protocol
-        from repro.util.errors import ProtocolError
-
-        def attempt(address: Address) -> Optional[RepairResult]:
-            try:
-                return self.repair(address)
-            except ProtocolError:
-                return None  # blocked on another ghost; a later pass retries
-
-        return failure_protocol.repair_in_passes(self, attempt)
-
     def search_exact_steps(
         self,
         start: Address,
@@ -515,25 +520,221 @@ class BatonNetwork(OverlayNetwork):
             self, start, key, mtype, trace, degraded
         )
 
+    # -- extension ops (step generators in the protocol modules) -------------
+    #
+    # Like the shared ops above, each is written once and run by both
+    # facades: the sync methods below drive it, the event runtime resumes
+    # it (behind the op's ingress hop, bar the refresh).  A target that is
+    # already gone is a race only the runtime produces (``degraded`` is
+    # set): there the op reports None (a refresh, 0); driven synchronously
+    # it raises PeerNotFoundError.
+
+    def fail(self, address: Address) -> None:
+        """Abrupt departure: the peer vanishes without any protocol."""
+        drive(self.fail_steps(address, None))
+
+    def fail_steps(
+        self,
+        address: Address,
+        trace: Optional[Trace],
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The crash as one hop-free step (:func:`repro.core.failure.fail`);
+        returns the crashed address."""
+        from repro.core import failure as failure_protocol
+
+        yield from ()
+        if degraded is not None and address not in self.peers:
+            return None  # it left or crashed while the crash was in flight
+        failure_protocol.fail(self, address)
+        self.stats.failures += 1
+        return address
+
+    def repair(self, failed: Address) -> RepairResult:
+        """Run the §III-C repair for a failed peer."""
+        with self.bus.trace("repair") as trace:
+            return drive(self.repair_steps(failed, trace))
+
+    def repair_steps(
+        self,
+        failed: Address,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The repair both facades run (:func:`repro.core.failure.repair_steps`)."""
+        from repro.core import failure as failure_protocol
+
+        if degraded is not None and failed not in self.ghosts:
+            return None  # already repaired (or never actually crashed)
+        return (yield from failure_protocol.repair_steps(self, failed, trace))
+
+    def repair_all(
+        self, attempt: Optional[Callable[[Address], Optional[RepairResult]]] = None
+    ) -> List[RepairResult]:
+        """Repair every outstanding failure, retrying order-sensitive cases.
+
+        Concurrent failures can depend on each other (a replacement's parent
+        failed too); repairing in a different order resolves them, mirroring
+        how independent repairs interleave in a real deployment.
+        ``attempt(address)`` runs one repair and returns None when it is
+        blocked on another ghost; the default is :meth:`repair` (the event
+        runtime passes a priced one).
+        """
+        from repro.core import failure as failure_protocol
+        from repro.util.errors import ProtocolError
+
+        def repair_now(address: Address) -> Optional[RepairResult]:
+            try:
+                return self.repair(address)
+            except ProtocolError:
+                return None  # blocked on another ghost; a later pass retries
+
+        return failure_protocol.repair_in_passes(self, attempt or repair_now)
+
     def multicast(self, low: int, high: int, via: Optional[Address] = None):
         """Deliver one message to every owner of [low, high) (pub/sub)."""
-        from repro import pubsub as pubsub_protocol
+        start = via if via is not None else self.random_peer_address()
+        with self.bus.trace("multicast") as trace:
+            return drive(self.multicast_steps(start, low, high, trace))
 
-        return pubsub_protocol.multicast(self, low, high, via=via)
+    def multicast_steps(
+        self,
+        start: Address,
+        low: int,
+        high: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The range multicast both facades run
+        (:func:`repro.pubsub.multicast.multicast_steps`)."""
+        from repro.pubsub.multicast import multicast_steps
+
+        return multicast_steps(
+            self, start, low, high, degraded=degraded, trace=trace
+        )
 
     def subscribe(self, subscriber: Address, low: int, high: int):
         """Install a subscription for [low, high) at every range owner."""
-        from repro import pubsub as pubsub_protocol
+        with self.bus.trace("subscribe") as trace:
+            return drive(self.subscribe_steps(subscriber, low, high, trace))
 
-        return pubsub_protocol.subscribe(self, subscriber, low, high)
+    def subscribe_steps(
+        self,
+        subscriber: Address,
+        low: int,
+        high: int,
+        trace: Trace,
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """The subscription walk both facades run
+        (:func:`repro.pubsub.subscribe.subscribe_steps`)."""
+        from repro.pubsub.subscribe import subscribe_steps
+
+        return subscribe_steps(
+            self, subscriber, low, high, degraded=degraded, trace=trace
+        )
 
     def refresh_replicas(self) -> int:
-        """Anti-entropy sweep of the replication extension (if enabled)."""
+        """Anti-entropy sweep of the replication extension (if enabled):
+        every peer's :meth:`replica_refresh_steps`, driven in turn.
+        Returns the number of messages spent (one per peer)."""
+        if not self.config.replication:
+            return 0
+        return sum(
+            drive(self.replica_refresh_steps(address, None))
+            for address in self.addresses()
+        )
+
+    def replica_refresh_steps(
+        self,
+        address: Address,
+        trace: Optional[Trace],
+        degraded: Optional[Callable[[], bool]] = None,
+    ) -> MessageSteps:
+        """Re-anchor one peer's mirror at its current adjacent
+        (:func:`repro.core.replication.refresh_peer_steps`); returns the
+        messages spent.  A peer-initiated transfer: no ingress hop."""
         from repro.core import replication
 
         if not self.config.replication:
             return 0
-        return replication.refresh_replicas(self)
+        if degraded is not None and address not in self.peers:
+            return 0  # vanished between submission rounds
+        return (yield from replication.refresh_peer_steps(self, self.peer(address)))
+
+    # -- runtime hooks ------------------------------------------------------------
+
+    def attach(self, sim, topology) -> None:
+        """Run on an event runtime's clock: routing-table refreshes land
+        one sampled link delay after they are sent (``UpdateChannel``'s
+        scheduled mode), and the locality extension's protocol decisions
+        (join probing, replica diversity) read the run's topology — only
+        its deterministic ``direct_delay``/``region_of`` surface, so
+        installing it perturbs nothing when the locality knobs are off."""
+        self.updates.attach(sim, topology)
+        self.topology = topology
+
+    def reconcile(self) -> int:
+        """One anti-entropy round: refresh every peer's links to ground truth.
+
+        Concurrent operations read each other's link state mid-refresh, so
+        at quiescence third-party snapshots (ranges, child flags, table
+        entries) can be stale in ways the synchronous protocols never
+        produce — a real deployment runs a periodic maintenance sweep for
+        exactly this reason.  Like the restructuring link rebuild this
+        substitutes the position map for the peer-to-peer exchange
+        (the documented cost-model substitution; compare ``bulk_load``),
+        but the traffic is no longer free: each refreshed peer is charged
+        one RECONCILE digest message to a live neighbour — the modeled
+        cost of the exchange (DESIGN.md, "Durability contract") — so
+        maintenance traffic is a first-class, sweepable metric.  Returns
+        the number of messages spent.
+        """
+        from repro.core import cache as route_cache_protocol
+        from repro.core import restructure as restructure_protocol
+
+        view = restructure_protocol.MapView(self, include_ghosts=bool(self.ghosts))
+        validate_routes = route_cache_protocol.cache_enabled(self)
+        messages = 0
+        for peer in list(self.peers.values()):
+            partner = self._reconcile_partner(peer)
+            if partner is not None:
+                self.count_message(peer.address, partner, MsgType.RECONCILE)
+                messages += 1
+            restructure_protocol.refresh_links_from_map(view, peer)
+            if validate_routes:
+                # The same sweep bounds hot-range cache staleness: dead
+                # owners dropped, moved ranges corrected (counted as
+                # invalidations; see repro.core.cache).
+                route_cache_protocol.reconcile_peer(self, peer)
+        return messages
+
+    def _reconcile_partner(self, peer: BatonPeer) -> Optional[Address]:
+        """A live neighbour to exchange the reconcile digest with."""
+        for info in (
+            peer.parent,
+            peer.left_adjacent,
+            peer.right_adjacent,
+            peer.left_child,
+            peer.right_child,
+        ):
+            if info is not None and info.address in self.peers:
+                return info.address
+        return None
+
+    def liveness_targets(self, address: Address) -> List[Address]:
+        """Peers ``address`` heartbeats in a liveness-monitor round: its
+        in-order adjacents, which together cover every peer, so a crash is
+        always *somebody's* dead neighbour."""
+        peer = self.peers.get(address)
+        if peer is None:
+            return []
+        targets = []
+        if peer.left_adjacent is not None:
+            targets.append(peer.left_adjacent.address)
+        if peer.right_adjacent is not None:
+            targets.append(peer.right_adjacent.address)
+        return targets
 
     # -- bulk loading -----------------------------------------------------------
 

@@ -11,8 +11,9 @@ dead peer's range.
 Consistency model (the "Durability contract" in DESIGN.md): write-through
 for inserts and deletes (one extra :attr:`~repro.net.message.MsgType.REPLICATE`
 message per update), plus an explicit anti-entropy pass
-(:func:`refresh_replicas`) that re-anchors each peer's mirror at its
-current adjacent after membership changes move ranges between peers.  That
+(``BatonNetwork.refresh_replicas``: :func:`refresh_peer_steps` for every
+peer) that re-anchors each peer's mirror at its current adjacent after
+membership changes move ranges between peers.  That
 mirrors how such schemes deploy in practice: cheap incremental upkeep with
 a periodic full sweep.  A replica restored after heavy un-refreshed churn
 is best-effort: restoration filters to the dead peer's final range so
@@ -42,7 +43,7 @@ from repro.net.address import Address
 from repro.net.message import MsgType
 from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError
-from repro.util.stepper import MessageSteps, drive
+from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -170,15 +171,6 @@ def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
         if owner_address not in net.peers and owner_address not in net.ghosts:
             del target.replicas[owner_address]
     return 1
-
-
-def refresh_replicas(net: "BatonNetwork") -> int:
-    """Anti-entropy sweep: re-anchor every peer's replica at its current
-    adjacent.  Returns the number of messages spent (one per peer)."""
-    messages = 0
-    for peer in list(net.peers.values()):
-        messages += drive(refresh_peer_steps(net, peer))
-    return messages
 
 
 def restore_from_replica_steps(

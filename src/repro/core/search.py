@@ -149,11 +149,12 @@ def may_give_up(
 ) -> bool:
     """A stranded walk's one policy question: stop best-effort, or raise?
 
-    ``degraded`` is the caller's notion of "stale or dead links are
-    expected" (the event runtime adds in-flight concurrency); ``None``
-    means the synchronous one, :func:`network_degraded`.
+    Yes when the network itself is degraded (:func:`network_degraded`) or
+    when ``degraded`` — the event runtime's "other operations are in
+    flight", None when driven synchronously — says links may have gone
+    stale between hops.
     """
-    return network_degraded(net) if degraded is None else degraded()
+    return network_degraded(net) or (degraded is not None and degraded())
 
 
 def hop_limit(net: "BatonNetwork") -> int:

@@ -58,7 +58,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: 2: ``BatonNetwork._positions`` keyed by heap code, ``NodeInfo`` a tuple.
 #: 3: a SHA-256 of the pickled bytes precedes them.
 #: 4: ``UpdateChannel`` holds the runtime's inbox-drain hook (``_drain``).
-SNAPSHOT_SCHEMA = 4
+#: 5: ``UpdateChannel`` schedules refreshes itself (``_sim``, ``_inbox``).
+SNAPSHOT_SCHEMA = 5
 
 #: Length of the digest that precedes every stored pickle.
 DIGEST_BYTES = hashlib.sha256().digest_size

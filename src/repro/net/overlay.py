@@ -42,6 +42,12 @@ class OverlayNetwork:
     #: ``Overlay`` protocol").
     capabilities: ClassVar[frozenset] = frozenset()
 
+    def attach(self, sim, topology) -> None:
+        """Hook the event runtime calls once when it wraps this network,
+        handing over its simulator and topology; a no-op for overlays
+        whose state does not ride the clock (BATON's deferred table
+        refreshes do)."""
+
     def join(self, via: Optional[Address] = None) -> "JoinResult":
         """Add one peer, contacting ``via``."""
         start = via if via is not None else self.random_peer_address()

@@ -20,11 +20,13 @@ spellings — and the same unified result dataclasses, including the
 written once per overlay as a step generator that the inherited sync
 facade drives and :class:`~repro.sim.runtime.AsyncOverlayRuntime` resumes
 hop by hop, so all three execute joins, leaves, searches and writes as
-interleaved simulator events under identical workloads.  Chord and the
-multiway tree are wrapped by that runtime itself; only BATON, with
-runtime-only extension ops, names a subclass (:class:`AsyncBatonNetwork`).
+interleaved simulator events under identical workloads.  The same runtime
+wraps all three: BATON's extension ops (fail, repair, replica refresh,
+multicast, subscribe) are step generators on
+:class:`~repro.core.network.BatonNetwork` too, behind their capabilities.
 Adding an overlay is a network class (``overlay_name``, ``capabilities``,
-``domain``, the five step generators) plus one :func:`register` call.
+``domain``, the five step generators, one per declared extension op) plus
+one :func:`register` call.
 """
 
 from repro.chord.network import ChordNetwork
@@ -42,7 +44,7 @@ from repro.overlays.protocol import (
     Overlay,
 )
 from repro.overlays.registry import OverlayEntry, available, get, register
-from repro.sim.runtime import AsyncBatonNetwork, AsyncOverlayRuntime
+from repro.sim.runtime import AsyncOverlayRuntime
 
 
 def _replicated_baton_config():
@@ -57,7 +59,6 @@ register(
             "range multicast/pub-sub"
         ),
         network_cls=BatonNetwork,
-        runtime_cls=AsyncBatonNetwork,
         replicated_config=_replicated_baton_config,
     )
 )
@@ -84,7 +85,6 @@ __all__ = [
     "Overlay",
     "OverlayEntry",
     "AsyncOverlayRuntime",
-    "AsyncBatonNetwork",
     "available",
     "get",
     "register",

@@ -25,7 +25,10 @@ Required surface (structural, checked by the conformance suite):
   / ``delete`` — the sync facade inherited from
   :class:`~repro.net.overlay.OverlayNetwork`, each
   ``with bus.trace(...) as trace: return drive(<op>_steps(..., trace))``;
-* ``bulk_load(keys)`` — untimed initial placement.
+* ``bulk_load(keys)`` — untimed initial placement;
+* ``attach(sim, topology)`` — the hook the async runtime calls once when
+  it wraps the network (a no-op inherited from ``OverlayNetwork`` unless
+  state rides the clock, as BATON's table refreshes do).
 
 Optional capabilities — abrupt ``fail``/``repair``, load ``balance``,
 ``reconcile`` anti-entropy, ``replication``, and the dissemination pair
@@ -34,7 +37,16 @@ advertised on the registry entry
 (:class:`~repro.overlays.registry.OverlayEntry`) and on the async runtime
 (:meth:`~repro.sim.runtime.AsyncOverlayRuntime.supports`) rather than
 stubbed with no-ops, so comparisons never silently measure a missing
-feature.
+feature.  A declared capability brings its network surface, which the
+runtime reaches only behind the declaration: ``fail_steps`` and
+``liveness_targets`` (``fail``); ``repair_steps``, ``repair_all(attempt)``
+and ``ghosts`` (``repair``); ``reconcile()``; ``replica_refresh_steps``
+and ``config.replication`` (``replication``); ``multicast_steps``;
+``subscribe_steps``.  The extension step generators take ``(target, ...,
+trace, degraded=None)`` like the five above — BATON's live on
+:class:`~repro.core.network.BatonNetwork`, delegating to
+:mod:`repro.core.failure`, :mod:`repro.core.replication` and
+:mod:`repro.pubsub`.
 """
 
 from __future__ import annotations

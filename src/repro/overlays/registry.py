@@ -1,4 +1,4 @@
-"""The overlay registry: names to network classes (and their runtimes).
+"""The overlay registry: names to network classes.
 
 Experiments, the CLI, benchmarks and the concurrent workload driver all
 select overlays by name — ``overlays.get("baton")`` — so adding a fourth
@@ -32,14 +32,12 @@ from repro.util.errors import CapabilityError
 
 @dataclass(frozen=True)
 class OverlayEntry:
-    """One registered overlay: its sync network class and the async runtime
-    that wraps it."""
+    """One registered overlay: its sync network class (which
+    :class:`AsyncOverlayRuntime` wraps, with no code of its own per
+    overlay)."""
 
     description: str
     network_cls: type
-    #: The generic runtime drives every overlay's shared operations; only
-    #: an overlay with runtime-only operations of its own names a subclass.
-    runtime_cls: type = AsyncOverlayRuntime
     #: Builds a network config with data replication turned on, for
     #: overlays that advertise the ``replication`` capability (None
     #: everywhere else — the capability check refuses first).
@@ -105,7 +103,7 @@ class OverlayEntry:
             bulk=kwargs.pop("bulk", False),
             keys=kwargs.pop("keys", None),
         )
-        return self.runtime_cls(net, topology=topology, **kwargs)
+        return AsyncOverlayRuntime(net, topology=topology, **kwargs)
 
     def _build_base(self, n_peers: int, seed: int, *, config, bulk, keys):
         """The synchronous network under :meth:`build_async`, snapshot-
@@ -144,7 +142,7 @@ class OverlayEntry:
         **kwargs,
     ) -> AsyncOverlayRuntime:
         """Wrap an existing synchronous network in the async runtime."""
-        return self.runtime_cls(net, sim=sim, topology=topology, **kwargs)
+        return AsyncOverlayRuntime(net, sim=sim, topology=topology, **kwargs)
 
 
 _REGISTRY: Dict[str, OverlayEntry] = {}

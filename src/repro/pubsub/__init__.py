@@ -2,7 +2,8 @@
 
 The dissemination subsystem (DESIGN.md, "Dissemination contract").  Three
 pieces, all written as step generators so the sync facades and the event
-runtime execute the same code:
+runtime execute the same code (both reach the multicast and subscription
+walks through ``BatonNetwork.multicast_steps`` / ``subscribe_steps``):
 
 * :mod:`repro.pubsub.multicast` — the range-multicast primitive (route to
   the range's LCA region, delegate disjoint sub-intervals over the tree
@@ -22,9 +23,6 @@ set, which the hashed Chord ring and the multiway baseline do not offer.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
-
-from repro.net.address import Address
 from repro.pubsub.multicast import (
     MulticastResult,
     flood_steps,
@@ -41,32 +39,6 @@ from repro.pubsub.subscribe import (
     subscribe_steps,
     transfer_subscriptions,
 )
-from repro.util.stepper import drive
-
-if TYPE_CHECKING:
-    from repro.core.network import BatonNetwork
-
-
-def multicast(
-    net: "BatonNetwork", low: int, high: int, via: Optional[Address] = None
-) -> MulticastResult:
-    """Synchronous facade: deliver to every owner of ``[low, high)``."""
-    start = via if via is not None else net.random_peer_address()
-    with net.bus.trace("multicast") as trace:
-        result = drive(multicast_steps(net, start, low, high))
-    result.trace = trace
-    return result
-
-
-def subscribe(
-    net: "BatonNetwork", subscriber: Address, low: int, high: int
-) -> SubscribeResult:
-    """Synchronous facade: install a subscription at every range owner."""
-    with net.bus.trace("subscribe") as trace:
-        result = drive(subscribe_steps(net, subscriber, low, high))
-    result.trace = trace
-    return result
-
 
 __all__ = [
     "MulticastResult",
@@ -77,11 +49,9 @@ __all__ = [
     "apply_delivery",
     "flood_steps",
     "install_subscription",
-    "multicast",
     "multicast_steps",
     "notify_steps",
     "range_owners",
-    "subscribe",
     "subscribe_steps",
     "transfer_subscriptions",
     "unicast_steps",

@@ -167,6 +167,7 @@ def multicast_steps(
     *,
     size: float = 1.0,
     degraded: Optional[Callable[[], bool]] = None,
+    trace: Optional["Trace"] = None,
 ):
     """Deliver one message to every peer owning part of ``[low, high)``.
 
@@ -175,6 +176,7 @@ def multicast_steps(
     docstring for why this is |owners| − 1 fan-out messages at O(log N)
     depth).  Every delegation is a counted ``MULTICAST`` message and a
     yielded hop; application is deduplicated per dissemination id.
+    ``trace`` (the op's; never read here) rides on the result.
     """
     if low >= high:
         raise ValueError(f"empty multicast range [{low}, {high})")
@@ -234,6 +236,7 @@ def multicast_steps(
         depth=depth_max,
         complete=complete,
         duplicates_suppressed=suppressed,
+        trace=trace,
     )
 
 

@@ -87,12 +87,13 @@ def subscribe_steps(
     high: int,
     *,
     degraded=None,
+    trace: Optional["Trace"] = None,
 ):
     """Install a subscription for ``[low, high)`` at every range owner.
 
     Routes from the subscriber to the owner of ``low``, then walks right
     adjacents over the range (the §IV-B expansion), installing the entry
-    at each overlapping owner.
+    at each overlapping owner.  ``trace`` rides on the result.
     """
     if low >= high:
         raise ValueError(f"empty subscription range [{low}, {high})")
@@ -136,6 +137,7 @@ def subscribe_steps(
         owners=tuple(owners),
         messages=route_hops + walk_hops,
         complete=complete,
+        trace=trace,
     )
 
 

@@ -10,10 +10,15 @@ experiment — events with latencies drawn per link from a
 :class:`Topology` (scalar :class:`LatencyModel` distributions are the
 degenerate single-region case), executed in timestamp order.
 
-:class:`AsyncBatonNetwork` builds the full concurrent regime on top: every
-BATON operation decomposed into per-hop scheduled events, any number in
+:class:`AsyncOverlayRuntime` builds the full concurrent regime on top: every
+overlay operation decomposed into per-hop scheduled events, any number in
 flight at once, completion delivered through :class:`OpFuture` — see
-:mod:`repro.sim.runtime`.
+:mod:`repro.sim.runtime`.  It holds no overlay's protocol: every operation,
+BATON's extension ops included, is a step generator on the network class
+(``repro.core.network.BatonNetwork.fail_steps``, ``repair_steps``,
+``replica_refresh_steps``, ``multicast_steps``, ``subscribe_steps``,
+delegating to :mod:`repro.core.failure`, :mod:`repro.core.replication`
+and :mod:`repro.pubsub`).
 """
 
 from repro.sim.engine import Event, Simulator
@@ -23,7 +28,7 @@ from repro.sim.latency import (
     LatencyModel,
     UniformLatency,
 )
-from repro.sim.runtime import AsyncBatonNetwork, AsyncOverlayRuntime, OpFuture
+from repro.sim.runtime import AsyncOverlayRuntime, OpFuture
 from repro.sim.topology import (
     ClusteredTopology,
     CoordinateTopology,
@@ -46,7 +51,6 @@ __all__ = [
     "ConstantLatency",
     "UniformLatency",
     "ExponentialLatency",
-    "AsyncBatonNetwork",
     "AsyncOverlayRuntime",
     "OpFuture",
 ]

@@ -9,17 +9,20 @@ and the next message being sent.
 :class:`AsyncOverlayRuntime` closes that gap for any overlay implementing
 the :mod:`repro.overlays` protocol.  It wraps a synchronous network and
 runs every public operation — join, leave, exact search, range search,
-insert, delete (plus fail, where supported) — as a *hop generator*: a
+insert, delete, plus the optional fail, repair, replica refresh, multicast
+and subscribe where the overlay declares them — as a *hop generator*: a
 Python generator that performs one protocol step (one message exchange)
 and then yields a :class:`~repro.sim.topology.Hop` declaring which pair of
 peers the next message travels between.  Each op generator is the
 client-ingress hop plus a ``yield from`` of the network's own step
 generator for that op (:mod:`repro.util.stepper`; ``join_steps``,
 ``leave_steps``, ``search_exact_steps``, ``search_range_steps``,
-``data_op_steps``) — the very one the synchronous facade drives — handed
-the future's trace and the walks' give-up predicate, so no decision is
-written twice (inbox drains, race re-walks and sized handover hops live in
-those shared generators, inert under ``drive``).  The runtime
+``data_op_steps``, and BATON's ``fail_steps``, ``repair_steps``,
+``multicast_steps``, ``subscribe_steps``) — the very one the synchronous
+facade drives — handed the future's trace and the walks' give-up
+predicate, so no decision is written twice (inbox drains, race re-walks
+and sized handover hops live in those shared generators, inert under
+``drive``).  The runtime
 prices each hop per link through the run's :class:`~repro.sim.topology.Topology`
 (``sample(src, dst, size=...)``) and schedules the resumption on the shared
 :class:`~repro.sim.engine.Simulator`, so any number of operations
@@ -27,11 +30,12 @@ interleave at hop granularity while each individual step stays atomic.
 Completion is exposed through :class:`OpFuture` (result, error, latency,
 accumulated transit time, done-callbacks).
 
-:class:`AsyncOverlayRuntime` itself wraps every overlay that adds no
-runtime-only operations (Chord and the multiway tree: their concurrency
-semantics are documented on their networks).  :class:`AsyncBatonNetwork`
-adds BATON's: deferred routing-table update delivery, the ``reconcile()``
-anti-entropy sweep, fail/repair, replica refresh and multicast/subscribe.
+:class:`AsyncOverlayRuntime` wraps every overlay and holds no code of
+any one of them: each network documents its own concurrency semantics,
+and the one thing that rides the clock outside an operation — BATON's
+routing-table refreshes — is scheduled by the network's
+:class:`~repro.core.network.UpdateChannel`, which the runtime hands its
+simulator and topology at construction (``net.attach``).
 
 Fidelity notes:
 
@@ -48,8 +52,9 @@ Fidelity notes:
   request), a range walk truncates, a join re-enters through a fresh
   contact, a replacement walk reports a dead end and is re-walked.
   Queries that merely get boxed in by stale links give up and report the
-  last peer reached: the walks ask ``_routing_degraded`` (the synchronous
-  notion plus "other operations are in flight") whether that is allowed.
+  last peer reached: the walks ask the network's own notion of degraded
+  plus the runtime's ``_routing_degraded`` ("other operations are in
+  flight") whether that is allowed.
 * Every operation is admitted by ``_submit`` and stepped by one
   ``_resume`` / ``_deliver`` pair; ``_submit`` also picks the channel its
   hops ride — judged at-least-once or reliable (DESIGN.md, "Delivery
@@ -64,10 +69,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Generator, List, Optional, Set
 
-from repro.core import cache as route_cache_protocol
-from repro.core import failure as failure_protocol
-from repro.core import search as search_protocol
-from repro.core.network import BatonNetwork
 from repro.core.ranges import Range
 from repro.core.results import RepairResult
 from repro.net.address import Address
@@ -174,6 +175,17 @@ class OpFuture:
         return f"<OpFuture #{self.op_id} {self.kind} {self.status}>"
 
 
+def _ingress(first: Address, steps: OpSteps) -> OpSteps:
+    """A client-submitted op: the hop that carries the request to ``first``
+    (its entry peer, contact or target), then the network's own steps.
+
+    ``steps`` is built at admission, which runs no protocol code: a step
+    generator does nothing until it is first resumed, here after the hop.
+    """
+    yield Hop(None, first)
+    return (yield from steps)
+
+
 class _Advance:
     """One operation's resumption: the action every one of its hops schedules.
 
@@ -231,11 +243,12 @@ class AsyncOverlayRuntime:
     submission sequence) replays the exact same event order — the
     ``event_log`` records it for comparison.
 
-    Join, leave, both searches, insert and delete run the wrapped
-    network's step generators, so any overlay satisfying the
-    :class:`~repro.overlays.Overlay` protocol is driven with no code of
-    its own here; a subclass exists only to add runtime-only operations
-    (:class:`AsyncBatonNetwork`).  The network declares the overlay's name
+    Every operation runs the wrapped network's step generator, so any
+    overlay satisfying the :class:`~repro.overlays.Overlay` protocol is
+    driven with no code of its own here — optional operations and
+    maintenance (``reconcile``, ``repair_all``, ``liveness_targets``)
+    included, each reached only where the network declares the
+    capability.  The network declares the overlay's name
     and ``capabilities``; :meth:`_submit` refuses —
     :class:`CapabilityError` — any operation whose capability it does not
     declare.  Construction goes through the registry
@@ -281,6 +294,7 @@ class AsyncOverlayRuntime:
         self._in_flight = 0
         self._op_ids = itertools.count(1)
         self._pending_leaves: Set[Address] = set()
+        net.attach(self.sim, self.topology)
 
     # -- clock ----------------------------------------------------------------
 
@@ -315,11 +329,11 @@ class AsyncOverlayRuntime:
         """Whether the wrapped network is actually mirroring data (the
         ``replication`` capability says it *can*; this says the run's
         config turned it on)."""
-        return False
+        return self.supports("replication") and bool(self.net.config.replication)
 
     def pending_repairs(self) -> List[Address]:
         """Crashed peers awaiting repair (empty where unsupported)."""
-        return []
+        return sorted(self.net.ghosts) if self.supports("repair") else []
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Advance the simulator; returns the number of events executed."""
@@ -335,11 +349,23 @@ class AsyncOverlayRuntime:
     def reconcile(self) -> int:
         """Anti-entropy sweep; returns the number of maintenance messages
         spent (overlays without a sweep return 0)."""
-        return 0
+        return self.net.reconcile() if self.supports("reconcile") else 0
 
     def repair_all(self) -> List[RepairResult]:
-        """Repair outstanding abrupt failures, where the overlay supports it."""
-        return []
+        """Repair every outstanding crash, priced, where the overlay
+        supports it: the network's retry-in-passes loop, each repair
+        going through :meth:`submit_repair` and the simulator so replica
+        pulls cross priced links as sized hops.  Drains the simulator
+        between repairs; callers invoke this at quiescence."""
+        if not self.supports("repair"):
+            return []
+
+        def attempt(address: Address) -> Optional[RepairResult]:
+            future = self.submit_repair(address)
+            self.drain()
+            return future.result if future.succeeded else None
+
+        return self.net.repair_all(attempt)
 
     # -- submission API -------------------------------------------------------
     #
@@ -348,38 +374,32 @@ class AsyncOverlayRuntime:
     def submit_search_exact(
         self, key: int, via: Optional[Address] = None
     ) -> OpFuture:
-        return self._submit("search.exact", self._search_exact_steps, key, entry=via)
+        return self._submit("search.exact", "search_exact_steps", key, entry=via)
 
     def submit_search_range(
         self, low: int, high: int, via: Optional[Address] = None
     ) -> OpFuture:
         if low >= high:
             raise ValueError(f"empty query range [{low}, {high})")
-        return self._submit(
-            "search.range", self._search_range_steps, low, high, entry=via
-        )
+        return self._submit("search.range", "search_range_steps", low, high, entry=via)
 
     def submit_insert(self, key: int, via: Optional[Address] = None) -> OpFuture:
-        return self._submit(
-            "insert", self._data_op_steps, key, MsgType.INSERT, entry=via
-        )
+        return self._submit("insert", "data_op_steps", key, MsgType.INSERT, entry=via)
 
     def submit_delete(self, key: int, via: Optional[Address] = None) -> OpFuture:
-        return self._submit(
-            "delete", self._data_op_steps, key, MsgType.DELETE, entry=via
-        )
+        return self._submit("delete", "data_op_steps", key, MsgType.DELETE, entry=via)
 
     def submit_join(self, via: Optional[Address] = None) -> OpFuture:
         # The contact peer is an argument of the walk, not the future's
         # ``entry``: membership operations have no entry->owner stretch.
         start = via if via is not None else self.net.random_peer_address()
-        return self._submit("join", self._join_steps, start)
+        return self._submit("join", "join_steps", start)
 
     def submit_leave(self, address: Address) -> OpFuture:
         if address in self._pending_leaves:
             raise ValueError(f"a leave of address {address} is already in flight")
         self._pending_leaves.add(address)
-        future = self._submit("leave", self._leave_steps, address)
+        future = self._submit("leave", "leave_steps", address)
         future.add_done_callback(
             lambda _fut: self._pending_leaves.discard(address)
         )
@@ -398,7 +418,7 @@ class AsyncOverlayRuntime:
         if low >= high:
             raise ValueError(f"empty multicast range [{low}, {high})")
         return self._submit(
-            "multicast", self._multicast_steps, low, high, entry=via, needs="multicast"
+            "multicast", "multicast_steps", low, high, entry=via, needs="multicast"
         )
 
     def submit_subscribe(
@@ -416,7 +436,7 @@ class AsyncOverlayRuntime:
             raise ValueError(f"empty subscription range [{low}, {high})")
         return self._submit(
             "subscribe",
-            self._subscribe_steps,
+            "subscribe_steps",
             low,
             high,
             entry=subscriber,
@@ -425,7 +445,7 @@ class AsyncOverlayRuntime:
 
     def submit_fail(self, address: Address) -> OpFuture:
         """Schedule an abrupt crash of ``address`` one latency from now."""
-        return self._submit("fail", self._fail_steps, address, needs="fail")
+        return self._submit("fail", "fail_steps", address, needs="fail")
 
     def submit_repair(self, address: Address) -> OpFuture:
         """Submit the repair of a crashed peer as a priced operation.
@@ -435,7 +455,7 @@ class AsyncOverlayRuntime:
         restores the dead peer's keys follows as sized hops, so the
         future's latency is the crash's *data recovery* time.
         """
-        return self._submit("repair", self._repair_steps, address, needs="repair")
+        return self._submit("repair", "repair_steps", address, needs="repair")
 
     def submit_replica_refresh(self) -> List[OpFuture]:
         """Submit one replica-refresh operation per live peer.
@@ -449,7 +469,7 @@ class AsyncOverlayRuntime:
         return [
             self._submit(
                 "replica.refresh",
-                self._replica_refresh_steps,
+                "replica_refresh_steps",
                 address,
                 needs="replication",
                 reliable=True,
@@ -501,10 +521,12 @@ class AsyncOverlayRuntime:
         # ``pending`` starts at 1: that sentinel keeps an all-synchronous
         # round (or one whose early transfers land while later ones are
         # still being submitted — impossible today, but cheap to guard)
-        # from finishing twice; the last ``join`` releases it.
+        # from finishing twice; the last ``join`` releases it.  One
+        # predicate object serves the whole round.
+        refresh, degraded = self.net.replica_refresh_steps, self._routing_degraded
         for address in self.net.addresses():
             pending += 1
-            resume(self._replica_refresh_steps(future, address))
+            resume(refresh(address, future.trace, degraded))
         join(0)
         return future
 
@@ -516,90 +538,19 @@ class AsyncOverlayRuntime:
             if address not in self._pending_leaves
         ]
 
-    # -- hop generators -------------------------------------------------------
-    #
-    # Each op is the client-ingress hop plus the network's own step
-    # generator for it (the one its sync facade drives), handed the op's
-    # trace and ``_routing_degraded``.  Subclasses implement the generators
-    # of the optional operations they declare.
-
-    def _search_exact_steps(
-        self, future: OpFuture, start: Address, key: int
-    ) -> OpSteps:
-        yield Hop(None, start)  # the request reaches its entry peer
-        return (
-            yield from self.net.search_exact_steps(
-                start, key, future.trace, self._routing_degraded
-            )
-        )
-
-    def _search_range_steps(
-        self, future: OpFuture, start: Address, low: int, high: int
-    ) -> OpSteps:
-        yield Hop(None, start)
-        return (
-            yield from self.net.search_range_steps(
-                start, low, high, future.trace, self._routing_degraded
-            )
-        )
-
-    def _data_op_steps(
-        self, future: OpFuture, start: Address, key: int, mtype: MsgType
-    ) -> OpSteps:
-        yield Hop(None, start)
-        return (
-            yield from self.net.data_op_steps(
-                start, key, mtype, future.trace, self._routing_degraded
-            )
-        )
-
-    def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
-        yield Hop(None, start)  # the join request reaches its entry peer
-        return (
-            yield from self.net.join_steps(
-                start, future.trace, self._routing_degraded
-            )
-        )
-
-    def _leave_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        yield Hop(None, address)  # the departure intent is announced
-        return (
-            yield from self.net.leave_steps(
-                address, future.trace, self._routing_degraded
-            )
-        )
-
     def _routing_degraded(self) -> bool:
         """Whether stale links can legitimately strand an operation:
         other operations are in flight, so links observed at one hop may
-        be stale by the next."""
+        be stale by the next (the network adds its own notion — BATON's
+        unrepaired crashes and in-flight refreshes — in ``may_give_up``)."""
         return self._in_flight > 1
-
-    def _multicast_steps(
-        self, future: OpFuture, start: Address, low: int, high: int
-    ) -> OpSteps:
-        raise NotImplementedError
-
-    def _subscribe_steps(
-        self, future: OpFuture, start: Address, low: int, high: int
-    ) -> OpSteps:
-        raise NotImplementedError
-
-    def _fail_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        raise NotImplementedError
-
-    def _repair_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        raise NotImplementedError
-
-    def _replica_refresh_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        raise NotImplementedError
 
     # -- admission and stepping ----------------------------------------------
 
     def _submit(
         self,
         kind: str,
-        steps_fn: Optional[Callable[..., OpSteps]],
+        op: Optional[str],
         *args,
         entry: object = _NO_ENTRY,
         needs: Optional[str] = None,
@@ -611,11 +562,15 @@ class AsyncOverlayRuntime:
         declare is refused before anything observable exists (no future,
         no rng draw, no log row).  Query, data and pub/sub operations pass
         ``entry=via`` and enter at a random live peer when it is None;
-        membership and maintenance operations enter nowhere.
-        ``steps_fn(future, [entry,] *args)`` builds the hop generator,
-        whose first protocol step runs before this returns; with None the
-        caller fans its own step streams out over the admitted future
-        (the batched refresh sweep).
+        membership and maintenance operations enter nowhere.  ``op``
+        names the network's step generator — the one its sync facade
+        drives — called with ``([entry,] *args)``, the op's trace and
+        :meth:`_routing_degraded`, and run behind the client-ingress hop
+        (:func:`_ingress`); its first protocol step runs before this
+        returns.  A ``reliable`` transfer (the replica refresh) is started
+        by a peer itself: no ingress hop, and the reliable channel.  With
+        ``op=None`` the caller fans its own step streams out over the
+        admitted future (the batched refresh sweep).
         """
         if needs is not None and needs not in self.net.capabilities:
             raise CapabilityError(
@@ -640,9 +595,11 @@ class AsyncOverlayRuntime:
             self.max_in_flight = self._in_flight
         if self.record_events:
             self._log(future, "submit")
-        if steps_fn is None:
+        if op is None:
             return future
-        steps = steps_fn(future, *args)
+        steps = getattr(self.net, op)(*args, future.trace, self._routing_degraded)
+        if not reliable:
+            steps = _ingress(args[0], steps)
         # The channel is chosen here, once per operation: with a FaultPlan
         # installed every hop is handed to ``_transmit`` (judge, timeout,
         # retry with backoff) — except the ``reliable`` connection-oriented
@@ -777,243 +734,11 @@ class AsyncOverlayRuntime:
         The overlay's failure-detection neighbours (for BATON, the
         in-order adjacents: together they cover every peer, so a crash is
         always *somebody's* dead neighbour).  Empty where the overlay
-        exposes no monitorable adjacency.
+        cannot fail.
         """
-        return []
+        return self.net.liveness_targets(address) if self.supports("fail") else []
 
     def _log(self, future: OpFuture, phase: str) -> None:
         self.event_log.append(
             (self.sim.now, future.op_id, future.kind, phase, future.trace.total)
         )
-
-
-class AsyncBatonNetwork(AsyncOverlayRuntime):
-    """Concurrent-operation facade over a :class:`BatonNetwork`.
-
-    Beyond the shared runtime machinery — which runs BATON's join, leave,
-    searches and writes like any overlay's — this adds the BATON-specific
-    concurrency surface and extension ops (fail, repair, replica refresh,
-    multicast, subscribe): routing-table refreshes ride the same clock (the
-    wrapped network's :class:`~repro.core.network.UpdateChannel` is given a
-    delivery sink that schedules each receiver-side application one sampled
-    latency later, so queries issued inside an update window genuinely race
-    stale links), peers drain their inbox before structural handshakes, and
-    :meth:`reconcile` is the periodic anti-entropy sweep that restores exact
-    invariants at quiescence.
-    """
-
-    def __init__(
-        self,
-        net: BatonNetwork,
-        *,
-        sim: Optional[Simulator] = None,
-        topology: Optional[Topology] = None,
-        record_events: bool = True,
-        retain_ops: bool = True,
-    ):
-        super().__init__(
-            net,
-            sim=sim,
-            topology=topology,
-            record_events=record_events,
-            retain_ops=retain_ops,
-        )
-        self._inflight_updates: dict[Address, List[tuple]] = {}
-        self._last_update_arrival: dict[Address, float] = {}
-        self.net.updates.set_sink(self._deliver_update, self._flush_updates_to)
-        # The locality extension's protocol decisions (join probing,
-        # replica diversity) read the run's topology through the network;
-        # only its deterministic direct_delay/region_of surface is ever
-        # consulted, so installing it perturbs nothing when the locality
-        # knobs are off.
-        self.net.topology = self.topology
-
-    @property
-    def replication_enabled(self) -> bool:
-        return bool(self.net.config.replication)
-
-    def pending_repairs(self) -> List[Address]:
-        return sorted(self.net.ghosts)
-
-    def liveness_targets(self, address: Address) -> List[Address]:
-        peer = self.net.peers.get(address)
-        if peer is None:
-            return []
-        targets = []
-        if peer.left_adjacent is not None:
-            targets.append(peer.left_adjacent.address)
-        if peer.right_adjacent is not None:
-            targets.append(peer.right_adjacent.address)
-        return targets
-
-    def reconcile(self) -> int:
-        """One anti-entropy round: refresh every peer's links to ground truth.
-
-        Concurrent operations read each other's link state mid-refresh, so
-        at quiescence third-party snapshots (ranges, child flags, table
-        entries) can be stale in ways the synchronous protocols never
-        produce — a real deployment runs a periodic maintenance sweep for
-        exactly this reason.  Like the restructuring link rebuild this
-        substitutes the position map for the peer-to-peer exchange
-        (the documented cost-model substitution; compare ``bulk_load``),
-        but the traffic is no longer free: each refreshed peer is charged
-        one RECONCILE digest message to a live neighbour — the modeled
-        cost of the exchange (DESIGN.md, "Durability contract") — so
-        maintenance traffic is a first-class, sweepable metric.  Returns
-        the number of messages spent.
-        """
-        from repro.core import restructure as restructure_protocol
-
-        view = restructure_protocol.MapView(
-            self.net, include_ghosts=bool(self.net.ghosts)
-        )
-        validate_routes = route_cache_protocol.cache_enabled(self.net)
-        messages = 0
-        for peer in list(self.net.peers.values()):
-            partner = self._reconcile_partner(peer)
-            if partner is not None:
-                self.net.count_message(peer.address, partner, MsgType.RECONCILE)
-                messages += 1
-            restructure_protocol.refresh_links_from_map(view, peer)
-            if validate_routes:
-                # The same sweep bounds hot-range cache staleness: dead
-                # owners dropped, moved ranges corrected (counted as
-                # invalidations; see repro.core.cache).
-                route_cache_protocol.reconcile_peer(self.net, peer)
-        return messages
-
-    def _reconcile_partner(self, peer) -> Optional[Address]:
-        """A live neighbour to exchange the reconcile digest with."""
-        for info in (
-            peer.parent,
-            peer.left_adjacent,
-            peer.right_adjacent,
-            peer.left_child,
-            peer.right_child,
-        ):
-            if info is not None and info.address in self.net.peers:
-                return info.address
-        return None
-
-    def repair_all(self) -> List[RepairResult]:
-        """Run the §III-C repair for every outstanding crash, priced.
-
-        The synchronous retry-in-passes loop
-        (:func:`repro.core.failure.repair_in_passes`), but each
-        repair goes through :meth:`submit_repair` and the simulator, so
-        replica pulls cross priced links as sized hops.  Drains the
-        simulator between repairs; callers invoke this at quiescence.
-        """
-
-        def attempt(address: Address) -> Optional[RepairResult]:
-            future = self.submit_repair(address)
-            self.drain()
-            return future.result if future.succeeded else None
-
-        return failure_protocol.repair_in_passes(self.net, attempt)
-
-    # -- update-sink plumbing -------------------------------------------------
-
-    def _deliver_update(
-        self, src: Address, dst: Address, deliver: Callable[[], None]
-    ) -> None:
-        """UpdateChannel sink: apply a table refresh one link delay later.
-
-        The delay is drawn for the actual (src, dst) link, so a refresh
-        crossing regions takes longer to land than one next door — queries
-        near a remote peer race a wider staleness window.  Deliveries to
-        the same receiver keep their send order (an ordered transport, as
-        TCP gives a real deployment); without this, two refreshes about the
-        same peer could apply newest-first and leave the receiver
-        permanently stale.
-        """
-        pending = self._inflight_updates.setdefault(dst, [])
-        entry: list = [None, deliver]
-
-        def fire() -> None:
-            try:
-                pending.remove(entry)
-            except ValueError:
-                pass
-            deliver()
-
-        # Priced like any other single message (size 1.0, matching Hop's
-        # default), so bandwidth-limited links delay refreshes and routed
-        # traffic alike — the staleness window they race is consistent.
-        arrival = self.sim.now + self.topology.sample(src, dst, size=1.0)
-        arrival = max(arrival, self._last_update_arrival.get(dst, 0.0))
-        self._last_update_arrival[dst] = arrival
-        entry[0] = self.sim.schedule_at(arrival, fire, label="table-update")
-        pending.append(entry)
-
-    def _flush_updates_to(self, address: Address) -> None:
-        """UpdateChannel drain hook: deliver every in-flight table refresh
-        addressed to ``address`` now (see ``UpdateChannel.drain``, which the
-        shared join and leave generators call before a handshake)."""
-        for event, deliver in self._inflight_updates.pop(address, []):
-            if self.sim.cancel(event):
-                deliver()
-
-    def _routing_degraded(self) -> bool:
-        """Whether stale links can legitimately strand an operation.
-
-        The synchronous notion (unrepaired failures, updates in flight)
-        plus concurrency itself: with other operations in the air, links
-        observed at one hop may be stale by the next.
-        """
-        return search_protocol.network_degraded(self.net) or self._in_flight > 1
-
-    # -- hop generators -------------------------------------------------------
-    #
-    # BATON's extension ops, each a step generator from ``repro.core`` or
-    # ``repro.pubsub`` behind the op's first hop.  The shared ops come from
-    # the base class.
-
-    def _multicast_steps(
-        self, future: OpFuture, start: Address, low: int, high: int
-    ) -> OpSteps:
-        from repro.pubsub.multicast import multicast_steps
-
-        yield Hop(None, start)  # the publish reaches its entry peer
-        return (
-            yield from multicast_steps(
-                self.net, start, low, high, degraded=self._routing_degraded
-            )
-        )
-
-    def _subscribe_steps(
-        self, future: OpFuture, start: Address, low: int, high: int
-    ) -> OpSteps:
-        from repro.pubsub.subscribe import subscribe_steps
-
-        yield Hop(None, start)  # the subscriber contacts the overlay
-        return (
-            yield from subscribe_steps(
-                self.net, start, low, high, degraded=self._routing_degraded
-            )
-        )
-
-    def _fail_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        yield Hop(None, address)  # the crash is observed one beat later
-        if address in self.net.peers:
-            self.net.fail(address)
-            return address
-        return None
-
-    def _repair_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        net = self.net
-        yield Hop(None, address)  # the failure report reaches the coordinator
-        if address not in net.ghosts:
-            return None  # already repaired (or never actually crashed)
-        return (yield from failure_protocol.repair_steps(net, address, future.trace))
-
-    def _replica_refresh_steps(self, future: OpFuture, address: Address) -> OpSteps:
-        from repro.core import replication
-
-        net = self.net
-        if not net.config.replication:
-            return 0
-        peer = net.peers.get(address)
-        if peer is None:
-            return 0  # vanished between submission rounds
-        return (yield from replication.refresh_peer_steps(net, peer))

@@ -18,7 +18,7 @@ from repro.sim.faults import (
 )
 from repro.sim.latency import ConstantLatency, ExponentialLatency
 from repro.sim.liveness import LivenessMonitor
-from repro.sim.runtime import AsyncBatonNetwork
+from repro.sim.runtime import AsyncOverlayRuntime
 from repro.sim.topology import ClusteredTopology
 from repro.util.errors import DeliveryError
 from repro.util.rng import SeededRng
@@ -174,7 +174,7 @@ class TestWindows:
 
 
 def build_anet(n_peers=60, seed=1, topology=None, **kwargs):
-    return AsyncBatonNetwork(
+    return AsyncOverlayRuntime(
         BatonNetwork.build(n_peers, seed=seed),
         topology=topology,
         **kwargs,

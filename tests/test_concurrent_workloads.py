@@ -7,7 +7,7 @@ from repro.core.invariants import collect_violations
 from repro.core.network import BatonConfig, BatonNetwork
 from repro.sim.engine import Simulator
 from repro.sim.latency import ExponentialLatency
-from repro.sim.runtime import AsyncBatonNetwork
+from repro.sim.runtime import AsyncOverlayRuntime
 from repro.util.rng import SeededRng
 from repro.workloads.concurrent import (
     ConcurrentConfig,
@@ -20,7 +20,7 @@ from repro.workloads.generators import uniform_keys
 
 
 def run_workload(seed: int = 7, **config_kwargs):
-    anet = AsyncBatonNetwork(
+    anet = AsyncOverlayRuntime(
         BatonNetwork.build(80, seed=1),
         topology=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
     )
@@ -125,7 +125,7 @@ class TestDriver:
 
 def replicated_anet(seed: int):
     """A loaded, replica-anchored N=60 BATON runtime and its keys."""
-    anet = AsyncBatonNetwork(
+    anet = AsyncOverlayRuntime(
         BatonNetwork.build(60, seed=1, config=BatonConfig(replication=True)),
         topology=ExponentialLatency(1.0, SeededRng(seed).child("latency")),
     )

@@ -27,7 +27,7 @@ from repro.core.results import (
 from repro.overlays import Overlay
 from repro.sim.latency import ConstantLatency
 from repro.sim.runtime import AsyncOverlayRuntime
-from repro.util.errors import CapabilityError
+from repro.util.errors import CapabilityError, PeerNotFoundError
 from repro.workloads.generators import uniform_keys
 
 ALL = overlays.available()
@@ -100,7 +100,7 @@ class TestRegistry:
         assert entry.name == name
         assert entry.description
         assert entry.capabilities == entry.network_cls.capabilities
-        assert issubclass(entry.runtime_cls, AsyncOverlayRuntime)
+        assert type(entry.wrap(entry.build(8))) is AsyncOverlayRuntime
 
     def test_capabilities_differ_by_overlay(self):
         assert overlays.FAIL in overlays.get("baton").capabilities
@@ -398,6 +398,72 @@ class TestAsyncConformance:
             assert future.result.balance_trace.total == expected.balance_trace.total
         assert balanced > 0
         assert snapshot("baton", sync) == snapshot("baton", anet.net)
+
+    def test_serialized_extension_ops_match_sync(self):
+        """BATON's extension ops with replication on — a refresh round,
+        fail then repair, subscribe and multicast — report the same
+        results and traces on both facades and converge to one structure."""
+        from repro.core.network import BatonConfig
+
+        entry = overlays.get("baton")
+        nets = [
+            entry.build(40, seed=3, config=BatonConfig(replication=True))
+            for _ in range(2)
+        ]
+        sync = nets[0]
+        anet = entry.wrap(nets[1], topology=ConstantLatency(1.0))
+        keys = uniform_keys(300, seed=9)
+        for net in nets:
+            net.bulk_load(keys)
+
+        future = anet.submit_replica_refresh_sweep()
+        anet.drain()
+        assert future.result == sync.refresh_replicas() == sync.size
+
+        leaf = next(a for a in sync.addresses() if sync.peer(a).is_leaf)
+        internal = next(a for a in sync.addresses() if not sync.peer(a).is_leaf)
+        recovered = 0
+        for victim in (internal, leaf):
+            sync.fail(victim)
+            expected = sync.repair(victim)
+            failed = anet.submit_fail(victim)
+            anet.drain()
+            assert failed.result == victim
+            future = anet.submit_repair(victim)
+            anet.drain()
+            assert future.succeeded, future.error
+            assert future.result.replacement == expected.replacement
+            assert future.result.keys_recovered == expected.keys_recovered
+            assert future.result.trace.total == expected.trace.total
+            recovered += expected.keys_recovered
+        assert recovered > 0
+        assert snapshot("baton", sync) == snapshot("baton", anet.net)
+
+        low, high = 2 * 10**8, 5 * 10**8
+        subscriber = sync.addresses()[5]
+        expected = sync.subscribe(subscriber, low, high)
+        future = anet.submit_subscribe(low, high, subscriber=subscriber)
+        anet.drain()
+        assert future.result.owners == expected.owners
+        assert future.result.trace.total == expected.trace.total > 0
+
+        start = sync.addresses()[7]
+        expected = sync.multicast(low, high, via=start)
+        future = anet.submit_multicast(low, high, via=start)
+        anet.drain()
+        assert future.result.delivered == expected.delivered
+        assert future.result.trace.total == expected.trace.total > 0
+        assert snapshot("baton", sync) == snapshot("baton", anet.net)
+
+        # A target already gone is a race only the runtime tolerates.
+        gone = leaf
+        for facade, submit in ((sync.fail, anet.submit_fail),
+                               (sync.repair, anet.submit_repair)):
+            with pytest.raises(PeerNotFoundError):
+                facade(gone)
+            future = submit(gone)
+            anet.drain()
+            assert future.succeeded and future.result is None
 
     @pytest.mark.parametrize("name", ALL)
     def test_interleaved_runs_deterministic(self, name):

@@ -31,14 +31,12 @@ from repro.pubsub import (
     Subscription,
     apply_delivery,
     install_subscription,
-    multicast,
     range_owners,
-    subscribe,
     transfer_subscriptions,
 )
 from repro.sim.faults import FaultPlan
 from repro.sim.latency import ConstantLatency
-from repro.sim.runtime import AsyncBatonNetwork
+from repro.sim.runtime import AsyncOverlayRuntime
 from repro.util.errors import CapabilityError
 from repro.util.rng import SeededRng
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -64,7 +62,7 @@ class TestMulticastDelivery:
         net = built(300, seed=5)
         low, high = SPAN
         owners = {p.address for p in range_owners(net, low, high)}
-        result = multicast(net, low, high)
+        result = net.multicast(low, high)
         assert result.complete
         assert len(result.delivered) == len(set(result.delivered))
         assert set(result.delivered) == owners
@@ -76,7 +74,7 @@ class TestMulticastDelivery:
             net = built(n_peers, seed=seed)
             low, high = SPAN
             owners = range_owners(net, low, high)
-            result = multicast(net, low, high)
+            result = net.multicast(low, high)
             assert result.fanout_messages == len(owners) - 1
             assert result.route_hops <= log_bound(n_peers)
             assert result.messages <= len(owners) + log_bound(n_peers)
@@ -92,7 +90,7 @@ class TestMulticastDelivery:
         start = net.random_peer_address()
         uni = drive(unicast_steps(net, start, low, high))
         flood = drive(flood_steps(net, start, low, high))
-        tree = multicast(net, low, high, via=start)
+        tree = net.multicast(low, high, via=start)
         assert set(uni.delivered) == owners
         assert set(flood.delivered) == owners
         # The showdown's ordering at its smallest: tree under unicast
@@ -102,7 +100,7 @@ class TestMulticastDelivery:
     def test_empty_range_rejected(self):
         net = built(30, seed=1)
         with pytest.raises(ValueError):
-            multicast(net, 10, 10)
+            net.multicast(10, 10)
 
     def test_sync_async_equivalence(self):
         """The serialized async path delivers the same set for the same
@@ -110,9 +108,9 @@ class TestMulticastDelivery:
         low, high = SPAN
         sync_net = built(150, seed=9)
         start = min(sync_net.addresses())
-        expected = multicast(sync_net, low, high, via=start)
+        expected = sync_net.multicast(low, high, via=start)
 
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             built(150, seed=9), topology=ConstantLatency(1.0)
         )
         future = anet.submit_multicast(low, high, via=start)
@@ -168,7 +166,7 @@ class TestSubscriptions:
         net = built(200, seed=6)
         low, high = SPAN
         subscriber = net.random_peer_address()
-        result = subscribe(net, subscriber, low, high)
+        result = net.subscribe(subscriber, low, high)
         assert result.complete
         owners = {p.address for p in range_owners(net, low, high)}
         assert set(result.owners) == owners
@@ -179,7 +177,7 @@ class TestSubscriptions:
         net = built(100, seed=8)
         low, high = SPAN
         subscriber = net.random_peer_address()
-        subscribe(net, subscriber, low, high)
+        net.subscribe(subscriber, low, high)
         before = net.pubsub.notifications
         net.insert((low + high) // 2)
         assert net.pubsub.notifications == before + 1
@@ -191,11 +189,11 @@ class TestSubscriptions:
         low, high = SPAN
         key = (low + high) // 2
         subscriber = net.random_peer_address()
-        subscribe(net, subscriber, low, high)
+        net.subscribe(subscriber, low, high)
         owner = net.search_exact(key).owner
         if owner == subscriber:  # keep the subscriber alive
             subscriber = net.search_exact(low).owner
-            subscribe(net, subscriber, low, high)
+            net.subscribe(subscriber, low, high)
         net.leave(owner)
         before = net.pubsub.notifications
         net.insert(key)
@@ -207,7 +205,7 @@ class TestSubscriptions:
         net = built(120, seed=10)
         low, high = SPAN
         subscriber = net.random_peer_address()
-        result = subscribe(net, subscriber, low, high)
+        result = net.subscribe(subscriber, low, high)
         rng = SeededRng(77)
         for round_ in range(60):
             if rng.random() < 0.5 and net.size > 40:

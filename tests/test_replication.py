@@ -15,7 +15,7 @@ from repro.core import BatonConfig, BatonNetwork, check_invariants
 from repro.core import replication
 from repro.sim.faults import FaultPlan
 from repro.sim.latency import ConstantLatency
-from repro.sim.runtime import AsyncBatonNetwork
+from repro.sim.runtime import AsyncOverlayRuntime
 from repro.sim.topology import ClusteredTopology
 from repro.workloads.generators import uniform_keys
 
@@ -42,11 +42,11 @@ def mirrored_multiset(net: BatonNetwork) -> Counter:
 
 def replicated_async(
     n_peers=30, seed=3, topology=None
-) -> AsyncBatonNetwork:
+) -> AsyncOverlayRuntime:
     net = replicated_net(n_peers=n_peers, seed=seed)
     if topology is None:
         topology = ConstantLatency(1.0)
-    return AsyncBatonNetwork(net, topology=topology)
+    return AsyncOverlayRuntime(net, topology=topology)
 
 
 class TestWriteThrough:
@@ -393,7 +393,7 @@ class TestReconcileAccounting:
     def test_single_peer_reconciles_for_free(self):
         net = BatonNetwork(config=BatonConfig(replication=True), seed=0)
         net.bootstrap()
-        anet = AsyncBatonNetwork(net, topology=ConstantLatency(1.0))
+        anet = AsyncOverlayRuntime(net, topology=ConstantLatency(1.0))
         assert anet.reconcile() == 0
 
 

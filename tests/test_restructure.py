@@ -219,9 +219,9 @@ class TestOneSnapshotPerSlot:
     one NodeInfo per occupied slot, shared by all its linkers."""
 
     def test_reconcile_keeps_and_restores_the_sharing(self):
-        from repro.sim.runtime import AsyncBatonNetwork
+        from repro.sim.runtime import AsyncOverlayRuntime
 
-        anet = AsyncBatonNetwork(BatonNetwork.build(1024, bulk=True))
+        anet = AsyncOverlayRuntime(BatonNetwork.build(1024, bulk=True))
         net = anet.net
         assert distinct_snapshots(net) == 1024  # the bulk build's own sharing
 

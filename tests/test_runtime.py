@@ -20,7 +20,7 @@ from repro.core.network import BatonConfig, BatonNetwork
 from repro.net.message import MsgType
 from repro.sim.faults import FaultPlan
 from repro.sim.latency import ConstantLatency, ExponentialLatency
-from repro.sim.runtime import AsyncBatonNetwork
+from repro.sim.runtime import AsyncOverlayRuntime
 from repro.util.errors import PeerNotFoundError, ReproError
 from repro.util.rng import SeededRng
 from repro.workloads.generators import uniform_keys
@@ -43,7 +43,7 @@ def structure_snapshot(net: BatonNetwork) -> set:
 def serialized_pair(n_peers: int = 40, seed: int = 3):
     """Identical sync and async networks; async uses constant latency."""
     sync = BatonNetwork.build(n_peers, seed=seed)
-    anet = AsyncBatonNetwork(
+    anet = AsyncOverlayRuntime(
         BatonNetwork.build(n_peers, seed=seed), topology=ConstantLatency(1.0)
     )
     return sync, anet
@@ -141,7 +141,7 @@ class TestSerializedEquivalence:
 def interleaved_run(seed: int = 42, n_ops: int = 520):
     """A mixed join/leave/query stream, all submitted up front."""
     rng = SeededRng(seed)
-    anet = AsyncBatonNetwork(
+    anet = AsyncOverlayRuntime(
         BatonNetwork.build(60, seed=1),
         topology=ExponentialLatency(1.0, rng.child("latency")),
     )
@@ -194,7 +194,7 @@ class TestInterleaving:
 
 class TestOpFuture:
     def test_done_callback_fires_at_completion(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(10, seed=2), topology=ConstantLatency(1.0)
         )
         seen = []
@@ -208,7 +208,7 @@ class TestOpFuture:
         assert seen == ["succeeded", "late"]
 
     def test_latency_measures_submit_to_completion(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(10, seed=2), topology=ConstantLatency(2.0)
         )
         future = anet.submit_search_exact(123)
@@ -220,7 +220,7 @@ class TestOpFuture:
         assert future.latency == pytest.approx(2.0 * future.hops)
 
     def test_query_to_failed_carrier_fails_cleanly(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(20, seed=6), topology=ConstantLatency(1.0)
         )
         start = anet.net.addresses()[5]
@@ -231,7 +231,7 @@ class TestOpFuture:
         assert isinstance(future.error, ReproError)
 
     def test_duplicate_leave_rejected(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(20, seed=6), topology=ConstantLatency(1.0)
         )
         victim = anet.net.addresses()[3]
@@ -242,7 +242,7 @@ class TestOpFuture:
         assert victim not in anet.net.peers
 
     def test_leave_of_vanished_peer_fails(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(20, seed=6), topology=ConstantLatency(1.0)
         )
         victim = anet.net.addresses()[4]
@@ -255,7 +255,7 @@ class TestOpFuture:
 
 class TestUpdatePropagation:
     def test_updates_apply_after_latency_not_immediately(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(30, seed=8), topology=ConstantLatency(1.0)
         )
         assert anet.net.updates.in_flight == 0
@@ -266,7 +266,7 @@ class TestUpdatePropagation:
         check_invariants(anet.net)
 
     def test_sink_counts_in_flight(self):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(30, seed=8), topology=ConstantLatency(1.0)
         )
         anet.submit_join()
@@ -280,7 +280,7 @@ class TestUpdatePropagation:
         assert anet.net.updates.in_flight == 0
 
 
-def streaming_runtime(topology, replication: bool = False) -> AsyncBatonNetwork:
+def streaming_runtime(topology, replication: bool = False) -> AsyncOverlayRuntime:
     """Bulk N=1024, 20 keys per peer, configured the way the workload
     drivers configure it (no event log, futures not retained)."""
     net = BatonNetwork.build(
@@ -290,7 +290,7 @@ def streaming_runtime(topology, replication: bool = False) -> AsyncBatonNetwork:
         bulk=True,
         keys=uniform_keys(1024 * 20, seed=5),
     )
-    return AsyncBatonNetwork(
+    return AsyncOverlayRuntime(
         net, topology=topology, record_events=False, retain_ops=False
     )
 
@@ -370,7 +370,7 @@ class TestTracerSeams:
 
     def test_drain_dispatches_through_the_simulator_subclass(self):
         sim = RecordingSimulator()
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(40, seed=3), sim=sim, topology=exponential()
         )
         for key in uniform_keys(30, seed=9):

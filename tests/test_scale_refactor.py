@@ -9,7 +9,7 @@ from repro.core.network import BatonConfig, BatonNetwork
 from repro.experiments import scale_profile
 from repro.multiway.network import MultiwayNetwork
 from repro.sim.latency import ConstantLatency, ExponentialLatency, UniformLatency
-from repro.sim.runtime import AsyncBatonNetwork
+from repro.sim.runtime import AsyncOverlayRuntime
 from repro.sim.topology import ClusteredTopology, CoordinateTopology
 from repro.util.rng import SeededRng
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -29,7 +29,7 @@ class TestSizedLeaveHandover:
         """A BATON leave's key handover is a sized hop: more keys, more time."""
         latencies = {}
         for load in (5, 200):
-            anet = AsyncBatonNetwork(
+            anet = AsyncOverlayRuntime(
                 BatonNetwork.build(20, seed=3),
                 topology=one_region_bandwidth_topology(),
             )
@@ -77,7 +77,7 @@ class TestSizedLeaveHandover:
 
 class TestBatchedReplicaRefresh:
     def build(self, n_peers=25, seed=9, topology=None):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(
                 n_peers, seed=seed, config=BatonConfig(replication=True)
             ),
@@ -145,7 +145,7 @@ class TestBatchedReplicaRefresh:
 
 class TestLatencyStretch:
     def run_workload(self, topology=None, **config_kwargs):
-        anet = AsyncBatonNetwork(
+        anet = AsyncOverlayRuntime(
             BatonNetwork.build(60, seed=5),
             topology=topology or ConstantLatency(1.0),
         )
@@ -242,7 +242,7 @@ class TestDirectDelay:
 class TestOptInEventLog:
     def test_event_log_off_by_request_same_outcomes(self):
         def run(record: bool):
-            anet = AsyncBatonNetwork(
+            anet = AsyncOverlayRuntime(
                 BatonNetwork.build(40, seed=8),
                 topology=ExponentialLatency(1.0, SeededRng(2).child("lat")),
                 record_events=record,

@@ -173,11 +173,13 @@ class TestHop:
     def test_runtime_rejects_non_hop_yields(self):
         anet = overlays.get("baton").build_async(8, seed=1)
 
-        def bad_steps(future):
+        def bad_steps(start, trace, degraded):
             yield 1.5  # a pre-redesign float delay
 
+        anet.net.bad_steps = bad_steps
         with pytest.raises(TypeError, match="per-link"):
-            anet._submit("bad", bad_steps)
+            anet._submit("bad", "bad_steps", anet.net.addresses()[0])
+            anet.drain()
 
 
 class TestSerializedEquivalenceUnderClusteredTopology:
