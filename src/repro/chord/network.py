@@ -36,7 +36,7 @@ Concurrency semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.chord.hashing import DEFAULT_M_BITS, hash_key, in_interval, in_open_interval
 from repro.chord.node import ChordNode
@@ -48,6 +48,7 @@ from repro.core.results import (
     RangeSearchResult,
     SearchResult,
 )
+from repro.core.storage import LocalStore
 from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
@@ -114,6 +115,10 @@ class ChordNetwork(OverlayNetwork):
             raise NetworkEmptyError("ring has no nodes")
         return self.nodes.random_address(self.rng)
 
+    def store_of(self, address: Address) -> LocalStore:
+        """The key store of the live node at ``address``."""
+        return self.node(address).store
+
     def _new_id(self) -> int:
         space = 1 << self.m_bits
         if len(self._used_ids) >= space:
@@ -126,15 +131,20 @@ class ChordNetwork(OverlayNetwork):
 
     @classmethod
     def build(
-        cls, n_nodes: int, seed: int = 0, config: Optional[ChordConfig] = None
+        cls,
+        n_peers: int,
+        seed: int = 0,
+        config: Optional[ChordConfig] = None,
+        keys: Optional[Iterable[int]] = None,
     ) -> "ChordNetwork":
-        """Bootstrap a ring of ``n_nodes``."""
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        net = cls(config=config, seed=seed)
-        net.bootstrap()
-        for _ in range(n_nodes - 1):
-            net.join()
+        """A ring of ``n_peers`` holding ``keys``.
+
+        Keys are hashed onto the ring, so growing around them buys nothing:
+        the ring grows empty and each key goes straight to its successor.
+        """
+        net = super().build(n_peers, seed=seed, config=config)
+        if keys is not None:
+            net.bulk_load(keys)
         return net
 
     # -- construction ----------------------------------------------------------

@@ -52,10 +52,10 @@ def fail(net: "BatonNetwork", address: Address) -> None:
     which is what the repair coordinator reconstructs.  Its slot stays in
     the position map until repair so the hole is visible.
     """
-    peer = net.peers.pop(address, None)
+    peer = net.peers.get(address)
     if peer is None:
         raise PeerNotFoundError(address)
-    net.pool_discard(address)
+    del net.peers[address]
     net.bus.unregister(address)
     net.ghosts[address] = peer
 

@@ -29,7 +29,8 @@ from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core.results import NetworkStats, RepairResult
-from repro.net.address import Address, AddressAllocator
+from repro.core.storage import LocalStore
+from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.net.overlay import OverlayNetwork
@@ -117,21 +118,15 @@ class BatonConfig:
 class UpdateChannel:
     """Delivery channel for third-party routing-state notifications.
 
-    In normal (immediate) mode a notification is counted on the bus and
-    applied at the receiver right away.  In *deferred* mode — used by the
-    network-dynamics experiment (Fig 8i) to model update-propagation delay —
-    the message is still counted at send time (it is in flight) but the
-    receiver-side application is queued until :meth:`flush`.  Queries issued
-    in between see stale link state and pay recovery messages, which is
-    exactly the effect §V-E measures.
-
-    A third, *scheduled* mode serves the event-driven runtime
-    (:mod:`repro.sim.runtime`): once :meth:`attach`-ed to a simulator and a
-    topology, each notification's receiver-side application lands one
-    sampled link delay later, in send order per receiver.  The channel
-    tracks how many such applications are still in flight so
-    degraded-routing heuristics can tell that link state is transiently
-    stale.
+    Driven synchronously, a notification is counted on the bus and applied
+    at the receiver right away.  Under the event-driven runtime
+    (:mod:`repro.sim.runtime`) the channel is *scheduled*: once
+    :meth:`attach`-ed to a simulator and a topology, each notification's
+    receiver-side application lands one sampled link delay later, in send
+    order per receiver.  Queries issued in between see stale link state and
+    pay recovery messages.  The channel tracks how many such applications
+    are still in flight so degraded-routing heuristics can tell that link
+    state is transiently stale.
 
     Only fire-and-forget refreshes go through this channel.  Request/response
     handshakes inside join/leave (which the initiator blocks on) are always
@@ -140,8 +135,6 @@ class UpdateChannel:
 
     def __init__(self, bus: MessageBus):
         self._bus = bus
-        self.deferred = False
-        self._queue: List[Callable[[], None]] = []
         self.in_flight = 0
         #: Scheduled mode: the runtime's clock and transport (None until
         #: :meth:`attach`), each receiver's in-flight ``[event, apply]``
@@ -164,11 +157,9 @@ class UpdateChannel:
         A peer about to commit a structural handshake (accept a child, hand
         its state to a replacement) drains its inbox first, so the decision
         reads current links and no refresh lands on a detached object.  A
-        no-op outside scheduled mode: immediate mode has already applied
-        everything, and deferred mode's queue is Fig 8i's deliberate
-        staleness, released only by :meth:`flush`.  The receiver's FIFO
-        floor keeps the cancelled arrival times, so a later refresh still
-        lands no earlier than they would have.
+        no-op when driven synchronously: the channel applied everything at
+        send.  The receiver's FIFO floor keeps the cancelled arrival times,
+        so a later refresh still lands no earlier than they would have.
         """
         if self._sim is None:
             return
@@ -191,8 +182,6 @@ class UpdateChannel:
             return False
         if self._sim is not None:
             self._schedule(src, dst, apply)
-        elif self.deferred:
-            self._queue.append(apply)
         else:
             apply()
         return True
@@ -234,16 +223,7 @@ class UpdateChannel:
 
     @property
     def pending_count(self) -> int:
-        return len(self._queue) + self.in_flight
-
-    def flush(self) -> int:
-        """Apply every queued notification; returns how many were applied."""
-        applied = 0
-        while self._queue:
-            action = self._queue.pop(0)
-            action()
-            applied += 1
-        return applied
+        return self.in_flight
 
 
 class BatonNetwork(OverlayNetwork):
@@ -269,13 +249,9 @@ class BatonNetwork(OverlayNetwork):
         self.bus = MessageBus()
         self.updates = UpdateChannel(self.bus)
         self.alloc = AddressAllocator()
-        self.peers: Dict[Address, BatonPeer] = {}
-        #: Live addresses as a flat pool with swap-remove bookkeeping, so a
-        #: uniform entry-point draw is O(1).  The old implementation sorted
-        #: the peer dict on every draw — O(N log N) per submitted query,
-        #: the dominant cost of the workload driver beyond N≈10k.
-        self._address_pool: List[Address] = []
-        self._pool_index: Dict[Address, int] = {}
+        #: Live peers; the dict keeps its keys in a swap-remove pool, so a
+        #: uniform entry-point draw is O(1).
+        self.peers: Dict[Address, BatonPeer] = AddressPoolDict()
         #: Peers that failed abruptly; state retained for the repair
         #: coordinator's reconstruction and for test assertions.
         self.ghosts: Dict[Address, BatonPeer] = {}
@@ -350,40 +326,25 @@ class BatonNetwork(OverlayNetwork):
 
     def random_peer_address(self) -> Address:
         """A uniformly random live peer (query/join entry points), O(1)."""
-        pool = self._address_pool
-        if not pool:
+        if not self.peers:
             raise NetworkEmptyError("network has no peers")
-        return pool[self.rng.randint(0, len(pool) - 1)]
+        return self.peers.random_address(self.rng)
+
+    def store_of(self, address: Address) -> LocalStore:
+        """The key store of the live peer at ``address``."""
+        return self.peer(address).store
 
     def register_peer(self, peer: BatonPeer) -> None:
         self.peers[peer.address] = peer
         self._positions[peer.position.code] = peer.address
-        if peer.address not in self._pool_index:
-            self._pool_index[peer.address] = len(self._address_pool)
-            self._address_pool.append(peer.address)
         self.bus.register(peer.address)
 
     def unregister_peer(self, address: Address) -> BatonPeer:
-        peer = self.peers.pop(address)
+        peer = self.peers[address]
+        del self.peers[address]
         self.release_slot(peer)
-        self.pool_discard(address)
         self.bus.unregister(address)
         return peer
-
-    def pool_discard(self, address: Address) -> None:
-        """Swap-remove ``address`` from the O(1) entry-point pool.
-
-        Pool order is irrelevant to a uniform draw; the draw itself is what
-        must stay O(1).  Called by :meth:`unregister_peer` and by the abrupt
-        failure path, which removes a peer without the leave protocol.
-        """
-        index = self._pool_index.pop(address, None)
-        if index is None:
-            return
-        last = self._address_pool.pop()
-        if last != address:
-            self._address_pool[index] = last
-            self._pool_index[last] = index
 
     def release_slot(self, peer: BatonPeer) -> None:
         """Vacate ``peer``'s slot in the position map if it still holds it.
@@ -422,31 +383,22 @@ class BatonNetwork(OverlayNetwork):
         bulk: bool = False,
         keys: Optional[Iterable[int]] = None,
     ) -> "BatonNetwork":
-        """Convenience constructor: bootstrap and join ``n_peers - 1`` peers.
+        """A network of ``n_peers`` grown around ``keys`` (:meth:`grow`).
 
         ``bulk=True`` computes the final balanced tree directly instead of
         simulating N joins (see :mod:`repro.core.bulk_build` and DESIGN.md's
         "Construction contract") — same shape, same links, zero messages;
         entry-point placement differs only in that joins are random-entry.
-        ``keys`` (bulk only) is the dataset to load while building.  The
-        scale profile (``python -m repro profile``) and the end-to-end
+        The scale profile (``python -m repro profile``) and the end-to-end
         benchmark build BATON this way; protocol tests that pin message
         traces keep joins.
         """
-        if n_peers < 1:
-            raise ValueError("need at least one peer")
-        if keys is not None and not bulk:
-            raise ValueError("keys= requires bulk=True (joins load via insert)")
-        if bulk:
-            from repro.core.bulk_build import populate_balanced
+        if not bulk:
+            return super().build(n_peers, seed=seed, config=config, keys=keys)
+        from repro.core.bulk_build import populate_balanced
 
-            net = cls(config=config, seed=seed)
-            populate_balanced(net, n_peers, keys=keys)
-            return net
         net = cls(config=config, seed=seed)
-        net.bootstrap()
-        for _ in range(n_peers - 1):
-            net.join()
+        populate_balanced(net, n_peers, keys=keys)
         return net
 
     # -- operations (step generators in the protocol modules) -----------------

@@ -141,7 +141,7 @@ def walk_steps(
 
 def network_degraded(net: "BatonNetwork") -> bool:
     """Whether unrepaired failures or in-flight updates can strand a query."""
-    return bool(net.ghosts) or net.updates.deferred or net.updates.pending_count > 0
+    return bool(net.ghosts) or net.updates.pending_count > 0
 
 
 def may_give_up(

@@ -49,7 +49,7 @@ from repro.experiments.grid import (
     total,
     where,
 )
-from repro.experiments.harness import ExperimentScale, loaded_keys
+from repro.experiments.harness import ExperimentScale, build_network, loaded_keys
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import derive_seed
 from repro.workloads.chaos import SCENARIO_NAMES, build_scenario
@@ -79,15 +79,13 @@ def chaos_cell(
     data_per_node: int,
 ) -> Dict[str, float]:
     """One (overlay, scenario, seed) run, reduced to the chaos metrics."""
-    entry = overlays.get(overlay)
     scenario = build_scenario(scenario_name, duration=duration, n_peers=n_peers)
     inner = ClusteredTopology(
         seed=derive_seed(seed, "chaos-topology"), regions=REGIONS
     )
     topology = scenario.fault_plan(inner, seed) or inner
-    anet = entry.build_async(
-        n_peers,
-        seed=seed,
+    anet = overlays.get(overlay).wrap(
+        build_network(overlay, n_peers, seed),
         topology=topology,
         record_events=False,
         retain_ops=False,

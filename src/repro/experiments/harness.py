@@ -6,8 +6,9 @@ import hashlib
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import overlays
 from repro.chord.network import ChordNetwork
 from repro.core.network import (
     BatonConfig,
@@ -174,25 +175,46 @@ def loaded_keys(n_peers: int, data_per_node: int, seed: int) -> List[int]:
     return uniform_keys(n_peers * data_per_node, seed=seed + 7)
 
 
-def cached_build(
-    builder: str,
+def build_network(
+    overlay: str,
     n_peers: int,
     seed: int,
-    data_per_node: int,
-    build: Callable[[], object],
-    **extra: object,
+    data_per_node: int = 0,
+    *,
+    config: Optional[object] = None,
+    bulk: bool = False,
 ):
-    """``build()`` through the snapshot cache, keyed on the build inputs.
+    """A network of any registered overlay grown around its loaded dataset.
 
-    ``extra`` carries whatever else shapes the built state beyond the
-    four common inputs (a config tree, a topology description).
+    Runs the overlay's own ``build(..., keys=)`` — the growth loop every
+    overlay inherits, or the override it declares — so every experiment
+    cell constructs a newcomer under the same regime as its tests do.
+
+    Protocol-grown builds are routed through the snapshot cache when it
+    is enabled: the fingerprint covers every input that shapes the built
+    state (the dataset is derived from ``(n_peers, data_per_node,
+    seed)``, so those three cover ``keys``).  ``bulk=True`` (direct
+    construction; refused by networks without that path) skips the cache
+    on purpose — direct construction already costs about what a restore
+    does, so a snapshot would only burn disk (DESIGN.md, "Parallelism
+    contract").
     """
+    network_cls = overlays.get(overlay).network_cls
+
+    def build(**direct):
+        keys = loaded_keys(n_peers, data_per_node, seed) if data_per_node else None
+        return network_cls.build(
+            n_peers, seed=seed, config=config, keys=keys, **direct
+        )
+
+    if bulk:
+        return build(bulk=True)
     parts = {
-        "builder": builder,
+        "builder": overlay,
         "n_peers": n_peers,
         "seed": seed,
         "data_per_node": data_per_node,
-        **extra,
+        "config": snapshot.describe(config),
     }
     return snapshot.cached(parts, build)
 
@@ -207,25 +229,13 @@ def build_baton(
     bulk: bool = False,
     locality: Optional[LocalityConfig] = None,
 ) -> BatonNetwork:
-    """A BATON overlay grown around its data.
+    """A BATON overlay grown around its data under the experiments' config.
 
-    The paper loads 1000·N values "in batches" while the network forms, so
-    every join's median split halves actual *content* and ranges equalize
-    by load — that is what keeps the root from owning a fat slice of the
-    domain (Figure 8(f)).  We reproduce that by seeding the bootstrap peer
-    with the whole dataset before the joins run.
-
-    ``bulk=True`` skips the simulated joins and computes the same loaded,
-    balanced end state directly (:mod:`repro.core.bulk_build`) — the only
-    way to reach N=100k in seconds, and the default on scale surfaces.
-
-    Protocol-grown builds are routed through the snapshot cache when it
-    is enabled: the fingerprint covers every input that shapes the built
-    state (the dataset is derived from ``(n_peers, data_per_node,
-    seed)``, so those three cover ``keys``).  ``bulk=True`` builds skip
-    the cache on purpose — direct construction already costs about what
-    a restore does, so a snapshot would only burn disk (DESIGN.md,
-    "Parallelism contract").
+    §IV-D balancing is off unless asked for and capacity is
+    ``max(4·data_per_node, 16)``.  ``bulk=True`` skips the simulated
+    joins and computes the same loaded, balanced end state directly
+    (:mod:`repro.core.bulk_build`) — the only way to reach N=100k in
+    seconds, and the default on scale surfaces.
     """
     config = BatonConfig(
         balance=LoadBalanceConfig(
@@ -235,39 +245,9 @@ def build_baton(
         replication=replication,
         locality=locality or LocalityConfig(),
     )
-    if bulk:
-        return _build_baton(n_peers, seed, data_per_node, config, bulk=True)
-    return cached_build(
-        "baton",
-        n_peers,
-        seed,
-        data_per_node,
-        lambda: _build_baton(n_peers, seed, data_per_node, config, bulk=False),
-        config=snapshot.describe(config),
+    return build_network(
+        "baton", n_peers, seed, data_per_node, config=config, bulk=bulk
     )
-
-
-def _build_baton(
-    n_peers: int,
-    seed: int,
-    data_per_node: int,
-    config: BatonConfig,
-    bulk: bool,
-) -> BatonNetwork:
-    if bulk:
-        keys = (
-            loaded_keys(n_peers, data_per_node, seed) if data_per_node else None
-        )
-        return BatonNetwork.build(
-            n_peers, seed=seed, config=config, bulk=True, keys=keys
-        )
-    net = BatonNetwork(config=config, seed=seed)
-    root = net.bootstrap()
-    if data_per_node:
-        net.peer(root).store.extend(loaded_keys(n_peers, data_per_node, seed))
-    for _ in range(n_peers - 1):
-        net.join()
-    return net
 
 
 def build_baton_equalized(
@@ -282,12 +262,14 @@ def build_baton_equalized(
     reproduces that regime: capacity 2× the fair share, every insert routed.
     The access-load experiment (Figure 8(f)) depends on it.
     """
-    return cached_build(
-        "baton-equalized",
-        n_peers,
-        seed,
-        data_per_node,
-        lambda: _build_baton_equalized(n_peers, seed, data_per_node),
+    parts = {
+        "builder": "baton-equalized",
+        "n_peers": n_peers,
+        "seed": seed,
+        "data_per_node": data_per_node,
+    }
+    return snapshot.cached(
+        parts, lambda: _build_baton_equalized(n_peers, seed, data_per_node)
     )
 
 
@@ -305,43 +287,12 @@ def _build_baton_equalized(
 
 def build_chord(n_peers: int, seed: int, data_per_node: int) -> ChordNetwork:
     """A Chord ring preloaded with the same uniform data."""
-    return cached_build(
-        "chord",
-        n_peers,
-        seed,
-        data_per_node,
-        lambda: _build_chord(n_peers, seed, data_per_node),
-    )
-
-
-def _build_chord(n_peers: int, seed: int, data_per_node: int) -> ChordNetwork:
-    net = ChordNetwork.build(n_peers, seed=seed)
-    if data_per_node:
-        net.bulk_load(loaded_keys(n_peers, data_per_node, seed))
-    return net
+    return build_network("chord", n_peers, seed, data_per_node)
 
 
 def build_multiway(n_peers: int, seed: int, data_per_node: int) -> MultiwayNetwork:
     """A multiway tree grown around its data (same rationale as BATON)."""
-    return cached_build(
-        "multiway",
-        n_peers,
-        seed,
-        data_per_node,
-        lambda: _build_multiway(n_peers, seed, data_per_node),
-    )
-
-
-def _build_multiway(
-    n_peers: int, seed: int, data_per_node: int
-) -> MultiwayNetwork:
-    net = MultiwayNetwork(seed=seed)
-    root = net.bootstrap()
-    if data_per_node:
-        net.nodes[root].store.extend(loaded_keys(n_peers, data_per_node, seed))
-    for _ in range(n_peers - 1):
-        net.join()
-    return net
+    return build_network("multiway", n_peers, seed, data_per_node)
 
 
 def build_loaded(
@@ -354,12 +305,9 @@ def build_loaded(
 ):
     """A loaded network of any registered overlay, by name.
 
-    The three known overlays keep their historical construction regimes
-    (BATON and multiway grow around their data so median splits see real
-    content; Chord hashes, so bulk placement is equivalent).  An overlay
-    registered later falls back to build-then-bulk-load.  ``bulk=True``
-    selects BATON's direct construction path (ignored by overlays that
-    have no such path).
+    BATON builds under its experiment config (:func:`build_baton`); every
+    other overlay under its default one.  ``bulk=True`` selects direct
+    construction, which only networks with such a path accept.
     """
     if overlay == "baton":
         return build_baton(
@@ -370,17 +318,4 @@ def build_loaded(
             f"the {overlay} overlay has no locality extension; "
             "drop the locality config or pick baton"
         )
-    builders = {"chord": build_chord, "multiway": build_multiway}
-    builder = builders.get(overlay)
-    if builder is not None:
-        return builder(n_peers, seed, data_per_node)
-
-    def _build_generic():
-        from repro import overlays
-
-        net = overlays.get(overlay).build(n_peers, seed=seed)
-        if data_per_node:
-            net.bulk_load(loaded_keys(n_peers, data_per_node, seed))
-        return net
-
-    return cached_build(overlay, n_peers, seed, data_per_node, _build_generic)
+    return build_network(overlay, n_peers, seed, data_per_node, bulk=bulk)

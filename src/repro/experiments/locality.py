@@ -36,8 +36,9 @@ from __future__ import annotations
 from repro import overlays
 from repro.core.cache import DEFAULT_CACHE_SIZE
 from repro.core.network import BatonConfig, BatonNetwork, LocalityConfig
+from repro.experiments import snapshot
 from repro.experiments.grid import Axis, Grid, first_size, mean_of, total
-from repro.experiments.harness import cached_build, loaded_keys
+from repro.experiments.harness import loaded_keys
 from repro.sim.topology import ClusteredTopology
 from repro.util.rng import derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -98,17 +99,14 @@ def build_locality_net(
     probing reads only its deterministic ``direct_delay`` during growth,
     so a restored (net, topology) pair drives exactly like a fresh one.
     """
-    return cached_build(
-        "locality",
-        n_peers,
-        seed,
-        data_per_node,
-        lambda: _grow_locality_net(
-            n_peers, seed, data_per_node, aware_join, cache
-        ),
-        aware_join=aware_join,
-        cache=cache,
-        topology=(
+    parts = {
+        "builder": "locality",
+        "n_peers": n_peers,
+        "seed": seed,
+        "data_per_node": data_per_node,
+        "aware_join": aware_join,
+        "cache": cache,
+        "topology": (
             "clustered",
             REGIONS,
             INTRA_DELAY,
@@ -116,6 +114,12 @@ def build_locality_net(
             0.2,  # jitter
             0.1,  # asymmetry
             JOIN_PROBES if aware_join else 0,
+        ),
+    }
+    return snapshot.cached(
+        parts,
+        lambda: _grow_locality_net(
+            n_peers, seed, data_per_node, aware_join, cache
         ),
     )
 
@@ -137,16 +141,9 @@ def _grow_locality_net(
     )
     net = BatonNetwork(config=BatonConfig(locality=locality), seed=seed)
     net.topology = topology  # probing prices candidates during growth
-    root = net.bootstrap()
-    keys = loaded_keys(n_peers, data_per_node, seed)
-    net.peer(root).store.extend(keys)
-    build_start = net.bus.stats.total
-    for _ in range(n_peers - 1):
-        net.join()
+    net.grow(n_peers, loaded_keys(n_peers, data_per_node, seed))
     build_msgs_per_join = (
-        (net.bus.stats.total - build_start) / (n_peers - 1)
-        if n_peers > 1
-        else 0.0
+        net.bus.stats.total / (n_peers - 1) if n_peers > 1 else 0.0
     )
     return net, build_msgs_per_join
 

@@ -46,6 +46,7 @@ from repro.experiments.harness import (
     ExperimentResult,
     ExperimentScale,
     build_baton,
+    build_network,
     loaded_keys,
 )
 from repro.pubsub import flood_steps, multicast_steps, range_owners, unicast_steps
@@ -151,10 +152,8 @@ def _lossy_cell(
         drop_rate=LOSS_RATE,
         duplicate_rate=DUP_RATE,
     )
-    entry = overlays.get("baton")
-    anet = entry.build_async(
-        n_peers,
-        seed=seed,
+    anet = overlays.get("baton").wrap(
+        build_network("baton", n_peers, seed),
         topology=plan,
         record_events=False,
         retain_ops=False,

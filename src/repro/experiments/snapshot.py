@@ -59,7 +59,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: 3: a SHA-256 of the pickled bytes precedes them.
 #: 4: ``UpdateChannel`` holds the runtime's inbox-drain hook (``_drain``).
 #: 5: ``UpdateChannel`` schedules refreshes itself (``_sim``, ``_inbox``).
-SNAPSHOT_SCHEMA = 5
+#: 6: ``BatonNetwork.peers`` an ``AddressPoolDict``; no ``_address_pool``,
+#:    ``_pool_index`` or deferred ``UpdateChannel`` queue.
+SNAPSHOT_SCHEMA = 6
 
 #: Length of the digest that precedes every stored pickle.
 DIGEST_BYTES = hashlib.sha256().digest_size

@@ -43,6 +43,7 @@ from repro.core.results import (
     RangeSearchResult,
     SearchResult,
 )
+from repro.core.storage import LocalStore
 from repro.multiway.node import ChildLink, MultiwayNode
 from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
@@ -121,17 +122,9 @@ class MultiwayNetwork(OverlayNetwork):
             raise NetworkEmptyError("tree has no nodes")
         return self.nodes.random_address(self.rng)
 
-    @classmethod
-    def build(
-        cls, n_nodes: int, seed: int = 0, config: Optional[MultiwayConfig] = None
-    ) -> "MultiwayNetwork":
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        net = cls(config=config, seed=seed)
-        net.bootstrap()
-        for _ in range(n_nodes - 1):
-            net.join()
-        return net
+    def store_of(self, address: Address) -> LocalStore:
+        """The key store of the live node at ``address``."""
+        return self.node(address).store
 
     # -- construction ----------------------------------------------------------
 

@@ -6,12 +6,13 @@ Each overlay writes its operations once, as step generators
 ``data_op_steps``.  The event runtime resumes them hop by hop
 (:class:`repro.sim.runtime.AsyncOverlayRuntime`); the six synchronous
 operations below, written here once for every overlay, drive them to
-completion under a fresh bus trace.
+completion under a fresh bus trace.  So is the one growth loop,
+:meth:`OverlayNetwork.grow`, which every overlay's ``build`` runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, Iterable, Optional
 
 from repro.net.address import Address
 from repro.net.message import MsgType
@@ -31,9 +32,10 @@ class OverlayNetwork:
     """Base of every overlay network: what the registry and the runtime
     read off the class, plus the sync facade.
 
-    Subclasses provide ``bus``, ``random_peer_address()``, ``domain`` (the
-    key interval workloads draw from) and the five step generators;
-    ``via=None`` enters at a random live peer.
+    Subclasses provide a ``(config=None, seed=0)`` constructor, ``bus``,
+    ``bootstrap()``, ``store_of(address)``, ``random_peer_address()``,
+    ``domain`` (the key interval workloads draw from) and the five step
+    generators; ``via=None`` enters at a random live peer.
     """
 
     #: Registry name of the overlay.
@@ -42,10 +44,40 @@ class OverlayNetwork:
     #: ``Overlay`` protocol").
     capabilities: ClassVar[frozenset] = frozenset()
 
+    @classmethod
+    def build(
+        cls,
+        n_peers: int,
+        seed: int = 0,
+        config: Optional[object] = None,
+        keys: Optional[Iterable[int]] = None,
+    ):
+        """A fresh network of ``n_peers`` grown around ``keys`` (:meth:`grow`)."""
+        if n_peers < 1:
+            raise ValueError("need at least one peer")
+        net = cls(config=config, seed=seed)
+        net.grow(n_peers, keys)
+        return net
+
+    def grow(self, n_peers: int, keys: Optional[Iterable[int]] = None) -> None:
+        """The growth loop: bootstrap, load ``keys``, then join the rest.
+
+        The paper loads its 1000·N values "in batches" while the network
+        forms (§V), so the first peer holds the whole dataset and every
+        join's median split halves actual content — ranges equalize by
+        load.  An overlay with another placement regime overrides
+        ``build`` (Chord hashes, so it grows empty and places afterwards).
+        """
+        first = self.bootstrap()
+        if keys is not None:
+            self.store_of(first).extend(keys)
+        for _ in range(n_peers - 1):
+            self.join()
+
     def attach(self, sim, topology) -> None:
         """Hook the event runtime calls once when it wraps this network,
         handing over its simulator and topology; a no-op for overlays
-        whose state does not ride the clock (BATON's deferred table
+        whose state does not ride the clock (BATON's scheduled table
         refreshes do)."""
 
     def join(self, via: Optional[Address] = None) -> "JoinResult":

@@ -11,7 +11,12 @@ Required surface (structural, checked by the conformance suite):
 
 * ``overlay_name`` / ``capabilities`` / ``domain`` — registry name,
   optional capabilities (below) and the key interval workloads draw from;
-* ``build(n, seed=0, config=None)`` — classmethod constructor;
+* ``build(n, seed=0, config=None, keys=None)`` — classmethod constructor,
+  inherited from :class:`~repro.net.overlay.OverlayNetwork`: its growth
+  loop (``grow``) calls ``bootstrap()``, hands the first peer ``keys``
+  through ``store_of(address).extend`` and joins the rest, so a newcomer
+  grows around its data unless it overrides ``build`` (Chord places by
+  hash);
 * ``size`` / ``addresses()`` / ``random_peer_address()`` — population;
 * five step generators (:mod:`repro.util.stepper`) — ``join_steps``,
   ``leave_steps``, ``search_exact_steps``, ``search_range_steps`` and
@@ -61,6 +66,7 @@ from repro.core.results import (
     SearchResult,
 )
 from repro.core.ranges import Range
+from repro.core.storage import LocalStore
 from repro.net.address import Address
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
@@ -101,6 +107,10 @@ class Overlay(Protocol):
     def size(self) -> int: ...
 
     def addresses(self) -> List[Address]: ...
+
+    def bootstrap(self) -> Address: ...
+
+    def store_of(self, address: Address) -> LocalStore: ...
 
     def random_peer_address(self) -> Address: ...
 

@@ -3,6 +3,11 @@
 Experiments, the CLI, benchmarks and the concurrent workload driver all
 select overlays by name — ``overlays.get("baton")`` — so adding a fourth
 overlay is one :func:`register` call, not a sweep through every harness.
+An entry builds through its network class's ``build(n, seed, config,
+keys)`` — the growth loop :class:`~repro.net.overlay.OverlayNetwork`
+writes once — and builds uncached; the experiments' snapshot-cached
+builder (``repro.experiments.harness.build_network``) runs the same
+``build``, so a newcomer is constructed under the same regime everywhere.
 
 Each entry **advertises** what its overlay can do (DESIGN.md, "The
 ``Overlay`` protocol"): the ``capabilities`` set — ``fail`` / ``repair`` /
@@ -72,14 +77,9 @@ class OverlayEntry:
         latency model is the degenerate single-region case).
         ``replication=True`` turns on the data-durability extension and is
         refused (:class:`CapabilityError`) by overlays that do not
-        advertise the capability.
-
-        Protocol-grown base networks go through the snapshot cache when
-        it is enabled (``repro.experiments.snapshot``): the synchronous
-        build is deterministic in ``(overlay, n_peers, seed, config)``,
-        while ``topology`` and every runtime kwarg are wrap-time choices
-        that never touch the built state — so chaos/multicast cells that
-        drive one base differently share a single build.
+        advertise the capability.  The network is built fresh, never
+        through the snapshot cache: cached construction is the experiment
+        harness's (``repro.experiments.harness.build_network``).
         """
         if replication:
             if (
@@ -96,42 +96,10 @@ class OverlayEntry:
                     "(set replication on your config instead)"
                 )
             kwargs["config"] = self.replicated_config()
-        net = self._build_base(
-            n_peers,
-            seed,
-            config=kwargs.pop("config", None),
-            bulk=kwargs.pop("bulk", False),
-            keys=kwargs.pop("keys", None),
-        )
+        config, keys = kwargs.pop("config", None), kwargs.pop("keys", None)
+        bulk = {"bulk": True} if kwargs.pop("bulk", False) else {}
+        net = self.build(n_peers, seed, config=config, keys=keys, **bulk)
         return AsyncOverlayRuntime(net, topology=topology, **kwargs)
-
-    def _build_base(self, n_peers: int, seed: int, *, config, bulk, keys):
-        """The synchronous network under :meth:`build_async`, snapshot-
-        cached when eligible (protocol-grown, describable config)."""
-        build_kwargs = {"bulk": True, "keys": keys} if bulk else {}
-
-        def builder():
-            return self.network_cls.build(
-                n_peers, seed=seed, config=config, **build_kwargs
-            )
-
-        from repro.experiments import snapshot
-
-        if bulk or not snapshot.enabled():
-            # Bulk construction is already restore-priced; caching it
-            # would trade disk for nothing (DESIGN.md, "Parallelism
-            # contract").
-            return builder()
-        try:
-            parts = {
-                "builder": f"{self.name}-sync",
-                "n_peers": n_peers,
-                "seed": seed,
-                "config": snapshot.describe(config),
-            }
-        except TypeError:
-            return builder()  # an undescribable config is never keyed
-        return snapshot.cached(parts, builder)
 
     def wrap(
         self,

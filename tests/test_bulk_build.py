@@ -107,9 +107,12 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="empty network"):
             populate_balanced(net, 10)
 
-    def test_keys_require_bulk(self):
-        with pytest.raises(ValueError, match="bulk"):
-            BatonNetwork.build(8, keys=[1, 2, 3])
+    def test_protocol_build_grows_around_keys(self):
+        keys = uniform_keys(400, seed=4)
+        net = BatonNetwork.build(40, keys=keys)
+        held = sorted(k for peer in net.peers.values() for k in peer.store)
+        assert held == sorted(keys)
+        assert collect_violations(net) == []
 
 
 class TestDataLoadedBuild:

@@ -107,18 +107,6 @@ class TestBulkLoad:
 
 
 class TestUpdateChannel:
-    def test_deferred_updates_flush(self, net20):
-        net20.updates.deferred = True
-        victim = next(a for a, p in net20.peers.items() if p.is_leaf)
-        net20.leave(victim)
-        assert net20.updates.pending_count > 0
-        applied = net20.updates.flush()
-        assert applied > 0
-        net20.updates.deferred = False
-        from repro.core import check_invariants
-
-        check_invariants(net20)
-
     def test_immediate_mode_never_queues(self, net20):
         net20.leave(next(a for a, p in net20.peers.items() if p.is_leaf))
         assert net20.updates.pending_count == 0

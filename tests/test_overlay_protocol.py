@@ -14,9 +14,12 @@ Every registry entry must satisfy the same contract:
   ``tests/test_runtime.py`` for BATON).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import overlays
+from repro.core.invariants import collect_violations
 from repro.core.results import (
     DataOpResult,
     JoinResult,
@@ -157,6 +160,24 @@ class TestProtocolConformance:
         assert net.bulk_load(keys) == len(keys)
         for key in keys[::7]:
             assert net.search_exact(key).found
+
+    @pytest.mark.parametrize("n_peers", (1, 2, 40))
+    @pytest.mark.parametrize("name", ALL)
+    def test_build_places_keys_at_their_owners(self, name, n_peers):
+        """``build(..., keys=)`` holds every key exactly once, at the peer
+        an exact search routes to — whatever the overlay's placement."""
+        entry = overlays.get(name)
+        keys = uniform_keys(5 * n_peers, seed=n_peers)
+        net = entry.network_cls.build(n_peers, 3, keys=keys)
+        held = {a: Counter(net.store_of(a)) for a in net.addresses()}
+        assert sum(sum(c.values()) for c in held.values()) == len(keys)
+        wanted = Counter(keys)
+        for key in wanted:
+            result = net.search_exact(key)
+            assert result.found
+            assert held[result.owner][key] == wanted[key]
+        if name == "baton":
+            assert collect_violations(net) == []
 
     @pytest.mark.parametrize("name", ALL)
     def test_range_results_unified_and_complete(self, name):

@@ -20,7 +20,7 @@ from repro import overlays
 from repro.core.invariants import check_invariants, collect_violations
 from repro.core.network import BatonConfig, LoadBalanceConfig, LocalityConfig
 from repro.experiments import snapshot
-from repro.experiments.harness import build_baton, loaded_keys
+from repro.experiments.harness import build_baton, build_network, loaded_keys
 from repro.experiments.parallel import cell, run_cells
 from repro.util.rng import derive_seed
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
@@ -118,6 +118,22 @@ def test_irrelevant_knobs_share_snapshots(cache):
     net = build_baton(n, seed, dpn)
     overlays.get("baton").wrap(net, record_events=True)
     assert snapshot.stats.hits == 1 and snapshot.stats.misses == 1
+
+
+@pytest.mark.parametrize("name", overlays.available())
+def test_registry_builds_bypass_the_cache(cache, name):
+    """Only the experiments' ``build_network`` caches; the registry's
+    ``build_async`` always builds fresh."""
+    overlays.get(name).build_async(30, seed=0)
+    assert snapshot.stats.as_dict() == snapshot.SnapshotStats().as_dict()
+
+
+@pytest.mark.parametrize("name", overlays.available())
+def test_build_network_misses_once_then_hits(cache, name):
+    build_network(name, 30, 0)
+    assert (snapshot.stats.misses, snapshot.stats.hits) == (1, 0)
+    build_network(name, 30, 0)
+    assert (snapshot.stats.misses, snapshot.stats.hits) == (1, 1)
 
 
 def test_corrupt_snapshot_falls_back_to_clean_build(cache):

@@ -1,4 +1,4 @@
-"""Tests for the deferred-notification channel (repro.core.network.UpdateChannel)."""
+"""Tests for the routing-update channel (repro.core.network.UpdateChannel)."""
 
 import pytest
 
@@ -36,35 +36,6 @@ class TestImmediateMode:
         assert not ok
         assert applied == []
         assert bus.stats.total == 1  # the attempt still crossed the wire
-
-
-class TestDeferredMode:
-    def test_queues_until_flush(self, bus):
-        channel = UpdateChannel(bus)
-        channel.deferred = True
-        applied = []
-        channel.notify(Address(1), Address(2), MsgType.TABLE_UPDATE, lambda: applied.append("a"))
-        channel.notify(Address(2), Address(3), MsgType.TABLE_UPDATE, lambda: applied.append("b"))
-        assert applied == []
-        assert channel.pending_count == 2
-        assert bus.stats.total == 2  # messages were sent at notify time
-        assert channel.flush() == 2
-        assert applied == ["a", "b"]  # FIFO order
-        assert channel.pending_count == 0
-
-    def test_flush_is_idempotent(self, bus):
-        channel = UpdateChannel(bus)
-        channel.deferred = True
-        channel.notify(Address(1), Address(2), MsgType.TABLE_UPDATE, lambda: None)
-        channel.flush()
-        assert channel.flush() == 0
-
-    def test_dead_target_not_queued(self, bus):
-        channel = UpdateChannel(bus)
-        channel.deferred = True
-        ok = channel.notify(Address(1), Address(99), MsgType.TABLE_UPDATE, lambda: None)
-        assert not ok
-        assert channel.pending_count == 0
 
 
 class ScriptedTopology:
