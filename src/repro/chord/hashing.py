@@ -1,4 +1,12 @@
-"""Identifier-space arithmetic for the Chord ring."""
+"""Identifier-space arithmetic for the Chord ring.
+
+:func:`in_interval`, :func:`in_open_interval` and :func:`id_distance` are
+the reference definitions of ring intervals.  The routing kernel in
+:mod:`repro.chord.network` does not call them per hop — it tests the same
+intervals as masked clockwise distances, inline — and the property tests
+(``tests/test_chord_properties.py``) check those inline forms against these
+helpers, edges included.
+"""
 
 from __future__ import annotations
 

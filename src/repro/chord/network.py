@@ -35,10 +35,11 @@ Concurrency semantics:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from repro.chord.hashing import DEFAULT_M_BITS, hash_key, in_interval, in_open_interval
+from repro.chord.hashing import DEFAULT_M_BITS, hash_key
 from repro.chord.node import ChordNode
 from repro.core.ranges import Range
 from repro.core.results import (
@@ -237,33 +238,50 @@ class ChordNetwork(OverlayNetwork):
         )
 
     # -- routing (step generators) ---------------------------------------------
-
-    def _closest_preceding_finger(self, node: ChordNode, target_id: int) -> Address:
-        for i in reversed(range(self.m_bits)):
-            finger = node.finger[i]
-            if finger is None or finger not in self.nodes:
-                continue
-            finger_id = self.nodes[finger].node_id
-            if in_open_interval(finger_id, node.node_id, target_id, self.m_bits):
-                return finger
-        return node.address
+    #
+    # The kernel tests ring intervals as masked clockwise distances, inline:
+    # with ``mask = 2^m - 1`` and ``base = low + 1``, ``value`` lies in
+    # (low, high] iff ``(value - base) & mask <= (high - base) & mask`` and in
+    # (low, high) iff the same with ``<`` — ``low == high`` reads as the whole
+    # ring (bar ``low`` itself for the open interval), exactly as
+    # :func:`~repro.chord.hashing.in_interval` / ``in_open_interval`` define
+    # it.  Those helpers stay the reference definitions; the per-hop path
+    # calls no helper and probes the node map once per finger.
 
     def predecessor_steps(
         self, start: Address, target_id: int, mtype: MsgType
     ) -> MessageSteps:
-        """Hop finger by finger to the node preceding ``target_id``."""
+        """Hop finger by finger to the node preceding ``target_id``.
+
+        Each hop forwards to the closest preceding finger — the highest live
+        finger strictly inside (node, target) — or, when none is, to the
+        successor."""
+        live = self.nodes.get
+        send = self.bus.send
+        mask = (1 << self.config.m_bits) - 1
         current = start
-        limit = 4 * max(self.size.bit_length(), 2) + self.size + 16
-        for _ in range(limit):
-            node = self.node(current)
-            successor = node.successor
-            successor_id = self.node(successor).node_id
-            if in_interval(target_id, node.node_id, successor_id, self.m_bits):
+        size = len(self.nodes)
+        for _ in range(4 * max(size.bit_length(), 2) + size + 16):
+            node = live(current)
+            if node is None:
+                raise PeerNotFoundError(current)
+            fingers = node.finger
+            successor = fingers[0]
+            succ = live(successor)
+            if succ is None:
+                raise PeerNotFoundError(successor)
+            base = node.node_id + 1
+            gap = (target_id - base) & mask
+            if gap <= (succ.node_id - base) & mask:
                 return current
-            next_hop = self._closest_preceding_finger(node, target_id)
-            if next_hop == current:
+            for finger in reversed(fingers):
+                hop_node = live(finger)
+                if hop_node is not None and (hop_node.node_id - base) & mask < gap:
+                    next_hop = finger
+                    break
+            else:
                 next_hop = successor
-            self.bus.send(current, next_hop, mtype)
+            send(current, next_hop, mtype)
             yield Hop(current, next_hop)
             current = next_hop
         raise ProtocolError(f"chord lookup for {target_id} did not terminate")
@@ -311,25 +329,30 @@ class ChordNetwork(OverlayNetwork):
 
     def _init_fingers_steps(self, node: ChordNode, entry: Address) -> MessageSteps:
         """Fill ``finger[1:]``, reusing the previous finger when possible."""
-        for i in range(1, self.m_bits):
-            start = node.finger_start(i)
-            previous = node.finger[i - 1]
-            prev_node = self.nodes.get(previous) if previous is not None else None
+        nodes = self.nodes
+        m_bits = self.config.m_bits
+        mask = (1 << m_bits) - 1
+        fingers = node.finger
+        base = node.node_id + 1
+        for i in range(1, m_bits):
+            start = (node.node_id + (1 << i)) & mask  # finger i's start id
+            previous = fingers[i - 1]
+            prev_node = nodes.get(previous)
             if (
                 prev_node is not None
                 and previous != node.address
-                and in_interval(start, node.node_id, prev_node.node_id, self.m_bits)
+                and (start - base) & mask <= (prev_node.node_id - base) & mask
             ):
                 # The interval [start_i, previous finger] is empty of nodes:
                 # reuse without a lookup (the classic optimisation).
-                node.finger[i] = previous
+                fingers[i] = previous
             else:
                 try:
-                    node.finger[i] = yield from self.successor_steps(
+                    fingers[i] = yield from self.successor_steps(
                         entry, start, MsgType.TABLE_UPDATE
                     )
                 except PeerNotFoundError:
-                    node.finger[i] = None  # churn broke the lookup; successors route
+                    fingers[i] = None  # churn broke the lookup; successors route
 
     def update_others_steps(self, node: ChordNode) -> MessageSteps:
         """Tell existing nodes to adopt the newcomer into their fingers."""
@@ -348,18 +371,21 @@ class ChordNetwork(OverlayNetwork):
         self, address: Address, node: ChordNode, index: int
     ) -> MessageSteps:
         """Cascade a finger adoption backwards along predecessors."""
-        limit = self.size + 4
+        nodes = self.nodes
+        send = self.bus.send
+        mask = (1 << self.config.m_bits) - 1
         current = address
-        for _ in range(limit):
-            holder = self.nodes.get(current)
+        for _ in range(len(nodes) + 4):
+            holder = nodes.get(current)
             if holder is None or holder.address == node.address:
                 return
-            finger = holder.finger[index]
-            finger_id = self.nodes[finger].node_id if finger in self.nodes else None
-            if finger_id is None or in_open_interval(
-                node.node_id, holder.node_id, finger_id, self.m_bits
+            finger_node = nodes.get(holder.finger[index])
+            base = holder.node_id + 1
+            if (
+                finger_node is None
+                or (node.node_id - base) & mask < (finger_node.node_id - base) & mask
             ):
-                self.bus.send(node.address, current, MsgType.TABLE_UPDATE)
+                send(node.address, current, MsgType.TABLE_UPDATE)
                 holder.finger[index] = node.address
                 if holder.predecessor is None or holder.predecessor == current:
                     return
@@ -374,17 +400,13 @@ class ChordNetwork(OverlayNetwork):
         if succ.address == node.address:
             return
         self.bus.send(node.address, succ.address, MsgType.JOIN_TRANSFER)
+        m_bits = self.config.m_bits
+        mask = (1 << m_bits) - 1
+        pred = self.nodes.get(node.predecessor)
+        base = (pred.node_id if pred is not None else node.node_id) + 1
+        span = (node.node_id - base) & mask  # keys hashed into (pred, node]
         moved = [
-            key
-            for key in list(succ.store)
-            if in_interval(
-                hash_key(key, self.m_bits),
-                self.nodes[node.predecessor].node_id
-                if node.predecessor is not None and node.predecessor in self.nodes
-                else node.node_id,
-                node.node_id,
-                self.m_bits,
-            )
+            key for key in succ.store if (hash_key(key, m_bits) - base) & mask <= span
         ]
         for key in moved:
             succ.store.delete(key)
@@ -413,6 +435,7 @@ class ChordNetwork(OverlayNetwork):
 
     def repoint_fingers_steps(self, node: ChordNode) -> MessageSteps:
         """Repair fingers that pointed at the departing node (Θ(log² N))."""
+        nodes = self.nodes
         space = 1 << self.m_bits
         successor = node.successor
         for i in range(self.m_bits):
@@ -424,8 +447,8 @@ class ChordNetwork(OverlayNetwork):
             except PeerNotFoundError:
                 continue  # repair lookup died under churn; fingers stay stale
             current = predecessor
-            for _ in range(self.size + 4):
-                holder = self.nodes.get(current)
+            for _ in range(len(nodes) + 4):
+                holder = nodes.get(current)
                 if holder is None or holder.finger[i] != node.address:
                     break
                 self.bus.send(node.address, current, MsgType.TABLE_UPDATE)
@@ -477,7 +500,7 @@ class ChordNetwork(OverlayNetwork):
             if node is None:
                 break  # walk carrier vanished: truncated answer
             owners.append(current)
-            keys.extend(k for k in node.store if low <= k < high)
+            keys.extend(node.store.keys_in(low, high))
             successor = node.successor
             if successor == start:
                 complete = True
@@ -520,8 +543,6 @@ class ChordNetwork(OverlayNetwork):
             (node.node_id, address) for address, node in self.nodes.items()
         )
         ids = [node_id for node_id, _ in by_id]
-        import bisect
-
         placed = 0
         for key in keys:
             key_id = hash_key(key, self.m_bits)

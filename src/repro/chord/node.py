@@ -33,9 +33,5 @@ class ChordNode:
     def successor(self, address: Optional[Address]) -> None:
         self.finger[0] = address
 
-    def finger_start(self, index: int) -> int:
-        """The identifier ``(node_id + 2^index) mod 2^m``."""
-        return (self.node_id + (1 << index)) % (1 << self.m_bits)
-
     def __repr__(self) -> str:
         return f"ChordNode(addr={self.address}, id={self.node_id})"

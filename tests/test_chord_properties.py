@@ -22,6 +22,30 @@ class TestIntervalProperties:
         assert in_interval(value, low, high, m_bits) == expected
 
     @given(ring_ids, ring_ids, ring_ids)
+    def test_open_interval_membership_matches_distance_form(self, value, low, high):
+        """(low, high) membership == 0 < d < span, a zero span being 2^m."""
+        span = id_distance(low, high, m_bits) or (1 << m_bits)
+        expected = 0 < id_distance(low, value, m_bits) < span
+        assert in_open_interval(value, low, high, m_bits) == expected
+
+    @given(st.data(), st.sampled_from([3, 24]))
+    def test_masked_kernel_forms_match_reference(self, data, bits):
+        """The routing kernel's inline tests agree with both reference
+        helpers: with ``base = low + 1``, ``(value - base) & mask`` compared
+        with ``(high - base) & mask`` by ``<=`` is (low, high] and by ``<``
+        is (low, high) — the edges ``low == high`` and ``value`` at either
+        end drawn on purpose."""
+        ids = st.integers(min_value=0, max_value=(1 << bits) - 1)
+        low = data.draw(ids)
+        high = data.draw(st.one_of(st.just(low), ids))
+        value = data.draw(st.one_of(st.sampled_from([low, high]), ids))
+        mask = (1 << bits) - 1
+        base = low + 1
+        gap, span = (value - base) & mask, (high - base) & mask
+        assert (gap <= span) == in_interval(value, low, high, bits)
+        assert (gap < span) == in_open_interval(value, low, high, bits)
+
+    @given(ring_ids, ring_ids, ring_ids)
     def test_open_interval_is_subset_of_half_open(self, value, low, high):
         if in_open_interval(value, low, high, m_bits) and low != high:
             assert in_interval(value, low, high, m_bits)
