@@ -107,18 +107,21 @@ class RoutingTable:
 
     __slots__ = ("owner", "side", "entries", "_slots_cache", "_valid_indices")
 
-    def __init__(self, owner: Position, side: str):
+    def __init__(self, owner: Position, side: str, width: Optional[int] = None):
         # The slot *count* is pure arithmetic — #{i : number ± 2^i stays in
         # [1, 2^level]} — so construction never materialises the slot
         # positions; ``_slots`` builds them on first geometry lookup.  At
         # 100k peers that makes table construction O(1) per table, which
-        # cut bulk-build wall-clock by almost half.
-        if side == LEFT:
-            width = (owner.number - 1).bit_length()
-        elif side == RIGHT:
-            width = ((1 << owner.level) - owner.number).bit_length()
-        else:
-            raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
+        # cut bulk-build wall-clock by almost half.  A caller that has
+        # already computed that count (the ground-truth rebuild) passes it
+        # as ``width``.
+        if width is None:
+            if side == LEFT:
+                width = (owner.number - 1).bit_length()
+            elif side == RIGHT:
+                width = ((1 << owner.level) - owner.number).bit_length()
+            else:
+                raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
         self.owner = owner
         self.side = side
         self._slots_cache: Optional[Tuple[Position, ...]] = None

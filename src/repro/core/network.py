@@ -34,6 +34,7 @@ from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.net.overlay import OverlayNetwork
+from repro.util.collector import paused
 from repro.util.errors import NetworkEmptyError, PeerNotFoundError
 from repro.util.rng import SeededRng
 from repro.util.stepper import MessageSteps, drive
@@ -256,9 +257,10 @@ class BatonNetwork(OverlayNetwork):
         #: coordinator's reconstruction and for test assertions.
         self.ghosts: Dict[Address, BatonPeer] = {}
         self.stats = NetworkStats()
-        #: The position map, keyed by ``Position.code``; read and written
-        #: only in this class (``occupant`` / ``occupied_positions`` /
-        #: ``occupancy`` out, the four bookkeeping methods below in).
+        #: The position map, keyed by ``Position.code``; written only in
+        #: this class (the four bookkeeping methods below) and read through
+        #: ``occupant`` / ``occupied_positions`` / ``occupancy`` — and raw
+        #: by the ground-truth rebuild's ``restructure.MapView``.
         self._positions: Dict[int, Address] = {}
         #: Back-off bookkeeping for §IV-D (see balance.maybe_balance).
         self._balance_backoff: Dict[Address, int] = {}
@@ -388,7 +390,8 @@ class BatonNetwork(OverlayNetwork):
         ``bulk=True`` computes the final balanced tree directly instead of
         simulating N joins (see :mod:`repro.core.bulk_build` and DESIGN.md's
         "Construction contract") — same shape, same links, zero messages;
-        entry-point placement differs only in that joins are random-entry.
+        entry-point placement differs only in that joins are random-entry;
+        it runs with the cycle collector paused, the grown build does not.
         The scale profile (``python -m repro profile``) and the end-to-end
         benchmark build BATON this way; protocol tests that pin message
         traces keep joins.
@@ -398,7 +401,8 @@ class BatonNetwork(OverlayNetwork):
         from repro.core.bulk_build import populate_balanced
 
         net = cls(config=config, seed=seed)
-        populate_balanced(net, n_peers, keys=keys)
+        with paused():
+            populate_balanced(net, n_peers, keys=keys)
         return net
 
     # -- operations (step generators in the protocol modules) -----------------
@@ -588,14 +592,16 @@ class BatonNetwork(OverlayNetwork):
 
     def refresh_replicas(self) -> int:
         """Anti-entropy sweep of the replication extension (if enabled):
-        every peer's :meth:`replica_refresh_steps`, driven in turn.
-        Returns the number of messages spent (one per peer)."""
+        every peer's :meth:`replica_refresh_steps`, driven in turn, with
+        the cycle collector paused.  Returns the number of messages spent
+        (one per peer)."""
         if not self.config.replication:
             return 0
-        return sum(
-            drive(self.replica_refresh_steps(address, None))
-            for address in self.addresses()
-        )
+        with paused():
+            return sum(
+                drive(self.replica_refresh_steps(address, None))
+                for address in self.addresses()
+            )
 
     def replica_refresh_steps(
         self,
@@ -640,7 +646,8 @@ class BatonNetwork(OverlayNetwork):
         one RECONCILE digest message to a live neighbour — the modeled
         cost of the exchange (DESIGN.md, "Durability contract") — so
         maintenance traffic is a first-class, sweepable metric.  Returns
-        the number of messages spent.
+        the number of messages spent.  Runs with the cycle collector
+        paused (DESIGN.md, "Performance contract").
         """
         from repro.core import cache as route_cache_protocol
         from repro.core import restructure as restructure_protocol
@@ -648,17 +655,18 @@ class BatonNetwork(OverlayNetwork):
         view = restructure_protocol.MapView(self, include_ghosts=bool(self.ghosts))
         validate_routes = route_cache_protocol.cache_enabled(self)
         messages = 0
-        for peer in list(self.peers.values()):
-            partner = self._reconcile_partner(peer)
-            if partner is not None:
-                self.count_message(peer.address, partner, MsgType.RECONCILE)
-                messages += 1
-            restructure_protocol.refresh_links_from_map(view, peer)
-            if validate_routes:
-                # The same sweep bounds hot-range cache staleness: dead
-                # owners dropped, moved ranges corrected (counted as
-                # invalidations; see repro.core.cache).
-                route_cache_protocol.reconcile_peer(self, peer)
+        with paused():
+            for peer in list(self.peers.values()):
+                partner = self._reconcile_partner(peer)
+                if partner is not None:
+                    self.count_message(peer.address, partner, MsgType.RECONCILE)
+                    messages += 1
+                restructure_protocol.refresh_links_from_map(view, peer)
+                if validate_routes:
+                    # The same sweep bounds hot-range cache staleness: dead
+                    # owners dropped, moved ranges corrected (counted as
+                    # invalidations; see repro.core.cache).
+                    route_cache_protocol.reconcile_peer(self, peer)
         return messages
 
     def _reconcile_partner(self, peer: BatonPeer) -> Optional[Address]:

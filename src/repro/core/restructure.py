@@ -96,52 +96,77 @@ class MapView(dict):
     ghost-held slot always counts as occupied.
     """
 
-    __slots__ = ("occupancy", "_peers", "_ghosts")
+    __slots__ = ("occupancy", "_positions", "_peers", "_ghosts")
 
     def __init__(self, net: "BatonNetwork", include_ghosts: bool = False):
         super().__init__()
         self.occupancy = net.occupancy()
+        # The raw map behind ``occupancy``: a plain dict's ``get`` is one C
+        # call, the read-only proxy's is two, and snapshots are built
+        # N·log N times per sweep.
+        self._positions = net._positions
         self._peers = net.peers
         self._ghosts = net.ghosts if include_ghosts else {}
 
     def __missing__(self, code: int) -> Optional[NodeInfo]:
-        occupancy = self.occupancy
-        address = occupancy.get(code)
+        positions = self._positions
+        address = positions.get(code)
         peer = self._peers.get(address)
         if peer is None:
             peer = self._ghosts.get(address)
         if peer is None:
             snapshot = None  # empty slot (or invisible ghost)
         else:
-            snapshot = NodeInfo(
-                address,
-                Position.from_code(code),
-                peer.range,
-                occupancy.get(2 * code),
-                occupancy.get(2 * code + 1),
+            # The occupant's own position is the slot's (the position map
+            # is keyed by it), and ``tuple.__new__`` skips NodeInfo's
+            # Python-level constructor.
+            snapshot = _new_tuple(
+                NodeInfo,
+                (
+                    address,
+                    peer.position,
+                    peer.range,
+                    positions.get(2 * code),
+                    positions.get(2 * code + 1),
+                ),
             )
         self[code] = snapshot
         return snapshot
 
 
+_new_tuple = tuple.__new__
+
+#: ``_DISTANCES[w]`` is ``(1, 2, 4, …, 2^(w-1))``: the heap-code offsets of
+#: a ``w``-row table's slots, nearest first (prefixes of one tuple, so the
+#: ints are shared).
+_POWERS = tuple(1 << i for i in range(64))
+_DISTANCES = tuple(_POWERS[:width] for width in range(65))
+
+
 def refresh_links_from_map(view: MapView, peer: BatonPeer) -> None:
     """Recompute every link of ``peer`` from the position map."""
     position = peer.position
-    code = position.code
+    level = position.level
+    number = position.number
+    code = (1 << level) + number - 1
     peer.parent = view[code >> 1] if code > 1 else None
     peer.left_child = view[2 * code]
     peer.right_child = view[2 * code + 1]
-    left = inorder_neighbor_code(view.occupancy, code, LEFT)
+    occupied = view._positions
+    left = inorder_neighbor_code(occupied, code, LEFT)
     peer.left_adjacent = view[left] if left is not None else None
-    right = inorder_neighbor_code(view.occupancy, code, RIGHT)
+    right = inorder_neighbor_code(occupied, code, RIGHT)
     peer.right_adjacent = view[right] if right is not None else None
     # Fresh tables, rows written directly: row ``i`` is the slot ``2^i``
     # along the level, so RoutingTable.set's position check can never
-    # fire here, and this runs N·log N times per sweep.
-    peer.left_table = table = RoutingTable(owner=position, side=LEFT)
-    table.entries[:] = [view[code - (1 << i)] for i in table.valid_indices()]
-    peer.right_table = table = RoutingTable(owner=position, side=RIGHT)
-    table.entries[:] = [view[code + (1 << i)] for i in table.valid_indices()]
+    # fire here, and this runs N·log N times per sweep.  The widths are
+    # RoutingTable's own slot counts, computed once here and handed over.
+    width = (number - 1).bit_length()
+    peer.left_table = table = RoutingTable(position, LEFT, width)
+    table.entries[:] = [view[code - distance] for distance in _DISTANCES[width]]
+    width = ((1 << level) - number).bit_length()
+    peer.right_table = table = RoutingTable(position, RIGHT, width)
+    table.entries[:] = [view[code + distance] for distance in _DISTANCES[width]]
 
 
 def rebuild_after_moves(

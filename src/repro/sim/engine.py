@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
+from repro.util.collector import paused
+
 
 class Event:
     """A scheduled callback, and the handle used to cancel it.
@@ -185,13 +187,16 @@ class Simulator:
         """Run until the queue drains (or ``max_events``); return #executed.
 
         Every event is dispatched through :meth:`step`, so a subclass that
-        overrides it (the benchmark's tracer) sees each one.
+        overrides it (the benchmark's tracer) sees each one.  The loop runs
+        with the cycle collector paused (:func:`repro.util.collector.paused`):
+        a completed op is freed by reference counting.
         """
         executed = 0
-        while max_events is None or executed < max_events:
-            if self.step() is None:
-                break
-            executed += 1
+        with paused():
+            while max_events is None or executed < max_events:
+                if self.step() is None:
+                    break
+                executed += 1
         return executed
 
     def run_until(self, time: float) -> int:
@@ -203,18 +208,20 @@ class Simulator:
         ``time``: executing the last in-window event sets it to that
         event's (earlier or equal) timestamp, and the final assignment
         advances it the rest of the way so follow-up ``schedule`` calls
-        measure delays from the requested stopping point.
+        measure delays from the requested stopping point.  Collector
+        paused, as in :meth:`run`.
         """
         executed = 0
-        while True:
-            queue = self._queue  # re-read: an action may have compacted it
-            while queue and queue[0][2].action is None:
-                heapq.heappop(queue)
-                self._dead -= 1
-            if not queue or queue[0][0] > time:
-                break
-            self.step()
-            executed += 1
+        with paused():
+            while True:
+                queue = self._queue  # re-read: an action may have compacted it
+                while queue and queue[0][2].action is None:
+                    heapq.heappop(queue)
+                    self._dead -= 1
+                if not queue or queue[0][0] > time:
+                    break
+                self.step()
+                executed += 1
         if self._now < time:
             self._now = time
         return executed

@@ -1,10 +1,13 @@
 """Protocol tests: network restructuring (§III-E forced shifts)."""
 
+import random
+import sys
+
 import pytest
 
 from repro.core import BatonNetwork, check_invariants, collect_violations
 from repro.core.ids import Position
-from repro.core.links import LEFT, RIGHT, NodeInfo
+from repro.core.links import LEFT, RIGHT, NodeInfo, RoutingTable
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core import restructure
@@ -240,6 +243,127 @@ class TestOneSnapshotPerSlot:
         assert len(net.peers) == 1020
         assert distinct_snapshots(net) <= len(net.occupancy())
         assert collect_violations(net) == []
+
+
+# -- the kernel's reference ---------------------------------------------------
+#
+# The heap-coded rebuild before it read the raw position map, took the
+# occupant's own position and filled rows from precomputed distances: the
+# read-only proxy, ``Position.from_code``, NodeInfo's constructor and
+# RoutingTable's own width computation.
+
+
+class ReferenceMapView(dict):
+    def __init__(self, net: BatonNetwork, include_ghosts: bool = False):
+        super().__init__()
+        self.occupancy = net.occupancy()
+        self._peers = net.peers
+        self._ghosts = net.ghosts if include_ghosts else {}
+
+    def __missing__(self, code: int):
+        occupancy = self.occupancy
+        address = occupancy.get(code)
+        peer = self._peers.get(address)
+        if peer is None:
+            peer = self._ghosts.get(address)
+        if peer is None:
+            snapshot = None
+        else:
+            snapshot = NodeInfo(
+                address,
+                Position.from_code(code),
+                peer.range,
+                occupancy.get(2 * code),
+                occupancy.get(2 * code + 1),
+            )
+        self[code] = snapshot
+        return snapshot
+
+
+def reference_refresh(view: ReferenceMapView, peer: BatonPeer) -> None:
+    position = peer.position
+    code = position.code
+    peer.parent = view[code >> 1] if code > 1 else None
+    peer.left_child = view[2 * code]
+    peer.right_child = view[2 * code + 1]
+    left = restructure.inorder_neighbor_code(view.occupancy, code, LEFT)
+    peer.left_adjacent = view[left] if left is not None else None
+    right = restructure.inorder_neighbor_code(view.occupancy, code, RIGHT)
+    peer.right_adjacent = view[right] if right is not None else None
+    peer.left_table = table = RoutingTable(owner=position, side=LEFT)
+    table.entries[:] = [view[code - (1 << i)] for i in table.valid_indices()]
+    peer.right_table = table = RoutingTable(owner=position, side=RIGHT)
+    table.entries[:] = [view[code + (1 << i)] for i in table.valid_indices()]
+
+
+def async_churned_network_with_ghosts() -> BatonNetwork:
+    """Overlapping joins, leaves and inserts through the event runtime,
+    then crashes left unrepaired — a leaf and its parent among them."""
+    from repro.sim.latency import ExponentialLatency
+    from repro.sim.runtime import AsyncOverlayRuntime
+    from repro.util.rng import SeededRng
+    from repro.workloads.generators import uniform_keys
+
+    net = BatonNetwork.build(200, seed=7, bulk=True, keys=uniform_keys(2000, seed=7))
+    anet = AsyncOverlayRuntime(net, topology=ExponentialLatency(1.0, SeededRng(7)))
+    rng = random.Random(7)
+    domain = net.domain
+    for address in rng.sample(sorted(net.peers), 30):
+        anet.submit_join()
+        anet.submit_leave(address)
+        anet.submit_insert(rng.randrange(domain.low, domain.high))
+    anet.drain()
+    child = next(
+        p
+        for p in net.peers.values()
+        if p.is_leaf and p.position.level >= 3 and p.parent is not None
+    )
+    doomed = [child.address, child.parent.address]
+    doomed += [a for a in sorted(net.peers) if a not in doomed][10:100:30]
+    for address in doomed:
+        anet.submit_fail(address)
+    anet.drain()
+    assert len(net.ghosts) == len(doomed)
+    return net
+
+
+class TestKernelAgainstReference:
+    """The rebuild kernel writes exactly the reference's links, its
+    snapshots carry the slot's position, and its rows stay exact-size."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return async_churned_network_with_ghosts()
+
+    @pytest.mark.parametrize("include_ghosts", [False, True])
+    def test_links_equal_the_reference(self, net, include_ghosts):
+        reference = ReferenceMapView(net, include_ghosts=include_ghosts)
+        view = restructure.MapView(net, include_ghosts=include_ghosts)
+        for peer in list(net.peers.values()) + list(net.ghosts.values()):
+            reference_refresh(reference, peer)
+            expected = written_links(peer)
+            restructure.refresh_links_from_map(view, peer)
+            assert written_links(peer) == expected
+        assert dict(view) == dict(reference)  # every snapshot either built
+
+    def test_snapshot_position_is_the_slot(self, net):
+        view = restructure.MapView(net, include_ghosts=True)
+        for code in net.occupancy():
+            snapshot = view[code]
+            assert type(snapshot) is NodeInfo
+            assert snapshot.position == Position.from_code(code)
+
+    def test_rows_are_exact_size(self, net):
+        view = restructure.MapView(net, include_ghosts=True)
+        for peer in list(net.peers.values()) + list(net.ghosts.values()):
+            restructure.refresh_links_from_map(view, peer)
+            for table, slots in (
+                (peer.left_table, peer.position.left_table_positions()),
+                (peer.right_table, peer.position.right_table_positions()),
+            ):
+                width = len(list(slots))
+                assert len(table.entries) == width
+                assert sys.getsizeof(table.entries) == sys.getsizeof([None] * width)
 
 
 def find_forced_parent(net: BatonNetwork) -> BatonPeer:

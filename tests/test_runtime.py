@@ -18,11 +18,13 @@ from repro import overlays
 from repro.core import check_invariants
 from repro.core.network import BatonConfig, BatonNetwork
 from repro.net.message import MsgType
+from repro.sim.engine import Event
 from repro.sim.faults import FaultPlan
 from repro.sim.latency import ConstantLatency, ExponentialLatency
-from repro.sim.runtime import AsyncOverlayRuntime
+from repro.sim.runtime import FAILED, AsyncOverlayRuntime, OpFuture, _Advance
 from repro.util.errors import PeerNotFoundError, ReproError
 from repro.util.rng import SeededRng
+from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
 from repro.workloads.generators import uniform_keys
 
 from tests.test_sim import RecordingSimulator
@@ -346,6 +348,88 @@ class TestNoCyclicGarbage:
             gc.enable()
         assert future.succeeded and future.result == anet.size == 1024
         assert garbage < 100
+
+    #: Objects one failed op keeps through its error's traceback (frames,
+    #: their locals, the dead peer a walk was looking at): 46 to 73 seen.
+    PER_FAILED_OP = 80
+    #: Objects one self-rescheduling closure keeps (function, cells,
+    #: closure tuple, what only they reach): 16 for a Poisson arrival, 6
+    #: for the maintenance sweep, 11 and 15 for a refresh sweep's two.
+    PER_CLOSURE = 16
+    CLOSURES = {
+        "poisson.<locals>.arrive",
+        "WorkloadRun.maintenance.<locals>.sweep",
+        "AsyncOverlayRuntime.submit_replica_refresh_sweep.<locals>.join",
+        "AsyncOverlayRuntime.submit_replica_refresh_sweep.<locals>.resume",
+    }
+
+    def test_composed_churn_loop_keeps_only_failed_ops_and_closures(self):
+        """The event loop runs with the collector paused, so a per-op cycle
+        would hoard memory for a whole run: joins, leaves, crashes, in-run
+        repairs, replication, inserts and maintenance sweeps together
+        leave only what failed ops and the periodic closures keep."""
+        anet = streaming_runtime(exponential(), replication=True)
+        config = ConcurrentConfig(
+            duration=12.0,
+            churn_rate=3.0,
+            fail_fraction=0.3,
+            repair_delay=2.0,
+            insert_rate=16.0,
+            query_rate=60.0,
+            range_fraction=0.2,
+            maintenance_interval=3.0,
+        )
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report = run_concurrent_workload(
+                anet, uniform_keys(1024 * 20, seed=5), config, seed=11
+            )
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert anet.in_flight == 0
+        for kind in ("join", "leave", "fail", "repair", "insert"):
+            assert report.submitted[kind] > 0, kind
+        assert report.reconcile_sweeps == report.replica_refresh_sweeps > 0
+
+        closures = [obj for obj in garbage if type(obj).__name__ == "function"]
+        assert {fn.__qualname__ for fn in closures} <= self.CLOSURES
+        # Three arrival streams, one maintenance loop, two per refresh round.
+        assert len(closures) == 3 + 1 + 2 * report.replica_refresh_sweeps
+        failed = [
+            obj for obj in garbage if isinstance(obj, OpFuture) and obj.status == FAILED
+        ]
+        assert len(failed) == report.failed
+        # Every Event, _Advance and completed future in the garbage is one
+        # of those keepers' own: a completed op is freed by refcounting.
+        kept = reachable_within(garbage, failed + closures)
+        for obj in garbage:
+            if isinstance(obj, (Event, _Advance)) or (
+                isinstance(obj, OpFuture) and obj.succeeded
+            ):
+                assert id(obj) in kept, obj
+        assert len(garbage) <= (
+            self.PER_FAILED_OP * report.failed + self.PER_CLOSURE * len(closures)
+        )
+
+
+def reachable_within(objects: list, roots: list) -> set:
+    """ids of the ``objects`` reachable from ``roots`` through ``objects``."""
+    inside = {id(obj) for obj in objects}
+    seen: set = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        stack.extend(ref for ref in gc.get_referents(obj) if id(ref) in inside)
+    return seen
 
 
 def shadow_send(bus) -> list:

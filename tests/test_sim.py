@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine (repro.sim)."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -463,3 +465,148 @@ class TestOverridableSeams:
         self.assert_all_seen(sim, sim.run())
         assert ran == ["late", *range(3, 62, 3)]
         assert sim.pending_count == 0 and not sim._queue
+
+
+@pytest.fixture
+def collector_state():
+    """Whatever a test does to the cycle collector, the next test starts
+    with the state this one found."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def drive(sim: Simulator, method: str) -> None:
+    if method == "run":
+        sim.run()
+    else:
+        sim.run_until(100.0)
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPaused:
+    """The event loop and BATON's whole-network passes run with the cycle
+    collector paused, and hand the caller back the state they found
+    (DESIGN.md, "Performance contract")."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("method", ["run", "run_until"])
+    def test_actions_see_it_paused_and_the_caller_state_returns(
+        self, method, enabled
+    ):
+        (gc.enable if enabled else gc.disable)()
+        sim = Simulator()
+        seen = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: seen.append(gc.isenabled()))
+        drive(sim, method)
+        assert seen == [False, False, False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("method", ["run", "run_until"])
+    def test_state_returns_when_an_action_raises(self, method):
+        gc.enable()
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("action failed")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="action failed"):
+            drive(sim, method)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("method", ["run", "run_until"])
+    def test_nested_run_does_not_reenable_it(self, method):
+        gc.enable()
+        sim = Simulator()
+        inner = Simulator()
+        seen = []
+        inner.schedule(1.0, lambda: seen.append(("inner", gc.isenabled())))
+
+        def nested():
+            drive(inner, method)
+            seen.append(("after inner", gc.isenabled()))
+
+        sim.schedule(1.0, nested)
+        sim.schedule(2.0, lambda: seen.append(("outer", gc.isenabled())))
+        drive(sim, method)
+        assert seen == [("inner", False), ("after inner", False), ("outer", False)]
+        assert gc.isenabled()
+
+    # -- BATON's three whole-network passes -----------------------------------
+
+    def test_reconcile(self, monkeypatch):
+        from repro.core import BatonNetwork
+        from repro.core import restructure
+
+        net = BatonNetwork.build(64, seed=1, bulk=True)
+        seen = []
+        refresh = restructure.refresh_links_from_map
+
+        def recording(view, peer):
+            seen.append(gc.isenabled())
+            refresh(view, peer)
+
+        monkeypatch.setattr(restructure, "refresh_links_from_map", recording)
+        gc.enable()
+        net.reconcile()
+        assert seen == [False] * 64
+        assert gc.isenabled()
+
+    def test_refresh_replicas(self, monkeypatch):
+        from repro.core import BatonNetwork
+        from repro.core.network import BatonConfig
+
+        net = BatonNetwork.build(
+            64, seed=1, config=BatonConfig(replication=True), bulk=True
+        )
+        seen = []
+        steps = net.replica_refresh_steps
+
+        def recording(address, trace, degraded=None):
+            seen.append(gc.isenabled())
+            return steps(address, trace, degraded)
+
+        monkeypatch.setattr(net, "replica_refresh_steps", recording)
+        gc.enable()
+        assert net.refresh_replicas() == 64
+        assert seen == [False] * 64
+        assert gc.isenabled()
+
+    def test_bulk_build(self, monkeypatch):
+        from repro.core import BatonNetwork
+        from repro.core import bulk_build
+
+        seen = []
+        populate = bulk_build.populate_balanced
+
+        def recording(net, n_peers, keys=None):
+            seen.append(gc.isenabled())
+            populate(net, n_peers, keys=keys)
+
+        monkeypatch.setattr(bulk_build, "populate_balanced", recording)
+        gc.enable()
+        assert BatonNetwork.build(64, seed=1, bulk=True).size == 64
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_grown_build_keeps_it_running(self, monkeypatch):
+        """The join-by-join growth loop is not a paused region (DESIGN.md
+        says why)."""
+        from repro.core import BatonNetwork
+
+        seen = []
+        join_steps = BatonNetwork.join_steps
+
+        def recording(self, start, trace, degraded=None):
+            seen.append(gc.isenabled())
+            return join_steps(self, start, trace, degraded)
+
+        monkeypatch.setattr(BatonNetwork, "join_steps", recording)
+        gc.enable()
+        BatonNetwork.build(16, seed=1)
+        assert seen and all(seen)
