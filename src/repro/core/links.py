@@ -86,6 +86,14 @@ class NodeInfo(NamedTuple):
         return f"peer@{self.address}{self.position}{self.range}"
 
 
+#: ``ROW_DISTANCES[w]`` is ``(1, 2, 4, …, 2^(w-1))``: the heap-code offsets
+#: of a ``w``-row table's slots, nearest first (prefixes of one tuple, so
+#: the ints are shared).  Whole-table fills (the bulk build and the
+#: ground-truth rebuild) read a row's slots off it.
+_POWERS = tuple(1 << i for i in range(64))
+ROW_DISTANCES = tuple(_POWERS[:width] for width in range(65))
+
+
 #: Shared index ranges for the dense tables below: a table with k slots
 #: always iterates 0..k-1, and k only varies with the owner's level, so
 #: one range object per distinct k serves every table in the network.

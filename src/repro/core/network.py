@@ -258,7 +258,7 @@ class BatonNetwork(OverlayNetwork):
         self.ghosts: Dict[Address, BatonPeer] = {}
         self.stats = NetworkStats()
         #: The position map, keyed by ``Position.code``; written only in
-        #: this class (the four bookkeeping methods below) and read through
+        #: this class (the bookkeeping methods below) and read through
         #: ``occupant`` / ``occupied_positions`` / ``occupancy`` — and raw
         #: by the ground-truth rebuild's ``restructure.MapView``.
         self._positions: Dict[int, Address] = {}
@@ -341,6 +341,13 @@ class BatonNetwork(OverlayNetwork):
         self._positions[peer.position.code] = peer.address
         self.bus.register(peer.address)
 
+    def register_peers(self, peers: List[BatonPeer]) -> None:
+        """:meth:`register_peer` for each peer, in order (the bulk build)."""
+        addresses = [peer.address for peer in peers]
+        self.peers.add_new(addresses, peers)
+        self._positions.update(zip([peer.position.code for peer in peers], addresses))
+        self.bus.register_many(addresses)
+
     def unregister_peer(self, address: Address) -> BatonPeer:
         peer = self.peers[address]
         del self.peers[address]
@@ -404,6 +411,18 @@ class BatonNetwork(OverlayNetwork):
         with paused():
             populate_balanced(net, n_peers, keys=keys)
         return net
+
+    def grow(self, n_peers: int, keys: Optional[Iterable[int]] = None) -> None:
+        """The shared growth loop, after checking every key has an owner
+        (raises ``ValueError`` naming the lowest key below the domain, else
+        the highest above it)."""
+        if keys is not None:
+            keys = list(keys)
+            if keys:
+                from repro.core.bulk_build import check_keys_in_domain
+
+                check_keys_in_domain(self.config.domain, min(keys), max(keys))
+        super().grow(n_peers, keys)
 
     # -- operations (step generators in the protocol modules) -----------------
 
@@ -756,11 +775,7 @@ class BatonNetwork(OverlayNetwork):
                 sent += 1
         return sent
 
-    # -- snapshots for experiments ------------------------------------------------
-
-    def load_snapshot(self) -> Dict[Address, int]:
-        """Store sizes per peer (load-balance experiments)."""
-        return {address: len(peer.store) for address, peer in self.peers.items()}
+    # -- the ends of the key order ------------------------------------------------
 
     def leftmost_peer(self) -> BatonPeer:
         """The peer owning the lowest range (no left adjacent)."""

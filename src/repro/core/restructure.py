@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Container, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.ids import Position
-from repro.core.links import LEFT, RIGHT, NodeInfo, RoutingTable
+from repro.core.links import LEFT, RIGHT, ROW_DISTANCES, NodeInfo, RoutingTable
 from repro.core.peer import BatonPeer
 from repro.net.address import Address
 from repro.net.message import MsgType
@@ -136,11 +136,6 @@ class MapView(dict):
 
 _new_tuple = tuple.__new__
 
-#: ``_DISTANCES[w]`` is ``(1, 2, 4, …, 2^(w-1))``: the heap-code offsets of
-#: a ``w``-row table's slots, nearest first (prefixes of one tuple, so the
-#: ints are shared).
-_POWERS = tuple(1 << i for i in range(64))
-_DISTANCES = tuple(_POWERS[:width] for width in range(65))
 
 
 def refresh_links_from_map(view: MapView, peer: BatonPeer) -> None:
@@ -163,10 +158,10 @@ def refresh_links_from_map(view: MapView, peer: BatonPeer) -> None:
     # RoutingTable's own slot counts, computed once here and handed over.
     width = (number - 1).bit_length()
     peer.left_table = table = RoutingTable(position, LEFT, width)
-    table.entries[:] = [view[code - distance] for distance in _DISTANCES[width]]
+    table.entries[:] = [view[code - distance] for distance in ROW_DISTANCES[width]]
     width = ((1 << level) - number).bit_length()
     peer.right_table = table = RoutingTable(position, RIGHT, width)
-    table.entries[:] = [view[code + distance] for distance in _DISTANCES[width]]
+    table.entries[:] = [view[code + distance] for distance in ROW_DISTANCES[width]]
 
 
 def rebuild_after_moves(

@@ -52,6 +52,14 @@ class LocalStore:
         self._keys.extend(keys)
         self._keys.sort()
 
+    def adopt_sorted(self, keys: List[int]) -> None:
+        """Take ``keys`` — already sorted, and handed over — as the whole
+        content of an empty store (the bulk build deals each peer its
+        exact-size slice of the sorted dataset; no copy, no re-sort)."""
+        if self._keys:
+            raise ValueError("adopt_sorted needs an empty store")
+        self._keys = keys
+
     def clear(self) -> List[int]:
         """Remove and return every key (content transfer on departure)."""
         keys, self._keys = self._keys, []

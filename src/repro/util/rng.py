@@ -61,6 +61,31 @@ class SeededRng:
         """Uniform integer in the inclusive range [low, high]."""
         return self._random.randint(low, high)
 
+    def randints(self, low: int, high: int, count: int) -> list[int]:
+        """``count`` uniform integers in [low, high], exactly as ``count``
+        calls of :meth:`randint` would draw them.
+
+        The loop is CPython's own ``_randbelow_with_getrandbits``: one
+        ``getrandbits(k)`` per candidate, rejected while it lands past the
+        width.  So the values *and* the generator's state afterwards match
+        the one-at-a-time stream bit for bit, without the three Python
+        frames ``randint`` → ``randrange`` → ``_randbelow`` spends per
+        draw (about a fifth of the cost per key on CPython 3.11).
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range [{low}, {high}]")
+        bits = width.bit_length()
+        getrandbits = self._random.getrandbits
+        values: list[int] = []
+        append = values.append
+        for _ in range(count):
+            value = getrandbits(bits)
+            while value >= width:
+                value = getrandbits(bits)
+            append(low + value)
+        return values
+
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._random.random()

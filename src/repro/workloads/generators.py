@@ -20,7 +20,8 @@ class UniformKeys:
         return self._rng.randint(self.domain.low, self.domain.high - 1)
 
     def take(self, count: int) -> List[int]:
-        return [self.draw() for _ in range(count)]
+        """``count`` keys: the same stream as ``count`` :meth:`draw` calls."""
+        return self._rng.randints(self.domain.low, self.domain.high - 1, count)
 
 
 class ZipfianKeys:

@@ -1,8 +1,13 @@
 """Unit tests for seeded randomness (repro.util.rng)."""
 
+import hashlib
+import random
 import timeit
 
+import pytest
+
 from repro.util.rng import SeededRng, derive_seed
+from repro.workloads.generators import UniformKeys, uniform_keys
 
 
 class TestDeriveSeed:
@@ -108,3 +113,48 @@ class TestSeededRng:
         fast_s = min(timeit.repeat(fast, number=1, repeat=3))
         per_call_s = timeit.timeit(per_call, number=1)
         assert fast_s * 5 < per_call_s, (fast_s, per_call_s)
+
+
+class TestBatchDraw:
+    """``randints`` is ``count`` ``randint`` calls: same values, and the
+    generator ends in the same state, so later draws are unchanged too."""
+
+    WIDTHS = [1, 2, 3, 2**31, 2**32, 2**32 + 1, 2**40 + 3, 10**9 - 1]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("low", [0, 1, -5, -(2**33)])
+    def test_same_stream_as_randint(self, width, low):
+        high = low + width - 1
+        batch = SeededRng(21)
+        single = random.Random(21)
+        assert batch.randints(low, high, 500) == [
+            single.randint(low, high) for _ in range(500)
+        ]
+        assert batch._random.getstate() == single.getstate()
+
+    def test_zero_count_draws_nothing(self):
+        rng = SeededRng(4)
+        before = rng._random.getstate()
+        assert rng.randints(1, 10, 0) == []
+        assert rng._random.getstate() == before
+
+    def test_empty_range_raises(self):
+        with pytest.raises(ValueError, match="empty range"):
+            SeededRng(4).randints(5, 4, 3)
+
+    def test_take_then_draw_continues_the_stream(self):
+        mixed = UniformKeys(seed=8)
+        single = UniformKeys(seed=8)
+        assert mixed.take(100) + [mixed.draw()] == [single.draw() for _ in range(101)]
+
+    @pytest.mark.parametrize(
+        "workload, digest",
+        [
+            ("query_flat", "bd4a9fa514d6dfd8"),
+            ("churn_durable", "7978f2f5320e9eca"),
+            ("wan_lossy_sessions", "5c9ff68050b523cf"),
+        ],
+    )
+    def test_benchmark_datasets_are_unchanged(self, workload, digest):
+        keys = uniform_keys(200_000, seed=derive_seed(0, workload, "keys"))
+        assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == digest
