@@ -50,21 +50,15 @@ and repairs keep it at one per slot.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
-from operator import ge
 from typing import Iterable, List, Optional, TYPE_CHECKING
 
 from repro.core.ids import Position
-from repro.core.links import ROW_DISTANCES, NodeInfo
+from repro.core.links import ROW_DISTANCES, NodeInfo, new_tuple
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 
 if TYPE_CHECKING:
     from repro.core.network import BatonConfig, BatonNetwork
-
-#: ``NodeInfo`` without its Python-level constructor, as the ground-truth
-#: rebuild builds it.
-_new_tuple = tuple.__new__
 
 
 def tree_shape(n_peers: int) -> tuple[int, int]:
@@ -135,9 +129,9 @@ def populate_balanced(
     """Fill an **empty** network with the canonical N-peer tree.
 
     Runs in O(N log N + K log K): O(N) for positions/ranges/parent/child
-    links and the in-order adjacency chain, O(N log N) for the
-    routing-table backfill, O(K log K) to sort the optional dataset (each
-    peer then adopts its slice whole).  Sends nothing on the bus and draws
+    links, O(N log N) for the routing-table backfill and the in-order
+    adjacency chain, O(K log K) to sort the optional dataset (each peer
+    then adopts its slice whole).  Sends nothing on the bus and draws
     nothing from the rng.  Raises ``ValueError`` naming the lowest key
     below ``net.config.domain``, else the highest above it.
     """
@@ -148,84 +142,164 @@ def populate_balanced(
         )
     complete_levels, last_row = tree_shape(n_peers)
     max_level = complete_levels if last_row else complete_levels - 1
-    domain = net.config.domain
     sorted_keys = sorted(keys) if keys is not None else []
 
-    # The canonical tree fills levels left to right, so its slots are
-    # exactly the heap codes 1..N (``Position.code``): level order is code
-    # order, the children of c are 2c and 2c + 1, and c exists iff c <= N.
-    order = _inorder_codes(n_peers)
+    def row_width(level: int) -> int:
+        if level < complete_levels:
+            return 1 << level
+        return last_row if level == complete_levels else 0
 
-    cuts: Optional[List[int]] = None
+    # --- the in-order position sequence -------------------------------------
+    # The exact in-order key of (level, number) is (2·number − 1)/2^(level+1);
+    # scaling every key by 2^(max_level+1) makes the comparison integral.
+    # Used for range assignment (with data) and the adjacency chain (always).
+    ordered: List[tuple[int, int, int]] = []
+    for level in range(max_level + 1):
+        shift = max_level - level
+        for index in range(row_width(level)):
+            ordered.append((((2 * index) + 1) << shift, level, index))
+    ordered.sort()
+
+    ranges_by_level: List[List[Range]]
+    spans_by_level: Optional[List[List[tuple[int, int]]]] = None
     if sorted_keys:
         # --- ranges from the data: the balanced in-order partition ----------
         # Deal the sorted keys to the N peers in in-order position order,
-        # ~K/N each, and read the range boundaries off the slice edges.
-        # In-order contiguity of the resulting ranges IS the
-        # range-partition invariant; per-peer load is the §V balancing
-        # fixpoint.
+        # ~K/N each, and read the range boundaries off the slice edges —
+        # bumped minimally (and clamped so the tail still fits) when a
+        # duplicate run or sparse data would repeat a boundary.  In-order
+        # contiguity of the resulting ranges IS the range-partition
+        # invariant; per-peer load is the §V balancing fixpoint.
+        domain = net.config.domain
         check_keys_in_domain(domain, sorted_keys[0], sorted_keys[-1])
         if domain.width < n_peers:
             raise ValueError(
                 f"domain {domain} has fewer values than peers ({n_peers})"
             )
-        bounds = _balanced_bounds(sorted_keys, n_peers, domain)
-        cuts = [bisect_left(sorted_keys, bound) for bound in bounds]
-        range_of: List[Optional[Range]] = [None] * (n_peers + 1)
-        for rank, code in enumerate(order):
-            range_of[code] = Range(bounds[rank], bounds[rank + 1])
+        k = len(sorted_keys)
+        boundaries: List[int] = [domain.low]
+        for rank in range(1, n_peers):
+            candidate = sorted_keys[min(rank * k // n_peers, k - 1)]
+            floor = boundaries[-1] + 1
+            ceiling = domain.high - (n_peers - rank)
+            boundaries.append(min(max(candidate, floor), ceiling))
+        boundaries.append(domain.high)
+        ranges_by_level = [
+            [None] * row_width(level) for level in range(max_level + 1)
+        ]
+        spans_by_level = [
+            [None] * row_width(level) for level in range(max_level + 1)
+        ]
+        for rank, (_, level, index) in enumerate(ordered):
+            low, high = boundaries[rank], boundaries[rank + 1]
+            ranges_by_level[level][index] = Range(low, high)
+            spans_by_level[level][index] = (
+                bisect_left(sorted_keys, low),
+                bisect_left(sorted_keys, high),
+            )
     else:
-        range_of = _midpoint_carve(domain, n_peers)
+        # --- ranges without data: Algorithm 1's midpoint carve --------------
+        # ``current[j]`` is the range parent j (0-based) holds *right now*
+        # in the canonical join order; each child carves its half off
+        # exactly as add_child would over an empty store — left child takes
+        # the low half, right child the high half of what remains.  After a
+        # row's children are done, ``current`` holds that row's final
+        # ranges.
+        ranges_by_level = []
+        current: List[Range] = [net.config.domain]
+        for level in range(max_level + 1):
+            children = row_width(level + 1)
+            next_current: List[Range] = []
+            for child in range(children):
+                parent_range = current[child // 2]
+                pivot = parent_range.midpoint()
+                if child % 2 == 0:  # left child: takes [low, pivot)
+                    child_range, parent_range = parent_range.split_at(pivot)
+                else:  # right child: takes [pivot, high)
+                    parent_range, child_range = parent_range.split_at(pivot)
+                current[child // 2] = parent_range
+                next_current.append(child_range)
+            ranges_by_level.append(current)
+            current = next_current
 
     # --- peers, addresses in the canonical (level-order) join order -------
-    allocate = net.alloc.allocate
-    peers: List[BatonPeer] = []  # by code - 1
+    peers_by_level: List[List[BatonPeer]] = []
     for level in range(max_level + 1):
-        first = 1 << level
-        peers += [
-            BatonPeer(allocate(), Position(level, code - first + 1), range_of[code])
-            for code in range(first, min(2 * first, n_peers + 1))
+        row = [
+            BatonPeer(
+                net.alloc.allocate(),
+                Position(level, index + 1),
+                ranges_by_level[level][index],
+            )
+            for index in range(row_width(level))
         ]
-    if cuts is not None:
-        for rank, code in enumerate(order):
-            peers[code - 1].store.adopt_sorted(sorted_keys[cuts[rank] : cuts[rank + 1]])
-    net.register_peers(peers)
+        peers_by_level.append(row)
+        for index, peer in enumerate(row):
+            net.register_peer(peer)
+            if sorted_keys:
+                lo, hi = spans_by_level[level][index]
+                peer.store.adopt_sorted(sorted_keys[lo:hi])
 
     # --- one shared snapshot per peer --------------------------------------
-    # Indexed by code and padded with nulls past the last level's children,
-    # so every parent, child and table slot below is a plain index.
-    snaps: List[Optional[NodeInfo]] = [None] * (1 << (max_level + 2))
-    for code, peer in enumerate(peers, 1):
-        left = 2 * code
-        snaps[code] = _new_tuple(
-            NodeInfo,
-            (
-                peer.address,
-                peer.position,
-                peer.range,
-                peers[left - 1].address if left <= n_peers else None,
-                peers[left].address if left < n_peers else None,
-            ),
-        )
+    # ``new_tuple`` skips NodeInfo's Python-level constructor.
+    snaps_by_level: List[List[NodeInfo]] = []
+    for level, row in enumerate(peers_by_level):
+        below = peers_by_level[level + 1] if level < max_level else []
+        snaps = []
+        for index, peer in enumerate(row):
+            left, right = 2 * index, 2 * index + 1
+            snaps.append(
+                new_tuple(
+                    NodeInfo,
+                    (
+                        peer.address,
+                        peer.position,
+                        peer.range,
+                        below[left].address if left < len(below) else None,
+                        below[right].address if right < len(below) else None,
+                    ),
+                )
+            )
+        snaps_by_level.append(snaps)
 
     # --- parent/child links and the routing-table backfill ------------------
-    # Left-table slots (code - 2^i) are always occupied: occupancy is a
-    # left-to-right prefix of every level.  Right-table slots past N read
-    # the padding's null, the paper's "an entry is still made ... but
-    # marked as null".
-    for code, peer in enumerate(peers, 1):
-        peer.parent = snaps[code >> 1]
-        peer.left_child = snaps[2 * code]
-        peer.right_child = snaps[2 * code + 1]
-        entries = peer.left_table.entries
-        entries[:] = [snaps[code - distance] for distance in ROW_DISTANCES[len(entries)]]
-        entries = peer.right_table.entries
-        entries[:] = [snaps[code + distance] for distance in ROW_DISTANCES[len(entries)]]
+    for level, row in enumerate(peers_by_level):
+        snaps = snaps_by_level[level]
+        above = snaps_by_level[level - 1] if level else []
+        below = snaps_by_level[level + 1] if level < max_level else []
+        occupied = len(row)  # occupancy at a level is always a prefix
+        for index, peer in enumerate(row):
+            if level:
+                peer.parent = above[index // 2]
+            left, right = 2 * index, 2 * index + 1
+            if left < len(below):
+                peer.left_child = below[left]
+            if right < len(below):
+                peer.right_child = below[right]
+            number = index + 1
+            # Left table: slots at number - 2^i, all of which are occupied
+            # (occupancy is a left-to-right prefix of every level).  Rows
+            # are filled whole, by slice, into the table's exact-size list.
+            entries = peer.left_table.entries
+            entries[:] = [snaps[index - distance] for distance in ROW_DISTANCES[len(entries)]]
+            # Right table: slots at number + 2^i, occupied iff inside the
+            # prefix; beyond it the in-range slot stays null (the paper's
+            # "an entry is still made ... but marked as null").
+            entries = peer.right_table.entries
+            entries[:] = [
+                snaps[index + distance] if number + distance <= occupied else None
+                for distance in ROW_DISTANCES[len(entries)]
+            ]
 
     # --- adjacent links: the in-order chain ---------------------------------
-    for left, right in zip(order, islice(order, 1, None)):
-        peers[right - 1].left_adjacent = snaps[left]
-        peers[left - 1].right_adjacent = snaps[right]
+    previous: Optional[tuple[int, int]] = None
+    for _, level, index in ordered:
+        peer = peers_by_level[level][index]
+        if previous is not None:
+            left_peer = peers_by_level[previous[0]][previous[1]]
+            peer.left_adjacent = snaps_by_level[previous[0]][previous[1]]
+            left_peer.right_adjacent = snaps_by_level[level][index]
+        previous = (level, index)
 
 
 def check_keys_in_domain(domain: Range, lowest: int, highest: int) -> None:
@@ -238,71 +312,3 @@ def check_keys_in_domain(domain: Range, lowest: int, highest: int) -> None:
     for key in (lowest, highest):
         if not domain.contains(key):
             raise ValueError(f"key {key} lies outside the key domain {domain}")
-
-
-def _inorder_codes(n_peers: int) -> List[int]:
-    """The heap codes 1..N in in-order (left subtree, node, right subtree)."""
-    order: List[int] = []
-    stack: List[int] = []
-    code = 1
-    while True:
-        while code <= n_peers:
-            stack.append(code)
-            code *= 2
-        if not stack:
-            return order
-        code = stack.pop()
-        order.append(code)
-        code = 2 * code + 1
-
-
-def _balanced_bounds(sorted_keys: List[int], n_peers: int, domain: Range) -> List[int]:
-    """The N + 1 range boundaries of the balanced in-order partition.
-
-    Boundary ``r`` is the key at rank ``r·K/N``; only when a duplicate run
-    or sparse data repeats a boundary, or the tail piles up against the
-    top of the domain, are the boundaries bumped minimally (and clamped so
-    every later peer still gets a non-empty range).
-    """
-    k = len(sorted_keys)
-    bounds = [domain.low]
-    bounds += [sorted_keys[rank * k // n_peers] for rank in range(1, n_peers)]
-    bounds.append(domain.high)
-    if any(map(ge, bounds, islice(bounds, 1, None))):
-        for rank in range(1, n_peers):
-            floor = bounds[rank - 1] + 1
-            ceiling = domain.high - (n_peers - rank)
-            bounds[rank] = min(max(bounds[rank], floor), ceiling)
-    return bounds
-
-
-def _midpoint_carve(domain: Range, n_peers: int) -> List[Optional[Range]]:
-    """Ranges without data, by heap code: Algorithm 1's midpoint carve.
-
-    ``current[j]`` is the range parent j (0-based) holds *right now* in the
-    canonical join order; each child carves its half off exactly as
-    add_child would over an empty store — left child takes the low half,
-    right child the high half of what remains.  After a row's children are
-    done, ``current`` holds that row's final ranges.
-    """
-    complete_levels, last_row = tree_shape(n_peers)
-    # The width of the row below each level: full rows, the partial last
-    # row if any, then none below the deepest level.
-    child_rows = [1 << level for level in range(1, complete_levels)]
-    child_rows += [last_row, 0] if last_row else [0]
-    by_code: List[Optional[Range]] = [None]  # code 0 is no slot
-    current: List[Range] = [domain]
-    for children in child_rows:
-        next_current: List[Range] = []
-        for child in range(children):
-            parent_range = current[child // 2]
-            pivot = parent_range.midpoint()
-            if child % 2 == 0:  # left child: takes [low, pivot)
-                child_range, parent_range = parent_range.split_at(pivot)
-            else:  # right child: takes [pivot, high)
-                parent_range, child_range = parent_range.split_at(pivot)
-            current[child // 2] = parent_range
-            next_current.append(child_range)
-        by_code += current
-        current = next_current
-    return by_code

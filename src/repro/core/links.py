@@ -93,6 +93,10 @@ class NodeInfo(NamedTuple):
 _POWERS = tuple(1 << i for i in range(64))
 ROW_DISTANCES = tuple(_POWERS[:width] for width in range(65))
 
+#: ``new_tuple(NodeInfo, fields)`` builds a snapshot without NodeInfo's
+#: Python-level constructor; the same whole-table fills use it.
+new_tuple = tuple.__new__
+
 
 #: Shared index ranges for the dense tables below: a table with k slots
 #: always iterates 0..k-1, and k only varies with the owner's level, so

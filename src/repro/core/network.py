@@ -258,7 +258,7 @@ class BatonNetwork(OverlayNetwork):
         self.ghosts: Dict[Address, BatonPeer] = {}
         self.stats = NetworkStats()
         #: The position map, keyed by ``Position.code``; written only in
-        #: this class (the bookkeeping methods below) and read through
+        #: this class (the four bookkeeping methods below) and read through
         #: ``occupant`` / ``occupied_positions`` / ``occupancy`` — and raw
         #: by the ground-truth rebuild's ``restructure.MapView``.
         self._positions: Dict[int, Address] = {}
@@ -340,13 +340,6 @@ class BatonNetwork(OverlayNetwork):
         self.peers[peer.address] = peer
         self._positions[peer.position.code] = peer.address
         self.bus.register(peer.address)
-
-    def register_peers(self, peers: List[BatonPeer]) -> None:
-        """:meth:`register_peer` for each peer, in order (the bulk build)."""
-        addresses = [peer.address for peer in peers]
-        self.peers.add_new(addresses, peers)
-        self._positions.update(zip([peer.position.code for peer in peers], addresses))
-        self.bus.register_many(addresses)
 
     def unregister_peer(self, address: Address) -> BatonPeer:
         peer = self.peers[address]

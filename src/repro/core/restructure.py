@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Container, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.ids import Position
-from repro.core.links import LEFT, RIGHT, ROW_DISTANCES, NodeInfo, RoutingTable
+from repro.core.links import LEFT, RIGHT, ROW_DISTANCES, NodeInfo, RoutingTable, new_tuple
 from repro.core.peer import BatonPeer
 from repro.net.address import Address
 from repro.net.message import MsgType
@@ -118,9 +118,9 @@ class MapView(dict):
             snapshot = None  # empty slot (or invisible ghost)
         else:
             # The occupant's own position is the slot's (the position map
-            # is keyed by it), and ``tuple.__new__`` skips NodeInfo's
+            # is keyed by it), and ``new_tuple`` skips NodeInfo's
             # Python-level constructor.
-            snapshot = _new_tuple(
+            snapshot = new_tuple(
                 NodeInfo,
                 (
                     address,
@@ -132,10 +132,6 @@ class MapView(dict):
             )
         self[code] = snapshot
         return snapshot
-
-
-_new_tuple = tuple.__new__
-
 
 
 def refresh_links_from_map(view: MapView, peer: BatonPeer) -> None:

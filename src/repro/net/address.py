@@ -49,16 +49,6 @@ class AddressPoolDict(dict):
             self._pool[index] = last
             self._pool_index[last] = index
 
-    def add_new(self, addresses: list[Address], nodes: list[object]) -> None:
-        """``self[address] = node`` for each pair in order, for addresses
-        not yet present — the pool receives them in the same order."""
-        if not self._pool_index.keys().isdisjoint(addresses):
-            raise ValueError("add_new takes only addresses not yet present")
-        start = len(self._pool)
-        self._pool += addresses
-        self._pool_index.update(zip(addresses, range(start, len(self._pool))))
-        super().update(zip(addresses, nodes))
-
     def pop(self, *args):  # pragma: no cover - guard against silent desync
         raise NotImplementedError("use `del` so the draw pool stays in sync")
 

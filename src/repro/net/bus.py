@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.net.address import Address
 from repro.net.message import MsgType
@@ -95,10 +95,6 @@ class MessageBus:
     def register(self, address: Address) -> None:
         """Declare a peer live (called when it joins the network)."""
         self._alive.add(address)
-
-    def register_many(self, addresses: Iterable[Address]) -> None:
-        """:meth:`register` for each address, in order."""
-        self._alive.update(addresses)
 
     def unregister(self, address: Address) -> None:
         """Remove a peer (graceful departure or permanent failure)."""

@@ -245,10 +245,9 @@ def test_30k_bulk_build_smoke():
 
 # -- the build's reference ----------------------------------------------------
 #
-# populate_balanced before it walked heap codes: an in-order list sorted
-# from (scaled key, level, index) tuples, two bisections and a clamp per
-# boundary, stores filled by ``extend`` and a re-sort, one ``allocate`` and
-# one ``register_peer`` per peer, and tables filled row by row.
+# populate_balanced before its per-peer savings: stores filled by
+# ``extend`` and a re-sort, snapshots through NodeInfo's keyword
+# constructor, and table rows filled slot by slot.
 
 
 def reference_populate_balanced(
@@ -411,8 +410,8 @@ def assert_same_network(actual: BatonNetwork, expected: BatonNetwork) -> None:
 
 
 class TestBuildAgainstReference:
-    """The heap-code build writes exactly the reference's network, and
-    shares one snapshot per peer as the reference did."""
+    """The build writes exactly the reference's network, and shares one
+    snapshot per peer as the reference did."""
 
     @pytest.mark.parametrize("n_peers", [1, 2, 3, 7, 64, 257, 1000, 10_000])
     @pytest.mark.parametrize(
