@@ -24,9 +24,7 @@ from repro.workloads.generators import uniform_keys
 
 def main() -> None:
     rng = SeededRng(2024)
-    anet = overlays.get("baton").build_async(
-        300,
-        seed=17,
+    anet = overlays.get("baton").build(300, seed=17).wrap(
         topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
     )
     keys = uniform_keys(3_000, seed=5)
@@ -93,9 +91,7 @@ def main() -> None:
     # paper compares (range-scan cliffs, long walks) show up side by side.
     print("\nphase 3: identical workload on every overlay in the registry")
     for name in overlays.available():
-        rival = overlays.get(name).build_async(
-            150,
-            seed=17,
+        rival = overlays.get(name).build(150, seed=17).wrap(
             topology=ExponentialLatency(mean=1.0, rng=SeededRng(99).child(name)),
         )
         rival.net.bulk_load(keys)

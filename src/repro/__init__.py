@@ -19,18 +19,19 @@ Concurrent traffic runs on the event-driven runtime::
 
     from repro import overlays
 
-    anet = overlays.get("baton").build_async(1000, seed=7)
+    anet = overlays.get("baton").build(1000, seed=7).wrap()
     future = anet.submit_search_exact(123_456)
     anet.drain()
     assert future.succeeded
 
-The Chord and multiway baselines speak the same :class:`~repro.overlays.Overlay`
-protocol and run on the same runtime, selected through the registry::
+The Chord and multiway baselines implement the same overlay interface
+(:class:`~repro.net.overlay.OverlayNetwork`) and run on the same runtime,
+selected through the registry::
 
     from repro import overlays
 
     for name in overlays.available():        # ['baton', 'chord', 'multiway']
-        anet = overlays.get(name).build_async(1000, seed=7)
+        anet = overlays.get(name).build(1000, seed=7).wrap()
         anet.submit_search_range(100_000, 200_000)
         anet.drain()
 """

@@ -190,7 +190,6 @@ def _run_concurrent_overlay(name: str, args: argparse.Namespace, config) -> None
     from repro.sim.topology import make_topology
     from repro.workloads.concurrent import run_concurrent_workload
 
-    entry = overlays.get(name)
     topology_params = {}
     if args.topology == "clustered":
         topology_params = {
@@ -198,30 +197,21 @@ def _run_concurrent_overlay(name: str, args: argparse.Namespace, config) -> None
             "inter_delay": args.inter_delay,
         }
     topology = make_topology(args.topology, seed=args.seed, **topology_params)
-    build_kwargs = {"replication": args.replication}
-    if args.cache or args.join_probes or args.replica_diversity:
-        # The registry's replication path injects its own config, so the
-        # locality variant builds the (equivalent) config explicitly.
+    net_config = None
+    if args.replication or args.cache or args.join_probes or args.replica_diversity:
         from repro.core.cache import DEFAULT_CACHE_SIZE
         from repro.core.network import BatonConfig, LocalityConfig
 
-        build_kwargs = {
-            "config": BatonConfig(
-                replication=args.replication,
-                locality=LocalityConfig(
-                    join_probes=args.join_probes,
-                    replica_diversity=args.replica_diversity,
-                    cache_size=DEFAULT_CACHE_SIZE if args.cache else 0,
-                ),
-            )
-        }
-    anet = entry.build_async(
-        args.peers,
-        seed=args.seed,
-        topology=topology,
-        record_events=False,
-        retain_ops=False,
-        **build_kwargs,
+        net_config = BatonConfig(
+            replication=args.replication,
+            locality=LocalityConfig(
+                join_probes=args.join_probes,
+                replica_diversity=args.replica_diversity,
+                cache_size=DEFAULT_CACHE_SIZE if args.cache else 0,
+            ),
+        )
+    anet = overlays.get(name).build(args.peers, args.seed, config=net_config).wrap(
+        topology=topology, record_events=False, retain_ops=False
     )
     keys = uniform_keys(args.keys or 10 * args.peers, seed=args.seed + 1)
     anet.net.bulk_load(keys)

@@ -199,11 +199,11 @@ def build_network(
     does, so a snapshot would only burn disk (DESIGN.md, "Parallelism
     contract").
     """
-    network_cls = overlays.get(overlay).network_cls
+    overlay_cls = overlays.get(overlay)
 
     def build(**direct):
         keys = loaded_keys(n_peers, data_per_node, seed) if data_per_node else None
-        return network_cls.build(
+        return overlay_cls.build(
             n_peers, seed=seed, config=config, keys=keys, **direct
         )
 

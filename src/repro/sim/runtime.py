@@ -244,15 +244,15 @@ class AsyncOverlayRuntime:
     ``event_log`` records it for comparison.
 
     Every operation runs the wrapped network's step generator, so any
-    overlay satisfying the :class:`~repro.overlays.Overlay` protocol is
-    driven with no code of its own here — optional operations and
-    maintenance (``reconcile``, ``repair_all``, ``liveness_targets``)
-    included, each reached only where the network declares the
-    capability.  The network declares the overlay's name
-    and ``capabilities``; :meth:`_submit` refuses —
+    :class:`~repro.net.overlay.OverlayNetwork` is driven with no code of
+    its own here — optional operations and maintenance (``reconcile``,
+    ``repair_all``, ``liveness_targets``) included, each reached only
+    where the network declares the capability.  The network declares the
+    overlay's name and ``capabilities``; :meth:`_submit` refuses —
     :class:`CapabilityError` — any operation whose capability it does not
-    declare.  Construction goes through the registry
-    (``overlays.get(name).build_async(...)`` / ``.wrap(net, ...)``).
+    declare.  Construction is the network's own ``wrap`` —
+    ``overlays.get(name).build(n, seed).wrap(...)`` or
+    ``overlays.get(name).wrap(net, ...)``.
     """
 
     def __init__(

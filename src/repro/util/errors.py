@@ -60,10 +60,10 @@ class DeliveryError(ReproError):
 class CapabilityError(ReproError):
     """An overlay was asked for an operation it does not implement.
 
-    The :class:`~repro.overlays.Overlay` protocol has a small set of
-    optional capabilities (abrupt failure, repair, load balancing); code
-    that needs one should check ``supports()`` / the registry entry's
-    ``capabilities`` instead of catching this.
+    The overlay interface (:class:`~repro.net.overlay.OverlayNetwork`)
+    has a small set of optional capabilities (abrupt failure, repair, load
+    balancing, ...); code that needs one should check ``supports()`` / the
+    network class's ``capabilities`` instead of catching this.
     """
 
 

@@ -79,7 +79,7 @@ class ChaosScenario:
 
     name: str = "?"
     #: Overlay capabilities the scenario needs (checked against the
-    #: registry entry's ``capabilities`` before running).
+    #: network class's ``capabilities`` before running).
     requires: frozenset = frozenset()
     #: Post-heal probe cadence and the consecutive-success streak that
     #: counts as recovered.

@@ -150,7 +150,7 @@ class TestDataLoadedBuild:
         keys = uniform_keys(500, seed=1)
         direct = BatonNetwork.build(31, bulk=True, keys=keys)
         assert sum(len(p.store) for p in direct.peers.values()) == 500
-        anet = overlays.get("baton").build_async(31, bulk=True, keys=keys)
+        anet = overlays.get("baton").build(31, bulk=True, keys=keys).wrap()
         assert sum(len(p.store) for p in anet.net.peers.values()) == 500
 
 

@@ -222,9 +222,9 @@ def golden_run(n_peers: int, seed: int, m_bits: int) -> dict:
 def golden_async_run(n_peers: int, seed: int, m_bits: int) -> dict:
     """Overlapping joins, leaves, writes and lookups on the event-driven
     runtime, so the kernel meets stale fingers and vanished nodes."""
-    anet = overlays.get("chord").build_async(
+    anet = overlays.get("chord").build(
         n_peers, seed=seed, config=ChordConfig(m_bits=m_bits)
-    )
+    ).wrap()
     net = anet.net
     keys = uniform_keys(60, seed=seed + 11)
     leavers = net.rng.sample(sorted(net.nodes), 20)

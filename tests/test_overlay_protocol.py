@@ -1,9 +1,10 @@
-"""Conformance suite for the unified Overlay protocol (repro.overlays).
+"""Conformance suite for the one overlay interface (repro.overlays).
 
-Every registry entry must satisfy the same contract:
+Every registered network class must satisfy the same contract:
 
-* the structural :class:`~repro.overlays.Overlay` protocol (unified method
-  names — ``random_peer_address`` everywhere — and ``build``/``bulk_load``);
+* the abstract surface of :class:`~repro.net.overlay.OverlayNetwork`
+  (unified method names — ``random_peer_address`` everywhere — and
+  ``build``/``bulk_load``), so a newcomer missing a member fails at build;
 * the unified result dataclasses, including the ``complete`` truncation
   flag on every range answer;
 * build/join/leave/search/insert round-trips through the public API;
@@ -27,7 +28,8 @@ from repro.core.results import (
     RangeSearchResult,
     SearchResult,
 )
-from repro.overlays import Overlay
+from repro.core.network import BatonConfig
+from repro.net.overlay import OverlayNetwork
 from repro.sim.latency import ConstantLatency
 from repro.sim.runtime import AsyncOverlayRuntime
 from repro.util.errors import CapabilityError, PeerNotFoundError
@@ -99,11 +101,13 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ALL)
     def test_entry_shape(self, name):
-        entry = overlays.get(name)
-        assert entry.name == name
-        assert entry.description
-        assert entry.capabilities == entry.network_cls.capabilities
-        assert type(entry.wrap(entry.build(8))) is AsyncOverlayRuntime
+        cls = overlays.get(name)
+        assert cls.overlay_name == name
+        assert type(cls.wrap(cls.build(8))) is AsyncOverlayRuntime
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_capabilities_are_known_names(self, name):
+        assert overlays.get(name).capabilities <= overlays.ALL_CAPABILITIES
 
     def test_capabilities_differ_by_overlay(self):
         assert overlays.FAIL in overlays.get("baton").capabilities
@@ -112,11 +116,43 @@ class TestRegistry:
         assert not overlays.get("multiway").capabilities
 
 
+#: The members every overlay writes: ``OverlayNetwork``'s abstract surface.
+ABSTRACT_MEMBERS = (
+    "size",
+    "domain",
+    "bootstrap",
+    "store_of",
+    "addresses",
+    "random_peer_address",
+    "bulk_load",
+    "join_steps",
+    "leave_steps",
+    "search_exact_steps",
+    "search_range_steps",
+    "data_op_steps",
+)
+
+
+class TestAbstractSurface:
+    def test_abstract_members_are_the_interface(self):
+        assert OverlayNetwork.__abstractmethods__ == frozenset(ABSTRACT_MEMBERS)
+
+    @pytest.mark.parametrize("member", ABSTRACT_MEMBERS)
+    @pytest.mark.parametrize("name", ALL)
+    def test_missing_member_fails_at_build(self, name, member):
+        """A newcomer that leaves one member at the base's abstract stub
+        fails when it is built, not at its first operation."""
+        stub = vars(OverlayNetwork)[member]
+        newcomer = type("Newcomer", (overlays.get(name),), {member: stub})
+        with pytest.raises(TypeError, match=member):
+            newcomer.build(4)
+
+
 class TestProtocolConformance:
     @pytest.mark.parametrize("name", ALL)
     def test_satisfies_overlay_protocol(self, name):
         net = overlays.get(name).build(20, seed=4)
-        assert isinstance(net, Overlay)
+        assert isinstance(net, OverlayNetwork)
 
     @pytest.mark.parametrize("name", ALL)
     def test_unified_population_surface(self, name):
@@ -166,9 +202,8 @@ class TestProtocolConformance:
     def test_build_places_keys_at_their_owners(self, name, n_peers):
         """``build(..., keys=)`` holds every key exactly once, at the peer
         an exact search routes to — whatever the overlay's placement."""
-        entry = overlays.get(name)
         keys = uniform_keys(5 * n_peers, seed=n_peers)
-        net = entry.network_cls.build(n_peers, 3, keys=keys)
+        net = overlays.get(name).build(n_peers, 3, keys=keys)
         held = {a: Counter(net.store_of(a)) for a in net.addresses()}
         assert sum(sum(c.values()) for c in held.values()) == len(keys)
         wanted = Counter(keys)
@@ -232,10 +267,10 @@ class TestSingleAdmissionPath:
     same bookkeeping, same log rows, whatever the overlay and the op."""
 
     def runtime(self, name):
-        entry = overlays.get(name)
-        anet = entry.build_async(
-            12, seed=3, replication="replication" in entry.capabilities
-        )
+        cls = overlays.get(name)
+        replicated = overlays.REPLICATION in cls.capabilities
+        config = BatonConfig(replication=True) if replicated else None
+        anet = cls.build(12, seed=3, config=config).wrap()
         anet.net.bulk_load(uniform_keys(40, seed=4))
         return anet
 
@@ -289,8 +324,8 @@ class TestSingleAdmissionPath:
 
 class TestAsyncConformance:
     @pytest.mark.parametrize("name", ALL)
-    def test_build_async_and_submit(self, name):
-        anet = overlays.get(name).build_async(15, seed=3)
+    def test_build_wrap_and_submit(self, name):
+        anet = overlays.get(name).build(15, seed=3).wrap()
         keys = uniform_keys(30, seed=4)
         anet.net.bulk_load(keys)
         futures = [
@@ -310,7 +345,7 @@ class TestAsyncConformance:
 
     @pytest.mark.parametrize("name", ALL)
     def test_fail_capability_gated(self, name):
-        anet = overlays.get(name).build_async(10, seed=3)
+        anet = overlays.get(name).build(10, seed=3).wrap()
         victim = anet.net.addresses()[0]
         if anet.supports("fail"):
             anet.submit_fail(victim)
@@ -424,8 +459,6 @@ class TestAsyncConformance:
         """BATON's extension ops with replication on — a refresh round,
         fail then repair, subscribe and multicast — report the same
         results and traces on both facades and converge to one structure."""
-        from repro.core.network import BatonConfig
-
         entry = overlays.get("baton")
         nets = [
             entry.build(40, seed=3, config=BatonConfig(replication=True))

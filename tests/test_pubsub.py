@@ -25,7 +25,7 @@ import pytest
 from repro import overlays
 from repro.core.network import BatonNetwork
 from repro.core.ranges import Range
-from repro.overlays.protocol import ALL_CAPABILITIES, MULTICAST, SUBSCRIBE
+from repro.overlays import ALL_CAPABILITIES, MULTICAST, SUBSCRIBE
 from repro.pubsub import (
     SEEN_WINDOW,
     Subscription,
@@ -147,8 +147,8 @@ class TestIdempotentDelivery:
         plan = FaultPlan(
             ConstantLatency(1.0), seed=11, duplicate_rate=0.3
         )
-        anet = overlays.get("baton").build_async(
-            80, seed=4, topology=plan, record_events=False, retain_ops=False
+        anet = overlays.get("baton").build(80, seed=4).wrap(
+            topology=plan, record_events=False, retain_ops=False
         )
         low, high = SPAN
         delivered = 0
@@ -252,7 +252,7 @@ class TestCapabilityGating:
         entry = overlays.get(name)
         assert MULTICAST not in entry.capabilities
         assert SUBSCRIBE not in entry.capabilities
-        anet = entry.build_async(40, seed=2)
+        anet = entry.build(40, seed=2).wrap()
         with pytest.raises(CapabilityError):
             anet.submit_multicast(*SPAN)
         with pytest.raises(CapabilityError):
@@ -267,7 +267,7 @@ class TestCapabilityGating:
             ConcurrentConfig(**kwargs)
 
     def test_driver_precheck_refuses_chord_publishes(self):
-        anet = overlays.get("chord").build_async(40, seed=2)
+        anet = overlays.get("chord").build(40, seed=2).wrap()
         config = ConcurrentConfig(duration=5.0, publish_rate=1.0)
         with pytest.raises(CapabilityError):
             run_concurrent_workload(anet, [], config, seed=1)
@@ -284,8 +284,8 @@ class TestLossyPubSub:
             drop_rate=0.05,
             duplicate_rate=0.05,
         )
-        anet = overlays.get("baton").build_async(
-            60, seed=3, topology=plan, record_events=False, retain_ops=False
+        anet = overlays.get("baton").build(60, seed=3).wrap(
+            topology=plan, record_events=False, retain_ops=False
         )
         keys = uniform_keys(600, seed=4)
         anet.net.bulk_load(keys)

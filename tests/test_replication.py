@@ -401,7 +401,8 @@ class TestRegistryGating:
     def test_baton_builds_replicated(self):
         from repro import overlays
 
-        anet = overlays.get("baton").build_async(16, seed=1, replication=True)
+        config = BatonConfig(replication=True)
+        anet = overlays.get("baton").build(16, seed=1, config=config).wrap()
         assert anet.replication_enabled
         assert anet.net.config.replication
 
@@ -410,16 +411,11 @@ class TestRegistryGating:
         from repro import overlays
         from repro.util.errors import CapabilityError
 
+        assert "replication" not in overlays.get(name).capabilities
+        anet = overlays.get(name).build(16, seed=1).wrap()
+        assert not anet.replication_enabled
         with pytest.raises(CapabilityError):
-            overlays.get(name).build_async(16, seed=1, replication=True)
-
-    def test_replication_with_config_rejected(self):
-        from repro import overlays
-
-        with pytest.raises(ValueError):
-            overlays.get("baton").build_async(
-                16, seed=1, replication=True, config=BatonConfig()
-            )
+            anet.submit_replica_refresh()
 
 
 class TestRegionDiversePlacement:

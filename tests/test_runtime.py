@@ -495,7 +495,7 @@ class TestTracerSeams:
 
     @pytest.mark.parametrize("overlay", ["chord", "multiway"])
     def test_every_baseline_message_goes_through_the_instance_send(self, overlay):
-        anet = overlays.get(overlay).build_async(48, seed=2, topology=exponential())
+        anet = overlays.get(overlay).build(48, seed=2).wrap(topology=exponential())
         calls = shadow_send(anet.bus)
         before = anet.bus.stats.total
         for key in uniform_keys(20, seed=6):

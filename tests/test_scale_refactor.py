@@ -138,7 +138,7 @@ class TestBatchedReplicaRefresh:
     def test_sweep_capability_gated(self):
         from repro.util.errors import CapabilityError
 
-        anet = overlays.get("chord").build_async(8, seed=1)
+        anet = overlays.get("chord").build(8, seed=1).wrap()
         with pytest.raises(CapabilityError):
             anet.submit_replica_refresh_sweep()
 

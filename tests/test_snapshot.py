@@ -123,8 +123,8 @@ def test_irrelevant_knobs_share_snapshots(cache):
 @pytest.mark.parametrize("name", overlays.available())
 def test_registry_builds_bypass_the_cache(cache, name):
     """Only the experiments' ``build_network`` caches; the registry's
-    ``build_async`` always builds fresh."""
-    overlays.get(name).build_async(30, seed=0)
+    ``build`` always builds fresh."""
+    overlays.get(name).build(30, seed=0)
     assert snapshot.stats.as_dict() == snapshot.SnapshotStats().as_dict()
 
 

@@ -171,7 +171,7 @@ class TestHop:
         assert Hop(None, 2).src is None
 
     def test_runtime_rejects_non_hop_yields(self):
-        anet = overlays.get("baton").build_async(8, seed=1)
+        anet = overlays.get("baton").build(8, seed=1).wrap()
 
         def bad_steps(start, trace, degraded):
             yield 1.5  # a pre-redesign float delay
@@ -240,8 +240,8 @@ class TestSerializedEquivalenceUnderClusteredTopology:
 
     @pytest.mark.parametrize("name", ALL)
     def test_transit_equals_latency_without_queueing(self, name):
-        anet = overlays.get(name).build_async(
-            20, seed=2, topology=ClusteredTopology(7)
+        anet = overlays.get(name).build(20, seed=2).wrap(
+            topology=ClusteredTopology(7)
         )
         anet.net.bulk_load(uniform_keys(40, seed=3))
         future = anet.submit_search_exact(uniform_keys(40, seed=3)[0])
@@ -253,8 +253,8 @@ class TestSerializedEquivalenceUnderClusteredTopology:
 
 class TestWorkloadIntegration:
     def run_workload(self, **config_kwargs):
-        anet = overlays.get("baton").build_async(
-            40, seed=1, topology=ClusteredTopology(5, inter_delay=6.0)
+        anet = overlays.get("baton").build(40, seed=1).wrap(
+            topology=ClusteredTopology(5, inter_delay=6.0)
         )
         keys = uniform_keys(400, seed=2)
         anet.net.bulk_load(keys)
@@ -277,8 +277,8 @@ class TestWorkloadIntegration:
         assert "reconcile sweep" in "\n".join(report.summary_lines())
 
     def test_maintenance_respects_capability(self):
-        anet = overlays.get("chord").build_async(
-            20, seed=1, topology=ClusteredTopology(5)
+        anet = overlays.get("chord").build(20, seed=1).wrap(
+            topology=ClusteredTopology(5)
         )
         keys = uniform_keys(100, seed=2)
         anet.net.bulk_load(keys)
@@ -307,7 +307,7 @@ class TestWorkloadIntegration:
                 sizes.append(size)
                 return super().sample(src, dst, size=size)
 
-        anet = overlays.get("baton").build_async(15, seed=2, topology=Recorder())
+        anet = overlays.get("baton").build(15, seed=2).wrap(topology=Recorder())
         anet.submit_join()
         anet.drain()
         assert sizes  # hops and update deliveries both went through sample
