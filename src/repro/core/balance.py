@@ -31,7 +31,15 @@ from repro.net.bus import Trace
 from repro.net.message import MsgType
 
 if TYPE_CHECKING:
-    from repro.core.network import BatonNetwork, LoadBalanceConfig
+    from repro.core.network import BatonNetwork
+
+#: A leaf below this share of ``capacity`` is *lightly loaded*: a recruit.
+LOW_WATERMARK = 0.25
+#: An adjacent absorbs shifted keys only while it stays under this share of
+#: ``capacity``.
+ABSORB_FACTOR = 0.75
+#: Probes one search for a light leaf may spend.
+PROBE_LIMIT = 16
 
 
 @dataclass
@@ -61,15 +69,11 @@ def maybe_balance(net: "BatonNetwork", address: Address) -> Optional[BalanceOutc
     if stuck_at is not None and len(peer.store) < 1.1 * stuck_at:
         return None
     with net.bus.trace("balance") as trace:
-        if not peer.is_leaf:
-            kind, shift = _balance_with_adjacent(net, peer, config), 0
-        else:
-            kind = _balance_with_adjacent(net, peer, config)
-            shift = 0
-            if kind is None and config.allow_rejoin:
-                rejoin = _balance_by_rejoin(net, peer, config)
-                if rejoin is not None:
-                    kind, shift = "rejoin", rejoin
+        kind, shift = _balance_with_adjacent(net, peer, config.capacity), 0
+        if kind is None and peer.is_leaf:
+            rejoin = _balance_by_rejoin(net, peer, config.capacity)
+            if rejoin is not None:
+                kind, shift = "rejoin", rejoin
     if kind is None:
         net._balance_backoff[address] = len(peer.store)
         return None
@@ -87,7 +91,7 @@ def maybe_balance(net: "BatonNetwork", address: Address) -> Optional[BalanceOutc
 
 
 def _balance_with_adjacent(
-    net: "BatonNetwork", peer: BatonPeer, config: "LoadBalanceConfig"
+    net: "BatonNetwork", peer: BatonPeer, capacity: int
 ) -> Optional[str]:
     """Shift keys across a range boundary to a lighter adjacent node."""
     best: Optional[tuple[int, str, BatonPeer]] = None
@@ -99,7 +103,7 @@ def _balance_with_adjacent(
         if neighbor is None:
             continue
         net.count_message(peer.address, info.address, MsgType.BALANCE)  # load probe
-        headroom = int(config.absorb_factor * config.capacity) - len(neighbor.store)
+        headroom = int(ABSORB_FACTOR * capacity) - len(neighbor.store)
         if headroom <= 0:
             continue
         if best is None or headroom > best[0]:
@@ -130,36 +134,20 @@ def _shift_keys(
     never split across the boundary.  Returns the number of keys moved.
     """
     keys = list(donor.store)
+    # Keys below the boundary lie left of it, keys at or above it right, so
+    # a run of duplicates never straddles it.
+    boundary = keys[-amount] if side == RIGHT else keys[amount - 1] + 1
+    if not keys[0] < boundary <= keys[-1]:
+        return 0  # the donor would keep no key
+    low, high = donor.range.split_at(boundary)
     if side == RIGHT:
-        index = len(keys) - amount
-        while index > 0 and keys[index - 1] == keys[index]:
-            index -= 1
-        if index <= 0:
-            return 0  # all duplicates: cannot place a boundary
-        moved = keys[index:]
-        boundary = moved[0]
-        if boundary <= donor.range.low:
-            return 0
-        for key in moved:
-            donor.store.delete(key)
-        receiver.store.extend(moved)
-        donor.range, handed = donor.range.split_at(boundary)
-        receiver.range = receiver.range.merge(handed)
+        moved = donor.store.split_at_or_above(boundary)
+        donor.range, handed = low, high
     else:
-        index = amount
-        while index < len(keys) and keys[index] == keys[index - 1]:
-            index += 1
-        if index >= len(keys):
-            return 0
-        moved = keys[:index]
-        boundary = moved[-1] + 1
-        if boundary >= donor.range.high:
-            return 0
-        for key in moved:
-            donor.store.delete(key)
-        receiver.store.extend(moved)
-        handed, donor.range = donor.range.split_at(boundary)
-        receiver.range = receiver.range.merge(handed)
+        moved = donor.store.split_below(boundary)
+        handed, donor.range = low, high
+    receiver.store.extend(moved)
+    receiver.range = receiver.range.merge(handed)
     if donor.subscriptions:
         # The boundary moved: subscriptions covering the handed slice follow.
         from repro.pubsub.subscribe import transfer_subscriptions
@@ -178,7 +166,7 @@ def _shift_keys(
 
 
 def _balance_by_rejoin(
-    net: "BatonNetwork", overloaded: BatonPeer, config: "LoadBalanceConfig"
+    net: "BatonNetwork", overloaded: BatonPeer, capacity: int
 ) -> Optional[int]:
     """Recruit a lightly loaded leaf to share the overloaded leaf's load.
 
@@ -189,24 +177,22 @@ def _balance_by_rejoin(
         # A width-1 range cannot hand half of itself to the recruit; raising
         # mid-episode would strand the recruit after it departed its slot.
         return None
-    victim = _probe_for_light_leaf(net, overloaded, config)
+    victim = _probe_for_light_leaf(net, overloaded, capacity)
     if victim is None:
         return None
 
     from repro.core import leave as leave_protocol
     from repro.core import restructure as restructure_protocol
 
-    # The recruit hands its range and keys to its right adjacent, then
-    # leaves its slot (shifting the tree if its departure is unsafe).
+    # The recruit hands its range and keys to its right adjacent (its left
+    # one at the right edge), then leaves its slot (shifting the tree if
+    # its departure is unsafe).
+    absorber = (victim.right_adjacent or victim.left_adjacent).address
     shift = 0
     if leave_protocol.can_depart_simply(victim):
-        detached = leave_protocol.depart_leaf(
-            net, victim, content_target="right_adjacent"
-        )
+        detached = leave_protocol.depart_leaf(net, victim, absorber)
     else:
-        shift += restructure_protocol.depart_with_restructure(
-            net, victim, content_target="right_adjacent"
-        )
+        shift += restructure_protocol.depart_with_restructure(net, victim, absorber)
         detached = victim
     # ... and rejoins as a child of the overloaded peer, taking half its
     # content; forced restructuring may shift the tree again.
@@ -216,14 +202,14 @@ def _balance_by_rejoin(
 
 
 def _probe_for_light_leaf(
-    net: "BatonNetwork", overloaded: BatonPeer, config: "LoadBalanceConfig"
+    net: "BatonNetwork", overloaded: BatonPeer, capacity: int
 ) -> Optional[BatonPeer]:
     """Probe sideways-table neighbours (and their children) for a light leaf.
 
     The paper's footnote: neighbour tables suffice to find *a* lighter
     loaded node, even if not the lightest.  Each probe is one message.
     """
-    threshold = max(1, int(config.low_watermark * config.capacity))
+    threshold = max(1, int(LOW_WATERMARK * capacity))
     candidates: List[NodeInfo] = []
     for side in (LEFT, RIGHT):
         for _, info in overloaded.table_on(side).occupied():
@@ -231,7 +217,7 @@ def _probe_for_light_leaf(
     probes = 0
     seen: set[Address] = {overloaded.address}
     queue = list(candidates)
-    while queue and probes < config.probe_limit:
+    while queue and probes < PROBE_LIMIT:
         info = queue.pop(0)
         if info.address in seen:
             continue

@@ -305,7 +305,7 @@ def _replace_dead_internal(
             f"{replacement.position}'s parent also failed; repair it first"
         )
     else:
-        leave_protocol.depart_leaf(net, replacement, content_target="parent")
+        leave_protocol.depart_leaf(net, replacement)
         merged_range = ghost.range
 
     replacement.move_to(ghost.position)

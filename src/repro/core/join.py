@@ -22,6 +22,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 from repro.core.ids import ROOT, Position
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
+from repro.core.ranges import Range
 from repro.core.results import JoinResult
 from repro.core.search import may_give_up
 from repro.net.address import Address
@@ -314,22 +315,19 @@ def forward_targets(net: "BatonNetwork", peer: BatonPeer) -> list[Address]:
     return deduped
 
 
-def choose_split_pivot(net: "BatonNetwork", parent: BatonPeer) -> int:
-    """Where the parent's range splits when handing half to a new child.
+def split_for_child(parent: BatonPeer, side: str) -> tuple[Range, list[int]]:
+    """§III-A's split: cut ``parent``'s range and keys for a ``side`` child.
 
-    ``median`` policy: the median stored key, so the child takes half the
-    *content* (the paper's wording); falls back to the arithmetic midpoint
-    when the store is empty or the median sits on a range boundary.
+    The cut is at :meth:`~repro.core.storage.LocalStore.split_pivot`.  The
+    parent keeps the other half; returns the child's range and keys.
     """
-    if not parent.range.can_split:
-        raise ProtocolError(
-            f"range {parent.range} too narrow to split at {parent.position}"
-        )
-    if net.config.split_policy == "median":
-        median = parent.store.median()
-        if median is not None and parent.range.low < median < parent.range.high:
-            return median
-    return parent.range.midpoint()
+    pivot = parent.store.split_pivot(parent.range)
+    low, high = parent.range.split_at(pivot)
+    if side == LEFT:
+        parent.range = high
+        return low, parent.store.split_below(pivot)
+    parent.range = low
+    return high, parent.store.split_at_or_above(pivot)
 
 
 def add_child(
@@ -351,21 +349,14 @@ def add_child(
         parent.position.left_child() if side == LEFT else parent.position.right_child()
     )
 
-    # --- range and content split -----------------------------------------
-    pivot = choose_split_pivot(net, parent)
-    if side == LEFT:
-        child_range, parent_range = parent.range.split_at(pivot)
-        moved_keys = parent.store.split_below(pivot)
-    else:
-        parent_range, child_range = parent.range.split_at(pivot)
-        moved_keys = parent.store.split_at_or_above(pivot)
-
+    # --- range and content split (before allocating: a failed split must
+    # not consume an address) ------------------------------------------------
+    child_range, moved_keys = split_for_child(parent, side)
     if peer is None:
         peer = BatonPeer(net.alloc.allocate(), child_position, child_range)
     else:
         peer.move_to(child_position)
         peer.range = child_range
-    parent.range = parent_range
     peer.store.extend(moved_keys)
 
     net.register_peer(peer)

@@ -75,7 +75,7 @@ def leave_steps(
         net.updates.drain(address)
         if can_depart_simply(departing):
             handovers = [_handover_hop(departing, departing.parent.address)]
-            depart_leaf(net, departing, content_target="parent")
+            depart_leaf(net, departing)
             break
         replacement_address = yield from find_replacement_steps(net, departing)
         if replacement_address is None and degraded is None:
@@ -104,7 +104,7 @@ def leave_steps(
             _handover_hop(replacement, replacement.parent.address),
             _handover_hop(departing, replacement_address),
         ]
-        depart_leaf(net, replacement, content_target="parent")
+        depart_leaf(net, replacement)
         # Refreshes emitted by the departure itself can target the
         # departing peer; they must land before its state is handed over.
         net.updates.drain(address)
@@ -244,14 +244,14 @@ def replacement_entry_point(net: "BatonNetwork", departing: BatonPeer) -> Addres
 def depart_leaf(
     net: "BatonNetwork",
     leaf: BatonPeer,
-    content_target: str,
+    absorber: Optional[Address] = None,
 ) -> BatonPeer:
     """Remove a safely-departing leaf from the overlay.
 
-    ``content_target`` names who absorbs the leaf's range and keys:
-    ``"parent"`` for the standard graceful leave, ``"right_adjacent"`` /
-    ``"left_adjacent"`` for the load-balancing hand-off of §IV-D, or
-    ``"none"`` when a failed peer's content is already lost (§III-C).
+    The peer at ``absorber`` takes the leaf's range and keys: the parent by
+    default (the standard graceful leave), an adjacent for §IV-D's rejoin
+    hand-off.  The parent hears once, whichever role names it: an absorber
+    that *is* the parent gets one LEAVE_TRANSFER and one broadcast round.
     Returns the detached peer object (links cleared, address retained).
     """
     if leaf.parent is None:
@@ -259,15 +259,19 @@ def depart_leaf(
     parent = net.peer(leaf.parent.address)
     side = LEFT if leaf.position.is_left_child else RIGHT
 
-    _hand_over_content(net, leaf, content_target)
+    grown = hand_over_content(
+        net, leaf, parent.address if absorber is None else absorber
+    )
+    if grown is not parent:
+        # An adjacent absorber's linkers must hear of its grown range, and
+        # the parent still needs to hear about the departure (child link).
+        net.broadcast_update(grown, exclude={leaf.address})
+        net.count_message(leaf.address, parent.address, MsgType.LEAVE_TRANSFER)
 
     # Splice adjacent links: the leaf's far adjacent now borders the parent
     # on the vacated side (the near adjacent *is* the parent for a leaf).
     far = leaf.adjacent_on(side)
     parent.set_child(side, None)
-    if content_target != "parent":
-        # The parent still needs to hear about the departure (child link).
-        net.count_message(leaf.address, parent.address, MsgType.LEAVE_TRANSFER)
     parent.set_adjacent(side, far)
     if far is not None:
         try:
@@ -304,23 +308,16 @@ def depart_leaf(
     return detached
 
 
-def _hand_over_content(
-    net: "BatonNetwork", leaf: BatonPeer, content_target: str
-) -> None:
-    """Transfer the departing leaf's range and keys to its absorber."""
-    if content_target == "none":
-        return
-    if content_target == "parent":
-        absorber_info = leaf.parent
-    elif content_target == "right_adjacent":
-        absorber_info = leaf.right_adjacent or leaf.left_adjacent
-    elif content_target == "left_adjacent":
-        absorber_info = leaf.left_adjacent or leaf.right_adjacent
-    else:
-        raise ValueError(f"unknown content target {content_target!r}")
-    if absorber_info is None:
-        raise ProtocolError(f"{leaf.position} has nobody to absorb its range")
-    absorber = net.peer(absorber_info.address)
+def hand_over_content(
+    net: "BatonNetwork", leaf: BatonPeer, absorber_address: Address
+) -> BatonPeer:
+    """Transfer the departing leaf's range, keys and subscriptions to the
+    peer at ``absorber_address`` (one LEAVE_TRANSFER); returns that peer.
+
+    Who then tells the absorber's linkers is the caller's call: a parent
+    absorber's broadcast is the departure's own (:func:`depart_leaf`).
+    """
+    absorber = net.peer(absorber_address)
     net.count_message(leaf.address, absorber.address, MsgType.LEAVE_TRANSFER)
     absorber.range = absorber.range.merge(leaf.range)
     absorber.store.extend(leaf.store.clear())
@@ -329,12 +326,7 @@ def _hand_over_content(
         from repro.pubsub.subscribe import transfer_subscriptions
 
         transfer_subscriptions(net, leaf, absorber)
-    if content_target != "parent":
-        # Range change at an absorber named as an adjacent: its linkers
-        # must hear.  Decided by the role asked for, never by comparing
-        # snapshots: a left child's right adjacent *is* its parent, and
-        # whether the two links are one object depends on who built them.
-        net.broadcast_update(absorber, exclude={leaf.address})
+    return absorber
 
 
 def transplant(net: "BatonNetwork", departing: BatonPeer, replacement: BatonPeer) -> None:

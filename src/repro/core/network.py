@@ -44,23 +44,15 @@ from repro.util.stepper import MessageSteps, drive
 class LoadBalanceConfig:
     """Tuning for §IV-D load balancing.
 
-    A peer is *overloaded* when its store exceeds ``capacity`` keys and
-    *lightly loaded* when below ``low_watermark * capacity``.  An overloaded
-    leaf first tries its adjacent nodes; an adjacent node can absorb keys if
-    that keeps it under ``absorb_factor * capacity``.  Otherwise the leaf
-    recruits a lightly loaded leaf found by probing through the routing
-    tables (``probe_limit`` probes at most).
+    A peer is *overloaded* when its store exceeds ``capacity`` keys.  It
+    first shifts keys to an adjacent node; a leaf that cannot then recruits
+    a lightly loaded leaf.  The shares of ``capacity`` that make an
+    adjacent able to absorb and a leaf light, and the probe budget, are
+    :mod:`repro.core.balance`'s constants.
     """
 
     capacity: int = 200
-    low_watermark: float = 0.25
-    absorb_factor: float = 0.75
-    probe_limit: int = 16
     enabled: bool = True
-    #: Ablation toggle: with rejoins disabled, overloaded leaves only shift
-    #: data to adjacents — the "ripple through the network" regime §IV-D
-    #: argues against.
-    allow_rejoin: bool = True
 
 
 @dataclass
@@ -97,10 +89,6 @@ class BatonConfig:
     """Network-wide settings."""
 
     domain: Range = field(default_factory=Range.full_domain)
-    #: "median" splits a parent's range at the median of its stored keys
-    #: (data-aware, the paper's "splits half of its content"); "midpoint"
-    #: splits the range arithmetically.  Ablation toggle.
-    split_policy: str = "median"
     balance: LoadBalanceConfig = field(default_factory=LoadBalanceConfig)
     #: Data-durability extension (not in the paper): mirror each peer's
     #: store at its right adjacent and restore it during repair.  See
@@ -110,10 +98,6 @@ class BatonConfig:
     #: region-diverse replicas, hot-range routing cache.  See
     #: :mod:`repro.core.cache` and DESIGN.md's "Locality contract".
     locality: LocalityConfig = field(default_factory=LocalityConfig)
-
-    def __post_init__(self) -> None:
-        if self.split_policy not in ("median", "midpoint"):
-            raise ValueError(f"unknown split policy {self.split_policy!r}")
 
 
 class UpdateChannel:

@@ -30,6 +30,8 @@ from __future__ import annotations
 from typing import Container, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.ids import Position
+from repro.core.join import add_child, split_for_child
+from repro.core.leave import can_depart_simply, hand_over_content
 from repro.core.links import LEFT, RIGHT, ROW_DISTANCES, NodeInfo, RoutingTable, new_tuple
 from repro.core.peer import BatonPeer
 from repro.net.address import Address
@@ -347,15 +349,6 @@ def apply_insert_chain(
 # ---------------------------------------------------------------------------
 
 
-def _safe_to_vacate(peer: BatonPeer) -> bool:
-    """Whether removing this peer's slot keeps Theorem 1 satisfied."""
-    if not peer.is_leaf:
-        return False
-    return not peer.left_table.nodes_with_children() and not (
-        peer.right_table.nodes_with_children()
-    )
-
-
 def plan_removal_chain(
     net: "BatonNetwork", start_info: Optional[NodeInfo], direction: str
 ) -> Optional[List[BatonPeer]]:
@@ -374,7 +367,7 @@ def plan_removal_chain(
         if peer is None:
             return None
         chain.append(peer)
-        if _safe_to_vacate(peer):
+        if can_depart_simply(peer):
             return chain
         next_info = peer.adjacent_on(direction)
         if next_info is not None:
@@ -421,27 +414,15 @@ def forced_add_child(
     Used by §IV-D when a lightly loaded leaf rejoins under an overloaded
     node.  Returns the number of peers shifted (0 for a clean join).
     """
-    from repro.core import join as join_protocol
-
     if parent.child_on(side) is None and parent.can_accept_child():
-        join_protocol.add_child(net, parent, side, peer=peer)
+        add_child(net, parent, side, peer=peer)
         return 0
     # Either Theorem 1 would be violated or the slot is taken (the anchor
     # may have gained children while the recruit was departing): split the
     # content, then shift the in-order chain.  The chain is well-defined
     # for internal anchors too — occupants shuffle between slots while the
     # slots keep their subtrees.
-
-    # Theorem 1 would be violated: split content, then shift.
-    pivot = join_protocol.choose_split_pivot(net, parent)
-    if side == LEFT:
-        child_range, parent_range = parent.range.split_at(pivot)
-        moved_keys = parent.store.split_below(pivot)
-    else:
-        parent_range, child_range = parent.range.split_at(pivot)
-        moved_keys = parent.store.split_at_or_above(pivot)
-    parent.range = parent_range
-    peer.range = child_range
+    peer.range, moved_keys = split_for_child(parent, side)
     peer.store.extend(moved_keys)
 
     # Plan both shift directions; prefer a safely-parked chain, then the
@@ -462,19 +443,19 @@ def forced_add_child(
 
 
 def depart_with_restructure(
-    net: "BatonNetwork", leaf: BatonPeer, content_target: str
+    net: "BatonNetwork", leaf: BatonPeer, absorber: Address
 ) -> int:
     """Remove ``leaf`` even though its departure is not balance-safe.
 
-    Its range/content go to ``content_target`` (see
-    :func:`repro.core.leave.depart_leaf`); the vacated slot is filled by an
-    in-order shift.  Returns the number of peers shifted.
+    Its range/content go to the peer at ``absorber`` (see
+    :func:`repro.core.leave.hand_over_content`), whose linkers hear of its
+    grown range; the vacated slot is filled by an in-order shift.  Returns
+    the number of peers shifted.
     """
-    from repro.core import leave as leave_protocol
-
     if not leaf.is_leaf:
         raise ProtocolError("only leaves depart via restructuring")
-    leave_protocol._hand_over_content(net, leaf, content_target)
+    grown = hand_over_content(net, leaf, absorber)
+    net.broadcast_update(grown, exclude={leaf.address})
     vacated = leaf.position
     predecessor = leaf.left_adjacent
     successor = leaf.right_adjacent

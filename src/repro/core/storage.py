@@ -10,7 +10,12 @@ plenty at simulation scale.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
+
+from repro.util.errors import ProtocolError
+
+if TYPE_CHECKING:
+    from repro.core.ranges import Range
 
 
 class LocalStore:
@@ -92,6 +97,21 @@ class LocalStore:
         return self._keys[len(self._keys) // 2]
 
     # -- splitting ------------------------------------------------------------
+
+    def split_pivot(self, range_: "Range") -> int:
+        """Where a join splits ``range_``, the range this store covers.
+
+        The median key, so the new child takes half the *content* (the
+        paper's wording), when it lies strictly inside the range; else (an
+        empty store, or a median on the boundary) the arithmetic midpoint.
+        The one split rule of BATON's join, forced join and multiway's join.
+        """
+        if not range_.can_split:
+            raise ProtocolError(f"range {range_} too narrow to split")
+        median = self.median()
+        if median is not None and range_.low < median < range_.high:
+            return median
+        return range_.midpoint()
 
     def split_below(self, pivot: int) -> List[int]:
         """Remove and return all keys < ``pivot`` (handover to a left child)."""

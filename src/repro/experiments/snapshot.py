@@ -61,7 +61,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: 5: ``UpdateChannel`` schedules refreshes itself (``_sim``, ``_inbox``).
 #: 6: ``BatonNetwork.peers`` an ``AddressPoolDict``; no ``_address_pool``,
 #:    ``_pool_index`` or deferred ``UpdateChannel`` queue.
-SNAPSHOT_SCHEMA = 6
+#: 7: ``BatonConfig`` / ``MultiwayConfig`` lose the split-policy knob and
+#:    ``LoadBalanceConfig`` keeps two fields; and a departing leaf tells
+#:    its parent once, which moves balanced networks (whose keys, e.g.
+#:    ``build_baton_equalized``'s, need not name the config).
+SNAPSHOT_SCHEMA = 7
 
 #: Length of the digest that precedes every stored pickle.
 DIGEST_BYTES = hashlib.sha256().digest_size

@@ -68,7 +68,6 @@ class MultiwayConfig:
 
     fanout: int = 6
     domain: Range = None  # type: ignore[assignment]
-    split_policy: str = "median"
 
     def __post_init__(self) -> None:
         if self.domain is None:
@@ -196,18 +195,9 @@ class MultiwayNetwork(OverlayNetwork):
             current = next_hop
         raise ProtocolError("multiway join did not find a parent")
 
-    def _split_pivot(self, node: MultiwayNode) -> int:
-        if node.range.width < 2:
-            raise ProtocolError(f"range {node.range} too narrow to split")
-        if self.config.split_policy == "median":
-            median = node.store.median()
-            if median is not None and node.range.low < median < node.range.high:
-                return median
-        return node.range.midpoint()
-
     def accept_child(self, parent: MultiwayNode) -> MultiwayNode:
         """Hand the upper half of the parent's own range to a new child."""
-        pivot = self._split_pivot(parent)
+        pivot = parent.store.split_pivot(parent.range)
         parent_range, child_range = parent.range.split_at(pivot)
         moved = parent.store.split_at_or_above(pivot)
         parent.range = parent_range

@@ -41,6 +41,9 @@ from repro.sim.runtime import AsyncOverlayRuntime, OpFuture
 from repro.util.rng import SeededRng
 from repro.util.stats import StreamingQuantiles
 
+#: Width of each range query's interval.
+RANGE_SPAN = 2_000_000
+
 
 @dataclass(frozen=True)
 class ConcurrentConfig:
@@ -63,8 +66,6 @@ class ConcurrentConfig:
     fail_fraction: float = 0.0
     #: Fraction of queries that are range queries (the rest exact-match).
     range_fraction: float = 0.0
-    #: Width of each range query's interval.
-    range_span: int = 2_000_000
     #: Range-multicast publishes per time unit (``multicast`` capability;
     #: overlays without it raise CapabilityError up front rather than
     #: silently running a publish-free mix).
@@ -613,7 +614,7 @@ class WorkloadRun:
         anet = self.anet
         config = self.config
         if config.range_fraction and stream.random() < config.range_fraction:
-            low, high = self.interval(stream, config.range_span)
+            low, high = self.interval(stream, RANGE_SPAN)
             self.note(
                 "search.range",
                 anet.submit_search_range(low, high, via=self.query_entry(stream)),

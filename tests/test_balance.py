@@ -9,10 +9,8 @@ from repro.workloads.generators import ZipfianKeys, uniform_keys
 from tests.conftest import make_network
 
 
-def balanced_net(n_peers=30, capacity=20, seed=4, **kwargs) -> BatonNetwork:
-    config = BatonConfig(
-        balance=LoadBalanceConfig(capacity=capacity, enabled=True, **kwargs)
-    )
+def balanced_net(n_peers=30, capacity=20, seed=4) -> BatonNetwork:
+    config = BatonConfig(balance=LoadBalanceConfig(capacity=capacity, enabled=True))
     net = BatonNetwork.build(n_peers, seed=seed, config=config)
     check_invariants(net)
     return net
@@ -112,22 +110,6 @@ class TestRejoinBalancing:
         for event in net.stats.balance_events:
             assert event.messages > 0
             assert event.shift_size >= 0
-
-    def test_two_tier_caps_hot_spot_better_than_adjacent_only(self):
-        """§IV-D's argument for the second tier: on the same Zipf(1.0)
-        stream, recruiting a light leaf bounds the hottest store harder
-        than diffusing load to adjacent nodes only."""
-
-        def max_load(allow_rejoin: bool) -> int:
-            net = balanced_net(
-                n_peers=80, capacity=40, seed=3, allow_rejoin=allow_rejoin
-            )
-            gen = ZipfianKeys(theta=1.0, seed=4)
-            for _ in range(4000):
-                net.insert(gen.draw())
-            return max(len(peer.store) for peer in net.peers.values())
-
-        assert max_load(True) <= max_load(False)
 
     def test_no_data_lost_during_balancing(self):
         net = balanced_net(n_peers=30, capacity=12, seed=10)

@@ -77,14 +77,22 @@ class TestEquivalence:
         grown = incremental_reference(n_peers)
         assert_networks_identical(bulk, grown)
 
-    @pytest.mark.parametrize(
-        "content_target", ["right_adjacent", "left_adjacent", "parent"]
-    )
-    def test_same_departure_costs_the_same_messages(self, content_target):
+    @pytest.mark.parametrize("role", ["right_adjacent", "left_adjacent", "parent"])
+    def test_same_departure_costs_the_same_messages(self, role):
         """Equal links must mean equal behaviour: what a departure spends
         may not depend on whether two equal snapshots are one object (bulk:
-        a left child's right adjacent *is* its parent link) or two (joins)."""
+        a left child's right adjacent *is* its parent link) or two (joins).
+        The absorber is named through ``role`` (an edge leaf's missing
+        adjacent falls back to the other one)."""
         from repro.core.leave import can_depart_simply, depart_leaf
+
+        def absorber(peer):
+            links = {
+                "parent": peer.parent,
+                "right_adjacent": peer.right_adjacent or peer.left_adjacent,
+                "left_adjacent": peer.left_adjacent or peer.right_adjacent,
+            }
+            return links[role].address
 
         leaves = {
             address: peer.position
@@ -95,8 +103,9 @@ class TestEquivalence:
         for address in leaves:
             spent = []
             for net in (bulk_build(40), incremental_reference(40)):
+                leaf = net.peer(address)
                 with net.bus.trace("depart") as trace:
-                    depart_leaf(net, net.peer(address), content_target=content_target)
+                    depart_leaf(net, leaf, absorber(leaf))
                 spent.append(dict(trace.by_type))
             assert spent[0] == spent[1], f"leaf {address}: bulk vs join-grown"
 

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.core import BatonNetwork, check_invariants
-from repro.core.leave import can_depart_simply, descend_steps
+from repro.core.bulk_build import bulk_build
+from repro.core.ids import Position
+from repro.core.leave import can_depart_simply, depart_leaf, descend_steps
 from repro.util.errors import PeerNotFoundError, ProtocolError
 
 from tests.conftest import make_network
@@ -37,6 +39,25 @@ class TestSimpleDeparture:
         survivor = net.peer(root)
         assert survivor.range == net.config.domain
         assert 5 in survivor.store
+
+    def test_parent_named_as_adjacent_hears_once(self):
+        """A left-child leaf's right adjacent is its parent.  Naming the
+        parent through that role must cost what the default absorber
+        costs: one LEAVE_TRANSFER to the parent and one broadcast round,
+        not a second of each."""
+        spent = []
+        for name_parent_as_adjacent in (False, True):
+            net = bulk_build(40)
+            leaf = next(
+                peer for peer in net.peers.values() if peer.position == Position(5, 9)
+            )
+            assert can_depart_simply(leaf)
+            assert leaf.right_adjacent.address == leaf.parent.address
+            absorber = leaf.right_adjacent.address if name_parent_as_adjacent else None
+            with net.bus.trace("depart") as trace:
+                depart_leaf(net, leaf, absorber)
+            spent.append(dict(trace.by_type))
+        assert spent[1] == spent[0]
 
     def test_departed_address_unreachable(self):
         net = make_network(10, seed=2)

@@ -5,7 +5,6 @@ import pytest
 from repro.core import BatonConfig, BatonNetwork, LoadBalanceConfig
 from repro.core.ranges import Range
 from repro.util.errors import NetworkEmptyError
-from repro.workloads.generators import zipfian_keys
 
 from tests.conftest import make_network
 
@@ -25,32 +24,6 @@ class TestConstruction:
         assert {p.position for p in a.peers.values()} == {
             p.position for p in b.peers.values()
         }
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BatonConfig(split_policy="golden-ratio")
-
-    def test_midpoint_split_policy(self):
-        config = BatonConfig(split_policy="midpoint")
-        net = BatonNetwork.build(20, seed=2, config=config)
-        from repro.core import check_invariants
-
-        check_invariants(net)
-
-    def test_median_split_spreads_skewed_data_better_than_midpoint(self):
-        """A network grown around an already-skewed dataset: median splits
-        halve each parent's actual content, midpoint splits halve its key
-        span and leave the hot range's owners holding most of the data."""
-
-        def max_load(split_policy: str) -> int:
-            net = BatonNetwork(config=BatonConfig(split_policy=split_policy), seed=5)
-            root = net.bootstrap()
-            net.peer(root).store.extend(zipfian_keys(120 * 50, theta=1.0, seed=5))
-            for _ in range(119):
-                net.join()
-            return max(len(peer.store) for peer in net.peers.values())
-
-        assert max_load("median") < max_load("midpoint")
 
 
 class TestBookkeeping:

@@ -427,9 +427,8 @@ class TestForcedRemoval:
     def test_depart_with_restructure_restores_invariants(self, seed):
         net = make_network(41, seed=seed)
         victim = self.find_unsafe_leaf(net)
-        moves = restructure.depart_with_restructure(
-            net, victim, content_target="right_adjacent"
-        )
+        absorber = victim.right_adjacent or victim.left_adjacent
+        moves = restructure.depart_with_restructure(net, victim, absorber.address)
         assert victim.address not in net.peers
         assert moves >= 1
         check_invariants(net)
@@ -440,7 +439,7 @@ class TestForcedRemoval:
         victim.store.insert(victim.range.low)
         absorber_info = victim.right_adjacent or victim.left_adjacent
         key = victim.range.low
-        restructure.depart_with_restructure(net, victim, content_target="right_adjacent")
+        restructure.depart_with_restructure(net, victim, absorber_info.address)
         absorber = net.peer(absorber_info.address)
         assert key in absorber.store
         check_invariants(net)
@@ -451,4 +450,5 @@ class TestForcedRemoval:
         from repro.util.errors import ProtocolError
 
         with pytest.raises(ProtocolError):
-            restructure.depart_with_restructure(net, internal, content_target="parent")
+            absorber = internal.left_adjacent or internal.right_adjacent
+            restructure.depart_with_restructure(net, internal, absorber.address)

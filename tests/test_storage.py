@@ -1,6 +1,10 @@
 """Unit tests for the local key store (repro.core.storage)."""
 
+import pytest
+
+from repro.core.ranges import Range
 from repro.core.storage import LocalStore
+from repro.util.errors import ProtocolError
 
 
 class TestBasics:
@@ -75,6 +79,21 @@ class TestAggregates:
 
     def test_median_even_takes_upper(self):
         assert LocalStore([1, 2, 3, 4]).median() == 3
+
+
+class TestSplitPivot:
+    def test_empty_store_splits_at_midpoint(self):
+        assert LocalStore().split_pivot(Range(0, 100)) == 50
+
+    def test_interior_median(self):
+        assert LocalStore([10, 20, 30]).split_pivot(Range(0, 100)) == 20
+
+    def test_median_on_low_boundary_falls_back_to_midpoint(self):
+        assert LocalStore([0, 0, 0]).split_pivot(Range(0, 100)) == 50
+
+    def test_width_one_range_raises(self):
+        with pytest.raises(ProtocolError):
+            LocalStore([7]).split_pivot(Range(7, 8))
 
 
 class TestSplits:
