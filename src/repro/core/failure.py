@@ -69,12 +69,11 @@ def repair_in_passes(
     ``attempt(address)`` runs one ghost's repair — atomically for the
     synchronous network, as a priced operation for the runtime — and
     returns None when it is blocked on another ghost (a later pass
-    retries in the new order); a pass that repairs nothing is a deadlock.
+    retries in the new order); a pass that repairs nothing is a deadlock
+    and raises, so the loop ends with every ghost repaired or an error.
     """
     results: List[RepairResult] = []
-    passes = 0
-    while net.ghosts and passes < len(net.ghosts) + 8:
-        passes += 1
+    while net.ghosts:
         progress = False
         for address in sorted(net.ghosts):
             if address not in net.ghosts:

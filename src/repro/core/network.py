@@ -122,13 +122,11 @@ class UpdateChannel:
         self._bus = bus
         self.in_flight = 0
         #: Scheduled mode: the runtime's clock and transport (None until
-        #: :meth:`attach`), each receiver's in-flight ``[event, apply]``
-        #: pairs in send order, and its latest scheduled arrival (the FIFO
-        #: floor).
+        #: :meth:`attach`), and each receiver's in-flight ``[event, apply]``
+        #: pairs in send order (the last one's arrival is the FIFO floor).
         self._sim = None
         self._topology = None
         self._inbox: Dict[Address, List[list]] = {}
-        self._last_arrival: Dict[Address, float] = {}
 
     def attach(self, sim, topology) -> None:
         """Enter scheduled mode: apply each notification on ``sim`` one
@@ -143,8 +141,9 @@ class UpdateChannel:
         its state to a replacement) drains its inbox first, so the decision
         reads current links and no refresh lands on a detached object.  A
         no-op when driven synchronously: the channel applied everything at
-        send.  The receiver's FIFO floor keeps the cancelled arrival times,
-        so a later refresh still lands no earlier than they would have.
+        send.  The drained inbox takes its FIFO floor with it, so a later
+        refresh lands one sampled delay after it is sent, not behind the
+        cancelled arrival times.
         """
         if self._sim is None:
             return
@@ -201,8 +200,8 @@ class UpdateChannel:
         # traffic alike — the staleness window they race is consistent.
         sim = self._sim
         arrival = sim.now + self._topology.sample(src, dst, size=1.0)
-        arrival = max(arrival, self._last_arrival.get(dst, 0.0))
-        self._last_arrival[dst] = arrival
+        if pending:
+            arrival = max(arrival, pending[-1][0].time)
         entry[0] = sim.schedule_at(arrival, fire, label="table-update")
         pending.append(entry)
 

@@ -224,10 +224,6 @@ class TestSampledChecker:
                 break
         assert collect_violations_sampled(net, sample_size=64)
 
-    def test_budget_stops_early_without_error(self):
-        net = bulk_build(500)
-        assert collect_violations_sampled(net, budget_s=0.0001) == []
-
     def test_agrees_with_full_checker_on_misplaced_store(self):
         net = bulk_build(64, keys=uniform_keys(640, seed=5))
         victim = next(iter(net.peers.values()))

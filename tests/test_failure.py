@@ -5,7 +5,7 @@ import pytest
 from repro.core import BatonNetwork, check_invariants
 from repro.core import collect_violations
 from repro.core.leave import can_depart_simply
-from repro.util.errors import PeerNotFoundError
+from repro.util.errors import PeerNotFoundError, ProtocolError
 
 from tests.conftest import make_network
 
@@ -155,6 +155,25 @@ class TestRepair:
         net.repair_all()
         assert not net.ghosts
         check_invariants(net)
+
+    def test_repair_all_runs_until_no_ghost_is_left(self):
+        # One repair per pass: a pass bound read off the shrinking ghost
+        # count would stop with ghosts left.
+        net = BatonNetwork.build(64, seed=2, bulk=True)
+        for address in sorted(net.addresses())[:20]:
+            net.fail(address)
+
+        def highest_only(address):
+            return net.repair(address) if address == max(net.ghosts) else None
+
+        assert len(net.repair_all(highest_only)) == 20
+        assert not net.ghosts
+
+    def test_repair_all_raises_when_no_repair_succeeds(self):
+        net = make_network(20, seed=1)
+        net.fail(net.random_peer_address())
+        with pytest.raises(ProtocolError, match="deadlocked"):
+            net.repair_all(lambda address: None)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_fail_join_query_repair_cycles(self, seed):

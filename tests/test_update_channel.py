@@ -111,6 +111,16 @@ class TestScheduledMode:
         assert applied == ["a", "b", "c"] and sim.now == 2.0
         assert channel.pending_count == 0
 
+    def test_drain_resets_the_fifo_floor(self, bus):
+        sim, channel = self.attached(bus, [10.0, 1.0])
+        applied = []
+        self.send(channel, 1, 2, applied, "a")  # would land at t=10
+        channel.drain(Address(2))  # delivered at t=0 instead
+        self.send(channel, 3, 2, applied, "b")  # samples 1.0
+        sim.run()
+        assert applied == ["a", "b"]
+        assert sim.now == 1.0  # not behind the cancelled t=10 arrival
+
     def test_dead_target_not_scheduled(self, bus):
         sim, channel = self.attached(bus, [])
         assert not self.send(channel, 1, 99, [], "x")
