@@ -15,7 +15,7 @@ Usage::
     python -m repro chaos --quick                  # all four scenarios
     python -m repro chaos --scenario lossy_links --overlay baton
     python -m repro multicast --quick              # dissemination showdown
-    python -m repro profile --peers 1000           # wall-clock build + drive
+    python -m repro locality --quick               # route cache x aware join
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def cmd_peer(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    """Run one experiment grid (durability, chaos, multicast, locality,
-    profile).
+    """Run one experiment grid (durability, chaos, multicast, locality).
 
     ``args.module`` names the driver module whose ``GRID`` runs;
     ``args.axes`` maps the subcommand's flags to the grid's axes ("all" or
@@ -337,19 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_experiment_flags(locality)
     locality.set_defaults(
         func=cmd_grid, module="locality", axes={"peers": "n_peers"}
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="wall-clock cost of a bulk build plus a churn+query drive "
-        "per population (benchmarks/e2e/run.py is the regression judge)",
-    )
-    profile.add_argument(
-        "--peers", type=int, default=None, help="override the population"
-    )
-    add_experiment_flags(profile)
-    profile.set_defaults(
-        func=cmd_grid, module="scale_profile", axes={"peers": "n_peers"}
     )
 
     from repro import overlays

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 
 @lru_cache(maxsize=1 << 17)
@@ -79,17 +79,9 @@ class Position:
     # -- tree geometry ------------------------------------------------------
 
     @property
-    def is_root(self) -> bool:
-        return self.level == 0
-
-    @property
     def is_left_child(self) -> bool:
         """Left children have odd numbers (root is neither side)."""
         return self.level > 0 and self.number % 2 == 1
-
-    @property
-    def is_right_child(self) -> bool:
-        return self.level > 0 and self.number % 2 == 0
 
     def parent(self) -> Optional["Position"]:
         """Position of the parent slot, or None for the root."""
@@ -110,49 +102,6 @@ class Position:
         offset = 1 if self.is_left_child else -1
         return _interned(self.level, self.number + offset)
 
-    def ancestor_at(self, level: int) -> "Position":
-        """The ancestor slot at the given (shallower or equal) level."""
-        if not 0 <= level <= self.level:
-            raise ValueError(f"level {level} is not an ancestor level of {self}")
-        shift = self.level - level
-        # Repeated parent() is ceil-halving the number `shift` times.
-        number = ((self.number - 1) >> shift) + 1
-        return Position(level, number)
-
-    def is_ancestor_of(self, other: "Position") -> bool:
-        """Strict ancestry test (a position is not its own ancestor)."""
-        return self.level < other.level and other.ancestor_at(self.level) == self
-
-    # -- sideways (routing-table) geometry -----------------------------------
-
-    def left_table_positions(self) -> Iterator["Position"]:
-        """Valid left-routing-table slots: numbers ``number - 2^i`` >= 1."""
-        i = 0
-        while self.number - (1 << i) >= 1:
-            yield Position(self.level, self.number - (1 << i))
-            i += 1
-
-    def right_table_positions(self) -> Iterator["Position"]:
-        """Valid right-routing-table slots: numbers ``number + 2^i`` <= 2^L."""
-        i = 0
-        while self.number + (1 << i) <= (1 << self.level):
-            yield Position(self.level, self.number + (1 << i))
-            i += 1
-
-    def table_position(self, side: str, index: int) -> Optional["Position"]:
-        """The slot at distance ``2^index`` on ``side``, or None if invalid."""
-        if side == "left":
-            number = self.number - (1 << index)
-            return _interned(self.level, number) if number >= 1 else None
-        if side == "right":
-            number = self.number + (1 << index)
-            return (
-                _interned(self.level, number)
-                if number <= (1 << self.level)
-                else None
-            )
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
     # -- in-order (key) order -------------------------------------------------
 
     def inorder_num_den(self) -> tuple[int, int]:
@@ -169,11 +118,6 @@ class Position:
         num_a, den_a = self.inorder_num_den()
         num_b, den_b = other.inorder_num_den()
         return num_a * den_b < num_b * den_a
-
-    def inorder_key(self) -> float:
-        """Float approximation of the in-order key (debugging/plots only)."""
-        num, den = self.inorder_num_den()
-        return num / den
 
     def __str__(self) -> str:
         return f"({self.level},{self.number})"

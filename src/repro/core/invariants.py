@@ -25,7 +25,7 @@ a sample, so the sampled checker's messages are a subset of the full one's.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.ids import ROOT, Position
 from repro.core.links import LEFT, RIGHT, NodeInfo
@@ -87,7 +87,7 @@ def collect_violations_sampled(
 
 def tree_height(net: "BatonNetwork") -> int:
     """Height of the occupied tree (1 for a singleton root)."""
-    return _subtree_height(net, ROOT)
+    return _heights(net).get(ROOT, 0)
 
 
 def _headline(net: "BatonNetwork") -> List[str]:
@@ -279,21 +279,28 @@ def _check_map(net: "BatonNetwork") -> List[str]:
     return errors
 
 
-def _subtree_height(net: "BatonNetwork", position: Position) -> int:
-    """Height of the occupied subtree under ``position`` (0 if empty)."""
-    if net.occupant(position) is None:
-        return 0
-    return 1 + max(
-        _subtree_height(net, position.left_child()),
-        _subtree_height(net, position.right_child()),
-    )
+def _heights(net: "BatonNetwork") -> Dict[Position, int]:
+    """Height of the occupied subtree under every occupied slot (an
+    unoccupied slot's is 0), keyed in position-map order.
+
+    One post-order pass, one map read per slot: deepest level first, so
+    both children are done before their parent.
+    """
+    heights = {position: 0 for position, _ in net.occupied_positions()}
+    for position in sorted(heights, key=lambda p: p.level, reverse=True):
+        heights[position] = 1 + max(
+            heights.get(position.left_child(), 0),
+            heights.get(position.right_child(), 0),
+        )
+    return heights
 
 
 def _check_balance(net: "BatonNetwork") -> List[str]:
     errors = []
-    for position, _ in net.occupied_positions():
-        left = _subtree_height(net, position.left_child())
-        right = _subtree_height(net, position.right_child())
+    heights = _heights(net)
+    for position in heights:
+        left = heights.get(position.left_child(), 0)
+        right = heights.get(position.right_child(), 0)
         if abs(left - right) > 1:
             errors.append(
                 f"imbalance at {position}: subtree heights {left} vs {right}"

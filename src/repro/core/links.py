@@ -17,7 +17,7 @@ Theorem 1's balance guarantee.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.ids import Position, _interned
 from repro.core.ranges import Range
@@ -216,14 +216,6 @@ class RoutingTable:
         """All in-range slots occupied (the Theorem 1 condition)."""
         return None not in self.entries
 
-    def first_missing_index(self) -> Optional[int]:
-        """Smallest in-range index with a null entry, if any."""
-        entries = self.entries
-        for index in self._valid_indices:
-            if entries[index] is None:
-                return index
-        return None
-
     def nodes_missing_children(self) -> List[NodeInfo]:
         """Linked neighbours that do not yet have both children."""
         return [info for _, info in self.occupied() if not info.has_both_children]
@@ -231,21 +223,6 @@ class RoutingTable:
     def nodes_with_children(self) -> List[NodeInfo]:
         """Linked neighbours that have at least one child."""
         return [info for _, info in self.occupied() if info.has_any_child]
-
-    def farthest_satisfying(
-        self, predicate: Callable[[NodeInfo], bool]
-    ) -> Optional[NodeInfo]:
-        """The farthest linked neighbour passing ``predicate`` (search step).
-
-        "Farthest" is by table index, i.e. by distance ``2^i`` along the
-        level, exactly the greedy step of the exact-match algorithm.
-        """
-        entries = self.entries
-        for index in reversed(self._valid_indices):
-            info = entries[index]
-            if info is not None and predicate(info):
-                return info
-        return None
 
     def entry_for_address(self, address: Address) -> Optional[tuple[int, NodeInfo]]:
         """Locate the entry linking to ``address``, if present."""

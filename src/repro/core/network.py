@@ -750,17 +750,3 @@ class BatonNetwork(OverlayNetwork):
             if self.updates.notify(peer.address, target, mtype, apply):
                 sent += 1
         return sent
-
-    # -- the ends of the key order ------------------------------------------------
-
-    def leftmost_peer(self) -> BatonPeer:
-        """The peer owning the lowest range (no left adjacent)."""
-        if not self.peers:
-            raise NetworkEmptyError("network has no peers")
-        return min(self.peers.values(), key=lambda p: p.range.low)
-
-    def rightmost_peer(self) -> BatonPeer:
-        """The peer owning the highest range (no right adjacent)."""
-        if not self.peers:
-            raise NetworkEmptyError("network has no peers")
-        return max(self.peers.values(), key=lambda p: p.range.high)

@@ -49,14 +49,6 @@ class Range:
         """True iff the two ranges share at least one key."""
         return self.low < other.high and other.low < self.high
 
-    def intersection(self, other: "Range") -> "Range":
-        """The shared sub-range (possibly empty, anchored at max(low)s)."""
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        if low > high:
-            return Range(low, low)
-        return Range(low, high)
-
     @property
     def can_split(self) -> bool:
         """Whether the range holds an interior pivot (width >= 2).

@@ -72,12 +72,6 @@ class LocalStore:
 
     # -- queries ------------------------------------------------------------
 
-    def count_in(self, low: int, high: int) -> int:
-        """Number of keys in the half-open interval [low, high)."""
-        return bisect.bisect_left(self._keys, high) - bisect.bisect_left(
-            self._keys, low
-        )
-
     def keys_in(self, low: int, high: int) -> List[int]:
         """The keys in [low, high), in sorted order."""
         lo = bisect.bisect_left(self._keys, low)

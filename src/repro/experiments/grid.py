@@ -3,7 +3,7 @@
 The paper's whole evaluation (§V, Fig. 8a–i) is one sweep — a product of
 named axes × the scale's seeds, averaged over the seed group — and every
 later grid (concurrent, hetero-links, locality, durability, chaos,
-multicast, profile) kept that shape.  A :class:`Grid` states it once:
+multicast) kept that shape.  A :class:`Grid` states it once:
 the axes, the cell function and the kwargs it takes from the scale, and
 how a seed group reduces to a row.  ``cells``, ``assemble`` and ``run``
 are all derived from the single :meth:`Grid.points` enumeration, so the
@@ -185,8 +185,7 @@ class Grid:
     returning a string (a non-empty one becomes a table note — the
     capability filter).  ``tail`` is a second grid whose cells and rows
     follow this one's under the same group and table; it sees this
-    grid's resolved axes.  ``seeds`` replaces the scale's seed list,
-    ``serial``/``volatile`` mark wall-clock cells and columns.  Two
+    grid's resolved axes.  ``seeds`` replaces the scale's seed list.  Two
     grids with the same ``name`` are views over one set of cells.
     ``bands`` are the table's shape claims; ``runall.run_all`` judges
     them on the full suite only, because an axis override (a grid
@@ -208,8 +207,6 @@ class Grid:
     notes: Any = ()  # strings, or (scale, env) -> strings
     tail: Optional["Grid"] = None
     seeds: Optional[Callable[[ExperimentScale], Sequence[int]]] = None
-    serial: bool = False
-    volatile: Tuple[str, ...] = ()
     bands: Tuple[Band, ...] = ()
 
     @property
@@ -260,7 +257,7 @@ class Grid:
         if self.derive:
             shared.update(self.derive(scale, env))
         plan = [
-            Cell(self.cell, {**shared, **point, "seed": seed}, group, self.serial)
+            Cell(self.cell, {**shared, **point, "seed": seed}, group)
             for point, skipped in self.points(scale, env)
             if skipped is None
             for seed in self._seeds(scale)
@@ -315,7 +312,6 @@ class Grid:
             columns=list(self.columns)
             or [a.header for a in self.axes if a.header] + list(self.reduce),
             expectation=self.expectation,
-            volatile=list(self.volatile),
         )
         self._fill(result, scale, env, list(outputs))
         return result

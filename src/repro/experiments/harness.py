@@ -93,29 +93,16 @@ class ExperimentResult:
             out.append(row[name])
         return out
 
-    #: Columns excluded from :meth:`fingerprint` — wall-clock and RSS
-    #: readings that legitimately differ run to run.  Everything else is
-    #: covered by the parallel-equals-sequential identity pin.
-    volatile: List[str] = field(default_factory=list)
-
     def canonical_text(self) -> str:
         """A deterministic rendering for identity comparison.
 
-        Volatile columns (wall-clock timings) render as ``~`` so the
-        text is stable across runs; every measured value renders at full
-        precision (``to_text`` rounds floats for display — too lossy to
-        pin byte-identity on).
+        Every measured value renders at full precision (``to_text``
+        rounds floats for display — too lossy to pin byte-identity on).
         """
         lines = [f"### {self.figure}: {self.title}"]
         lines.append("columns: " + ", ".join(self.columns))
-        if self.volatile:
-            lines.append("volatile: " + ", ".join(self.volatile))
         for row in self.rows:
-            rendered = [
-                "~" if col in self.volatile else repr(row.get(col))
-                for col in self.columns
-            ]
-            lines.append(" | ".join(rendered))
+            lines.append(" | ".join(repr(row.get(col)) for col in self.columns))
         for note in self.notes:
             lines.append(f"note: {note}")
         lines.extend(line for line, _ in self.bands)

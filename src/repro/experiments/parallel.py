@@ -17,10 +17,6 @@ Cell rules (what makes a function safe to pool):
   parameters (``derive_seed``), never from shared process state;
 * no mutation of globals the assembler reads.
 
-Cells marked ``serial=True`` (wall-clock measurements such as
-``scale_profile``) run in the parent, *after* the pool has drained, so
-their timings never share a machine with sibling workers.
-
 Workers inherit the parent's snapshot-cache settings through the pool
 initializer (:func:`repro.experiments.snapshot.apply_config`), so a
 cell's cached build behaves identically in-process and pooled.
@@ -43,27 +39,20 @@ class Cell:
     """One pure unit of experiment work: ``fn(**kwargs)``.
 
     ``group`` labels which driver the cell belongs to (the suite runner
-    slices results back out by group); ``serial`` keeps wall-clock cells
-    out of the pool.
+    slices results back out by group).
     """
 
     fn: Callable[..., Any]
     kwargs: Dict[str, Any] = field(default_factory=dict)
     group: str = ""
-    serial: bool = False
 
     def run(self) -> Any:
         return self.fn(**self.kwargs)
 
 
-def cell(
-    fn: Callable[..., Any],
-    group: str = "",
-    serial: bool = False,
-    **kwargs: Any,
-) -> Cell:
+def cell(fn: Callable[..., Any], group: str = "", **kwargs: Any) -> Cell:
     """Convenience constructor: ``cell(fn, n_peers=100, seed=0)``."""
-    return Cell(fn=fn, kwargs=kwargs, group=group, serial=serial)
+    return Cell(fn=fn, kwargs=kwargs, group=group)
 
 
 def default_jobs() -> int:
@@ -129,12 +118,10 @@ def _run_cell(c: Cell) -> Any:
 def run_cells(cells: Sequence[Cell], jobs: int = 1) -> List[Any]:
     """Execute every cell; results in cell order regardless of ``jobs``.
 
-    ``jobs<=1`` runs everything inline.  Otherwise pooled cells are
+    ``jobs<=1`` runs everything inline.  Otherwise the cells are
     submitted in order to a ``ProcessPoolExecutor`` and collected by
-    index; ``serial`` cells then run in the parent once the pool has
-    shut down (so the machine is quiet for their wall-clock phase).  A
-    cell that raises propagates — a broken grid point should fail the
-    run, not silently hole the table.
+    index.  A cell that raises propagates — a broken grid point should
+    fail the run, not silently hole the table.
 
     ``jobs`` is an upper bound on concurrency, not a worker count: the
     pool never runs more workers than the machine has schedulable cores
@@ -144,28 +131,21 @@ def run_cells(cells: Sequence[Cell], jobs: int = 1) -> List[Any]:
     """
     cells = list(cells)
     jobs = max(1, int(jobs))
-    pooled = [(i, c) for i, c in enumerate(cells) if not c.serial]
-    if jobs == 1 or len(pooled) < 2:
+    if jobs == 1 or len(cells) < 2:
         return [c.run() for c in cells]
 
-    results: List[Any] = [None] * len(cells)
     # fork keeps worker start cheap and inherits loaded modules; fall
     # back to the platform default where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(pooled), available_cpus()),
+        max_workers=min(jobs, len(cells), available_cpus()),
         mp_context=ctx,
         initializer=_worker_init,
         initargs=(snapshot.exported_config(),),
     ) as pool:
-        futures = [(i, pool.submit(_run_cell, c)) for i, c in pooled]
-        for i, future in futures:
-            results[i] = future.result()
-    for i, c in enumerate(cells):
-        if c.serial:
-            results[i] = c.run()
-    return results
+        futures = [pool.submit(_run_cell, c) for c in cells]
+        return [future.result() for future in futures]
 
 
 def run_grouped(

@@ -14,8 +14,7 @@ suite and late, expensive cells backfill idle workers — and then
 assembles each table from its group's outputs and judges the grid's
 bands on it (the run exits 1 if any fails).  Output is byte-identical
 at every ``--jobs`` value: results are collected by submission index,
-never by completion order, and the wall-clock profile's cells are marked
-serial so they run alone in the parent after the pool drains.
+never by completion order.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.experiments import (
     hetero_links,
     locality,
     multicast,
-    scale_profile,
 )
 from repro.experiments.grid import Grid
 from repro.experiments.harness import ExperimentResult, ExperimentScale
@@ -78,10 +76,6 @@ REGISTRY: Tuple[Grid, ...] = (
     # Range multicast vs unicast vs flood, WAN-priced, plus the lossy
     # pub/sub cell (exactly-once application).
     multicast.GRID,
-    # Wall-clock profile of the runtime itself (serial cells: they close
-    # the suite in the parent process); the full grid reaches the paper's
-    # N=10k under REPRO_FULL_SCALE=1 (sizes come from the scale).
-    scale_profile.GRID,
 )
 
 
@@ -113,7 +107,7 @@ def run_all(
 
 
 def canonical_report(results: List[ExperimentResult]) -> str:
-    """The suite's canonical form: volatile columns masked, full precision.
+    """The suite's canonical form: every value at full precision.
 
     This is the artifact CI diffs between the sequential and pooled runs —
     byte equality here is the deterministic-reassembly contract.
@@ -128,7 +122,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--canonical-out",
         default=None,
-        help="write the canonical (volatile-masked) report to this path "
+        help="write the canonical (full-precision) report to this path "
         "for byte-for-byte comparison across --jobs values",
     )
 

@@ -205,13 +205,6 @@ def fingerprint(parts: Mapping[str, Any]) -> str:
     return hashlib.sha256(header(parts).encode("utf-8")).hexdigest()
 
 
-def snapshot_path(parts: Mapping[str, Any]) -> Optional[Path]:
-    """Where a snapshot for ``parts`` would live on disk (None if no root)."""
-    if _root is None:
-        return None
-    return _root / f"{fingerprint(parts)}.snap"
-
-
 # ---------------------------------------------------------------------------
 # Cached builds
 # ---------------------------------------------------------------------------

@@ -88,8 +88,3 @@ class AddressAllocator:
         address = Address(self._next)
         self._next += 1
         return address
-
-    @property
-    def allocated_count(self) -> int:
-        """How many addresses have been handed out so far."""
-        return self._next - 1

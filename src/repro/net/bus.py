@@ -100,15 +100,6 @@ class MessageBus:
         """Remove a peer (graceful departure or permanent failure)."""
         self._alive.discard(address)
 
-    def is_alive(self, address: Address) -> bool:
-        """Whether a send to ``address`` would currently succeed."""
-        return address in self._alive
-
-    @property
-    def live_count(self) -> int:
-        """Number of currently registered peers."""
-        return len(self._alive)
-
     # -- accounting hooks -------------------------------------------------
 
     def set_level_resolver(

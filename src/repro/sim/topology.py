@@ -312,9 +312,6 @@ class CoordinateTopology(PlacementTopology):
         self.unit_delay = unit_delay
         self.bandwidth = bandwidth
 
-    def coordinates_of(self, address: Optional[Address]) -> Tuple[float, float]:
-        return self.placement(address)
-
     def _place(self, rng: SeededRng) -> Tuple[float, float]:
         return (rng.random(), rng.random())
 

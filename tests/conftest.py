@@ -7,6 +7,9 @@ import random
 import pytest
 
 from repro.core import BatonConfig, BatonNetwork, LoadBalanceConfig, check_invariants
+from repro.core.ids import Position
+from repro.core.links import LEFT
+from repro.core.peer import BatonPeer
 
 
 def make_network(n_peers: int, seed: int = 0, **config_kwargs) -> BatonNetwork:
@@ -20,6 +23,28 @@ def make_network(n_peers: int, seed: int = 0, **config_kwargs) -> BatonNetwork:
 def balanced_config(capacity: int = 30) -> BatonConfig:
     """A config with load balancing switched on."""
     return BatonConfig(balance=LoadBalanceConfig(capacity=capacity, enabled=True))
+
+
+def leftmost_peer(net: BatonNetwork) -> BatonPeer:
+    """The peer owning the lowest range (no left adjacent)."""
+    return min(net.peers.values(), key=lambda p: p.range.low)
+
+
+def rightmost_peer(net: BatonNetwork) -> BatonPeer:
+    """The peer owning the highest range (no right adjacent)."""
+    return max(net.peers.values(), key=lambda p: p.range.high)
+
+
+def table_slots(position: Position, side: str) -> list[Position]:
+    """The §III routing-table slots on ``side``, nearest first: the level's
+    numbers ``number ∓ 2^i`` that stay inside ``[1, 2^level]`` — written
+    out here independently of ``RoutingTable``'s own geometry."""
+    step = -1 if side == LEFT else 1
+    slots, i = [], 0
+    while 1 <= position.number + step * (1 << i) <= 1 << position.level:
+        slots.append(Position(position.level, position.number + step * (1 << i)))
+        i += 1
+    return slots
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -396,7 +396,7 @@ def assert_same_network(actual: BatonNetwork, expected: BatonNetwork) -> None:
     assert actual.peers._pool == expected.peers._pool
     assert list(actual._positions.items()) == list(expected._positions.items())
     assert actual.bus._alive == expected.bus._alive
-    assert actual.alloc.allocated_count == expected.alloc.allocated_count
+    assert actual.alloc._next == expected.alloc._next
     for address, want in expected.peers.items():
         got = actual.peers[address]
         assert got.address == want.address

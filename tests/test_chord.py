@@ -95,7 +95,7 @@ class TestRingMaintenance:
         """A join whose lookup raises leaves the ring as it found it —
         no half-born node, no stray liveness, no leaked identifier."""
         net = ChordNetwork.build(12, seed=3)
-        nodes, live, ids = dict(net.nodes), net.bus.live_count, set(net._used_ids)
+        nodes, live, ids = dict(net.nodes), set(net.bus._alive), set(net._used_ids)
 
         def broken_lookup(start, target_id, mtype):
             raise ProtocolError("lookup died")
@@ -105,7 +105,7 @@ class TestRingMaintenance:
         with pytest.raises(ProtocolError, match="lookup died"):
             net.join()
         assert dict(net.nodes) == nodes
-        assert net.bus.live_count == live
+        assert net.bus._alive == live
         assert net._used_ids == ids
 
     def test_fingers_point_at_true_successors(self):

@@ -105,7 +105,7 @@ class TestCommands:
 
         from repro.cli import cmd_grid
 
-        for command in ("durability", "chaos", "multicast", "locality", "profile"):
+        for command in ("durability", "chaos", "multicast", "locality"):
             args = build_parser().parse_args([command])
             assert args.func is cmd_grid
             grid = importlib.import_module(f"repro.experiments.{args.module}").GRID

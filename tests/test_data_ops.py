@@ -6,7 +6,7 @@ from repro.core import BatonConfig, BatonNetwork, check_invariants
 from repro.core.ranges import Range
 from repro.net.message import MsgType
 
-from tests.conftest import make_network
+from tests.conftest import leftmost_peer, make_network, rightmost_peer
 
 
 class TestInsertDelete:
@@ -60,7 +60,7 @@ class TestRangeExpansion:
         net = self.narrow_net()
         result = net.insert(10)
         owner = net.peer(result.owner)
-        assert owner is net.leftmost_peer()
+        assert owner is leftmost_peer(net)
         assert owner.range.contains(10)
         assert net.search_exact(10).found
         check_invariants(net)
@@ -69,7 +69,7 @@ class TestRangeExpansion:
         net = self.narrow_net()
         result = net.insert(5000)
         owner = net.peer(result.owner)
-        assert owner is net.rightmost_peer()
+        assert owner is rightmost_peer(net)
         assert owner.range.contains(5000)
         assert net.search_exact(5000).found
         check_invariants(net)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import BatonNetwork, check_invariants, collect_violations, tree_height
 from repro.core.ids import Position
+from repro.core import invariants
 from repro.core.invariants import collect_violations_sampled
 from repro.core.network import BatonConfig
 from repro.core.ranges import Range
@@ -102,6 +103,33 @@ class TestCleanNetworks:
         net.bootstrap()
         assert tree_height(net) == 1
 
+    def test_height_and_balance_read_each_slot_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        """One post-order pass serves both: tree_height plus the balance
+        check read the position map O(N) times, where a recursion per slot
+        re-walked every subtree (about 22·N reads at N=4096)."""
+        net = BatonNetwork.build(4096, bulk=True)
+        reads = 0
+        occupant, occupied_positions = net.occupant, net.occupied_positions
+
+        def counted_occupant(position):
+            nonlocal reads
+            reads += 1
+            return occupant(position)
+
+        def counted_occupied_positions():
+            nonlocal reads
+            for slot in occupied_positions():
+                reads += 1
+                yield slot
+
+        monkeypatch.setattr(net, "occupant", counted_occupant)
+        monkeypatch.setattr(net, "occupied_positions", counted_occupied_positions)
+        assert tree_height(net) == 13  # 4095 peers fill levels 0-11
+        assert invariants._check_balance(net) == []
+        assert reads <= 3 * net.size + 16
+
     def test_extreme_range_expansion_is_legal(self):
         # §IV-C: a key beyond the domain stretches the extreme range past
         # the edge; both checkers accept it.
@@ -114,6 +142,70 @@ class TestCleanNetworks:
         assert max(peer.range.high for peer in net.peers.values()) > 5000
         assert collect_violations(net) == []
         assert collect_violations_sampled(net) == []
+
+
+def recursive_height(net, position) -> int:
+    """Height of the occupied subtree under ``position``, one recursion per
+    slot: the reference the one-pass ``_heights`` must agree with."""
+    if net.occupant(position) is None:
+        return 0
+    return 1 + max(
+        recursive_height(net, position.left_child()),
+        recursive_height(net, position.right_child()),
+    )
+
+
+def churned_network(seed: int) -> BatonNetwork:
+    net = make_network(60, seed=seed)
+    for _ in range(20):
+        net.leave(net.random_peer_address())
+    return net
+
+
+class TestHeights:
+    def test_tree_height_of_empty_network_is_zero(self):
+        assert tree_height(BatonNetwork(seed=0)) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 1000])
+    def test_bulk_tree_height_is_bit_length(self, n):
+        # The bulk build fills levels top-down, left to right.
+        assert tree_height(BatonNetwork.build(n, bulk=True)) == n.bit_length()
+
+    @pytest.mark.parametrize("n, seed", [(10, 0), (33, 1), (77, 3), (150, 4)])
+    def test_heights_match_a_per_slot_recursion(self, n, seed):
+        net = make_network(n, seed=seed)
+        heights = invariants._heights(net)
+        assert heights == {
+            position: recursive_height(net, position)
+            for position, _ in net.occupied_positions()
+        }
+        assert tree_height(net) == recursive_height(net, Position(0, 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_heights_match_a_per_slot_recursion_after_churn(self, seed):
+        net = churned_network(seed)
+        assert net.size == 40
+        heights = invariants._heights(net)
+        assert heights == {
+            position: recursive_height(net, position)
+            for position, _ in net.occupied_positions()
+        }
+        assert collect_violations(net) == []
+
+    def test_heights_cover_exactly_the_occupied_slots(self):
+        net = make_network(50, seed=5)
+        heights = invariants._heights(net)
+        assert set(heights) == {position for position, _ in net.occupied_positions()}
+        for peer in net.peers.values():
+            assert (heights[peer.position] == 1) == peer.is_leaf
+
+    def test_balance_accepts_a_height_difference_of_one(self):
+        net = BatonNetwork(seed=0)
+        net.bootstrap()
+        net.join()  # the root gains one child: subtree heights 1 vs 0
+        heights = invariants._heights(net)
+        assert heights[Position(0, 1)] == 2
+        assert invariants._check_balance(net) == []
 
 
 class TestDetection:
@@ -167,6 +259,22 @@ class TestDetection:
         peer.left_adjacent = None
         violations = collect_violations(net)
         assert any(v.startswith(f"range gap/overlap before {peer.position}") for v in violations)
+
+    def test_detects_imbalance(self):
+        net = make_network(20, seed=1)
+        leaf = max(net.peers.values(), key=lambda p: p.position.level)
+        code = leaf.position.code
+        net._positions[2 * code] = net._positions[4 * code] = leaf.address
+        violations = collect_violations(net)
+        assert f"imbalance at {leaf.position}: subtree heights 2 vs 0" in violations
+
+    def test_detects_imbalance_on_the_right(self):
+        net = make_network(20, seed=1)
+        leaf = max(net.peers.values(), key=lambda p: p.position.level)
+        code = leaf.position.code
+        net._positions[2 * code + 1] = net._positions[4 * code + 3] = leaf.address
+        violations = collect_violations(net)
+        assert f"imbalance at {leaf.position}: subtree heights 0 vs 2" in violations
 
     def test_error_message_lists_violations(self):
         with pytest.raises(InvariantViolation, match="violation"):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import BatonNetwork, check_invariants
 from repro.core.bulk_build import bulk_build
-from repro.core.ids import Position
+from repro.core.ids import ROOT, Position
 from repro.core.leave import can_depart_simply, depart_leaf, descend_steps
 from repro.util.errors import PeerNotFoundError, ProtocolError
 
@@ -79,7 +79,7 @@ class TestReplacementDeparture:
 
     def test_root_leave(self):
         net = make_network(30, seed=4)
-        root = net.occupant(net.peer(net.addresses()[0]).position.ancestor_at(0))
+        root = net.occupant(ROOT)
         result = net.leave(root)
         assert result.replacement is not None
         check_invariants(net)

@@ -55,6 +55,11 @@ class TestRoutingTableGeometry:
         with pytest.raises(ValueError):
             RoutingTable(owner=Position(2, 1), side="up")
 
+    def test_position_at_negative_index_is_none(self):
+        table = RoutingTable(owner=Position(3, 8), side=LEFT)
+        assert table.position_at(-1) is None
+        assert table.position_at(0) == Position(3, 7)
+
     def test_entries_prepopulated_null(self):
         table = RoutingTable(owner=Position(3, 1), side=RIGHT)
         assert table.entries == [None, None, None]
@@ -102,11 +107,6 @@ class TestPaperPredicates:
         table.set(2, info_at(3, 5))
         assert table.is_full()
 
-    def test_first_missing_index(self):
-        table = RoutingTable(owner=Position(3, 1), side=RIGHT)
-        table.set(0, info_at(3, 2))
-        assert table.first_missing_index() == 1
-
     def test_nodes_missing_children(self):
         table = RoutingTable(owner=Position(3, 1), side=RIGHT)
         table.set(0, info_at(3, 2, address=20))
@@ -120,15 +120,6 @@ class TestPaperPredicates:
         table.set(1, info_at(3, 3, address=30, left_child=Address(1)))
         with_children = table.nodes_with_children()
         assert [info.address for info in with_children] == [30]
-
-    def test_farthest_satisfying(self):
-        table = RoutingTable(owner=Position(3, 1), side=RIGHT)
-        table.set(0, info_at(3, 2, address=20))
-        table.set(2, info_at(3, 5, address=50))
-        found = table.farthest_satisfying(lambda info: True)
-        assert found.address == 50
-        none = table.farthest_satisfying(lambda info: info.address == 999)
-        assert none is None
 
     def test_entry_for_address(self):
         table = RoutingTable(owner=Position(3, 1), side=RIGHT)

@@ -6,7 +6,7 @@ from repro.core import BatonConfig, BatonNetwork, LoadBalanceConfig
 from repro.core.ranges import Range
 from repro.util.errors import NetworkEmptyError
 
-from tests.conftest import make_network
+from tests.conftest import leftmost_peer, make_network, rightmost_peer
 
 
 class TestConstruction:
@@ -32,8 +32,8 @@ class TestBookkeeping:
             BatonNetwork(seed=0).random_peer_address()
 
     def test_leftmost_rightmost(self, net100):
-        leftmost = net100.leftmost_peer()
-        rightmost = net100.rightmost_peer()
+        leftmost = leftmost_peer(net100)
+        rightmost = rightmost_peer(net100)
         assert leftmost.range.low == net100.config.domain.low
         assert rightmost.range.high == net100.config.domain.high
         assert leftmost.left_adjacent is None

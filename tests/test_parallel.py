@@ -1,4 +1,4 @@
-"""The parallel cell scheduler: identity, ordering, serial cells, errors.
+"""The parallel cell scheduler: identity, ordering, errors.
 
 The core pin: every experiment's output is **byte-identical** at every
 ``--jobs`` value (DESIGN.md, "Parallelism contract").  Results are
@@ -44,17 +44,10 @@ def test_run_cells_preserves_submission_order():
     assert run_cells(cells, jobs=4) == [x * x for x in range(20)]
 
 
-def test_pooled_cells_run_in_workers_serial_cells_in_parent():
+def test_pooled_cells_run_in_workers():
     parent = os.getpid()
-    cells = [
-        cell(own_pid),
-        cell(own_pid),
-        cell(own_pid, serial=True),
-        cell(own_pid),
-    ]
-    pids = run_cells(cells, jobs=2)
-    assert pids[2] == parent  # serial: the parent, after the pool drains
-    assert all(pid != parent for i, pid in enumerate(pids) if i != 2)
+    pids = run_cells([cell(own_pid) for _ in range(3)], jobs=2)
+    assert all(pid != parent for pid in pids)
 
 
 def test_jobs_one_runs_everything_inline():
@@ -92,30 +85,15 @@ def test_default_jobs_reads_env(monkeypatch):
     assert default_jobs() == 1
 
 
-def test_canonical_text_masks_volatile_columns():
-    result = ExperimentResult(
-        figure="F",
-        title="t",
-        columns=["n", "wall_s"],
-        volatile=["wall_s"],
-    )
-    result.add_row(n=10, wall_s=0.123)
-    other = ExperimentResult(
-        figure="F",
-        title="t",
-        columns=["n", "wall_s"],
-        volatile=["wall_s"],
-    )
-    other.add_row(n=10, wall_s=9.876)
-    assert result.canonical_text() == other.canonical_text()
-    assert result.fingerprint() == other.fingerprint()
-    assert "0.123" not in result.canonical_text()
-    # A behavioural column still distinguishes.
-    third = ExperimentResult(
-        figure="F", title="t", columns=["n", "wall_s"], volatile=["wall_s"]
-    )
-    third.add_row(n=11, wall_s=0.123)
-    assert third.fingerprint() != result.fingerprint()
+def test_canonical_text_keeps_every_value_at_full_precision():
+    """No column is masked: values that ``to_text`` rounds alike still
+    differ in the canonical text and its fingerprint."""
+    result = ExperimentResult(figure="F", title="t", columns=["n", "x"])
+    result.add_row(n=10, x=0.123456789)
+    other = ExperimentResult(figure="F", title="t", columns=["n", "x"])
+    other.add_row(n=10, x=0.123456788)
+    assert "0.123456789" in result.canonical_text()
+    assert result.fingerprint() != other.fingerprint()
 
 
 def test_grid_experiment_parallel_equals_sequential():

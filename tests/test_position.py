@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.ids import Position, ROOT
-from repro.core.links import LEFT, RIGHT
+from repro.core.links import LEFT, RIGHT, RoutingTable
 from repro.core.restructure import inorder_neighbor_code
 
 positions = st.integers(min_value=0, max_value=40).flatmap(
@@ -27,6 +27,12 @@ def _grow(growth) -> list[Position]:
     return occupied
 
 
+def routing_table_slots(position: Position, side: str) -> list[Position]:
+    """The slots of ``position``'s routing table on ``side``, nearest first."""
+    table = RoutingTable(position, side)
+    return [table.position_at(index) for index in table.valid_indices()]
+
+
 occupancies = st.lists(
     st.tuples(st.integers(min_value=0), st.booleans()), max_size=60
 ).map(_grow)
@@ -36,7 +42,6 @@ class TestConstruction:
     def test_root(self):
         assert ROOT.level == 0
         assert ROOT.number == 1
-        assert ROOT.is_root
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
@@ -74,64 +79,44 @@ class TestFamily:
         assert not Position(2, 2).is_left_child
 
     def test_right_children_are_even(self):
-        assert Position(2, 2).is_right_child
-        assert Position(2, 4).is_right_child
-        assert not Position(2, 3).is_right_child
+        assert Position(1, 1).right_child() == Position(2, 2)
+        assert Position(1, 2).right_child() == Position(2, 4)
+        assert not Position(2, 2).is_left_child
+        assert not Position(2, 4).is_left_child
 
     def test_root_is_neither_side(self):
         assert not ROOT.is_left_child
-        assert not ROOT.is_right_child
 
     def test_sibling(self):
         assert Position(2, 1).sibling() == Position(2, 2)
         assert Position(2, 2).sibling() == Position(2, 1)
         assert ROOT.sibling() is None
 
-    def test_ancestor_at(self):
-        node = Position(4, 11)
-        assert node.ancestor_at(4) == node
-        assert node.ancestor_at(3) == node.parent()
-        assert node.ancestor_at(0) == ROOT
-
-    def test_ancestor_at_rejects_deeper_level(self):
-        with pytest.raises(ValueError):
-            Position(2, 3).ancestor_at(3)
-
-    def test_is_ancestor_of(self):
-        assert ROOT.is_ancestor_of(Position(3, 5))
-        assert Position(1, 2).is_ancestor_of(Position(2, 4))
-        assert not Position(1, 1).is_ancestor_of(Position(2, 4))
-        assert not Position(2, 3).is_ancestor_of(Position(2, 3))
-
 
 class TestTableGeometry:
     def test_left_positions_of_edge_node(self):
-        assert list(Position(3, 1).left_table_positions()) == []
+        assert routing_table_slots(Position(3, 1), LEFT) == []
 
     def test_right_positions_of_edge_node(self):
-        assert list(Position(3, 8).right_table_positions()) == []
+        assert routing_table_slots(Position(3, 8), RIGHT) == []
 
     def test_left_positions_powers_of_two(self):
-        positions = list(Position(3, 8).left_table_positions())
+        positions = routing_table_slots(Position(3, 8), LEFT)
         assert [p.number for p in positions] == [7, 6, 4]
 
     def test_right_positions_powers_of_two(self):
-        positions = list(Position(3, 1).right_table_positions())
+        positions = routing_table_slots(Position(3, 1), RIGHT)
         assert [p.number for p in positions] == [2, 3, 5]
 
     def test_table_position_by_index(self):
         node = Position(4, 8)
-        assert node.table_position("left", 0) == Position(4, 7)
-        assert node.table_position("left", 2) == Position(4, 4)
-        assert node.table_position("right", 3) == Position(4, 16)
+        assert RoutingTable(node, LEFT).position_at(0) == Position(4, 7)
+        assert RoutingTable(node, LEFT).position_at(2) == Position(4, 4)
+        assert RoutingTable(node, RIGHT).position_at(3) == Position(4, 16)
 
     def test_table_position_out_of_range_is_none(self):
-        assert Position(3, 1).table_position("left", 0) is None
-        assert Position(3, 8).table_position("right", 0) is None
-
-    def test_table_position_rejects_bad_side(self):
-        with pytest.raises(ValueError):
-            Position(3, 4).table_position("up", 0)
+        assert RoutingTable(Position(3, 1), LEFT).position_at(0) is None
+        assert RoutingTable(Position(3, 8), RIGHT).position_at(0) is None
 
 
 class TestInorderOrder:
@@ -160,7 +145,8 @@ class TestInorderOrder:
 
     def test_inorder_key_in_unit_interval(self):
         for position in (ROOT, Position(3, 1), Position(3, 8), Position(10, 512)):
-            assert 0.0 < position.inorder_key() < 1.0
+            num, den = position.inorder_num_den()
+            assert 0 < num < den
 
     def test_inorder_is_total_order(self):
         nodes = [Position(level, n) for level in range(5) for n in range(1, 2**level + 1)]
@@ -191,18 +177,18 @@ class TestHeapCode:
         code = position.code
         assert position.left_child().code == 2 * code
         assert position.right_child().code == 2 * code + 1
-        if position.is_root:
+        if position == ROOT:
             assert position.parent() is None and position.sibling() is None
         else:
             assert position.parent().code == code >> 1
             assert position.sibling().code == code ^ 1
-            assert position.is_right_child == bool(code & 1)
+            assert position.is_left_child == (not code & 1)
 
     @given(positions, st.integers(min_value=0, max_value=41))
     def test_table_slots_are_offsets_within_the_level(self, position, index):
         code, level_start = position.code, 1 << position.level
         for side, target in ((LEFT, code - (1 << index)), (RIGHT, code + (1 << index))):
-            slot = position.table_position(side, index)
+            slot = RoutingTable(position, side).position_at(index)
             if level_start <= target < 2 * level_start:
                 assert slot.code == target
             else:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import BatonNetwork, check_invariants, collect_violations
 from repro.core.ids import Position
+from repro.core.links import LEFT, RIGHT, RoutingTable
 from repro.core.storage import LocalStore
 
 positions = st.integers(min_value=0, max_value=12).flatmap(
@@ -47,10 +48,10 @@ class TestPositionProperties:
     @given(positions)
     def test_table_positions_are_symmetric(self, position):
         # if q is in p's right table, p is in q's left table (same index)
-        for index, q in enumerate(position.right_table_positions()):
-            back = list(q.left_table_positions())
-            assert position in back
-            assert back.index(position) == index
+        right = RoutingTable(position, RIGHT)
+        for index in right.valid_indices():
+            q = right.position_at(index)
+            assert RoutingTable(q, LEFT).position_at(index) == position
 
 
 class TestStoreAgainstOracle:

@@ -39,12 +39,6 @@ class TestOverlap:
         assert Range(0, 11).overlaps(Range(10, 20))
         assert Range(12, 15).overlaps(Range(10, 20))
 
-    def test_intersection(self):
-        assert Range(0, 15).intersection(Range(10, 20)) == Range(10, 15)
-
-    def test_intersection_disjoint_is_empty(self):
-        assert Range(0, 5).intersection(Range(10, 20)).is_empty
-
 
 class TestSplitMerge:
     def test_split_at(self):

@@ -13,7 +13,7 @@ from repro.core.ranges import Range
 from repro.core import restructure
 from repro.core.leave import can_depart_simply
 
-from tests.conftest import make_network
+from tests.conftest import make_network, table_slots
 
 
 class TestMapHelpers:
@@ -122,8 +122,8 @@ def oracle_links(net: BatonNetwork, peer: BatonPeer, include_ghosts: bool) -> di
         "right_child": snap(position.right_child()),
         "left_adjacent": snap(oracle_inorder_neighbor(net, position, LEFT)),
         "right_adjacent": snap(oracle_inorder_neighbor(net, position, RIGHT)),
-        "left_table": [snap(slot) for slot in position.left_table_positions()],
-        "right_table": [snap(slot) for slot in position.right_table_positions()],
+        "left_table": [snap(slot) for slot in table_slots(position, LEFT)],
+        "right_table": [snap(slot) for slot in table_slots(position, RIGHT)],
     }
 
 
@@ -358,10 +358,10 @@ class TestKernelAgainstReference:
         for peer in list(net.peers.values()) + list(net.ghosts.values()):
             restructure.refresh_links_from_map(view, peer)
             for table, slots in (
-                (peer.left_table, peer.position.left_table_positions()),
-                (peer.right_table, peer.position.right_table_positions()),
+                (peer.left_table, table_slots(peer.position, LEFT)),
+                (peer.right_table, table_slots(peer.position, RIGHT)),
             ):
-                width = len(list(slots))
+                width = len(slots)
                 assert len(table.entries) == width
                 assert sys.getsizeof(table.entries) == sys.getsizeof([None] * width)
 

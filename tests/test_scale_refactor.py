@@ -1,12 +1,11 @@
 """Tests for the scale refactor: sized bulk transfers, the batched
-replica-refresh sweep, the latency-stretch metric, opt-in event logging,
-and the scale-profile grid."""
+replica-refresh sweep, the latency-stretch metric and opt-in event
+logging."""
 
 import pytest
 
 from repro import overlays
 from repro.core.network import BatonConfig, BatonNetwork
-from repro.experiments import scale_profile
 from repro.multiway.network import MultiwayNetwork
 from repro.sim.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.sim.runtime import AsyncOverlayRuntime
@@ -233,8 +232,8 @@ class TestDirectDelay:
         import math
 
         topology = CoordinateTopology(3, base_delay=0.2, unit_delay=2.0, jitter=0.3)
-        x1, y1 = topology.coordinates_of(1)
-        x2, y2 = topology.coordinates_of(2)
+        x1, y1 = topology.placement(1)
+        x2, y2 = topology.placement(2)
         expected = 0.2 + 2.0 * math.hypot(x1 - x2, y1 - y2)
         assert topology.direct_delay(1, 2) == pytest.approx(expected)
 
@@ -268,40 +267,33 @@ class TestOptInEventLog:
 
 
 class TestScaleProfile:
-    def test_profile_run_reports_phases(self):
-        row = scale_profile.profile_run(40, 0, overlay="baton")
-        assert row["n_peers"] == 40
-        assert row["build_s"] > 0 and row["drive_s"] > 0
-        assert row["events"] > 0 and row["events_per_s"] > 0
-        assert row["peak_heap"] > 0 and row["peak_rss_mb"] > 0
-        assert row["queries"] > 0
-        assert 0.0 <= row["success"] <= 1.0
-
     def test_stretch_distinct_from_latency(self):
         # Regression: the client ingress leg used to leak into the stretch
         # numerator, and with a unit-mean direct link that made stretch_p50
         # a byte-for-byte copy of p50 in every committed benchmark row.
         # Net of the ingress leg, stretch is strictly the shorter quantity.
-        row = scale_profile.profile_run(40, 0, overlay="baton")
-        assert row["stretch_p50"] > 0
-        assert row["stretch_p50"] < row["p50"]
+        # The window: bulk N=40, 20 keys per peer, exponential unit-mean
+        # links, churn 1.0 and 16 queries per unit for 20 units.
+        from repro.experiments.harness import build_loaded, loaded_keys
+        from repro.util.rng import derive_seed
 
-    def test_run_sweeps_scale_sizes(self):
-        from repro.experiments.harness import ExperimentScale
-
-        scale = ExperimentScale(
-            sizes=(20, 40), seeds=(0,), data_per_node=5, n_queries=20, n_trials=5
+        net = build_loaded("baton", 40, 0, 20, bulk=True)
+        rng = SeededRng(derive_seed(0, "scale-profile"))
+        anet = overlays.get("baton").wrap(
+            net,
+            topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
+            record_events=False,
+            retain_ops=False,
         )
-        result = scale_profile.GRID.run(scale)
-        assert [row["n_peers"] for row in result.rows] == [20, 40]
-        assert all(row["drive_s"] > 0 for row in result.rows)
-
-    def test_cli_profile_command(self, capsys):
-        from repro.cli import build_parser, cmd_grid, main
-
-        assert build_parser().parse_args(["profile"]).func is cmd_grid
-        assert main(["profile", "--quick", "--peers", "30"]) == 0
-        printed = capsys.readouterr().out
-        assert "Scale profile" in printed
-        assert "Runtime wall-clock vs population (baton," in printed
-        assert "n_peers" in printed and "events_per_s" in printed
+        config = ConcurrentConfig(
+            duration=20.0,
+            churn_rate=1.0,
+            query_rate=16.0,
+            range_fraction=0.2,
+            min_peers=20,
+        )
+        report = run_concurrent_workload(
+            anet, loaded_keys(40, 20, 0), config, seed=derive_seed(0, "driver")
+        )
+        assert report.latency_stretch_p50 > 0
+        assert report.latency_stretch_p50 < report.query_latency_p50

@@ -11,7 +11,7 @@ from repro.core.ranges import Range
 from repro.net.message import MsgType
 from repro.util.errors import PeerNotFoundError
 
-from tests.conftest import make_network
+from tests.conftest import leftmost_peer, make_network, rightmost_peer
 
 
 class TestCorrectness:
@@ -50,12 +50,12 @@ class TestCorrectness:
 
     def test_key_below_domain_lands_leftmost(self, net20):
         result = net20.search_exact(0)
-        assert result.owner == net20.leftmost_peer().address
+        assert result.owner == leftmost_peer(net20).address
         assert not result.found
 
     def test_key_above_domain_lands_rightmost(self, net20):
         result = net20.search_exact(10**10)
-        assert result.owner == net20.rightmost_peer().address
+        assert result.owner == rightmost_peer(net20).address
         assert not result.found
 
 
@@ -236,7 +236,7 @@ class TestRoutingDecision:
         assert_stream_matches_oracle(ghosted, keys)
 
     def test_extreme_node_has_no_candidates_not_even_its_parent(self, net20):
-        rightmost = net20.rightmost_peer()
+        rightmost = rightmost_peer(net20)
         assert rightmost.parent is not None
         assert list(search.next_hops(rightmost, 10**10)) == []
 

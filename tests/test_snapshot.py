@@ -53,6 +53,11 @@ def _baton_parts(n_peers: int, seed: int, data_per_node: int) -> dict:
     }
 
 
+def _snapshot_file(root, parts: dict):
+    """Where the disk tier under ``root`` stores the snapshot for ``parts``."""
+    return root / f"{snapshot.fingerprint(parts)}.snap"
+
+
 def _drive_report(net, n_peers: int, seed: int, data_per_node: int):
     """A short deterministic churn+query drive; returns the event log."""
     anet = overlays.get("baton").wrap(net, record_events=True)
@@ -140,8 +145,8 @@ def test_corrupt_snapshot_falls_back_to_clean_build(cache):
     n, seed, dpn = 40, 5, 5
     parts = _baton_parts(n, seed, dpn)
     build_baton(n, seed, dpn)
-    path = snapshot.snapshot_path(parts)
-    assert path is not None and path.exists()
+    path = _snapshot_file(cache, parts)
+    assert path.exists()
     path.write_bytes(b"\x00garbage\xff" * 7)
     snapshot.configure(enabled=True, root=cache)  # drop the memory tier
     net = build_baton(n, seed, dpn)  # corrupt -> counted, clean rebuild
@@ -158,7 +163,7 @@ def test_digest_mismatch_is_never_unpickled(cache, monkeypatch):
     counted corrupt and rebuilt without ever reaching ``pickle.loads``."""
     n, seed, dpn = 40, 7, 5
     build_baton(n, seed, dpn)
-    path = snapshot.snapshot_path(_baton_parts(n, seed, dpn))
+    path = _snapshot_file(cache, _baton_parts(n, seed, dpn))
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -177,7 +182,7 @@ def test_stale_schema_falls_back_to_clean_build(cache):
     n, seed, dpn = 40, 6, 5
     parts = _baton_parts(n, seed, dpn)
     build_baton(n, seed, dpn)
-    path = snapshot.snapshot_path(parts)
+    path = _snapshot_file(cache, parts)
     payload = pickle.loads(path.read_bytes()[snapshot.DIGEST_BYTES :])
     payload["schema"] = snapshot.SNAPSHOT_SCHEMA - 1
     path.write_bytes(snapshot._seal(pickle.dumps(payload)))

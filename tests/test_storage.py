@@ -52,16 +52,29 @@ class TestBasics:
         assert list(store) == [1, 2, 3, 5]
 
 
-class TestRangeQueries:
-    def test_count_in(self):
-        store = LocalStore([1, 3, 5, 7, 9])
-        assert store.count_in(3, 8) == 3
-        assert store.count_in(0, 100) == 5
-        assert store.count_in(4, 5) == 0
+class TestAdoptSorted:
+    def test_adopts_the_sorted_keys_as_its_content(self):
+        store = LocalStore()
+        store.adopt_sorted([2, 4, 6])
+        assert list(store) == [2, 4, 6]
+        assert store.keys_in(3, 7) == [4, 6]
 
+    def test_rejects_a_non_empty_store(self):
+        store = LocalStore([1])
+        with pytest.raises(ValueError):
+            store.adopt_sorted([2, 3])
+        assert list(store) == [1]
+
+
+class TestRangeQueries:
     def test_keys_in_half_open(self):
         store = LocalStore([1, 3, 5, 7])
         assert store.keys_in(3, 7) == [3, 5]
+
+    def test_keys_in_window_between_keys_is_empty(self):
+        store = LocalStore([1, 3, 5, 7, 9])
+        assert store.keys_in(4, 5) == []
+        assert store.keys_in(0, 100) == [1, 3, 5, 7, 9]
 
     def test_keys_in_with_duplicates(self):
         store = LocalStore([2, 2, 2, 3])

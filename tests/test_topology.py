@@ -65,8 +65,8 @@ class TestDeterminism:
 
     def test_coordinate_placements_stable(self):
         topology = CoordinateTopology(3)
-        assert topology.coordinates_of(17) == topology.coordinates_of(17)
-        x, y = topology.coordinates_of(17)
+        assert topology.placement(17) == topology.placement(17)
+        x, y = topology.placement(17)
         assert 0.0 <= x < 1.0 and 0.0 <= y < 1.0
 
 
