@@ -102,7 +102,7 @@ def _balance_with_adjacent(
         neighbor = net.peers.get(info.address)
         if neighbor is None:
             continue
-        net.count_message(peer.address, info.address, MsgType.BALANCE)  # load probe
+        net.bus.send(peer.address, info.address, MsgType.BALANCE)  # load probe
         headroom = int(ABSORB_FACTOR * capacity) - len(neighbor.store)
         if headroom <= 0:
             continue
@@ -153,7 +153,7 @@ def _shift_keys(
         from repro.pubsub.subscribe import transfer_subscriptions
 
         transfer_subscriptions(net, donor, receiver)
-    net.count_message(donor.address, receiver.address, MsgType.BALANCE)
+    net.bus.send(donor.address, receiver.address, MsgType.BALANCE)
     # Both ranges changed: linkers of both peers must refresh.
     net.broadcast_update(donor, mtype=MsgType.TABLE_UPDATE)
     net.broadcast_update(receiver, mtype=MsgType.TABLE_UPDATE)
@@ -225,7 +225,7 @@ def _probe_for_light_leaf(
         target = net.peers.get(info.address)
         if target is None:
             continue
-        net.count_message(overloaded.address, info.address, MsgType.BALANCE)
+        net.bus.send(overloaded.address, info.address, MsgType.BALANCE)
         probes += 1
         if (
             target.is_leaf

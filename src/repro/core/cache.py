@@ -208,7 +208,7 @@ def consult_steps(
         stats.misses += 1
         return start
     try:
-        net.count_message(start, hint, mtype)
+        net.bus.send(start, hint, mtype)
     except PeerNotFoundError:
         stats.misses += 1
         cache.invalidate(hint)

@@ -214,8 +214,8 @@ def _regenerate_tables(
         for _, info in coordinator.table_on(side).occupied():
             if info.address not in net.peers:
                 continue
-            net.count_message(coordinator.address, info.address, MsgType.REPAIR)
-            net.count_message(info.address, coordinator.address, MsgType.RESPONSE)
+            net.bus.send(coordinator.address, info.address, MsgType.REPAIR)
+            net.bus.send(info.address, coordinator.address, MsgType.RESPONSE)
     from repro.core.restructure import MapView, refresh_links_from_map
 
     # Ghost-held slots stay visible: a dead child still owns its slot and
@@ -254,7 +254,7 @@ def _remove_dead_leaf(
     linkers = _live_ghost_linkers(net, ghost)
     for address in sorted(linkers):
         if address != coordinator.address:
-            net.count_message(coordinator.address, address, MsgType.REPAIR)
+            net.bus.send(coordinator.address, address, MsgType.REPAIR)
     net.release_slot(ghost)
 
     from repro.core.restructure import rebuild_after_moves
@@ -314,7 +314,7 @@ def _replace_dead_internal(
 
     for address in sorted(pre_links):
         if address in net.peers and address != coordinator.address:
-            net.count_message(coordinator.address, address, MsgType.REPAIR)
+            net.bus.send(coordinator.address, address, MsgType.REPAIR)
     rebuild_after_moves(net, [replacement], pre_links)
     return replacement
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.core.ids import ROOT, Position
+from repro.core.ids import ROOT
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
@@ -46,7 +46,7 @@ def try_message(
     dead neighbour — repair fills the resulting gaps afterwards.
     """
     try:
-        net.count_message(src, dst, mtype)
+        net.bus.send(src, dst, mtype)
     except PeerNotFoundError:
         return False
     return True
@@ -365,7 +365,7 @@ def add_child(
         from repro.pubsub.subscribe import transfer_subscriptions
 
         transfer_subscriptions(net, parent, peer)
-    net.count_message(parent.address, peer.address, MsgType.JOIN_TRANSFER)
+    net.bus.send(parent.address, peer.address, MsgType.JOIN_TRANSFER)
 
     # --- parent/child links ------------------------------------------------
     parent.set_child(side, peer.snapshot())
@@ -399,7 +399,7 @@ def add_child(
         sibling = net.peer(sibling_info.address)
         sibling.set_table_entry(peer.snapshot())
         sibling.update_link_info(parent.snapshot())
-        net.count_message(sibling.address, peer.address, MsgType.RESPONSE)
+        net.bus.send(sibling.address, peer.address, MsgType.RESPONSE)
         peer.set_table_entry(sibling.snapshot())
 
     # --- sideways tables via the parent's neighbours ----------------------------
@@ -459,7 +459,7 @@ def _fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer)
             c_peer = net.peer(occupant)
             c_peer.set_table_entry(child.snapshot())
             # Child of neighbour -> new node: reply with its coordinates.
-            net.count_message(occupant, child.address, MsgType.RESPONSE)
+            net.bus.send(occupant, child.address, MsgType.RESPONSE)
             child.set_table_entry(c_peer.snapshot())
     # Any remaining sideways neighbour of the parent that the relay did not
     # touch still holds the parent's old range/children: refresh them.

@@ -227,7 +227,7 @@ def replacement_entry_point(net: "BatonNetwork", departing: BatonPeer) -> Addres
         target = nearest.left_child or nearest.right_child
         if target is None:
             raise ProtocolError("neighbour advertises children it does not have")
-        net.count_message(departing.address, target, MsgType.LEAVE_FIND)
+        net.bus.send(departing.address, target, MsgType.LEAVE_FIND)
         return target
     # Internal node: descend through the adjacent node inside our own
     # subtree ("a leaf node, or as deep as possible").
@@ -237,7 +237,7 @@ def replacement_entry_point(net: "BatonNetwork", departing: BatonPeer) -> Addres
         target = departing.right_adjacent.address
     else:
         raise ProtocolError(f"internal node {departing.position} has no adjacent")
-    net.count_message(departing.address, target, MsgType.LEAVE_FIND)
+    net.bus.send(departing.address, target, MsgType.LEAVE_FIND)
     return target
 
 
@@ -266,7 +266,7 @@ def depart_leaf(
         # An adjacent absorber's linkers must hear of its grown range, and
         # the parent still needs to hear about the departure (child link).
         net.broadcast_update(grown, exclude={leaf.address})
-        net.count_message(leaf.address, parent.address, MsgType.LEAVE_TRANSFER)
+        net.bus.send(leaf.address, parent.address, MsgType.LEAVE_TRANSFER)
 
     # Splice adjacent links: the leaf's far adjacent now borders the parent
     # on the vacated side (the near adjacent *is* the parent for a leaf).
@@ -275,7 +275,7 @@ def depart_leaf(
     parent.set_adjacent(side, far)
     if far is not None:
         try:
-            net.count_message(leaf.address, far.address, MsgType.LEAVE_TRANSFER)
+            net.bus.send(leaf.address, far.address, MsgType.LEAVE_TRANSFER)
         except PeerNotFoundError:
             pass  # the far adjacent failed; repair will reconnect it
         far_peer = net.peers.get(far.address)
@@ -318,7 +318,7 @@ def hand_over_content(
     absorber's broadcast is the departure's own (:func:`depart_leaf`).
     """
     absorber = net.peer(absorber_address)
-    net.count_message(leaf.address, absorber.address, MsgType.LEAVE_TRANSFER)
+    net.bus.send(leaf.address, absorber.address, MsgType.LEAVE_TRANSFER)
     absorber.range = absorber.range.merge(leaf.range)
     absorber.store.extend(leaf.store.clear())
     if leaf.subscriptions:
@@ -353,7 +353,7 @@ def transplant(net: "BatonNetwork", departing: BatonPeer, replacement: BatonPeer
 
     net.register_peer(replacement)
     net.unregister_peer(departing.address)
-    net.count_message(
+    net.bus.send(
         departing.address, replacement.address, MsgType.LEAVE_TRANSFER
     )
     _announce_replacement(net, departing.address, replacement)

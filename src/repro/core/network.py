@@ -25,7 +25,6 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.core.ids import ROOT, Position
-from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core.results import NetworkStats, RepairResult
@@ -654,7 +653,7 @@ class BatonNetwork(OverlayNetwork):
             for peer in list(self.peers.values()):
                 partner = self._reconcile_partner(peer)
                 if partner is not None:
-                    self.count_message(peer.address, partner, MsgType.RECONCILE)
+                    self.bus.send(peer.address, partner, MsgType.RECONCILE)
                     messages += 1
                 restructure_protocol.refresh_links_from_map(view, peer)
                 if validate_routes:
@@ -717,10 +716,6 @@ class BatonNetwork(OverlayNetwork):
         return placed
 
     # -- shared protocol plumbing ------------------------------------------------
-
-    def count_message(self, src: Address, dst: Address, mtype: MsgType) -> None:
-        """Count one protocol message on the bus (raises if dst is dead)."""
-        self.bus.send(src, dst, mtype)
 
     def broadcast_update(
         self,

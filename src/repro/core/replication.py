@@ -103,7 +103,7 @@ def replicate_insert_steps(
     if holder is None:
         return False
     try:
-        net.count_message(owner.address, holder.address, MsgType.REPLICATE)
+        net.bus.send(owner.address, holder.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return False
     owner.replica_anchor = holder.address
@@ -123,7 +123,7 @@ def replicate_delete_steps(
     if holder is None:
         return False
     try:
-        net.count_message(owner.address, holder.address, MsgType.REPLICATE)
+        net.bus.send(owner.address, holder.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return False
     owner.replica_anchor = holder.address
@@ -152,7 +152,7 @@ def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
         return 0
     snapshot = list(peer.store)
     try:
-        net.count_message(peer.address, holder.address, MsgType.REPLICATE)
+        net.bus.send(peer.address, holder.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return 0
     yield Hop(peer.address, holder.address, size=float(max(1, len(snapshot))))
@@ -193,14 +193,14 @@ def restore_from_replica_steps(
     if not mirror:
         return 0
     try:
-        net.count_message(absorber.address, holder.address, MsgType.REPLICATE)
+        net.bus.send(absorber.address, holder.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return 0
     yield Hop(absorber.address, holder.address)
     if net.peers.get(holder.address) is not holder:
         return 0  # the mirror died with its holder mid-request
     try:
-        net.count_message(holder.address, absorber.address, MsgType.RESPONSE)
+        net.bus.send(holder.address, absorber.address, MsgType.RESPONSE)
     except PeerNotFoundError:
         return 0
     yield Hop(holder.address, absorber.address, size=float(len(mirror)))
@@ -216,7 +216,7 @@ def restore_from_replica_steps(
     if onward is None:
         return len(recovered)
     try:
-        net.count_message(absorber.address, onward.address, MsgType.REPLICATE)
+        net.bus.send(absorber.address, onward.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return len(recovered)
     absorber.replica_anchor = onward.address

@@ -227,7 +227,7 @@ def rebuild_after_moves(
     for peer in movers:
         for target in peer.link_addresses():
             try:
-                net.count_message(peer.address, target, MsgType.RESTRUCTURE)
+                net.bus.send(peer.address, target, MsgType.RESTRUCTURE)
             except PeerNotFoundError:
                 continue
 
@@ -287,7 +287,7 @@ def plan_insert_chain(
                 else anchor.position.left_child()
             )
             return [], child_slot, anchor.tables_full()
-        net.count_message(anchor.address, neighbor_info.address, MsgType.RESTRUCTURE)
+        net.bus.send(anchor.address, neighbor_info.address, MsgType.RESTRUCTURE)
         first = net.peer(neighbor_info.address)
     displaced: List[BatonPeer] = []
     current = first
@@ -304,7 +304,7 @@ def plan_insert_chain(
                 else current.position.left_child()
             )
             return displaced, slot, False  # extreme fallback, unchecked
-        net.count_message(current.address, next_info.address, MsgType.RESTRUCTURE)
+        net.bus.send(current.address, next_info.address, MsgType.RESTRUCTURE)
         if parking_host is not None:
             slot = (
                 parking_host.position.left_child()
@@ -371,7 +371,7 @@ def plan_removal_chain(
             return chain
         next_info = peer.adjacent_on(direction)
         if next_info is not None:
-            net.count_message(peer.address, next_info.address, MsgType.RESTRUCTURE)
+            net.bus.send(peer.address, next_info.address, MsgType.RESTRUCTURE)
         info = next_info
     raise ProtocolError("removal-restructuring chain did not terminate")
 
@@ -435,7 +435,7 @@ def forced_add_child(
     plans.sort(key=lambda plan: (not plan[2], len(plan[0])))
     displaced, parking, _safe = plans[0]
     apply_insert_chain(net, peer, displaced, parking)
-    net.count_message(parent.address, peer.address, MsgType.JOIN_TRANSFER)
+    net.bus.send(parent.address, peer.address, MsgType.JOIN_TRANSFER)
     # The anchor's range shrank in the split; when it was not itself moved
     # by the chain its linkers still hold the old range.
     net.broadcast_update(parent)

@@ -220,51 +220,76 @@ def search_range_steps(
     trace: Trace,
     degraded: Optional[Callable[[], bool]] = None,
 ) -> MessageSteps:
-    """The §IV-B range query both facades run; returns a
-    :class:`RangeSearchResult`.
-
-    Routes like a point query to the owner of ``low``, then expands along
-    right-adjacent links, one counted ``RANGE_SEARCH`` hop per covered
-    peer.  A dead adjacent or a carrier that vanished between hops
-    truncates the answer (``complete=False``; repair restores the chain).
-    """
-    first, _ = yield from route_steps(
+    """The §IV-B range query both facades run: route to ``low``'s owner,
+    then collect every peer :func:`interval_walk_steps` stands on, and its
+    keys in ``[low, high)``, into a :class:`RangeSearchResult`."""
+    anchor, _ = yield from route_steps(
         net, start, low, MsgType.RANGE_SEARCH, degraded
     )
-    owners: List[Address] = []
-    keys: List[int] = []
+    answer = _RangeAnswer(low, high)
+    complete = yield from interval_walk_steps(
+        net, anchor, low, high, MsgType.RANGE_SEARCH, answer
+    )
+    return RangeSearchResult(answer.owners, answer.keys, trace, complete)
+
+
+class _RangeAnswer:
+    """Range search's visit rule: every peer stood on, and its keys.  A
+    slotted callable, not a closure, whose function object and cells per
+    in-flight query cost ``query_flat`` ~3 % peak RSS."""
+
+    __slots__ = ("low", "high", "owners", "keys")
+
+    def __init__(self, low: int, high: int) -> None:
+        self.low, self.high, self.owners, self.keys = low, high, [], []
+
+    def __call__(self, peer: BatonPeer) -> None:
+        self.owners.append(peer.address)
+        self.keys.extend(peer.store.keys_in(self.low, self.high))
+
+
+def interval_walk_steps(
+    net: "BatonNetwork",
+    anchor: Address,
+    low: int,
+    high: int,
+    mtype: MsgType,
+    visit: Callable[[BatonPeer], None],
+) -> MessageSteps:
+    """The §IV-B expansion over ``[low, high)``: walk right adjacents.
+
+    Starts at ``anchor``, which the caller has routed to, calls ``visit``
+    on every peer it stands on and sends one counted ``mtype`` hop to each
+    next adjacent.  Returns ``complete``: the walk was anchored and
+    stopped cleanly at ``high`` or the domain edge, not at a dead adjacent
+    or a carrier that vanished between hops (repair restores the chain).
+    """
     # In a degraded network the route may give up and report a marooned
     # peer that does not anchor the interval; everything the walk collects
-    # from there is suspect, so the answer can never be complete.  A
-    # legitimate anchor either owns ``low`` or is the extreme peer on the
-    # side of an out-of-domain ``low``.
-    complete = False
-    anchored = anchors_range(net.peer(first), low)
+    # from there is suspect, so the answer can never be complete.
+    anchored = anchors_range(net.peer(anchor), low)
     send = net.bus.send
-    current = first
-    for _ in range(hop_limit(net) + net.size):
+    current = anchor
+    # A consistent chain stands on each live peer at most once; a stale
+    # cycle runs out of steps and ends incomplete.
+    for _ in range(net.size):
         try:
             peer = net.peer(current)
         except PeerNotFoundError:
-            break  # carrier vanished between hops: truncated answer
+            return False  # carrier vanished between hops
         if peer.range.low >= high:
-            complete = anchored
-            break
-        owners.append(current)
-        keys.extend(peer.store.keys_in(low, high))
+            return anchored
+        visit(peer)
         if peer.range.high >= high or peer.right_adjacent is None:
-            complete = anchored
-            break
+            return anchored
         next_hop = peer.right_adjacent.address
         try:
-            send(current, next_hop, MsgType.RANGE_SEARCH)
+            send(current, next_hop, mtype)
         except PeerNotFoundError:
-            break  # partial answer; repair will restore the chain
+            return False  # dead adjacent: its send is paid for
         yield Hop(current, next_hop)
         current = next_hop
-    return RangeSearchResult(
-        owners=owners, keys=keys, trace=trace, complete=complete
-    )
+    return False
 
 
 def anchors_range(peer: BatonPeer, low: int) -> bool:

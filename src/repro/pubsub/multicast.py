@@ -9,11 +9,11 @@ each hop the carrier splits the part of the interval it does not own at
 the advertised range boundaries of its same-side links (sideways table
 entries, child, adjacent) and hands each slice to the link whose range
 anchors it, so in a quiescent network every owner receives exactly one
-message: an O(log N)-hop route plus |owners| − 1 fan-out messages, at
-O(log N) critical-path depth (the sideways entries at distance 2^i act as
-the multicast skip list).  This is the tree-structured dissemination of
-"Optimally Efficient Prefix Search and Multicast in Structured P2P
-Networks" (PAPERS.md) transplanted onto BATON's link set.
+message: an O(log N)-hop route plus |owners| − 1 fan-out messages, in a
+tree of O(log N) structural depth (the sideways entries at distance 2^i act
+as its skip list; the runtime runs an op's hops in series, so latency is
+ingress + route + fan-out hops).  This is the dissemination of "Optimally
+Efficient Prefix Search and Multicast in Structured P2P Networks" on BATON.
 
 Under churn the advertised boundaries can be stale, so a peer may be
 reached twice; the per-dissemination id (:mod:`repro.pubsub.state`) makes
@@ -65,9 +65,9 @@ class MulticastResult:
     messages: int
     route_hops: int
     fanout_messages: int
-    #: Critical-path length in hops below the anchor (fan-out rounds for
-    #: the tree strategy, the longest single route for unicast, BFS radius
-    #: for flood).
+    #: Structural depth in hops below the anchor (fan-out rounds for the
+    #: tree strategy, the longest single route for unicast, BFS radius for
+    #: flood) — not a latency: the runtime runs an op's hops in series.
     depth: int
     #: False when a slice of the range was dropped at a dead delegate or
     #: the route gave up in a degraded network.
@@ -219,7 +219,7 @@ def multicast_steps(
                 continue
             for delegate, part in parts:
                 try:
-                    net.count_message(address, delegate, MsgType.MULTICAST)
+                    net.bus.send(address, delegate, MsgType.MULTICAST)
                 except PeerNotFoundError:
                     complete = False  # paid for, slice dropped (§III-D style)
                     continue
@@ -354,7 +354,7 @@ def flood_steps(
             if neighbour == sender:
                 continue
             try:
-                net.count_message(address, neighbour, MsgType.MULTICAST)
+                net.bus.send(address, neighbour, MsgType.MULTICAST)
             except PeerNotFoundError:
                 continue
             messages += 1

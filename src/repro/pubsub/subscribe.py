@@ -2,8 +2,8 @@
 
 A peer subscribes to a key range; the subscription is installed at every
 peer *owning* part of that range (the natural home: the owner is the
-first to know when a key lands in its slice).  Installation reuses the
-range-walk the §IV-B range search uses — route to the owner of the
+first to know when a key lands in its slice).  Installation runs the
+§IV-B range search's own interval walk — route to the owner of the
 range's low end, then walk right adjacents — one counted ``SUBSCRIBE``
 message per hop.  From then on, an insert into a subscribed slice pushes
 one sized ``NOTIFY`` hop per matching subscription from the owner to the
@@ -28,7 +28,7 @@ from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
-from repro.core.search import anchors_range, hop_limit, walk_steps
+from repro.core.search import interval_walk_steps, walk_steps
 from repro.net.address import Address
 from repro.net.message import MsgType
 from repro.pubsub.state import apply_delivery
@@ -51,16 +51,15 @@ class Subscription:
 
 @dataclass
 class SubscribeResult:
-    """Where a subscription landed and what installing it cost."""
+    """Where a subscription landed; what installing it cost is on ``trace``."""
 
     sub_id: int
     subscriber: Address
     range: Range
     #: Owners holding the entry after the walk, in key order.
     owners: Tuple[Address, ...]
-    messages: int
-    #: False when the walk was cut short by a dead adjacent or a degraded
-    #: route — some owners may not hold the entry until re-subscribed.
+    #: False when a dead adjacent, a vanished carrier or a degraded route
+    #: cut the walk short — some owners lack the entry until re-subscribed.
     complete: bool
     trace: Optional["Trace"] = None
 
@@ -91,51 +90,31 @@ def subscribe_steps(
 ):
     """Install a subscription for ``[low, high)`` at every range owner.
 
-    Routes from the subscriber to the owner of ``low``, then walks right
-    adjacents over the range (the §IV-B expansion), installing the entry
-    at each overlapping owner.  ``trace`` rides on the result.
-    """
+    Routes to the owner of ``low`` on the bare walk, then installs the
+    entry at each overlapping owner range search's interval walk
+    (:func:`repro.core.search.interval_walk_steps`) stands on."""
     if low >= high:
         raise ValueError(f"empty subscription range [{low}, {high})")
     state = net.pubsub
     sub = Subscription(state.new_subscription_id(), subscriber, Range(low, high))
-    first, route_hops = yield from walk_steps(
+    anchor, _ = yield from walk_steps(
         net, subscriber, low, MsgType.SUBSCRIBE, degraded
     )
     owners: List[Address] = []
-    installs = 0
-    complete = anchors_range(net.peer(first), low)
-    walk_hops = 0
-    current = first
-    limit = hop_limit(net) + net.size
-    for _ in range(limit):
-        peer = net.peer(current)
-        if peer.range.low >= high:
-            break
+
+    def visit(peer: BatonPeer) -> None:
         if peer.range.overlaps(sub.range):
-            if install_subscription(peer, sub):
-                installs += 1
-            owners.append(current)
-        if peer.range.high >= high or peer.right_adjacent is None:
-            break
-        next_hop = peer.right_adjacent.address
-        try:
-            net.count_message(current, next_hop, MsgType.SUBSCRIBE)
-        except PeerNotFoundError:
-            complete = False  # chain broken; repair restores it
-            break
-        yield Hop(current, next_hop)
-        walk_hops += 1
-        current = next_hop
-    else:
-        complete = False
-    state.subscriptions_installed += installs
+            state.subscriptions_installed += install_subscription(peer, sub)
+            owners.append(peer.address)
+
+    complete = yield from interval_walk_steps(
+        net, anchor, low, high, MsgType.SUBSCRIBE, visit
+    )
     return SubscribeResult(
         sub_id=sub.sub_id,
         subscriber=subscriber,
         range=sub.range,
         owners=tuple(owners),
-        messages=route_hops + walk_hops,
         complete=complete,
         trace=trace,
     )
@@ -160,7 +139,7 @@ def notify_steps(net: "BatonNetwork", owner: BatonPeer, key: int):
             continue
         message_id = state.new_message_id()
         try:
-            net.count_message(owner.address, sub.subscriber, MsgType.NOTIFY)
+            net.bus.send(owner.address, sub.subscriber, MsgType.NOTIFY)
         except PeerNotFoundError:
             del table[sub.sub_id]
             continue

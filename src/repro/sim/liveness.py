@@ -87,7 +87,7 @@ class LivenessMonitor:
                     continue
                 self.heartbeats += 1
                 try:
-                    net.count_message(address, target, MsgType.HEARTBEAT)
+                    anet.bus.send(address, target, MsgType.HEARTBEAT)
                 except PeerNotFoundError:
                     self.failed_heartbeats += 1
                     count = self._suspect_counts.get(target, 0) + 1

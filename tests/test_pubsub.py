@@ -240,6 +240,65 @@ class TestSubscriptions:
         assert set(src.subscriptions) == {9001}
 
 
+class TestSharedIntervalWalk:
+    """Subscribe installs over the §IV-B walk range search runs, so the two
+    agree on every path — the vanished carrier included."""
+
+    def test_vanished_carrier_truncates_instead_of_failing(self):
+        anet = AsyncOverlayRuntime(
+            BatonNetwork.build(64, seed=1), topology=ConstantLatency(1.0)
+        )
+        peers = sorted(anet.net.peers.values(), key=lambda p: p.range.low)
+        owners = [p.address for p in peers[10:26]]
+        low, high = peers[10].range.low, peers[25].range.high
+        future = anet.submit_subscribe(low, high, subscriber=owners[0])
+        victim = owners[2]
+
+        def crash():
+            # Hops so far: the ingress, owners[0] -> owners[1] and the one
+            # now carrying the walk to the victim.
+            assert future.hops == 3
+            anet.net.fail(victim)
+
+        anet.sim.schedule(2.5, crash)
+        anet.drain()
+        assert future.succeeded, future.error
+        result = future.result
+        assert result.complete is False
+        assert result.owners == tuple(owners[:2])
+        for address in owners[:2]:
+            assert result.sub_id in anet.net.peer(address).subscriptions
+        for address in owners[3:]:
+            assert not anet.net.peer(address).subscriptions
+
+    @pytest.mark.parametrize("n_peers", [2, 7, 64, 1000])
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_subscribe_and_range_search_walk_alike(self, n_peers, bulk):
+        net = BatonNetwork.build(n_peers, seed=n_peers, bulk=bulk)
+        assert net.config.locality.cache_size == 0  # both route the bare walk
+        rng = SeededRng(n_peers)
+        self._check_alike(net, rng)
+        for _ in range(30):
+            if rng.random() < 0.5 and net.size > 2:
+                net.leave(rng.choice(net.addresses()))
+            else:
+                net.join()
+        self._check_alike(net, rng)
+
+    @staticmethod
+    def _check_alike(net, rng):
+        domain = net.domain
+        for _ in range(10):
+            low = rng.randint(domain.low, domain.high - 2)
+            high = rng.randint(low + 1, domain.high - 1)
+            entry = rng.choice(net.addresses())
+            found = net.search_range(low, high, via=entry)
+            sub = net.subscribe(entry, low, high)
+            assert sub.complete and found.complete
+            assert list(sub.owners) == found.owners
+            assert sub.trace.total == found.trace.total
+
+
 class TestCapabilityGating:
     def test_capability_names_registered(self):
         assert MULTICAST in ALL_CAPABILITIES
