@@ -44,15 +44,24 @@ PROBE_LIMIT = 16
 
 @dataclass
 class BalanceOutcome:
-    """What a balancing episode did (internal; summarised in BalanceEvent)."""
+    """What a balancing episode did (internal; summarised in BalanceEvent).
 
-    kind: str
+    ``kind`` is None when the episode probed but moved nothing.
+    """
+
+    kind: Optional[str]
     trace: Trace
     shift_size: int = 0
 
 
 def maybe_balance(net: "BatonNetwork", address: Address) -> Optional[BalanceOutcome]:
     """Run one §IV-D balancing episode if the peer is overloaded.
+
+    Returns None when no episode starts (balancing off, the peer gone or
+    not overloaded, or backing off).  An episode that starts returns its
+    outcome even when nothing moved (``kind=None``): its probes were
+    sent, so its trace must reach the insert's result.  Only episodes
+    that moved something count as ``net.stats.balance_events``.
 
     A peer whose last balancing attempt found nothing to do (all neighbours
     loaded, no light recruit) backs off until its store has grown another
@@ -76,13 +85,12 @@ def maybe_balance(net: "BatonNetwork", address: Address) -> Optional[BalanceOutc
                 kind, shift = "rejoin", rejoin
     if kind is None:
         net._balance_backoff[address] = len(peer.store)
-        return None
-    net._balance_backoff.pop(address, None)
-    outcome = BalanceOutcome(kind=kind, trace=trace, shift_size=shift)
-    net.stats.balance_events.append(
-        BalanceEvent(kind=kind, messages=trace.total, shift_size=shift)
-    )
-    return outcome
+    else:
+        net._balance_backoff.pop(address, None)
+        net.stats.balance_events.append(
+            BalanceEvent(kind=kind, messages=trace.total, shift_size=shift)
+        )
+    return BalanceOutcome(kind=kind, trace=trace, shift_size=shift)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ arithmetic.  D²-Tree and D³-Tree (PAPERS.md) get their deterministic
 bounds by the same observation: *structural construction* is separable
 from *dynamic maintenance*.
 
-This module is that separation.  :func:`bulk_build` computes positions,
+This module is that separation.  :func:`populate_balanced` (what
+``BatonNetwork.build(n, bulk=True)`` runs) computes positions,
 ranges, parent/child/adjacent links and both sideways routing tables for
 all N peers in ``O(N log N)`` time with **zero simulated messages**, and
 is pinned link-for-link, range-for-range equal to the incremental
@@ -74,25 +75,6 @@ def tree_shape(n_peers: int) -> tuple[int, int]:
     while (1 << (levels + 1)) - 1 <= n_peers:
         levels += 1
     return levels, n_peers - ((1 << levels) - 1)
-
-
-def bulk_build(
-    n_peers: int,
-    seed: int = 0,
-    config: Optional["BatonConfig"] = None,
-    keys: Optional[Iterable[int]] = None,
-) -> "BatonNetwork":
-    """A fresh N-peer BATON overlay, constructed directly (no messages).
-
-    ``keys`` (optional) is the dataset to load: ranges are then cut so
-    every peer owns a ~K/N slice of the sorted keys (the load-balanced
-    fixpoint) and each key lands directly in its owner's store.
-    """
-    from repro.core.network import BatonNetwork
-
-    net = BatonNetwork(config=config, seed=seed)
-    populate_balanced(net, n_peers, keys=keys)
-    return net
 
 
 def incremental_reference(

@@ -39,7 +39,8 @@ def data_op_steps(
     (:func:`apply_steps`).  An insert then runs §IV-D balancing at the
     owner; its result's ``trace`` is cut before that (``Trace.frozen``),
     so the balancing cost is reported once, in ``balance_trace``, although
-    the op's own trace saw it too.  (The owner can vanish during an async
+    the op's own trace saw it too — every episode's, including one whose
+    probes found nothing to move.  (The owner can vanish during an async
     replicate hop; ``maybe_balance`` skips a dead peer — it has no load
     left to balance.)
     """

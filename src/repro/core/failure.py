@@ -177,16 +177,14 @@ def _find_coordinator(net: "BatonNetwork", ghost: BatonPeer) -> Optional[BatonPe
 
 
 def _live_parent(net: "BatonNetwork", ghost: BatonPeer) -> Optional[BatonPeer]:
-    """The live peer at the ghost's parent slot (address may have changed)."""
-    if ghost.parent is not None and ghost.parent.address in net.peers:
-        return net.peers[ghost.parent.address]
-    parent_slot = ghost.position.parent()
-    if parent_slot is None:
+    """The live peer at the ghost's parent slot, if it is alive.
+
+    Called after :func:`_regenerate_tables`, so ``ghost.parent`` already
+    names the slot's current occupant (live or ghost).
+    """
+    if ghost.parent is None:
         return None
-    address = net.occupant(parent_slot)
-    if address is not None and address in net.peers:
-        return net.peers[address]
-    return None
+    return net.peers.get(ghost.parent.address)
 
 
 def _live_ghost_linkers(net: "BatonNetwork", ghost: BatonPeer) -> set[Address]:
@@ -238,9 +236,9 @@ def _remove_dead_leaf(
         # Parent-child double failure (§III-C): fold the dead child's slice
         # into the dead parent's ghost state; whichever repair handles the
         # parent later carries the combined range forward.
-        parent_slot = ghost.position.parent()
-        parent_address = net.occupant(parent_slot) if parent_slot else None
-        ghost_parent = net.ghosts.get(parent_address) if parent_address else None
+        ghost_parent = (
+            net.ghosts.get(ghost.parent.address) if ghost.parent else None
+        )
         if ghost_parent is None:
             raise ProtocolError(f"dead leaf {ghost.position} has no parent at all")
         ghost_parent.range = ghost_parent.range.merge(ghost.range)

@@ -462,7 +462,9 @@ def _fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer)
             net.bus.send(occupant, child.address, MsgType.RESPONSE)
             child.set_table_entry(c_peer.snapshot())
     # Any remaining sideways neighbour of the parent that the relay did not
-    # touch still holds the parent's old range/children: refresh them.
+    # touch still holds the parent's old range/children: refresh them with
+    # the state the parent sends now, not whatever it holds on delivery.
+    snapshot = parent.snapshot()
     for side in (LEFT, RIGHT):
         for _, info in parent.table_on(side).occupied():
             if info.address in contacted:
@@ -472,7 +474,7 @@ def _fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer)
                 continue
 
             def apply(receiver: BatonPeer = receiver) -> None:
-                receiver.update_link_info(parent.snapshot())
+                receiver.update_link_info(snapshot)
 
             net.updates.notify(
                 parent.address, info.address, MsgType.TABLE_UPDATE, apply

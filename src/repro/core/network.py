@@ -374,9 +374,8 @@ class BatonNetwork(OverlayNetwork):
         "Construction contract") — same shape, same links, zero messages;
         entry-point placement differs only in that joins are random-entry;
         it runs with the cycle collector paused, the grown build does not.
-        The scale profile (``python -m repro profile``) and the end-to-end
-        benchmark build BATON this way; protocol tests that pin message
-        traces keep joins.
+        The end-to-end benchmark builds BATON this way; protocol tests that
+        pin message traces keep joins.
         """
         if not bulk:
             return super().build(n_peers, seed=seed, config=config, keys=keys)

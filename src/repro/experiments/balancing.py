@@ -57,9 +57,11 @@ def balancing_cell(
         run.routing_messages += outcome.trace.total
         if outcome.balance_trace is not None:
             run.balance_messages += outcome.balance_trace.total
-            run.balance_events += 1
         if (i + 1) % sample_every == 0:
             run.timeline.append((i + 1, run.balance_messages))
+    # Episodes that moved something; probes that found nothing to move
+    # are in ``balance_messages`` but are not events.
+    run.balance_events = len(net.stats.balance_events)
     run.shift_sizes = list(net.stats.restructure_shift_sizes)
     return run
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -107,10 +106,6 @@ class ExperimentResult:
             lines.append(f"note: {note}")
         lines.extend(line for line, _ in self.bands)
         return "\n".join(lines) + "\n"
-
-    def fingerprint(self) -> str:
-        """SHA-256 of :meth:`canonical_text` — the identity tests' pin."""
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
     def to_text(self) -> str:
         """Render as an aligned text table with header and expectation."""
@@ -288,7 +283,6 @@ def build_loaded(
     seed: int,
     data_per_node: int,
     bulk: bool = False,
-    locality: Optional[LocalityConfig] = None,
 ):
     """A loaded network of any registered overlay, by name.
 
@@ -297,12 +291,5 @@ def build_loaded(
     construction, which only networks with such a path accept.
     """
     if overlay == "baton":
-        return build_baton(
-            n_peers, seed, data_per_node, bulk=bulk, locality=locality
-        )
-    if locality is not None:
-        raise ValueError(
-            f"the {overlay} overlay has no locality extension; "
-            "drop the locality config or pick baton"
-        )
+        return build_baton(n_peers, seed, data_per_node, bulk=bulk)
     return build_network(overlay, n_peers, seed, data_per_node, bulk=bulk)

@@ -18,7 +18,7 @@ curves climb fastest and its tail detaches first.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro import overlays
 from repro.experiments.grid import (
@@ -32,7 +32,6 @@ from repro.experiments.grid import (
 )
 from repro.experiments.harness import (
     ExperimentResult,
-    ExperimentScale,
     build_loaded,
     loaded_keys,
 )
@@ -55,8 +54,6 @@ INTER_DELAYS = (1.0, 2.0, 5.0, 10.0, 20.0)
 QUERY_RATE = 8.0
 REGIONS = 4
 INTRA_DELAY = 1.0
-#: Session gateways for the cached grid (see ``GRID``).
-GATEWAYS = 8
 
 
 def grid_cell(
@@ -66,22 +63,9 @@ def grid_cell(
     data_per_node: int,
     inter_delay: float,
     duration: float,
-    gateways: int = 0,
 ) -> Dict[str, float]:
-    """One seeded run on a clustered WAN; query-only (the latency signal).
-
-    ``overlay`` may carry a ``+cache`` suffix (the locality hot-range
-    route cache; BATON only) — the underlying overlay and workload are
-    otherwise identical to the plain variant's.
-    """
-    locality = None
-    if overlay.endswith("+cache"):
-        overlay = overlay[: -len("+cache")]
-        from repro.core.cache import DEFAULT_CACHE_SIZE
-        from repro.core.network import LocalityConfig
-
-        locality = LocalityConfig(cache_size=DEFAULT_CACHE_SIZE)
-    net = build_loaded(overlay, n_peers, seed, data_per_node, locality=locality)
+    """One seeded run on a clustered WAN; query-only (the latency signal)."""
+    net = build_loaded(overlay, n_peers, seed, data_per_node)
     topology = ClusteredTopology(
         derive_seed(seed, "hetero-links"),
         regions=REGIONS,
@@ -99,7 +83,6 @@ def grid_cell(
         churn_rate=0.0,
         query_rate=QUERY_RATE,
         range_fraction=0.2,
-        client_gateways=gateways,
     )
     report = run_concurrent_workload(
         anet, keys, config, seed=derive_seed(seed, "hetero-driver")
@@ -112,19 +95,8 @@ def grid_cell(
         "transit_p99": report.query_transit_p99,
         "stretch_p50": report.latency_stretch_p50,
         "stretch_p99": report.latency_stretch_p99,
-        "hit_rate": report.cache_hit_rate,
         "msgs_per_query": report.messages_per_query,
     }
-
-
-def _cached_note(scale: ExperimentScale, env) -> List[str]:
-    if not env["gateways"][0]:
-        return []
-    return [
-        f"cached grid: every variant's queries enter through the same "
-        f"{env['gateways'][0]} fixed gateway peers (the cache's session "
-        "regime); baton+cache adds the hot-range route cache on top"
-    ]
 
 
 def _least_p50_growth(result: ExperimentResult) -> float:
@@ -136,14 +108,6 @@ def _least_p50_growth(result: ExperimentResult) -> float:
 
 
 #: One row per (overlay, inter-region delay), identical workloads.
-#:
-#: The cached grid (``overlay=[..., "baton+cache"], gateways=GATEWAYS``;
-#: what ``python -m repro.experiments.hetero_links`` prints) adds a
-#: ``baton+cache`` variant (hot-range route cache, locality extension) and
-#: pins every variant's query entry points to the same ``GATEWAYS`` fixed
-#: session peers — the regime where a per-peer cache can warm up — so the
-#: added rows stay comparable to their neighbours.  The default grid keeps
-#: the historical uniform entry draw.
 GRID = Grid(
     name="hetero",
     figure="Hetero links",
@@ -157,7 +121,6 @@ GRID = Grid(
         Axis("overlay", all_overlays),
         Axis("inter_delay", INTER_DELAYS, quick=(1.0, 10.0)),
         Axis("n_peers", first_size, column=None),
-        Axis("gateways", 0, column=None),
     ),
     cell=grid_cell,
     scale_kwargs=("data_per_node",),
@@ -170,10 +133,8 @@ GRID = Grid(
         "transit_p99": mean_of("transit_p99"),
         "stretch_p50": mean_of("stretch_p50"),
         "stretch_p99": mean_of("stretch_p99"),
-        "hit_rate": mean_of("hit_rate"),
         "msgs_per_query": mean_of("msgs_per_query"),
     },
-    notes=_cached_note,
     bands=(
         # Costlier inter-region links must surface in end-to-end latency —
         # the signal the scalar latency model could not express.
@@ -205,4 +166,4 @@ GRID = Grid(
 )
 
 if __name__ == "__main__":
-    GRID.main(overlay=overlays.available() + ["baton+cache"], gateways=GATEWAYS)
+    GRID.main()

@@ -31,7 +31,6 @@ from repro.sim.latency import (
 from repro.sim.runtime import AsyncOverlayRuntime, OpFuture
 from repro.sim.topology import (
     ClusteredTopology,
-    CoordinateTopology,
     Hop,
     Topology,
     available_topologies,
@@ -44,7 +43,6 @@ __all__ = [
     "Topology",
     "Hop",
     "ClusteredTopology",
-    "CoordinateTopology",
     "available_topologies",
     "make_topology",
     "LatencyModel",

@@ -229,12 +229,6 @@ class FaultPlan(Topology):
     def sample(self, src, dst, *, size: float = 0.0) -> float:
         return self.inner.sample(src, dst, size=size)
 
-    def link_delay(self, src, dst) -> float:
-        return self.inner.link_delay(src, dst)
-
-    def link_bandwidth(self, src, dst):
-        return self.inner.link_bandwidth(src, dst)
-
     def direct_delay(self, src, dst) -> float:
         return self.inner.direct_delay(src, dst)
 

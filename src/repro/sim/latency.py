@@ -8,8 +8,9 @@ matters is the ratio between update-propagation delay and churn intensity.
 Since the transport seam became topology-aware (:mod:`repro.sim.topology`),
 these models are :class:`~repro.sim.topology.Topology` subclasses whose
 delay simply ignores which link a message crosses — every pair of peers is
-one region away.  The transport entry point is ``sample(src, dst)``
-everywhere; subclasses implement the link-blind :meth:`LatencyModel.draw`.
+one region away.  Subclasses implement the link-blind
+:meth:`LatencyModel.draw` (what ``sample`` returns) and
+:meth:`LatencyModel.expected_delay` (what ``direct_delay`` returns).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from repro.util.rng import SeededRng
 class LatencyModel(Topology):
     """A link-blind delay distribution — a degenerate single-region topology.
 
-    Subclasses implement :meth:`draw`; ``sample(src, dst)`` (the only
-    transport entry point) returns one draw regardless of the link.
+    Subclasses implement :meth:`draw`; ``sample(src, dst)`` returns one
+    draw regardless of the link, so ``None`` endpoints need no
+    normalizing.
     """
 
     @abc.abstractmethod
@@ -36,12 +38,8 @@ class LatencyModel(Topology):
         raise NotImplementedError
 
     def sample(self, src, dst, *, size: float = 0.0) -> float:
-        # Link-blind fast path: scalar models have no bandwidth term, so a
-        # sample is exactly one draw (skips the generic normalization that
-        # every hop of a large run would otherwise pay).
-        return self.draw()
-
-    def link_delay(self, src, dst) -> float:
+        # Link-blind: scalar models have no bandwidth term, so a sample is
+        # exactly one draw.
         return self.draw()
 
     def direct_delay(self, src, dst) -> float:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
-from itertools import accumulate
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -109,44 +107,3 @@ class SeededRng:
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high)."""
         return self._random.uniform(low, high)
-
-    def weighted_choice(self, items: Sequence[T], weights: Iterable[float]) -> T:
-        """Choose one element with the given (unnormalised) weights.
-
-        One cumulative pass plus a binary search — no copies of ``items``
-        and no re-materialised weight list.  For repeated draws over the
-        same weights, precompute with :meth:`weighted_chooser` instead.
-        """
-        cumulative = list(accumulate(weights))
-        if len(cumulative) != len(items):
-            raise ValueError("items and weights must have the same length")
-        total = cumulative[-1]
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        index = bisect_right(cumulative, self._random.random() * total)
-        return items[min(index, len(items) - 1)]
-
-    def weighted_chooser(
-        self, items: Sequence[T], weights: Iterable[float]
-    ) -> Callable[[], T]:
-        """A zero-argument sampler with the cumulative weights precomputed.
-
-        Use this on hot paths (e.g. Zipfian rank draws) where
-        :meth:`weighted_choice` would rebuild the cumulative table on every
-        draw; each call of the returned function is one uniform draw plus
-        one binary search.
-        """
-        frozen = list(items)
-        cumulative = list(accumulate(weights))
-        if len(cumulative) != len(frozen):
-            raise ValueError("items and weights must have the same length")
-        total = cumulative[-1]
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        last = len(frozen) - 1
-        rand = self._random.random
-
-        def choose() -> T:
-            return frozen[min(bisect_right(cumulative, rand() * total), last)]
-
-        return choose

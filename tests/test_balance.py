@@ -44,6 +44,43 @@ class TestTriggering:
         check_invariants(net)
 
 
+class TestProbeReporting:
+    def test_every_insert_reports_its_balancing_probes(self):
+        """An episode that probes but moves nothing still sent ``BALANCE``
+        messages; the insert's result reports them in ``balance_trace``,
+        so ``total_messages`` is exactly what the bus counted."""
+        net = balanced_net(n_peers=32, capacity=4, seed=3)
+        unreported = []
+        for key in uniform_keys(400, seed=3):
+            before = net.bus.stats.total
+            result = net.insert(key)
+            spent = net.bus.stats.total - before
+            if result.total_messages != spent:
+                unreported.append(spent - result.total_messages)
+        assert unreported == []
+
+    def test_only_episodes_that_move_keys_are_events(self):
+        """Every episode's probes reach ``balance_trace``; only one that
+        moved keys adds a ``balance_events`` entry."""
+        net = balanced_net(n_peers=32, capacity=4, seed=3)
+        probed_only = moved = 0
+        for key in uniform_keys(400, seed=3):
+            events = len(net.stats.balance_events)
+            result = net.insert(key)
+            added = len(net.stats.balance_events) - events
+            assert added in (0, 1)
+            if added:
+                assert result.balance_trace is not None
+                assert net.stats.balance_events[-1].messages == (
+                    result.balance_trace.total
+                )
+                moved += 1
+            elif result.balance_trace is not None:
+                assert result.balance_trace.total > 0
+                probed_only += 1
+        assert moved > 0 and probed_only > 0
+
+
 class TestAdjacentBalancing:
     def test_keys_and_boundary_move(self):
         net = balanced_net(n_peers=20, capacity=10)
@@ -71,7 +108,11 @@ class TestAdjacentBalancing:
         for _ in range(30):
             peer.store.insert(peer.range.low)
         outcome = maybe_balance(net, internal)
-        # either nothing happened or invariants survived the attempt
+        # Nothing moved, but the load probes were sent and are reported;
+        # only episodes that move keys count as balance events.
+        assert outcome.kind is None
+        assert outcome.trace.total > 0
+        assert not net.stats.balance_events
         check_invariants(net)
 
 

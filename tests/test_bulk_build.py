@@ -15,7 +15,6 @@ from typing import List, Optional
 import pytest
 
 from repro.core.bulk_build import (
-    bulk_build,
     incremental_reference,
     populate_balanced,
     tree_shape,
@@ -73,7 +72,7 @@ class TestTreeShape:
 class TestEquivalence:
     @pytest.mark.parametrize("n_peers", EQUIVALENCE_SIZES)
     def test_matches_incremental_join(self, n_peers):
-        bulk = bulk_build(n_peers)
+        bulk = BatonNetwork.build(n_peers, bulk=True)
         grown = incremental_reference(n_peers)
         assert_networks_identical(bulk, grown)
 
@@ -96,13 +95,13 @@ class TestEquivalence:
 
         leaves = {
             address: peer.position
-            for address, peer in bulk_build(40).peers.items()
+            for address, peer in BatonNetwork.build(40, bulk=True).peers.items()
             if can_depart_simply(peer)
         }
         assert Position(5, 9) in leaves.values()  # a left child: the 9-vs-17 case
         for address in leaves:
             spent = []
-            for net in (bulk_build(40), incremental_reference(40)):
+            for net in (BatonNetwork.build(40, bulk=True), incremental_reference(40)):
                 leaf = net.peer(address)
                 with net.bus.trace("depart") as trace:
                     depart_leaf(net, leaf, absorber(leaf))
@@ -110,13 +109,13 @@ class TestEquivalence:
             assert spent[0] == spent[1], f"leaf {address}: bulk vs join-grown"
 
     def test_bulk_sends_zero_messages(self):
-        net = bulk_build(63)
+        net = BatonNetwork.build(63, bulk=True)
         assert net.bus.stats.total == 0
         # ... while the protocol path necessarily pays join traffic.
         assert incremental_reference(63).bus.stats.total > 0
 
     def test_bulk_passes_full_invariant_check(self):
-        assert collect_violations(bulk_build(100)) == []
+        assert collect_violations(BatonNetwork.build(100, bulk=True)) == []
 
     def test_requires_empty_network(self):
         net = BatonNetwork()
@@ -137,7 +136,7 @@ class TestEquivalence:
 class TestDataLoadedBuild:
     def test_keys_land_in_owners(self):
         keys = uniform_keys(5000, seed=3)
-        net = bulk_build(257, keys=keys)
+        net = BatonNetwork.build(257, keys=keys, bulk=True)
         assert collect_violations(net) == []
         placed = sorted(
             key for peer in net.peers.values() for key in peer.store
@@ -146,7 +145,7 @@ class TestDataLoadedBuild:
 
     def test_load_is_balanced(self):
         keys = uniform_keys(5000, seed=3)
-        net = bulk_build(257, keys=keys)
+        net = BatonNetwork.build(257, keys=keys, bulk=True)
         loads = sorted(len(peer.store) for peer in net.peers.values())
         # The balanced in-order partition deals ~K/N keys to every peer —
         # leaves and interior nodes alike (the §V balancing fixpoint).
@@ -172,8 +171,6 @@ class TestKeysOutsideTheDomain:
     )
     def test_bulk_build_names_the_key(self, keys, culprit):
         with pytest.raises(ValueError, match=f"key {culprit} lies outside"):
-            bulk_build(5, keys=keys)
-        with pytest.raises(ValueError, match=f"key {culprit} lies outside"):
             BatonNetwork.build(5, bulk=True, keys=keys)
 
     def test_grown_build_names_the_key(self):
@@ -186,7 +183,8 @@ class TestKeysOutsideTheDomain:
     def test_domain_edges_are_inside(self):
         domain = Range.full_domain()
         keys = [domain.low, domain.high - 1, *range(10, 400, 7)]
-        for net in (BatonNetwork.build(8, keys=keys), bulk_build(8, keys=keys)):
+        for bulk in (False, True):
+            net = BatonNetwork.build(8, keys=keys, bulk=bulk)
             held = sorted(key for peer in net.peers.values() for key in peer.store)
             assert held == sorted(keys)
             assert collect_violations(net) == []
@@ -194,22 +192,22 @@ class TestKeysOutsideTheDomain:
 
 class TestSampledChecker:
     def test_clean_network_has_no_violations(self):
-        net = bulk_build(500, keys=uniform_keys(5000, seed=2))
+        net = BatonNetwork.build(500, keys=uniform_keys(5000, seed=2), bulk=True)
         assert collect_violations_sampled(net, sample_size=500) == []
 
     def test_sample_smaller_than_network(self):
-        net = bulk_build(500)
+        net = BatonNetwork.build(500, bulk=True)
         assert collect_violations_sampled(net, sample_size=32) == []
 
     def test_catches_range_corruption(self):
-        net = bulk_build(64)
+        net = BatonNetwork.build(64, bulk=True)
         victim = next(iter(net.peers.values()))
         victim.range = Range(victim.range.low, victim.range.high + 7)
         errors = collect_violations_sampled(net, sample_size=64)
         assert errors, "sampled checker missed a corrupted range"
 
     def test_catches_broken_adjacency(self):
-        net = bulk_build(64)
+        net = BatonNetwork.build(64, bulk=True)
         for peer in net.peers.values():
             if peer.right_adjacent is not None:
                 peer.right_adjacent = None
@@ -217,7 +215,7 @@ class TestSampledChecker:
         assert collect_violations_sampled(net, sample_size=64)
 
     def test_catches_dropped_table_entry(self):
-        net = bulk_build(64)
+        net = BatonNetwork.build(64, bulk=True)
         for peer in net.peers.values():
             if peer.left_table.entries:
                 peer.left_table.entries[0] = None
@@ -225,7 +223,7 @@ class TestSampledChecker:
         assert collect_violations_sampled(net, sample_size=64)
 
     def test_agrees_with_full_checker_on_misplaced_store(self):
-        net = bulk_build(64, keys=uniform_keys(640, seed=5))
+        net = BatonNetwork.build(64, keys=uniform_keys(640, seed=5), bulk=True)
         victim = next(iter(net.peers.values()))
         victim.store.insert(victim.range.high)  # outside the owner's range
         full = collect_violations(net)
@@ -241,7 +239,7 @@ class TestSampledChecker:
 def test_30k_bulk_build_smoke():
     """The bulk build at N=30k: build, sample-check, query."""
     keys = uniform_keys(300_000, seed=0)
-    net = bulk_build(30_000, keys=keys)
+    net = BatonNetwork.build(30_000, keys=keys, bulk=True)
     assert net.size == 30_000
     assert collect_violations_sampled(net, sample_size=2048) == []
     for key in keys[:25]:

@@ -67,6 +67,19 @@ class TestCommands:
         assert "clustered topology" in out
         assert "transit time" in out
 
+    def test_topology_choices_are_the_factory_names(self, capsys):
+        """``--topology`` offers exactly what ``make_topology`` builds;
+        any other name is an argparse usage error (exit 2)."""
+        from repro.sim.topology import TOPOLOGY_CHOICES
+
+        for name in TOPOLOGY_CHOICES:
+            args = build_parser().parse_args(["concurrent", "--topology", name])
+            assert args.topology == name
+        with pytest.raises(SystemExit) as exit_info:
+            main(["concurrent", "--topology", "coordinate"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'coordinate'" in capsys.readouterr().err
+
     def test_clustered_flags_rejected_elsewhere(self, capsys):
         assert main(["concurrent", "--peers", "10", "--inter-delay", "9"]) == 2
         err = capsys.readouterr().err

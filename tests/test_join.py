@@ -191,11 +191,12 @@ class TestNarrowRanges:
             net.join()
         # overload one width-1 leaf with duplicates: the adjacent shift
         # cannot place a boundary and the rejoin cannot split, so the
-        # episode refuses (returns None) instead of crashing mid-protocol
+        # episode moves nothing (kind None) instead of crashing mid-protocol
         leaf = next(p for p in net.peers.values() if p.is_leaf)
         for _ in range(10):
             leaf.store.insert(leaf.range.low)
-        assert maybe_balance(net, leaf.address) is None
+        assert maybe_balance(net, leaf.address).kind is None
+        assert not net.stats.balance_events
         check_invariants(net)
 
 
@@ -262,3 +263,42 @@ class TestBoxedInWalk:
                 net, start, degraded=lambda: False
             ):
                 pass
+
+
+class TestScheduledRefreshes:
+    """Under the runtime's scheduled ``UpdateChannel`` a refresh lands a
+    link delay after it is sent, and must carry the state sent then."""
+
+    def test_closing_parent_refresh_carries_the_state_at_send(self):
+        from repro.core.links import LEFT, RIGHT
+        from repro.core.peer import BatonPeer
+        from repro.net.address import Address
+        from repro.sim.engine import Simulator
+        from repro.sim.latency import ConstantLatency
+
+        net = BatonNetwork.build(15, seed=2, bulk=True)  # a perfect tree
+        sim = Simulator()
+        net.updates.attach(sim, ConstantLatency(1.0))
+        parent = next(p for p in net.peers.values() if p.position == Position(3, 3))
+        # A stand-in child two levels down: none of its slots' parents sit
+        # at the parent's level, so the relay contacts no one and the
+        # closing refresh reaches every sideways neighbour of the parent.
+        stand_in = BatonPeer(Address(999), Position(5, 17), parent.range)
+        sent = parent.snapshot()
+        join_protocol._fill_child_tables(net, parent, stand_in)
+        neighbours = [
+            net.peer(info.address)
+            for side in (LEFT, RIGHT)
+            for _, info in parent.table_on(side).occupied()
+        ]
+        assert neighbours and net.updates.in_flight == len(neighbours)
+        # The parent changes again before the refreshes land.
+        parent.range = parent.range.split_at(parent.range.low + 1)[1]
+        sim.run()
+        for neighbour in neighbours:
+            held = [
+                info
+                for _, info in neighbour.iter_links()
+                if info.address == parent.address
+            ]
+            assert held and all(info == sent for info in held)

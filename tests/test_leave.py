@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core import BatonNetwork, check_invariants
-from repro.core.bulk_build import bulk_build
 from repro.core.ids import ROOT, Position
 from repro.core.leave import can_depart_simply, depart_leaf, descend_steps
 from repro.util.errors import PeerNotFoundError, ProtocolError
@@ -47,7 +46,7 @@ class TestSimpleDeparture:
         not a second of each."""
         spent = []
         for name_parent_as_adjacent in (False, True):
-            net = bulk_build(40)
+            net = BatonNetwork.build(40, bulk=True)
             leaf = next(
                 peer for peer in net.peers.values() if peer.position == Position(5, 9)
             )

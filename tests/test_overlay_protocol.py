@@ -711,9 +711,9 @@ class TestLocalityConformance:
 
     @pytest.mark.parametrize("n_peers", (2, 9, 24, 33))
     def test_bulk_build_pins_hold_with_probing_config(self, n_peers):
-        from repro.core.bulk_build import bulk_build, incremental_reference
+        from repro.core.bulk_build import incremental_reference
         from repro.core.invariants import collect_violations
-        from repro.core.network import BatonConfig, LocalityConfig
+        from repro.core.network import BatonConfig, BatonNetwork, LocalityConfig
 
         # No topology is installed on either side, so probing stays
         # inactive and the construction equivalence contract must hold
@@ -721,7 +721,7 @@ class TestLocalityConformance:
         config = BatonConfig(
             locality=LocalityConfig(join_probes=4, cache_size=64)
         )
-        bulk = bulk_build(n_peers, config=config)
+        bulk = BatonNetwork.build(n_peers, config=config, bulk=True)
         grown = incremental_reference(n_peers, config=config)
         assert snapshot("baton", bulk) == snapshot("baton", grown)
         assert set(bulk.peers) == set(grown.peers)

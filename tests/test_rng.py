@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import timeit
 
 import pytest
 
@@ -56,63 +55,6 @@ class TestSeededRng:
         rng = SeededRng(3)
         for _ in range(100):
             assert 2.0 <= rng.uniform(2.0, 5.0) < 5.0
-
-    def test_weighted_choice_respects_weights(self):
-        rng = SeededRng(4)
-        outcomes = [rng.weighted_choice(["a", "b"], [0.999, 0.001]) for _ in range(200)]
-        assert outcomes.count("a") > 180
-
-    def test_weighted_choice_deterministic(self):
-        draws1 = [
-            SeededRng(9).weighted_choice("abcd", [1, 2, 3, 4]) for _ in range(5)
-        ]
-        draws2 = [
-            SeededRng(9).weighted_choice("abcd", [1, 2, 3, 4]) for _ in range(5)
-        ]
-        assert draws1 == draws2
-
-    def test_weighted_choice_rejects_bad_input(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            SeededRng(1).weighted_choice(["a", "b"], [1.0])
-        with pytest.raises(ValueError):
-            SeededRng(1).weighted_choice(["a", "b"], [0.0, 0.0])
-
-    def test_weighted_chooser_matches_weighted_choice_stream(self):
-        # Both consume exactly one uniform draw per sample, so the same seed
-        # yields the same sequence.
-        items = list(range(50))
-        weights = [1.0 / (i + 1) for i in range(50)]
-        chooser = SeededRng(13).weighted_chooser(items, weights)
-        one_shot = SeededRng(13)
-        for _ in range(200):
-            assert chooser() == one_shot.weighted_choice(items, weights)
-
-    def test_weighted_chooser_respects_weights(self):
-        chooser = SeededRng(4).weighted_chooser(["a", "b"], [0.999, 0.001])
-        outcomes = [chooser() for _ in range(200)]
-        assert outcomes.count("a") > 180
-
-    def test_weighted_chooser_beats_per_call_choice_5x(self):
-        """The chooser builds its cumulative table once; ``weighted_choice``
-        rebuilds it on every call."""
-        items = list(range(5_000))
-        weights = [1.0 / (rank + 1) for rank in items]
-        choose = SeededRng(11).weighted_chooser(items, weights)
-        per_call_rng = SeededRng(11)
-
-        def fast() -> None:
-            for _ in range(2_000):
-                choose()
-
-        def per_call() -> None:
-            for _ in range(2_000):
-                per_call_rng.weighted_choice(items, weights)
-
-        fast_s = min(timeit.repeat(fast, number=1, repeat=3))
-        per_call_s = timeit.timeit(per_call, number=1)
-        assert fast_s * 5 < per_call_s, (fast_s, per_call_s)
 
 
 class TestBatchDraw:

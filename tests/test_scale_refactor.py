@@ -9,7 +9,7 @@ from repro.core.network import BatonConfig, BatonNetwork
 from repro.multiway.network import MultiwayNetwork
 from repro.sim.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.sim.runtime import AsyncOverlayRuntime
-from repro.sim.topology import ClusteredTopology, CoordinateTopology
+from repro.sim.topology import ClusteredTopology
 from repro.util.rng import SeededRng
 from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
 from repro.workloads.generators import uniform_keys
@@ -228,14 +228,17 @@ class TestDirectDelay:
         # deterministic: repeated queries identical (no jitter consumed)
         assert topology.direct_delay(src, far) == topology.direct_delay(src, far)
 
-    def test_coordinate_direct_delay_matches_geometry(self):
-        import math
-
-        topology = CoordinateTopology(3, base_delay=0.2, unit_delay=2.0, jitter=0.3)
-        x1, y1 = topology.placement(1)
-        x2, y2 = topology.placement(2)
-        expected = 0.2 + 2.0 * math.hypot(x1 - x2, y1 - y2)
-        assert topology.direct_delay(1, 2) == pytest.approx(expected)
+    def test_clustered_direct_delay_leaves_the_jitter_stream_alone(self):
+        """Reading the stretch denominator must not perturb the run it
+        measures: interleaved ``direct_delay`` calls leave every later
+        ``sample`` exactly where an untouched twin draws it."""
+        probed = ClusteredTopology(8, regions=3, jitter=0.4)
+        untouched = ClusteredTopology(8, regions=3, jitter=0.4)
+        for src, dst in [(1, 2), (3, 9), (None, 4), (7, 7), (2, 11)]:
+            for _ in range(3):
+                probed.direct_delay(src, dst)
+                probed.direct_delay(dst, src)
+            assert probed.sample(src, dst) == untouched.sample(src, dst)
 
 
 class TestOptInEventLog:

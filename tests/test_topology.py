@@ -19,8 +19,8 @@ from repro import overlays
 from repro.sim.latency import ConstantLatency, ExponentialLatency
 from repro.sim.topology import (
     ClusteredTopology,
-    CoordinateTopology,
     Hop,
+    Topology,
     available_topologies,
     make_topology,
 )
@@ -45,8 +45,8 @@ class TestDeterminism:
         "factory",
         [
             lambda: ClusteredTopology(5),
-            lambda: CoordinateTopology(5),
             lambda: make_topology("exponential", seed=5),
+            lambda: make_topology("uniform", seed=5),
         ],
     )
     def test_same_seed_same_delays(self, factory):
@@ -63,11 +63,18 @@ class TestDeterminism:
         placed_backward = {a: backward.region_of(a) for a in reversed(addresses)}
         assert placed_forward == placed_backward
 
-    def test_coordinate_placements_stable(self):
-        topology = CoordinateTopology(3)
-        assert topology.placement(17) == topology.placement(17)
-        x, y = topology.placement(17)
-        assert 0.0 <= x < 1.0 and 0.0 <= y < 1.0
+    def test_region_placements_stable(self):
+        """A region is a pure function of (seed, address): in range, the
+        same on every call and on every topology built from that seed;
+        the client side of an anonymous hop has one region of its own."""
+        first, second = ClusteredTopology(3, regions=5), ClusteredTopology(3, regions=5)
+        for address in (17, 1, 250):
+            region = first.region_of(address)
+            assert 0 <= region < 5
+            assert first.region_of(address) == region == second.region_of(address)
+        assert first.region_of(None) == second.region_of(None)
+        placed = {ClusteredTopology(3, regions=5).region_of(a) for a in range(1, 64)}
+        assert len(placed) > 1
 
 
 class TestClusteredHeterogeneity:
@@ -83,7 +90,7 @@ class TestClusteredHeterogeneity:
         )
         assert topology.sample(src, same) < topology.sample(src, dst)
 
-    def test_link_delays_are_asymmetric(self):
+    def test_directions_are_priced_asymmetrically(self):
         """The regression the redesign exists for: delay depends on the
         ordered (src, dst) pair, not on a global scalar."""
         topology = ClusteredTopology(
@@ -97,12 +104,29 @@ class TestClusteredHeterogeneity:
         assert topology.sample(src, dst) == forward
         assert topology.sample(dst, src) == reverse
 
+    def test_unjittered_sample_is_direct_delay(self):
+        """The two methods price the same link: without jitter or a
+        bandwidth term, every sample is the link's direct delay, for
+        ordered pairs, local beats and client-ingress hops alike."""
+        topology = ClusteredTopology(
+            6, regions=3, intra_delay=0.5, inter_delay=4.0, jitter=0.0
+        )
+        endpoints = [None, *range(1, 13)]
+        for src in endpoints:
+            for dst in endpoints:
+                assert topology.sample(src, dst, size=3.0) == topology.direct_delay(
+                    src, dst
+                )
+
     def test_client_ingress_is_local(self):
         topology = ClusteredTopology(
             2, regions=4, intra_delay=1.0, inter_delay=10.0, jitter=0.0
         )
-        # src=None is normalized to the destination's own placement.
+        # src=None is normalized to the destination's own region, by both
+        # methods alike.
         assert topology.sample(None, 5) == topology.intra_delay
+        assert topology.direct_delay(None, 5) == topology.intra_delay
+        assert topology.direct_delay(5, None) == topology.intra_delay
 
     def test_bandwidth_adds_serialization_time(self):
         topology = ClusteredTopology(
@@ -147,10 +171,15 @@ class TestScalarDegenerate:
         ]
 
 
+class TestContract:
+    def test_a_topology_is_sample_and_direct_delay(self):
+        assert Topology.__abstractmethods__ == {"sample", "direct_delay"}
+
+
 class TestFactory:
-    def test_choices_cover_scalars_and_placements(self):
+    def test_choices_cover_scalars_and_clustered(self):
         names = available_topologies()
-        assert "clustered" in names and "coordinate" in names
+        assert names == ["constant", "uniform", "exponential", "clustered"]
         for name in names:
             topology = make_topology(name, seed=3)
             assert topology.sample(1, 2) >= 0.0
@@ -295,17 +324,15 @@ class TestWorkloadIntegration:
     def test_update_deliveries_priced_like_single_messages(self):
         """Table refreshes pay the same size-1 serialization term as any
         routed hop, so bandwidth-limited links delay both alike."""
-        from repro.sim.topology import Topology
-
         sizes = []
 
         class Recorder(Topology):
-            def link_delay(self, src, dst):
-                return 1.0
-
             def sample(self, src, dst, *, size=0.0):
                 sizes.append(size)
-                return super().sample(src, dst, size=size)
+                return 1.0
+
+            def direct_delay(self, src, dst):
+                return 1.0
 
         anet = overlays.get("baton").build(15, seed=2).wrap(topology=Recorder())
         anet.submit_join()

@@ -67,7 +67,7 @@ class TestScheduledMode:
             lambda: applied.append(tag),
         )
 
-    def test_applies_one_sampled_link_delay_later(self, bus):
+    def test_applies_one_sampled_delay_later(self, bus):
         sim, channel = self.attached(bus, [2.5])
         applied = []
         assert self.send(channel, 1, 2, applied, "a")
