@@ -6,15 +6,16 @@ coordinated by the failed node's parent (with §III-D fallbacks to adjacents
 or children when the parent is gone too).  The coordinator regenerates the
 missing routing state by contacting the children of the nodes in *its own*
 routing tables — Theorem 2: the failed child's sideways neighbours are
-exactly those children — and then drives a graceful departure on the failed
-node's behalf.  The failed peer's locally stored keys are lost (the paper
-does not replicate data) but its *range* is reassigned so the key-space
-partition stays complete.
-
-After the structural surgery the repair re-establishes link consistency with
-the map-based rebuild helper from :mod:`repro.core.restructure` (the same
-documented cost-model substitution), charging the coordinator one REPAIR
-message per regenerated link.
+exactly those children — and then makes the failed node leave as if it had
+left gracefully, running :mod:`repro.core.leave`'s own code on its behalf:
+a dead leaf that may depart simply goes through ``depart_leaf``, any other
+dead node gets Algorithm 2's replacement (``descend_steps``, the
+replacement's ``depart_leaf``, then ``transplant`` into the dead slot).
+The coordinator sends the messages the dead peer would have sent, so every
+peer the repair rewires hears of it through a counted message.  What lived
+only at the dead peer — its keys, subscriptions and dedup window — is lost
+(the paper does not replicate data), but its *range* is handed on so the
+key-space partition stays complete.
 
 Repair is written as a step generator (:func:`repair_steps`) so the
 event-driven runtime can price it: the structural surgery runs as one
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, TYPE_CHECKING
 
+from repro.core import join as join_protocol
 from repro.core import leave as leave_protocol
 from repro.core.links import LEFT, RIGHT
 from repro.core.peer import BatonPeer
@@ -113,7 +115,7 @@ def repair_steps(
     if coordinator is None:
         if net.size == 0:
             # The sole peer died: nothing to reconnect.
-            net.release_slot(ghost)
+            net.unregister_peer(failed)
             del net.ghosts[failed]
             net.stats.repairs += 1
             return RepairResult(failed=failed, replacement=None, trace=trace)
@@ -123,14 +125,19 @@ def repair_steps(
             f"repair of {ghost.position} blocked: no live coordinator"
         )
     _regenerate_tables(net, coordinator, ghost)
-    # Dropping the dead slot is safe on the same test as a graceful leave,
-    # evaluated on the regenerated link state.
+    # What lived only at the dead peer died with it; replication restores
+    # the keys below.  Its range and slot are what the departure hands on.
+    ghost.store.clear()
+    ghost.subscriptions = None
+    ghost.seen_messages = None
+    # The same safe-departure test as a graceful leave, evaluated on the
+    # regenerated link state.
     if leave_protocol.can_depart_simply(ghost):
-        absorber = _remove_dead_leaf(net, coordinator, ghost)
+        absorber = net.peers.get(ghost.parent.address)  # None: parent dead too
+        leave_protocol.depart_leaf(net, ghost, coordinator=coordinator.address)
         replacement: Optional[BatonPeer] = None
     else:
-        replacement = _replace_dead_internal(net, coordinator, ghost)
-        absorber = replacement
+        replacement = absorber = _replace(net, coordinator, ghost)
     del net.ghosts[failed]
     recovered = 0
     if net.config.replication and absorber is not None:
@@ -176,24 +183,6 @@ def _find_coordinator(net: "BatonNetwork", ghost: BatonPeer) -> Optional[BatonPe
     return None
 
 
-def _live_parent(net: "BatonNetwork", ghost: BatonPeer) -> Optional[BatonPeer]:
-    """The live peer at the ghost's parent slot, if it is alive.
-
-    Called after :func:`_regenerate_tables`, so ``ghost.parent`` already
-    names the slot's current occupant (live or ghost).
-    """
-    if ghost.parent is None:
-        return None
-    return net.peers.get(ghost.parent.address)
-
-
-def _live_ghost_linkers(net: "BatonNetwork", ghost: BatonPeer) -> set[Address]:
-    """Addresses of the ghost's linkers that are still alive."""
-    return {
-        info.address for _, info in ghost.iter_links() if info.address in net.peers
-    }
-
-
 def _regenerate_tables(
     net: "BatonNetwork", coordinator: BatonPeer, ghost: BatonPeer
 ) -> None:
@@ -206,7 +195,8 @@ def _regenerate_tables(
     repairing against a stale snapshot can remove a slot whose neighbours
     have since gained children and break Theorem 1.  The refreshed state is
     written into the ghost object, which stands in for the regenerated
-    tables for the rest of the repair.
+    tables for the rest of the repair; reading the answers off the position
+    map is the one map read repair keeps, and it writes only the ghost.
     """
     for side in (LEFT, RIGHT):
         for _, info in coordinator.table_on(side).occupied():
@@ -222,98 +212,54 @@ def _regenerate_tables(
     refresh_links_from_map(MapView(net, include_ghosts=True), ghost)
 
 
-def _remove_dead_leaf(
-    net: "BatonNetwork", coordinator: BatonPeer, ghost: BatonPeer
-) -> Optional[BatonPeer]:
-    """Drop a dead leaf: its parent absorbs the range.
-
-    Returns the absorbing peer (the caller pulls the dead leaf's replica
-    into it when the replication extension is enabled), or None on the
-    parent-child double-failure path where nothing live absorbs yet.
-    """
-    parent = _live_parent(net, ghost)
-    if parent is None:
-        # Parent-child double failure (§III-C): fold the dead child's slice
-        # into the dead parent's ghost state; whichever repair handles the
-        # parent later carries the combined range forward.
-        ghost_parent = (
-            net.ghosts.get(ghost.parent.address) if ghost.parent else None
-        )
-        if ghost_parent is None:
-            raise ProtocolError(f"dead leaf {ghost.position} has no parent at all")
-        ghost_parent.range = ghost_parent.range.merge(ghost.range)
-        net.release_slot(ghost)
-
-        from repro.core.restructure import rebuild_after_moves
-
-        rebuild_after_moves(net, [coordinator], _live_ghost_linkers(net, ghost))
-        return None
-    parent.range = parent.range.merge(ghost.range)
-    linkers = _live_ghost_linkers(net, ghost)
-    for address in sorted(linkers):
-        if address != coordinator.address:
-            net.bus.send(coordinator.address, address, MsgType.REPAIR)
-    net.release_slot(ghost)
-
-    from repro.core.restructure import rebuild_after_moves
-
-    rebuild_after_moves(net, [parent], linkers)
-    return parent
-
-
-def _replace_dead_internal(
+def _replace(
     net: "BatonNetwork", coordinator: BatonPeer, ghost: BatonPeer
 ) -> BatonPeer:
-    """Move a replacement leaf into a dead internal node's slot."""
-    from repro.core.restructure import rebuild_after_moves
-
+    """Algorithm 2 on the dead node's behalf: a replacement leaf departs
+    gracefully and takes over the dead slot; returns the replacement."""
     start = _live_descent_entry(net, ghost)
     if start is None:
         raise ProtocolError(
             f"cannot repair {ghost.position}: no live entry into its subtree"
         )
+    if start != coordinator.address:
+        net.bus.send(coordinator.address, start, MsgType.LEAVE_FIND)
     # Algorithm 2's descent, paying for and skipping dead hops: the repair
     # exists because part of this subtree is dead.
     found = drive(leave_protocol.descend_steps(net, start, tolerate_dead=True))
     if found is None:
         raise ProtocolError("repair replacement walk did not terminate")
     replacement = net.peer(found)
-    if not leave_protocol.can_depart_simply(replacement):
-        # Cornered by other unrepaired failures (for example the candidate
-        # still has a dead child whose slot would be orphaned): moving it
-        # would break the tree.  Block; repair_all retries after the
-        # blocking ghosts are handled.
+    if not leave_protocol.can_depart_simply(replacement) or (
+        replacement.parent.address not in net.peers
+        and replacement.parent.address != ghost.address
+    ):
+        # Cornered by other unrepaired failures (a dead child whose slot
+        # would be orphaned, or a dead parent that would swallow the
+        # replacement's keys): block; repair_all retries after the
+        # blocking ghosts are handled.  A replacement hanging directly
+        # under the dead node keeps its keys through the ghost.
         raise ProtocolError(
             f"repair of {ghost.position} blocked: replacement "
             f"{replacement.position} cannot depart safely yet"
         )
-    pre_links = set(replacement.link_addresses()) | _live_ghost_linkers(net, ghost)
-
-    parent_slot = replacement.position.parent()
-    if parent_slot == ghost.position:
-        # The replacement hangs directly under the dead node, so its keys
-        # cannot go to its parent.  It keeps them and absorbs the dead
-        # node's (now data-less) range, which is adjacent in order.
-        merged_range = replacement.range.merge(ghost.range)
-        net.unregister_peer(replacement.address)
-    elif replacement.parent is None or replacement.parent.address not in net.peers:
-        raise ProtocolError(
-            f"repair of {ghost.position} blocked: replacement "
-            f"{replacement.position}'s parent also failed; repair it first"
-        )
-    else:
-        leave_protocol.depart_leaf(net, replacement)
-        merged_range = ghost.range
-
-    replacement.move_to(ghost.position)
-    replacement.range = merged_range
-    net.release_slot(ghost)
-    net.register_peer(replacement)
-
-    for address in sorted(pre_links):
-        if address in net.peers and address != coordinator.address:
-            net.bus.send(coordinator.address, address, MsgType.REPAIR)
-    rebuild_after_moves(net, [replacement], pre_links)
+    net.updates.drain(found)
+    leave_protocol.depart_leaf(net, replacement, coordinator=coordinator.address)
+    # The departure changed the dead slot's neighbourhood (the
+    # replacement's parent grew): regenerate the view the slot inherits.
+    if coordinator is replacement:
+        coordinator = _find_coordinator(net, ghost)
+    if coordinator is not None:
+        _regenerate_tables(net, coordinator, ghost)
+    leave_protocol.transplant(
+        net, ghost, replacement, coordinator=(coordinator or replacement).address
+    )
+    # Joins that ran while the node was dead could not relay through it:
+    # the slot's children get the join's table relay from their new parent.
+    for info in (replacement.left_child, replacement.right_child):
+        child = net.peers.get(info.address) if info is not None else None
+        if child is not None:
+            join_protocol.fill_child_tables(net, replacement, child)
     return replacement
 
 

@@ -43,7 +43,9 @@ def try_message(
 
     During churn windows (§V-E) a join can hold stale links to peers that
     failed concurrently; the attempt is paid for and the protocol skips the
-    dead neighbour — repair fills the resulting gaps afterwards.
+    dead neighbour.  The repair of that neighbour's slot announces its new
+    occupant and relays to its children's tables, so the gaps heal by
+    counted messages.
     """
     try:
         net.bus.send(src, dst, mtype)
@@ -403,21 +405,22 @@ def add_child(
         peer.set_table_entry(sibling.snapshot())
 
     # --- sideways tables via the parent's neighbours ----------------------------
-    _fill_child_tables(net, parent, peer)
+    fill_child_tables(net, parent, peer)
 
     # --- remaining stale links about the parent (range shrank) ------------------
     _refresh_parent_periphery(net, parent, exclude={peer.address})
     return peer
 
 
-def _fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer) -> None:
+def fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer) -> None:
     """Table update relay of §III-A.
 
     For every valid slot of the child's tables, Theorem 2 locates the slot
     occupant's parent inside *our* parent's tables; the parent messages that
     neighbour (carrying its own fresh snapshot), the neighbour relays to its
     bordering child, and that child replies to the new node.  Both ends
-    record each other.
+    record each other.  A repair runs it again for the children of a
+    replaced slot (:mod:`repro.core.failure`).
     """
     sibling_position = child.position.sibling()
     contacted: dict[Address, BatonPeer] = {}
@@ -461,24 +464,6 @@ def _fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer)
             # Child of neighbour -> new node: reply with its coordinates.
             net.bus.send(occupant, child.address, MsgType.RESPONSE)
             child.set_table_entry(c_peer.snapshot())
-    # Any remaining sideways neighbour of the parent that the relay did not
-    # touch still holds the parent's old range/children: refresh them with
-    # the state the parent sends now, not whatever it holds on delivery.
-    snapshot = parent.snapshot()
-    for side in (LEFT, RIGHT):
-        for _, info in parent.table_on(side).occupied():
-            if info.address in contacted:
-                continue
-            receiver = net.peers.get(info.address)
-            if receiver is None:
-                continue
-
-            def apply(receiver: BatonPeer = receiver) -> None:
-                receiver.update_link_info(snapshot)
-
-            net.updates.notify(
-                parent.address, info.address, MsgType.TABLE_UPDATE, apply
-            )
 
 
 def _refresh_parent_periphery(

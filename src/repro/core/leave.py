@@ -245,6 +245,7 @@ def depart_leaf(
     net: "BatonNetwork",
     leaf: BatonPeer,
     absorber: Optional[Address] = None,
+    coordinator: Optional[Address] = None,
 ) -> BatonPeer:
     """Remove a safely-departing leaf from the overlay.
 
@@ -253,20 +254,28 @@ def depart_leaf(
     hand-off.  The parent hears once, whichever role names it: an absorber
     that *is* the parent gets one LEAVE_TRANSFER and one broadcast round.
     Returns the detached peer object (links cleared, address retained).
+
+    A repair names its ``coordinator``, which runs the departure on the
+    dead peer's behalf (:mod:`repro.core.failure`): the coordinator sends
+    the departure's messages, and a ghost — the dead leaf itself, or a
+    dead parent in a parent-child double failure — may stand as the leaf
+    or the parent, carrying the range into its own repair.  A graceful
+    leave names none, so it never hands content to a dead peer.
     """
     if leaf.parent is None:
         raise ProtocolError("the last peer cannot depart via this path")
-    parent = net.peer(leaf.parent.address)
+    sender = leaf.address if coordinator is None else coordinator
+    parent = _holder(net, leaf.parent.address, coordinator)
     side = LEFT if leaf.position.is_left_child else RIGHT
 
     grown = hand_over_content(
-        net, leaf, parent.address if absorber is None else absorber
+        net, leaf, parent.address if absorber is None else absorber, coordinator
     )
     if grown is not parent:
         # An adjacent absorber's linkers must hear of its grown range, and
         # the parent still needs to hear about the departure (child link).
         net.broadcast_update(grown, exclude={leaf.address})
-        net.bus.send(leaf.address, parent.address, MsgType.LEAVE_TRANSFER)
+        net.bus.send(sender, parent.address, MsgType.LEAVE_TRANSFER)
 
     # Splice adjacent links: the leaf's far adjacent now borders the parent
     # on the vacated side (the near adjacent *is* the parent for a leaf).
@@ -274,10 +283,7 @@ def depart_leaf(
     parent.set_child(side, None)
     parent.set_adjacent(side, far)
     if far is not None:
-        try:
-            net.bus.send(leaf.address, far.address, MsgType.LEAVE_TRANSFER)
-        except PeerNotFoundError:
-            pass  # the far adjacent failed; repair will reconnect it
+        _tell(net, sender, far.address, MsgType.LEAVE_TRANSFER)
         far_peer = net.peers.get(far.address)
         if far_peer is not None:
             opposite = RIGHT if side == LEFT else LEFT
@@ -294,12 +300,11 @@ def depart_leaf(
             def apply(receiver: BatonPeer = receiver) -> None:
                 receiver.clear_table_entry(position)
 
-            net.updates.notify(
-                leaf.address, info.address, MsgType.LEAVE_TRANSFER, apply
-            )
+            net.updates.notify(sender, info.address, MsgType.LEAVE_TRANSFER, apply)
 
     # The parent announces its new content/children to its own linkers.
-    net.broadcast_update(parent, exclude={leaf.address})
+    if parent.address in net.peers:
+        net.broadcast_update(parent, exclude={leaf.address})
 
     detached = net.unregister_peer(leaf.address)
     detached.parent = None
@@ -308,17 +313,41 @@ def depart_leaf(
     return detached
 
 
+def _holder(
+    net: "BatonNetwork", address: Address, coordinator: Optional[Address]
+) -> BatonPeer:
+    """The live peer at ``address``; inside a repair (``coordinator``
+    named) the ghost of a dead one too."""
+    ghost = net.ghosts.get(address) if coordinator is not None else None
+    return ghost if ghost is not None else net.peer(address)
+
+
+def _tell(
+    net: "BatonNetwork", sender: Address, receiver: Address, mtype: MsgType
+) -> bool:
+    """One counted message, none when a repair's coordinator is itself the
+    receiver; False if the receiver is dead."""
+    return receiver == sender or try_message(net, sender, receiver, mtype)
+
+
 def hand_over_content(
-    net: "BatonNetwork", leaf: BatonPeer, absorber_address: Address
+    net: "BatonNetwork",
+    leaf: BatonPeer,
+    absorber_address: Address,
+    coordinator: Optional[Address] = None,
 ) -> BatonPeer:
     """Transfer the departing leaf's range, keys and subscriptions to the
-    peer at ``absorber_address`` (one LEAVE_TRANSFER); returns that peer.
+    peer at ``absorber_address`` (one LEAVE_TRANSFER, from a repair's
+    ``coordinator`` when one runs the departure); returns that peer.
 
+    Inside a repair the absorber may be a ghost: the message is paid and
+    lost, and the ghost carries the content into its own repair.
     Who then tells the absorber's linkers is the caller's call: a parent
     absorber's broadcast is the departure's own (:func:`depart_leaf`).
     """
-    absorber = net.peer(absorber_address)
-    net.bus.send(leaf.address, absorber.address, MsgType.LEAVE_TRANSFER)
+    absorber = _holder(net, absorber_address, coordinator)
+    sender = leaf.address if coordinator is None else coordinator
+    _tell(net, sender, absorber_address, MsgType.LEAVE_TRANSFER)
     absorber.range = absorber.range.merge(leaf.range)
     absorber.store.extend(leaf.store.clear())
     if leaf.subscriptions:
@@ -329,12 +358,19 @@ def hand_over_content(
     return absorber
 
 
-def transplant(net: "BatonNetwork", departing: BatonPeer, replacement: BatonPeer) -> None:
+def transplant(
+    net: "BatonNetwork",
+    departing: BatonPeer,
+    replacement: BatonPeer,
+    coordinator: Optional[Address] = None,
+) -> None:
     """The replacement peer assumes the departing peer's position.
 
     The logical position, range and content stay put; only the physical
     address changes, so every linker of the departing node is told to
-    repoint (§III-B's ≤ 8·log N message budget).
+    repoint (§III-B's ≤ 8·log N message budget).  The hand-over comes from
+    the departing peer, or from a repair's ``coordinator`` when the
+    departing peer is a ghost.
     """
     replacement.position = departing.position
     replacement.range = departing.range
@@ -353,16 +389,20 @@ def transplant(net: "BatonNetwork", departing: BatonPeer, replacement: BatonPeer
 
     net.register_peer(replacement)
     net.unregister_peer(departing.address)
-    net.bus.send(
-        departing.address, replacement.address, MsgType.LEAVE_TRANSFER
-    )
+    sender = departing.address if coordinator is None else coordinator
+    _tell(net, sender, replacement.address, MsgType.LEAVE_TRANSFER)
     _announce_replacement(net, departing.address, replacement)
 
 
 def _announce_replacement(
     net: "BatonNetwork", old_address: Address, replacement: BatonPeer
 ) -> None:
-    """Repoint every linker of ``old_address`` at the replacement."""
+    """Repoint every linker of ``old_address`` at the replacement.
+
+    A sideways linker that lacks the slot's entry gets it installed (a
+    no-op on a consistent tree; after a repair it heals a join that could
+    not reach the dead node).
+    """
     snapshot = replacement.snapshot()
     notified: set[Address] = set()
     for _, info in replacement.iter_links():
@@ -375,6 +415,7 @@ def _announce_replacement(
 
         def apply(receiver: BatonPeer = receiver) -> None:
             receiver.replace_link_address(old_address, snapshot)
+            receiver.set_table_entry(snapshot)
 
         net.updates.notify(
             replacement.address, info.address, MsgType.TABLE_UPDATE, apply

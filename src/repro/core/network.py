@@ -324,21 +324,18 @@ class BatonNetwork(OverlayNetwork):
         self.bus.register(peer.address)
 
     def unregister_peer(self, address: Address) -> BatonPeer:
-        peer = self.peers[address]
-        del self.peers[address]
-        self.release_slot(peer)
-        self.bus.unregister(address)
-        return peer
-
-    def release_slot(self, peer: BatonPeer) -> None:
-        """Vacate ``peer``'s slot in the position map if it still holds it.
-
-        Called on its own by repair: a failed peer keeps its slot until the
-        repair has decided what fills it.
-        """
+        """Remove the peer at ``address``, vacating its slot if it still
+        holds it.  A ghost goes the same way when its repair departs the
+        dead peer (it left the bus when it failed)."""
+        peer = self.ghosts.get(address)
+        if peer is None:
+            peer = self.peers[address]
+            del self.peers[address]
+            self.bus.unregister(address)
         code = peer.position.code
-        if self._positions.get(code) == peer.address:
+        if self._positions.get(code) == address:
             del self._positions[code]
+        return peer
 
     def record_move(self, peer: BatonPeer, old_position: Position) -> None:
         """Update the position map after a restructuring move."""

@@ -166,17 +166,15 @@ def rebuild_after_moves(
     net: "BatonNetwork",
     movers: Sequence[BatonPeer],
     pre_link_addresses: set[Address],
-    changed_slots: Optional[set[Position]] = None,
+    changed_slots: set[Position],
 ) -> None:
     """Restore link consistency around a set of moved peers.
 
     Refreshes, in order: the movers themselves; every peer that linked to a
     mover before or after the shift; and the linkers of every peer whose
-    *child attributes* changed (their entries about that peer are stale).
-    ``changed_slots`` — the set of tree slots whose occupancy changed — lets
-    callers scope that last ring precisely; without it the helper falls back
-    to the (safe, wider) linkers-of-the-whole-first-ring sweep.  Charges
-    each mover one RESTRUCTURE message per rebuilt link.
+    *child attributes* changed (their entries about that peer are stale),
+    found from ``changed_slots`` — the tree slots whose occupancy changed.
+    Charges each mover one RESTRUCTURE message per rebuilt link.
     """
     # Ghost-held slots stay linked: until repaired, a dead peer still owns
     # its slot, and erasing links to it would let another repair move its
@@ -199,25 +197,19 @@ def rebuild_after_moves(
     # change; for non-movers that means "one of its child slots changed
     # occupant".  Those parents sit in the first ring (already refreshed);
     # here we refresh whoever links to them.
+    changed_parents: set[Address] = set()
+    for slot in changed_slots:
+        parent_slot = slot.parent()
+        if parent_slot is None:
+            continue
+        address = net.occupant(parent_slot)
+        if address is not None and address not in mover_addresses:
+            changed_parents.add(address)
     second_ring: set[Address] = set()
-    if changed_slots is not None:
-        changed_parents: set[Address] = set()
-        for slot in changed_slots:
-            parent_slot = slot.parent()
-            if parent_slot is None:
-                continue
-            address = net.occupant(parent_slot)
-            if address is not None and address not in mover_addresses:
-                changed_parents.add(address)
-        for address in sorted(changed_parents):
-            neighbor = net.peers.get(address)
-            if neighbor is not None:
-                second_ring.update(neighbor.link_addresses())
-    else:
-        for address in sorted(first_ring):
-            neighbor = net.peers.get(address)
-            if neighbor is not None:
-                second_ring.update(neighbor.link_addresses())
+    for address in sorted(changed_parents):
+        neighbor = net.peers.get(address)
+        if neighbor is not None:
+            second_ring.update(neighbor.link_addresses())
     second_ring -= mover_addresses | first_ring
     for address in sorted(second_ring):
         neighbor = net.peers.get(address)
@@ -469,7 +461,7 @@ def depart_with_restructure(
     if chain is None:
         # Both directions exhausted: the tree is tiny; simply dropping the
         # leaf slot cannot unbalance anything observable.
-        rebuild_after_moves(net, [], pre_links)
+        rebuild_after_moves(net, [], pre_links, {vacated})
         net.stats.restructure_shift_sizes.append(0)
         return 0
     apply_removal_chain(net, vacated, chain, pre_links)

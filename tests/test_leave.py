@@ -209,3 +209,23 @@ class TestReplacementDeadEnd:
         assert net.peers[departing.address] is departing
         assert structure() == before
         assert net.stats.leaves == leaves
+
+
+class TestDeadParent:
+    def test_leaf_under_a_dead_parent_keeps_its_keys(self):
+        """A graceful leave never hands content to a dead peer: with the
+        parent crashed and unrepaired, the leaf's departure raises and the
+        leaf keeps its range and keys (only a repair writes ghost state)."""
+        net = make_network(30, seed=2)
+        net.bulk_load(list(range(1, 10**9, 10**6)))
+        leaf = next(
+            peer
+            for peer in sorted(net.peers.values(), key=lambda p: p.address)
+            if can_depart_simply(peer) and peer.store
+        )
+        keys, span = list(leaf.store), leaf.range
+        net.fail(leaf.parent.address)
+        with pytest.raises(PeerNotFoundError):
+            net.leave(leaf.address)
+        assert net.peer(leaf.address) is leaf
+        assert list(leaf.store) == keys and leaf.range == span
