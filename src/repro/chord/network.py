@@ -282,7 +282,7 @@ class ChordNetwork(OverlayNetwork):
             else:
                 next_hop = successor
             send(current, next_hop, mtype)
-            yield Hop(current, next_hop)
+            yield tuple.__new__(Hop, (current, next_hop, 1.0))
             current = next_hop
         raise ProtocolError(f"chord lookup for {target_id} did not terminate")
 
@@ -294,7 +294,7 @@ class ChordNetwork(OverlayNetwork):
         successor = self.node(predecessor).successor
         if successor != predecessor:
             self.bus.send(predecessor, successor, mtype)
-            yield Hop(predecessor, successor)
+            yield tuple.__new__(Hop, (predecessor, successor, 1.0))
         return successor
 
     # -- join helpers -------------------------------------------------------------
@@ -511,7 +511,7 @@ class ChordNetwork(OverlayNetwork):
                 self.bus.send(current, successor, MsgType.RANGE_SEARCH)
             except PeerNotFoundError:
                 break  # dead successor: partial answer
-            yield Hop(current, successor)
+            yield tuple.__new__(Hop, (current, successor, 1.0))
             current = successor
         return RangeSearchResult(
             owners=owners, keys=sorted(keys), trace=trace, complete=complete

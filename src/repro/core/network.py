@@ -265,13 +265,8 @@ class BatonNetwork(OverlayNetwork):
         from repro.core.cache import CacheStats
 
         self.cache_stats = CacheStats()
-        self.bus.set_level_resolver(self._level_of)
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _level_of(self, address: Address) -> Optional[int]:
-        peer = self.peers.get(address)
-        return peer.position.level if peer is not None else None
 
     @property
     def size(self) -> int:
@@ -498,8 +493,7 @@ class BatonNetwork(OverlayNetwork):
 
     def repair(self, failed: Address) -> RepairResult:
         """Run the §III-C repair for a failed peer."""
-        with self.bus.trace("repair") as trace:
-            return drive(self.repair_steps(failed, trace))
+        return self._traced("repair", self.repair_steps, failed)
 
     def repair_steps(
         self,
@@ -540,8 +534,7 @@ class BatonNetwork(OverlayNetwork):
     def multicast(self, low: int, high: int, via: Optional[Address] = None):
         """Deliver one message to every owner of [low, high) (pub/sub)."""
         start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("multicast") as trace:
-            return drive(self.multicast_steps(start, low, high, trace))
+        return self._traced("multicast", self.multicast_steps, start, low, high)
 
     def multicast_steps(
         self,
@@ -561,8 +554,7 @@ class BatonNetwork(OverlayNetwork):
 
     def subscribe(self, subscriber: Address, low: int, high: int):
         """Install a subscription for [low, high) at every range owner."""
-        with self.bus.trace("subscribe") as trace:
-            return drive(self.subscribe_steps(subscriber, low, high, trace))
+        return self._traced("subscribe", self.subscribe_steps, subscriber, low, high)
 
     def subscribe_steps(
         self,
@@ -584,7 +576,7 @@ class BatonNetwork(OverlayNetwork):
         """Anti-entropy sweep of the replication extension (if enabled):
         every peer's :meth:`replica_refresh_steps`, driven in turn, with
         the cycle collector paused.  Returns the number of messages spent
-        (one per peer)."""
+        (one per peer, two where the mirror moved)."""
         if not self.config.replication:
             return 0
         with paused():

@@ -142,10 +142,13 @@ def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
 
     One sized REPLICATE message carrying the full store (``Hop.size`` =
     number of keys, so bandwidth-limited links charge the bulk honestly).
-    On arrival the holder installs the snapshot, the stale mirror at the
-    previous anchor is dropped, and the holder prunes mirrors whose owner
-    no longer exists (dead owners' mirrors are kept for repair).  Returns
-    the number of messages spent (0 or 1).
+    On arrival the holder installs the snapshot and prunes mirrors whose
+    owner no longer exists (dead owners' mirrors are kept for repair).
+    When the mirror moved, the owner then sends one more REPLICATE to the
+    previous anchor, which drops the stale copy when it lands — if the
+    owner's anchor is still elsewhere — so the old copy outlives the new
+    one's install, never the other way round.  Returns the number of
+    messages spent (0, 1 or 2).
     """
     holder = replica_holder(net, peer)
     if holder is None:
@@ -161,16 +164,24 @@ def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
         # An end vanished mid-flight: the snapshot is stale, drop it.
         return 1
     old_anchor = peer.replica_anchor
-    if old_anchor is not None and old_anchor != holder.address:
-        previous = net.peers.get(old_anchor)
-        if previous is not None:
-            previous.replicas.pop(peer.address, None)
     peer.replica_anchor = holder.address
     target.replicas[peer.address] = snapshot
     for owner_address in list(target.replicas):
         if owner_address not in net.peers and owner_address not in net.ghosts:
             del target.replicas[owner_address]
-    return 1
+    if old_anchor is None or old_anchor == holder.address:
+        return 1
+    previous = net.peers.get(old_anchor)
+    if previous is None:
+        return 1  # the stale copy died with its holder
+    try:
+        net.bus.send(peer.address, old_anchor, MsgType.REPLICATE)
+    except PeerNotFoundError:
+        return 2
+    yield Hop(peer.address, old_anchor)
+    if net.peers.get(old_anchor) is previous and peer.replica_anchor != old_anchor:
+        previous.replicas.pop(peer.address, None)
+    return 2
 
 
 def restore_from_replica_steps(

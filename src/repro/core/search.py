@@ -129,7 +129,7 @@ def walk_steps(
             raise ProtocolError(
                 f"all routes from {peer.position} toward {key} are dead"
             )
-        yield Hop(current, next_hop, size)
+        yield tuple.__new__(Hop, (current, next_hop, size))
         hops += 1
         current = next_hop
     if may_give_up(net, degraded):
@@ -287,7 +287,7 @@ def interval_walk_steps(
             send(current, next_hop, mtype)
         except PeerNotFoundError:
             return False  # dead adjacent: its send is paid for
-        yield Hop(current, next_hop)
+        yield tuple.__new__(Hop, (current, next_hop, 1.0))
         current = next_hop
     return False
 

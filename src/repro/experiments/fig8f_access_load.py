@@ -10,7 +10,8 @@ lives there.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict
+from contextlib import contextmanager
+from typing import Dict, Iterator
 
 from repro.experiments.grid import Axis, Band, Grid
 from repro.experiments.harness import (
@@ -41,23 +42,47 @@ def grid_cell(
     """One membership sequence: measured insert + search streams."""
     loaded = loaded_keys(n_peers, data_per_node, seed)
     net = build_baton_equalized(n_peers, seed, data_per_node)
-    # Reset traffic counters: only the measured streams below count.
-    from repro.net.bus import TrafficStats
-
-    net.bus.stats = TrafficStats()
     level_nodes: Counter = Counter()
     for peer in net.peers.values():
         level_nodes[peer.position.level] += 1
     inserts = uniform_keys(n_queries * 5, seed=seed + 11)
-    for key in inserts:
-        net.insert(key)
-    for key in exact_queries(loaded, n_queries * 5, seed=seed + 13):
-        net.search_exact(key)
+    insert_load: Counter = Counter()
+    search_load: Counter = Counter()
+    loads = {MsgType.INSERT: insert_load, MsgType.SEARCH: search_load}
+    with receipts_by_level(net, loads):
+        for key in inserts:
+            net.insert(key)
+        for key in exact_queries(loaded, n_queries * 5, seed=seed + 13):
+            net.search_exact(key)
     return {
         "level_nodes": level_nodes,
-        "insert_load": Counter(net.bus.stats.level_load(MsgType.INSERT)),
-        "search_load": Counter(net.bus.stats.level_load(MsgType.SEARCH)),
+        "insert_load": insert_load,
+        "search_load": search_load,
     }
+
+
+@contextmanager
+def receipts_by_level(net, loads: Dict[MsgType, Counter]) -> Iterator[None]:
+    """Inside the block, count each message of a type in ``loads`` under
+    its receiver's tree level, read when it is sent (a dead receiver has
+    no level and is not counted).  Wraps this network's ``bus.send``, the
+    seam the benchmark tracer also uses, so the bus itself keeps no
+    per-level counter."""
+    send = net.bus.send
+
+    def counting(src, dst, mtype):
+        load = loads.get(mtype)
+        if load is not None:
+            peer = net.peers.get(dst)
+            if peer is not None:
+                load[peer.position.level] += 1
+        return send(src, dst, mtype)
+
+    net.bus.send = counting
+    try:
+        yield
+    finally:
+        del net.bus.send
 
 
 def _table(result: ExperimentResult, scale: ExperimentScale, groups) -> None:

@@ -65,7 +65,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #:    ``LoadBalanceConfig`` keeps two fields; and a departing leaf tells
 #:    its parent once, which moves balanced networks (whose keys, e.g.
 #:    ``build_baton_equalized``'s, need not name the config).
-SNAPSHOT_SCHEMA = 7
+#: 8: ``MessageBus`` has no level resolver, ``TrafficStats`` holds ``total``
+#:    and ``by_type`` only, and ``Trace`` is slotted.
+SNAPSHOT_SCHEMA = 8
 
 #: Length of the digest that precedes every stored pickle.
 DIGEST_BYTES = hashlib.sha256().digest_size

@@ -499,7 +499,7 @@ class MultiwayNetwork(OverlayNetwork):
             if next_hop is None:
                 raise ProtocolError(f"multiway routing stuck at {node!r} for {key}")
             self.bus.send(current, next_hop, mtype)
-            yield Hop(current, next_hop)
+            yield tuple.__new__(Hop, (current, next_hop, 1.0))
             previous, current = current, next_hop
         raise ProtocolError(f"multiway search for {key} did not terminate")
 

@@ -9,13 +9,15 @@ message, no message object.  It does three jobs:
   :class:`~repro.util.errors.PeerNotFoundError` *after* the attempt is
   counted, because the paper counts the wasted message too (the sender paid
   for it and must now route around the failure).
-* **Global accounting** — totals by :class:`MsgType`, per receiving peer, and
-  per tree level (for Figure 8(f)'s access-load-by-level plot; the overlay
-  installs a resolver mapping an address to its current level).
-* **Per-operation traces** — experiments wrap each operation in
-  :meth:`MessageBus.trace`; all messages sent while a trace is open are
-  attributed to it, so "average messages per exact-match query" is just the
-  mean of trace totals.
+* **Global accounting** — the total and the totals by :class:`MsgType`,
+  nothing per peer or per level: a reader that wants a finer split (Figure
+  8(f)'s load by tree level) wraps ``send`` on its own network for as long
+  as it measures, the seam the honesty audit and the benchmark tracer use.
+* **Per-operation traces** — each operation runs under its own trace
+  (:meth:`MessageBus.push_trace` / :meth:`MessageBus.pop_trace`, or the
+  :meth:`MessageBus.trace` block); all messages sent while a trace is open
+  are attributed to it, so "average messages per exact-match query" is just
+  the mean of trace totals.
 
 ``send`` is the only code that writes a :class:`TrafficStats` or a
 :class:`Trace` counter (DESIGN.md, "Performance contract": per-hop path).
@@ -26,21 +28,37 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.net.address import Address
 from repro.net.message import MsgType
 from repro.util.errors import PeerNotFoundError
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class Trace:
-    """Message accounting for a single logical operation."""
+    """Message accounting for a single logical operation.
+
+    Every op opens one, so it is slotted and its empty counter is made by
+    ``Counter.__new__``, without ``Counter.__init__``'s Python frames.
+    """
 
     label: str
-    total: int = 0
-    by_type: Counter = field(default_factory=Counter)
-    path: list[Address] = field(default_factory=list)
+    total: int
+    by_type: Counter
+    path: list[Address]
+
+    def __init__(
+        self,
+        label: str,
+        total: int = 0,
+        by_type: Optional[Counter] = None,
+        path: Optional[list[Address]] = None,
+    ) -> None:
+        self.label = label
+        self.total = total
+        self.by_type = Counter.__new__(Counter) if by_type is None else by_type
+        self.path = [] if path is None else path
 
     def count(self, *mtypes: MsgType) -> int:
         """Total messages of the given categories (all if none given)."""
@@ -69,16 +87,6 @@ class TrafficStats:
 
     total: int = 0
     by_type: Counter = field(default_factory=Counter)
-    per_peer: Counter = field(default_factory=Counter)
-    per_level_by_type: Counter = field(default_factory=Counter)
-
-    def level_load(self, mtype: MsgType) -> dict[int, int]:
-        """Messages of one category received, grouped by tree level."""
-        loads: dict[int, int] = {}
-        for (level, kind), count in self.per_level_by_type.items():
-            if kind is mtype:
-                loads[level] = loads.get(level, 0) + count
-        return loads
 
 
 class MessageBus:
@@ -88,7 +96,6 @@ class MessageBus:
         self._alive: set[Address] = set()
         self.stats = TrafficStats()
         self._trace_stack: list[Trace] = []
-        self._level_resolver: Optional[Callable[[Address], Optional[int]]] = None
 
     # -- liveness ---------------------------------------------------------
 
@@ -99,18 +106,6 @@ class MessageBus:
     def unregister(self, address: Address) -> None:
         """Remove a peer (graceful departure or permanent failure)."""
         self._alive.discard(address)
-
-    # -- accounting hooks -------------------------------------------------
-
-    def set_level_resolver(
-        self, resolver: Optional[Callable[[Address], Optional[int]]]
-    ) -> None:
-        """Install a callback mapping an address to its current tree level.
-
-        The overlay network owns the mapping; the bus only uses it to bucket
-        per-level load for Figure 8(f).
-        """
-        self._level_resolver = resolver
 
     # -- sending ----------------------------------------------------------
 
@@ -125,11 +120,6 @@ class MessageBus:
         stats = self.stats
         stats.total += 1
         stats.by_type[mtype] += 1
-        stats.per_peer[dst] += 1
-        resolver = self._level_resolver
-        level = resolver(dst) if resolver is not None else None
-        if level is not None:
-            stats.per_level_by_type[(level, mtype)] += 1
         for trace in self._trace_stack:
             trace.total += 1
             trace.by_type[mtype] += 1
@@ -142,7 +132,7 @@ class MessageBus:
     @contextmanager
     def trace(self, label: str) -> Iterator[Trace]:
         """Open a per-operation trace; nested traces each see the traffic."""
-        trace = Trace(label=label)
+        trace = Trace(label)
         self._trace_stack.append(trace)
         try:
             yield trace

@@ -32,6 +32,7 @@ from typing import (
 )
 
 from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
 from repro.util.stepper import MessageSteps, drive
 
@@ -45,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         SearchResult,
     )
     from repro.core.storage import LocalStore
-    from repro.net.bus import Trace
     from repro.sim.runtime import AsyncOverlayRuntime
 
 #: Names an overlay may advertise in its ``capabilities`` set.
@@ -226,22 +226,32 @@ class OverlayNetwork(ABC):
         whose state does not ride the clock (BATON's scheduled table
         refreshes do)."""
 
+    def _traced(self, label: str, steps_of: Callable[..., MessageSteps], *args):
+        """Drive ``steps_of(*args, trace)`` to completion under a fresh
+        trace.  Plain push/pop in a try/finally, as the runtime's
+        ``_resume`` does: a generator-based ``with`` block costs frames on
+        every sync op."""
+        trace = Trace(label)
+        bus = self.bus
+        bus.push_trace(trace)
+        try:
+            return drive(steps_of(*args, trace))
+        finally:
+            bus.pop_trace()
+
     def join(self, via: Optional[Address] = None) -> "JoinResult":
         """Add one peer, contacting ``via``."""
         start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("join") as trace:
-            return drive(self.join_steps(start, trace))
+        return self._traced("join", self.join_steps, start)
 
     def leave(self, address: Address) -> "LeaveResult":
         """Gracefully remove the peer at ``address``."""
-        with self.bus.trace("leave") as trace:
-            return drive(self.leave_steps(address, trace))
+        return self._traced("leave", self.leave_steps, address)
 
     def search_exact(self, key: int, via: Optional[Address] = None) -> "SearchResult":
         """Route an exact-match query for ``key`` from ``via``."""
         start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("search.exact") as trace:
-            return drive(self.search_exact_steps(start, key, trace))
+        return self._traced("search.exact", self.search_exact_steps, start, key)
 
     def search_range(
         self, low: int, high: int, via: Optional[Address] = None
@@ -250,17 +260,20 @@ class OverlayNetwork(ABC):
         if low >= high:
             raise ValueError(f"empty query range [{low}, {high})")
         start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("search.range") as trace:
-            return drive(self.search_range_steps(start, low, high, trace))
+        return self._traced(
+            "search.range", self.search_range_steps, start, low, high
+        )
 
     def insert(self, key: int, via: Optional[Address] = None) -> "DataOpResult":
         """Route ``key`` to its owner and store it there."""
         start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("insert") as trace:
-            return drive(self.data_op_steps(start, key, MsgType.INSERT, trace))
+        return self._traced(
+            "insert", self.data_op_steps, start, key, MsgType.INSERT
+        )
 
     def delete(self, key: int, via: Optional[Address] = None) -> "DataOpResult":
         """Route to the owner of ``key`` and remove one occurrence of it."""
         start = via if via is not None else self.random_peer_address()
-        with self.bus.trace("delete") as trace:
-            return drive(self.data_op_steps(start, key, MsgType.DELETE, trace))
+        return self._traced(
+            "delete", self.data_op_steps, start, key, MsgType.DELETE
+        )

@@ -182,7 +182,7 @@ def _ingress(first: Address, steps: OpSteps) -> OpSteps:
     ``steps`` is built at admission, which runs no protocol code: a step
     generator does nothing until it is first resumed, here after the hop.
     """
-    yield Hop(None, first)
+    yield tuple.__new__(Hop, (None, first, 1.0))
     return (yield from steps)
 
 

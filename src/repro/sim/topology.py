@@ -56,6 +56,9 @@ class Hop(NamedTuple):
     wire crossed — topologies charge it the cheapest link).  ``size`` is an
     abstract message size in payload units; topologies with bandwidth add
     ``size / bandwidth`` serialization time on top of propagation delay.
+    The per-hop walks build theirs as ``tuple.__new__(Hop, (src, dst,
+    size))``, every field given, which skips NamedTuple's Python-level
+    ``__new__``.
     """
 
     src: Optional[Address]

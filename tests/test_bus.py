@@ -1,9 +1,11 @@
 """Unit tests for the message bus (repro.net)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.net.address import Address, AddressAllocator
-from repro.net.bus import MessageBus
+from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.util.errors import PeerNotFoundError
 
@@ -49,24 +51,6 @@ class TestAccounting:
         bus.send(Address(1), Address(2), MsgType.INSERT)
         assert bus.stats.total == 3
         assert bus.stats.by_type[MsgType.SEARCH] == 2
-        assert bus.stats.per_peer[Address(2)] == 2
-
-    def test_level_resolver_buckets_load(self):
-        bus = MessageBus()
-        for addr in (1, 2):
-            bus.register(Address(addr))
-        bus.set_level_resolver(lambda addr: {1: 0, 2: 3}.get(addr))
-        bus.send(Address(1), Address(2), MsgType.INSERT)
-        bus.send(Address(2), Address(1), MsgType.INSERT)
-        loads = bus.stats.level_load(MsgType.INSERT)
-        assert loads == {3: 1, 0: 1}
-
-    def test_level_load_filters_by_type(self):
-        bus = MessageBus()
-        bus.register(Address(1))
-        bus.set_level_resolver(lambda addr: 1)
-        bus.send(Address(1), Address(1), MsgType.SEARCH)
-        assert bus.stats.level_load(MsgType.INSERT) == {}
 
 
 class TestTraces:
@@ -92,6 +76,19 @@ class TestTraces:
         assert outer.total == 1
         assert inner.total == 1
 
+    def test_trace_is_slotted_and_counts_from_empty(self):
+        bus = MessageBus()
+        bus.register(Address(1))
+        trace = Trace("op")
+        assert not hasattr(trace, "__dict__")
+        assert trace.by_type == Counter() and trace.path == []
+        bus.push_trace(trace)
+        try:
+            bus.send(Address(1), Address(1), MsgType.SEARCH)
+        finally:
+            bus.pop_trace()
+        assert trace == Trace("op", 1, Counter({MsgType.SEARCH: 1}), [Address(1)])
+
     def test_trace_path_records_destinations(self):
         bus = MessageBus()
         for addr in (1, 2, 3):
@@ -106,14 +103,11 @@ class TestFunnel:
     def test_dead_destination_is_fully_counted_before_the_raise(self):
         bus = MessageBus()
         bus.register(Address(1))
-        bus.set_level_resolver(lambda addr: 2)
         with bus.trace("op") as trace:
             with pytest.raises(PeerNotFoundError):
                 bus.send(Address(1), Address(9), MsgType.SEARCH)
         assert bus.stats.total == 1
         assert bus.stats.by_type[MsgType.SEARCH] == 1
-        assert bus.stats.per_peer[Address(9)] == 1
-        assert bus.stats.level_load(MsgType.SEARCH) == {2: 1}
         assert trace.total == 1
         assert trace.by_type[MsgType.SEARCH] == 1
         assert trace.path == [Address(9)]

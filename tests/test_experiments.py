@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import harness, runall
 from repro.experiments import (
     fig8a_join_leave_find,
+    fig8f_access_load,
     fig8g_load_balancing,
     fig8h_shift_sizes,
 )
@@ -70,6 +71,20 @@ class TestFig8a:
     def test_rows(self, scale, membership_cells):
         result = fig8a_join_leave_find.GRID.assemble(scale, membership_cells)
         assert len(result.rows) == 3 * len(scale.sizes)
+
+
+class TestFig8f:
+    def test_loads_by_level_are_pinned(self):
+        # Every INSERT and SEARCH receipt of the measured streams, bucketed
+        # by the receiver's tree level at receipt.
+        out = fig8f_access_load.grid_cell(64, 0, 5, 40)
+        assert out["level_nodes"] == {0: 1, 1: 2, 2: 4, 3: 8, 4: 16, 5: 29, 6: 4}
+        assert out["insert_load"] == {
+            0: 8, 1: 28, 2: 37, 3: 94, 4: 177, 5: 265, 6: 31
+        }
+        assert out["search_load"] == {
+            0: 4, 1: 21, 2: 36, 3: 71, 4: 168, 5: 265, 6: 36
+        }
 
 
 class TestFig8h:

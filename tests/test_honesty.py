@@ -2,6 +2,7 @@
 no op may change a peer that no counted message reached."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core import BatonConfig, LoadBalanceConfig, check_invariants
 from repro.core import failure
 from repro.net.message import MsgType
 from repro.util.errors import ProtocolError
+from repro.util.stepper import drive
 
 from tests.honesty import unpaid_writes
 
@@ -100,3 +102,37 @@ def test_baton_parent_child_double_failure_repair_is_paid(seed):
             child = net.peer(mix.choice(net.addresses()))
         fail_and_repair(net, [child.address, child.parent.address])
         net.join()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_baton_replica_refresh_after_churn_is_paid(seed):
+    # Churn moves adjacents, so a refresh re-anchors a mirror and must
+    # pay for dropping the stale copy at the previous anchor.
+    net = overlays.get("baton").build(48, seed=seed, config=BatonConfig(replication=True))
+    mix = random.Random(seed)
+    net.bulk_load([mix.randrange(1, 10**9) for _ in range(480)])
+    net.refresh_replicas()
+    for _ in range(4):
+        for _ in range(5):
+            net.leave(net.random_peer_address())
+            net.join()
+        for address in net.addresses():
+            assert_paid(net, lambda: drive(net.replica_refresh_steps(address, None)), address)
+        # The stale copies are gone too: each stored key is mirrored once.
+        peers = net.peers.values()
+        mirrored = Counter(key for peer in peers for mirror in peer.replicas.values() for key in mirror)
+        assert mirrored == Counter(key for peer in peers for key in peer.store)
+    check_invariants(net)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_baton_multicast_and_subscribe_are_paid(seed):
+    net = overlays.get("baton").build(48, seed=seed)
+    mix = random.Random(seed)
+    for _ in range(60):
+        low = mix.randrange(net.domain.low, net.domain.high - 10**8)
+        high = low + mix.randrange(1, 10**8)
+        via = net.random_peer_address()
+        assert_paid(net, lambda: net.multicast(low, high, via=via), via)
+        subscriber = net.random_peer_address()
+        assert_paid(net, lambda: net.subscribe(subscriber, low, high), subscriber)

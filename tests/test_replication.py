@@ -373,11 +373,11 @@ class TestRefreshRidesTheReliableChannel:
         return anet.bus.stats.total - before
 
     def test_both_apis_survive_a_drop_everything_plan(self):
-        per_peer = self.refreshed(lambda anet: anet.submit_replica_refresh())
+        one_by_one = self.refreshed(lambda anet: anet.submit_replica_refresh())
         sweep = self.refreshed(
             lambda anet: [anet.submit_replica_refresh_sweep()]
         )
-        assert per_peer == sweep == 30
+        assert one_by_one == sweep == 30
 
 
 class TestReconcileAccounting:
