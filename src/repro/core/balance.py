@@ -154,14 +154,9 @@ def _shift_keys(
     else:
         moved = donor.store.split_below(boundary)
         handed, donor.range = low, high
-    receiver.store.extend(moved)
-    receiver.range = receiver.range.merge(handed)
-    if donor.subscriptions:
-        # The boundary moved: subscriptions covering the handed slice follow.
-        from repro.pubsub.subscribe import transfer_subscriptions
+    from repro.core.data import hand_over
 
-        transfer_subscriptions(net, donor, receiver)
-    net.bus.send(donor.address, receiver.address, MsgType.BALANCE)
+    hand_over(net, donor, receiver, moved, MsgType.BALANCE, range_=handed)
     # Both ranges changed: linkers of both peers must refresh.
     net.broadcast_update(donor, mtype=MsgType.TABLE_UPDATE)
     net.broadcast_update(receiver, mtype=MsgType.TABLE_UPDATE)
@@ -198,14 +193,13 @@ def _balance_by_rejoin(
     absorber = (victim.right_adjacent or victim.left_adjacent).address
     shift = 0
     if leave_protocol.can_depart_simply(victim):
-        detached = leave_protocol.depart_leaf(net, victim, absorber)
+        leave_protocol.depart_leaf(net, victim, absorber)
     else:
         shift += restructure_protocol.depart_with_restructure(net, victim, absorber)
-        detached = victim
     # ... and rejoins as a child of the overloaded peer, taking half its
     # content; forced restructuring may shift the tree again.
     side = LEFT if overloaded.child_on(LEFT) is None else RIGHT
-    shift += restructure_protocol.forced_add_child(net, overloaded, side, detached)
+    shift += restructure_protocol.forced_add_child(net, overloaded, side, victim)
     return shift
 
 

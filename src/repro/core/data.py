@@ -4,21 +4,25 @@ Both ride the exact-match routing; an insert that falls outside the covered
 domain reaches the leftmost (or rightmost) peer, which expands its range to
 cover the new key and spends an extra O(log N) round of routing-table
 updates — the special case called out in §IV-C.  Inserts may then trigger
-load balancing (§IV-D) at the receiving peer.
+load balancing (§IV-D) at the receiving peer.  Every key that changes
+owner moves through :func:`hand_over`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core import balance as balance_protocol
 from repro.core import replication
 from repro.core import search as search_protocol
+from repro.core.peer import BatonPeer
+from repro.core.ranges import Range
 from repro.core.results import DataOpResult
 from repro.net.address import Address
 from repro.net.bus import Trace
 from repro.net.message import MsgType
-from repro.util.errors import ProtocolError
+from repro.sim.topology import Hop
+from repro.util.errors import PeerNotFoundError, ProtocolError
 from repro.util.stepper import MessageSteps
 
 if TYPE_CHECKING:
@@ -78,7 +82,7 @@ def apply_steps(
             expand_extreme_range(net, owner, key)
         owner.store.insert(key)
         if net.config.replication:
-            yield from replication.replicate_insert_steps(net, owner, key)
+            yield from replication.write_through_steps(net, owner, key, True)
         if owner.subscriptions:
             from repro.pubsub.subscribe import notify_steps
 
@@ -86,8 +90,45 @@ def apply_steps(
         return True
     applied = owner.store.delete(key)
     if applied and net.config.replication:
-        yield from replication.replicate_delete_steps(net, owner, key)
+        yield from replication.write_through_steps(net, owner, key, False)
     return applied
+
+
+def hand_over(
+    net: "BatonNetwork", src: BatonPeer, dst: BatonPeer, keys: Sequence[int],
+    mtype: MsgType, *, range_: Optional[Range] = None,
+    sender: Optional[Address] = None, departing: bool = False,
+) -> List[Hop]:
+    """Move ``keys`` from ``src``'s store to ``dst``'s: the one way a key
+    changes owner (join split, forced join, leave, transplant, shift and
+    the repair's restore).
+
+    One counted ``mtype`` transfer from ``sender`` (``src`` unless a
+    repair's coordinator or a mirror's holder speaks for it; none to
+    itself); a ghost ``dst`` inside a repair is paid for and carries the
+    content into its own repair.  Then ``range_`` merges into ``dst``'s,
+    the keys land in its store, the subscription entries covering them
+    follow (a table ``dst`` already shares needs none) and, with
+    replication on, so do the mirrors (``departing``: ``src`` leaves).
+    Returns the sized ``REPLICATE`` hops of that mirror upkeep
+    (:func:`repro.core.replication.follow_hand_over`).
+    """
+    sender = src.address if sender is None else sender
+    if sender != dst.address:
+        try:
+            net.bus.send(sender, dst.address, mtype)
+        except PeerNotFoundError:
+            pass
+    if range_ is not None:
+        dst.range = dst.range.merge(range_)
+    dst.store.extend(keys)
+    if src.subscriptions and src.subscriptions is not dst.subscriptions:
+        from repro.pubsub.subscribe import transfer_subscriptions
+
+        transfer_subscriptions(net, src, dst)
+    if not net.config.replication:
+        return []
+    return replication.follow_hand_over(net, src, dst, keys, sender, departing)
 
 
 def expand_extreme_range(net: "BatonNetwork", owner, key: int) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.core.data import hand_over
 from repro.core.ids import ROOT
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
@@ -359,15 +360,7 @@ def add_child(
     else:
         peer.move_to(child_position)
         peer.range = child_range
-    peer.store.extend(moved_keys)
-
     net.register_peer(peer)
-    if parent.subscriptions:
-        # Subscription entries covering the handed-off half travel with it.
-        from repro.pubsub.subscribe import transfer_subscriptions
-
-        transfer_subscriptions(net, parent, peer)
-    net.bus.send(parent.address, peer.address, MsgType.JOIN_TRANSFER)
 
     # --- parent/child links ------------------------------------------------
     parent.set_child(side, peer.snapshot())
@@ -383,6 +376,7 @@ def add_child(
         peer.right_adjacent = far_adjacent
         peer.left_adjacent = parent.snapshot()
         parent.right_adjacent = peer.snapshot()
+    hand_over(net, parent, peer, moved_keys, MsgType.JOIN_TRANSFER)
     if far_adjacent is not None:
         # The one message the new node itself sends (the paper's "+1").
         try_message(net, peer.address, far_adjacent.address, MsgType.TABLE_UPDATE)

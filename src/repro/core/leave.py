@@ -14,8 +14,9 @@ linked to it (≤ 8·log N messages).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
+from repro.core.data import hand_over
 from repro.core.join import try_message
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
@@ -61,8 +62,9 @@ def leave_steps(
       then, but raises at once when driven synchronously (``degraded is
       None``): the same links would dead-end again, and the peer stays in
       the overlay untouched;
-    * the key handovers are sized hops after the atomic surgery, so a
-      bandwidth-limited link charges for every key.
+    * the key handovers, and with replication on the ``REPLICATE``
+      messages that keep the mirrors exact, are sized hops after the
+      atomic surgery, so a bandwidth-limited link charges for every key.
     """
     for _attempt in range(8):
         departing = net.peer(address)  # raises if the peer already vanished
@@ -75,7 +77,7 @@ def leave_steps(
         net.updates.drain(address)
         if can_depart_simply(departing):
             handovers = [_handover_hop(departing, departing.parent.address)]
-            depart_leaf(net, departing)
+            handovers += depart_leaf(net, departing)
             break
         replacement_address = yield from find_replacement_steps(net, departing)
         if replacement_address is None and degraded is None:
@@ -104,11 +106,11 @@ def leave_steps(
             _handover_hop(replacement, replacement.parent.address),
             _handover_hop(departing, replacement_address),
         ]
-        depart_leaf(net, replacement)
+        handovers += depart_leaf(net, replacement)
         # Refreshes emitted by the departure itself can target the
         # departing peer; they must land before its state is handed over.
         net.updates.drain(address)
-        transplant(net, departing, replacement)
+        handovers += transplant(net, departing, replacement)
         break
     else:
         raise ProtocolError(f"leave of address {address} kept losing races")
@@ -125,8 +127,9 @@ def leave_steps(
 
 def _handover_hop(peer: BatonPeer, receiver: Address) -> Hop:
     """A departing peer's bulk transfer, sized by its keys plus any
-    subscription entries the receiver inherits (never free)."""
-    size = float(max(1, len(peer.store) + len(peer.subscriptions or ())))
+    subscription entries and mirrors the receiver inherits (never free)."""
+    carried = sum(map(len, peer.replicas.values()))
+    size = float(max(1, len(peer.store) + len(peer.subscriptions or ()) + carried))
     return Hop(peer.address, receiver, size=size)
 
 
@@ -246,14 +249,14 @@ def depart_leaf(
     leaf: BatonPeer,
     absorber: Optional[Address] = None,
     coordinator: Optional[Address] = None,
-) -> BatonPeer:
+) -> List[Hop]:
     """Remove a safely-departing leaf from the overlay.
 
     The peer at ``absorber`` takes the leaf's range and keys: the parent by
     default (the standard graceful leave), an adjacent for §IV-D's rejoin
     hand-off.  The parent hears once, whichever role names it: an absorber
     that *is* the parent gets one LEAVE_TRANSFER and one broadcast round.
-    Returns the detached peer object (links cleared, address retained).
+    Returns the hand-over's mirror hops (:func:`repro.core.data.hand_over`).
 
     A repair names its ``coordinator``, which runs the departure on the
     dead peer's behalf (:mod:`repro.core.failure`): the coordinator sends
@@ -268,8 +271,10 @@ def depart_leaf(
     parent = _holder(net, leaf.parent.address, coordinator)
     side = LEFT if leaf.position.is_left_child else RIGHT
 
-    grown = hand_over_content(
-        net, leaf, parent.address if absorber is None else absorber, coordinator
+    grown = parent if absorber is None else _holder(net, absorber, coordinator)
+    hops = hand_over(
+        net, leaf, grown, leaf.store.clear(), MsgType.LEAVE_TRANSFER,
+        range_=leaf.range, sender=sender, departing=True,
     )
     if grown is not parent:
         # An adjacent absorber's linkers must hear of its grown range, and
@@ -310,7 +315,7 @@ def depart_leaf(
     detached.parent = None
     detached.left_adjacent = None
     detached.right_adjacent = None
-    return detached
+    return hops
 
 
 def _holder(
@@ -330,51 +335,22 @@ def _tell(
     return receiver == sender or try_message(net, sender, receiver, mtype)
 
 
-def hand_over_content(
-    net: "BatonNetwork",
-    leaf: BatonPeer,
-    absorber_address: Address,
-    coordinator: Optional[Address] = None,
-) -> BatonPeer:
-    """Transfer the departing leaf's range, keys and subscriptions to the
-    peer at ``absorber_address`` (one LEAVE_TRANSFER, from a repair's
-    ``coordinator`` when one runs the departure); returns that peer.
-
-    Inside a repair the absorber may be a ghost: the message is paid and
-    lost, and the ghost carries the content into its own repair.
-    Who then tells the absorber's linkers is the caller's call: a parent
-    absorber's broadcast is the departure's own (:func:`depart_leaf`).
-    """
-    absorber = _holder(net, absorber_address, coordinator)
-    sender = leaf.address if coordinator is None else coordinator
-    _tell(net, sender, absorber_address, MsgType.LEAVE_TRANSFER)
-    absorber.range = absorber.range.merge(leaf.range)
-    absorber.store.extend(leaf.store.clear())
-    if leaf.subscriptions:
-        # Subscription entries ride the same handover as the keys.
-        from repro.pubsub.subscribe import transfer_subscriptions
-
-        transfer_subscriptions(net, leaf, absorber)
-    return absorber
-
-
 def transplant(
     net: "BatonNetwork",
     departing: BatonPeer,
     replacement: BatonPeer,
     coordinator: Optional[Address] = None,
-) -> None:
+) -> List[Hop]:
     """The replacement peer assumes the departing peer's position.
 
     The logical position, range and content stay put; only the physical
     address changes, so every linker of the departing node is told to
     repoint (§III-B's ≤ 8·log N message budget).  The hand-over comes from
     the departing peer, or from a repair's ``coordinator`` when the
-    departing peer is a ghost.
+    departing peer is a ghost.  Returns the hand-over's mirror hops.
     """
     replacement.position = departing.position
     replacement.range = departing.range
-    replacement.store = departing.store
     replacement.parent = departing.parent
     replacement.left_child = departing.left_child
     replacement.right_child = departing.right_child
@@ -388,10 +364,14 @@ def transplant(
     replacement.seen_messages = departing.seen_messages
 
     net.register_peer(replacement)
+    hops = hand_over(
+        net, departing, replacement, departing.store.clear(),
+        MsgType.LEAVE_TRANSFER, departing=True,
+        sender=departing.address if coordinator is None else coordinator,
+    )
     net.unregister_peer(departing.address)
-    sender = departing.address if coordinator is None else coordinator
-    _tell(net, sender, replacement.address, MsgType.LEAVE_TRANSFER)
     _announce_replacement(net, departing.address, replacement)
+    return hops
 
 
 def _announce_replacement(

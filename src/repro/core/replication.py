@@ -10,10 +10,10 @@ dead peer's range.
 
 Consistency model (the "Durability contract" in DESIGN.md): write-through
 for inserts and deletes (one extra :attr:`~repro.net.message.MsgType.REPLICATE`
-message per update), plus an explicit anti-entropy pass
+message per update), mirrors that follow every key hand-over
+(:func:`follow_hand_over`), plus an explicit anti-entropy pass
 (``BatonNetwork.refresh_replicas``: :func:`refresh_peer_steps` for every
-peer) that re-anchors each peer's mirror at its current adjacent after
-membership changes move ranges between peers.  That
+peer) that re-anchors each peer's mirror at its current adjacent.  That
 mirrors how such schemes deploy in practice: cheap incremental upkeep with
 a periodic full sweep.  A replica restored after heavy un-refreshed churn
 is best-effort: restoration filters to the dead peer's final range so
@@ -36,7 +36,7 @@ Enable with ``BatonConfig(replication=True)``.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.peer import BatonPeer
 from repro.net.address import Address
@@ -49,8 +49,13 @@ if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
 
 
-def replica_holder(net: "BatonNetwork", peer: BatonPeer) -> Optional[BatonPeer]:
+def replica_holder(
+    net: "BatonNetwork", peer: BatonPeer, gone: Optional[BatonPeer] = None
+) -> Optional[BatonPeer]:
     """The live peer mirroring ``peer``'s store (right adjacent, else left).
+
+    ``gone``, a peer leaving the in-order list, is never picked: the
+    adjacent it leaves behind on its side stands in, as after the splice.
 
     With region-diverse placement on (``LocalityConfig.replica_diversity``
     and a region-aware topology — default off) and the adjacent pick in the
@@ -59,8 +64,14 @@ def replica_holder(net: "BatonNetwork", peer: BatonPeer) -> Optional[BatonPeer]:
     (DESIGN.md, "Locality contract").  Falls back to the adjacent pick when
     every link is same-region.
     """
+    skip = gone.address if gone is not None else None
+    right, left = peer.right_adjacent, peer.left_adjacent
+    if right is not None and right.address == skip:
+        right = gone.right_adjacent
+    if left is not None and left.address == skip:
+        left = gone.left_adjacent
     first: Optional[BatonPeer] = None
-    for info in (peer.right_adjacent, peer.left_adjacent):
+    for info in (right, left):
         if info is not None and info.address in net.peers:
             first = net.peers[info.address]
             break
@@ -75,66 +86,120 @@ def replica_holder(net: "BatonNetwork", peer: BatonPeer) -> Optional[BatonPeer]:
     if region_of(first.address) != home:
         return first  # the adjacent pick is already diverse
     for _, info in peer.iter_links():
-        if info.address in net.peers and region_of(info.address) != home:
-            return net.peers[info.address]
+        address = info.address
+        if address in net.peers and address != skip and region_of(address) != home:
+            return net.peers[address]
     return first
 
 
-def _write_target(net: "BatonNetwork", owner: BatonPeer) -> Optional[BatonPeer]:
-    """Where a write-through goes: the recorded anchor while it is live,
-    else the current adjacent (which becomes the new anchor)."""
-    if owner.replica_anchor is not None:
-        anchored = net.peers.get(owner.replica_anchor)
-        if anchored is not None:
-            return anchored
-    return replica_holder(net, owner)
+def _write_target(
+    net: "BatonNetwork", owner: BatonPeer, gone: Optional[BatonPeer] = None
+) -> Optional[BatonPeer]:
+    """Where ``owner``'s mirror lives: its anchor while live (and not
+    ``gone``), else its current holder."""
+    anchor = owner.replica_anchor
+    if anchor in net.peers and (gone is None or anchor != gone.address):
+        return net.peers[anchor]
+    return replica_holder(net, owner, gone)
 
 
-def replicate_insert_steps(
-    net: "BatonNetwork", owner: BatonPeer, key: int
+def _edit(holder: BatonPeer, owner: Address, add=(), drop=()) -> None:
+    """Drop one occurrence of each ``drop`` key from ``owner``'s mirror at
+    ``holder``, then add ``add``."""
+    replicas = holder.replicas
+    mirror = replicas.setdefault(owner, []) if add else replicas.get(owner, [])
+    for key in drop:
+        if key in mirror:
+            mirror.remove(key)
+    mirror.extend(add)
+
+
+def write_through_steps(
+    net: "BatonNetwork", owner: BatonPeer, key: int, inserted: bool
 ) -> MessageSteps:
-    """Write-through one inserted key to the owner's replica holder.
+    """Write one inserted (or deleted) key through to the owner's mirror:
+    one REPLICATE, applied when its hop lands — also if the owner crashed
+    meanwhile (its repair restores what it stored), but not if the holder
+    vanished or the owner left (its hand-over moved the mirror)."""
+    holder = _write_target(net, owner)
+    if holder is None:
+        return False
+    try:
+        net.bus.send(owner.address, holder.address, MsgType.REPLICATE)
+    except PeerNotFoundError:
+        return False
+    owner.replica_anchor = holder.address
+    yield Hop(owner.address, holder.address)
+    now = net.peers.get(owner.address) or net.ghosts.get(owner.address)
+    if net.peers.get(holder.address) is not holder or now is not owner:
+        return False
+    _edit(holder, owner.address, [key] if inserted else (), () if inserted else [key])
+    return True
 
-    One REPLICATE message, one hop.  The mirror is applied at the holder
-    *after* the hop lands; if either end vanishes in transit the update is
-    dropped (the message was still paid for) and the next refresh heals it.
+
+def follow_hand_over(
+    net: "BatonNetwork", src: BatonPeer, dst: BatonPeer, keys: Sequence[int],
+    sender: Address, departing: bool,
+) -> List[Hop]:
+    """Keep the mirrors exact, at once, as :func:`repro.core.data.hand_over`
+    moves ``keys`` from ``src`` to ``dst``.
+
+    The keys leave ``src``'s mirror (a departing ``src``'s goes whole) and
+    join ``dst``'s.  A departing ``src``'s ``replicas`` travel with its
+    range, whose taker is those owners' next adjacent: ``dst``'s own goes
+    to ``dst``'s holder, and each other owner hears of its new anchor.  A
+    ghost ``src``'s mirror is what its repair restores; a ghost ``dst``
+    (the slot a repair transplants into) takes none, so ``src`` keeps its.
+    One REPLICATE per other peer changed — from ``dst`` for its own new
+    keys, else from ``sender`` — sized by the keys it carries; what
+    ``sender`` has for ``dst`` rides the transfer.  Returns their hops.
     """
-    holder = _write_target(net, owner)
-    if holder is None:
-        return False
-    try:
-        net.bus.send(owner.address, holder.address, MsgType.REPLICATE)
-    except PeerNotFoundError:
-        return False
-    owner.replica_anchor = holder.address
-    yield Hop(owner.address, holder.address)
-    target = net.peers.get(holder.address)
-    if target is not holder or net.peers.get(owner.address) is not owner:
-        return False
-    target.replicas.setdefault(owner.address, []).append(key)
-    return True
+    live = net.peers
+    src_live = live.get(src.address) is src
+    sends: Dict[Address, list] = {}
 
+    def tell(origin: Address, receiver: BatonPeer, carried: int = 0) -> None:
+        if receiver.address != origin and (origin != sender or receiver is not dst):
+            sends.setdefault(receiver.address, [origin, 0])[1] += carried
 
-def replicate_delete_steps(
-    net: "BatonNetwork", owner: BatonPeer, key: int
-) -> MessageSteps:
-    """Write-through one deleted key to the owner's replica holder."""
-    holder = _write_target(net, owner)
-    if holder is None:
-        return False
-    try:
-        net.bus.send(owner.address, holder.address, MsgType.REPLICATE)
-    except PeerNotFoundError:
-        return False
-    owner.replica_anchor = holder.address
-    yield Hop(owner.address, holder.address)
-    target = net.peers.get(holder.address)
-    if target is not holder:
-        return False
-    mirror = target.replicas.get(owner.address)
-    if mirror is not None and key in mirror:
-        mirror.remove(key)
-    return True
+    holder = live.get(src.replica_anchor) if src_live else None
+    if holder is not None and departing:
+        if holder.replicas.pop(src.address, None) is not None:
+            tell(sender, holder)
+    elif holder is not None and keys:
+        _edit(holder, src.address, drop=keys)
+        tell(sender, holder)
+    gone = src if departing and src_live else None
+    if gone is not None:
+        src.replica_anchor = None
+    if live.get(dst.address) is dst:
+        held: Dict[Address, List[int]] = {}
+        if gone is not None:
+            held, src.replicas = src.replicas, {}
+        own = held.pop(dst.address, [])
+        target = _write_target(net, dst, gone) if keys or own else None
+        if target is not None:
+            _edit(target, dst.address, add=own + list(keys))
+            dst.replica_anchor = target.address
+            if own:
+                tell(sender, target, len(own))
+            tell(dst.address, target, len(keys))
+        for owner_address, mirror in held.items():
+            if mirror:  # an empty mirror may start anywhere
+                _edit(dst, owner_address, add=mirror)
+                tell(sender, dst, len(mirror))
+                owner = live.get(owner_address)
+                if owner is not None:  # a dead owner's waits for its repair
+                    owner.replica_anchor = dst.address
+                    tell(sender, owner)
+    hops: List[Hop] = []
+    for receiver, (origin, carried) in sends.items():
+        try:
+            net.bus.send(origin, receiver, MsgType.REPLICATE)
+        except PeerNotFoundError:
+            continue
+        hops.append(Hop(origin, receiver, size=float(max(1, carried))))
+    return hops
 
 
 def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
@@ -189,14 +254,16 @@ def restore_from_replica_steps(
 ) -> MessageSteps:
     """During repair, pull the dead peer's mirrored keys into ``absorber``.
 
-    Three priced steps: the absorber's request to the mirror's holder (one
-    message), the bulk reply carrying the mirror (one message, ``Hop.size``
-    = number of keys), and the batched onward re-mirror of the recovered
-    keys at the absorber's own replica holder (one sized message).  Only
-    keys inside the absorber's (already merged) range are restored so the
-    store-containment invariant cannot regress on stale replicas.  Returns
-    the number of keys recovered.
+    The absorber's request to the mirror's holder (one message), then the
+    bulk reply carrying the mirror (one message, ``Hop.size`` = number of
+    keys) as the key hand-over (:func:`repro.core.data.hand_over`) from the
+    dead peer, which re-mirrors the recovered keys at the absorber's own
+    holder (one sized message).  Only keys inside the absorber's (already
+    merged) range are restored so the store-containment invariant cannot
+    regress on stale replicas.  Returns the number of keys recovered.
     """
+    from repro.core.data import hand_over
+
     holder = _find_replica_holder(net, ghost)
     if holder is None:
         return 0
@@ -210,31 +277,14 @@ def restore_from_replica_steps(
     yield Hop(absorber.address, holder.address)
     if net.peers.get(holder.address) is not holder:
         return 0  # the mirror died with its holder mid-request
-    try:
-        net.bus.send(holder.address, absorber.address, MsgType.RESPONSE)
-    except PeerNotFoundError:
-        return 0
-    yield Hop(holder.address, absorber.address, size=float(len(mirror)))
     if net.peers.get(absorber.address) is not absorber:
-        return 0  # the absorber vanished before the bulk reply landed
+        return 0  # the absorber vanished before the bulk reply was sent
     recovered = [key for key in mirror if absorber.range.contains(key)]
-    absorber.store.extend(recovered)
-    if not recovered:
-        return 0
-    # The recovered keys now live at the absorber: mirror them onward as
-    # one batched, sized transfer.
-    onward = _write_target(net, absorber)
-    if onward is None:
-        return len(recovered)
-    try:
-        net.bus.send(absorber.address, onward.address, MsgType.REPLICATE)
-    except PeerNotFoundError:
-        return len(recovered)
-    absorber.replica_anchor = onward.address
-    yield Hop(absorber.address, onward.address, size=float(len(recovered)))
-    target = net.peers.get(onward.address)
-    if target is onward and net.peers.get(absorber.address) is absorber:
-        target.replicas.setdefault(absorber.address, []).extend(recovered)
+    hops = hand_over(
+        net, ghost, absorber, recovered, MsgType.RESPONSE, sender=holder.address
+    )
+    yield Hop(holder.address, absorber.address, size=float(len(mirror)))
+    yield from hops
     return len(recovered)
 
 
@@ -244,8 +294,10 @@ def _find_replica_holder(
     """Locate whoever holds the dead peer's mirror.
 
     The ghost's recorded anchor and adjacent links name the holder
-    directly; after concurrent churn they may be stale, so fall back to
-    scanning (test-scale networks only pay this on the rare stale path).
+    directly: a departing holder hands the mirrors it holds to its range's
+    taker, the owners' next adjacent.  The anchor of an owner that was
+    already dead then cannot follow (no message reaches it), and after
+    concurrent churn the links may be stale, so fall back to scanning.
     """
     candidates: list[Optional[Address]] = [ghost.replica_anchor]
     for info in (ghost.right_adjacent, ghost.left_adjacent):

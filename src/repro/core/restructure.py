@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from typing import Container, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.core.data import hand_over
 from repro.core.ids import Position
 from repro.core.join import add_child, split_for_child
-from repro.core.leave import can_depart_simply, hand_over_content
+from repro.core.leave import can_depart_simply
 from repro.core.links import LEFT, RIGHT, ROW_DISTANCES, NodeInfo, RoutingTable, new_tuple
 from repro.core.peer import BatonPeer
 from repro.net.address import Address
@@ -415,7 +416,6 @@ def forced_add_child(
     # for internal anchors too — occupants shuffle between slots while the
     # slots keep their subtrees.
     peer.range, moved_keys = split_for_child(parent, side)
-    peer.store.extend(moved_keys)
 
     # Plan both shift directions; prefer a safely-parked chain, then the
     # shorter one — the paper's shifts stay short because "suitable spots"
@@ -427,7 +427,7 @@ def forced_add_child(
     plans.sort(key=lambda plan: (not plan[2], len(plan[0])))
     displaced, parking, _safe = plans[0]
     apply_insert_chain(net, peer, displaced, parking)
-    net.bus.send(parent.address, peer.address, MsgType.JOIN_TRANSFER)
+    hand_over(net, parent, peer, moved_keys, MsgType.JOIN_TRANSFER)
     # The anchor's range shrank in the split; when it was not itself moved
     # by the chain its linkers still hold the old range.
     net.broadcast_update(parent)
@@ -440,13 +440,17 @@ def depart_with_restructure(
     """Remove ``leaf`` even though its departure is not balance-safe.
 
     Its range/content go to the peer at ``absorber`` (see
-    :func:`repro.core.leave.hand_over_content`), whose linkers hear of its
+    :func:`repro.core.data.hand_over`), whose linkers hear of its
     grown range; the vacated slot is filled by an in-order shift.  Returns
     the number of peers shifted.
     """
     if not leaf.is_leaf:
         raise ProtocolError("only leaves depart via restructuring")
-    grown = hand_over_content(net, leaf, absorber)
+    grown = net.peer(absorber)
+    hand_over(
+        net, leaf, grown, leaf.store.clear(), MsgType.LEAVE_TRANSFER,
+        range_=leaf.range, departing=True,
+    )
     net.broadcast_update(grown, exclude={leaf.address})
     vacated = leaf.position
     predecessor = leaf.left_adjacent

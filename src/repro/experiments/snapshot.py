@@ -29,7 +29,8 @@ Keying and safety:
 The cache is off unless :func:`configure` enables it (the experiment
 CLIs do; library callers opt in).  ``REPRO_SNAPSHOT_CACHE=0`` is a
 global kill switch, ``REPRO_SNAPSHOT_DIR`` overrides the on-disk
-location (default ``~/.cache/repro/snapshots``, XDG-aware).  Pool
+location (default ``~/.cache/repro/snapshots``, XDG-aware; each schema
+keeps its own ``v<schema>`` directory there).  Pool
 workers inherit the parent's settings via :func:`exported_config` /
 :func:`apply_config` (see ``experiments/parallel.py``).
 """
@@ -40,6 +41,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
@@ -67,7 +69,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #:    ``build_baton_equalized``'s, need not name the config).
 #: 8: ``MessageBus`` has no level resolver, ``TrafficStats`` holds ``total``
 #:    and ``by_type`` only, and ``Trace`` is slotted.
-SNAPSHOT_SCHEMA = 8
+#: 9: a join mirrors the keys it hands over; snapshots live under
+#:    ``<root>/v<schema>/``, and :func:`configure` removes other schemas'.
+SNAPSHOT_SCHEMA = 9
 
 #: Length of the digest that precedes every stored pickle.
 DIGEST_BYTES = hashlib.sha256().digest_size
@@ -134,11 +138,16 @@ def configure(
     if os.environ.get("REPRO_SNAPSHOT_CACHE", "").strip() == "0":
         enabled = False
     _enabled = bool(enabled)
-    _root = Path(root) if root is not None else (
+    base = Path(root) if root is not None else (
         default_root() if _enabled else None
     )
+    _root = base / f"v{SNAPSHOT_SCHEMA}" if base is not None else None
     _memory.clear()
     stats.reset()
+    # No build of this schema reads another schema's directory again.
+    for stale in base.glob("v*") if _enabled and base is not None else ():
+        if stale.name[1:].isdigit() and stale != _root:
+            shutil.rmtree(stale, ignore_errors=True)
 
 
 def enabled() -> bool:

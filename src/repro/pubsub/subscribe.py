@@ -13,9 +13,9 @@ applied once (:mod:`repro.pubsub.state`).
 Subscription tables are *owner state tied to the range, not the peer*:
 every restructure that moves keys must move the overlapping subscription
 entries with them, or notifications silently stop after a leave or a load
-balance.  :func:`transfer_subscriptions` is that hook — the join split,
-the leave handover and the balance key-shift all call it alongside their
-key movement, and the handover hops are sized to include the entries
+balance.  :func:`transfer_subscriptions` is that hook — the one key
+hand-over (:func:`repro.core.data.hand_over`) calls it alongside the key
+movement, and the handover hops are sized to include the entries
 carried (DESIGN.md, "Dissemination contract").  Crash *loses* the owner's
 entries like it loses its keys: subscriptions are soft state, and
 durability for them is out of scope (re-subscribe is the recovery).
@@ -157,7 +157,7 @@ def transfer_subscriptions(
 ) -> int:
     """Re-home subscription entries after keys moved from source to target.
 
-    Called by the join split, the leave handover and the balance shift
+    Called by the key hand-over (:func:`repro.core.data.hand_over`)
     *after* the ranges have been updated: every source entry overlapping
     the target's new range is copied over (an entry spanning both ranges
     legitimately lives at both owners), and entries that no longer overlap

@@ -10,6 +10,12 @@ it — an *unpaid write*.  A peer the op creates is its subject.
 The op's entry peer counts as reached: the client leg that hands it the
 operation (a join's contact, an insert's entry point, a repair's
 coordinator) is not on the bus.
+
+Mirrors (the replication extension's ``replicas`` and ``replica_anchor``)
+are held to a stricter rule: a mirror is written (a new entry, an entry's
+keys changed, a new anchor) only at a peer that sent or received a
+``REPLICATE`` or a key hand-over's transfer, whose mirrors ride it.
+Dropping them (a departing peer's) falls under the plain rule above.
 """
 
 from __future__ import annotations
@@ -20,6 +26,14 @@ from typing import Callable, Iterator, List, Optional
 from repro.core.links import RoutingTable
 from repro.core.storage import LocalStore
 from repro.net.address import Address
+from repro.net.message import MsgType
+
+#: What may carry a mirror edit: a write-through, refresh or hand-over
+#: ``REPLICATE``, or a key hand-over's transfer.
+MIRROR_CARRIERS = {
+    MsgType.REPLICATE, MsgType.JOIN_TRANSFER, MsgType.LEAVE_TRANSFER,
+    MsgType.BALANCE, MsgType.RESPONSE,
+}
 
 
 def population(net) -> dict:
@@ -41,16 +55,27 @@ def _value(value):
     return repr(value)
 
 
+def _mirrors(peer) -> dict:
+    """A peer's mirrors (owner -> sorted keys) and where its own lives."""
+    held = {owner: tuple(sorted(keys)) for owner, keys in getattr(peer, "replicas", {}).items()}
+    anchor = getattr(peer, "replica_anchor", None)
+    return held if anchor is None else {**held, "anchor": anchor}
+
+
 @contextmanager
 def audit(net, entry: Optional[Address] = None) -> Iterator[List[Address]]:
     """Audit the synchronous op run inside the ``with`` block: the list it
     yields holds the op's unpaid writes once the block exits."""
     before = {address: digest(peer) for address, peer in population(net).items()}
+    mirrors = {a: _mirrors(p) for a, p in population(net).items()}
     reached = {entry}
+    carried = {entry}
     send = net.bus.send
 
     def recording(src, dst, mtype):
         reached.add(dst)
+        if mtype in MIRROR_CARRIERS:
+            carried.update((src, dst))
         return send(src, dst, mtype)
 
     net.bus.send = recording
@@ -64,8 +89,10 @@ def audit(net, entry: Optional[Address] = None) -> Iterator[List[Address]]:
             address
             for address, peer in population(net).items()
             if address in before
-            and address not in reached
-            and before[address] != digest(peer)
+            and (
+                (address not in reached and before[address] != digest(peer))
+                or (address not in carried and _mirrors(peer).items() - mirrors[address].items())
+            )
         )
     )
 

@@ -55,7 +55,7 @@ def _baton_parts(n_peers: int, seed: int, data_per_node: int) -> dict:
 
 def _snapshot_file(root, parts: dict):
     """Where the disk tier under ``root`` stores the snapshot for ``parts``."""
-    return root / f"{snapshot.fingerprint(parts)}.snap"
+    return root / f"v{snapshot.SNAPSHOT_SCHEMA}" / f"{snapshot.fingerprint(parts)}.snap"
 
 
 def _drive_report(net, n_peers: int, seed: int, data_per_node: int):
@@ -191,6 +191,30 @@ def test_stale_schema_falls_back_to_clean_build(cache):
     assert snapshot.stats.stale == 1
     assert snapshot.stats.misses == 1
     check_invariants(net)
+
+
+def test_schema_bump_removes_older_schema_directories(cache, monkeypatch):
+    """Snapshots live under ``v<schema>/``; opening the cache after a
+    schema bump removes the older schemas' directories and nothing else."""
+    parts = _baton_parts(40, 8, 5)
+    build_baton(40, 8, 5)
+    old_dir = _snapshot_file(cache, parts).parent
+    assert old_dir.name == f"v{snapshot.SNAPSHOT_SCHEMA}"
+    assert any(old_dir.glob("*.snap")) and any(old_dir.glob("*.lock"))
+    keep = [cache / "notes.txt", cache / "vault", cache / "v9x", cache / "v-1"]
+    keep[0].write_text("not a schema")
+    for directory in keep[1:]:
+        directory.mkdir()
+    monkeypatch.setattr(snapshot, "SNAPSHOT_SCHEMA", snapshot.SNAPSHOT_SCHEMA + 1)
+    snapshot.configure(enabled=True, root=cache)
+    assert not old_dir.exists()
+    assert all(path.exists() for path in keep)
+    build_baton(40, 8, 5)  # stale by schema: a miss, stored under the new one
+    assert snapshot.stats.misses == 1
+    assert _snapshot_file(cache, parts).exists()
+    assert sorted(p.name for p in cache.iterdir() if p.is_dir()) == sorted(
+        ["vault", "v9x", "v-1", f"v{snapshot.SNAPSHOT_SCHEMA}"]
+    )
 
 
 def test_kill_switch_disables_cache(cache, monkeypatch):
