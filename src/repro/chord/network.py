@@ -282,7 +282,7 @@ class ChordNetwork(OverlayNetwork):
             else:
                 next_hop = successor
             send(current, next_hop, mtype)
-            yield tuple.__new__(Hop, (current, next_hop, 1.0))
+            yield tuple.__new__(Hop, (current, next_hop))
             current = next_hop
         raise ProtocolError(f"chord lookup for {target_id} did not terminate")
 
@@ -294,7 +294,7 @@ class ChordNetwork(OverlayNetwork):
         successor = self.node(predecessor).successor
         if successor != predecessor:
             self.bus.send(predecessor, successor, mtype)
-            yield tuple.__new__(Hop, (predecessor, successor, 1.0))
+            yield tuple.__new__(Hop, (predecessor, successor))
         return successor
 
     # -- join helpers -------------------------------------------------------------
@@ -418,16 +418,13 @@ class ChordNetwork(OverlayNetwork):
         """Hand keys over, repoint the ring (atomic), then repair fingers."""
         successor = node.successor
         succ = self.node(successor)
-        moved = len(node.store)
         self.bus.send(node.address, successor, MsgType.LEAVE_TRANSFER)
         succ.store.extend(node.store.clear())
         succ.predecessor = node.predecessor
         if node.predecessor is not None and node.predecessor in self.nodes:
             self.bus.send(node.address, node.predecessor, MsgType.LEAVE_TRANSFER)
             self.nodes[node.predecessor].successor = successor
-        # The handover hop carries the departing node's whole store, so
-        # bandwidth-limited topologies charge it by payload.
-        yield Hop(node.address, successor, size=float(max(moved, 1)))
+        yield Hop(node.address, successor)
         yield from self.repoint_fingers_steps(node)
         if self.nodes.get(node.address) is node:
             del self.nodes[node.address]
@@ -511,7 +508,7 @@ class ChordNetwork(OverlayNetwork):
                 self.bus.send(current, successor, MsgType.RANGE_SEARCH)
             except PeerNotFoundError:
                 break  # dead successor: partial answer
-            yield tuple.__new__(Hop, (current, successor, 1.0))
+            yield tuple.__new__(Hop, (current, successor))
             current = successor
         return RangeSearchResult(
             owners=owners, keys=sorted(keys), trace=trace, complete=complete

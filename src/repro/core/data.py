@@ -110,7 +110,7 @@ def hand_over(
     the keys land in its store, the subscription entries covering them
     follow (a table ``dst`` already shares needs none) and, with
     replication on, so do the mirrors (``departing``: ``src`` leaves).
-    Returns the sized ``REPLICATE`` hops of that mirror upkeep
+    Returns the ``REPLICATE`` hops of that mirror upkeep
     (:func:`repro.core.replication.follow_hand_over`).
     """
     sender = src.address if sender is None else sender

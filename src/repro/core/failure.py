@@ -21,7 +21,7 @@ Repair is written as a step generator (:func:`repair_steps`) so the
 event-driven runtime can price it: the structural surgery runs as one
 atomic segment (no other operation can observe a half-repaired tree), and
 — when the replication extension is enabled — the replica pull that
-restores the dead peer's keys follows as sized, per-link hops
+restores the dead peer's keys follows as per-link hops
 (:func:`repro.core.replication.restore_from_replica_steps`).  Both
 facades run it through ``BatonNetwork.repair_steps``: the synchronous
 ``BatonNetwork.repair`` drives it to exhaustion.
@@ -99,7 +99,7 @@ def repair_steps(
     The coordinator lookup, table regeneration and structural surgery all
     run in the first segment — between submission and the first yield no
     other operation can observe a half-repaired tree.  The only yielded
-    hops are the replication extension's replica pull (request, sized bulk
+    hops are the replication extension's replica pull (request, bulk
     reply, batched onward re-mirror), so under the event-driven runtime
     recovery *latency* includes the wire time of moving the dead peer's
     data, while the tree itself is whole from the moment the repair runs.

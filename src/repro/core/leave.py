@@ -63,8 +63,8 @@ def leave_steps(
       None``): the same links would dead-end again, and the peer stays in
       the overlay untouched;
     * the key handovers, and with replication on the ``REPLICATE``
-      messages that keep the mirrors exact, are sized hops after the
-      atomic surgery, so a bandwidth-limited link charges for every key.
+      messages that keep the mirrors exact, are priced hops after the
+      atomic surgery, one per transfer.
     """
     for _attempt in range(8):
         departing = net.peer(address)  # raises if the peer already vanished
@@ -76,7 +76,7 @@ def leave_steps(
             break
         net.updates.drain(address)
         if can_depart_simply(departing):
-            handovers = [_handover_hop(departing, departing.parent.address)]
+            handovers = [Hop(address, departing.parent.address)]
             handovers += depart_leaf(net, departing)
             break
         replacement_address = yield from find_replacement_steps(net, departing)
@@ -103,8 +103,8 @@ def leave_steps(
         # Two bulk transfers: the replacement leaf's own keys to its
         # parent, and the departing peer's store to its new owner.
         handovers = [
-            _handover_hop(replacement, replacement.parent.address),
-            _handover_hop(departing, replacement_address),
+            Hop(replacement_address, replacement.parent.address),
+            Hop(address, replacement_address),
         ]
         handovers += depart_leaf(net, replacement)
         # Refreshes emitted by the departure itself can target the
@@ -123,14 +123,6 @@ def leave_steps(
     )
     yield from handovers
     return result
-
-
-def _handover_hop(peer: BatonPeer, receiver: Address) -> Hop:
-    """A departing peer's bulk transfer, sized by its keys plus any
-    subscription entries and mirrors the receiver inherits (never free)."""
-    carried = sum(map(len, peer.replicas.values()))
-    size = float(max(1, len(peer.store) + len(peer.subscriptions or ()) + carried))
-    return Hop(peer.address, receiver, size=size)
 
 
 def find_replacement_steps(

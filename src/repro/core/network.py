@@ -194,11 +194,11 @@ class UpdateChannel:
             self.in_flight -= 1
             apply()
 
-        # Priced like any other single message (size 1.0, matching Hop's
-        # default), so bandwidth-limited links delay refreshes and routed
-        # traffic alike — the staleness window they race is consistent.
+        # Priced like any other message, so a refresh and routed traffic
+        # cross the same link alike — the staleness window they race is
+        # consistent.
         sim = self._sim
-        arrival = sim.now + self._topology.sample(src, dst, size=1.0)
+        arrival = sim.now + self._topology.sample(src, dst)
         if pending:
             arrival = max(arrival, pending[-1][0].time)
         entry[0] = sim.schedule_at(arrival, fire, label="table-update")

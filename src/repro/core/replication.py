@@ -26,10 +26,9 @@ one counted message exchange — then yields a
 synchronous network drives a generator to exhaustion (one atomic
 operation, the historical behaviour); the event-driven runtime resumes the
 same generator on the simulator, so replication traffic is priced per
-link like any other message instead of being a free side effect.  Bulk
-transfers — a full-store refresh, the repair-time replica pull — declare
-their payload via ``Hop.size``, so bandwidth-limited topologies charge
-them honestly.
+link like any other message instead of being a free side effect.  A bulk
+transfer — a full-store refresh, the repair-time replica pull — is one
+message and one hop, whatever it carries, as in the paper's cost model.
 
 Enable with ``BatonConfig(replication=True)``.
 """
@@ -151,16 +150,16 @@ def follow_hand_over(
     ghost ``src``'s mirror is what its repair restores; a ghost ``dst``
     (the slot a repair transplants into) takes none, so ``src`` keeps its.
     One REPLICATE per other peer changed — from ``dst`` for its own new
-    keys, else from ``sender`` — sized by the keys it carries; what
-    ``sender`` has for ``dst`` rides the transfer.  Returns their hops.
+    keys, else from ``sender``; what ``sender`` has for ``dst`` rides the
+    transfer.  Returns their hops.
     """
     live = net.peers
     src_live = live.get(src.address) is src
-    sends: Dict[Address, list] = {}
+    sends: Dict[Address, Address] = {}
 
-    def tell(origin: Address, receiver: BatonPeer, carried: int = 0) -> None:
+    def tell(origin: Address, receiver: BatonPeer) -> None:
         if receiver.address != origin and (origin != sender or receiver is not dst):
-            sends.setdefault(receiver.address, [origin, 0])[1] += carried
+            sends.setdefault(receiver.address, origin)
 
     holder = live.get(src.replica_anchor) if src_live else None
     if holder is not None and departing:
@@ -182,31 +181,30 @@ def follow_hand_over(
             _edit(target, dst.address, add=own + list(keys))
             dst.replica_anchor = target.address
             if own:
-                tell(sender, target, len(own))
-            tell(dst.address, target, len(keys))
+                tell(sender, target)
+            tell(dst.address, target)
         for owner_address, mirror in held.items():
             if mirror:  # an empty mirror may start anywhere
                 _edit(dst, owner_address, add=mirror)
-                tell(sender, dst, len(mirror))
+                tell(sender, dst)
                 owner = live.get(owner_address)
                 if owner is not None:  # a dead owner's waits for its repair
                     owner.replica_anchor = dst.address
                     tell(sender, owner)
     hops: List[Hop] = []
-    for receiver, (origin, carried) in sends.items():
+    for receiver, origin in sends.items():
         try:
             net.bus.send(origin, receiver, MsgType.REPLICATE)
         except PeerNotFoundError:
             continue
-        hops.append(Hop(origin, receiver, size=float(max(1, carried))))
+        hops.append(Hop(origin, receiver))
     return hops
 
 
 def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
     """Re-anchor one peer's mirror at its current adjacent.
 
-    One sized REPLICATE message carrying the full store (``Hop.size`` =
-    number of keys, so bandwidth-limited links charge the bulk honestly).
+    One REPLICATE message carrying the full store.
     On arrival the holder installs the snapshot and prunes mirrors whose
     owner no longer exists (dead owners' mirrors are kept for repair).
     When the mirror moved, the owner then sends one more REPLICATE to the
@@ -223,7 +221,7 @@ def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
         net.bus.send(peer.address, holder.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return 0
-    yield Hop(peer.address, holder.address, size=float(max(1, len(snapshot))))
+    yield Hop(peer.address, holder.address)
     target = net.peers.get(holder.address)
     if target is None or net.peers.get(peer.address) is not peer:
         # An end vanished mid-flight: the snapshot is stale, drop it.
@@ -255,35 +253,38 @@ def restore_from_replica_steps(
     """During repair, pull the dead peer's mirrored keys into ``absorber``.
 
     The absorber's request to the mirror's holder (one message), then the
-    bulk reply carrying the mirror (one message, ``Hop.size`` = number of
-    keys) as the key hand-over (:func:`repro.core.data.hand_over`) from the
-    dead peer, which re-mirrors the recovered keys at the absorber's own
-    holder (one sized message).  Only keys inside the absorber's (already
-    merged) range are restored so the store-containment invariant cannot
-    regress on stale replicas.  Returns the number of keys recovered.
+    bulk reply carrying the mirror (one message) as the key hand-over
+    (:func:`repro.core.data.hand_over`) from the dead peer, which
+    re-mirrors the recovered keys at the absorber's own holder (one
+    message).  The request sets the mirror aside: while it travels, no
+    refresh prunes it and no departure of the holder carries it off.  An
+    absorber or holder that vanished mid-request gets it put back where it
+    was.  Only keys inside the absorber's (already merged) range are
+    restored so the store-containment invariant cannot regress on stale
+    replicas.  Returns the number of keys recovered.
     """
     from repro.core.data import hand_over
 
     holder = _find_replica_holder(net, ghost)
-    if holder is None:
-        return 0
-    mirror = holder.replicas.pop(ghost.address, None)
-    if not mirror:
+    if holder is None or not holder.replicas[ghost.address]:
         return 0
     try:
         net.bus.send(absorber.address, holder.address, MsgType.REPLICATE)
     except PeerNotFoundError:
         return 0
+    mirror = holder.replicas.pop(ghost.address)
     yield Hop(absorber.address, holder.address)
-    if net.peers.get(holder.address) is not holder:
-        return 0  # the mirror died with its holder mid-request
-    if net.peers.get(absorber.address) is not absorber:
-        return 0  # the absorber vanished before the bulk reply was sent
+    if (
+        net.peers.get(holder.address) is not holder
+        or net.peers.get(absorber.address) is not absorber
+    ):
+        holder.replicas[ghost.address] = mirror  # no reply: left as it was
+        return 0
     recovered = [key for key in mirror if absorber.range.contains(key)]
     hops = hand_over(
         net, ghost, absorber, recovered, MsgType.RESPONSE, sender=holder.address
     )
-    yield Hop(holder.address, absorber.address, size=float(len(mirror)))
+    yield Hop(holder.address, absorber.address)
     yield from hops
     return len(recovered)
 

@@ -253,8 +253,8 @@ def plan_insert_chain(
 
     Returns ``(displaced, parking_position, safely_parked)``; the newcomer
     will occupy the first displaced peer's slot (or, for an empty chain, the
-    parking slot directly).  ``safely_parked`` is False when the chain ran
-    off the extreme of the tree and parked without the Theorem 1 check.
+    parking slot directly).  ``safely_parked`` is False when the parking
+    slot hangs a child under a peer whose level is not full (Theorem 1).
     Walks only adjacent links, one counted message per hop.
 
     ``side`` says where the newcomer lands relative to the anchor in key
@@ -290,13 +290,15 @@ def plan_insert_chain(
         parking_host = _can_park_at(net, next_info, direction)
         if next_info is None:
             # Displaced the extreme peer: it parks as the child of whoever
-            # takes its old slot, on the outward side.
+            # takes its old slot, on the outward side.  The shift leaves
+            # that slot's level neighbours as they are, so Theorem 1 holds
+            # iff ``current``'s tables are full.
             slot = (
                 current.position.right_child()
                 if direction == RIGHT
                 else current.position.left_child()
             )
-            return displaced, slot, False  # extreme fallback, unchecked
+            return displaced, slot, current.tables_full()
         net.bus.send(current.address, next_info.address, MsgType.RESTRUCTURE)
         if parking_host is not None:
             slot = (

@@ -93,7 +93,6 @@ def walk_steps(
     key: int,
     mtype: MsgType,
     degraded: Optional[Callable[[], bool]] = None,
-    size: float = 1.0,
 ) -> MessageSteps:
     """The §IV-A owner walk: one yielded :class:`Hop` per forwarding step.
 
@@ -129,7 +128,7 @@ def walk_steps(
             raise ProtocolError(
                 f"all routes from {peer.position} toward {key} are dead"
             )
-        yield tuple.__new__(Hop, (current, next_hop, size))
+        yield tuple.__new__(Hop, (current, next_hop))
         hops += 1
         current = next_hop
     if may_give_up(net, degraded):
@@ -287,7 +286,7 @@ def interval_walk_steps(
             send(current, next_hop, mtype)
         except PeerNotFoundError:
             return False  # dead adjacent: its send is paid for
-        yield tuple.__new__(Hop, (current, next_hop, 1.0))
+        yield tuple.__new__(Hop, (current, next_hop))
         current = next_hop
     return False
 

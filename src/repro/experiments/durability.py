@@ -17,7 +17,7 @@ traffic, not bookkeeping.  Reported per cell:
 * ``keys_lost`` — keys present after loading (plus applied inserts) that
   no live peer stores once the run drains and repairs finish;
 * ``recovery_p50`` / ``recovery_max`` — crash-to-repaired latency of
-  in-window repairs, including the detection delay and the sized
+  in-window repairs, including the detection delay and the
   replica-pull hops;
 * ``reconcile_msgs`` / ``replica_msgs`` — the maintenance traffic spent to
   earn that durability.

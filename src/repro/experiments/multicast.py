@@ -135,7 +135,7 @@ def _priced_drive(steps, topology) -> tuple:
         except StopIteration as stop:
             return stop.value, total
         if hop.src is not None:
-            total += topology.direct_delay(hop.src, hop.dst) * hop.size
+            total += topology.direct_delay(hop.src, hop.dst)
 
 
 def _lossy_cell(

@@ -76,11 +76,6 @@ class MultiwayConfig:
             raise ValueError("fanout must be at least 2")
 
 
-def _handover_size(node: MultiwayNode) -> float:
-    """Payload of a departing node's bulk store transfer (never free)."""
-    return float(max(1, len(node.store)))
-
-
 class MultiwayNetwork(OverlayNetwork):
     """A simulated multiway-tree overlay."""
 
@@ -284,8 +279,8 @@ class MultiwayNetwork(OverlayNetwork):
         segment with the check that authorised them; a walk that lost a
         race (a consulted child vanished, we were transplanted away, the
         replacement is gone or no longer a leaf) is re-walked — unreachable
-        when driven synchronously.  The store handovers are sized hops
-        after the atomic surgery.
+        when driven synchronously.  The store handovers are priced hops
+        after the atomic surgery, one per transfer.
         """
         for _attempt in range(8):
             departing = self.node(address)  # raises if the node already vanished
@@ -298,8 +293,7 @@ class MultiwayNetwork(OverlayNetwork):
                 self.root = None
                 break
             if departing.is_leaf:
-                size = _handover_size(departing)
-                handovers = [Hop(address, self.detach_leaf(departing), size=size)]
+                handovers = [Hop(address, self.detach_leaf(departing))]
                 break
             try:
                 replacement_address = yield from self.replacement_steps(departing)
@@ -315,13 +309,11 @@ class MultiwayNetwork(OverlayNetwork):
                 yield Hop(address, address)  # lost the race; walk again
                 continue
             find_trace = trace.frozen("multiway.leave.find")
-            # Sized before the merge, which may grow the departing store.
-            repl_size, size = _handover_size(replacement), _handover_size(departing)
             absorber = self.detach_leaf(replacement)
             self.transplant(departing, replacement)
             handovers = [
-                Hop(replacement_address, absorber, size=repl_size),
-                Hop(address, replacement_address, size=size),
+                Hop(replacement_address, absorber),
+                Hop(address, replacement_address),
             ]
             break
         else:
@@ -499,7 +491,7 @@ class MultiwayNetwork(OverlayNetwork):
             if next_hop is None:
                 raise ProtocolError(f"multiway routing stuck at {node!r} for {key}")
             self.bus.send(current, next_hop, mtype)
-            yield tuple.__new__(Hop, (current, next_hop, 1.0))
+            yield tuple.__new__(Hop, (current, next_hop))
             previous, current = current, next_hop
         raise ProtocolError(f"multiway search for {key} did not terminate")
 

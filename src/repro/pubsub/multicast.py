@@ -165,7 +165,6 @@ def multicast_steps(
     low: int,
     high: int,
     *,
-    size: float = 1.0,
     degraded: Optional[Callable[[], bool]] = None,
     trace: Optional["Trace"] = None,
 ):
@@ -186,7 +185,7 @@ def multicast_steps(
     anchor_key = low + (high - low) // 2
     # The bare §IV-A walk: dissemination bypasses the route cache.
     anchor, route_hops = yield from walk_steps(
-        net, start, anchor_key, MsgType.MULTICAST, degraded, size
+        net, start, anchor_key, MsgType.MULTICAST, degraded
     )
     delivered: List[Address] = []
     suppressed = 0
@@ -224,7 +223,7 @@ def multicast_steps(
                     complete = False  # paid for, slice dropped (§III-D style)
                     continue
                 fanout += 1
-                yield Hop(address, delegate, size=size)
+                yield Hop(address, delegate)
                 queue.append((delegate, part, depth + 1))
     return MulticastResult(
         message_id=message_id,
@@ -261,7 +260,6 @@ def unicast_steps(
     low: int,
     high: int,
     *,
-    size: float = 1.0,
     degraded: Optional[Callable[[], bool]] = None,
 ):
     """Per-owner unicast baseline: one full route per owner.
@@ -283,7 +281,7 @@ def unicast_steps(
     for owner in range_owners(net, low, high):
         key = max(low, owner.range.low)
         reached, hops = yield from walk_steps(
-            net, start, key, MsgType.MULTICAST, degraded, size
+            net, start, key, MsgType.MULTICAST, degraded
         )
         hops_total += hops
         if hops > depth_max:
@@ -314,8 +312,6 @@ def flood_steps(
     start: Address,
     low: int,
     high: int,
-    *,
-    size: float = 1.0,
 ):
     """Flood baseline: first-receipt gossip over every link.
 
@@ -358,7 +354,7 @@ def flood_steps(
             except PeerNotFoundError:
                 continue
             messages += 1
-            yield Hop(address, neighbour, size=size)
+            yield Hop(address, neighbour)
             queue.append((neighbour, address, depth + 1))
     return MulticastResult(
         message_id=message_id,

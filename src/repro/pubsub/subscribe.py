@@ -6,7 +6,7 @@ first to know when a key lands in its slice).  Installation runs the
 §IV-B range search's own interval walk — route to the owner of the
 range's low end, then walk right adjacents — one counted ``SUBSCRIBE``
 message per hop.  From then on, an insert into a subscribed slice pushes
-one sized ``NOTIFY`` hop per matching subscription from the owner to the
+one ``NOTIFY`` hop per matching subscription from the owner to the
 subscriber, stamped with a fresh dissemination id so a duplicated hop is
 applied once (:mod:`repro.pubsub.state`).
 
@@ -15,10 +15,10 @@ every restructure that moves keys must move the overlapping subscription
 entries with them, or notifications silently stop after a leave or a load
 balance.  :func:`transfer_subscriptions` is that hook — the one key
 hand-over (:func:`repro.core.data.hand_over`) calls it alongside the key
-movement, and the handover hops are sized to include the entries
-carried (DESIGN.md, "Dissemination contract").  Crash *loses* the owner's
-entries like it loses its keys: subscriptions are soft state, and
-durability for them is out of scope (re-subscribe is the recovery).
+movement, and the entries ride the handover's one hop (DESIGN.md,
+"Dissemination contract").  Crash *loses* the owner's entries like it
+loses its keys: subscriptions are soft state, and durability for them is
+out of scope (re-subscribe is the recovery).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def subscribe_steps(
 def notify_steps(net: "BatonNetwork", owner: BatonPeer, key: int):
     """Push notifications for an insert of ``key`` at ``owner``.
 
-    One sized ``NOTIFY`` hop per matching subscription, each stamped with
+    One ``NOTIFY`` hop per matching subscription, each stamped with
     its own dissemination id and applied at the subscriber exactly once.
     A subscriber that died is paid for (the send is counted before the
     bus raises) and its entry pruned — soft state, like the subscription
@@ -143,7 +143,7 @@ def notify_steps(net: "BatonNetwork", owner: BatonPeer, key: int):
         except PeerNotFoundError:
             del table[sub.sub_id]
             continue
-        yield Hop(owner.address, sub.subscriber, size=1.0)
+        yield Hop(owner.address, sub.subscriber)
         subscriber = net.peers.get(sub.subscriber)
         if subscriber is not None:
             apply_delivery(state, subscriber, message_id)
@@ -162,8 +162,7 @@ def transfer_subscriptions(
     the target's new range is copied over (an entry spanning both ranges
     legitimately lives at both owners), and entries that no longer overlap
     the source's own range are dropped from it.  Returns the number of
-    entries newly installed at the target — the payload the callers add to
-    their sized handover hops.
+    entries newly installed at the target (``subscription_moves``).
     """
     table = source.subscriptions
     if not table:

@@ -227,7 +227,7 @@ class FaultPlan(Topology):
     # path asks for a ``judge`` verdict.
 
     def sample(self, src, dst, *, size: float = 0.0) -> float:
-        return self.inner.sample(src, dst, size=size)
+        return self.inner.sample(src, dst)
 
     def direct_delay(self, src, dst) -> float:
         return self.inner.direct_delay(src, dst)
@@ -238,9 +238,7 @@ class FaultPlan(Topology):
 
     # -- the unreliable channel ----------------------------------------------
 
-    def judge(
-        self, src, dst, now: float, *, size: float = 0.0
-    ) -> Verdict:
+    def judge(self, src, dst, now: float) -> Verdict:
         """One transmission attempt's fate: (delivered, delay, duplicate).
 
         Client-ingress hops (``src=None`` — the request entering at its
@@ -250,7 +248,7 @@ class FaultPlan(Topology):
         stochastic rate is set, none otherwise.
         """
         if not self._hazardous:
-            return (True, self.inner.sample(src, dst, size=size), False)
+            return (True, self.inner.sample(src, dst), False)
         on_wire = src is not None and dst is not None and src != dst
         if on_wire and self._refused(src, dst, now):
             self.stats.refusals += 1
@@ -269,7 +267,7 @@ class FaultPlan(Topology):
             elif draw - self.duplicate_rate < self.delay_spike_rate:
                 spiked = True
                 self.stats.delay_spikes += 1
-        delay = self.inner.sample(src, dst, size=size)
+        delay = self.inner.sample(src, dst)
         if spiked:
             delay *= self.delay_spike_factor
         return (True, delay, duplicate)

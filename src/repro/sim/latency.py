@@ -38,8 +38,7 @@ class LatencyModel(Topology):
         raise NotImplementedError
 
     def sample(self, src, dst, *, size: float = 0.0) -> float:
-        # Link-blind: scalar models have no bandwidth term, so a sample is
-        # exactly one draw.
+        # Link-blind: a sample is exactly one draw.
         return self.draw()
 
     def direct_delay(self, src, dst) -> float:

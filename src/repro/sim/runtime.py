@@ -21,10 +21,10 @@ generator for that op (:mod:`repro.util.stepper`; ``join_steps``,
 ``multicast_steps``, ``subscribe_steps``) — the very one the synchronous
 facade drives — handed the future's trace and the walks' give-up
 predicate, so no decision is written twice (inbox drains, race re-walks
-and sized handover hops live in those shared generators, inert under
+and handover hops live in those shared generators, inert under
 ``drive``).  The runtime
 prices each hop per link through the run's :class:`~repro.sim.topology.Topology`
-(``sample(src, dst, size=...)``) and schedules the resumption on the shared
+(``sample(src, dst)``) and schedules the resumption on the shared
 :class:`~repro.sim.engine.Simulator`, so any number of operations
 interleave at hop granularity while each individual step stays atomic.
 Completion is exposed through :class:`OpFuture` (result, error, latency,
@@ -182,7 +182,7 @@ def _ingress(first: Address, steps: OpSteps) -> OpSteps:
     ``steps`` is built at admission, which runs no protocol code: a step
     generator does nothing until it is first resumed, here after the hop.
     """
-    yield tuple.__new__(Hop, (None, first, 1.0))
+    yield tuple.__new__(Hop, (None, first))
     return (yield from steps)
 
 
@@ -355,7 +355,7 @@ class AsyncOverlayRuntime:
         """Repair every outstanding crash, priced, where the overlay
         supports it: the network's retry-in-passes loop, each repair
         going through :meth:`submit_repair` and the simulator so replica
-        pulls cross priced links as sized hops.  Drains the simulator
+        pulls cross priced links as hops.  Drains the simulator
         between repairs; callers invoke this at quiescence."""
         if not self.supports("repair"):
             return []
@@ -452,7 +452,7 @@ class AsyncOverlayRuntime:
 
         The structural surgery runs atomically in the operation's first
         protocol segment; with replication enabled, the replica pull that
-        restores the dead peer's keys follows as sized hops, so the
+        restores the dead peer's keys follows as priced hops, so the
         future's latency is the crash's *data recovery* time.
         """
         return self._submit("repair", "repair_steps", address, needs="repair")
@@ -462,7 +462,7 @@ class AsyncOverlayRuntime:
 
         All refreshes are in flight at once (each is an independent
         one-hop bulk transfer from a peer to its current adjacent), so a
-        sweep costs one round of sized messages, not a serial walk.  Like
+        sweep costs one round of messages, not a serial walk.  Like
         the batched sweep below, the transfers ride the reliable channel
         (DESIGN.md, "Delivery contract").
         """
@@ -481,7 +481,7 @@ class AsyncOverlayRuntime:
         """Submit one refresh round as a *single* batched operation.
 
         Semantically the same fan-out as :meth:`submit_replica_refresh` —
-        every live peer's sized transfer to its current adjacent is in
+        every live peer's transfer to its current adjacent is in
         flight at once, each priced on its own link of the reliable
         channel — but the whole round shares one :class:`OpFuture`, one
         trace and one submit/done pair of event-log rows
@@ -660,7 +660,7 @@ class AsyncOverlayRuntime:
         :class:`FaultPlan` passes to its inner topology untouched).
         """
         if delay is None:
-            delay = self.topology.sample(hop.src, hop.dst, size=hop.size)
+            delay = self.topology.sample(hop.src, hop.dst)
         future.hops += 1
         future.transit += delay
         if hop.src is None:
@@ -699,9 +699,7 @@ class AsyncOverlayRuntime:
         not in the per-type message counters.
         """
         faults = self.faults
-        delivered, delay, _duplicate = faults.judge(
-            hop.src, hop.dst, self.sim.now, size=hop.size
-        )
+        delivered, delay, _duplicate = faults.judge(hop.src, hop.dst, self.sim.now)
         if delivered:
             # A duplicate arrival re-executes an idempotent receiver step
             # as a no-op; it is counted (FaultStats.duplicates) but not

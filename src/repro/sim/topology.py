@@ -1,4 +1,4 @@
-"""Topology-aware transport: per-link delay and bandwidth.
+"""Topology-aware transport: per-link delay.
 
 The paper's cost model counts hops as if every link were equal, but BATON's
 sideways routing tables only earn their keep on real networks where links
@@ -6,26 +6,25 @@ have heterogeneous cost — a hop that skips across subtrees is worth more
 when it also skips an ocean.  This module is the transport seam that lets
 the experiments ask that question: every peer address is pinned to a
 region, and each message's transit time is drawn **per link** via
-:meth:`Topology.sample`, optionally including a message-size/bandwidth
-serialization term.
+:meth:`Topology.sample`.
 
 The contract (see DESIGN.md, "Transport contract"):
 
 * Protocol walks declare every hop as a :class:`Hop` — which pair of peers
-  the message travels between, and how big it is.  ``src=None`` marks a
+  the message travels between, nothing more.  ``src=None`` marks a
   client-ingress hop (the request entering the overlay from outside);
   ``src == dst`` marks a local beat, charged as the cheapest link and
   never free.
-* A topology is two methods: ``sample(src, dst, size=...)``, the one
-  transport entry point, and ``direct_delay(src, dst)``, the
+* A topology is two methods: ``sample(src, dst)``, the one transport
+  entry point, and ``direct_delay(src, dst)``, the
   deterministic expected cost the stretch metric and topology-aware joins
   read.  Scalar models (:class:`~repro.sim.latency.LatencyModel`) are
   degenerate single-region topologies whose delay ignores the link.
-* ``size`` is an honest payload measure: only hops that genuinely carry
-  bulk data are sized — a departing node's key handover, a replica
-  refresh or repair-time replica pull (DESIGN.md, "Durability contract")
-  — and topologies without a bandwidth term ignore it rather than invent
-  one.  Routing chatter is never sized to make a topology look busier.
+* A message costs its link, whatever it carries: the paper's metric is
+  messages passed, with no notion of payload or bandwidth, so a bulk key
+  handover is one hop like a routing step.  ``sample`` still accepts an
+  ignored ``size`` keyword, only because the benchmark's tracing wrapper
+  forwards one to the topology it wraps.
 * Regions derive deterministically from ``(topology seed, address)``, so
   a peer's location never depends on the order links are first used, and
   two topologies built from the same seed produce identical delays for
@@ -53,17 +52,13 @@ class Hop(NamedTuple):
     into a scheduled delay via :meth:`Topology.sample`.  ``src=None`` marks
     a client-ingress hop (the request entering the overlay at ``dst``);
     ``src == dst`` marks a local beat (a peer re-examining fresh state, no
-    wire crossed — topologies charge it the cheapest link).  ``size`` is an
-    abstract message size in payload units; topologies with bandwidth add
-    ``size / bandwidth`` serialization time on top of propagation delay.
-    The per-hop walks build theirs as ``tuple.__new__(Hop, (src, dst,
-    size))``, every field given, which skips NamedTuple's Python-level
-    ``__new__``.
+    wire crossed — topologies charge it the cheapest link).  The per-hop
+    walks build theirs as ``tuple.__new__(Hop, (src, dst))``, which skips
+    NamedTuple's Python-level ``__new__``.
     """
 
     src: Optional[Address]
     dst: Optional[Address]
-    size: float = 1.0
 
 
 class Topology(abc.ABC):
@@ -79,10 +74,10 @@ class Topology(abc.ABC):
     def sample(
         self, src: Optional[Address], dst: Optional[Address], *, size: float = 0.0
     ) -> float:
-        """One sampled transit time for a ``size``-unit message src -> dst.
+        """One sampled transit time for a message src -> dst.
 
-        Propagation delay, plus ``size / bandwidth`` serialization on
-        topologies that model bandwidth (the others ignore ``size``).
+        ``size`` is ignored: no topology prices payload.  It stays in the
+        signature only for wrappers that still forward it.
         """
 
     @abc.abstractmethod
@@ -116,9 +111,7 @@ class ClusteredTopology(Topology):
     B->A routes genuinely differ, as real WAN paths do.  Every sample is
     then jittered multiplicatively by ``1 + jitter * U[0,1)`` from one
     seeded stream, so two topologies built from the same seed produce
-    identical delays for identical call sequences.  Optional
-    ``intra_bandwidth`` / ``inter_bandwidth`` add a ``size / bandwidth``
-    term for sized messages.
+    identical delays for identical call sequences.
     """
 
     def __init__(
@@ -130,8 +123,6 @@ class ClusteredTopology(Topology):
         inter_delay: float = 5.0,
         jitter: float = 0.2,
         asymmetry: float = 0.1,
-        intra_bandwidth: Optional[float] = None,
-        inter_bandwidth: Optional[float] = None,
     ):
         if regions < 1:
             raise ValueError("need at least one region")
@@ -141,20 +132,12 @@ class ClusteredTopology(Topology):
             raise ValueError("jitter cannot be negative")
         if not 0.0 <= asymmetry < 1.0:
             raise ValueError("asymmetry must be in [0, 1)")
-        for name, value in (
-            ("intra_bandwidth", intra_bandwidth),
-            ("inter_bandwidth", inter_bandwidth),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
         self.seed = seed
         self.regions = regions
         self.intra_delay = intra_delay
         self.inter_delay = inter_delay
         self.jitter = jitter
         self.asymmetry = asymmetry
-        self.intra_bandwidth = intra_bandwidth
-        self.inter_bandwidth = inter_bandwidth
         #: Address (or ``"client"``) -> region, filled on first use.
         self._regions: Dict[object, int] = {}
         #: Bound draw, so the per-sample hot path skips attribute lookups.
@@ -167,13 +150,6 @@ class ClusteredTopology(Topology):
         self._pair_base: List[List[float]] = [
             [
                 intra_delay if i == j else inter_delay * self._pair_factor(i, j)
-                for j in range(regions)
-            ]
-            for i in range(regions)
-        ]
-        self._pair_bandwidth: List[List[Optional[float]]] = [
-            [
-                intra_bandwidth if i == j else inter_bandwidth
                 for j in range(regions)
             ]
             for i in range(regions)
@@ -210,10 +186,6 @@ class ClusteredTopology(Topology):
         delay = self._pair_base[src_region][dst_region]
         if self.jitter:
             delay *= 1.0 + self.jitter * self._jitter_draw()
-        if size > 0:
-            bandwidth = self._pair_bandwidth[src_region][dst_region]
-            if bandwidth is not None:
-                delay += size / bandwidth
         return delay
 
     def direct_delay(

@@ -80,7 +80,7 @@ class ConcurrentConfig:
     #: time units *during* the window (0 disables; overlays without the
     #: ``reconcile`` capability never sweep).  Without it, staleness only
     #: drains at the end of the run.  On runtimes with replication turned
-    #: on, every sweep also submits a replica-refresh round (one sized
+    #: on, every sweep also submits a replica-refresh round (one
     #: message per peer), so the sweep interval is the durability
     #: staleness bound the durability experiment measures.
     maintenance_interval: float = 0.0
@@ -724,13 +724,13 @@ class WorkloadRun:
         # Periodic in-window anti-entropy: staleness is bounded by the
         # sweep interval instead of accumulating until the drain.  On
         # replicated runtimes each sweep also re-anchors every peer's
-        # mirror (a round of sized, priced refresh messages).
+        # mirror (a round of priced refresh messages).
         def sweep() -> None:
             self.reconcile()
             if anet.replication_enabled:
                 # The batched sweep: one future for the whole per-peer
                 # fan-out instead of one per peer (same transfers, same
-                # per-link sized pricing).
+                # per-link pricing).
                 anet.submit_replica_refresh_sweep()
                 self.report.replica_refresh_sweeps += 1
             if anet.sim.now + interval <= self.horizon:

@@ -3,7 +3,7 @@
 Covers the synchronous write-through/refresh/restore protocol and the
 async path the event-driven runtime lifts from the same step generators:
 serialized equivalence (same messages, same mirrors, same survivors as the
-synchronous network), sized refresh hops under a clustered topology, and
+synchronous network), one priced hop per transfer, and
 the zero-key-loss guarantee for serialized crash+repair runs — including a
 crash right after a join, a leave or a transplant moved keys.
 """
@@ -127,6 +127,28 @@ class TestRecovery:
         net.repair(victim)
         check_invariants(net)
         assert stored_multiset(net) == before
+
+    def test_restore_whose_absorber_vanished_keeps_the_mirror(self):
+        """The holder gives the mirror up only to a reply it can send: an
+        absorber gone while the request travels leaves it in place."""
+        net = replicated_net(n_peers=30, seed=5)
+        for key in uniform_keys(300, seed=2):
+            net.insert(key)
+        victim = next(a for a, p in sorted(net.peers.items()) if len(p.store))
+        net.fail(victim)
+        ghost = net.ghosts[victim]
+        holder = net.peers[ghost.replica_anchor]
+        absorber = next(
+            p for a, p in sorted(net.peers.items()) if a != holder.address
+        )
+        steps = replication.restore_from_replica_steps(net, ghost, absorber)
+        request = next(steps)
+        assert (request.src, request.dst) == (absorber.address, holder.address)
+        net.unregister_peer(absorber.address)
+        with pytest.raises(StopIteration) as stop:
+            next(steps)
+        assert stop.value.value == 0
+        assert ghost.address in holder.replicas
 
     def test_recovery_after_churn_with_refresh(self):
         net = replicated_net(n_peers=40, seed=9)
@@ -426,14 +448,19 @@ class TestAsyncRepairPricing:
         assert future.latency is not None and future.latency > 0
         assert future.transit > 0
 
-    def test_replica_pull_pays_for_size(self):
-        """The repair-time replica pull is a sized hop: more keys, more time."""
-        latencies = {}
+    def test_replica_pull_is_one_hop_per_transfer(self):
+        """The repair-time replica pull costs one priced hop per message
+        (request, bulk reply, re-mirror), however many keys it carries."""
+        pulls = {}
         for load in (4, 64):
-            topology = ClusteredTopology(
-                3, regions=1, intra_delay=1.0, jitter=0.0, intra_bandwidth=2.0
-            )
-            anet = replicated_async(n_peers=12, seed=17, topology=topology)
+            links = []
+
+            class Recorder(ConstantLatency):
+                def sample(self, src, dst, *, size=0.0):
+                    links.append((src, dst))
+                    return 1.0
+
+            anet = replicated_async(n_peers=12, seed=17, topology=Recorder())
             victim = sorted(anet.net.peers)[4]
             peer = anet.net.peers[victim]
             peer.store.extend(
@@ -444,11 +471,16 @@ class TestAsyncRepairPricing:
             anet.net.refresh_replicas()
             anet.submit_fail(victim)
             anet.drain()
+            del links[:]
             future = anet.submit_repair(victim)
             anet.drain()
             assert future.succeeded
-            latencies[load] = future.latency
-        assert latencies[64] > latencies[4]
+            assert future.result.keys_recovered > 0
+            assert future.transit == future.hops
+            pulls[load] = (future.hops, links)
+        # The same links crossed as often, whatever the payload.
+        assert pulls[64] == pulls[4]
+        assert pulls[4][0] >= 3  # ingress, request, bulk reply
 
 
 class TestClusteredRefresh:
@@ -458,8 +490,6 @@ class TestClusteredRefresh:
             intra_delay=0.5,
             inter_delay=4.0,
             jitter=0.0,
-            intra_bandwidth=4.0,
-            inter_bandwidth=2.0,
         )
         params.update(kwargs)
         return ClusteredTopology(seed, **params)
@@ -474,11 +504,10 @@ class TestClusteredRefresh:
         for peer in anet.net.peers.values():
             assert peer.replica_anchor in anet.net.peers
 
-    def test_refresh_hops_are_sized(self):
-        """A refresh carrying a big store pays the bandwidth term."""
+    def test_refresh_is_one_priced_hop(self):
+        """A refresh carrying a whole store costs its link, once."""
         anet = replicated_async(n_peers=25, seed=19, topology=self.topology())
         anet.net.bulk_load(uniform_keys(250, seed=9))
-        sizes = {a: len(p.store) for a, p in anet.net.peers.items()}
         futures = anet.submit_replica_refresh()
         anet.drain()
         by_address = dict(zip(sorted(anet.net.peers), futures))
@@ -486,17 +515,11 @@ class TestClusteredRefresh:
         for address, future in by_address.items():
             if not (future.succeeded and future.result):
                 continue
-            peer = anet.net.peers[address]
-            holder = peer.replica_anchor
-            same_region = topology.region_of(address) == topology.region_of(
-                holder
+            holder = anet.net.peers[address].replica_anchor
+            assert future.hops == 1
+            assert future.transit == pytest.approx(
+                topology.direct_delay(address, holder)
             )
-            bandwidth = 4.0 if same_region else 2.0
-            base = 0.5 if same_region else 4.0 * topology._pair_factor(
-                topology.region_of(address), topology.region_of(holder)
-            )
-            expected = base + max(1, sizes[address]) / bandwidth
-            assert future.transit == pytest.approx(expected)
 
     def test_refresh_deterministic_across_runs(self):
         def one_run():

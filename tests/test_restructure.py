@@ -5,13 +5,20 @@ import sys
 
 import pytest
 
-from repro.core import BatonNetwork, check_invariants, collect_violations
+from repro.core import (
+    BatonConfig,
+    BatonNetwork,
+    LoadBalanceConfig,
+    check_invariants,
+    collect_violations,
+)
 from repro.core.ids import Position
 from repro.core.links import LEFT, RIGHT, NodeInfo, RoutingTable
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core import restructure
 from repro.core.leave import can_depart_simply
+from repro.workloads.generators import uniform_keys
 
 from tests.conftest import make_network, table_slots
 
@@ -414,6 +421,24 @@ class TestForcedJoin:
         side = LEFT if target.left_child is None else RIGHT
         restructure.forced_add_child(net, target, side, newcomer)
         assert len(net.stats.restructure_shift_sizes) == before + 1
+
+
+class TestExtremeFallback:
+    def test_small_trees_stay_balanced_under_forced_joins(self):
+        """A shift chain that runs off the tree's extreme parks its last
+        peer under the extreme peer's old slot, which is safe exactly
+        when that peer's tables are full.  Reported as always unsafe, the
+        safe chain lost to the shorter one, and a 2-peer tree hung a
+        grandchild under a one-sided root (15 of these seeds)."""
+        config = BatonConfig(balance=LoadBalanceConfig(capacity=4))
+        unbalanced = []
+        for seed in range(200):
+            net = BatonNetwork.build(3, seed=seed, config=config)
+            for key in uniform_keys(30, seed=seed):
+                net.insert(key)
+            if collect_violations(net):
+                unbalanced.append(seed)
+        assert unbalanced == []
 
 
 class TestForcedRemoval:

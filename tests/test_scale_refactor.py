@@ -1,4 +1,4 @@
-"""Tests for the scale refactor: sized bulk transfers, the batched
+"""Tests for the scale refactor: one hop per bulk transfer, the batched
 replica-refresh sweep, the latency-stretch metric and opt-in event
 logging."""
 
@@ -15,50 +15,55 @@ from repro.workloads.concurrent import ConcurrentConfig, run_concurrent_workload
 from repro.workloads.generators import uniform_keys
 
 
-def one_region_bandwidth_topology(bandwidth: float = 2.0) -> ClusteredTopology:
-    """Deterministic single-region topology with a bandwidth term: every
-    link costs 1.0 + size/bandwidth, so sized hops are directly visible."""
-    return ClusteredTopology(
-        0, regions=1, intra_delay=1.0, jitter=0.0, intra_bandwidth=bandwidth
-    )
+class LinkRecorder(ConstantLatency):
+    """``ConstantLatency(1.0)`` that records every link it prices."""
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.links = []
+
+    def sample(self, src, dst, *, size=0.0):
+        self.links.append((src, dst))
+        return 1.0
 
 
-class TestSizedLeaveHandover:
-    def test_baton_loaded_leaf_pays_for_its_keys(self):
-        """A BATON leave's key handover is a sized hop: more keys, more time."""
-        latencies = {}
+class TestLeaveHandoverHops:
+    def test_baton_leaf_handover_is_one_hop(self):
+        """A BATON leave's key handover costs one priced hop to the
+        absorbing parent, however many keys it carries."""
+        from repro.core import leave as leave_protocol
+
+        runs = {}
         for load in (5, 200):
+            topology = LinkRecorder()
             anet = AsyncOverlayRuntime(
-                BatonNetwork.build(20, seed=3),
-                topology=one_region_bandwidth_topology(),
+                BatonNetwork.build(20, seed=3), topology=topology
             )
-            # Find a safely-departing leaf and stuff its store.
-            from repro.core import leave as leave_protocol
-
             victim = next(
                 peer
                 for peer in anet.net.peers.values()
                 if leave_protocol.can_depart_simply(peer)
             )
             victim.store.extend([victim.range.low] * load)
+            handover = (victim.address, victim.parent.address)
             future = anet.submit_leave(victim.address)
             anet.drain()
             assert future.succeeded
-            latencies[load] = future.transit
-        # 195 extra keys over bandwidth 2.0 => ~97.5 extra time units.
-        assert latencies[200] > latencies[5] + 50
+            assert topology.links.count(handover) == 1
+            assert future.transit == future.hops
+            runs[load] = (future.hops, topology.links)
+        assert runs[200] == runs[5]
 
-    def test_multiway_merge_transfer_is_sized(self):
-        """The multiway leaf-detach store merge pays the bandwidth term."""
-        latencies = {}
+    def test_multiway_detach_handover_is_one_hop(self):
+        """The multiway leaf-detach store merge is one priced hop."""
+        runs = {}
         for load in (5, 200):
             net = MultiwayNetwork(seed=2)
             net.bootstrap()
             for _ in range(11):
                 net.join()
-            anet = overlays.get("multiway").wrap(
-                net, topology=one_region_bandwidth_topology()
-            )
+            topology = LinkRecorder()
+            anet = overlays.get("multiway").wrap(net, topology=topology)
             victim_address = next(
                 address
                 for address, node in sorted(net.nodes.items())
@@ -70,8 +75,11 @@ class TestSizedLeaveHandover:
             future = anet.submit_leave(victim_address)
             anet.drain()
             assert future.succeeded
-            latencies[load] = future.transit
-        assert latencies[200] > latencies[5] + 50
+            sent = [link for link in topology.links if link[0] == victim_address]
+            assert len(sent) == 1  # the store handover to the absorber
+            assert future.transit == future.hops
+            runs[load] = (future.hops, topology.links)
+        assert runs[200] == runs[5]
 
 
 class TestBatchedReplicaRefresh:
@@ -124,15 +132,14 @@ class TestBatchedReplicaRefresh:
         assert sweep_net.bus.stats.total == perpeer_net.bus.stats.total
         assert self.mirrors(sweep_net.net) == self.mirrors(perpeer_net.net)
 
-    def test_sweep_prices_sized_hops(self):
-        anet = self.build(topology=one_region_bandwidth_topology())
+    def test_sweep_prices_one_hop_per_refresh(self):
+        anet = self.build()
         future = anet.submit_replica_refresh_sweep()
         anet.drain()
         assert future.succeeded
-        total_keys = sum(len(p.store) for p in anet.net.peers.values())
-        # Every refresh pays 1.0 propagation + size/2.0 serialization.
-        expected = future.hops * 1.0 + total_keys / 2.0
-        assert future.transit == pytest.approx(expected, rel=0.05)
+        # Every refresh message crosses its link once, at 1.0 apiece.
+        assert future.hops == future.result
+        assert future.transit == future.hops * 1.0
 
     def test_sweep_capability_gated(self):
         from repro.util.errors import CapabilityError

@@ -105,18 +105,16 @@ class TestClusteredHeterogeneity:
         assert topology.sample(dst, src) == reverse
 
     def test_unjittered_sample_is_direct_delay(self):
-        """The two methods price the same link: without jitter or a
-        bandwidth term, every sample is the link's direct delay, for
-        ordered pairs, local beats and client-ingress hops alike."""
+        """The two methods price the same link: without jitter, every
+        sample is the link's direct delay, for ordered pairs, local beats
+        and client-ingress hops alike."""
         topology = ClusteredTopology(
             6, regions=3, intra_delay=0.5, inter_delay=4.0, jitter=0.0
         )
         endpoints = [None, *range(1, 13)]
         for src in endpoints:
             for dst in endpoints:
-                assert topology.sample(src, dst, size=3.0) == topology.direct_delay(
-                    src, dst
-                )
+                assert topology.sample(src, dst) == topology.direct_delay(src, dst)
 
     def test_client_ingress_is_local(self):
         topology = ClusteredTopology(
@@ -128,21 +126,6 @@ class TestClusteredHeterogeneity:
         assert topology.direct_delay(None, 5) == topology.intra_delay
         assert topology.direct_delay(5, None) == topology.intra_delay
 
-    def test_bandwidth_adds_serialization_time(self):
-        topology = ClusteredTopology(
-            2,
-            regions=3,
-            intra_delay=1.0,
-            inter_delay=10.0,
-            jitter=0.0,
-            asymmetry=0.0,
-            intra_bandwidth=4.0,
-            inter_bandwidth=2.0,
-        )
-        src, dst = cross_region_pair(topology)
-        assert topology.sample(src, dst, size=8.0) == pytest.approx(10.0 + 8.0 / 2.0)
-        assert topology.sample(src, dst) == pytest.approx(10.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusteredTopology(0, regions=0)
@@ -150,18 +133,12 @@ class TestClusteredHeterogeneity:
             ClusteredTopology(0, intra_delay=-1.0)
         with pytest.raises(ValueError):
             ClusteredTopology(0, asymmetry=1.5)
-        with pytest.raises(ValueError):
-            ClusteredTopology(0, inter_bandwidth=0.0)
 
 
 class TestScalarDegenerate:
     def test_scalar_models_ignore_the_link(self):
         model = ConstantLatency(2.0)
         assert model.sample(1, 2) == model.sample(9, 9) == model.sample(None, None)
-
-    def test_scalar_models_have_no_bandwidth(self):
-        model = ConstantLatency(2.0)
-        assert model.sample(1, 2, size=1000.0) == 2.0
 
     def test_exponential_link_blind_but_seeded(self):
         a = ExponentialLatency(1.0, SeededRng(4))
@@ -194,9 +171,8 @@ class TestFactory:
 
 
 class TestHop:
-    def test_defaults(self):
-        hop = Hop(1, 2)
-        assert hop.size == 1.0
+    def test_a_hop_is_a_link(self):
+        assert Hop._fields == ("src", "dst")
         assert Hop(None, 2).src is None
 
     def test_runtime_rejects_non_hop_yields(self):
@@ -321,9 +297,9 @@ class TestWorkloadIntegration:
         with pytest.raises(ValueError):
             ConcurrentConfig(maintenance_interval=-1.0)
 
-    def test_update_deliveries_priced_like_single_messages(self):
-        """Table refreshes pay the same size-1 serialization term as any
-        routed hop, so bandwidth-limited links delay both alike."""
+    def test_update_deliveries_priced_like_any_hop(self):
+        """Table refreshes and routed hops are priced by the same plain
+        ``sample(src, dst)``: no caller passes a payload size."""
         sizes = []
 
         class Recorder(Topology):
@@ -338,7 +314,7 @@ class TestWorkloadIntegration:
         anet.submit_join()
         anet.drain()
         assert sizes  # hops and update deliveries both went through sample
-        assert all(size == 1.0 for size in sizes)
+        assert all(size == 0.0 for size in sizes)
 
     def test_clustered_runs_replay_deterministically(self):
         first_net, first = self.run_workload()

@@ -46,7 +46,7 @@ class ScriptedTopology:
         self.links = []
 
     def sample(self, src, dst, *, size=0.0):
-        self.links.append((src, dst, size))
+        self.links.append((src, dst))
         return self.delays.pop(0)
 
 
@@ -73,7 +73,7 @@ class TestScheduledMode:
         assert self.send(channel, 1, 2, applied, "a")
         assert applied == [] and channel.pending_count == 1
         assert bus.stats.total == 1  # counted at send time
-        assert channel._topology.links == [(Address(1), Address(2), 1.0)]
+        assert channel._topology.links == [(Address(1), Address(2))]
         sim.run()
         assert applied == ["a"] and sim.now == 2.5
         assert channel.pending_count == 0
