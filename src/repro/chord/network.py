@@ -534,6 +534,58 @@ class ChordNetwork(OverlayNetwork):
             applied = store.delete(key)
         return DataOpResult(applied=applied, owner=owner, trace=trace)
 
+    # -- structure ------------------------------------------------------------------
+
+    def violations(self) -> List[str]:
+        """The ring's invariants, checked against the live node set.
+
+        Four clauses, each line prefixed with its name: every successor's
+        predecessor points back (``symmetry``); every successor is live
+        (``live successor``); following successors from the lowest id
+        visits every live node once, in id order, and closes (``ring``);
+        and every key sits at its hash's successor among the live ids
+        (``key placement``).  Fingers are routing hints and go unchecked.
+        """
+        nodes = self.nodes
+        errors: List[str] = []
+        for address, node in nodes.items():
+            successor = nodes.get(node.successor)
+            if successor is None:
+                errors.append(
+                    f"live successor: node {address} points at "
+                    f"{node.successor}, which is not live"
+                )
+            elif successor.predecessor != address:
+                errors.append(
+                    f"symmetry: successor {node.successor} of node {address} "
+                    f"names {successor.predecessor} as its predecessor"
+                )
+        if not nodes:
+            return errors
+        ring = sorted(nodes.values(), key=lambda node: node.node_id)
+        current = ring[0]
+        for expected in ring[1:] + ring[:1]:
+            following = nodes.get(current.successor)
+            if following is not expected:
+                errors.append(
+                    f"ring: the successor of id {current.node_id} is "
+                    f"{following.node_id if following else current.successor}, "
+                    f"not id {expected.node_id}"
+                )
+                break
+            current = following
+        ids = [node.node_id for node in ring]
+        for node in ring:
+            for key in node.store:
+                index = bisect.bisect_left(ids, hash_key(key, self.m_bits))
+                owner = ring[index % len(ring)]
+                if owner is not node:
+                    errors.append(
+                        f"key placement: key {key} is at id {node.node_id}, "
+                        f"its hash successor is id {owner.node_id}"
+                    )
+        return errors
+
     def bulk_load(self, keys: List[int]) -> int:
         """Place keys at their owners without routed messages (untimed load)."""
         by_id = sorted(

@@ -21,7 +21,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core.data import hand_over
 from repro.core.ids import ROOT
-from repro.core.links import LEFT, RIGHT, NodeInfo
+from repro.core.links import LEFT, RIGHT, ROW_DISTANCES, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core.results import JoinResult
@@ -415,21 +415,43 @@ def fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer) 
     bordering child, and that child replies to the new node.  Both ends
     record each other.  A repair runs it again for the children of a
     replaced slot (:mod:`repro.core.failure`).
+
+    Slots are number arithmetic on the child's level: the slot at distance
+    ``d`` is ``number ± d``, its parent ``(slot + 1) // 2``, and that
+    parent's row in our parent's tables sits at a power-of-two distance
+    from our parent's number.  Neither snapshot changes inside the relay,
+    so each is built once.
     """
-    sibling_position = child.position.sibling()
+    level = child.position.level
+    number = child.position.number
+    if parent.position.level != level - 1:
+        return  # not the child's parent: no slot of ours to relay through
+    sibling = number + 1 if number & 1 else number - 1
+    parent_number = parent.position.number
+    parent_left = parent.left_table.entries
+    parent_right = parent.right_table.entries
+    parent_snapshot = parent.snapshot()
+    child_snapshot = child.snapshot()
     contacted: dict[Address, BatonPeer] = {}
-    for side in (LEFT, RIGHT):
-        table = child.table_on(side)
-        for index in table.valid_indices():
-            slot = table.position_at(index)
-            if slot is None or slot == sibling_position:
+    # The left table, then the right, each nearest slot first.
+    for sign, width in (
+        (-1, (number - 1).bit_length()),
+        (1, ((1 << level) - number).bit_length()),
+    ):
+        for distance in ROW_DISTANCES[width]:
+            slot = number + sign * distance
+            if slot == sibling:
                 continue
-            parent_slot = slot.parent()
-            table_slot = parent.table_slot_for(parent_slot)
-            if table_slot is None:
+            delta = (slot + 1) // 2 - parent_number
+            if delta > 0:
+                row = parent_right
+            elif delta < 0:
+                row, delta = parent_left, -delta
+            else:
                 continue
-            w_side, w_index = table_slot
-            w_info = parent.table_on(w_side).get(w_index)
+            if delta & (delta - 1):
+                continue  # not a power-of-two distance: no row of the parent
+            w_info = row[delta.bit_length() - 1]
             if w_info is None:
                 continue  # no parent over there, hence no occupant (Theorem 2)
             w_peer = contacted.get(w_info.address)
@@ -441,20 +463,22 @@ def fill_child_tables(net: "BatonNetwork", parent: BatonPeer, child: BatonPeer) 
                 ):
                     continue  # neighbour died concurrently; repair fills in
                 w_peer = net.peer(w_info.address)
-                w_peer.update_link_info(parent.snapshot())
+                w_peer.update_link_info(parent_snapshot)
                 contacted[w_info.address] = w_peer
             occupant = None
-            if w_peer.left_child is not None and w_peer.left_child.position == slot:
-                occupant = w_peer.left_child.address
-            elif w_peer.right_child is not None and w_peer.right_child.position == slot:
-                occupant = w_peer.right_child.address
+            for link in (w_peer.left_child, w_peer.right_child):
+                if link is not None:
+                    position = link.position
+                    if position.number == slot and position.level == level:
+                        occupant = link.address
+                        break
             if occupant is None:
                 continue  # slot itself is unoccupied
             # Neighbour -> its child: "add the new node to your table".
             if not try_message(net, w_peer.address, occupant, MsgType.TABLE_UPDATE):
                 continue
             c_peer = net.peer(occupant)
-            c_peer.set_table_entry(child.snapshot())
+            c_peer.set_table_entry(child_snapshot)
             # Child of neighbour -> new node: reply with its coordinates.
             net.bus.send(occupant, child.address, MsgType.RESPONSE)
             child.set_table_entry(c_peer.snapshot())

@@ -20,11 +20,22 @@ assertions.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
+from repro.core import bulk_build
+from repro.core import cache as route_cache_protocol
+from repro.core import data as data_protocol
+from repro.core import failure as failure_protocol
+from repro.core import join as join_protocol
+from repro.core import leave as leave_protocol
+from repro.core import replication
+from repro.core import restructure as restructure_protocol
+from repro.core import search as search_protocol
 from repro.core.ids import ROOT, Position
+from repro.core.invariants import collect_violations
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core.results import NetworkStats, RepairResult
@@ -33,8 +44,11 @@ from repro.net.address import Address, AddressAllocator, AddressPoolDict
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.net.overlay import OverlayNetwork
+from repro.pubsub import multicast as multicast_protocol
+from repro.pubsub import subscribe as subscribe_protocol
+from repro.pubsub.state import PubSubState
 from repro.util.collector import paused
-from repro.util.errors import NetworkEmptyError, PeerNotFoundError
+from repro.util.errors import NetworkEmptyError, PeerNotFoundError, ProtocolError
 from repro.util.rng import SeededRng
 from repro.util.stepper import MessageSteps, drive
 
@@ -247,10 +261,6 @@ class BatonNetwork(OverlayNetwork):
         #: Back-off bookkeeping for §IV-D (see balance.maybe_balance).
         self._balance_backoff: Dict[Address, int] = {}
         #: Dissemination ids and pub/sub counters (see repro.pubsub).
-        #: Imported lazily: repro.pubsub reaches repro.sim for Hop, which
-        #: imports this module right back.
-        from repro.pubsub.state import PubSubState
-
         self.pubsub = PubSubState()
         #: The run's physical topology, when one exists (locality
         #: extension).  The event runtime installs its own
@@ -262,9 +272,7 @@ class BatonNetwork(OverlayNetwork):
         self.topology = None
         #: Hot-range cache counters, shared by every peer's cache (locality
         #: extension; all-zero unless ``config.locality.cache_size > 0``).
-        from repro.core.cache import CacheStats
-
-        self.cache_stats = CacheStats()
+        self.cache_stats = route_cache_protocol.CacheStats()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -371,11 +379,9 @@ class BatonNetwork(OverlayNetwork):
         """
         if not bulk:
             return super().build(n_peers, seed=seed, config=config, keys=keys)
-        from repro.core.bulk_build import populate_balanced
-
         net = cls(config=config, seed=seed)
         with paused():
-            populate_balanced(net, n_peers, keys=keys)
+            bulk_build.populate_balanced(net, n_peers, keys=keys)
         return net
 
     def grow(self, n_peers: int, keys: Optional[Iterable[int]] = None) -> None:
@@ -385,9 +391,9 @@ class BatonNetwork(OverlayNetwork):
         if keys is not None:
             keys = list(keys)
             if keys:
-                from repro.core.bulk_build import check_keys_in_domain
-
-                check_keys_in_domain(self.config.domain, min(keys), max(keys))
+                bulk_build.check_keys_in_domain(
+                    self.config.domain, min(keys), max(keys)
+                )
         super().grow(n_peers, keys)
 
     # -- operations (step generators in the protocol modules) -----------------
@@ -399,8 +405,6 @@ class BatonNetwork(OverlayNetwork):
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
         """The join both facades run (:func:`repro.core.join.join_steps`)."""
-        from repro.core import join as join_protocol
-
         return join_protocol.join_steps(self, start, trace, degraded)
 
     def leave_steps(
@@ -410,8 +414,6 @@ class BatonNetwork(OverlayNetwork):
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
         """The leave both facades run (:func:`repro.core.leave.leave_steps`)."""
-        from repro.core import leave as leave_protocol
-
         return leave_protocol.leave_steps(self, address, trace, degraded)
 
     def search_exact_steps(
@@ -423,8 +425,6 @@ class BatonNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """The exact-match query both facades run
         (:func:`repro.core.search.search_exact_steps`)."""
-        from repro.core import search as search_protocol
-
         return search_protocol.search_exact_steps(
             self, start, key, trace, degraded
         )
@@ -439,8 +439,6 @@ class BatonNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """The range query both facades run
         (:func:`repro.core.search.search_range_steps`)."""
-        from repro.core import search as search_protocol
-
         return search_protocol.search_range_steps(
             self, start, low, high, trace, degraded
         )
@@ -455,11 +453,14 @@ class BatonNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """The insert or delete both facades run; an insert may trigger
         load balancing (:func:`repro.core.data.data_op_steps`)."""
-        from repro.core import data as data_protocol
-
         return data_protocol.data_op_steps(
             self, start, key, mtype, trace, degraded
         )
+
+    def violations(self) -> List[str]:
+        """The full invariant checker
+        (:func:`repro.core.invariants.collect_violations`)."""
+        return collect_violations(self)
 
     # -- extension ops (step generators in the protocol modules) -------------
     #
@@ -482,8 +483,6 @@ class BatonNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """The crash as one hop-free step (:func:`repro.core.failure.fail`);
         returns the crashed address."""
-        from repro.core import failure as failure_protocol
-
         yield from ()
         if degraded is not None and address not in self.peers:
             return None  # it left or crashed while the crash was in flight
@@ -502,8 +501,6 @@ class BatonNetwork(OverlayNetwork):
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
         """The repair both facades run (:func:`repro.core.failure.repair_steps`)."""
-        from repro.core import failure as failure_protocol
-
         if degraded is not None and failed not in self.ghosts:
             return None  # already repaired (or never actually crashed)
         return (yield from failure_protocol.repair_steps(self, failed, trace))
@@ -520,8 +517,6 @@ class BatonNetwork(OverlayNetwork):
         blocked on another ghost; the default is :meth:`repair` (the event
         runtime passes a priced one).
         """
-        from repro.core import failure as failure_protocol
-        from repro.util.errors import ProtocolError
 
         def repair_now(address: Address) -> Optional[RepairResult]:
             try:
@@ -546,9 +541,7 @@ class BatonNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """The range multicast both facades run
         (:func:`repro.pubsub.multicast.multicast_steps`)."""
-        from repro.pubsub.multicast import multicast_steps
-
-        return multicast_steps(
+        return multicast_protocol.multicast_steps(
             self, start, low, high, degraded=degraded, trace=trace
         )
 
@@ -566,9 +559,7 @@ class BatonNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """The subscription walk both facades run
         (:func:`repro.pubsub.subscribe.subscribe_steps`)."""
-        from repro.pubsub.subscribe import subscribe_steps
-
-        return subscribe_steps(
+        return subscribe_protocol.subscribe_steps(
             self, subscriber, low, high, degraded=degraded, trace=trace
         )
 
@@ -594,8 +585,6 @@ class BatonNetwork(OverlayNetwork):
         """Re-anchor one peer's mirror at its current adjacent
         (:func:`repro.core.replication.refresh_peer_steps`); returns the
         messages spent.  A peer-initiated transfer: no ingress hop."""
-        from repro.core import replication
-
         if not self.config.replication:
             return 0
         if degraded is not None and address not in self.peers:
@@ -631,9 +620,6 @@ class BatonNetwork(OverlayNetwork):
         the number of messages spent.  Runs with the cycle collector
         paused (DESIGN.md, "Performance contract").
         """
-        from repro.core import cache as route_cache_protocol
-        from repro.core import restructure as restructure_protocol
-
         view = restructure_protocol.MapView(self, include_ghosts=bool(self.ghosts))
         validate_routes = route_cache_protocol.cache_enabled(self)
         messages = 0
@@ -689,8 +675,6 @@ class BatonNetwork(OverlayNetwork):
         """
         owners = sorted(self.peers.values(), key=lambda p: p.range.low)
         bounds = [p.range.low for p in owners]
-        import bisect
-
         placed = 0
         for key in keys:
             index = bisect.bisect_right(bounds, key) - 1

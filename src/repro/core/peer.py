@@ -169,33 +169,46 @@ class BatonPeer:
         Returns None when the position is not at my level or not at a
         power-of-two distance.
         """
-        if position.level != self.level:
+        entries, index = self._row_for(position)
+        if entries is None:
             return None
-        delta = position.number - self.position.number
-        if delta == 0:
-            return None
-        side = RIGHT if delta > 0 else LEFT
-        distance = abs(delta)
-        if distance & (distance - 1) != 0:
-            return None
-        return side, distance.bit_length() - 1
+        return (LEFT if entries is self.left_table.entries else RIGHT), index
+
+    def _row_for(self, position: Position) -> tuple[Optional[list], int]:
+        """``(entries, index)`` of the table slot covering ``position``.
+
+        ``(None, -1)`` when there is none: ``position`` is not at my level,
+        or not a power-of-two distance away.  The row itself comes back so
+        the caller writes ``entries[index]`` directly; the slot is the
+        position's own, so :meth:`RoutingTable.set`'s checks could never
+        fire on it.
+        """
+        own = self.position
+        if position.level == own.level:
+            delta = position.number - own.number
+            if delta > 0:
+                if not delta & (delta - 1):
+                    return self.right_table.entries, delta.bit_length() - 1
+            elif delta < 0:
+                delta = -delta
+                if not delta & (delta - 1):
+                    return self.left_table.entries, delta.bit_length() - 1
+        return None, -1
 
     def set_table_entry(self, info: NodeInfo) -> bool:
         """Record ``info`` in whichever table slot matches its position."""
-        slot = self.table_slot_for(info.position)
-        if slot is None:
+        entries, index = self._row_for(info.position)
+        if entries is None:
             return False
-        side, index = slot
-        self.table_on(side).set(index, info)
+        entries[index] = info
         return True
 
     def clear_table_entry(self, position: Position) -> bool:
         """Null out the slot for ``position`` (neighbour departed)."""
-        slot = self.table_slot_for(position)
-        if slot is None:
+        entries, index = self._row_for(position)
+        if entries is None:
             return False
-        side, index = slot
-        self.table_on(side).set(index, None)
+        entries[index] = None
         return True
 
     # -- updating knowledge about other peers -----------------------------------
@@ -204,51 +217,53 @@ class BatonPeer:
         """Refresh every link slot that points at ``info.address``.
 
         Returns the number of slots refreshed.  Used when a linked peer
-        announces a change (new range, new child, position move).
+        announces a change (new range, new child, position move).  One
+        table entry per side at most: the slot ``info``'s position expects
+        it at is refreshed in place; otherwise the first entry naming the
+        peer was parked at a stale slot by a position move and is dropped.
         """
+        address = info.address
         if self.route_cache is not None:
             # The announcing peer's snapshot already paid its message;
             # correcting a cached route from it is free (locality cache's
             # restructure hook — see repro.core.cache).
             info_range = info.range
-            self.route_cache.refresh(
-                info.address, info_range.low, info_range.high
-            )
+            self.route_cache.refresh(address, info_range.low, info_range.high)
         updated = 0
-        if self.parent is not None and self.parent.address == info.address:
+        link = self.parent
+        if link is not None and link.address == address:
             self.parent = info
             updated += 1
-        # Fast path for the tables: when the announcing peer sits exactly
-        # where my geometry expects it (the overwhelmingly common case),
-        # its entry can only live in that one slot — no scan needed.  The
-        # scan below still catches entries parked at a stale slot after a
-        # position move.
-        expected_slot = self.table_slot_for(info.position)
-        for side in (LEFT, RIGHT):
-            child = self.child_on(side)
-            if child is not None and child.address == info.address:
-                self.set_child(side, info)
-                updated += 1
-            adjacent = self.adjacent_on(side)
-            if adjacent is not None and adjacent.address == info.address:
-                self.set_adjacent(side, info)
-                updated += 1
-            table = self.table_on(side)
-            if expected_slot is not None and expected_slot[0] == side:
-                index = expected_slot[1]
-                current = table.get(index)
-                if current is not None and current.address == info.address:
-                    table.set(index, info)
+        link = self.left_child
+        if link is not None and link.address == address:
+            self.left_child = info
+            updated += 1
+        link = self.right_child
+        if link is not None and link.address == address:
+            self.right_child = info
+            updated += 1
+        link = self.left_adjacent
+        if link is not None and link.address == address:
+            self.left_adjacent = info
+            updated += 1
+        link = self.right_adjacent
+        if link is not None and link.address == address:
+            self.right_adjacent = info
+            updated += 1
+        expected, index = self._row_for(info.position)
+        for entries in (self.left_table.entries, self.right_table.entries):
+            if entries is expected:
+                current = entries[index]
+                if current is not None and current.address == address:
+                    entries[index] = info
                     updated += 1
                     continue
-            found = table.entry_for_address(info.address)
-            if found is not None:
-                index, _ = found
-                if table.position_at(index) == info.position:
-                    table.set(index, info)
-                else:
-                    table.set(index, None)
-                updated += 1
+            for current in entries:
+                if current is not None and current.address == address:
+                    # Parked at a stale slot by a position move.
+                    entries[entries.index(current)] = None
+                    updated += 1
+                    break
         return updated
 
     def replace_link_address(self, old: Address, info: NodeInfo) -> int:
@@ -256,33 +271,38 @@ class BatonPeer:
 
         Used when a replacement node takes over a departed peer's position
         (§III-B): the logical position is unchanged but the physical address
-        is new.
+        is new.  In each table the first entry naming ``old`` takes
+        ``info`` when it sits at ``info``'s slot and is dropped otherwise.
         """
         if self.route_cache is not None:
             # The departed address can never answer a shortcut again.
             self.route_cache.invalidate(old)
         updated = 0
-        if self.parent is not None and self.parent.address == old:
+        link = self.parent
+        if link is not None and link.address == old:
             self.parent = info
             updated += 1
-        for side in (LEFT, RIGHT):
-            child = self.child_on(side)
-            if child is not None and child.address == old:
-                self.set_child(side, info)
-                updated += 1
-            adjacent = self.adjacent_on(side)
-            if adjacent is not None and adjacent.address == old:
-                self.set_adjacent(side, info)
-                updated += 1
-            table = self.table_on(side)
-            found = table.entry_for_address(old)
-            if found is not None:
-                index, _ = found
-                if table.position_at(index) == info.position:
-                    table.set(index, info)
-                else:
-                    table.set(index, None)
-                updated += 1
+        link = self.left_child
+        if link is not None and link.address == old:
+            self.left_child = info
+            updated += 1
+        link = self.right_child
+        if link is not None and link.address == old:
+            self.right_child = info
+            updated += 1
+        link = self.left_adjacent
+        if link is not None and link.address == old:
+            self.left_adjacent = info
+            updated += 1
+        link = self.right_adjacent
+        if link is not None and link.address == old:
+            self.right_adjacent = info
+            updated += 1
+        expected, index = self._row_for(info.position)
+        for entries in (self.left_table.entries, self.right_table.entries):
+            updated += _repoint(
+                entries, index if entries is expected else -1, old, info
+            )
         return updated
 
     # -- position changes (restructuring) ---------------------------------------
@@ -305,3 +325,19 @@ class BatonPeer:
 
     def __repr__(self) -> str:
         return f"BatonPeer(addr={self.address}, pos={self.position}, range={self.range})"
+
+
+def _repoint(
+    entries: List[Optional[NodeInfo]], index: int, old: Address, info: NodeInfo
+) -> int:
+    """Repoint a table row's first entry naming ``old``: to ``info`` when it
+    sits at ``index`` (``info``'s own slot), to ``None`` elsewhere.  Returns
+    1 if the row named ``old`` at all, else 0."""
+    for current in entries:
+        if current is not None and current.address == old:
+            # ``list.index`` (in C) finds this very row: an earlier entry
+            # equal to ``current`` would name ``old`` too.
+            i = entries.index(current)
+            entries[i] = info if i == index else None
+            return 1
+    return 0

@@ -10,12 +10,14 @@ through the root.
 A range query routes like a point query for the first intersecting node,
 then expands along adjacent links — O(log N + X) for X covered nodes.
 
-Fault tolerance (§III-D): each step's routing decision is a lazy, ordered
+Fault tolerance (§III-D): each step's routing decision is an ordered
 candidate stream (:func:`next_hops`: greedy choice first, then nearer
 sideways entries, child, adjacent, parent) that the walk consumes only as far
 as the first live peer; a hop to a dead peer costs its message and falls
 through to the next candidate, which is how queries route around failures
-while repair runs.
+while repair runs.  The greedy choice is a plain call
+(:func:`greedy_hop`); the lazy stream repeats it and is built only when the
+choice is dead.
 """
 
 from __future__ import annotations
@@ -113,21 +115,26 @@ def walk_steps(
         peer = net.peer(current)
         if peer.range.contains(key):
             return current, hops
-        dead = False
-        for next_hop in next_hops(peer, key):
-            try:
-                send(current, next_hop, mtype)
-                break
-            except PeerNotFoundError:
-                dead = True  # paid for and skipped; try the next candidate
-        else:
-            if not dead:
-                return current, hops  # extreme node; key beyond the covered domain
-            if may_give_up(net, degraded):
-                return current, hops  # marooned next to the failure; best effort
-            raise ProtocolError(
-                f"all routes from {peer.position} toward {key} are dead"
-            )
+        next_hop = greedy_hop(peer, key)
+        if next_hop is None:
+            return current, hops  # extreme node; key beyond the covered domain
+        try:
+            send(current, next_hop, mtype)
+        except PeerNotFoundError:
+            # Paid for and skipped; the fallbacks follow, the pick seeded
+            # as tried so it is never paid for twice.
+            for next_hop in next_hops(peer, key, (next_hop,)):
+                try:
+                    send(current, next_hop, mtype)
+                    break
+                except PeerNotFoundError:
+                    pass
+            else:
+                if may_give_up(net, degraded):
+                    return current, hops  # marooned next to the failure
+                raise ProtocolError(
+                    f"all routes from {peer.position} toward {key} are dead"
+                )
         yield tuple.__new__(Hop, (current, next_hop))
         hops += 1
         current = next_hop
@@ -160,7 +167,43 @@ def hop_limit(net: "BatonNetwork") -> int:
     return 16 * max(net.size.bit_length(), 2) + 64
 
 
-def next_hops(peer: BatonPeer, key: int) -> Iterator[Address]:
+def greedy_hop(
+    peer: BatonPeer, key: int, tried: tuple = ()
+) -> Optional[Address]:
+    """§IV-A's pick at ``peer`` toward ``key``, or None at the extreme node.
+
+    The farthest qualifying sideways entry, else the child, else the
+    adjacent node; never the peer itself (a stale entry) nor an address in
+    ``tried``.  A plain call, so a walk whose pick is alive builds no
+    generator; :func:`next_hops` is this pick repeated with ``tried``
+    growing, which makes this the one definition of the order.
+    """
+    own = peer.address
+    if key >= peer.range.high:
+        for info in reversed(peer.right_table.entries):
+            if info is not None and info.range.low <= key:
+                address = info.address
+                if address != own and address not in tried:
+                    return address
+        links = (peer.right_child, peer.right_adjacent)
+    else:
+        for info in reversed(peer.left_table.entries):
+            if info is not None and info.range.high > key:
+                address = info.address
+                if address != own and address not in tried:
+                    return address
+        links = (peer.left_child, peer.left_adjacent)
+    for info in links:
+        if info is not None:
+            address = info.address
+            if address != own and address not in tried:
+                return address
+    return None
+
+
+def next_hops(
+    peer: BatonPeer, key: int, tried: tuple = ()
+) -> Iterator[Address]:
     """The routing decision at ``peer`` toward ``key``, as a lazy stream.
 
     Yields §IV-A's pick first — the farthest qualifying sideways entry —
@@ -168,46 +211,25 @@ def next_hops(peer: BatonPeer, key: int) -> Iterator[Address]:
     qualifying entries, the child, the adjacent node and last the parent.
     The parent is a fallback around failures only: a peer with no other
     candidate is the extreme node, the stopping point for an out-of-domain
-    key, and its stream is empty.  The peer itself and repeated addresses
-    (stale entries) are skipped.
+    key, and its stream is empty.  The peer itself, repeated addresses
+    (stale entries) and the addresses in ``tried`` are skipped; the walk
+    seeds ``tried`` with the dead :func:`greedy_hop` pick, so the stream
+    picks up right after it.
 
-    The consumer stops at the first live candidate, so being resumed means
-    the one just yielded was dead, and only then does ``tried`` grow: a
-    walk whose greedy pick is alive scans the table down to the first hit
-    and allocates nothing but this generator.  It reads the peer's links as
-    they are now, so it must not outlive the protocol step that made it.
+    Each candidate is :func:`greedy_hop` with the ones yielded so far
+    tried; the consumer stops at the first live one, so a rescan happens
+    only after a dead hop.  It reads the peer's links as they are now, so
+    it must not outlive the protocol step that made it.
     """
-    # The four-line yield block is repeated rather than factored out: a
-    # helper generator costs one more resume per candidate, and folding the
-    # two scans into one loop a direction test per entry (+0.35 µs on a
-    # 1.0 µs decision, measured).
-    own = peer.address
-    tried: tuple = ()
-    if key >= peer.range.high:
-        child, adjacent = peer.right_child, peer.right_adjacent
-        for info in reversed(peer.right_table.entries):
-            if info is not None and info.range.low <= key:
-                address = info.address
-                if address != own and address not in tried:
-                    yield address
-                    tried += (address,)
-    else:
-        child, adjacent = peer.left_child, peer.left_adjacent
-        for info in reversed(peer.left_table.entries):
-            if info is not None and info.range.high > key:
-                address = info.address
-                if address != own and address not in tried:
-                    yield address
-                    tried += (address,)
-    for info in (child, adjacent):
-        if info is not None:
-            address = info.address
-            if address != own and address not in tried:
-                yield address
-                tried += (address,)
+    while True:
+        address = greedy_hop(peer, key, tried)
+        if address is None:
+            break
+        yield address
+        tried += (address,)
     if tried and peer.parent is not None:
         address = peer.parent.address
-        if address != own and address not in tried:
+        if address != peer.address and address not in tried:
             yield address
 
 

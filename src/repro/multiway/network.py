@@ -612,6 +612,87 @@ class MultiwayNetwork(OverlayNetwork):
                 placed += 1
         return placed
 
+    # -- structure ------------------------------------------------------------------
+
+    def violations(self) -> List[str]:
+        """The tree's invariants, checked against the live node set.
+
+        Five clauses, each line prefixed with its name: parent and child
+        links agree both ways and only the root has no parent
+        (``parent/child``); no node has more than ``fanout`` children
+        (``fan-out``); each child's coverage lies inside its parent's, and
+        the parent's link to it carries that same coverage (``coverage``); the own ranges tile the root's coverage — the
+        domain, unless an out-of-domain insert widened it — with no gap or
+        overlap (``tiling``); and every key lies inside its node's own
+        range (``key placement``).
+        """
+        nodes = self.nodes
+        errors: List[str] = []
+        for address, node in nodes.items():
+            if node.parent is None:
+                if address != self.root:
+                    errors.append(f"parent/child: node {address} has no parent")
+            else:
+                parent = nodes.get(node.parent)
+                if parent is None or parent.child_link_to(address) is None:
+                    errors.append(
+                        f"parent/child: parent {node.parent} of node {address} "
+                        f"has no child link to it"
+                    )
+            if len(node.children) > self.config.fanout:
+                errors.append(
+                    f"fan-out: node {address} has {len(node.children)} "
+                    f"children, above {self.config.fanout}"
+                )
+            for link in node.children:
+                child = nodes.get(link.address)
+                if child is None or child.parent != address:
+                    errors.append(
+                        f"parent/child: child {link.address} of node {address} "
+                        f"does not name it as its parent"
+                    )
+                    continue
+                coverage = child.coverage
+                if link.coverage != coverage:
+                    errors.append(
+                        f"coverage: parent {address}'s link to child "
+                        f"{link.address} reads {link.coverage}, not the "
+                        f"child's {coverage}"
+                    )
+                if not (
+                    node.coverage.low <= coverage.low
+                    and coverage.high <= node.coverage.high
+                ):
+                    errors.append(
+                        f"coverage: child {link.address}'s {coverage} is not "
+                        f"inside parent {address}'s {node.coverage}"
+                    )
+            for key in node.store:
+                if not node.range.contains(key):
+                    errors.append(
+                        f"key placement: key {key} is outside node {address}'s "
+                        f"range {node.range}"
+                    )
+        root = nodes.get(self.root)
+        if root is None:
+            if nodes:
+                errors.append(f"parent/child: the root {self.root} is not live")
+            return errors
+        edge = root.coverage.low
+        for node in sorted(nodes.values(), key=lambda node: node.range.low):
+            if node.range.low != edge:
+                errors.append(
+                    f"tiling: node {node.address}'s range {node.range} "
+                    f"starts at {node.range.low}, not at {edge}"
+                )
+            edge = max(edge, node.range.high)
+        if edge != root.coverage.high:
+            errors.append(
+                f"tiling: the ranges end at {edge}, not at the root's "
+                f"coverage end {root.coverage.high}"
+            )
+        return errors
+
     # -- diagnostics ---------------------------------------------------------------
 
     def depth(self) -> int:

@@ -176,6 +176,13 @@ class OverlayNetwork(ABC):
     ) -> MessageSteps:
         """Route ``key`` to its owner and insert or delete it (``mtype``)."""
 
+    @abstractmethod
+    def violations(self) -> List[str]:
+        """Every broken structural invariant of the overlay, one
+        human-readable line each; empty on a consistent network.  What a
+        comparison reports beside its latencies, so a broken baseline
+        shows as a number, not as a silently skewed row."""
+
     # -- written once for every overlay ----------------------------------------
 
     @classmethod

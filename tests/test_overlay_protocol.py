@@ -130,6 +130,7 @@ ABSTRACT_MEMBERS = (
     "search_exact_steps",
     "search_range_steps",
     "data_op_steps",
+    "violations",
 )
 
 

@@ -163,6 +163,26 @@ def interleaved_run(seed: int = 42, n_ops: int = 520):
     return anet, futures
 
 
+class TestLeaveCandidates:
+    """The churn driver's victim list: every live address bar those with a
+    leave in flight, in ``addresses()`` order, so a seeded draw from it
+    picks the same victim on every run."""
+
+    @pytest.mark.parametrize("in_flight", [0, 1, 3])
+    def test_equals_the_filtered_address_list(self, in_flight):
+        anet = AsyncOverlayRuntime(
+            BatonNetwork.build(30, seed=4), topology=ConstantLatency(1.0)
+        )
+        for address in anet.net.addresses()[2 : 2 + 4 * in_flight : 4]:
+            anet.submit_leave(address)
+        pending = anet._pending_leaves
+        assert len(pending) == in_flight
+        expected = [a for a in anet.net.addresses() if a not in pending]
+        assert anet.leave_candidates() == expected
+        anet.drain()
+        assert anet.leave_candidates() == anet.net.addresses()
+
+
 class TestInterleaving:
     def test_many_operations_overlap_and_complete(self):
         anet, futures = interleaved_run()
