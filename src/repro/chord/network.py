@@ -49,19 +49,16 @@ from repro.core.results import (
     RangeSearchResult,
     SearchResult,
 )
-from repro.core.storage import LocalStore
-from repro.net.address import Address, AddressAllocator, AddressPoolDict
-from repro.net.bus import MessageBus, Trace
+from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
 from repro.net.overlay import OverlayNetwork
 from repro.sim.topology import Hop
 from repro.util.errors import (
-    NetworkEmptyError,
     PeerNotFoundError,
     ProtocolError,
     ReproError,
 )
-from repro.util.rng import SeededRng
 from repro.util.stepper import MessageSteps
 
 
@@ -78,18 +75,10 @@ class ChordNetwork(OverlayNetwork):
     overlay_name = "chord"
 
     def __init__(self, config: Optional[ChordConfig] = None, seed: int = 0):
-        self.config = config or ChordConfig()
-        self.rng = SeededRng(seed)
-        self.bus = MessageBus()
-        self.alloc = AddressAllocator()
-        self.nodes: dict[Address, ChordNode] = AddressPoolDict()
+        super().__init__(config or ChordConfig(), seed)
         self._used_ids: set[int] = set()
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
     @property
     def m_bits(self) -> int:
@@ -99,26 +88,6 @@ class ChordNetwork(OverlayNetwork):
     def domain(self) -> Range:
         """Keys are hashed onto the ring, so any key is fair game."""
         return Range.full_domain()
-
-    def node(self, address: Address) -> ChordNode:
-        """The live node at ``address`` (raises if departed/unknown)."""
-        try:
-            return self.nodes[address]
-        except KeyError:
-            raise PeerNotFoundError(address) from None
-
-    def addresses(self) -> List[Address]:
-        return list(self.nodes)
-
-    def random_peer_address(self) -> Address:
-        """A uniformly random live node (query/join entry points)."""
-        if not self.nodes:
-            raise NetworkEmptyError("ring has no nodes")
-        return self.nodes.random_address(self.rng)
-
-    def store_of(self, address: Address) -> LocalStore:
-        """The key store of the live node at ``address``."""
-        return self.node(address).store
 
     def _new_id(self) -> int:
         space = 1 << self.m_bits
@@ -152,20 +121,19 @@ class ChordNetwork(OverlayNetwork):
 
     def bootstrap(self) -> Address:
         """Create the first node; it is its own successor and predecessor."""
-        if self.nodes:
+        if self.peers:
             raise ValueError("ring is already bootstrapped")
         node = ChordNode(self.alloc.allocate(), self._new_id(), self.m_bits)
         node.predecessor = node.address
         for i in range(self.m_bits):
             node.finger[i] = node.address
-        self.nodes[node.address] = node
-        self.bus.register(node.address)
+        self.peers[node.address] = node
         return node.address
 
     def spawn_node(self) -> ChordNode:
         """Allocate a node about to join.
 
-        The node does NOT enter ``self.nodes`` yet — that happens atomically
+        The node does NOT enter ``self.peers`` yet — that happens atomically
         with the ring splice in :meth:`join_update_steps`.  Until then no
         concurrent operation can select the half-born node (successor and
         fingers still ``None``) as a query entry point or leave victim,
@@ -175,9 +143,8 @@ class ChordNetwork(OverlayNetwork):
 
     def abort_join(self, node: ChordNode) -> None:
         """Withdraw a spawned node whose join died before it was spliced in."""
-        if self.nodes.get(node.address) is node:
-            del self.nodes[node.address]
-        self.bus.unregister(node.address)
+        if self.peers.get(node.address) is node:
+            del self.peers[node.address]
         self._used_ids.discard(node.node_id)
 
     def join_steps(
@@ -192,8 +159,8 @@ class ChordNetwork(OverlayNetwork):
         the result's find and update halves (``degraded`` is unused: the
         ring has no give-up branch).  A join that raises — its lookup died
         under churn, or the successor vanished before the splice — unwinds
-        the spawned node, so the ring, the bus and the id set stay as they
-        were."""
+        the spawned node, so the ring, the live map and the id set stay as
+        they were."""
         node = self.spawn_node()
         try:
             successor = yield from self.successor_steps(
@@ -221,12 +188,11 @@ class ChordNetwork(OverlayNetwork):
 
         The leave both facades run; the successor is known locally, so
         the find half is empty and ``trace`` is all update."""
-        node = self.node(address)  # raises if the node already vanished
+        node = self.peer(address)  # raises if the node already vanished
         find_trace = trace.frozen("chord.leave.find")
         successor: Optional[Address] = None
         if self.size == 1:
-            del self.nodes[address]
-            self.bus.unregister(address)
+            del self.peers[address]
         else:
             successor = node.successor
             yield from self.leave_update_steps(node)
@@ -256,11 +222,11 @@ class ChordNetwork(OverlayNetwork):
         Each hop forwards to the closest preceding finger — the highest live
         finger strictly inside (node, target) — or, when none is, to the
         successor."""
-        live = self.nodes.get
+        live = self.peers.get
         send = self.bus.send
         mask = (1 << self.config.m_bits) - 1
         current = start
-        size = len(self.nodes)
+        size = len(self.peers)
         for _ in range(4 * max(size.bit_length(), 2) + size + 16):
             node = live(current)
             if node is None:
@@ -291,7 +257,7 @@ class ChordNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """``find_successor``: predecessor walk plus the final successor hop."""
         predecessor = yield from self.predecessor_steps(start, target_id, mtype)
-        successor = self.node(predecessor).successor
+        successor = self.peer(predecessor).successor
         if successor != predecessor:
             self.bus.send(predecessor, successor, mtype)
             yield tuple.__new__(Hop, (predecessor, successor))
@@ -309,16 +275,15 @@ class ChordNetwork(OverlayNetwork):
         and victim selection, only here; everything after it is best-effort
         finger maintenance that tolerates nodes vanishing under churn.
         """
-        succ = self.node(successor)  # raises before any wiring: join aborts
-        self.nodes[node.address] = node
-        self.bus.register(node.address)
+        succ = self.peer(successor)  # raises before any wiring: join aborts
+        self.peers[node.address] = node
         node.successor = successor
         node.predecessor = succ.predecessor
         self.bus.send(node.address, successor, MsgType.TABLE_UPDATE)
         succ.predecessor = node.address
         if node.predecessor is not None:
             self.bus.send(node.address, node.predecessor, MsgType.TABLE_UPDATE)
-            self.node(node.predecessor).successor = node.address
+            self.peer(node.predecessor).successor = node.address
         yield Hop(node.address, successor)
         yield from self._init_fingers_steps(node, entry)
         yield from self.update_others_steps(node)
@@ -329,7 +294,7 @@ class ChordNetwork(OverlayNetwork):
 
     def _init_fingers_steps(self, node: ChordNode, entry: Address) -> MessageSteps:
         """Fill ``finger[1:]``, reusing the previous finger when possible."""
-        nodes = self.nodes
+        peers = self.peers
         m_bits = self.config.m_bits
         mask = (1 << m_bits) - 1
         fingers = node.finger
@@ -337,7 +302,7 @@ class ChordNetwork(OverlayNetwork):
         for i in range(1, m_bits):
             start = (node.node_id + (1 << i)) & mask  # finger i's start id
             previous = fingers[i - 1]
-            prev_node = nodes.get(previous)
+            prev_node = peers.get(previous)
             if (
                 prev_node is not None
                 and previous != node.address
@@ -371,15 +336,15 @@ class ChordNetwork(OverlayNetwork):
         self, address: Address, node: ChordNode, index: int
     ) -> MessageSteps:
         """Cascade a finger adoption backwards along predecessors."""
-        nodes = self.nodes
+        peers = self.peers
         send = self.bus.send
         mask = (1 << self.config.m_bits) - 1
         current = address
-        for _ in range(len(nodes) + 4):
-            holder = nodes.get(current)
+        for _ in range(len(peers) + 4):
+            holder = peers.get(current)
             if holder is None or holder.address == node.address:
                 return
-            finger_node = nodes.get(holder.finger[index])
+            finger_node = peers.get(holder.finger[index])
             base = holder.node_id + 1
             if (
                 finger_node is None
@@ -396,13 +361,13 @@ class ChordNetwork(OverlayNetwork):
 
     def _transfer_keys_on_join(self, node: ChordNode) -> None:
         """Pull the keys the newcomer is now responsible for."""
-        succ = self.node(node.successor)
+        succ = self.peer(node.successor)
         if succ.address == node.address:
             return
         self.bus.send(node.address, succ.address, MsgType.JOIN_TRANSFER)
         m_bits = self.config.m_bits
         mask = (1 << m_bits) - 1
-        pred = self.nodes.get(node.predecessor)
+        pred = self.peers.get(node.predecessor)
         base = (pred.node_id if pred is not None else node.node_id) + 1
         span = (node.node_id - base) & mask  # keys hashed into (pred, node]
         moved = [
@@ -417,22 +382,21 @@ class ChordNetwork(OverlayNetwork):
     def leave_update_steps(self, node: ChordNode) -> MessageSteps:
         """Hand keys over, repoint the ring (atomic), then repair fingers."""
         successor = node.successor
-        succ = self.node(successor)
+        succ = self.peer(successor)
         self.bus.send(node.address, successor, MsgType.LEAVE_TRANSFER)
         succ.store.extend(node.store.clear())
         succ.predecessor = node.predecessor
-        if node.predecessor is not None and node.predecessor in self.nodes:
+        if node.predecessor is not None and node.predecessor in self.peers:
             self.bus.send(node.address, node.predecessor, MsgType.LEAVE_TRANSFER)
-            self.nodes[node.predecessor].successor = successor
+            self.peers[node.predecessor].successor = successor
         yield Hop(node.address, successor)
         yield from self.repoint_fingers_steps(node)
-        if self.nodes.get(node.address) is node:
-            del self.nodes[node.address]
-        self.bus.unregister(node.address)
+        if self.peers.get(node.address) is node:
+            del self.peers[node.address]
 
     def repoint_fingers_steps(self, node: ChordNode) -> MessageSteps:
         """Repair fingers that pointed at the departing node (Θ(log² N))."""
-        nodes = self.nodes
+        peers = self.peers
         space = 1 << self.m_bits
         successor = node.successor
         for i in range(self.m_bits):
@@ -444,8 +408,8 @@ class ChordNetwork(OverlayNetwork):
             except PeerNotFoundError:
                 continue  # repair lookup died under churn; fingers stay stale
             current = predecessor
-            for _ in range(len(nodes) + 4):
-                holder = nodes.get(current)
+            for _ in range(len(peers) + 4):
+                holder = peers.get(current)
                 if holder is None or holder.finger[i] != node.address:
                     break
                 self.bus.send(node.address, current, MsgType.TABLE_UPDATE)
@@ -469,7 +433,7 @@ class ChordNetwork(OverlayNetwork):
         owner = yield from self.successor_steps(
             start, hash_key(key, self.m_bits), MsgType.SEARCH
         )
-        found = key in self.node(owner).store
+        found = key in self.peer(owner).store
         return SearchResult(found=found, owner=owner, trace=trace)
 
     def search_range_steps(
@@ -493,7 +457,7 @@ class ChordNetwork(OverlayNetwork):
         complete = False
         current = start
         for _ in range(max(self.size, 1)):
-            node = self.nodes.get(current)
+            node = self.peers.get(current)
             if node is None:
                 break  # walk carrier vanished: truncated answer
             owners.append(current)
@@ -526,7 +490,7 @@ class ChordNetwork(OverlayNetwork):
         owner = yield from self.successor_steps(
             start, hash_key(key, self.m_bits), mtype
         )
-        store = self.node(owner).store
+        store = self.peer(owner).store
         if mtype is MsgType.INSERT:
             store.insert(key)
             applied = True
@@ -537,7 +501,7 @@ class ChordNetwork(OverlayNetwork):
     # -- structure ------------------------------------------------------------------
 
     def violations(self) -> List[str]:
-        """The ring's invariants, checked against the live node set.
+        """The ring's invariants, checked against the live map.
 
         Four clauses, each line prefixed with its name: every successor's
         predecessor points back (``symmetry``); every successor is live
@@ -546,10 +510,10 @@ class ChordNetwork(OverlayNetwork):
         and every key sits at its hash's successor among the live ids
         (``key placement``).  Fingers are routing hints and go unchecked.
         """
-        nodes = self.nodes
+        peers = self.peers
         errors: List[str] = []
-        for address, node in nodes.items():
-            successor = nodes.get(node.successor)
+        for address, node in peers.items():
+            successor = peers.get(node.successor)
             if successor is None:
                 errors.append(
                     f"live successor: node {address} points at "
@@ -560,12 +524,12 @@ class ChordNetwork(OverlayNetwork):
                     f"symmetry: successor {node.successor} of node {address} "
                     f"names {successor.predecessor} as its predecessor"
                 )
-        if not nodes:
+        if not peers:
             return errors
-        ring = sorted(nodes.values(), key=lambda node: node.node_id)
+        ring = sorted(peers.values(), key=lambda node: node.node_id)
         current = ring[0]
         for expected in ring[1:] + ring[:1]:
-            following = nodes.get(current.successor)
+            following = peers.get(current.successor)
             if following is not expected:
                 errors.append(
                     f"ring: the successor of id {current.node_id} is "
@@ -589,7 +553,7 @@ class ChordNetwork(OverlayNetwork):
     def bulk_load(self, keys: List[int]) -> int:
         """Place keys at their owners without routed messages (untimed load)."""
         by_id = sorted(
-            (node.node_id, address) for address, node in self.nodes.items()
+            (node.node_id, address) for address, node in self.peers.items()
         )
         ids = [node_id for node_id, _ in by_id]
         placed = 0
@@ -598,6 +562,6 @@ class ChordNetwork(OverlayNetwork):
             index = bisect.bisect_left(ids, key_id)
             if index == len(ids):
                 index = 0
-            self.nodes[by_id[index][1]].store.insert(key)
+            self.peers[by_id[index][1]].store.insert(key)
             placed += 1
         return placed

@@ -223,11 +223,7 @@ def _run_concurrent_overlay(name: str, args: argparse.Namespace, config) -> None
     )
     for line in report.summary_lines():
         print(f"  {line}")
-    if name != "baton":
-        return
-    from repro.core.invariants import collect_violations
-
-    violations = collect_violations(anet.net)
+    violations = anet.net.violations()
     if violations:
         # Heavy churn can leave a rare residual Theorem-1 imbalance (a leaf
         # departed on a safe-departure check whose correction was lost to a

@@ -58,7 +58,6 @@ def fail(net: "BatonNetwork", address: Address) -> None:
     if peer is None:
         raise PeerNotFoundError(address)
     del net.peers[address]
-    net.bus.unregister(address)
     net.ghosts[address] = peer
 
 

@@ -1,8 +1,9 @@
 """The BATON overlay network: public API and shared protocol plumbing.
 
-:class:`BatonNetwork` owns the peers, the message bus and the position map,
-and exposes the paper's operations — join, leave, fail/repair, insert,
-delete, exact-match and range search — by delegating to the protocol modules
+:class:`BatonNetwork` adds the position map, the ghosts of crashed peers and
+the update channel to the live map and bus it inherits, and exposes the
+paper's operations — join, leave, fail/repair, insert, delete, exact-match
+and range search — by delegating to the protocol modules
 (:mod:`repro.core.join`, :mod:`repro.core.leave`, …).  Join, leave, the
 two searches and the two writes are step generators there; the
 synchronous facade that drives them is inherited
@@ -20,7 +21,6 @@ assertions.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
@@ -39,17 +39,15 @@ from repro.core.invariants import collect_violations
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
 from repro.core.results import NetworkStats, RepairResult
-from repro.core.storage import LocalStore
-from repro.net.address import Address, AddressAllocator, AddressPoolDict
+from repro.net.address import Address
 from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
-from repro.net.overlay import OverlayNetwork
+from repro.net.overlay import OverlayNetwork, place_by_range
 from repro.pubsub import multicast as multicast_protocol
 from repro.pubsub import subscribe as subscribe_protocol
 from repro.pubsub.state import PubSubState
 from repro.util.collector import paused
-from repro.util.errors import NetworkEmptyError, PeerNotFoundError, ProtocolError
-from repro.util.rng import SeededRng
+from repro.util.errors import PeerNotFoundError, ProtocolError
 from repro.util.stepper import MessageSteps, drive
 
 
@@ -241,14 +239,8 @@ class BatonNetwork(OverlayNetwork):
     )
 
     def __init__(self, config: Optional[BatonConfig] = None, seed: int = 0):
-        self.config = config or BatonConfig()
-        self.rng = SeededRng(seed)
-        self.bus = MessageBus()
+        super().__init__(config or BatonConfig(), seed)
         self.updates = UpdateChannel(self.bus)
-        self.alloc = AddressAllocator()
-        #: Live peers; the dict keeps its keys in a swap-remove pool, so a
-        #: uniform entry-point draw is O(1).
-        self.peers: Dict[Address, BatonPeer] = AddressPoolDict()
         #: Peers that failed abruptly; state retained for the repair
         #: coordinator's reconstruction and for test assertions.
         self.ghosts: Dict[Address, BatonPeer] = {}
@@ -277,21 +269,9 @@ class BatonNetwork(OverlayNetwork):
     # -- bookkeeping ---------------------------------------------------------
 
     @property
-    def size(self) -> int:
-        """Number of live peers."""
-        return len(self.peers)
-
-    @property
     def domain(self) -> Range:
         """The key interval workload generators should draw from."""
         return self.config.domain
-
-    def peer(self, address: Address) -> BatonPeer:
-        """The live peer at ``address`` (raises if dead/unknown)."""
-        try:
-            return self.peers[address]
-        except KeyError:
-            raise PeerNotFoundError(address) from None
 
     def occupant(self, position: Position) -> Optional[Address]:
         """Address occupying a tree position (sanctioned uses only)."""
@@ -308,33 +288,18 @@ class BatonNetwork(OverlayNetwork):
         (``Position.code``) — what the ground-truth link rebuild walks."""
         return MappingProxyType(self._positions)
 
-    def addresses(self) -> List[Address]:
-        return list(self.peers)
-
-    def random_peer_address(self) -> Address:
-        """A uniformly random live peer (query/join entry points), O(1)."""
-        if not self.peers:
-            raise NetworkEmptyError("network has no peers")
-        return self.peers.random_address(self.rng)
-
-    def store_of(self, address: Address) -> LocalStore:
-        """The key store of the live peer at ``address``."""
-        return self.peer(address).store
-
     def register_peer(self, peer: BatonPeer) -> None:
         self.peers[peer.address] = peer
         self._positions[peer.position.code] = peer.address
-        self.bus.register(peer.address)
 
     def unregister_peer(self, address: Address) -> BatonPeer:
         """Remove the peer at ``address``, vacating its slot if it still
         holds it.  A ghost goes the same way when its repair departs the
-        dead peer (it left the bus when it failed)."""
+        dead peer (it left the live map when it failed)."""
         peer = self.ghosts.get(address)
         if peer is None:
             peer = self.peers[address]
             del self.peers[address]
-            self.bus.unregister(address)
         code = peer.position.code
         if self._positions.get(code) == address:
             del self._positions[code]
@@ -667,25 +632,14 @@ class BatonNetwork(OverlayNetwork):
     # -- bulk loading -----------------------------------------------------------
 
     def bulk_load(self, keys: List[int]) -> int:
-        """Place keys directly into their owners without routed messages.
+        """Place keys directly into their owners without routed messages
+        (:func:`~repro.net.overlay.place_by_range`).
 
         Experiments use this for the untimed initial data load (the paper
         loads 1000·N values "in batches"); the measured operations are then
         routed individually.  Returns the number of keys placed.
         """
-        owners = sorted(self.peers.values(), key=lambda p: p.range.low)
-        bounds = [p.range.low for p in owners]
-        placed = 0
-        for key in keys:
-            index = bisect.bisect_right(bounds, key) - 1
-            if index < 0:
-                index = 0
-            owner = owners[index]
-            if not owner.range.contains(key):
-                continue
-            owner.store.insert(key)
-            placed += 1
-        return placed
+        return place_by_range(self.peers.values(), keys)
 
     # -- shared protocol plumbing ------------------------------------------------
 

@@ -71,7 +71,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #:    and ``by_type`` only, and ``Trace`` is slotted.
 #: 9: a join mirrors the keys it hands over; snapshots live under
 #:    ``<root>/v<schema>/``, and :func:`configure` removes other schemas'.
-SNAPSHOT_SCHEMA = 9
+#: 10: every overlay keeps its live map as ``peers`` (Chord and multiway
+#:    lose ``nodes``), and ``MessageBus`` reads that map instead of a
+#:    liveness set of its own.
+SNAPSHOT_SCHEMA = 10
 
 #: Length of the digest that precedes every stored pickle.
 DIGEST_BYTES = hashlib.sha256().digest_size

@@ -33,7 +33,7 @@ Concurrency semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.ranges import Range
 from repro.core.results import (
@@ -43,15 +43,13 @@ from repro.core.results import (
     RangeSearchResult,
     SearchResult,
 )
-from repro.core.storage import LocalStore
 from repro.multiway.node import ChildLink, MultiwayNode
-from repro.net.address import Address, AddressAllocator, AddressPoolDict
-from repro.net.bus import MessageBus, Trace
+from repro.net.address import Address
+from repro.net.bus import Trace
 from repro.net.message import MsgType
-from repro.net.overlay import OverlayNetwork
+from repro.net.overlay import OverlayNetwork, place_by_range
 from repro.sim.topology import Hop
-from repro.util.errors import NetworkEmptyError, PeerNotFoundError, ProtocolError
-from repro.util.rng import SeededRng
+from repro.util.errors import PeerNotFoundError, ProtocolError
 from repro.util.stepper import MessageSteps, drive
 
 
@@ -82,52 +80,23 @@ class MultiwayNetwork(OverlayNetwork):
     overlay_name = "multiway"
 
     def __init__(self, config: Optional[MultiwayConfig] = None, seed: int = 0):
-        self.config = config or MultiwayConfig()
-        self.rng = SeededRng(seed)
-        self.bus = MessageBus()
-        self.alloc = AddressAllocator()
-        self.nodes: Dict[Address, MultiwayNode] = AddressPoolDict()
+        super().__init__(config or MultiwayConfig(), seed)
         self.root: Optional[Address] = None
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
     @property
     def domain(self) -> Range:
         """The key interval workload generators should draw from."""
         return self.config.domain
 
-    def node(self, address: Address) -> MultiwayNode:
-        """The live node at ``address`` (raises if departed/unknown)."""
-        try:
-            return self.nodes[address]
-        except KeyError:
-            raise PeerNotFoundError(address) from None
-
-    def addresses(self) -> List[Address]:
-        return list(self.nodes)
-
-    def random_peer_address(self) -> Address:
-        """A uniformly random live node (query/join entry points)."""
-        if not self.nodes:
-            raise NetworkEmptyError("tree has no nodes")
-        return self.nodes.random_address(self.rng)
-
-    def store_of(self, address: Address) -> LocalStore:
-        """The key store of the live node at ``address``."""
-        return self.node(address).store
-
     # -- construction ----------------------------------------------------------
 
     def bootstrap(self) -> Address:
-        if self.nodes:
+        if self.peers:
             raise ValueError("tree is already bootstrapped")
         node = MultiwayNode(self.alloc.allocate(), 0, self.config.domain)
-        self.nodes[node.address] = node
-        self.bus.register(node.address)
+        self.peers[node.address] = node
         self.root = node.address
         return node.address
 
@@ -157,7 +126,7 @@ class MultiwayNetwork(OverlayNetwork):
                 yield Hop(None, current)  # fresh client ingress
                 continue
             find_trace = trace.frozen("multiway.join.find")
-            child = self.accept_child(self.nodes[parent_address])
+            child = self.accept_child(self.peers[parent_address])
             return JoinResult(
                 address=child.address,
                 parent=parent_address,
@@ -176,7 +145,7 @@ class MultiwayNetwork(OverlayNetwork):
         current = entry
         limit = self.size + 8
         for _ in range(limit):
-            node = self.node(current)
+            node = self.peer(current)
             if len(node.children) < self.config.fanout and node.range.can_split:
                 return current
             if node.children:
@@ -200,8 +169,7 @@ class MultiwayNetwork(OverlayNetwork):
         child = MultiwayNode(self.alloc.allocate(), parent.level + 1, child_range)
         child.store.extend(moved)
         child.parent = parent.address
-        self.nodes[child.address] = child
-        self.bus.register(child.address)
+        self.peers[child.address] = child
         self.bus.send(parent.address, child.address, MsgType.JOIN_TRANSFER)
 
         # Children stay ordered by coverage; the newcomer's coverage is the
@@ -226,41 +194,41 @@ class MultiwayNetwork(OverlayNetwork):
         if index > 0:
             left = parent.children[index - 1].address
         elif parent.left_neighbor is not None:
-            uncle = self.nodes.get(parent.left_neighbor)
+            uncle = self.peers.get(parent.left_neighbor)
             if uncle is not None and uncle.children:
                 self.bus.send(parent.address, uncle.address, MsgType.TABLE_UPDATE)
                 left = uncle.children[-1].address
-        if left is not None and left in self.nodes:
+        if left is not None and left in self.peers:
             # Splice into the doubly-linked level chain right after `left`.
-            left_node = self.nodes[left]
+            left_node = self.peers[left]
             right = left_node.right_neighbor
             child.left_neighbor = left
             child.right_neighbor = right
             self.bus.send(child.address, left, MsgType.TABLE_UPDATE)
             left_node.right_neighbor = child.address
-            if right is not None and right in self.nodes:
+            if right is not None and right in self.peers:
                 self.bus.send(child.address, right, MsgType.TABLE_UPDATE)
-                self.nodes[right].left_neighbor = child.address
+                self.peers[right].left_neighbor = child.address
             return
         right: Optional[Address] = None
         if index < len(parent.children) - 1:
             right = parent.children[index + 1].address
         elif parent.right_neighbor is not None:
-            uncle = self.nodes.get(parent.right_neighbor)
+            uncle = self.peers.get(parent.right_neighbor)
             if uncle is not None and uncle.children:
                 self.bus.send(parent.address, uncle.address, MsgType.TABLE_UPDATE)
                 right = uncle.children[0].address
-        if right is not None and right in self.nodes:
+        if right is not None and right in self.peers:
             # Splice right before `right`.
-            right_node = self.nodes[right]
+            right_node = self.peers[right]
             far_left = right_node.left_neighbor
             child.right_neighbor = right
             child.left_neighbor = far_left
             self.bus.send(child.address, right, MsgType.TABLE_UPDATE)
             right_node.left_neighbor = child.address
-            if far_left is not None and far_left in self.nodes:
+            if far_left is not None and far_left in self.peers:
                 self.bus.send(child.address, far_left, MsgType.TABLE_UPDATE)
-                self.nodes[far_left].right_neighbor = child.address
+                self.peers[far_left].right_neighbor = child.address
 
     # -- departure ---------------------------------------------------------------
 
@@ -283,13 +251,12 @@ class MultiwayNetwork(OverlayNetwork):
         after the atomic surgery, one per transfer.
         """
         for _attempt in range(8):
-            departing = self.node(address)  # raises if the node already vanished
+            departing = self.peer(address)  # raises if the node already vanished
             find_trace = trace.frozen("multiway.leave.find")
             replacement_address: Optional[Address] = None
             handovers: List[Hop] = []
             if self.size == 1:
-                del self.nodes[address]
-                self.bus.unregister(address)
+                del self.peers[address]
                 self.root = None
                 break
             if departing.is_leaf:
@@ -300,9 +267,9 @@ class MultiwayNetwork(OverlayNetwork):
             except PeerNotFoundError:
                 yield Hop(address, address)  # a consulted child vanished; re-walk
                 continue
-            replacement = self.nodes.get(replacement_address)
+            replacement = self.peers.get(replacement_address)
             if (
-                self.nodes.get(address) is not departing  # transplanted away
+                self.peers.get(address) is not departing  # transplanted away
                 or replacement is None
                 or not replacement.is_leaf
             ):
@@ -342,7 +309,7 @@ class MultiwayNetwork(OverlayNetwork):
             best: Optional[MultiwayNode] = None
             for link in current.children:
                 self.bus.send(current.address, link.address, MsgType.LEAVE_FIND)
-                candidate = self.node(link.address)
+                candidate = self.peer(link.address)
                 if best is None or len(candidate.children) < len(best.children):
                     best = candidate
             if best is None:
@@ -369,14 +336,14 @@ class MultiwayNetwork(OverlayNetwork):
         """
         if leaf.parent is None:
             raise ProtocolError("cannot detach the root as a leaf")
-        parent = self.nodes[leaf.parent]
+        parent = self.peers[leaf.parent]
         link = parent.child_link_to(leaf.address)
         parent.children.remove(link)
 
         if parent.range.high == leaf.coverage.low:
             absorber = parent
         else:
-            absorber = self.nodes[
+            absorber = self.peers[
                 drive(
                     self.route_steps(
                         parent.address, leaf.coverage.low - 1, MsgType.LEAVE_TRANSFER
@@ -396,7 +363,7 @@ class MultiwayNetwork(OverlayNetwork):
             )
             if current.parent is None:
                 break
-            holder = self.nodes[current.parent]
+            holder = self.peers[current.parent]
             holder_link = holder.child_link_to(current.address)
             if holder_link is not None:
                 self.bus.send(current.address, holder.address, MsgType.TABLE_UPDATE)
@@ -407,22 +374,20 @@ class MultiwayNetwork(OverlayNetwork):
             (leaf.left_neighbor, True),
             (leaf.right_neighbor, False),
         ):
-            if side_address is None or side_address not in self.nodes:
+            if side_address is None or side_address not in self.peers:
                 continue
             self.bus.send(leaf.address, side_address, MsgType.LEAVE_TRANSFER)
-            neighbor = self.nodes[side_address]
+            neighbor = self.peers[side_address]
             if point_right:
                 neighbor.right_neighbor = leaf.right_neighbor
             else:
                 neighbor.left_neighbor = leaf.left_neighbor
-        del self.nodes[leaf.address]
-        self.bus.unregister(leaf.address)
+        del self.peers[leaf.address]
         return absorber.address
 
     def transplant(self, departing: MultiwayNode, replacement: MultiwayNode) -> None:
         """The replacement assumes the departing node's place and content."""
-        self.nodes[replacement.address] = replacement
-        self.bus.register(replacement.address)
+        self.peers[replacement.address] = replacement
         self.bus.send(departing.address, replacement.address, MsgType.LEAVE_TRANSFER)
         replacement.level = departing.level
         replacement.range = departing.range
@@ -434,32 +399,31 @@ class MultiwayNetwork(OverlayNetwork):
         replacement.right_neighbor = departing.right_neighbor
 
         snapshot_children = list(replacement.children)
-        if replacement.parent is not None and replacement.parent in self.nodes:
-            parent = self.nodes[replacement.parent]
+        if replacement.parent is not None and replacement.parent in self.peers:
+            parent = self.peers[replacement.parent]
             link = parent.child_link_to(departing.address)
             if link is not None:
                 self.bus.send(replacement.address, parent.address, MsgType.TABLE_UPDATE)
                 link.address = replacement.address
         for link in snapshot_children:
-            if link.address in self.nodes:
+            if link.address in self.peers:
                 self.bus.send(replacement.address, link.address, MsgType.TABLE_UPDATE)
-                self.nodes[link.address].parent = replacement.address
+                self.peers[link.address].parent = replacement.address
         for side_address, point_right in (
             (replacement.left_neighbor, True),
             (replacement.right_neighbor, False),
         ):
-            if side_address is None or side_address not in self.nodes:
+            if side_address is None or side_address not in self.peers:
                 continue
             self.bus.send(replacement.address, side_address, MsgType.TABLE_UPDATE)
-            neighbor = self.nodes[side_address]
+            neighbor = self.peers[side_address]
             if point_right:
                 neighbor.right_neighbor = replacement.address
             else:
                 neighbor.left_neighbor = replacement.address
         if self.root == departing.address:
             self.root = replacement.address
-        del self.nodes[departing.address]
-        self.bus.unregister(departing.address)
+        del self.peers[departing.address]
 
     # -- search -------------------------------------------------------------------
 
@@ -474,7 +438,7 @@ class MultiwayNetwork(OverlayNetwork):
         previous: Optional[Address] = None
         limit = 4 * self.size + 32
         for _ in range(limit):
-            node = self.node(current)
+            node = self.peer(current)
             if node.range.contains(key):
                 return current
             next_hop: Optional[Address] = None
@@ -504,7 +468,7 @@ class MultiwayNetwork(OverlayNetwork):
     ) -> MessageSteps:
         """Route link by link to ``key``'s owner (``degraded`` is unused)."""
         owner = yield from self.route_steps(start, key, MsgType.SEARCH)
-        found = key in self.node(owner).store
+        found = key in self.peer(owner).store
         return SearchResult(found=found, owner=owner, trace=trace)
 
     def search_range_steps(
@@ -526,13 +490,13 @@ class MultiwayNetwork(OverlayNetwork):
         owners: List[Address] = []
         keys: List[int] = []
         complete = True
-        current = self.node(first)
+        current = self.peer(first)
         # Climb until the subtree coverage spans the query (or root).
         while current.parent is not None and current.coverage.high < high:
             parent_address = current.parent
             try:
                 self.bus.send(current.address, parent_address, MsgType.RANGE_SEARCH)
-                parent = self.node(parent_address)
+                parent = self.peer(parent_address)
             except PeerNotFoundError:
                 return RangeSearchResult(
                     owners=owners, keys=sorted(keys), trace=trace, complete=False
@@ -545,7 +509,7 @@ class MultiwayNetwork(OverlayNetwork):
         query = Range(low, high)
         while stack:
             sender, address = stack.pop()
-            node = self.nodes.get(address)
+            node = self.peers.get(address)
             if node is None:
                 complete = False  # subtree vanished mid-scan: truncated
                 continue
@@ -575,19 +539,24 @@ class MultiwayNetwork(OverlayNetwork):
         trace: Trace,
         degraded: Optional[Callable[[], bool]] = None,
     ) -> MessageSteps:
-        """Route an insert or delete to ``key``'s owner and apply it there;
-        a key beyond the root's coverage expands it instead of routing.
+        """Route an insert or delete to ``key``'s owner and apply it there.
+
+        A key below the root's coverage widens the root, whose own range is
+        its coverage's lowest segment, without routing; a key above it goes
+        to the top segment's owner (:meth:`widen_top_steps`).
         """
         owner: Optional[Address] = None
         if not self.config.domain.contains(key):
-            root = self.node(self.root)
-            if key < root.coverage.low or key >= root.coverage.high:
+            root = self.peer(self.root)
+            if key < root.coverage.low:
                 root.coverage = root.coverage.extend_to_include(key)
                 root.range = root.range.extend_to_include(key)
                 owner = self.root
+            elif key >= root.coverage.high:
+                owner = yield from self.widen_top_steps(start, key, mtype)
         if owner is None:
             owner = yield from self.route_steps(start, key, mtype)
-        store = self.node(owner).store
+        store = self.peer(owner).store
         if mtype is MsgType.INSERT:
             store.insert(key)
             applied = True
@@ -595,27 +564,42 @@ class MultiwayNetwork(OverlayNetwork):
             applied = store.delete(key)
         return DataOpResult(applied=applied, owner=owner, trace=trace)
 
-    def bulk_load(self, keys: List[int]) -> int:
-        """Place keys at their owners without routed messages (untimed load)."""
-        owners = sorted(self.nodes.values(), key=lambda n: n.range.low)
-        bounds = [n.range.low for n in owners]
-        import bisect
+    def widen_top_steps(self, start: Address, key: int, mtype: MsgType) -> MessageSteps:
+        """Route a key above the root's coverage to the owner of the top
+        segment (the owner of ``coverage.high - 1``), then widen that
+        owner's range and every coverage up to the root to hold it, each
+        parent's :class:`ChildLink` copy included — one ``TABLE_UPDATE``
+        per link, as :meth:`detach_leaf` pays for its own widening.
+        Returns the owner.  The widening runs in the segment that found
+        the owner; if the owner no longer holds the top by then (a
+        concurrent change moved it), the op fails rather than overlap
+        another range.
+        """
+        top = self.peer(self.root).coverage.high
+        owner = yield from self.route_steps(start, top - 1, mtype)
+        node = self.peer(owner)
+        if node.range.high != self.peer(self.root).coverage.high:
+            raise ProtocolError(f"multiway insert of {key} lost the top segment")
+        node.range = node.range.extend_to_include(key)
+        current = node
+        while True:
+            current.coverage = current.coverage.extend_to_include(key)
+            if current.parent is None:
+                return owner
+            holder = self.peers[current.parent]
+            self.bus.send(current.address, holder.address, MsgType.TABLE_UPDATE)
+            holder.child_link_to(current.address).coverage = current.coverage
+            current = holder
 
-        placed = 0
-        for key in keys:
-            index = bisect.bisect_right(bounds, key) - 1
-            if index < 0:
-                continue
-            owner = owners[index]
-            if owner.range.contains(key):
-                owner.store.insert(key)
-                placed += 1
-        return placed
+    def bulk_load(self, keys: List[int]) -> int:
+        """Place keys at their owners without routed messages (untimed
+        load; :func:`~repro.net.overlay.place_by_range`)."""
+        return place_by_range(self.peers.values(), keys)
 
     # -- structure ------------------------------------------------------------------
 
     def violations(self) -> List[str]:
-        """The tree's invariants, checked against the live node set.
+        """The tree's invariants, checked against the live map.
 
         Five clauses, each line prefixed with its name: parent and child
         links agree both ways and only the root has no parent
@@ -626,14 +610,14 @@ class MultiwayNetwork(OverlayNetwork):
         overlap (``tiling``); and every key lies inside its node's own
         range (``key placement``).
         """
-        nodes = self.nodes
+        peers = self.peers
         errors: List[str] = []
-        for address, node in nodes.items():
+        for address, node in peers.items():
             if node.parent is None:
                 if address != self.root:
                     errors.append(f"parent/child: node {address} has no parent")
             else:
-                parent = nodes.get(node.parent)
+                parent = peers.get(node.parent)
                 if parent is None or parent.child_link_to(address) is None:
                     errors.append(
                         f"parent/child: parent {node.parent} of node {address} "
@@ -645,7 +629,7 @@ class MultiwayNetwork(OverlayNetwork):
                     f"children, above {self.config.fanout}"
                 )
             for link in node.children:
-                child = nodes.get(link.address)
+                child = peers.get(link.address)
                 if child is None or child.parent != address:
                     errors.append(
                         f"parent/child: child {link.address} of node {address} "
@@ -673,13 +657,13 @@ class MultiwayNetwork(OverlayNetwork):
                         f"key placement: key {key} is outside node {address}'s "
                         f"range {node.range}"
                     )
-        root = nodes.get(self.root)
+        root = peers.get(self.root)
         if root is None:
-            if nodes:
+            if peers:
                 errors.append(f"parent/child: the root {self.root} is not live")
             return errors
         edge = root.coverage.low
-        for node in sorted(nodes.values(), key=lambda node: node.range.low):
+        for node in sorted(peers.values(), key=lambda node: node.range.low):
             if node.range.low != edge:
                 errors.append(
                     f"tiling: node {node.address}'s range {node.range} "
@@ -697,4 +681,4 @@ class MultiwayNetwork(OverlayNetwork):
 
     def depth(self) -> int:
         """Maximum node level plus one (tree height)."""
-        return max(node.level for node in self.nodes.values()) + 1
+        return max(node.level for node in self.peers.values()) + 1

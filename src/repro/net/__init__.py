@@ -6,9 +6,11 @@ tagged with a :class:`MsgType` category and attributed to the receiving peer
 so the experiments can report "number of passing messages" exactly as §V
 does.
 
-Failure experiments mark peers dead at the bus: a send to a dead address
-raises :class:`~repro.util.errors.PeerNotFoundError` *after* counting the
-attempted message, and the caller must route around the failure.
+The bus reads liveness off the network's one live map
+(``OverlayNetwork.peers``): a send to an address that left it, by
+departure or crash, raises :class:`~repro.util.errors.PeerNotFoundError`
+*after* counting the attempted message, and the caller must route around
+the failure.
 """
 
 from repro.net.address import Address, AddressAllocator

@@ -4,11 +4,13 @@ The bus is the single funnel through which every inter-peer hop passes —
 :meth:`MessageBus.send` ``(src, dst, mtype)``, one call and one frame per
 message, no message object.  It does three jobs:
 
-* **Liveness** — peers register on join and unregister on departure; failure
-  experiments mark peers dead.  Sending to a dead or unknown address raises
-  :class:`~repro.util.errors.PeerNotFoundError` *after* the attempt is
-  counted, because the paper counts the wasted message too (the sender paid
-  for it and must now route around the failure).
+* **Liveness** — the bus keeps no membership of its own: it reads the
+  network's one live map (``OverlayNetwork.peers``), so a peer is reachable
+  exactly while it is in that map.  Sending to a departed, crashed or
+  unknown address raises :class:`~repro.util.errors.PeerNotFoundError`
+  *after* the attempt is counted, because the paper counts the wasted
+  message too (the sender paid for it and must now route around the
+  failure).
 * **Global accounting** — the total and the totals by :class:`MsgType`,
   nothing per peer or per level: a reader that wants a finer split (Figure
   8(f)'s load by tree level) wraps ``send`` on its own network for as long
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from repro.net.address import Address
 from repro.net.message import MsgType
@@ -90,22 +92,17 @@ class TrafficStats:
 
 
 class MessageBus:
-    """Registers peers, validates liveness and counts every message."""
+    """Validates liveness against the network's live map and counts every
+    message.
 
-    def __init__(self) -> None:
-        self._alive: set[Address] = set()
+    ``alive`` is read, never written: any container of the live addresses
+    (the network's ``peers`` map; a plain set in unit tests).
+    """
+
+    def __init__(self, alive: Container[Address]) -> None:
+        self._live = alive
         self.stats = TrafficStats()
         self._trace_stack: list[Trace] = []
-
-    # -- liveness ---------------------------------------------------------
-
-    def register(self, address: Address) -> None:
-        """Declare a peer live (called when it joins the network)."""
-        self._alive.add(address)
-
-    def unregister(self, address: Address) -> None:
-        """Remove a peer (graceful departure or permanent failure)."""
-        self._alive.discard(address)
 
     # -- sending ----------------------------------------------------------
 
@@ -124,7 +121,7 @@ class MessageBus:
             trace.total += 1
             trace.by_type[mtype] += 1
             trace.path.append(dst)
-        if dst not in self._alive:
+        if dst not in self._live:
             raise PeerNotFoundError(dst)
 
     # -- traces -----------------------------------------------------------

@@ -6,7 +6,8 @@ experiments ask them identical questions.  :class:`OverlayNetwork` is that
 question's one declaration (DESIGN.md, "The overlay interface"): the
 members each overlay must write are abstract, so a newcomer that forgets
 one fails with ``TypeError`` when it is built, and everything written once
-for every overlay lives here.
+for every overlay lives here — among it the one live map, ``peers``, which
+the population surface and the bus's liveness test both read.
 
 Each overlay writes its operations once, as step generators
 (:mod:`repro.util.stepper`) handed the op's trace: ``join_steps``,
@@ -20,20 +21,25 @@ which every overlay's ``build`` runs.
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     ClassVar,
+    Dict,
     Iterable,
     List,
     Optional,
     Sequence,
 )
 
-from repro.net.address import Address
-from repro.net.bus import Trace
+from repro.net.address import Address, AddressAllocator, AddressPoolDict
+from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
+from repro.util.errors import NetworkEmptyError, PeerNotFoundError
+from repro.util.rng import SeededRng
 from repro.util.stepper import MessageSteps, drive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,11 +71,12 @@ ALL_CAPABILITIES = frozenset(
 
 class OverlayNetwork(ABC):
     """Base of every overlay network: what the registry and the runtime
-    read off the class, the sync facade and the growth loop.
+    read off the class, the live map, the sync facade and the growth loop.
 
-    Subclasses provide a ``(config=None, seed=0)`` constructor, a ``bus``
-    (:class:`~repro.net.bus.MessageBus`) and every abstract member below;
-    ``via=None`` enters at a random live peer.  Step generators take
+    Subclasses provide a ``(config=None, seed=0)`` constructor that calls
+    this one with a resolved config, then adds only the overlay's own
+    state, and write every abstract member below; ``via=None`` enters at a
+    random live peer.  Step generators take
     ``(start, ..., trace, degraded=None)``: they only read ``trace`` (join
     and leave cut it into ``find_trace`` / ``update_trace``) and return the
     unified result; ``degraded`` is None when driven synchronously and the
@@ -92,12 +99,46 @@ class OverlayNetwork(ABC):
     #: :data:`ALL_CAPABILITIES`.
     capabilities: ClassVar[frozenset] = frozenset()
 
-    # -- the surface each overlay writes ---------------------------------------
+    def __init__(self, config, seed: int = 0) -> None:
+        self.config = config
+        self.rng = SeededRng(seed)
+        self.alloc = AddressAllocator()
+        #: The one live map, address to peer.  A peer is live — a member of
+        #: the population and reachable on the bus — exactly while it is
+        #: here; the dict keeps its keys in a swap-remove pool, so a
+        #: uniform entry-point draw is O(1).
+        self.peers: Dict[Address, Any] = AddressPoolDict()
+        self.bus = MessageBus(self.peers)
+
+    # -- the population, read off the live map -----------------------------------
 
     @property
-    @abstractmethod
     def size(self) -> int:
         """Number of live peers."""
+        return len(self.peers)
+
+    def addresses(self) -> List[Address]:
+        """Every live peer's address."""
+        return list(self.peers)
+
+    def random_peer_address(self) -> Address:
+        """A uniformly random live peer (query and join entry points), O(1)."""
+        if not self.peers:
+            raise NetworkEmptyError("network has no peers")
+        return self.peers.random_address(self.rng)
+
+    def peer(self, address: Address):
+        """The live peer at ``address`` (raises if departed or unknown)."""
+        try:
+            return self.peers[address]
+        except KeyError:
+            raise PeerNotFoundError(address) from None
+
+    def store_of(self, address: Address) -> "LocalStore":
+        """The key store of the live peer at ``address``."""
+        return self.peer(address).store
+
+    # -- the surface each overlay writes ---------------------------------------
 
     @property
     @abstractmethod
@@ -107,18 +148,6 @@ class OverlayNetwork(ABC):
     @abstractmethod
     def bootstrap(self) -> Address:
         """Create the first peer and return its address."""
-
-    @abstractmethod
-    def store_of(self, address: Address) -> "LocalStore":
-        """The key store of the live peer at ``address``."""
-
-    @abstractmethod
-    def addresses(self) -> List[Address]:
-        """Every live peer's address."""
-
-    @abstractmethod
-    def random_peer_address(self) -> Address:
-        """A uniformly random live peer (query and join entry points)."""
 
     @abstractmethod
     def bulk_load(self, keys: Sequence[int]) -> int:
@@ -284,3 +313,21 @@ class OverlayNetwork(ABC):
         return self._traced(
             "delete", self.data_op_steps, start, key, MsgType.DELETE
         )
+
+
+def place_by_range(peers: Iterable, keys: Iterable[int]) -> int:
+    """The untimed bulk load of a range-partitioned overlay: each key goes
+    to the peer whose own ``range`` holds it, found by bisecting the range
+    lows; a key no range holds is skipped.  Returns how many were placed."""
+    owners = sorted(peers, key=lambda peer: peer.range.low)
+    bounds = [peer.range.low for peer in owners]
+    placed = 0
+    for key in keys:
+        index = bisect.bisect_right(bounds, key) - 1
+        if index < 0:
+            continue
+        owner = owners[index]
+        if owner.range.contains(key):
+            owner.store.insert(key)
+            placed += 1
+    return placed

@@ -477,11 +477,9 @@ class WorkloadRun:
         self.stretch_q = StreamingQuantiles()
         self.query_messages = 0
         self.recovery_latencies: List[float] = []
-        #: Live-membership map (peers for BATON, nodes elsewhere) — read-only
-        #: here, for O(1) gateway liveness checks.
-        self.live_peers = getattr(anet.net, "peers", None)
-        if self.live_peers is None:
-            self.live_peers = getattr(anet.net, "nodes", {})
+        #: The network's live map — read-only here, for O(1) gateway
+        #: liveness checks.
+        self.live_peers = anet.net.peers
         self.gateways: List[int] = []
         if config.client_gateways > 0:
             # Fixed session entry points, drawn once from the starting

@@ -36,11 +36,6 @@ MIRROR_CARRIERS = {
 }
 
 
-def population(net) -> dict:
-    """The live peers of any overlay (BATON's ``peers``, else ``nodes``)."""
-    return net.peers if hasattr(net, "peers") else net.nodes
-
-
 def digest(peer) -> tuple:
     """Everything a peer holds, with its store reduced to a size."""
     names = getattr(type(peer), "__slots__", None) or sorted(vars(peer))
@@ -66,8 +61,8 @@ def _mirrors(peer) -> dict:
 def audit(net, entry: Optional[Address] = None) -> Iterator[List[Address]]:
     """Audit the synchronous op run inside the ``with`` block: the list it
     yields holds the op's unpaid writes once the block exits."""
-    before = {address: digest(peer) for address, peer in population(net).items()}
-    mirrors = {a: _mirrors(p) for a, p in population(net).items()}
+    before = {address: digest(peer) for address, peer in net.peers.items()}
+    mirrors = {a: _mirrors(p) for a, p in net.peers.items()}
     reached = {entry}
     carried = {entry}
     send = net.bus.send
@@ -87,7 +82,7 @@ def audit(net, entry: Optional[Address] = None) -> Iterator[List[Address]]:
     unpaid.extend(
         sorted(
             address
-            for address, peer in population(net).items()
+            for address, peer in net.peers.items()
             if address in before
             and (
                 (address not in reached and before[address] != digest(peer))

@@ -71,7 +71,7 @@ def oracle_multiway(n_peers, seed, data_per_node):
     net = MultiwayNetwork(seed=seed)
     root = net.bootstrap()
     keys = loaded_keys(n_peers, data_per_node, seed) if data_per_node else []
-    return _grown_around_data(net, net.nodes[root].store, n_peers, keys)
+    return _grown_around_data(net, net.peers[root].store, n_peers, keys)
 
 
 def oracle_chord(n_peers, seed, data_per_node):
@@ -129,7 +129,7 @@ def built_state(net):
     elif isinstance(net, ChordNetwork):
         peers = {
             address: (node.node_id, tuple(sorted(node.store)))
-            for address, node in net.nodes.items()
+            for address, node in net.peers.items()
         }
     else:
         peers = {
@@ -139,7 +139,7 @@ def built_state(net):
                 node.range.high,
                 tuple(sorted(node.store)),
             )
-            for address, node in net.nodes.items()
+            for address, node in net.peers.items()
         }
     return (
         sorted(peers),

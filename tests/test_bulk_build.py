@@ -393,7 +393,6 @@ def assert_same_network(actual: BatonNetwork, expected: BatonNetwork) -> None:
     assert list(actual.peers) == list(expected.peers)
     assert actual.peers._pool == expected.peers._pool
     assert list(actual._positions.items()) == list(expected._positions.items())
-    assert actual.bus._alive == expected.bus._alive
     assert actual.alloc._next == expected.alloc._next
     for address, want in expected.peers.items():
         got = actual.peers[address]

@@ -22,19 +22,22 @@ class TestAllocator:
             AddressAllocator(start=-5)
 
 
+def live(*addresses: int) -> set:
+    return {Address(address) for address in addresses}
+
+
 class TestLiveness:
-    def test_register_unregister(self):
-        bus = MessageBus()
-        bus.register(Address(1))
-        bus.register(Address(2))
+    def test_reads_the_live_container_it_was_given(self):
+        alive = live(1, 2)
+        bus = MessageBus(alive)
         bus.send(Address(1), Address(2), MsgType.SEARCH)
-        bus.unregister(Address(2))
+        alive.discard(Address(2))  # the network's map changes; the bus sees it
         with pytest.raises(PeerNotFoundError):
             bus.send(Address(1), Address(2), MsgType.SEARCH)
+        assert bus.stats.total == 2
 
     def test_send_to_dead_raises_after_counting(self):
-        bus = MessageBus()
-        bus.register(Address(1))
+        bus = MessageBus(live(1))
         with pytest.raises(PeerNotFoundError):
             bus.send(Address(1), Address(2), MsgType.SEARCH)
         # the wasted message was still paid for
@@ -43,9 +46,7 @@ class TestLiveness:
 
 class TestAccounting:
     def test_totals_by_type(self):
-        bus = MessageBus()
-        for addr in (1, 2):
-            bus.register(Address(addr))
+        bus = MessageBus(live(1, 2))
         bus.send(Address(1), Address(2), MsgType.SEARCH)
         bus.send(Address(2), Address(1), MsgType.SEARCH)
         bus.send(Address(1), Address(2), MsgType.INSERT)
@@ -55,9 +56,7 @@ class TestAccounting:
 
 class TestTraces:
     def test_trace_scopes_messages(self):
-        bus = MessageBus()
-        for addr in (1, 2):
-            bus.register(Address(addr))
+        bus = MessageBus(live(1, 2))
         bus.send(Address(1), Address(2), MsgType.SEARCH)
         with bus.trace("op") as trace:
             bus.send(Address(1), Address(2), MsgType.SEARCH)
@@ -68,8 +67,7 @@ class TestTraces:
         assert bus.stats.total == 3
 
     def test_nested_traces_both_counted(self):
-        bus = MessageBus()
-        bus.register(Address(1))
+        bus = MessageBus(live(1))
         with bus.trace("outer") as outer:
             with bus.trace("inner") as inner:
                 bus.send(Address(1), Address(1), MsgType.SEARCH)
@@ -77,8 +75,7 @@ class TestTraces:
         assert inner.total == 1
 
     def test_trace_is_slotted_and_counts_from_empty(self):
-        bus = MessageBus()
-        bus.register(Address(1))
+        bus = MessageBus(live(1))
         trace = Trace("op")
         assert not hasattr(trace, "__dict__")
         assert trace.by_type == Counter() and trace.path == []
@@ -90,9 +87,7 @@ class TestTraces:
         assert trace == Trace("op", 1, Counter({MsgType.SEARCH: 1}), [Address(1)])
 
     def test_trace_path_records_destinations(self):
-        bus = MessageBus()
-        for addr in (1, 2, 3):
-            bus.register(Address(addr))
+        bus = MessageBus(live(1, 2, 3))
         with bus.trace("walk") as trace:
             bus.send(Address(1), Address(2), MsgType.SEARCH)
             bus.send(Address(2), Address(3), MsgType.SEARCH)
@@ -101,8 +96,7 @@ class TestTraces:
 
 class TestFunnel:
     def test_dead_destination_is_fully_counted_before_the_raise(self):
-        bus = MessageBus()
-        bus.register(Address(1))
+        bus = MessageBus(live(1))
         with bus.trace("op") as trace:
             with pytest.raises(PeerNotFoundError):
                 bus.send(Address(1), Address(9), MsgType.SEARCH)
@@ -113,8 +107,7 @@ class TestFunnel:
         assert trace.path == [Address(9)]
 
     def test_send_takes_no_payload(self):
-        bus = MessageBus()
-        bus.register(Address(1))
+        bus = MessageBus(live(1))
         with pytest.raises(TypeError):
             bus.send(Address(1), Address(1), MsgType.SEARCH, key=7)
         assert bus.stats.total == 0

@@ -14,25 +14,25 @@ from repro.workloads.generators import uniform_keys
 
 def ring_cycle(net: ChordNetwork) -> list:
     """Successor chain starting from the lowest address."""
-    start = sorted(net.nodes)[0]
+    start = sorted(net.peers)[0]
     cycle = [start]
-    current = net.nodes[start].successor
+    current = net.peers[start].successor
     while current != start:
         cycle.append(current)
-        current = net.nodes[current].successor
+        current = net.peers[current].successor
     return cycle
 
 
 def check_ring(net: ChordNetwork) -> None:
     cycle = ring_cycle(net)
     assert len(cycle) == net.size, "successors must form a single cycle"
-    ids = [net.nodes[a].node_id for a in cycle]
+    ids = [net.peers[a].node_id for a in cycle]
     rotation = ids.index(min(ids))
     rotated = ids[rotation:] + ids[:rotation]
     assert rotated == sorted(ids), "cycle must follow identifier order"
     for address in cycle:
-        node = net.nodes[address]
-        successor = net.nodes[node.successor]
+        node = net.peers[address]
+        successor = net.peers[node.successor]
         assert successor.predecessor == address
 
 
@@ -75,7 +75,7 @@ class TestRingMaintenance:
     def test_singleton_is_own_successor(self):
         net = ChordNetwork(seed=1)
         root = net.bootstrap()
-        node = net.nodes[root]
+        node = net.peers[root]
         assert node.successor == root
         assert node.predecessor == root
 
@@ -93,9 +93,9 @@ class TestRingMaintenance:
 
     def test_failed_sync_join_unwinds_its_node(self, monkeypatch):
         """A join whose lookup raises leaves the ring as it found it —
-        no half-born node, no stray liveness, no leaked identifier."""
+        no half-born node in the live map, no leaked identifier."""
         net = ChordNetwork.build(12, seed=3)
-        nodes, live, ids = dict(net.nodes), set(net.bus._alive), set(net._used_ids)
+        peers, pool, ids = dict(net.peers), list(net.peers._pool), set(net._used_ids)
 
         def broken_lookup(start, target_id, mtype):
             raise ProtocolError("lookup died")
@@ -104,13 +104,13 @@ class TestRingMaintenance:
         monkeypatch.setattr(net, "successor_steps", broken_lookup)
         with pytest.raises(ProtocolError, match="lookup died"):
             net.join()
-        assert dict(net.nodes) == nodes
-        assert net.bus._alive == live
+        assert dict(net.peers) == peers
+        assert net.peers._pool == pool
         assert net._used_ids == ids
 
     def test_fingers_point_at_true_successors(self):
         net = ChordNetwork.build(40, seed=5)
-        ids = sorted(node.node_id for node in net.nodes.values())
+        ids = sorted(node.node_id for node in net.peers.values())
 
         def true_successor(target: int) -> int:
             for node_id in ids:
@@ -119,9 +119,9 @@ class TestRingMaintenance:
             return ids[0]
 
         space = 1 << net.m_bits
-        for node in net.nodes.values():
+        for node in net.peers.values():
             for i in range(net.m_bits):
-                finger_id = net.nodes[node.finger[i]].node_id
+                finger_id = net.peers[node.finger[i]].node_id
                 assert finger_id == true_successor((node.node_id + (1 << i)) % space)
 
 
@@ -227,7 +227,7 @@ def golden_async_run(n_peers: int, seed: int, m_bits: int) -> dict:
     ).wrap()
     net = anet.net
     keys = uniform_keys(60, seed=seed + 11)
-    leavers = net.rng.sample(sorted(net.nodes), 20)
+    leavers = net.rng.sample(sorted(net.peers), 20)
     futures = []
     for i, key in enumerate(keys):
         futures.append(anet.submit_insert(key))
@@ -255,7 +255,7 @@ def fingerprint(net: ChordNetwork, outcomes: list) -> dict:
             node.predecessor,
             tuple(sorted(node.store)),
         )
-        for address, node in net.nodes.items()
+        for address, node in net.peers.items()
     )
     return {
         "by_type": {

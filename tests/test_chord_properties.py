@@ -78,13 +78,13 @@ class TestRingProperties:
             else:
                 net.leave(net.random_peer_address())
         # successors form one cycle covering every node
-        start = sorted(net.nodes)[0]
+        start = sorted(net.peers)[0]
         seen = {start}
-        current = net.nodes[start].successor
+        current = net.peers[start].successor
         while current != start:
             assert current not in seen, "successor cycle is broken"
             seen.add(current)
-            current = net.nodes[current].successor
+            current = net.peers[current].successor
         assert len(seen) == net.size
 
     @settings(max_examples=15, deadline=None)

@@ -106,6 +106,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "replica" in out
 
+    @pytest.mark.parametrize("overlay", ("chord", "multiway"))
+    def test_concurrent_checks_every_overlay(self, capsys, overlay, monkeypatch):
+        """Each overlay's own checker reports, not only BATON's."""
+        from repro import overlays
+
+        assert main(["concurrent", "--overlay", overlay, "--peers", "16",
+                     "--duration", "4", "--query-rate", "2"]) == 0
+        assert "invariants: OK" in capsys.readouterr().out
+        broken = ["ring: planted", "tiling: planted"]
+        monkeypatch.setattr(
+            overlays.get(overlay), "violations", lambda net: broken
+        )
+        assert main(["concurrent", "--overlay", overlay, "--peers", "16",
+                     "--duration", "4", "--query-rate", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "invariants: 2 residual violation(s)" in out
+        assert "  - ring: planted" in out
+
     def test_replication_rejected_without_capability(self, capsys):
         assert main(["concurrent", "--overlay", "chord", "--replication"]) == 2
         err = capsys.readouterr().err

@@ -3,28 +3,29 @@
 import pytest
 
 from repro.multiway import MultiwayConfig, MultiwayNetwork
+from repro.net.message import MsgType
 from repro.workloads.generators import uniform_keys, zipfian_keys
 
 
 def check_structure(net: MultiwayNetwork) -> None:
     """Local structural invariants of the multiway tree."""
-    for address, node in net.nodes.items():
+    for address, node in net.peers.items():
         if node.parent is not None:
-            parent = net.nodes[node.parent]
+            parent = net.peers[node.parent]
             link = parent.child_link_to(address)
             assert link is not None, f"{address} missing from parent's children"
             assert link.coverage.low <= node.range.low
             assert node.range.high <= link.coverage.high
         for child_link in node.children:
-            assert child_link.address in net.nodes
-            assert net.nodes[child_link.address].parent == address
+            assert child_link.address in net.peers
+            assert net.peers[child_link.address].parent == address
         for neighbor in (node.left_neighbor, node.right_neighbor):
-            assert neighbor is None or neighbor in net.nodes
+            assert neighbor is None or neighbor in net.peers
         if node.right_neighbor is not None:
-            assert net.nodes[node.right_neighbor].left_neighbor == address
+            assert net.peers[node.right_neighbor].left_neighbor == address
     # own ranges partition the domain
     owned = sorted(
-        (n.range.low, n.range.high) for n in net.nodes.values()
+        (n.range.low, n.range.high) for n in net.peers.values()
     )
     for (low_a, high_a), (low_b, _) in zip(owned, owned[1:]):
         assert high_a == low_b, "own ranges must tile the domain"
@@ -39,7 +40,7 @@ class TestConstruction:
     def test_fanout_respected(self):
         config = MultiwayConfig(fanout=3)
         net = MultiwayNetwork.build(60, seed=2, config=config)
-        assert all(len(n.children) <= 3 for n in net.nodes.values())
+        assert all(len(n.children) <= 3 for n in net.peers.values())
 
     def test_fanout_validation(self):
         with pytest.raises(ValueError):
@@ -64,7 +65,7 @@ class TestSearch:
         net = MultiwayNetwork.build(25, seed=5)
         keys = uniform_keys(50, seed=2)
         net.bulk_load(keys)
-        for start in sorted(net.nodes):
+        for start in sorted(net.peers):
             assert net.search_exact(keys[0], via=start).found
 
     def test_search_costs_more_than_height(self):
@@ -106,6 +107,28 @@ class TestDataOps:
         net.insert(500)
         assert net.search_exact(500).found
 
+    @pytest.mark.parametrize("side", ("above", "below"))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_out_of_domain_insert_keeps_the_tiling(self, seed, side):
+        """A key above the domain lands at the top segment's owner, whose
+        range and coverage chain widen (each link paid); one below widens
+        the root, whose own range is the lowest segment."""
+        net = MultiwayNetwork.build(20, seed=seed)
+        domain = net.domain
+        key = domain.high + 5 if side == "above" else domain.low - 5
+        before = net.bus.stats.by_type[MsgType.TABLE_UPDATE]
+        net.insert(key)
+        assert net.violations() == []
+        assert net.search_exact(key).found
+        root = net.peers[net.root]
+        assert root.coverage.contains(key)
+        owner = net.search_exact(key).owner
+        widened = net.bus.stats.by_type[MsgType.TABLE_UPDATE] - before
+        if side == "above":
+            assert widened == net.peers[owner].level  # one per link to the root
+        else:
+            assert owner == net.root and widened == 0
+
 
 class TestChurn:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -117,9 +140,9 @@ class TestChurn:
 
         mix = random.Random(seed)
         for _ in range(40):
-            net.leave(mix.choice(sorted(net.nodes)))
+            net.leave(mix.choice(sorted(net.peers)))
             check_structure(net)
-        stored = sorted(k for n in net.nodes.values() for k in n.store)
+        stored = sorted(k for n in net.peers.values() for k in n.store)
         assert stored == sorted(keys)
 
     def test_leave_cost_scales_with_children(self):
@@ -127,9 +150,9 @@ class TestChurn:
         config = MultiwayConfig(fanout=8)
         net = MultiwayNetwork.build(120, seed=11, config=config)
         internal = next(
-            a for a, n in net.nodes.items() if len(n.children) >= 4
+            a for a, n in net.peers.items() if len(n.children) >= 4
         )
-        n_children = len(net.nodes[internal].children)
+        n_children = len(net.peers[internal].children)
         result = net.leave(internal)
         assert result.find_trace.total >= n_children
 
@@ -147,9 +170,9 @@ class TestChurn:
 
         mix = random.Random(1)
         while net.size > 1:
-            net.leave(mix.choice(sorted(net.nodes)))
+            net.leave(mix.choice(sorted(net.peers)))
         assert net.size == 1
-        net.leave(sorted(net.nodes)[0])
+        net.leave(sorted(net.peers)[0])
         assert net.size == 0
 
 
@@ -158,13 +181,13 @@ class TestSkew:
         # §II: without balancing, skew degrades the multiway tree's shape.
         uniform_net = MultiwayNetwork(seed=14)
         root = uniform_net.bootstrap()
-        uniform_net.nodes[root].store.extend(uniform_keys(3000, seed=6))
+        uniform_net.peers[root].store.extend(uniform_keys(3000, seed=6))
         for _ in range(99):
             uniform_net.join()
 
         skew_net = MultiwayNetwork(seed=14)
         root = skew_net.bootstrap()
-        skew_net.nodes[root].store.extend(zipfian_keys(3000, theta=1.0, seed=6))
+        skew_net.peers[root].store.extend(zipfian_keys(3000, theta=1.0, seed=6))
         for _ in range(99):
             skew_net.join()
         assert skew_net.depth() >= uniform_net.depth()

@@ -24,10 +24,10 @@ class TestInteriorDetach:
         first = net.join(via=root_addr).address
         second = net.join(via=root_addr).address
         third = net.join(via=root_addr).address
-        root = net.nodes[root_addr]
+        root = net.peers[root_addr]
         assert len(root.children) == 3
         top_child = max(
-            (net.nodes[l.address] for l in root.children),
+            (net.peers[l.address] for l in root.children),
             key=lambda n: n.coverage.low,
         )
         top_child.store.insert(top_child.range.low)
@@ -48,21 +48,21 @@ class TestInteriorDetach:
         for _ in range(25):
             candidates = [
                 link.address
-                for node in net.nodes.values()
+                for node in net.peers.values()
                 for link in node.children[1:]
             ]
             if not candidates:
                 break
             net.leave(mix.choice(candidates))
             check_structure(net)
-        stored = sorted(k for n in net.nodes.values() for k in n.store)
+        stored = sorted(k for n in net.peers.values() for k in n.store)
         assert stored == sorted(keys)
 
 
 class TestCoverageConsistency:
     def test_coverage_contains_own_range_and_children(self):
         net = MultiwayNetwork.build(60, seed=5)
-        for node in net.nodes.values():
+        for node in net.peers.values():
             assert node.coverage.low <= node.range.low
             assert node.range.high <= node.coverage.high
             for link in node.children:
@@ -71,7 +71,7 @@ class TestCoverageConsistency:
 
     def test_root_coverage_spans_domain(self):
         net = MultiwayNetwork.build(30, seed=6)
-        root = net.nodes[net.root]
+        root = net.peers[net.root]
         assert root.coverage == net.config.domain
 
 

@@ -32,7 +32,10 @@ from repro.core.network import BatonConfig
 from repro.net.overlay import OverlayNetwork
 from repro.sim.latency import ConstantLatency
 from repro.sim.runtime import AsyncOverlayRuntime
-from repro.util.errors import CapabilityError, PeerNotFoundError
+from repro.net.message import MsgType
+from repro.sim.latency import UniformLatency
+from repro.util.errors import CapabilityError, NetworkEmptyError, PeerNotFoundError
+from repro.util.rng import SeededRng
 from repro.workloads.generators import uniform_keys
 
 ALL = overlays.available()
@@ -54,14 +57,14 @@ def snapshot(name: str, net) -> set:
         return {
             (
                 node.node_id,
-                net.nodes[node.predecessor].node_id,
+                net.peers[node.predecessor].node_id,
                 tuple(
-                    net.nodes[f].node_id if f in net.nodes else None
+                    net.peers[f].node_id if f in net.peers else None
                     for f in node.finger
                 ),
                 tuple(sorted(node.store)),
             )
-            for node in net.nodes.values()
+            for node in net.peers.values()
         }
     return {
         (
@@ -73,7 +76,7 @@ def snapshot(name: str, net) -> set:
             len(node.children),
             tuple(sorted(node.store)),
         )
-        for node in net.nodes.values()
+        for node in net.peers.values()
     }
 
 
@@ -118,12 +121,8 @@ class TestRegistry:
 
 #: The members every overlay writes: ``OverlayNetwork``'s abstract surface.
 ABSTRACT_MEMBERS = (
-    "size",
     "domain",
     "bootstrap",
-    "store_of",
-    "addresses",
-    "random_peer_address",
     "bulk_load",
     "join_steps",
     "leave_steps",
@@ -233,6 +232,70 @@ class TestProtocolConformance:
         net = overlays.get(name).build(10, seed=7)
         with pytest.raises(ValueError):
             net.search_range(5, 5)
+
+
+def _departed_after_sync_churn(name: str):
+    """A network after 40 leave/join pairs, and the addresses that left."""
+    net = overlays.get(name).build(30, seed=2)
+    departed = []
+    for _ in range(40):
+        address = net.random_peer_address()
+        net.leave(address)
+        departed.append(address)
+        net.join()
+    return net, departed
+
+
+def _departed_after_async_churn(name: str):
+    """A network after 40 interleaved join/leave pairs on the runtime under
+    jittered latency, and the addresses whose leave went through."""
+    net = overlays.get(name).build(30, seed=2)
+    rng = SeededRng(5)
+    anet = net.wrap(topology=UniformLatency(0.1, 2.0, rng.child("latency")))
+    leaves = []
+    for _ in range(40):
+        candidates = sorted(anet.leave_candidates())
+        if len(candidates) > 8:
+            leaves.append(anet.submit_leave(rng.choice(candidates)))
+        anet.submit_join()
+        anet.run_until(anet.sim.now + 0.5)
+    anet.drain()
+    return net, [future.result.departed for future in leaves if future.succeeded]
+
+
+class TestOneLiveMap:
+    """Population and liveness come from the base class's one map, so a
+    departed address is gone from every surface at once."""
+
+    @pytest.mark.parametrize(
+        "churn", (_departed_after_sync_churn, _departed_after_async_churn)
+    )
+    @pytest.mark.parametrize("name", ALL)
+    def test_departed_address_is_gone_everywhere(self, name, churn):
+        net, departed = churn(name)
+        assert departed
+        assert set(net.addresses()) == set(net.peers)
+        assert net.size == len(net.peers)
+        sender = net.random_peer_address()
+        for address in departed:
+            assert address not in net.peers
+            with pytest.raises(PeerNotFoundError):
+                net.peer(address)
+            with pytest.raises(PeerNotFoundError):
+                net.store_of(address)
+            sent = net.bus.stats.total
+            with pytest.raises(PeerNotFoundError):
+                net.bus.send(sender, address, MsgType.SEARCH)
+            assert net.bus.stats.total == sent + 1  # counted before the raise
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_network_whose_last_peer_left_is_empty(self, name):
+        net = overlays.get(name).build(3, seed=1)
+        for _ in range(3):
+            net.leave(net.random_peer_address())
+        assert net.size == 0 and net.addresses() == []
+        with pytest.raises(NetworkEmptyError):
+            net.random_peer_address()
 
 
 #: Every public ``submit_*``: (arguments given the first live address, the

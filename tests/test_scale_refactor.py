@@ -66,11 +66,11 @@ class TestLeaveHandoverHops:
             anet = overlays.get("multiway").wrap(net, topology=topology)
             victim_address = next(
                 address
-                for address, node in sorted(net.nodes.items())
+                for address, node in sorted(net.peers.items())
                 if node.is_leaf
             )
-            net.nodes[victim_address].store.extend(
-                [net.nodes[victim_address].range.low] * load
+            net.peers[victim_address].store.extend(
+                [net.peers[victim_address].range.low] * load
             )
             future = anet.submit_leave(victim_address)
             anet.drain()

@@ -10,10 +10,7 @@ from repro.net.message import MsgType
 
 @pytest.fixture
 def bus():
-    bus = MessageBus()
-    for address in (1, 2, 3):
-        bus.register(Address(address))
-    return bus
+    return MessageBus({Address(1), Address(2), Address(3)})
 
 
 class TestImmediateMode:

@@ -44,7 +44,7 @@ def chord_ring(n_peers: int = 12, keys: bool = False):
         n_peers, seed=4, keys=uniform_keys(200, seed=4) if keys else None
     )
     assert net.violations() == []
-    return net, sorted(net.nodes.values(), key=lambda node: node.node_id)
+    return net, sorted(net.peers.values(), key=lambda node: node.node_id)
 
 
 class TestChordClauses:
@@ -101,8 +101,8 @@ def inner_child(net):
     """A non-root node whose parent is not the root."""
     return next(
         node
-        for node in net.nodes.values()
-        if node.parent is not None and net.nodes[node.parent].parent is not None
+        for node in net.peers.values()
+        if node.parent is not None and net.peers[node.parent].parent is not None
     )
 
 
@@ -115,54 +115,54 @@ class TestMultiwayClauses:
     def test_parent_child_dangling_link(self):
         net = multiway_tree()
         node = inner_child(net)
-        net.nodes[node.parent].children.remove(
-            net.nodes[node.parent].child_link_to(node.address)
+        net.peers[node.parent].children.remove(
+            net.peers[node.parent].child_link_to(node.address)
         )
         assert clauses(net.violations()) == {"parent/child"}
 
     def test_parent_child_second_root(self):
         net = multiway_tree()
         node = inner_child(net)
-        parent = net.nodes[node.parent]
+        parent = net.peers[node.parent]
         parent.children.remove(parent.child_link_to(node.address))
         node.parent = None
         assert clauses(net.violations()) == {"parent/child"}
 
     def test_fan_out(self):
         net = multiway_tree()
-        widest = max(len(node.children) for node in net.nodes.values())
+        widest = max(len(node.children) for node in net.peers.values())
         net.config.fanout = widest - 1
         assert clauses(net.violations()) == {"fan-out"}
 
     def test_coverage(self):
         net = multiway_tree()
         node = inner_child(net)
-        parent = net.nodes[node.parent]
+        parent = net.peers[node.parent]
         node.coverage = Range(node.coverage.low, parent.coverage.high + 1)
         assert clauses(net.violations()) == {"coverage"}
 
     def test_coverage_stale_link(self):
         net = multiway_tree()
         node = inner_child(net)
-        link = net.nodes[node.parent].child_link_to(node.address)
+        link = net.peers[node.parent].child_link_to(node.address)
         link.coverage = Range(node.coverage.low, node.coverage.high - 1)
         assert clauses(net.violations()) == {"coverage"}
 
     def test_tiling_gap(self):
         net = multiway_tree()
-        node = next(n for n in net.nodes.values() if n.range.width > 1)
+        node = next(n for n in net.peers.values() if n.range.width > 1)
         node.range = Range(node.range.low + 1, node.range.high)
         assert clauses(net.violations()) == {"tiling"}
 
     def test_tiling_short_of_the_domain(self):
         net = multiway_tree()
-        last = max(net.nodes.values(), key=lambda n: n.range.high)
+        last = max(net.peers.values(), key=lambda n: n.range.high)
         last.range = Range(last.range.low, last.range.high - 1)
         assert clauses(net.violations()) == {"tiling"}
 
     def test_key_placement(self):
         net = multiway_tree(keys=True)
-        node = next(n for n in net.nodes.values() if n.range.low > 0)
+        node = next(n for n in net.peers.values() if n.range.low > 0)
         node.store.insert(node.range.low - 1)
         assert clauses(net.violations()) == {"key placement"}
 
